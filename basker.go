@@ -341,12 +341,16 @@ func (f *Factorization) SolveCtx(ctx context.Context, b []float64) error {
 	return wrapErr(f.ts.SolveCtx(ctx, b))
 }
 
-// SolveMany solves A·xᵢ = bᵢ in place for every right-hand side, sweeping
-// the BTF block back-substitution once per panel of right-hand sides
-// instead of once per vector and distributing panels across the solver's
-// worker goroutines. Each bᵢ must have length n (checked up front, before
-// any vector is touched); results are bit-for-bit identical to calling
-// Solve on each bᵢ.
+// SolveMany solves A·xᵢ = bᵢ in place for every right-hand side. The batch
+// is cut into panels of 8 vectors; each panel is gathered into a
+// row-interleaved buffer (row i of all 8 vectors is one cache line) and
+// runs a single back-substitution sweep in which every factor entry — small
+// blocks, the fine-ND block, off-block couplings — is loaded once and
+// applied to all 8 lanes, and panels are dealt to the solver's worker
+// goroutines. Allocation-free in steady state on the serial path. Each bᵢ
+// must have length n (checked up front, before any vector is touched). Per
+// right-hand side the floating-point operation order is Solve's, so every
+// component compares == with calling Solve on each bᵢ.
 func (f *Factorization) SolveMany(bs [][]float64) error {
 	n := f.num.Sym.N
 	for i, b := range bs {
@@ -373,7 +377,8 @@ func (f *Factorization) SolveManyCtx(ctx context.Context, bs [][]float64) error 
 }
 
 // SolveMatrix solves A·X = B in place for a dense column-major
-// right-hand-side block: x holds nrhs vectors of length n back to back.
+// right-hand-side block: x holds nrhs vectors of length n back to back. It
+// is SolveMany's sweep, packing panels straight from x.
 func (f *Factorization) SolveMatrix(x []float64, nrhs int) error {
 	n := f.num.Sym.N
 	if nrhs < 0 || len(x) != n*nrhs {

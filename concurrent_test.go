@@ -55,6 +55,60 @@ func TestConcurrentSolveHammer(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentSolveMany8Wide hammers one Factorization with concurrent
+// full-panel (8-vector) SolveMany calls — the batch shape of the serving
+// layer — each goroutine on its own right-hand sides and each result
+// compared == with Solve. Under -race it checks that the pooled
+// row-interleaved panels are private to their call.
+func TestConcurrentSolveMany8Wide(t *testing.T) {
+	a := matgen.Circuit(matgen.CircuitParams{
+		N: 800, BTFPct: 50, Blocks: 40, Core: matgen.CoreLadder, ExtraDensity: 0.3, Seed: 43,
+	})
+	f, err := New(Options{Threads: 4, BigBlockMin: 64}).Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, width = 8, 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			rhs := make([][]float64, width)
+			want := make([][]float64, width)
+			batch := make([][]float64, width)
+			for c := range rhs {
+				rhs[c] = make([]float64, a.N)
+				for i := range rhs[c] {
+					rhs[c][i] = rng.NormFloat64()
+				}
+				want[c] = append([]float64(nil), rhs[c]...)
+				f.Solve(want[c])
+				batch[c] = make([]float64, a.N)
+			}
+			for it := 0; it < 20; it++ {
+				for c := range batch {
+					copy(batch[c], rhs[c])
+				}
+				if err := f.SolveMany(batch); err != nil {
+					t.Error(err)
+					return
+				}
+				for c := range batch {
+					for i, w := range want[c] {
+						if batch[c][i] != w {
+							t.Errorf("goroutine %d rhs %d: SolveMany differs from Solve at %d", g, c, i)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func assertClose(t *testing.T, got, want []float64) {
 	t.Helper()
 	for i := range got {

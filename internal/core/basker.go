@@ -501,7 +501,7 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	for blk := 0; blk < nblocks; blk++ {
 		d := 0
 		if ns := sym.ndsym[blk]; ns != nil {
-			d = maxBlockDim(ns)
+			d = ns.maxDim
 		} else {
 			d = sym.BlockPtr[blk+1] - sym.BlockPtr[blk]
 		}
@@ -1443,86 +1443,33 @@ func (num *Numeric) SolveBlock(blk int, y, scratch []float64) {
 	}
 }
 
-// PanelWorkspace holds the scratch of the blocked multi-RHS sweep: the
-// pivot-application scratch plus the active-column gather buffers of the
-// panel kernels.
-type PanelWorkspace struct {
-	scratch []float64
-	views   [][]float64
-	active  []int
-	vals    []float64
-}
-
-// NewPanelWorkspace sizes a workspace for panels of up to maxCols
-// right-hand sides against factorizations of this symbolic structure.
-func (s *Symbolic) NewPanelWorkspace(maxCols int) *PanelWorkspace {
-	return &PanelWorkspace{
-		scratch: make([]float64, s.SolveScratchLen()),
-		views:   make([][]float64, maxCols),
-		active:  make([]int, maxCols),
-		vals:    make([]float64, maxCols),
-	}
-}
-
-// SolvePanel runs the coarse BTF back-substitution over a panel of
-// permuted right-hand sides (each of full length n, already in row-permuted
-// order), blocked so each diagonal block's factors and each off-block
-// column are traversed once per panel instead of once per vector. Per
-// right-hand side the operation sequence is identical to the serial sweep
-// of SolveInto.
-func (num *Numeric) SolvePanel(ys [][]float64, pw *PanelWorkspace) {
-	sym := num.Sym
-	k := len(ys)
+// SolvePanel runs the coarse BTF back-substitution over a row-interleaved
+// panel: y[i] holds permuted row i of all gp.PanelLanes right-hand sides
+// (already in row-permuted order), so every entry of the diagonal-block
+// factors, the fine-ND couplings and the off-block columns is loaded once
+// and applied to eight contiguous lanes. scratch needs at least
+// Sym.SolveScratchLen() rows. Per lane the operation sequence is the serial
+// sweep's of SolveInto.
+func (num *Numeric) SolvePanel(y, scratch []gp.PanelRow) {
+	sym, perm := num.Sym, num.Perm
 	for blk := sym.NumBlocks() - 1; blk >= 0; blk-- {
 		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 		switch sym.kind[blk] {
 		case blockSmall:
-			views := pw.views[:k]
-			for c, y := range ys {
-				views[c] = y[r0:r1]
-			}
-			num.small[blk].SolveManyWith(views, pw.scratch, pw.active, pw.vals)
+			num.small[blk].SolvePanelWith(y[r0:r1], scratch)
 		case blockND:
-			// The 2D ND solve stays per-column; fine-ND blocks are few and
-			// large, so the panel win concentrates in the small blocks and
-			// the off-block couplings.
-			for _, y := range ys {
-				num.nd[blk].ndSolve(y[r0:r1], pw.scratch)
+			num.nd[blk].ndSolvePanel(y[r0:r1], scratch)
+		}
+		// Off-block couplings: the rows above the diagonal block lead each
+		// (sorted) column of the permuted matrix.
+		for c := r0; c < r1; c++ {
+			p0, p1 := perm.Colptr[c], perm.Colptr[c+1]
+			pEnd := p0
+			for pEnd < p1 && perm.Rowidx[pEnd] < r0 {
+				pEnd++
 			}
-		}
-		num.offBlockUpdateMany(blk, ys, pw)
-	}
-}
-
-// offBlockUpdateMany applies block blk's off-block couplings to every
-// right-hand side of the panel, loading each matrix entry once.
-func (num *Numeric) offBlockUpdateMany(blk int, ys [][]float64, pw *PanelWorkspace) {
-	sym := num.Sym
-	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-	for c := r0; c < r1; c++ {
-		p0, cp1 := num.Perm.Colptr[c], num.Perm.Colptr[c+1]
-		pEnd := p0
-		for pEnd < cp1 && num.Perm.Rowidx[pEnd] < r0 {
-			pEnd++
-		}
-		if pEnd == p0 {
-			continue
-		}
-		na := 0
-		for ci, y := range ys {
-			if xc := y[c]; xc != 0 {
-				pw.active[na] = ci
-				pw.vals[na] = xc
-				na++
-			}
-		}
-		if na == 0 {
-			continue
-		}
-		for p := p0; p < pEnd; p++ {
-			i, v := num.Perm.Rowidx[p], num.Perm.Values[p]
-			for a := 0; a < na; a++ {
-				ys[pw.active[a]][i] -= v * pw.vals[a]
+			if x := &y[c]; pEnd > p0 && !x.IsZero() {
+				gp.PanelAxpy(y, perm.Rowidx[p0:pEnd], perm.Values[p0:pEnd], x)
 			}
 		}
 	}

@@ -29,6 +29,9 @@ type ndSym struct {
 	leafHi    []int   // last leaf rank in subtree(K)
 	height    []int
 	maxH      int
+	// maxDim is the largest tree-block dimension: the pivot-application
+	// scratch length of the block solves.
+	maxDim int
 
 	// est holds the Algorithm 3 nonzero estimates (may be nil when the
 	// symbolic phase was skipped, e.g. in unit tests of the numeric layer).
@@ -103,6 +106,7 @@ func newNDSym(tree *nd.Tree) *ndSym {
 		leafLo:    make([]int, nb),
 		leafHi:    make([]int, nb),
 		height:    tree.Height,
+		maxDim:    1,
 	}
 	leafRank := make(map[int]int, len(tree.Leaves))
 	for r, leaf := range tree.Leaves {
@@ -147,6 +151,7 @@ func newNDSym(tree *nd.Tree) *ndSym {
 		if s.height[b] > s.maxH {
 			s.maxH = s.height[b]
 		}
+		s.maxDim = max(s.maxDim, tree.BlockSize(b))
 	}
 	return s
 }
@@ -427,7 +432,7 @@ func (num *ndNum) snapshotWaitNs() int64 {
 // in-place sweeps (mutually exclusive by contract).
 func (num *ndNum) workerScratch(t int) (*gp.Workspace, []int, []float64) {
 	if num.fws[t] == nil {
-		num.fws[t] = gp.NewWorkspace(maxBlockDim(num.sym))
+		num.fws[t] = gp.NewWorkspace(num.sym.maxDim)
 		num.fmark[t] = make([]int, num.n+1)
 		num.facc[t] = make([]float64, num.n+1)
 	}
@@ -1025,27 +1030,13 @@ func ancestorAtHeight(s *ndSym, leaf, h int) int {
 	return b
 }
 
-func maxBlockDim(s *ndSym) int {
-	max := 1
-	for b := 0; b < s.nb; b++ {
-		if sz := s.tree.BlockSize(b); sz > max {
-			max = sz
-		}
-	}
-	return max
-}
-
 // ndSolve applies the 2D block forward/backward substitution to y (the
 // right-hand side in ND-permuted local coordinates), in place. scratch is
-// caller-provided pivot-application space of at least maxBlockDim(sym)
-// elements (nil falls back to a local allocation), so repeated solves stay
-// allocation-free and reentrant.
+// caller-provided pivot-application space of at least sym.maxDim elements,
+// so repeated solves stay allocation-free and reentrant.
 func (num *ndNum) ndSolve(y []float64, scratch []float64) {
 	s := num.sym
 	nb := s.nb
-	if len(scratch) < maxBlockDim(s) {
-		scratch = make([]float64, maxBlockDim(s))
-	}
 	// Forward: block columns ascending (postorder = matrix order).
 	for k := 0; k < nb; k++ {
 		c0, c1 := s.blockRange(k)
@@ -1106,19 +1097,67 @@ func (num *ndNum) ndSolve(y []float64, scratch []float64) {
 	}
 }
 
+// ndSolvePanel is ndSolve over a row-interleaved panel (y holds the block's
+// rows for all gp.PanelLanes right-hand sides, scratch at least sym.maxDim
+// rows): the same block order, every diagonal factor and coupling block
+// traversed once for the eight lanes.
+func (num *ndNum) ndSolvePanel(y, scratch []gp.PanelRow) {
+	s := num.sym
+	nb := s.nb
+	for k := 0; k < nb; k++ {
+		c0, c1 := s.blockRange(k)
+		if c0 == c1 {
+			continue
+		}
+		f := num.diag[k]
+		z := scratch[:c1-c0]
+		for i := range z {
+			z[i] = y[c0+f.P[i]]
+		}
+		f.LSolvePanel(z)
+		copy(y[c0:c1], z)
+		for _, i := range s.ancestors[k] {
+			if lb := num.lower[i][k]; lb != nil {
+				r0, _ := s.blockRange(i)
+				couplePanel(y[r0:], lb, y[c0:c1])
+			}
+		}
+	}
+	for k := nb - 1; k >= 0; k-- {
+		c0, c1 := s.blockRange(k)
+		if c0 == c1 {
+			continue
+		}
+		for _, j := range s.ancestors[k] {
+			if ub := num.upper[k][j]; ub != nil {
+				j0, _ := s.blockRange(j)
+				couplePanel(y[c0:], ub, y[j0:])
+			}
+		}
+		num.diag[k].USolvePanel(y[c0:c1])
+	}
+}
+
+// couplePanel subtracts coupling block b times the solved rows x from y.
+func couplePanel(y []gp.PanelRow, b *sparse.CSC, x []gp.PanelRow) {
+	for c := 0; c < b.N; c++ {
+		if xc := &x[c]; !xc.IsZero() {
+			p0, p1 := b.Colptr[c], b.Colptr[c+1]
+			gp.PanelAxpy(y, b.Rowidx[p0:p1], b.Values[p0:p1], xc)
+		}
+	}
+}
+
 // ndSolveT applies the transposed 2D block substitution to y in place — the
 // A⁻ᵀ application the condition estimator needs. With the block hierarchy
 // factored as B = L̂Û (L̂ₖₖ = Pₖᵀ Lₖ, the per-block pivots applied by
 // ndSolve's forward phase), Bᵀ x = y splits into an ascending Ûᵀ sweep
 // (transpose-lower) and a descending L̂ᵀ sweep (transpose-upper). Couplings
 // mirror ndSolve's exactly, as dot products instead of scattered updates.
-// scratch needs maxBlockDim(sym) elements (nil allocates locally).
+// scratch needs sym.maxDim elements.
 func (num *ndNum) ndSolveT(y []float64, scratch []float64) {
 	s := num.sym
 	nb := s.nb
-	if len(scratch) < maxBlockDim(s) {
-		scratch = make([]float64, maxBlockDim(s))
-	}
 	// Forward: Ûᵀ is block lower triangular, ascending block columns. After
 	// w_k = U_k⁻ᵀ y_k, push this block's transposed upper couplings into the
 	// ancestors it feeds.

@@ -569,73 +569,79 @@ func (f *Factors) SolveWith(b, scratch []float64) {
 	copy(b, y)
 }
 
-// SolveManyWith solves A xᵢ = bᵢ in place for a panel of right-hand
-// sides, traversing each factor column once per panel instead of once per
-// vector: every (row, value) entry of L and U is loaded once and applied
-// to all active right-hand sides, which amortizes index decoding and
-// bounds checks across the panel. scratch needs N elements; active and
-// vals need len(cols) elements. Per right-hand side the floating-point
-// operation sequence is identical to SolveWith.
-func (f *Factors) SolveManyWith(cols [][]float64, scratch []float64, active []int, vals []float64) {
-	n := f.N
-	y := scratch[:n]
-	for _, b := range cols {
-		for k := 0; k < n; k++ {
-			y[k] = b[f.P[k]]
-		}
-		copy(b, y)
-	}
-	f.LSolveMany(cols, active, vals)
-	f.USolveMany(cols, active, vals)
+// PanelLanes is the width of a row-interleaved right-hand-side panel: row i
+// of all eight vectors is one PanelRow, one 64-byte cache line.
+const PanelLanes = 8
+
+// PanelRow holds one row of every right-hand side of a panel.
+type PanelRow [PanelLanes]float64
+
+// IsZero reports whether every lane of the row is zero (the panel form of
+// the serial sweeps' skip of a zero solution component).
+func (r *PanelRow) IsZero() bool {
+	return r[0] == 0 && r[1] == 0 && r[2] == 0 && r[3] == 0 &&
+		r[4] == 0 && r[5] == 0 && r[6] == 0 && r[7] == 0
 }
 
-// LSolveMany is LSolve over a panel: one pass over L, each entry applied
-// to every right-hand side with a nonzero at the current column.
-func (f *Factors) LSolveMany(cols [][]float64, active []int, vals []float64) {
+// PanelAxpy applies one sparse column to a panel: y[rows[q]] -= vals[q]·x
+// on all eight lanes. Every panel sweep — L, U, the fine-ND coupling
+// blocks and the coarse off-block columns — is this loop: each (row, value)
+// entry is decoded once and applied to eight contiguous lanes. Lanes of x
+// that are zero are updated with ±0, which leaves finite values unchanged.
+func PanelAxpy(y []PanelRow, rows []int, vals []float64, x *PanelRow) {
+	vals = vals[:len(rows)]
+	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+	for q, i := range rows {
+		v, r := vals[q], &y[i]
+		r[0] -= v * x0
+		r[1] -= v * x1
+		r[2] -= v * x2
+		r[3] -= v * x3
+		r[4] -= v * x4
+		r[5] -= v * x5
+		r[6] -= v * x6
+		r[7] -= v * x7
+	}
+}
+
+// SolvePanelWith is SolveWith over a row-interleaved panel: b holds the N
+// rows of the block for all eight right-hand sides, scratch at least N
+// rows. Per lane the floating-point operation sequence is SolveWith's, so
+// for finite factors every component compares == with it.
+func (f *Factors) SolvePanelWith(b, scratch []PanelRow) {
+	y := scratch[:f.N]
+	for k, p := range f.P[:f.N] {
+		y[k] = b[p]
+	}
+	f.LSolvePanel(y)
+	f.USolvePanel(y)
+	copy(b, y)
+}
+
+// LSolvePanel is LSolve over a row-interleaved panel: one pass over L.
+func (f *Factors) LSolvePanel(y []PanelRow) {
+	l := f.L
 	for j := 0; j < f.N; j++ {
-		na := 0
-		for c, y := range cols {
-			if yj := y[j]; yj != 0 {
-				active[na] = c
-				vals[na] = yj
-				na++
-			}
-		}
-		if na == 0 {
-			continue
-		}
-		for p := f.L.Colptr[j] + 1; p < f.L.Colptr[j+1]; p++ {
-			i, v := f.L.Rowidx[p], f.L.Values[p]
-			for a := 0; a < na; a++ {
-				cols[active[a]][i] -= v * vals[a]
-			}
+		p0, p1 := l.Colptr[j]+1, l.Colptr[j+1]
+		if x := &y[j]; p0 < p1 && !x.IsZero() {
+			PanelAxpy(y, l.Rowidx[p0:p1], l.Values[p0:p1], x)
 		}
 	}
 }
 
-// USolveMany is USolve over a panel: one backward pass over U.
-func (f *Factors) USolveMany(cols [][]float64, active []int, vals []float64) {
+// USolvePanel is USolve over a row-interleaved panel: one backward pass
+// over U.
+func (f *Factors) USolvePanel(y []PanelRow) {
+	u := f.U
 	for j := f.N - 1; j >= 0; j-- {
-		p1 := f.U.Colptr[j+1]
-		piv := f.U.Values[p1-1] // diagonal is the largest row index: last
-		na := 0
-		for c, y := range cols {
-			yj := y[j] / piv
-			y[j] = yj
-			if yj != 0 {
-				active[na] = c
-				vals[na] = yj
-				na++
-			}
+		p0, p1 := u.Colptr[j], u.Colptr[j+1]-1
+		piv := u.Values[p1] // diagonal is the largest row index: last
+		x := &y[j]
+		for l := range x {
+			x[l] /= piv
 		}
-		if na == 0 {
-			continue
-		}
-		for p := f.U.Colptr[j]; p < p1-1; p++ {
-			i, v := f.U.Rowidx[p], f.U.Values[p]
-			for a := 0; a < na; a++ {
-				cols[active[a]][i] -= v * vals[a]
-			}
+		if p0 < p1 && !x.IsZero() {
+			PanelAxpy(y, u.Rowidx[p0:p1], u.Values[p0:p1], x)
 		}
 	}
 }

@@ -152,6 +152,43 @@ func TestFactorRandomProperty(t *testing.T) {
 	}
 }
 
+// TestSolvePanelMatchesSolve pins the row-interleaved panel solve to the
+// single-vector one, lane by lane and component by component (==),
+// including a zero lane and rows that are zero in every lane (the column
+// skip).
+func TestSolvePanelMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(50)
+		f, err := Factor(randNonsingular(rng, n, 0.15), 0, Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		panel := make([]PanelRow, n)
+		for i := n / 3; i < n; i++ { // leading rows stay zero in all lanes
+			for l := 0; l < PanelLanes-1; l++ { // the last lane stays zero
+				panel[i][l] = rng.NormFloat64()
+			}
+		}
+		want := make([][]float64, PanelLanes)
+		for l := range want {
+			want[l] = make([]float64, n)
+			for i := range panel {
+				want[l][i] = panel[i][l]
+			}
+			f.Solve(want[l])
+		}
+		f.SolvePanelWith(panel, make([]PanelRow, n))
+		for i := range panel {
+			for l, w := range want {
+				if panel[i][l] != w[i] {
+					t.Fatalf("n=%d row %d lane %d: panel %v != solve %v", n, i, l, panel[i][l], w[i])
+				}
+			}
+		}
+	}
+}
+
 func TestPartialPivotingKicksIn(t *testing.T) {
 	// Zero diagonal forces off-diagonal pivots.
 	coo := sparse.NewCOO(2, 2, 4)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/gp"
 	"repro/internal/matgen"
 )
 
@@ -70,7 +71,8 @@ func TestChaosSolveManyWorkerPanic(t *testing.T) {
 	inject := faultinject.New()
 	s, _, b, x := chaosSolver(t, inject)
 
-	batch := make([][]float64, 8)
+	// Four 8-wide panels, so all four workers start (worker 0 among them).
+	batch := make([][]float64, 4*gp.PanelLanes)
 	for c := range batch {
 		batch[c] = append([]float64(nil), b...)
 	}

@@ -7,23 +7,33 @@
 //
 //   - reentrant solves: every per-call scratch buffer (the permuted RHS,
 //     the diagonal-block pivot scratch formerly allocated inside ndSolve
-//     and gp.Solve, refinement residuals, multi-RHS panels) lives in a
+//     and gp.Solve, refinement residuals, the multi-RHS panel) lives in a
 //     sync.Pool-backed Workspace, so any number of goroutines can solve
 //     against one factorization with zero steady-state allocation;
-//   - blocked multi-RHS solves: SolveMany sweeps the coarse BTF
-//     back-substitution once per panel of right-hand sides instead of
-//     once per vector, touching each diagonal block's factors once per
-//     panel (cache-blocking the solve the way the paper's 2D layout
-//     cache-blocks the factorization);
-//   - scheduled parallelism: panels are distributed over worker
-//     goroutines, and single-RHS solves on matrices with many coarse
+//   - row-interleaved multi-RHS solves: SolveMany and SolveMatrix cut the
+//     batch into panels of gp.PanelLanes (8) vectors and gather each panel
+//     through RowPerm into one []gp.PanelRow, where row i of all eight
+//     vectors is a single 64-byte cache line. The whole back-substitution
+//     then runs on that layout — the small diagonal blocks, the fine-ND
+//     block's diagonal factors and coupling blocks, and the coarse
+//     off-block columns all go through one kernel, gp.PanelAxpy, that
+//     loads a factor entry once and applies it to eight contiguous lanes
+//     (the data layout matched to the memory hierarchy, as the paper's 2D
+//     layout does for the factorization). A column is skipped only when
+//     all eight lanes are zero; a short tail repeats live vectors in the
+//     spare lanes, and a one-vector panel is a plain solve;
+//   - scheduled parallelism: panels are dealt to worker goroutines through
+//     an atomic cursor, and single-RHS solves on matrices with many coarse
 //     blocks run a dependency-scheduled parallel block sweep that reuses
 //     the point-to-point Signals fabric of the numeric engine — block i
 //     waits only on the exact later blocks that feed it.
 //
-// All entry points perform bit-for-bit the same floating-point operation
-// sequence per right-hand side as a serial core.Numeric.Solve, so batched,
-// parallel and serial paths are interchangeable and golden-testable.
+// All entry points perform the same floating-point operation sequence per
+// right-hand side as a serial core.Numeric.Solve, so batched, parallel and
+// serial paths are interchangeable and golden-testable: every component
+// compares == (in a panel a lane holding zero is updated with ±0 where the
+// serial sweep skips, which for finite factors can change at most the sign
+// of a zero).
 package trisolve
 
 import (
@@ -36,13 +46,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/gp"
 	"repro/internal/sparse"
 )
 
 const (
-	// maxPanel caps the column count of one blocked sweep so the panel
-	// buffer stays cache-friendly and bounded (n×32 floats).
-	maxPanel = 32
 	// blockParallelMinDim is the default minimum average block dimension
 	// (rows per coarse block) before a single-RHS solve uses the
 	// dependency-scheduled parallel sweep: with thousands of tiny blocks,
@@ -162,9 +170,9 @@ func (s *Solver) SolveCtx(ctx context.Context, b []float64) (err error) {
 }
 
 // SolveMany solves A·xᵢ = bᵢ in place for every right-hand side. The batch
-// is cut into panels of at most maxPanel columns; each panel runs one
-// blocked BTF sweep (per diagonal block, all panel columns are solved
-// before moving on), and panels are distributed over the worker
+// is cut into panels of gp.PanelLanes vectors; each panel is packed into a
+// row-interleaved buffer and runs one BTF sweep in which every factor entry
+// is applied to all of its lanes, and panels are dealt to the worker
 // goroutines. Per right-hand side the operation sequence is identical to
 // Solve.
 func (s *Solver) SolveMany(bs [][]float64) error {
@@ -177,53 +185,67 @@ func (s *Solver) SolveMany(bs [][]float64) error {
 // always joins fully before returning — workers write the caller-owned
 // right-hand sides — so cancellation accelerates the unwind rather than
 // abandoning stragglers.
-func (s *Solver) SolveManyCtx(ctx context.Context, bs [][]float64) (err error) {
-	k := len(bs)
-	if k == 0 {
+func (s *Solver) SolveManyCtx(ctx context.Context, bs [][]float64) error {
+	return s.solveBatch(ctx, rhsBatch{cols: bs, k: len(bs)})
+}
+
+// SolveMatrix solves the column-major n×nrhs system A·X = B in place:
+// x holds nrhs right-hand sides of length n back to back. Panels are packed
+// straight from x, so the call is as allocation-free as SolveMany.
+func (s *Solver) SolveMatrix(x []float64, nrhs int) error {
+	return s.solveBatch(context.Background(), rhsBatch{x: x, n: s.num.Sym.N, k: nrhs})
+}
+
+// rhsBatch names the k right-hand sides of one batched call: SolveMany's
+// vectors, or (cols nil) the columns of SolveMatrix's column-major x.
+type rhsBatch struct {
+	cols [][]float64
+	x    []float64
+	n, k int
+}
+
+func (r *rhsBatch) col(c int) []float64 {
+	if r.cols != nil {
+		return r.cols[c]
+	}
+	return r.x[c*r.n : (c+1)*r.n]
+}
+
+// solveBatch cuts r into panels and solves them, serially on the caller's
+// goroutine or dealt to the workers when there are several.
+func (s *Solver) solveBatch(ctx context.Context, r rhsBatch) (err error) {
+	if r.k == 0 {
 		return nil
 	}
 	defer func() {
-		if r := recover(); r != nil {
-			err = panicErr(r)
+		if p := recover(); p != nil {
+			err = panicErr(p)
 		}
 	}()
 	if ctx != nil && ctx.Err() != nil {
 		return core.CancelCause(ctx)
 	}
-	// Panel width: fill maxPanel columns when serial, but never leave a
-	// worker idle — with few right-hand sides and many workers, narrower
-	// panels spread the batch across the goroutines.
-	width := maxPanel
-	if s.workers > 1 {
-		if perW := (k + s.workers - 1) / s.workers; perW < width {
-			width = perW
-		}
-	}
-	nchunks := (k + width - 1) / width
-	nw := s.workers
-	if nw > nchunks {
-		nw = nchunks
-	}
+	npanels := (r.k + gp.PanelLanes - 1) / gp.PanelLanes
+	nw := min(s.workers, npanels)
 	if nw <= 1 {
-		for lo := 0; lo < k; lo += width {
+		for c := 0; c < npanels; c++ {
 			if ctx != nil && ctx.Err() != nil {
 				return core.CancelCause(ctx)
 			}
-			s.solvePanel(bs[lo:min(lo+width, k)])
+			s.solvePanel(&r, c*gp.PanelLanes)
 		}
 		return nil
 	}
-	return s.solveManyParallel(ctx, bs, width, nchunks, nw)
+	return s.solveManyParallel(ctx, r, npanels, nw)
 }
 
-// solveManyParallel distributes panel chunks over nw worker goroutines
-// through a shared atomic cursor. Kept out of SolveMany so the serial path
-// stays allocation-free (the worker closures would otherwise force their
+// solveManyParallel deals the panels to nw worker goroutines through a
+// shared atomic cursor. Kept out of solveBatch so the serial path stays
+// allocation-free (the worker closures would otherwise force their
 // captures onto the heap on every call). A panicking worker records the
 // first error and stops; the cursor lets the surviving workers drain the
 // remaining panels, so the WaitGroup join always quiesces.
-func (s *Solver) solveManyParallel(ctx context.Context, bs [][]float64, width, nchunks, nw int) (err error) {
-	k := len(bs)
+func (s *Solver) solveManyParallel(ctx context.Context, r rhsBatch, npanels, nw int) (err error) {
 	inject := s.num.Sym.Opts.Inject
 	// Armed batches borrow a pooled workspace purely for its cancellation
 	// control; the unarmed fast path allocates and arms nothing.
@@ -252,10 +274,10 @@ func (s *Solver) solveManyParallel(ctx context.Context, bs [][]float64, width, n
 		go func(w int) {
 			defer wg.Done()
 			defer func() {
-				if r := recover(); r != nil {
+				if p := recover(); p != nil {
 					mu.Lock()
 					if firstErr == nil {
-						firstErr = panicErr(r)
+						firstErr = panicErr(p)
 					}
 					mu.Unlock()
 				}
@@ -266,11 +288,11 @@ func (s *Solver) solveManyParallel(ctx context.Context, bs [][]float64, width, n
 					return
 				}
 				c := int(next.Add(1)) - 1
-				if c >= nchunks {
+				if c >= npanels {
 					return
 				}
-				lo := c * width
-				s.solvePanel(bs[lo:min(lo+width, k)])
+				s.solvePanel(&r, c*gp.PanelLanes)
+				inject.StallPoint(faultinject.SweepSolve, c)
 				if ctl != nil {
 					ctl.Step()
 				}
@@ -281,42 +303,38 @@ func (s *Solver) solveManyParallel(ctx context.Context, bs [][]float64, width, n
 	return firstErr
 }
 
-// SolveMatrix solves the column-major n×nrhs system A·X = B in place:
-// x holds nrhs right-hand sides of length n back to back.
-func (s *Solver) SolveMatrix(x []float64, nrhs int) error {
-	n := s.num.Sym.N
-	cols := make([][]float64, nrhs)
-	for c := range cols {
-		cols[c] = x[c*n : (c+1)*n]
-	}
-	return s.SolveMany(cols)
-}
-
-// solvePanel runs the blocked BTF back-substitution over one panel of
-// right-hand sides with a single pooled workspace: permute all columns in,
-// run the core panel sweep (each diagonal block's factors and each
-// off-block column traversed once per panel), and permute all columns out.
-func (s *Solver) solvePanel(cols [][]float64) {
+// solvePanel solves right-hand sides lo..lo+gp.PanelLanes of r (fewer in
+// the batch's tail) with a single pooled workspace: gather them through
+// RowPerm into the row-interleaved panel, run the core panel sweep, and
+// scatter them back through ColPerm.
+func (s *Solver) solvePanel(r *rhsBatch, lo int) {
 	ws := s.pool.get()
 	defer s.pool.put(ws)
-	num := s.num
-	sym := num.Sym
+	sym := s.num.Sym
 	n := sym.N
-	k := len(cols)
-	buf := ws.panelBuf(n, k)
-	ys := ws.views[:k]
-	for c, b := range cols {
-		y := buf[c*n : (c+1)*n]
-		for i := 0; i < n; i++ {
-			y[i] = b[sym.RowPerm[i]]
-		}
-		ys[c] = y
+	live := min(gp.PanelLanes, r.k-lo)
+	if live == 1 {
+		// A one-vector panel (k == 1, or a tail of one) is a plain solve.
+		s.num.SolveInto(r.col(lo), ws.y, ws.scratch)
+		return
 	}
-	num.SolvePanel(ys, ws.pw)
-	for c, b := range cols {
-		y := ys[c]
-		for i := 0; i < n; i++ {
-			b[sym.ColPerm[i]] = y[i]
+	// Lanes past a short tail repeat live vectors; their results are dropped.
+	var b [gp.PanelLanes][]float64
+	for l := range b {
+		b[l] = r.col(lo + l%live)[:n]
+	}
+	y, scratch := ws.panelBufs(sym)
+	for i, p := range sym.RowPerm[:n] {
+		row := &y[i]
+		for l, x := range &b {
+			row[l] = x[p]
+		}
+	}
+	s.num.SolvePanel(y, scratch)
+	for i, p := range sym.ColPerm[:n] {
+		row := &y[i]
+		for l, x := range b[:live] {
+			x[p] = row[l]
 		}
 	}
 }

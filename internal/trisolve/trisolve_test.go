@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gp"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
@@ -146,7 +147,7 @@ func TestConcurrentSolvesRace(t *testing.T) {
 						s.Solve(got)
 						checkSolution(t, got, x)
 					} else {
-						batch := make([][]float64, 3)
+						batch := make([][]float64, gp.PanelLanes)
 						for c := range batch {
 							batch[c] = append([]float64(nil), b...)
 						}
@@ -195,8 +196,9 @@ func TestSolveRefinedPooled(t *testing.T) {
 	checkSolution(t, b, x)
 }
 
-// TestSteadyStateAllocs asserts the serial solve path stops allocating
-// once the workspace pool is warm.
+// TestSteadyStateAllocs asserts the serial solve paths stop allocating once
+// the workspace pool is warm: Solve, and SolveMany/SolveMatrix on a full
+// panel, a panel plus a one-vector tail, and several panels with a tail.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are unrepresentative")
@@ -206,12 +208,21 @@ func TestSteadyStateAllocs(t *testing.T) {
 	s := New(num, Options{Workers: 1})
 	b := randRHS(a.N, 3)
 	s.Solve(b) // warm the pool
-	batch := [][]float64{randRHS(a.N, 4), randRHS(a.N, 5)}
-	s.SolveMany(batch) // warm the panel buffer
 	if avg := testing.AllocsPerRun(50, func() { s.Solve(b) }); avg > 0.5 {
 		t.Errorf("Solve allocates %.1f objects/call in steady state, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(50, func() { s.SolveMany(batch) }); avg > 0.5 {
-		t.Errorf("SolveMany allocates %.1f objects/call in steady state, want 0", avg)
+	for _, k := range []int{2, 8, 9, 33} {
+		batch := make([][]float64, k)
+		for c := range batch {
+			batch[c] = randRHS(a.N, int64(4+c))
+		}
+		x := make([]float64, a.N*k)
+		s.SolveMany(batch) // warm the panel buffer
+		if avg := testing.AllocsPerRun(20, func() { s.SolveMany(batch) }); avg > 0.5 {
+			t.Errorf("SolveMany(k=%d) allocates %.1f objects/call in steady state, want 0", k, avg)
+		}
+		if avg := testing.AllocsPerRun(20, func() { s.SolveMatrix(x, k) }); avg > 0.5 {
+			t.Errorf("SolveMatrix(k=%d) allocates %.1f objects/call in steady state, want 0", k, avg)
+		}
 	}
 }

@@ -4,12 +4,13 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/gp"
 )
 
 // Workspace holds every per-call scratch buffer of the solve phase: the
 // permuted right-hand side, the pivot-application scratch that used to be
 // allocated inside ndSolve/gp.Solve, the iterative-refinement residuals,
-// and the panel buffers for blocked multi-RHS sweeps. Workspaces are owned
+// and the row-interleaved panel of the multi-RHS sweep. Workspaces are owned
 // by a Solver's sync.Pool, so steady-state solves allocate nothing and any
 // number of goroutines can solve concurrently, each with its own set.
 type Workspace struct {
@@ -19,9 +20,8 @@ type Workspace struct {
 	rhs     []float64 // refinement saved RHS, length n (lazily sized)
 	den     []float64 // Oettli–Prager denominator |A||x|+|b|, length n (lazily sized)
 
-	panel []float64            // column-major multi-RHS panel, grown on demand
-	views [][]float64          // per-column views into panel, maxPanel wide
-	pw    *core.PanelWorkspace // gather buffers of the panel kernels
+	panel        []gp.PanelRow // row-interleaved multi-RHS panel, n rows (lazily sized)
+	panelScratch []gp.PanelRow // pivot scratch of the panel sweep, SolveScratchLen rows (lazily sized)
 
 	// sig is the per-call point-to-point fabric of the parallel block
 	// sweep. The resettable epoch variant lives in the pooled workspace so
@@ -52,8 +52,6 @@ func newWorkspace(sym *core.Symbolic) *Workspace {
 	return &Workspace{
 		y:       make([]float64, sym.N),
 		scratch: make([]float64, sym.SolveScratchLen()),
-		views:   make([][]float64, maxPanel),
-		pw:      sym.NewPanelWorkspace(maxPanel),
 	}
 }
 
@@ -69,13 +67,14 @@ func (w *Workspace) refine(n int) (r, rhs, den []float64) {
 	return w.r[:n], w.rhs[:n], w.den[:n]
 }
 
-// panelBuf returns a column-major n×k buffer, growing the retained slice
-// if the panel is wider than any seen before.
-func (w *Workspace) panelBuf(n, k int) []float64 {
-	if need := n * k; cap(w.panel) < need {
-		w.panel = make([]float64, need)
+// panelBufs returns the row-interleaved panel and its pivot scratch,
+// sizing them on first use so callers that only ever Solve pay for neither.
+func (w *Workspace) panelBufs(sym *core.Symbolic) (panel, scratch []gp.PanelRow) {
+	if w.panel == nil {
+		w.panel = make([]gp.PanelRow, sym.N)
+		w.panelScratch = make([]gp.PanelRow, sym.SolveScratchLen())
 	}
-	return w.panel[:n*k]
+	return w.panel, w.panelScratch
 }
 
 // wsPool is a typed sync.Pool of Workspaces for one factorization shape.
