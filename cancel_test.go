@@ -159,6 +159,62 @@ func TestWatchdogStallPartial(t *testing.T) {
 	chaosCheckSolve(t, f, next)
 }
 
+// TestWatchdogStallNDRefactor wedges a worker of the fine-ND cooperative
+// team during a refresh, full and partial: the ND walk consults the
+// SweepND stall point in every mode, so the watchdog must abort the sweep
+// with ErrStalled naming the ND block (a team, so no lane), the numeric is
+// poisoned, and RefactorRobust recovers after the straggler drains.
+func TestWatchdogStallNDRefactor(t *testing.T) {
+	a := chaosMatrix()
+	// Every third column: under the half-the-matrix cutoff that degrades a
+	// change set to a full refresh, and dense enough to reach the ND block.
+	var cols []int
+	for j := 0; j < a.N; j += 3 {
+		cols = append(cols, j)
+	}
+	next := matgen.PerturbColumns(a, cols, 1, 17)
+	for _, tc := range []struct {
+		name, sweep string
+		refresh     func(f *Factorization) error
+	}{
+		{"full", "refactor", func(f *Factorization) error { return f.Refactor(next) }},
+		{"partial", "partial refactor", func(f *Factorization) error { return f.RefactorPartial(next, cols) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inject := faultinject.New()
+			s := New(Options{Threads: 4, BigBlockMin: 64, StallTimeout: 60 * time.Millisecond, inject: inject})
+			f, err := s.Factor(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Stats(a).NDBlocks == 0 {
+				t.Fatal("test matrix needs an ND block")
+			}
+
+			stallRule(inject, faultinject.SweepND, 900*time.Millisecond)
+			t0 := time.Now()
+			err = tc.refresh(f)
+			wantStalled(t, err, tc.sweep, time.Since(t0), 700*time.Millisecond)
+			var se *StallError
+			if !errors.As(err, &se) || se.Lane != -1 {
+				t.Fatalf("StallError names lane %d, want -1 (the stalled block is an ND team's): %+v", se.Lane, se)
+			}
+			if !f.Health().Poisoned {
+				t.Fatal("stalled ND refresh did not poison the numeric")
+			}
+
+			inject.DisarmAll()
+			if err := f.RefactorRobust(next); err != nil {
+				t.Fatalf("RefactorRobust after ND stall: %v", err)
+			}
+			if err := f.Check(); err != nil {
+				t.Fatalf("health check after recovery: %v", err)
+			}
+			chaosCheckSolve(t, f, next)
+		})
+	}
+}
+
 // TestCtxPreCanceledEntryPoints drives a context that is already cancelled
 // into every ctx-accepting entry point: each must reject at entry with
 // ErrCanceled (which also matches context.Canceled) before any numeric

@@ -32,8 +32,10 @@ type Symbolic struct {
 
 	// kind[b]: blockSmall or blockND per coarse block.
 	kind []blockKind
-	// ndsym[b] is non-nil for fine-ND blocks.
-	ndsym []*ndSym
+	// ndsym[b] is non-nil for fine-ND blocks; ndBlocks lists their ids in
+	// ascending order (the sweep launches one cooperative team per entry).
+	ndsym    []*ndSym
+	ndBlocks []int
 	// partition[t] lists the small coarse blocks assigned to thread t
 	// (flop-balanced, Algorithm 2 line 5).
 	partition [][]int
@@ -48,21 +50,25 @@ type Symbolic struct {
 	// block dimension across all coarse blocks.
 	scratchLen int
 	// plan caches the entry maps from the analyzed matrix's pattern into the
-	// permuted matrix and every diagonal block, so Factor is a pure value
-	// gather instead of a Permute+ExtractBlock per call. Read-only after
-	// Analyze; shared by all factorizations of this analysis.
+	// permuted matrix and every diagonal block, so every sweep starts from a
+	// pure value gather instead of a Permute+ExtractBlock per call. Read-only
+	// after Analyze; shared by all factorizations of this analysis.
 	plan *factorPlan
 
 	BTFPercent float64
 }
 
-// factorPlan is the Analyze-time gather state of the fresh-factorization
-// fast path: a matrix with the analyzed sparsity pattern is permuted and
-// split into diagonal blocks by flat value gathers through these maps (the
-// fine-ND 2D grid maps live on each block's ndSym). A matrix with a
-// different pattern falls back to the slow Permute/ExtractBlock path.
+// factorPlan is the gather state of one sparsity pattern: a matrix with
+// that pattern is permuted and split into diagonal blocks by flat value
+// gathers through these maps. Analyze builds the plan of the analyzed
+// pattern; a fresh factorization of a matrix with a different pattern builds
+// a private one for its Numeric, so every sweep runs on a plan.
 type factorPlan struct {
-	// colptr/rowidx are the analyzed pattern, for verification.
+	// colptr/rowidx are a private copy of the planned pattern, verified
+	// against every caller matrix before its values are gathered: a
+	// same-size different-pattern matrix must fail loudly, never scatter
+	// into the wrong positions. The check is a flat integer compare —
+	// cheaper than the value gather it guards.
 	colptr, rowidx []int
 	// perm is the permuted pattern (its values are the analyzed matrix's);
 	// factorizations share its index slices and gather into private values.
@@ -73,17 +79,49 @@ type factorPlan struct {
 	// entry map into the permuted matrix.
 	smallPat []*sparse.CSC
 	smallSrc [][]int
+	// grids[blk] caches a fine-ND block's 2D input-block patterns and their
+	// entry maps into the permuted matrix (nil for small blocks).
+	grids []*ndGrid
 }
 
-// matches verifies a's sparsity structure against the analyzed pattern.
+// matches verifies a's sparsity structure against the planned pattern.
 func (pl *factorPlan) matches(a *sparse.CSC) bool {
 	return sparse.SamePattern(pl.colptr, pl.rowidx, a)
+}
+
+// checkColptr verifies the entry count and column pointers of an a of the
+// planned dimensions — all an incremental call checks of the columns its
+// change set does not list.
+func (pl *factorPlan) checkColptr(a *sparse.CSC) error {
+	if a.Nnz() != len(pl.rowidx) {
+		return fmt.Errorf("core: refactor pattern mismatch: %d entries, analyzed %d", a.Nnz(), len(pl.rowidx))
+	}
+	for j, c := range pl.colptr {
+		if a.Colptr[j] != c {
+			return fmt.Errorf("core: refactor pattern mismatch in column %d", j-1)
+		}
+	}
+	return nil
+}
+
+// checkPattern is matches for an a of the planned dimensions, reporting
+// where the structures part.
+func (pl *factorPlan) checkPattern(a *sparse.CSC) error {
+	if err := pl.checkColptr(a); err != nil {
+		return err
+	}
+	for t, r := range pl.rowidx {
+		if a.Rowidx[t] != r {
+			return fmt.Errorf("core: refactor pattern mismatch at entry %d", t)
+		}
+	}
+	return nil
 }
 
 // PatternMatches reports whether a has exactly the sparsity pattern this
 // analysis was computed for (the pattern every planned fast path requires).
 func (s *Symbolic) PatternMatches(a *sparse.CSC) bool {
-	return s.plan != nil && s.plan.matches(a)
+	return s.plan.matches(a)
 }
 
 type blockKind uint8
@@ -114,15 +152,7 @@ func (s *Symbolic) BlockOf(i int) int { return s.blockOf[i] }
 func (s *Symbolic) SolveScratchLen() int { return s.scratchLen }
 
 // NumNDBlocks reports how many coarse blocks use the fine-ND engine.
-func (s *Symbolic) NumNDBlocks() int {
-	n := 0
-	for _, k := range s.kind {
-		if k == blockND {
-			n++
-		}
-	}
-	return n
-}
+func (s *Symbolic) NumNDBlocks() int { return len(s.ndBlocks) }
 
 // Numeric holds a completed factorization.
 type Numeric struct {
@@ -130,8 +160,8 @@ type Numeric struct {
 	Perm  *sparse.CSC // fully permuted matrix (off-block entries for solve)
 	small []*gp.Factors
 	nd    []*ndNum
-	// nnzLU caches |L+U|, computed once at the end of each (re)factorization
-	// so Stats and FillDensity never recount it.
+	// nnzLU caches |L+U|, recounted at the end of every sweep that built or
+	// replaced factors so Stats and FillDensity never recount it.
 	nnzLU int
 	// SyncWaits aggregates contended point-to-point waits (ablation metric);
 	// SyncWaitNs aggregates the wall-clock nanoseconds those blocked waits
@@ -154,40 +184,44 @@ type Numeric struct {
 	btfBusy []float64
 	ndSim   float64
 
-	// planned reports that this numeric was built through the Analyze-time
-	// gather plan (its Perm and block patterns are the analyzed ones).
-	planned bool
-	// factorSig is the coarse per-block completion fabric of the unified
-	// fresh-factorization scheduler; factorErrs records per-block failures
-	// and factorFailed flags the sweep so not-yet-started blocks skip their
-	// work (every slot is still signalled, so the join always quiesces).
-	// All are reset, never reallocated, across FactorInto calls.
-	factorSig    *EpochSignals
-	factorErrs   []error
-	factorFailed atomic.Bool
-	// factorWS[t] is fine-BTF worker t's pooled Gilbert–Peierls workspace,
-	// shared by the fresh-factorization and refactorization sweeps (which
-	// are mutually exclusive by contract); lazily built, reused forever.
+	// plan is the gather plan of this numeric's sparsity pattern: the
+	// Symbolic's when the factored matrix has the analyzed pattern, a private
+	// one otherwise.
+	plan *factorPlan
+	// sig, errs, failed and refit are the state of the one sweep scheduler
+	// (runSweep), shared by every mode — sweeps are mutually exclusive by
+	// contract — and reset, never reallocated, between sweeps: sig has one
+	// completion slot per coarse block, which the driver joins on
+	// point-to-point; errs[blk] records a failed block; failed makes
+	// not-yet-started blocks skip their work (every slot is still signalled,
+	// so the join always quiesces); refit reports that a pivot-drift fallback
+	// replaced a block's factors, so |L+U| must be recounted.
+	sig    *EpochSignals
+	errs   []error
+	failed atomic.Bool
+	refit  atomic.Bool
+	// factorWS[t] is fine-BTF worker t's pooled Gilbert–Peierls workspace;
+	// lazily built, reused forever.
 	factorWS []*gp.Workspace
-	// smallIn[blk] is the pooled gather target for small block blk on the
-	// planned fast path (pattern shared with the plan, values private).
+	// smallIn[blk] is the gather target of small block blk (pattern shared
+	// with the plan, values private). It holds the block's last gathered
+	// input between sweeps: a partial sweep forwards only the changed values
+	// into it.
 	smallIn []*sparse.CSC
 
-	// pipe is the numeric-scatter refactorization pipeline, built on the
-	// first Refactor call and reused for every subsequent same-pattern
-	// refresh (entry maps, cached diagonal blocks, pooled workspaces, the
-	// resettable completion fabric).
-	pipe *refactorPipeline
 	// inc is the change-tracking state of the incremental refactorization
 	// fast path (RefactorPartial/RefactorAuto), built on first use.
 	inc *incState
-	// incPoisoned remembers that the last refresh sweep failed, leaving the
-	// resident values unspecified: the next incremental call must run a
-	// full refresh instead of trusting its change set. Cleared by any
-	// successful refresh.
+	// incPoisoned remembers that the last sweep failed, leaving the resident
+	// values unspecified: the next incremental call must run a full refresh
+	// instead of trusting its change set. Cleared by any successful sweep.
 	incPoisoned bool
-	// hooks instruments the factor/refactor schedulers for tests (nil in
-	// production).
+	// repivot remembers that a modeFactor sweep failed part-way: the blocks it
+	// reached hold reset pivot vectors and half-built factor patterns, which
+	// no fixed-pattern refresh may walk, so the next full sweep runs in
+	// modeFactor whatever was asked. Cleared by a successful modeFactor sweep.
+	repivot bool
+	// hooks instruments the scheduler for tests (nil in production).
 	hooks *schedHooks
 
 	// panicMu/panicErr/panics are the panic-isolation state: every worker
@@ -212,59 +246,6 @@ type Numeric struct {
 	// Gilbert–Peierls factorizations.
 	sweep  SweepControl
 	gpPoll func() error
-}
-
-// refactorPipeline holds everything a steady-state Refactor needs so the
-// hot loop is a pure value gather plus per-block numeric refreshes:
-// no Permute, no ExtractBlock, no allocation.
-type refactorPipeline struct {
-	// permMap sends entry t of the permuted matrix to its source entry in
-	// the caller's CSC (built by sparse.PermuteWithMap).
-	permMap []int
-	// smallSub/smallSrc cache each small diagonal block and its entry map
-	// into the permuted matrix. (Per-worker Gilbert–Peierls workspaces are
-	// the Numeric's factorWS pool, shared with the fresh sweep.)
-	smallSub []*sparse.CSC
-	smallSrc [][]int
-	// sig has one completion slot per coarse block; the driver joins the
-	// sweep point-to-point on this fabric (the refactor-side reuse of the
-	// Signals design) and it is reset, never reallocated, between sweeps.
-	sig *EpochSignals
-	// errs[blk] records a failed block refresh; reset each sweep.
-	errs []error
-	// changed reports that a fallback replaced a block's factors this
-	// sweep, so |L+U| must be recounted.
-	changed atomic.Bool
-	// unowned lists coarse blocks no scheduler worker covers (empty in
-	// practice: every small block is partitioned and every ND block is
-	// launched); the parallel sweep refreshes them inline before starting
-	// workers so the point-to-point join can never deadlock.
-	unowned []int
-	// colptr/rowidx are a private copy of the analyzed pattern, verified
-	// against every caller matrix before its values are gathered: a
-	// same-size different-pattern matrix must fail loudly, never scatter
-	// into the wrong positions. The check is a flat integer compare —
-	// cheaper than the value gather it guards.
-	colptr []int
-	rowidx []int
-}
-
-// checkPattern verifies a's sparsity structure against the analyzed one.
-func (pipe *refactorPipeline) checkPattern(a *sparse.CSC) error {
-	if a.Nnz() != len(pipe.rowidx) {
-		return fmt.Errorf("core: refactor pattern mismatch: %d entries, analyzed %d", a.Nnz(), len(pipe.rowidx))
-	}
-	for j, c := range pipe.colptr {
-		if a.Colptr[j] != c {
-			return fmt.Errorf("core: refactor pattern mismatch in column %d", j-1)
-		}
-	}
-	for t, r := range pipe.rowidx {
-		if a.Rowidx[t] != r {
-			return fmt.Errorf("core: refactor pattern mismatch at entry %d", t)
-		}
-	}
-	return nil
 }
 
 // schedHooks observes the factor and refactor schedulers; used by tests to
@@ -422,6 +403,7 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 		bs := sym.BlockPtr[blk+1] - sym.BlockPtr[blk]
 		if bs >= ndThreshold || !opts.UseBTF {
 			sym.kind[blk] = blockND
+			sym.ndBlocks = append(sym.ndBlocks, blk)
 		} else {
 			sym.kind[blk] = blockSmall
 		}
@@ -509,18 +491,20 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 			sym.scratchLen = d
 		}
 	}
-	sym.buildFactorPlan(a)
+	planStart := rec.Now()
+	sym.plan = newFactorPlan(sym, a)
+	if rec != nil {
+		rec.Record(trace.Event{Start: planStart, End: rec.Now(),
+			Worker: trace.DriverWorker, Block: -1, Kind: trace.KindAnalyzePlan, Phase: trace.PhaseAnalyze})
+	}
 	return sym, nil
 }
 
-// buildFactorPlan caches, once per analysis, the entry maps every fresh
-// factorization of a same-pattern matrix gathers through: the global
-// permutation map plus per-block extraction maps (small blocks here, the
-// fine-ND 2D grids on their ndSym). Map construction is independent per
-// block and runs across the thread pool.
-func (sym *Symbolic) buildFactorPlan(a *sparse.CSC) {
-	rec := sym.Opts.Trace
-	planStart := rec.Now()
+// newFactorPlan builds the entry maps every sweep over a matrix with a's
+// pattern gathers through: the global permutation map plus per-block
+// extraction maps (small blocks and the fine-ND 2D grids). Map construction
+// is independent per block and runs across the thread pool.
+func newFactorPlan(sym *Symbolic, a *sparse.CSC) *factorPlan {
 	nblocks := sym.NumBlocks()
 	perm, permMap := a.PermuteWithMap(sym.RowPerm, sym.ColPerm)
 	pl := &factorPlan{
@@ -530,6 +514,7 @@ func (sym *Symbolic) buildFactorPlan(a *sparse.CSC) {
 		permMap:  permMap,
 		smallPat: make([]*sparse.CSC, nblocks),
 		smallSrc: make([][]int, nblocks),
+		grids:    make([]*ndGrid, nblocks),
 	}
 	parallelBlocks(nblocks, sym.Opts.threads(), func(blk, _ int) {
 		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
@@ -538,8 +523,8 @@ func (sym *Symbolic) buildFactorPlan(a *sparse.CSC) {
 			pl.smallPat[blk], pl.smallSrc[blk] = perm.ExtractBlockWithMap(r0, r1, r0, r1)
 			pl.smallPat[blk].Values = nil
 		case blockND:
-			sym.ndsym[blk].grid = buildNDGrid(perm, r0, sym.ndsym[blk])
-			for _, row := range sym.ndsym[blk].grid.pat {
+			pl.grids[blk] = buildNDGrid(perm, r0, sym.ndsym[blk])
+			for _, row := range pl.grids[blk].pat {
 				for _, pat := range row {
 					if pat != nil {
 						pat.Values = nil
@@ -553,11 +538,7 @@ func (sym *Symbolic) buildFactorPlan(a *sparse.CSC) {
 	// buffers filled during construction are dead weight — drop them rather
 	// than retain ~nnz float64s per cached analysis.
 	perm.Values = nil
-	sym.plan = pl
-	if rec != nil {
-		rec.Record(trace.Event{Start: planStart, End: rec.Now(),
-			Worker: trace.DriverWorker, Block: -1, Kind: trace.KindAnalyzePlan, Phase: trace.PhaseAnalyze})
-	}
+	return pl
 }
 
 // btfWSPool and matchWSPool recycle the serial front end's workspaces
@@ -671,20 +652,48 @@ func analyzeND(sym *Symbolic, b *sparse.CSC, blk, r0, r1 int, rowPerm, colPerm [
 	return nil
 }
 
+// sweepMode selects what one walk of the coarse schedule does to the blocks
+// it visits. The three public operations are the three modes of runSweep.
+type sweepMode uint8
+
+const (
+	// modeFactor runs the pivoting kernels on every block (Factor,
+	// FactorInto): new pivot sequences, new factor patterns.
+	modeFactor sweepMode = iota
+	// modeRefresh recomputes every block's values over its fixed pivots and
+	// patterns (Refactor): the all-dirty mask.
+	modeRefresh
+	// modePartial is modeRefresh under a dirty mask (RefactorPartial,
+	// RefactorAuto): clean blocks, and clean kernels inside dirty fine-ND
+	// blocks, keep their values.
+	modePartial
+)
+
+// sweepModes holds what differs between the modes outside the kernels: the
+// trace phase, the fault-injection sweep id, the watchdog's sweep name and
+// the block-error prefix.
+var sweepModes = [...]struct {
+	phase  trace.Phase
+	inject faultinject.Sweep
+	name   string
+	errTag string
+}{
+	modeFactor:  {trace.PhaseFactor, faultinject.SweepFactor, "factor", ""},
+	modeRefresh: {trace.PhaseRefactor, faultinject.SweepRefactor, "refactor", "refactor "},
+	modePartial: {trace.PhasePartial, faultinject.SweepPartial, "partial refactor", "refactor "},
+}
+
 // Factor numerically factors a with a prior analysis. All numeric state is
 // built fresh and returned only on success, so a failed Factor never leaves
 // a partially mutated Numeric behind.
 //
 // When a's sparsity pattern matches the analyzed one (the overwhelmingly
-// common case), the values are gathered straight into permuted and
-// per-block storage through the Analyze-time entry maps — no Permute, no
-// ExtractBlock — and every coarse block is swept by one unified scheduler:
-// independent fine-ND blocks factor concurrently with each other and with
-// the flop-balanced fine-BTF partition, joined point-to-point on a
-// per-block completion fabric instead of a barrier. A different pattern
-// falls back to per-call permutation and extraction.
+// common case), the Numeric gathers through the Analyze-time entry maps; a
+// different pattern gets a private plan built the same way. Either way the
+// values land in permuted and per-block storage by flat gathers — no
+// Permute, no ExtractBlock — and runSweep walks the blocks in modeFactor.
 func Factor(a *sparse.CSC, sym *Symbolic) (*Numeric, error) {
-	return factorImpl(context.Background(), a, sym, nil, nil)
+	return factorFresh(context.Background(), a, sym, nil)
 }
 
 // FactorCtx is Factor bound to a context: a cancellation or deadline fired
@@ -692,286 +701,436 @@ func Factor(a *sparse.CSC, sym *Symbolic) (*Numeric, error) {
 // ErrCanceled/ErrDeadlineExceeded. With context.Background() it is exactly
 // Factor (no monitor runs unless Options.StallTimeout arms the watchdog).
 func FactorCtx(ctx context.Context, a *sparse.CSC, sym *Symbolic) (*Numeric, error) {
-	return factorImpl(ctx, a, sym, nil, nil)
+	return factorFresh(ctx, a, sym, nil)
+}
+
+// factorFresh allocates the Numeric of a fresh factorization and sweeps it
+// in modeFactor; hooks instruments the scheduler for tests.
+func factorFresh(ctx context.Context, a *sparse.CSC, sym *Symbolic, hooks *schedHooks) (_ *Numeric, err error) {
+	if a.N != sym.N || a.M != sym.N {
+		return nil, fmt.Errorf("core: dimension mismatch with symbolic analysis")
+	}
+	nblocks, nt := sym.NumBlocks(), sym.Opts.threads()
+	num := &Numeric{
+		Sym:      sym,
+		small:    make([]*gp.Factors, nblocks),
+		nd:       make([]*ndNum, nblocks),
+		btfBusy:  make([]float64, nt),
+		plan:     sym.plan,
+		sig:      NewEpochSignals(nblocks),
+		errs:     make([]error, nblocks),
+		factorWS: make([]*gp.Workspace, nt),
+		smallIn:  make([]*sparse.CSC, nblocks),
+		hooks:    hooks,
+	}
+	num.sig.Bind(&num.sweep)
+	num.gpPoll = num.sweep.Poll
+	defer num.recoverSerial(&err)
+	if !sym.plan.matches(a) {
+		num.plan = newFactorPlan(sym, a)
+	}
+	num.Perm = num.plan.perm.SharePattern()
+	if err := num.fullSweep(ctx, modeFactor, a); err != nil {
+		return nil, err
+	}
+	num.compactStorage()
+	return num, nil
 }
 
 // FactorInto runs a fresh numeric factorization (new pivot selection, same
 // symbolic analysis) reusing num's storage: permuted values, diagonal-block
-// factors, fine-ND grids and pooled workspaces. a must have the analyzed
-// sparsity pattern. On error num's numeric values are unspecified and it
-// must not be used for solves until a subsequent FactorInto or Refactor
-// succeeds; its structure remains intact, so retrying is permitted. Like
-// Refactor, it must not run concurrently with solves on this Numeric.
+// factors, fine-ND grids and pooled workspaces. a must have the sparsity
+// pattern num was factored with. On error num's numeric values are
+// unspecified and it must not be used for solves until a subsequent
+// FactorInto or Refactor succeeds — either re-pivots, because a failed
+// fresh sweep leaves factor patterns half-built. Like Refactor, it must not
+// run concurrently with solves on this Numeric.
 func (num *Numeric) FactorInto(a *sparse.CSC) error {
-	_, err := factorImpl(context.Background(), a, num.Sym, num, nil)
-	return err
+	return num.FactorIntoCtx(context.Background(), a)
 }
 
 // FactorIntoCtx is FactorInto bound to a context (see FactorCtx).
-func (num *Numeric) FactorIntoCtx(ctx context.Context, a *sparse.CSC) error {
-	_, err := factorImpl(ctx, a, num.Sym, num, nil)
-	return err
+func (num *Numeric) FactorIntoCtx(ctx context.Context, a *sparse.CSC) (err error) {
+	if err := num.enter(ctx, a); err != nil {
+		return err
+	}
+	defer num.recoverSerial(&err)
+	// The storage being reused is laid out for the numeric's own plan, so
+	// the guard checks that plan, not the Symbolic's.
+	if !num.plan.matches(a) {
+		return fmt.Errorf("core: FactorInto requires a matrix with the sparsity pattern this numeric was factored with")
+	}
+	return num.fullSweep(ctx, modeFactor, a)
 }
 
-func factorImpl(ctx context.Context, a *sparse.CSC, sym *Symbolic, num *Numeric, hooks *schedHooks) (out *Numeric, err error) {
-	if a.N != sym.N || a.M != sym.N {
-		return nil, fmt.Errorf("core: dimension mismatch with symbolic analysis")
-	}
-	// Serial-path panic isolation: parallel workers recover below, but the
-	// single-threaded sweep and the gather run on the caller's goroutine.
-	defer func() {
-		if r := recover(); r != nil {
-			if num != nil {
-				num.notePanic(r)
-				num.incPoisoned = true
-				err = num.takePanicErr()
-			} else {
-				err = panicError(r)
-			}
-			out = nil
+// FactorDirect is the one-shot Analyze+Factor.
+func FactorDirect(a *sparse.CSC, opts Options) (*Numeric, error) {
+	return FactorDirectCtx(context.Background(), a, opts)
+}
+
+// FactorDirectCtx is FactorDirect with cooperative cancellation of the
+// numeric sweep (the serial analysis runs to completion regardless; only a
+// ctx already expired at entry skips it).
+func FactorDirectCtx(ctx context.Context, a *sparse.CSC, opts Options) (*Numeric, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, CancelCause(ctx)
 		}
-	}()
+	}
+	sym, err := Analyze(a, opts)
+	if err != nil {
+		return nil, err
+	}
+	return FactorCtx(ctx, a, sym)
+}
+
+// Refactor recomputes numeric values for a same-pattern matrix, reusing the
+// symbolic analysis and all diagonal-block pivot sequences — the operation
+// the Xyce transient sequence repeats thousands of times. It is a pure
+// value gather through the plan's entry maps plus runSweep in modeRefresh:
+// zero allocations in steady state. A block whose reused pivot drifts to
+// zero (gp.ErrSingular) falls back to a fresh pivoting factorization of
+// that block alone, published into the Numeric only once completely built.
+//
+// Exclusion contract: Refactor must not run concurrently with any solve or
+// other sweep on this Numeric (values are refreshed in place). If Refactor
+// returns an error, the numeric values are unspecified: the factorization
+// must not be used for solves until a subsequent Refactor or a fresh Factor
+// succeeds; its structure remains intact, so retrying is permitted.
+func (num *Numeric) Refactor(a *sparse.CSC) error {
+	return num.RefactorCtx(context.Background(), a)
+}
+
+// RefactorCtx is Refactor bound to a context: a cancellation or deadline
+// fired mid-sweep unwinds every worker cooperatively, poisons the numeric
+// (recoverable by any subsequent successful refresh) and returns
+// ErrCanceled/ErrDeadlineExceeded. With context.Background() it is exactly
+// Refactor — no monitor goroutine, no allocation — unless
+// Options.StallTimeout arms the stall watchdog.
+func (num *Numeric) RefactorCtx(ctx context.Context, a *sparse.CSC) (err error) {
+	if err := num.enter(ctx, a); err != nil {
+		return err
+	}
+	defer num.recoverSerial(&err)
+	if err := num.plan.checkPattern(a); err != nil {
+		return err
+	}
+	return num.fullSweep(ctx, modeRefresh, a)
+}
+
+// enter is the prologue every sweep entry point on an existing Numeric
+// shares: the O(1) argument check, rejection of an already-expired context
+// before any numeric work (the factors are untouched, so the numeric is NOT
+// poisoned), and the drain that waits out stragglers of a previous
+// cancelled/stalled sweep — they may still read permuted storage, own their
+// workspaces and consult the dirty stamps — before the caller's gather or
+// marking touches anything (fast path: one atomic load).
+func (num *Numeric) enter(ctx context.Context, a *sparse.CSC) error {
+	if a.N != num.Sym.N || a.M != num.Sym.N {
+		return fmt.Errorf("core: dimension mismatch with symbolic analysis")
+	}
+	if ctx != nil && ctx.Err() != nil {
+		return CancelCause(ctx)
+	}
+	num.sweep.drain()
+	return nil
+}
+
+// fullSweep gathers every value of a (whose pattern the caller verified)
+// into permuted storage and runs the all-dirty sweep in the given mode.
+func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC) error {
+	if num.repivot {
+		mode = modeFactor
+	}
+	rec := num.Sym.Opts.Trace
+	phase := sweepModes[mode].phase
+	sw := rec.BeginSweep(phase)
+	defer sw.End()
+	gatherStart := rec.Now()
+	sparse.PermuteInto(num.Perm, a, num.plan.permMap)
+	if rec != nil {
+		rec.Record(trace.Event{Start: gatherStart, End: rec.Now(),
+			Worker: trace.DriverWorker, Block: -1, Kind: trace.KindGather, Phase: phase})
+	}
+	return num.runSweep(ctx, mode, nil)
+}
+
+// runSweep is the one numeric scheduler: a single walk of the coarse
+// dependency structure (the paper's Algorithm 2 partition plus one
+// Algorithm 4 team per fine-ND block) that serves fresh factorization, full
+// refresh and partial refresh.
+//
+//	mode         kernel per block                    mask       on gp.ErrSingular
+//	modeFactor   gp.FactorInto / pivoting ND walk    all dirty  sweep fails
+//	modeRefresh  Refactor / fixed-pivot ND walk      all dirty  re-pivot that block (freshKernel)
+//	modePartial  RefactorSelective / masked ND walk  dirty      re-pivot that block (freshKernel)
+//
+// dirty is the mask (nil = every block): clean blocks are never visited and
+// their completion slots are pre-armed. The caller has already drained the
+// previous sweep's stragglers (enter) and placed the new values — a flat
+// gather for the full modes, per-column marking for modePartial.
+//
+// Lifecycle, the same in every mode:
+//
+//  1. reset: completion fabric, error slots, fail flag, timing counters;
+//     BeginSweep re-arms the cancel control and, when the context can fire
+//     or Options.StallTimeout is set, a SweepMonitor starts.
+//  2. launch: every dirty fine-ND block gets a goroutine (its cooperative
+//     team forms inside ndNum.sweep) and every fine-BTF partition lane
+//     owning a dirty block gets one, all concurrently. A lane recovers its
+//     own panics, records the first and force-sets the slots it owns. With
+//     Threads == 1 the dirty blocks run in index order on the caller's
+//     goroutine instead, under the entry point's recoverSerial.
+//  3. join: the driver waits slot by slot. Only external cancellation
+//     (context, deadline, stall verdict) breaks a wait; the driver then
+//     returns at once and the stragglers — a wedged worker cannot be
+//     pre-empted — are waited out by the next entry point's drain.
+//  4. collect, first match wins: monitor verdict (typed ErrCanceled /
+//     ErrDeadlineExceeded / *StallError), recorded panic
+//     (ErrInternalPanic), cancellation marker, first per-block error.
+//     Nothing below touches block storage unless every slot was set.
+//  5. on success: aggregate the ND teams' sync counters and simulated
+//     makespans, recount |L+U| if factors were built or replaced.
+//  6. poison: the numeric is poisoned exactly when the sweep returns an
+//     error — its values are unspecified — and the next successful sweep
+//     clears it: an incremental call on a poisoned numeric runs a full
+//     refresh instead, and after a failed modeFactor sweep, which also
+//     leaves factor patterns half-built, the next full sweep re-pivots.
+func (num *Numeric) runSweep(ctx context.Context, mode sweepMode, dirty *incState) (err error) {
+	sym := num.Sym
 	nblocks := sym.NumBlocks()
-	nt := sym.Opts.threads()
-	rec := sym.Opts.Trace
-	sweep := rec.BeginSweep(trace.PhaseFactor)
-	defer sweep.End()
-	fresh := num == nil
+	num.sig.Reset()
+	clear(num.errs)
+	clear(num.btfBusy)
+	num.failed.Store(false)
+	num.SyncWaits, num.SyncWaitNs, num.ndSim = 0, 0, 0
 	armed := MonitorArmed(ctx, sym.Opts.StallTimeout)
-	if fresh {
-		num = &Numeric{
-			Sym:        sym,
-			small:      make([]*gp.Factors, nblocks),
-			nd:         make([]*ndNum, nblocks),
-			btfBusy:    make([]float64, nt),
-			factorSig:  NewEpochSignals(nblocks),
-			factorErrs: make([]error, nblocks),
-			factorWS:   make([]*gp.Workspace, nt),
-			smallIn:    make([]*sparse.CSC, nblocks),
-		}
-		num.factorSig.Bind(&num.sweep)
-		num.gpPoll = num.sweep.Poll
-		num.hooks = hooks
-	} else {
-		// Stragglers of a previous cancelled/stalled sweep still own their
-		// workspaces and storage; wait them out before any state is reset.
-		num.sweep.drain()
-		num.factorSig.Reset()
-		for i := range num.factorErrs {
-			num.factorErrs[i] = nil
-		}
-		for t := range num.btfBusy {
-			num.btfBusy[t] = 0
-		}
-		num.SyncWaits, num.SyncWaitNs, num.ndSim = 0, 0, 0
-	}
-	num.factorFailed.Store(false)
 	num.sweep.BeginSweep(armed)
 	var mon *SweepMonitor
 	if armed {
 		mon = StartSweepMonitor(MonitorSpec{
-			Ctx: ctx, Stall: sym.Opts.StallTimeout, Sweep: "factor",
-			Ctl:     &num.sweep,
-			Pending: func() (int, int) { return num.pendingCoarse(num.factorSig) },
+			Ctx: ctx, Stall: sym.Opts.StallTimeout, Sweep: sweepModes[mode].name,
+			Ctl: &num.sweep, Pending: num.pendingCoarse,
 		})
 	}
+	done := false
 	defer func() {
 		if merr := mon.Stop(); merr != nil {
-			// The typed cancellation outranks per-block errors: cancelled
-			// workers record only the aborted-sweep marker.
-			num.incPoisoned = true
 			err = merr
-			out = nil
+		}
+		// Also reached by a panic unwinding the serial sweep (done is false).
+		bad := !done || err != nil
+		num.incPoisoned = bad
+		if mode == modeFactor {
+			num.repivot = bad
 		}
 	}()
-
-	// ---- Value gather (or slow-path permutation) into num.Perm. A reused
-	// numeric must itself have been built on the planned layout — its Perm,
-	// block patterns and gather maps all describe the analyzed pattern — so
-	// the guard checks the numeric's provenance, not just the new matrix.
-	if fresh {
-		num.planned = sym.plan != nil && sym.plan.matches(a)
-	} else if !num.planned || sym.plan == nil || !sym.plan.matches(a) {
-		return nil, fmt.Errorf("core: FactorInto requires a numeric built on the analyzed sparsity pattern and a matrix matching it")
-	}
-	gatherStart := rec.Now()
-	if num.planned {
-		if num.Perm == nil {
-			num.Perm = sym.plan.perm.SharePattern()
-		}
-		sparse.PermuteInto(num.Perm, a, sym.plan.permMap)
-	} else {
-		num.Perm = a.Permute(sym.RowPerm, sym.ColPerm)
-	}
-	if rec != nil {
-		rec.Record(trace.Event{Start: gatherStart, End: rec.Now(),
-			Worker: trace.DriverWorker, Block: -1, Kind: trace.KindGather, Phase: trace.PhaseFactor})
-	}
-
-	// ---- Unified numeric sweep: every fine-ND block gets its own
-	// cooperative parallel region and the fine-BTF partition runs on its
-	// flop-balanced worker sweeps, all concurrently; the driver joins
-	// point-to-point on the per-block completion fabric.
-	if nt == 1 {
+	if dirty != nil {
 		for blk := 0; blk < nblocks; blk++ {
-			num.factorBlock(blk, 0)
+			if !dirty.has(blk) {
+				num.sig.Set(blk)
+			}
+		}
+	}
+	if sym.Opts.threads() == 1 {
+		for blk := 0; blk < nblocks; blk++ {
+			if dirty.has(blk) {
+				num.sweepBlock(blk, 0, mode, dirty)
+			}
 		}
 	} else {
-		inject := sym.Opts.Inject
-		for blk := 0; blk < nblocks; blk++ {
-			if sym.kind[blk] != blockND {
-				continue
-			}
-			num.sweep.addWorker()
-			go func(blk int) {
-				defer num.sweep.workerDone()
-				// A panicking launcher owns exactly its block's slot; Set is
-				// an idempotent epoch store, so force-releasing it lets the
-				// point-to-point join quiesce instead of deadlocking.
-				defer num.recoverRelease(num.factorSig, []int{blk})
-				inject.WorkerPanic(faultinject.SweepFactor, blk)
-				num.factorBlock(blk, 0)
-			}(blk)
-		}
-		for t := 0; t < nt; t++ {
-			if len(sym.partition[t]) == 0 {
-				continue
-			}
-			num.sweep.addWorker()
-			go func(t int) {
-				defer num.sweep.workerDone()
-				defer num.recoverRelease(num.factorSig, sym.partition[t])
-				inject.WorkerPanic(faultinject.SweepFactor, nblocks+t)
-				for _, blk := range sym.partition[t] {
-					num.factorBlock(blk, t)
-				}
-			}(t)
-		}
-		for blk := 0; blk < nblocks; blk++ {
-			if !num.factorSig.Wait(blk) {
-				// Only external cancellation unblocks this join with false
-				// (coarse fabrics are never failed by workers): return
-				// early with the monitor's typed error; stragglers drain at
-				// the next sweep entry.
-				break
+		for i, blk := range sym.ndBlocks {
+			if dirty.has(blk) {
+				num.sweep.addWorker()
+				go num.lane(sym.ndBlocks[i:i+1], 0, blk, mode, dirty)
 			}
 		}
-	}
-	if perr := num.takePanicErr(); perr != nil {
-		num.incPoisoned = true
-		return nil, perr
-	}
-	if num.sweep.Canceled() {
-		// Cancelled mid-sweep: stragglers may still be writing block
-		// storage, so no post-processing may touch it. The deferred monitor
-		// stop replaces this marker with the typed cancellation error.
-		num.incPoisoned = true
-		return nil, errSweepAborted
-	}
-	for _, err := range num.factorErrs {
-		if err != nil {
-			num.incPoisoned = true
-			return nil, err
+		for t, blks := range sym.partition {
+			if dirty.hasAny(blks) {
+				num.sweep.addWorker()
+				go num.lane(blks, t, nblocks+t, mode, dirty)
+			}
 		}
 	}
 	for blk := 0; blk < nblocks; blk++ {
-		if sym.kind[blk] == blockND {
+		if !num.sig.Wait(blk) {
+			break
+		}
+	}
+	if perr := num.takePanicErr(); perr != nil {
+		return perr
+	}
+	if num.sweep.Canceled() {
+		// The deferred monitor stop replaces this marker with the typed error.
+		return errSweepAborted
+	}
+	for _, err := range num.errs {
+		if err != nil {
+			return err
+		}
+	}
+	for _, blk := range sym.ndBlocks {
+		if dirty.has(blk) {
 			num.SyncWaits += num.nd[blk].SyncWaits
 			num.SyncWaitNs += num.nd[blk].SyncWaitNs
 			num.ndSim += num.nd[blk].simSeconds()
 		}
 	}
-	num.nnzLU = num.countNnzLU()
-	if fresh {
-		num.compactStorage()
+	if mode == modeFactor || num.refit.Swap(false) {
+		num.nnzLU = num.countNnzLU()
 	}
-	num.incPoisoned = false
-	return num, nil
+	done = true
+	return nil
 }
 
-// factorBlock freshly factors one coarse block (worker index t selects the
-// pooled fine-BTF workspace and timing slot) and signals its completion
-// slot. Block storage is reused when present (the FactorInto path) and
-// allocated on first use.
-func (num *Numeric) factorBlock(blk, t int) {
+// lane is one goroutine of the sweep: it walks the dirty blocks among blks
+// — a single fine-ND block, or fine-BTF partition lane t — on worker slot t.
+// id is the lane's fault-injection worker id.
+func (num *Numeric) lane(blks []int, t, id int, mode sweepMode, dirty *incState) {
+	defer num.sweep.workerDone()
+	defer num.recoverRelease(blks)
+	num.Sym.Opts.Inject.WorkerPanic(sweepModes[mode].inject, id)
+	for _, blk := range blks {
+		if dirty.has(blk) {
+			num.sweepBlock(blk, t, mode, dirty)
+		}
+	}
+}
+
+// sweepBlock runs coarse block blk's kernel for the sweep's mode (worker
+// index t selects the pooled fine-BTF workspace and timing slot) and signals
+// its completion slot. Once a block has failed or the sweep is cancelled,
+// remaining blocks skip their work but still signal, so the join quiesces.
+// A refresh whose reused pivot sequence is defeated by the new values
+// (gp.ErrSingular) falls back to freshKernel for this block alone; permuted
+// storage always holds the complete current block, so the re-pivoting sees
+// every value even when the refresh was partial.
+func (num *Numeric) sweepBlock(blk, t int, mode sweepMode, dirty *incState) {
 	sym := num.Sym
-	if num.factorFailed.Load() || num.sweep.Canceled() {
-		// Another block already failed, or the sweep was cancelled: skip the
-		// work, signal the slot so the point-to-point join still quiesces
-		// every worker.
-		num.factorSig.Set(blk)
+	if num.failed.Load() || num.sweep.Canceled() {
+		num.sig.Set(blk)
 		return
 	}
-	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
+	m := &sweepModes[mode]
 	inject := sym.Opts.Inject
-	switch sym.kind[blk] {
-	case blockSmall:
-		num.hookStart(blk, false)
-		var sub *sparse.CSC
-		if num.planned {
-			sub = num.smallIn[blk]
-			if sub == nil {
-				sub = sym.plan.smallPat[blk].SharePattern()
-				num.smallIn[blk] = sub
-			}
-			sparse.ExtractBlockInto(sub, num.Perm, sym.plan.smallSrc[blk])
-		} else {
-			sub = num.Perm.ExtractBlock(r0, r1, r0, r1)
+	nd := sym.kind[blk] == blockND
+	num.hookStart(blk, nd)
+	var sub *sparse.CSC
+	if !nd {
+		sub = num.smallIn[blk]
+		if sub == nil {
+			sub = num.plan.smallPat[blk].SharePattern()
+			num.smallIn[blk] = sub
 		}
-		if inject.KernelNaN(faultinject.SweepFactor, blk) && sub.Nnz() > 0 {
+		if mode != modePartial {
+			// The marking phase of a partial sweep already forwarded every
+			// changed value through the reverse scatter map.
+			sparse.ExtractBlockInto(sub, num.Perm, num.plan.smallSrc[blk])
+		}
+	}
+	if inject.KernelNaN(m.inject, blk) {
+		if nd {
+			poisonColumnRange(num.Perm, sym.BlockPtr[blk], sym.BlockPtr[blk+1])
+		} else if sub.Nnz() > 0 {
 			sub.Values[0] = nan()
 		}
-		ws := num.workerWS(t)
-		if num.small[blk] == nil {
-			num.small[blk] = &gp.Factors{}
+	}
+	t0 := time.Now()
+	var err error
+	switch {
+	case inject.PivotFail(m.inject, blk):
+		err = gp.ErrSingular
+	case mode == modeFactor:
+		err = num.freshKernel(blk, t, sub, false)
+	default:
+		err = num.refreshKernel(blk, t, sub, dirty)
+	}
+	if mode != modeFactor && errors.Is(err, gp.ErrSingular) {
+		// A second armed PivotFail also takes down the fallback, exercising
+		// the poisoned-numeric path.
+		num.pivotFallbacks.Add(1)
+		if !inject.PivotFail(m.inject, blk) {
+			err = num.freshKernel(blk, t, sub, true)
 		}
-		t0 := time.Now()
-		var err error
-		if inject.PivotFail(faultinject.SweepFactor, blk) {
-			err = gp.ErrSingular
-		} else {
-			err = gp.FactorInto(num.small[blk], sub, sym.estNnz[blk], num.gpOpts(), ws)
-		}
+	}
+	if !nd {
 		d := time.Since(t0)
 		num.btfBusy[t] += d.Seconds()
 		if rec := sym.Opts.Trace; rec != nil {
 			end := rec.Now()
 			rec.Record(trace.Event{Start: end - d.Nanoseconds(), End: end,
-				Worker: int32(t), Block: int32(blk), Kind: trace.KindSmallBlock, Phase: trace.PhaseFactor})
+				Worker: int32(t), Block: int32(blk), Kind: trace.KindSmallBlock, Phase: m.phase})
 		}
-		if err != nil {
-			num.factorErrs[blk] = fmt.Errorf("core: small block %d: %w", blk, err)
-			num.factorFailed.Store(true)
-		}
-		num.hookDone(blk, false)
-		inject.StallPoint(faultinject.SweepFactor, blk)
-		num.factorSig.Set(blk)
-	case blockND:
-		num.hookStart(blk, true)
-		var grid *ndGrid
-		if num.planned {
-			grid = sym.ndsym[blk].grid
-		}
-		if inject.KernelNaN(faultinject.SweepFactor, blk) {
-			poisonColumnRange(num.Perm, r0, r1)
-		}
-		var ndn *ndNum
-		var err error
-		if inject.PivotFail(faultinject.SweepFactor, blk) {
-			err = gp.ErrSingular
-		} else {
-			ndn, err = factorND(num.Perm, blk, r0, sym.ndsym[blk], num.sweepOpts(), grid, num.nd[blk])
-		}
-		if err != nil {
-			num.factorErrs[blk] = fmt.Errorf("core: nd block %d: %w", blk, err)
-			num.factorFailed.Store(true)
-		} else {
-			num.nd[blk] = ndn
-		}
-		num.hookDone(blk, true)
-		inject.StallPoint(faultinject.SweepFactor, blk)
-		num.factorSig.Set(blk)
 	}
+	if err != nil {
+		kind := "small"
+		if nd {
+			kind = "nd"
+		}
+		num.errs[blk] = fmt.Errorf("core: %s%s block %d: %w", m.errTag, kind, blk, err)
+		num.failed.Store(true)
+	}
+	num.hookDone(blk, nd)
+	inject.StallPoint(m.inject, blk)
+	num.sig.Set(blk)
+}
+
+// freshKernel runs the pivoting factorization of block blk from its gathered
+// input (sub for a small block, permuted storage for a fine-ND one). In a
+// fresh sweep the block's storage is recycled in place; as the pivot-drift
+// fallback of a refresh (replace) the new factors are built aside and
+// published only once complete, so a failed fallback leaves the structure
+// intact.
+func (num *Numeric) freshKernel(blk, t int, sub *sparse.CSC, replace bool) error {
+	sym := num.Sym
+	if sym.kind[blk] == blockSmall {
+		f := num.small[blk]
+		if f == nil || replace {
+			f = &gp.Factors{}
+		}
+		if err := gp.FactorInto(f, sub, sym.estNnz[blk], num.gpOpts(), num.workerWS(t)); err != nil {
+			return err
+		}
+		num.small[blk] = f
+	} else {
+		ndn, opts := num.nd[blk], num.sweepOpts()
+		if ndn == nil || replace {
+			ndn = newNDNum(blk, sym.ndsym[blk], num.plan.grids[blk], opts, ndn)
+		}
+		if err := ndn.sweep(num.Perm, opts, modeFactor, nil); err != nil {
+			return err
+		}
+		if num.nd[blk] != ndn {
+			num.nd[blk] = ndn
+			num.remapBlockDst(blk)
+		}
+	}
+	if replace {
+		num.refit.Store(true)
+	}
+	return nil
+}
+
+// refreshKernel recomputes block blk's values over its fixed pivots and
+// patterns: everything under a nil mask, otherwise the dependency closure
+// of the dirty columns (small block) or the dirty kernels of the 2D
+// hierarchy (fine-ND block).
+func (num *Numeric) refreshKernel(blk, t int, sub *sparse.CSC, dirty *incState) error {
+	sym := num.Sym
+	if sym.kind[blk] == blockSmall {
+		if dirty == nil {
+			return num.small[blk].Refactor(sub, num.workerWS(t))
+		}
+		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
+		return num.small[blk].RefactorSelective(sub, num.workerWS(t),
+			dirty.colStamp[r0:r1], dirty.epoch, dirty.rerun[r0:r1])
+	}
+	if dirty == nil {
+		return num.nd[blk].sweep(num.Perm, num.sweepOpts(), modeRefresh, nil)
+	}
+	st := dirty.nd[blk]
+	num.nd[blk].computeChanged(st, dirty.epoch)
+	return num.nd[blk].sweep(num.Perm, num.sweepOpts(), modePartial, st)
 }
 
 // workerWS returns fine-BTF worker t's pooled Gilbert–Peierls workspace
@@ -998,406 +1157,6 @@ func (num *Numeric) compactStorage() {
 		if ndn != nil {
 			ndn.compactStorage()
 		}
-	}
-}
-
-// FactorDirect is the one-shot Analyze+Factor.
-func FactorDirect(a *sparse.CSC, opts Options) (*Numeric, error) {
-	return FactorDirectCtx(context.Background(), a, opts)
-}
-
-// FactorDirectCtx is FactorDirect with cooperative cancellation of the
-// numeric sweep (the serial analysis runs to completion regardless; only a
-// ctx already expired at entry skips it).
-func FactorDirectCtx(ctx context.Context, a *sparse.CSC, opts Options) (*Numeric, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, CancelCause(ctx)
-		}
-	}
-	sym, err := Analyze(a, opts)
-	if err != nil {
-		return nil, err
-	}
-	return FactorCtx(ctx, a, sym)
-}
-
-// Refactor recomputes numeric values for a same-pattern matrix, reusing the
-// symbolic analysis and all diagonal-block pivot sequences — the operation
-// the Xyce transient sequence repeats thousands of times.
-//
-// The first call builds the numeric-scatter pipeline (entry maps from the
-// caller's CSC into the permuted storage and every diagonal block, pooled
-// per-worker workspaces, a resettable completion fabric); it is published
-// into the Numeric only once fully built. Every subsequent call is a pure
-// value gather plus per-block numeric refreshes — zero allocations in
-// steady state — with all coarse blocks swept by one unified scheduler, so
-// fine-ND blocks refactor concurrently with the fine-BTF partition. A small
-// block whose reused pivot drifts to zero (gp.ErrSingular) falls back to a
-// fresh pivoting factorization of that block alone; fine-ND blocks fall
-// back to a fresh parallel factorization of that block. Replacement factors
-// are published into the Numeric only after they are completely built.
-//
-// Exclusion contract: Refactor must not run concurrently with any solve or
-// other Refactor on this Numeric (values are refreshed in place). If
-// Refactor returns an error, the numeric values are unspecified: the
-// factorization must not be used for solves until a subsequent Refactor or
-// a fresh Factor succeeds; its structure remains intact, so retrying is
-// permitted.
-func (num *Numeric) Refactor(a *sparse.CSC) error {
-	return num.RefactorCtx(context.Background(), a)
-}
-
-// RefactorCtx is Refactor bound to a context: a cancellation or deadline
-// fired mid-sweep unwinds every worker cooperatively, poisons the numeric
-// (recoverable by any subsequent successful refresh) and returns
-// ErrCanceled/ErrDeadlineExceeded. With context.Background() it is exactly
-// Refactor — no monitor goroutine, no allocation — unless
-// Options.StallTimeout arms the stall watchdog.
-func (num *Numeric) RefactorCtx(ctx context.Context, a *sparse.CSC) (err error) {
-	sym := num.Sym
-	if a.N != sym.N || a.M != sym.N {
-		return fmt.Errorf("core: dimension mismatch with symbolic analysis")
-	}
-	// A context already expired at entry rejects before any numeric work:
-	// the factors are untouched, so the numeric is NOT poisoned.
-	if ctx != nil && ctx.Err() != nil {
-		return CancelCause(ctx)
-	}
-	// Serial-path panic isolation (parallel workers recover in
-	// refactorParallel); a recovered panic poisons the numeric.
-	defer func() {
-		if r := recover(); r != nil {
-			num.notePanic(r)
-			num.incPoisoned = true
-			err = num.takePanicErr()
-		}
-	}()
-	if num.pipe == nil {
-		pipe, err := num.buildPipeline(a)
-		if err != nil {
-			return err
-		}
-		num.pipe = pipe
-	}
-	pipe := num.pipe
-	if err := pipe.checkPattern(a); err != nil {
-		return err
-	}
-	// Stragglers of a previous cancelled/stalled sweep still read permuted
-	// storage and own their workspaces; wait them out before the gather.
-	num.sweep.drain()
-	rec := sym.Opts.Trace
-	sweep := rec.BeginSweep(trace.PhaseRefactor)
-	defer sweep.End()
-	// Value gather: the caller's CSC lands directly in permuted storage.
-	gatherStart := rec.Now()
-	sparse.PermuteInto(num.Perm, a, pipe.permMap)
-	if rec != nil {
-		rec.Record(trace.Event{Start: gatherStart, End: rec.Now(),
-			Worker: trace.DriverWorker, Block: -1, Kind: trace.KindGather, Phase: trace.PhaseRefactor})
-	}
-	for i := range pipe.errs {
-		pipe.errs[i] = nil
-	}
-	for t := range num.btfBusy {
-		num.btfBusy[t] = 0
-	}
-	num.SyncWaits = 0
-	num.SyncWaitNs = 0
-	num.ndSim = 0
-	pipe.sig.Reset()
-	armed := MonitorArmed(ctx, sym.Opts.StallTimeout)
-	num.sweep.BeginSweep(armed)
-	var mon *SweepMonitor
-	if armed {
-		mon = StartSweepMonitor(MonitorSpec{
-			Ctx: ctx, Stall: sym.Opts.StallTimeout, Sweep: "refactor",
-			Ctl:     &num.sweep,
-			Pending: func() (int, int) { return num.pendingCoarse(pipe.sig) },
-		})
-	}
-	defer func() {
-		if merr := mon.Stop(); merr != nil {
-			num.incPoisoned = true
-			err = merr
-		}
-	}()
-	nt := sym.Opts.threads()
-	if nt == 1 {
-		for blk := 0; blk < sym.NumBlocks(); blk++ {
-			num.refactorBlock(blk, 0)
-		}
-	} else {
-		num.refactorParallel(nt)
-	}
-	if perr := num.takePanicErr(); perr != nil {
-		num.incPoisoned = true
-		return perr
-	}
-	if num.sweep.Canceled() {
-		// Cancelled mid-sweep: stragglers may still be refreshing blocks,
-		// so no post-processing may touch them. The deferred monitor stop
-		// replaces this marker with the typed cancellation error.
-		num.incPoisoned = true
-		return errSweepAborted
-	}
-	for _, err := range pipe.errs {
-		if err != nil {
-			num.incPoisoned = true
-			return err
-		}
-	}
-	for blk := 0; blk < sym.NumBlocks(); blk++ {
-		if sym.kind[blk] == blockND {
-			num.SyncWaits += num.nd[blk].SyncWaits
-			num.SyncWaitNs += num.nd[blk].SyncWaitNs
-			num.ndSim += num.nd[blk].simSeconds()
-		}
-	}
-	if pipe.changed.Load() {
-		num.nnzLU = num.countNnzLU()
-		pipe.changed.Store(false)
-	}
-	num.incPoisoned = false
-	return nil
-}
-
-// buildPipeline constructs the refactorization pipeline from the first
-// same-pattern matrix, verifying that its pattern matches the factored one.
-// The pipeline is returned fully built (the caller publishes it with one
-// assignment), so a failed build leaves the Numeric untouched. A numeric
-// built through the Analyze-time gather plan shares the plan's entry maps
-// and block patterns instead of rebuilding them.
-func (num *Numeric) buildPipeline(a *sparse.CSC) (*refactorPipeline, error) {
-	sym := num.Sym
-	nblocks := sym.NumBlocks()
-	pipe := &refactorPipeline{
-		smallSub: make([]*sparse.CSC, nblocks),
-		smallSrc: make([][]int, nblocks),
-		sig:      NewEpochSignals(nblocks),
-		errs:     make([]error, nblocks),
-	}
-	pipe.sig.Bind(&num.sweep)
-	if num.planned && sym.plan.matches(a) {
-		pipe.permMap = sym.plan.permMap
-		pipe.colptr = sym.plan.colptr
-		pipe.rowidx = sym.plan.rowidx
-	} else {
-		b, permMap := a.PermuteWithMap(sym.RowPerm, sym.ColPerm)
-		if b.Nnz() != num.Perm.Nnz() {
-			return nil, fmt.Errorf("core: refactor pattern mismatch: %d entries, analyzed %d", b.Nnz(), num.Perm.Nnz())
-		}
-		for j := 0; j <= sym.N; j++ {
-			if b.Colptr[j] != num.Perm.Colptr[j] {
-				return nil, fmt.Errorf("core: refactor pattern mismatch in column %d", j-1)
-			}
-		}
-		for t, r := range b.Rowidx {
-			if r != num.Perm.Rowidx[t] {
-				return nil, fmt.Errorf("core: refactor pattern mismatch at entry %d", t)
-			}
-		}
-		pipe.permMap = permMap
-		pipe.colptr = append([]int(nil), a.Colptr...)
-		pipe.rowidx = append([]int(nil), a.Rowidx...)
-	}
-	for blk := 0; blk < nblocks; blk++ {
-		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-		switch sym.kind[blk] {
-		case blockSmall:
-			if num.planned {
-				// Reuse the pooled gather block of the factor fast path (its
-				// values are scratch between sweeps either way).
-				sub := num.smallIn[blk]
-				if sub == nil {
-					sub = sym.plan.smallPat[blk].SharePattern()
-					num.smallIn[blk] = sub
-				}
-				pipe.smallSub[blk] = sub
-				pipe.smallSrc[blk] = sym.plan.smallSrc[blk]
-			} else {
-				sub, src := num.Perm.ExtractBlockWithMap(r0, r1, r0, r1)
-				pipe.smallSub[blk] = sub
-				pipe.smallSrc[blk] = src
-			}
-		case blockND:
-			num.nd[blk].ensureRefactorState(num.Perm, r0)
-		}
-	}
-	nt := sym.Opts.threads()
-	owned := make([]bool, nblocks)
-	for blk := 0; blk < nblocks; blk++ {
-		if sym.kind[blk] == blockND {
-			owned[blk] = true
-		}
-	}
-	for t := 0; t < nt; t++ {
-		for _, blk := range sym.partition[t] {
-			owned[blk] = true
-		}
-	}
-	for blk, l := range owned {
-		if !l {
-			pipe.unowned = append(pipe.unowned, blk)
-		}
-	}
-	return pipe, nil
-}
-
-// refactorParallel is the unified refactor scheduler: every fine-ND block
-// gets its own cooperative parallel region and the fine-BTF partition runs
-// on its flop-balanced worker sweeps (Algorithm 2), all concurrently. The
-// driver joins the sweep point-to-point on the per-block completion fabric
-// rather than with a barrier, so independent ND blocks overlap both each
-// other and the small-block sweeps.
-func (num *Numeric) refactorParallel(nt int) {
-	sym := num.Sym
-	pipe := num.pipe
-	// Blocks no worker owns (none in practice) are refreshed inline before
-	// any worker starts, so the join below cannot deadlock and worker 0's
-	// workspace is never shared with a live goroutine.
-	for _, blk := range pipe.unowned {
-		num.refactorBlock(blk, 0)
-	}
-	inject := sym.Opts.Inject
-	nblocks := sym.NumBlocks()
-	for blk := 0; blk < nblocks; blk++ {
-		if sym.kind[blk] != blockND {
-			continue
-		}
-		num.sweep.addWorker()
-		go func(blk int) {
-			defer num.sweep.workerDone()
-			// Force-release the owned slot on panic (Set is idempotent), so
-			// the driver's point-to-point join quiesces every sibling.
-			defer num.recoverRelease(pipe.sig, []int{blk})
-			inject.WorkerPanic(faultinject.SweepRefactor, blk)
-			num.refactorBlock(blk, 0)
-		}(blk)
-	}
-	for t := 0; t < nt; t++ {
-		if len(sym.partition[t]) == 0 {
-			continue
-		}
-		num.sweep.addWorker()
-		go func(t int) {
-			defer num.sweep.workerDone()
-			defer num.recoverRelease(pipe.sig, sym.partition[t])
-			inject.WorkerPanic(faultinject.SweepRefactor, nblocks+t)
-			for _, blk := range sym.partition[t] {
-				num.refactorBlock(blk, t)
-			}
-		}(t)
-	}
-	for blk := 0; blk < nblocks; blk++ {
-		if !pipe.sig.Wait(blk) {
-			// Only external cancellation unblocks this join with false:
-			// return early with the monitor's typed error; stragglers drain
-			// at the next sweep entry.
-			break
-		}
-	}
-}
-
-// refactorBlock refreshes one coarse block in place (worker index t selects
-// the pooled fine-BTF workspace and timing slot) and signals its completion
-// slot. A reused pivot sequence defeated by the new values (gp.ErrSingular)
-// triggers a per-block fallback to a fresh pivoting factorization; the
-// replacement is published only after it is fully built, and the sweep
-// carries on with the remaining blocks.
-func (num *Numeric) refactorBlock(blk, t int) {
-	sym := num.Sym
-	pipe := num.pipe
-	if num.sweep.Canceled() {
-		pipe.sig.Set(blk)
-		return
-	}
-	inject := sym.Opts.Inject
-	switch sym.kind[blk] {
-	case blockSmall:
-		num.hookStart(blk, false)
-		sub := pipe.smallSub[blk]
-		sparse.ExtractBlockInto(sub, num.Perm, pipe.smallSrc[blk])
-		if inject.KernelNaN(faultinject.SweepRefactor, blk) && sub.Nnz() > 0 {
-			sub.Values[0] = nan()
-		}
-		t0 := time.Now()
-		var err error
-		if inject.PivotFail(faultinject.SweepRefactor, blk) {
-			err = gp.ErrSingular
-		} else {
-			err = num.small[blk].Refactor(sub, num.workerWS(t))
-		}
-		if err != nil && errors.Is(err, gp.ErrSingular) {
-			// Pivot drift: re-pivot this block alone. A second armed
-			// PivotFail also takes down the fallback, exercising the
-			// poisoned-numeric path.
-			num.pivotFallbacks.Add(1)
-			if inject.PivotFail(faultinject.SweepRefactor, blk) {
-				err = gp.ErrSingular
-			} else {
-				var f *gp.Factors
-				f, err = gp.Factor(sub, sym.estNnz[blk], num.gpOpts(), num.workerWS(t))
-				if err == nil {
-					num.small[blk] = f
-					pipe.changed.Store(true)
-				}
-			}
-		}
-		d := time.Since(t0)
-		num.btfBusy[t] += d.Seconds()
-		if rec := sym.Opts.Trace; rec != nil {
-			end := rec.Now()
-			rec.Record(trace.Event{Start: end - d.Nanoseconds(), End: end,
-				Worker: int32(t), Block: int32(blk), Kind: trace.KindSmallBlock, Phase: trace.PhaseRefactor})
-		}
-		if err != nil {
-			pipe.errs[blk] = fmt.Errorf("core: refactor small block %d: %w", blk, err)
-		}
-		num.hookDone(blk, false)
-		inject.StallPoint(faultinject.SweepRefactor, blk)
-		pipe.sig.Set(blk)
-	case blockND:
-		num.hookStart(blk, true)
-		r0 := sym.BlockPtr[blk]
-		if inject.KernelNaN(faultinject.SweepRefactor, blk) {
-			poisonColumnRange(num.Perm, r0, sym.BlockPtr[blk+1])
-		}
-		var err error
-		if inject.PivotFail(faultinject.SweepRefactor, blk) {
-			err = gp.ErrSingular
-		} else {
-			err = num.nd[blk].refactorInPlace(num.Perm, r0)
-		}
-		if err != nil && errors.Is(err, gp.ErrSingular) {
-			// Pivot drift inside the 2D hierarchy: rebuild this coarse
-			// block with a fresh parallel factorization (new pivots),
-			// published only once completely built.
-			num.pivotFallbacks.Add(1)
-			if inject.PivotFail(faultinject.SweepRefactor, blk) {
-				err = gp.ErrSingular
-			} else {
-				var grid *ndGrid
-				if num.planned {
-					grid = sym.ndsym[blk].grid
-				}
-				var fresh *ndNum
-				fresh, err = factorND(num.Perm, blk, r0, sym.ndsym[blk], num.sweepOpts(), grid, nil)
-				if err == nil {
-					fresh.ensureRefactorState(num.Perm, r0)
-					num.nd[blk] = fresh
-					num.remapBlockDst(blk)
-					pipe.changed.Store(true)
-				}
-			}
-		}
-		if err != nil {
-			pipe.errs[blk] = fmt.Errorf("core: refactor nd block %d: %w", blk, err)
-		}
-		num.hookDone(blk, true)
-		inject.StallPoint(faultinject.SweepRefactor, blk)
-		pipe.sig.Set(blk)
 	}
 }
 
@@ -1528,12 +1287,12 @@ func (num *Numeric) FillDensity(a *sparse.CSC) float64 {
 	return float64(num.NnzLU()) / float64(a.Nnz())
 }
 
-// pendingCoarse reports the first coarse block still pending on sig and the
-// worker lane that owns it, for the stall watchdog's diagnostics. Safe to
-// call from the monitor goroutine mid-sweep: the fabric's epoch is stable
-// between Reset calls and the slots are atomic.
-func (num *Numeric) pendingCoarse(sig *EpochSignals) (int, int) {
-	blk := sig.FirstPending()
+// pendingCoarse reports the first coarse block still pending and the worker
+// lane that owns it, for the stall watchdog's diagnostics. Safe to call from
+// the monitor goroutine mid-sweep: the fabric's epoch is stable between
+// Reset calls and the slots are atomic.
+func (num *Numeric) pendingCoarse() (int, int) {
+	blk := num.sig.FirstPending()
 	if blk < 0 {
 		return -1, -1
 	}

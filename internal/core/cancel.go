@@ -170,8 +170,10 @@ func (c *SweepControl) Poll() error {
 	return nil
 }
 
-// registerBarrier adds an ablation barrier to the set Cancel breaks.
-// Barriers persist as long as their ND engine, so each registers once.
+// registerBarrier adds an ablation barrier to the set Cancel breaks. A
+// barrier belongs to a fine-ND block, not to one engine: an engine replaced
+// by a pivot-drift fallback hands its barrier on (newNDNum), so the set
+// holds one per block however long the transient runs.
 func (c *SweepControl) registerBarrier(b *barrier) {
 	c.mu.Lock()
 	c.barriers = append(c.barriers, b)

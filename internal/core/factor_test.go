@@ -58,7 +58,7 @@ func TestFactorNDOverlapsBTF(t *testing.T) {
 			}
 		},
 	}
-	num, err := factorImpl(context.Background(), a, sym, nil, hooks)
+	num, err := factorFresh(context.Background(), a, sym, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +246,8 @@ func TestFactorSlowPathDifferentPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if num.planned {
-		t.Fatal("different pattern must not take the planned gather path")
+	if num.plan == sym.plan {
+		t.Fatal("different pattern must not gather through the analyzed pattern's plan")
 	}
 	if res := relResidual(b, num, 7); res > 1e-8 {
 		t.Fatalf("slow-path solve residual %.3e", res)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -31,11 +30,11 @@ func panicError(r any) error {
 }
 
 // notePanic records a worker panic for the sweep's error collection. The
-// first panic wins (like the per-block error slots); factorFailed is also
-// raised so not-yet-started fresh-factor blocks skip their work.
+// first panic wins (like the per-block error slots); the fail flag is also
+// raised so not-yet-started blocks skip their work.
 func (num *Numeric) notePanic(r any) {
 	num.panics.Add(1)
-	num.factorFailed.Store(true)
+	num.failed.Store(true)
 	err := panicError(r)
 	num.panicMu.Lock()
 	if num.panicErr == nil {
@@ -55,16 +54,29 @@ func (num *Numeric) takePanicErr() error {
 
 // recoverRelease converts a worker panic into a recorded sweep error and
 // force-releases every completion slot the worker owns. EpochSignals.Set
-// is an idempotent epoch store, so slots the worker already signalled are
-// unaffected — the driver's point-to-point join still waits for true
-// quiescence of every sibling instead of deadlocking or returning while
-// workers race on shared per-worker state. Must be called via defer.
-func (num *Numeric) recoverRelease(sig *EpochSignals, owned []int) {
+// is an idempotent epoch store, so slots the worker already signalled (or
+// the driver pre-armed) are unaffected — the driver's point-to-point join
+// still waits for true quiescence of every sibling instead of deadlocking or
+// returning while workers race on shared per-worker state. Must be called
+// via defer.
+func (num *Numeric) recoverRelease(owned []int) {
 	if r := recover(); r != nil {
 		num.notePanic(r)
 		for _, blk := range owned {
-			sig.Set(blk)
+			num.sig.Set(blk)
 		}
+	}
+}
+
+// recoverSerial is the panic isolation of the caller's own goroutine (the
+// gather, the marking phase, the driver): sweep lanes recover themselves,
+// everything else an entry point runs is covered by deferring this. The
+// recovered panic poisons the numeric and becomes the call's error.
+func (num *Numeric) recoverSerial(err *error) {
+	if r := recover(); r != nil {
+		num.notePanic(r)
+		num.incPoisoned = true
+		*err = num.takePanicErr()
 	}
 }
 
@@ -377,7 +389,7 @@ func (num *Numeric) sweepOpts() Options {
 func (num *Numeric) FactorIntoTol(a *sparse.CSC, tol float64) error {
 	prev := num.pivotTolOverride
 	num.pivotTolOverride = tol
-	_, err := factorImpl(context.Background(), a, num.Sym, num, nil)
+	err := num.FactorInto(a)
 	num.pivotTolOverride = prev
 	return err
 }

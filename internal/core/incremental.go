@@ -2,13 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
-	"repro/internal/faultinject"
-	"repro/internal/gp"
 	"repro/internal/sparse"
 	"repro/internal/trace"
 )
@@ -83,18 +78,26 @@ type ndIncState struct {
 	epoch    uint64
 }
 
-// ensureIncremental builds the refactor pipeline (if the first incremental
-// call precedes any full Refactor) and the change-tracking state.
-func (num *Numeric) ensureIncremental(a *sparse.CSC) error {
-	if num.pipe == nil {
-		pipe, err := num.buildPipeline(a)
-		if err != nil {
-			return err
+// has reports whether coarse block blk is dirty this sweep; a nil mask is
+// the all-dirty mask of the full sweeps.
+func (inc *incState) has(blk int) bool {
+	return inc == nil || inc.blkStamp[blk] == inc.epoch
+}
+
+// hasAny reports whether any of blks is dirty.
+func (inc *incState) hasAny(blks []int) bool {
+	for _, blk := range blks {
+		if inc.has(blk) {
+			return true
 		}
-		num.pipe = pipe
 	}
+	return false
+}
+
+// ensureIncremental builds the change-tracking state on first use.
+func (num *Numeric) ensureIncremental() {
 	if num.inc != nil {
-		return nil
+		return
 	}
 	sym := num.Sym
 	nblocks := sym.NumBlocks()
@@ -113,8 +116,8 @@ func (num *Numeric) ensureIncremental(a *sparse.CSC) error {
 	for blk := 0; blk < nblocks; blk++ {
 		switch sym.kind[blk] {
 		case blockSmall:
-			sub := num.pipe.smallSub[blk]
-			for q, src := range num.pipe.smallSrc[blk] {
+			sub := num.smallIn[blk]
+			for q, src := range num.plan.smallSrc[blk] {
 				inc.aDst[src] = sub
 				inc.aPos[src] = q
 			}
@@ -148,7 +151,6 @@ func (num *Numeric) ensureIncremental(a *sparse.CSC) error {
 			num.remapBlockDst(blk)
 		}
 	}
-	return nil
 }
 
 // RefactorPartial is Refactor for a matrix that differs from the one the
@@ -183,54 +185,28 @@ func (num *Numeric) RefactorPartial(a *sparse.CSC, changed []int) error {
 // sweep). A ctx with a Done channel also arms the sweep monitor, as does
 // Options.StallTimeout for stall detection.
 func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, changed []int) (err error) {
-	sym := num.Sym
-	if a.N != sym.N || a.M != sym.N {
-		return fmt.Errorf("core: dimension mismatch with symbolic analysis")
-	}
-	// A context already expired at entry rejects before any numeric work.
-	if ctx != nil && ctx.Err() != nil {
-		return CancelCause(ctx)
-	}
-	// Quiesce stragglers from a previously canceled sweep before touching
-	// any state they might still write (fast path: one atomic load).
-	num.sweep.drain()
-	// Serial-path panic isolation: a panic during marking or the serial
-	// sweep poisons the numeric, so the next incremental call runs a full
-	// recovery refresh.
-	defer func() {
-		if r := recover(); r != nil {
-			num.notePanic(r)
-			num.incPoisoned = true
-			err = num.takePanicErr()
-		}
-	}()
-	if err := num.ensureIncremental(a); err != nil {
+	if err := num.enter(ctx, a); err != nil {
 		return err
 	}
-	if num.incPoisoned {
-		// A prior failed sweep left unspecified values behind; the partial
-		// contract cannot hold, so recover through one full refresh.
-		return num.RefactorCtx(ctx, a)
-	}
-	if len(changed)*2 >= sym.N {
-		// Near-total change sets gain nothing from per-column marking; the
-		// flat full sweep is faster, so degrade to it transparently (this
+	// A panic during marking poisons the numeric, so the next incremental
+	// call runs a full recovery refresh.
+	defer num.recoverSerial(&err)
+	sym, pl := num.Sym, num.plan
+	if num.incPoisoned || len(changed)*2 >= sym.N {
+		// A prior failed sweep left unspecified values behind, so the partial
+		// contract cannot hold; and a near-total change set gains nothing
+		// from per-column marking. Both degrade to the flat full sweep (which
 		// also keeps the 100%-changed case at full-Refactor speed).
 		return num.RefactorCtx(ctx, a)
 	}
-	pipe := num.pipe
-	if a.Nnz() != len(pipe.rowidx) {
-		return fmt.Errorf("core: refactor pattern mismatch: %d entries, analyzed %d", a.Nnz(), len(pipe.rowidx))
-	}
-	for j, c := range pipe.colptr {
-		if a.Colptr[j] != c {
-			return fmt.Errorf("core: refactor pattern mismatch in column %d", j-1)
-		}
+	if err := pl.checkColptr(a); err != nil {
+		return err
 	}
 	// Validate the whole change set before gathering anything: a rejected
 	// column must not leave earlier columns' values already scattered into
 	// resident storage (that would silently break the next sweep's
 	// unchanged-columns contract without the poison flag ever being set).
+	num.ensureIncremental()
 	inc := num.inc
 	for _, j := range changed {
 		if j < 0 || j >= sym.N {
@@ -239,7 +215,7 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 		k := inc.permColOf[j]
 		p0, p1 := num.Perm.Colptr[k], num.Perm.Colptr[k+1]
 		for t := p0; t < p1; t++ {
-			if s := pipe.permMap[t]; a.Rowidx[s] != pipe.rowidx[s] {
+			if s := pl.permMap[t]; a.Rowidx[s] != pl.rowidx[s] {
 				return fmt.Errorf("core: refactor pattern mismatch in column %d", j)
 			}
 		}
@@ -249,7 +225,7 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 	for _, j := range changed {
 		num.gatherChangedColumn(a, inc.permColOf[j])
 	}
-	return num.refactorPartialSweep(ctx)
+	return num.partialSweep(ctx)
 }
 
 // RefactorAuto is Refactor with automatic change discovery: the incoming
@@ -269,39 +245,34 @@ func (num *Numeric) RefactorAuto(a *sparse.CSC) error {
 // RefactorAutoCtx is RefactorAuto with cooperative cancellation and stall
 // monitoring; the contract matches RefactorPartialCtx.
 func (num *Numeric) RefactorAutoCtx(ctx context.Context, a *sparse.CSC) (err error) {
-	sym := num.Sym
-	if a.N != sym.N || a.M != sym.N {
-		return fmt.Errorf("core: dimension mismatch with symbolic analysis")
-	}
-	// A context already expired at entry rejects before any numeric work.
-	if ctx != nil && ctx.Err() != nil {
-		return CancelCause(ctx)
-	}
-	num.sweep.drain()
-	defer func() {
-		if r := recover(); r != nil {
-			num.notePanic(r)
-			num.incPoisoned = true
-			err = num.takePanicErr()
-		}
-	}()
-	if err := num.ensureIncremental(a); err != nil {
+	if err := num.enter(ctx, a); err != nil {
 		return err
 	}
+	defer num.recoverSerial(&err)
 	if num.incPoisoned {
 		return num.RefactorCtx(ctx, a)
 	}
-	pipe := num.pipe
-	if err := pipe.checkPattern(a); err != nil {
+	if err := num.plan.checkPattern(a); err != nil {
 		return err
 	}
+	num.ensureIncremental()
 	inc := num.inc
 	inc.epoch++
 	inc.dirty = 0
-	for k := 0; k < sym.N; k++ {
+	for k := 0; k < num.Sym.N; k++ {
 		num.diffColumn(a, k)
 	}
-	return num.refactorPartialSweep(ctx)
+	return num.partialSweep(ctx)
+}
+
+// partialSweep runs the sweep over the blocks the marking phase dirtied.
+func (num *Numeric) partialSweep(ctx context.Context) error {
+	inc := num.inc
+	sw := num.Sym.Opts.Trace.BeginSweep(trace.PhasePartial)
+	defer sw.End()
+	num.lastDirty = inc.dirty
+	num.dirtyTotal += int64(inc.dirty)
+	return num.runSweep(ctx, modePartial, inc)
 }
 
 // markDirtyBlock records coarse block blk as dirty this epoch.
@@ -329,10 +300,10 @@ func (st *ndIncState) markNDNode(jn, c int, epoch uint64) {
 // change-set path, which trusts the caller that any entry of the column may
 // have changed.
 func (num *Numeric) gatherChangedColumn(a *sparse.CSC, k int) {
-	sym, pipe, inc := num.Sym, num.pipe, num.inc
+	sym, pl, inc := num.Sym, num.plan, num.inc
 	perm := num.Perm
 	p0, p1 := perm.Colptr[k], perm.Colptr[k+1]
-	sparse.GatherRange(perm, a, pipe.permMap, p0, p1)
+	sparse.GatherRange(perm, a, pl.permMap, p0, p1)
 	blk := sym.blockOf[k]
 	r0 := sym.BlockPtr[blk]
 	inc.colStamp[k] = inc.epoch
@@ -366,7 +337,7 @@ func (num *Numeric) gatherChangedColumn(a *sparse.CSC, k int) {
 // when they land inside the diagonal block (coarse off-diagonal entries
 // feed solves straight from permuted storage and never dirty a factor).
 func (num *Numeric) diffColumn(a *sparse.CSC, k int) {
-	sym, pipe, inc := num.Sym, num.pipe, num.inc
+	sym, pl, inc := num.Sym, num.plan, num.inc
 	perm := num.Perm
 	p0, p1 := perm.Colptr[k], perm.Colptr[k+1]
 	blk := sym.blockOf[k]
@@ -382,7 +353,7 @@ func (num *Numeric) diffColumn(a *sparse.CSC, k int) {
 	av, pv := a.Values, perm.Values
 	inBlock := false
 	for t := p0; t < p1; t++ {
-		v := av[pipe.permMap[t]]
+		v := av[pl.permMap[t]]
 		if pv[t] == v {
 			continue
 		}
@@ -439,7 +410,7 @@ func (num *Numeric) remapBlockDst(blk int) {
 // the fine-grained form of "a dirty separator column dirties its ancestors
 // up the ND tree": dirtiness propagates upward exactly along the paper's
 // dependency tree, and nothing else reruns.
-func (ndn *ndNum) computeChanged(st *ndIncState, epoch uint64) bool {
+func (ndn *ndNum) computeChanged(st *ndIncState, epoch uint64) {
 	s := ndn.sym
 	nb := s.nb
 	chg := st.chg
@@ -455,7 +426,6 @@ func (ndn *ndNum) computeChanged(st *ndIncState, epoch uint64) bool {
 			st.first[v] = 0
 		}
 	}
-	any := false
 	for j := 0; j < nb; j++ {
 		// Upper targets U_kp,j for descendants kp of j, in schedule order:
 		// rerun when the input block changed, the solving diagonal factor
@@ -465,20 +435,14 @@ func (ndn *ndNum) computeChanged(st *ndIncState, epoch uint64) bool {
 			for k2 := s.subLo[kp]; k2 < kp && !c; k2++ {
 				c = chg[kp*nb+k2] || chg[k2*nb+j]
 			}
-			if c {
-				chg[kp*nb+j] = true
-				any = true
-			}
+			chg[kp*nb+j] = c
 		}
 		// The diagonal LU_jj: input block or any reduction term.
 		c := pair(j, j)
 		for k2 := s.subLo[j]; k2 < j && !c; k2++ {
 			c = chg[j*nb+k2] || chg[k2*nb+j]
 		}
-		if c {
-			chg[j*nb+j] = true
-			any = true
-		}
+		chg[j*nb+j] = c
 		// Lower targets L_ij for ancestors i of j: input block, the (just
 		// decided) diagonal LU_jj, or any reduction term.
 		for _, i := range s.ancestors[j] {
@@ -486,316 +450,7 @@ func (ndn *ndNum) computeChanged(st *ndIncState, epoch uint64) bool {
 			for k2 := s.subLo[j]; k2 < j && !c; k2++ {
 				c = chg[i*nb+k2] || chg[k2*nb+j]
 			}
-			if c {
-				chg[i*nb+j] = true
-				any = true
-			}
+			chg[i*nb+j] = c
 		}
-	}
-	return any
-}
-
-// refactorPartialSweep runs the dirty-block refresh: clean coarse blocks
-// have their completion slots pre-armed and are never visited; dirty small
-// blocks refresh their suffix from the first dirty column; dirty fine-ND
-// blocks rerun exactly the kernels computeChanged selected. Scheduling,
-// synchronization, pivot-drift fallbacks and the error contract mirror the
-// full Refactor sweep.
-func (num *Numeric) refactorPartialSweep(ctx context.Context) (err error) {
-	sym := num.Sym
-	pipe := num.pipe
-	inc := num.inc
-	nblocks := sym.NumBlocks()
-	rec := sym.Opts.Trace
-	sweep := rec.BeginSweep(trace.PhasePartial)
-	defer sweep.End()
-	num.lastDirty = inc.dirty
-	num.dirtyTotal += int64(inc.dirty)
-	for i := range pipe.errs {
-		pipe.errs[i] = nil
-	}
-	for t := range num.btfBusy {
-		num.btfBusy[t] = 0
-	}
-	num.SyncWaits = 0
-	num.SyncWaitNs = 0
-	num.ndSim = 0
-	// The load-bearing synchronization of the partial path stays the
-	// WaitGroup / fine-ND epoch flags: coarse diagonal blocks are
-	// independent under refactorization. The coarse fabric is re-armed
-	// anyway — clean blocks pre-set, dirty blocks set on completion — so
-	// the stall watchdog can name the stuck block and an armed sweep can
-	// join on it with early cancellation unwind.
-	pipe.sig.Reset()
-	for blk := 0; blk < nblocks; blk++ {
-		if inc.blkStamp[blk] != inc.epoch {
-			pipe.sig.Set(blk)
-			continue
-		}
-		if sym.kind[blk] == blockND {
-			num.nd[blk].computeChanged(inc.nd[blk], inc.epoch)
-		}
-	}
-	armed := MonitorArmed(ctx, sym.Opts.StallTimeout)
-	num.sweep.BeginSweep(armed)
-	var mon *SweepMonitor
-	if armed {
-		mon = StartSweepMonitor(MonitorSpec{
-			Ctx: ctx, Stall: sym.Opts.StallTimeout,
-			Sweep: "partial refactor", Ctl: &num.sweep,
-			Pending: func() (int, int) { return num.pendingCoarse(pipe.sig) },
-		})
-		defer func() {
-			if merr := mon.Stop(); merr != nil {
-				num.incPoisoned = true
-				err = merr
-			}
-		}()
-	}
-	if inc.dirty > 0 {
-		nt := sym.Opts.threads()
-		if nt == 1 {
-			for blk := 0; blk < nblocks; blk++ {
-				if inc.blkStamp[blk] == inc.epoch {
-					num.refactorBlockPartial(blk, 0)
-				}
-			}
-		} else {
-			num.refactorParallelPartial(nt, armed)
-		}
-	}
-	if perr := num.takePanicErr(); perr != nil {
-		num.incPoisoned = true
-		return perr
-	}
-	if num.sweep.Canceled() {
-		num.incPoisoned = true
-		return errSweepAborted
-	}
-	for _, err := range pipe.errs {
-		if err != nil {
-			num.incPoisoned = true
-			return err
-		}
-	}
-	for blk := 0; blk < nblocks; blk++ {
-		if inc.blkStamp[blk] == inc.epoch && sym.kind[blk] == blockND {
-			num.SyncWaits += num.nd[blk].SyncWaits
-			num.SyncWaitNs += num.nd[blk].SyncWaitNs
-			num.ndSim += num.nd[blk].simSeconds()
-		}
-	}
-	if pipe.changed.Load() {
-		num.nnzLU = num.countNnzLU()
-		pipe.changed.Store(false)
-	}
-	num.incPoisoned = false
-	return nil
-}
-
-// refactorParallelPartial is refactorParallel restricted to dirty blocks:
-// clean blocks were pre-armed by the driver, dirty fine-ND blocks get their
-// cooperative regions, and only fine-BTF workers owning at least one dirty
-// block launch. Unlike the full sweep, the join is a WaitGroup rather than
-// the per-block completion fabric: a partition worker consults the epoch
-// stamps after signalling its last dirty block, so the driver must not
-// start the next sweep's marking until every worker goroutine has exited,
-// not merely until every slot is set.
-func (num *Numeric) refactorParallelPartial(nt int, armed bool) {
-	sym := num.Sym
-	pipe := num.pipe
-	inc := num.inc
-	dirty := func(blk int) bool { return inc.blkStamp[blk] == inc.epoch }
-	for _, blk := range pipe.unowned {
-		if dirty(blk) {
-			num.refactorBlockPartial(blk, 0)
-		}
-	}
-	inject := sym.Opts.Inject
-	nblocks := sym.NumBlocks()
-	var wg sync.WaitGroup
-	for blk := 0; blk < nblocks; blk++ {
-		if sym.kind[blk] != blockND || !dirty(blk) {
-			continue
-		}
-		wg.Add(1)
-		num.sweep.addWorker()
-		go func(blk int) {
-			defer num.sweep.workerDone()
-			// The join is the WaitGroup, so panic recovery only needs to
-			// record the error; no completion slots to release — but the
-			// slot is force-set anyway so an armed join quiesces.
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					num.notePanic(r)
-					pipe.sig.Set(blk)
-				}
-			}()
-			inject.WorkerPanic(faultinject.SweepPartial, blk)
-			num.refactorBlockPartial(blk, 0)
-		}(blk)
-	}
-	for t := 0; t < nt; t++ {
-		launch := false
-		for _, blk := range sym.partition[t] {
-			if dirty(blk) {
-				launch = true
-				break
-			}
-		}
-		if !launch {
-			continue
-		}
-		wg.Add(1)
-		num.sweep.addWorker()
-		go func(t int) {
-			defer num.sweep.workerDone()
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					num.notePanic(r)
-					for _, blk := range sym.partition[t] {
-						if dirty(blk) {
-							pipe.sig.Set(blk)
-						}
-					}
-				}
-			}()
-			inject.WorkerPanic(faultinject.SweepPartial, nblocks+t)
-			for _, blk := range sym.partition[t] {
-				if dirty(blk) {
-					num.refactorBlockPartial(blk, t)
-				}
-			}
-		}(t)
-	}
-	if !armed {
-		// A partition worker consults the epoch stamps after signalling its
-		// last dirty block, so the driver must not start the next sweep's
-		// marking until every goroutine exits, not merely until every slot
-		// is set; the full join guarantees that directly.
-		wg.Wait()
-		return
-	}
-	// Armed join: per-block waits break on cancellation so the driver can
-	// return within the watchdog's bound while a stalled worker is still
-	// asleep. Stragglers are drained at the next sweep's entry before any
-	// marking, which restores the epoch-stamp safety the WaitGroup gave.
-	early := false
-	for blk := 0; blk < nblocks; blk++ {
-		if !pipe.sig.Wait(blk) {
-			early = true
-			break
-		}
-	}
-	if !early {
-		wg.Wait()
-	}
-}
-
-// refactorBlockPartial refreshes one dirty coarse block in place and
-// signals its completion slot, with the same pivot-drift fallbacks as
-// refactorBlock: the fallbacks rebuild from permuted storage, which the
-// marking phase keeps fully current, so a partially-dirty block can always
-// recover with a complete re-pivoting.
-func (num *Numeric) refactorBlockPartial(blk, t int) {
-	sym := num.Sym
-	pipe := num.pipe
-	inc := num.inc
-	if num.sweep.Canceled() {
-		pipe.sig.Set(blk)
-		return
-	}
-	inject := sym.Opts.Inject
-	switch sym.kind[blk] {
-	case blockSmall:
-		num.hookStart(blk, false)
-		// The marking phase forwarded every changed value into sub through
-		// the reverse scatter map, so the block input is already current.
-		sub := pipe.smallSub[blk]
-		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-		if inject.KernelNaN(faultinject.SweepPartial, blk) && sub.Nnz() > 0 {
-			sub.Values[0] = nan()
-		}
-		t0 := time.Now()
-		var err error
-		if inject.PivotFail(faultinject.SweepPartial, blk) {
-			err = gp.ErrSingular
-		} else {
-			err = num.small[blk].RefactorSelective(sub, num.workerWS(t),
-				inc.colStamp[r0:r1], inc.epoch, inc.rerun[r0:r1])
-		}
-		if err != nil && errors.Is(err, gp.ErrSingular) {
-			// Pivot drift: re-pivot this block alone (sub's clean prefix
-			// still holds the resident values, so the fresh factorization
-			// sees the complete current block). A second armed PivotFail
-			// also takes down the fallback (poisoned-numeric path).
-			num.pivotFallbacks.Add(1)
-			if inject.PivotFail(faultinject.SweepPartial, blk) {
-				err = gp.ErrSingular
-			} else {
-				var f *gp.Factors
-				f, err = gp.Factor(sub, sym.estNnz[blk], num.gpOpts(), num.workerWS(t))
-				if err == nil {
-					num.small[blk] = f
-					pipe.changed.Store(true)
-				}
-			}
-		}
-		d := time.Since(t0)
-		num.btfBusy[t] += d.Seconds()
-		if rec := sym.Opts.Trace; rec != nil {
-			end := rec.Now()
-			rec.Record(trace.Event{Start: end - d.Nanoseconds(), End: end,
-				Worker: int32(t), Block: int32(blk), Kind: trace.KindSmallBlock, Phase: trace.PhasePartial})
-		}
-		if err != nil {
-			pipe.errs[blk] = fmt.Errorf("core: refactor small block %d: %w", blk, err)
-		}
-		num.hookDone(blk, false)
-		inject.StallPoint(faultinject.SweepPartial, blk)
-		pipe.sig.Set(blk)
-	case blockND:
-		num.hookStart(blk, true)
-		r0 := sym.BlockPtr[blk]
-		if inject.KernelNaN(faultinject.SweepPartial, blk) {
-			poisonColumnRange(num.Perm, r0, sym.BlockPtr[blk+1])
-		}
-		var err error
-		if inject.PivotFail(faultinject.SweepPartial, blk) {
-			err = gp.ErrSingular
-		} else {
-			err = num.nd[blk].refactorSweep(num.Perm, r0, inc.nd[blk])
-		}
-		if err != nil && errors.Is(err, gp.ErrSingular) {
-			// Pivot drift inside the 2D hierarchy: rebuild this coarse
-			// block with a fresh parallel factorization (new pivots); the
-			// rebuild regathers its whole input hierarchy from permuted
-			// storage, published only once completely built.
-			num.pivotFallbacks.Add(1)
-			if inject.PivotFail(faultinject.SweepPartial, blk) {
-				err = gp.ErrSingular
-			} else {
-				var grid *ndGrid
-				if num.planned {
-					grid = sym.ndsym[blk].grid
-				}
-				var fresh *ndNum
-				fresh, err = factorND(num.Perm, blk, r0, sym.ndsym[blk], num.sweepOpts(), grid, nil)
-				if err == nil {
-					fresh.ensureRefactorState(num.Perm, r0)
-					num.nd[blk] = fresh
-					num.remapBlockDst(blk)
-					pipe.changed.Store(true)
-				}
-			}
-		}
-		if err != nil {
-			pipe.errs[blk] = fmt.Errorf("core: refactor nd block %d: %w", blk, err)
-		}
-		num.hookDone(blk, true)
-		inject.StallPoint(faultinject.SweepPartial, blk)
-		pipe.sig.Set(blk)
 	}
 }

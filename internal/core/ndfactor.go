@@ -48,11 +48,6 @@ type ndSym struct {
 	// dense-tag gate did not claim are candidates. nil when nothing merged
 	// (including Options.NoSupernodes and the est-free unit-test path).
 	snodes [][]int
-	// grid caches the 2D input-block patterns and their entry maps into the
-	// globally permuted matrix, built once at Analyze time so every numeric
-	// factorization gathers block values instead of re-extracting them.
-	// nil when the analysis was built without a factor plan.
-	grid *ndGrid
 }
 
 // ndGrid is the pattern side of one fine-ND block's 2D input hierarchy:
@@ -172,25 +167,30 @@ type ndNum struct {
 	// (patterns shared with the grid, values private to this numeric).
 	a [][]*sparse.CSC
 	// aSrc[I][J] maps every entry of a[I][J] to its position in the
-	// globally permuted matrix: refreshing the input hierarchy — for a
-	// fresh factorization or an in-place refactorization — is a pure value
-	// gather.
+	// globally permuted matrix: refreshing the input hierarchy is a pure
+	// value gather in every mode.
 	aSrc [][][]int
 	// red[I][J] caches the reduced blocks Â_IJ = A_IJ − Σ L·U wherever a
-	// reduction feeds a kernel, so the in-place refactorization sweep can
-	// refresh their values over the same (structural) patterns the first
-	// factorization discovered.
+	// reduction feeds a kernel, so the refresh sweeps can refill their
+	// values over the same (structural) patterns the fresh sweep discovered.
 	red [][]*sparse.CSC
 
+	// opts are the options of the current sweep. flags is the resettable
+	// point-to-point fabric, one completion slot per 2D block, and barr the
+	// SyncBarrier ablation's barrier (nil otherwise); every sweep of this
+	// hierarchy, whatever its mode, runs on them — sweeps are mutually
+	// exclusive by contract.
 	opts  Options
 	flags *epochBlockFlags
 	barr  *barrier
-	// lastContended snapshots the flag fabric's cumulative contended-wait
-	// counter so each factorization reports its own SyncWaits delta.
+	// lastContended/lastWaitNs snapshot the cumulative contended-wait count
+	// and blocked nanoseconds (flags plus barrier), so each sweep reports
+	// its own SyncWaits/SyncWaitNs delta.
 	lastContended int64
-	// fws/fmark/facc/ftag are the pooled per-worker workspaces of the fresh
-	// factorization sweep, allocated once and reused across FactorInto;
-	// flows/fups are the per-worker reduction gather buffers.
+	lastWaitNs    int64
+	// fws/fmark/facc/ftag are the pooled per-worker workspaces, allocated
+	// once and reused by every sweep; flows/fups are the per-worker
+	// reduction gather buffers.
 	fws   []*gp.Workspace
 	fmark [][]int
 	facc  [][]float64
@@ -201,10 +201,6 @@ type ndNum struct {
 	// the first dense-tagged kernel it runs (nil forever on untagged
 	// hierarchies, so the low-fill path carries no dense-layer cost).
 	fdws []*dense.Workspace
-	// re holds the reusable state of the in-place refactorization sweep
-	// (pooled per-worker workspaces, the resettable epoch flag fabric).
-	// Built on the first Refactor.
-	re *ndRefactor
 
 	errMu    sync.Mutex
 	firstErr error
@@ -216,9 +212,6 @@ type ndNum struct {
 	// path even when tracing is off.
 	SyncWaits  int64
 	SyncWaitNs int64
-	// lastWaitNs snapshots the combined flag+barrier wait-nanos counters,
-	// mirroring lastContended, so each sweep reports its own delta.
-	lastWaitNs int64
 
 	// blk is the coarse BTF block id this hierarchy factors (trace labels
 	// only); rec receives scheduler events when tracing is enabled; phase
@@ -269,102 +262,114 @@ func (s *ndSym) blockRange(b int) (int, int) {
 	return s.tree.BlockPtr[b], s.tree.BlockPtr[b+1]
 }
 
-// factorND runs the parallel numeric factorization of one fine-ND block
-// (Algorithm 4 at block granularity; column-level interleaving is replaced
-// by per-block point-to-point flags, which preserves the dependency
-// structure of the paper's dependency tree). Same-pattern numeric
-// refreshes with fixed pivots go through refactorInPlace instead.
-//
-// The block is coarse BTF block blk (trace labeling only) and occupies
-// [r0, r0+n) of the globally permuted matrix perm. grid supplies the 2D
-// input patterns and gather maps (nil builds them from perm — the slow path
-// for matrices whose pattern was never analyzed). reuse, if non-nil,
-// recycles a prior factorization's entire storage — input grids, diagonal
-// factors, off-diagonal blocks, workspaces and the flag fabric — so
-// repeated fresh factorizations stop allocating; on error its contents are
-// unspecified.
-func factorND(perm *sparse.CSC, blk, r0 int, sym *ndSym, opts Options, grid *ndGrid, reuse *ndNum) (*ndNum, error) {
-	if grid == nil {
-		grid = buildNDGrid(perm, r0, sym)
+// newNDNum allocates the numeric 2D hierarchy of coarse BTF block blk (the
+// id labels trace events and stall points) over the grid's input patterns.
+// old, when non-nil, is the engine a pivot-drift fallback is replacing: its
+// ablation barrier is handed over, so the owning Numeric's cancel registry
+// holds exactly one barrier per fine-ND block however many fallbacks run.
+func newNDNum(blk int, sym *ndSym, grid *ndGrid, opts Options, old *ndNum) *ndNum {
+	nb := sym.nb
+	num := &ndNum{
+		sym:      sym,
+		n:        grid.n(),
+		blk:      blk,
+		diag:     make([]*gp.Factors, nb),
+		aSrc:     grid.src,
+		flags:    newEpochBlockFlags(nb),
+		lower:    make([][]*sparse.CSC, nb),
+		upper:    make([][]*sparse.CSC, nb),
+		a:        make([][]*sparse.CSC, nb),
+		red:      make([][]*sparse.CSC, nb),
+		fws:      make([]*gp.Workspace, sym.p),
+		fmark:    make([][]int, sym.p),
+		facc:     make([][]float64, sym.p),
+		ftag:     make([]int, sym.p),
+		flows:    make([][]*sparse.CSC, sym.p),
+		fups:     make([][]*sparse.CSC, sym.p),
+		fdws:     make([]*dense.Workspace, sym.p),
+		phaseDur: make([][]float64, sym.p),
 	}
-	num := reuse
-	if num == nil {
-		nb := sym.nb
-		num = &ndNum{
-			sym:   sym,
-			n:     grid.n(),
-			opts:  opts,
-			diag:  make([]*gp.Factors, nb),
-			aSrc:  grid.src,
-			flags: newEpochBlockFlags(nb),
-			lower: make([][]*sparse.CSC, nb),
-			upper: make([][]*sparse.CSC, nb),
-			a:     make([][]*sparse.CSC, nb),
-			red:   make([][]*sparse.CSC, nb),
-			fws:   make([]*gp.Workspace, sym.p),
-			fmark: make([][]int, sym.p),
-			facc:  make([][]float64, sym.p),
-			ftag:  make([]int, sym.p),
-			flows: make([][]*sparse.CSC, sym.p),
-			fups:  make([][]*sparse.CSC, sym.p),
-			fdws:  make([]*dense.Workspace, sym.p),
+	for i := 0; i < nb; i++ {
+		num.a[i] = make([]*sparse.CSC, nb)
+		num.lower[i] = make([]*sparse.CSC, nb)
+		num.upper[i] = make([]*sparse.CSC, nb)
+		num.red[i] = make([]*sparse.CSC, nb)
+		for j, pat := range grid.pat[i] {
+			if pat != nil {
+				num.a[i][j] = pat.SharePattern()
+			}
 		}
-		for i := 0; i < nb; i++ {
-			num.a[i] = make([]*sparse.CSC, nb)
-			num.lower[i] = make([]*sparse.CSC, nb)
-			num.upper[i] = make([]*sparse.CSC, nb)
-			num.red[i] = make([]*sparse.CSC, nb)
+	}
+	// The flag fabric binds to the owner's cancel source so inner waits
+	// unblock on cancellation; the barrier registers with it so a fired
+	// deadline or stall verdict wakes barrier sleepers (with a cancellation
+	// cause, not a failure one).
+	num.flags.Bind(opts.ctl)
+	if opts.Sync == SyncBarrier {
+		if old != nil {
+			num.barr, num.lastWaitNs = old.barr, old.barr.waitNs()
+		} else {
+			num.barr = newBarrier(sym.p)
+			opts.ctl.registerBarrier(num.barr)
 		}
-		for i := 0; i < nb; i++ {
-			for j, pat := range grid.pat[i] {
-				if pat != nil {
-					num.a[i][j] = pat.SharePattern()
+	}
+	return num
+}
+
+// sweep runs one walk of this block's 2D schedule (Algorithm 4 at block
+// granularity; column-level interleaving is replaced by per-block
+// point-to-point flags, which preserves the dependency structure of the
+// paper's dependency tree) in the given mode: modeFactor pivots every
+// diagonal and rediscovers every pattern, recycling the hierarchy's whole
+// storage; the refresh modes recompute values over the fixed pivots and
+// patterns and allocate nothing in steady state. perm is the globally
+// permuted matrix the input blocks gather from.
+//
+// st, when non-nil (modePartial), carries the sweep's changed-kernel matrix
+// (st.chg, nb×nb row major) and per-node first-dirty columns (st.first):
+// only kernels whose chg entry is true rerun — clean kernels keep their
+// values and their completion flags are pre-armed, so dirty kernels still
+// synchronize point-to-point exactly as in a full sweep — and the marking
+// phase has already forwarded the changed input values, so nothing is
+// regathered.
+//
+// On error the values are left partially computed and nothing may be
+// published or solved with; opts carries the owner's cancel control, the
+// per-sweep pivot tolerance and the fault injector.
+func (num *ndNum) sweep(perm *sparse.CSC, opts Options, mode sweepMode, st *ndIncState) error {
+	s := num.sym
+	num.opts = opts
+	num.rec = opts.Trace
+	num.phase = sweepModes[mode].phase
+	num.firstErr = nil
+	num.flags.Reset()
+	if num.barr != nil {
+		num.barr.reset() // a prior failed sweep leaves the barrier broken
+	}
+	for t := range num.phaseDur {
+		num.phaseDur[t] = num.phaseDur[t][:0]
+	}
+	num.resetWaitAccounting()
+	if st == nil {
+		for i := range num.a {
+			for j, src := range num.aSrc[i] {
+				if src != nil {
+					sparse.ExtractBlockInto(num.a[i][j], perm, src)
 				}
 			}
 		}
-		num.phaseDur = make([][]float64, sym.p)
-		if opts.Sync == SyncBarrier {
-			num.barr = newBarrier(sym.p)
-			if opts.ctl != nil {
-				// Register with the owning Numeric's cancel source so a
-				// fired deadline or stall verdict wakes barrier sleepers
-				// (with a cancellation cause, not a failure one).
-				opts.ctl.registerBarrier(num.barr)
-			}
-		}
 	} else {
-		num.flags.Reset()
-		if num.barr != nil {
-			num.barr.reset() // a prior failed sweep leaves the barrier broken
-		}
-		num.firstErr = nil
-		for t := range num.phaseDur {
-			num.phaseDur[t] = num.phaseDur[t][:0]
-		}
-	}
-	num.blk = blk
-	// Refresh the resident options on reuse too: a recovery factorization
-	// may carry a tightened pivot tolerance or an armed fault injector.
-	// The flag fabric binds to the owner's cancel source so inner waits
-	// unblock on cancellation (Bind is idempotent; ctl is per-Numeric).
-	num.opts = opts
-	num.flags.Bind(opts.ctl)
-	num.rec = opts.Trace
-	num.phase = trace.PhaseFactor
-	num.resetWaitAccounting()
-	// Gather the input hierarchy's values from the permuted matrix.
-	for i := range num.a {
-		for j, src := range num.aSrc[i] {
-			if src != nil {
-				sparse.ExtractBlockInto(num.a[i][j], perm, src)
+		for idx, c := range st.chg {
+			if !c {
+				num.flags.Set(idx)
 			}
 		}
 	}
-	if sym.p == 1 {
-		num.worker(0)
+	if s.p == 1 {
+		num.worker(0, mode, st)
 	} else {
 		var wg sync.WaitGroup
-		for t := 0; t < sym.p; t++ {
+		for t := 0; t < s.p; t++ {
 			wg.Add(1)
 			go func(t int) {
 				// Panic isolation: record the panic as the sweep error and
@@ -377,28 +382,25 @@ func factorND(perm *sparse.CSC, blk, r0 int, sym *ndSym, opts Options, grid *ndG
 						num.fail(panicError(r))
 					}
 				}()
-				num.worker(t)
+				num.worker(t, mode, st)
 			}(t)
 		}
 		wg.Wait()
 	}
-	// Snapshot the contended-wait counters before the error return, so a
-	// failed sweep's waits never leak into the next sweep's SyncWaits delta.
-	total := num.flags.Contended()
-	delta := total - num.lastContended
-	num.lastContended = total
-	waitDelta := num.snapshotWaitNs()
-	if num.firstErr == nil && opts.ctl != nil && opts.ctl.Canceled() {
+	// Each sweep reports its own delta of the fabric's cumulative contended
+	// counters — also when it failed, so its waits never leak into the next.
+	contended, waitNs := num.flags.Contended(), num.flags.WaitNanos()
+	if num.barr != nil {
+		waitNs += num.barr.waitNs()
+	}
+	num.SyncWaits, num.lastContended = contended-num.lastContended, contended
+	num.SyncWaitNs, num.lastWaitNs = waitNs-num.lastWaitNs, waitNs
+	if num.firstErr == nil && opts.ctl.Canceled() {
 		// Workers unwound cooperatively without a numeric failure: report
 		// the abort so a partially-built hierarchy is never published.
 		num.firstErr = errSweepAborted
 	}
-	if num.firstErr != nil {
-		return nil, num.firstErr
-	}
-	num.SyncWaits = delta
-	num.SyncWaitNs = waitDelta
-	return num, nil
+	return num.firstErr
 }
 
 // resetWaitAccounting prepares the per-worker wait accumulators for a new
@@ -415,21 +417,8 @@ func (num *ndNum) resetWaitAccounting() {
 	}
 }
 
-// snapshotWaitNs returns the blocked-wait nanoseconds (fresh-sweep flag
-// fabric plus barrier) accumulated since the previous snapshot.
-func (num *ndNum) snapshotWaitNs() int64 {
-	cur := num.flags.WaitNanos()
-	if num.barr != nil {
-		cur += num.barr.waitNs()
-	}
-	delta := cur - num.lastWaitNs
-	num.lastWaitNs = cur
-	return delta
-}
-
 // workerScratch returns worker t's pooled workspace, mark array and dense
-// accumulator, lazily built on first use and shared by the fresh and
-// in-place sweeps (mutually exclusive by contract).
+// accumulator, lazily built on first use.
 func (num *ndNum) workerScratch(t int) (*gp.Workspace, []int, []float64) {
 	if num.fws[t] == nil {
 		num.fws[t] = gp.NewWorkspace(num.sym.maxDim)
@@ -450,51 +439,11 @@ func (num *ndNum) denseWS(t int) *dense.Workspace {
 // useDense reports whether kernel (i, j) runs on the dense panel layer:
 // tagged at Analyze time from the symbolic density estimates, and not
 // ablated away. The decision is value-independent and fixed per analysis,
-// so every sweep of this numeric routes the kernel the same way and the
-// block patterns stay stable.
+// so every sweep of this numeric — fresh, full or partial — routes the
+// kernel the same way, the block patterns stay stable and partial sweeps
+// stay bitwise-comparable with full ones.
 func (num *ndNum) useDense(i, j int) bool {
 	return !num.opts.NoDenseKernels && num.sym.isDense(i, j)
-}
-
-// upperKernel computes U_kj = L_kk⁻¹·P_k·Â_kj from the reduced block ahat:
-// the dense panel TRSM when both the kernel and the solving diagonal are
-// dense-tagged (the dense path reads L's contiguous dense columns), the
-// sparse Gilbert–Peierls reach solve otherwise.
-func (num *ndNum) upperKernel(k, j int, ahat *sparse.CSC, ws *gp.Workspace, t int) *sparse.CSC {
-	if num.useDense(k, j) && num.useDense(k, k) {
-		num.denseHits.Add(1)
-		return num.diag[k].DenseUpperSolveInto(num.upper[k][j], ahat, num.denseWS(t))
-	}
-	return num.solveUpper(k, ahat, ws, num.upper[k][j])
-}
-
-// lowerKernel computes L_ij solving X·U_jj = Â_ij: the dense panel TRSM
-// when both the kernel and the diagonal are dense-tagged, the sparse
-// column sweep otherwise.
-func (num *ndNum) lowerKernel(i, j int, ahat *sparse.CSC, mark []int, tagp *int, acc []float64, t int) *sparse.CSC {
-	if num.useDense(i, j) && num.useDense(j, j) {
-		num.denseHits.Add(1)
-		return num.diag[j].DenseLowerSolveInto(num.lower[i][j], ahat, num.denseWS(t))
-	}
-	return num.diag[j].LowerBlockSolveInto(num.lower[i][j], ahat, mark, tagp, acc)
-}
-
-// reduceKernel assembles the reduced block Â_ij = A_ij − Σ L·U feeding
-// kernel (i, j), caching it in red[i][j] for the in-place refresh sweeps:
-// the dense accumulation panel for dense-tagged targets (no occupancy
-// marks, no pattern sort), the scatter-accumulate otherwise. With no
-// contributions the input block passes through untouched.
-func (num *ndNum) reduceKernel(i, j int, lows, ups []*sparse.CSC, mark []int, tagp *int, acc []float64, t int) *sparse.CSC {
-	if len(lows) == 0 {
-		return num.a[i][j]
-	}
-	if num.useDense(i, j) {
-		num.denseHits.Add(1)
-		num.red[i][j] = reduceBlockDense(num.a[i][j], lows, ups, num.red[i][j], num.denseWS(t))
-	} else {
-		num.red[i][j] = reduceBlock(num.a[i][j], lows, ups, mark, tagp, acc, num.red[i][j])
-	}
-	return num.red[i][j]
 }
 
 // n reports the dimension of the grid's square hierarchy.
@@ -543,271 +492,27 @@ func (num *ndNum) fail(err error) {
 	}
 }
 
-// sync points: in barrier mode every thread meets at every step; in
-// point-to-point mode these are no-ops and only flag waits synchronize.
-// Worker index t charges the blocked time to the right trace lane.
-func (num *ndNum) phaseBarrier(t int) bool {
-	if num.barr == nil {
-		return !num.flags.Aborted()
-	}
+// wait waits for kernel (i, j), charging the blocked time to worker t's
+// trace lane when tracing is on.
+func (num *ndNum) wait(i, j, t int) bool {
 	if num.rec == nil {
-		return num.barr.await()
+		return num.flags.wait(i, j)
 	}
-	t0 := time.Now()
-	ok := num.barr.await()
-	num.fwait[t] += time.Since(t0).Nanoseconds()
-	return ok
-}
-
-// waitOn waits for kernel (i, j) on the given flag fabric (the fresh
-// sweep's or the refactor sweep's), charging the blocked time to worker
-// t's trace lane when tracing is on.
-func (num *ndNum) waitOn(flags *epochBlockFlags, i, j, t int) bool {
-	if num.rec == nil {
-		return flags.wait(i, j)
-	}
-	ns, ok := flags.waitTimed(i, j)
+	ns, ok := num.flags.waitTimed(i, j)
 	num.fwait[t] += ns
 	return ok
 }
 
-// flushWait emits a zero-length event carrying worker t's trailing blocked
-// wait (waits not followed by any compute would otherwise be lost from the
-// sweep summary). Called via defer on traced workers only.
-func (num *ndNum) flushWait(t int, waitMark *int64) {
-	w := num.fwait[t] - *waitMark
-	if w <= 0 {
-		return
-	}
-	end := num.rec.Now()
-	num.rec.Record(trace.Event{
-		Start:  end,
-		End:    end,
-		Wait:   w,
-		Worker: trace.NDWorker(num.blk, t),
-		Block:  int32(num.blk),
-		Kind:   trace.KindNDKernel,
-		Phase:  num.phase,
-	})
-	*waitMark = num.fwait[t]
-}
-
-// worker runs the static schedule of thread t. Each schedule step is
-// timed (compute only, not waits) into phaseDur for the simulated-makespan
-// model. All scratch comes from the pooled per-worker workspaces, so a
-// recycled factorization allocates nothing here.
-func (num *ndNum) worker(t int) {
-	num.opts.Inject.WorkerPanic(faultinject.SweepND, t)
-	num.opts.Inject.StallPoint(faultinject.SweepND, num.blk)
-	s := num.sym
-	leaf := s.tree.Leaves[t]
-	ws, mark, acc := num.workerScratch(t)
-	tag := num.ftag[t]
-	defer func() { num.ftag[t] = tag }()
-	rec := num.rec
-	var waitMark int64
-	if rec != nil {
-		defer num.flushWait(t, &waitMark)
-	}
-	var busy float64
-	compute := func(f func() error) bool {
-		t0 := time.Now()
-		err := f()
-		d := time.Since(t0)
-		busy += d.Seconds()
-		if rec != nil {
-			end := rec.Now()
-			rec.Record(trace.Event{
-				Start:  end - d.Nanoseconds(),
-				End:    end,
-				Wait:   num.fwait[t] - waitMark,
-				Worker: trace.NDWorker(num.blk, t),
-				Block:  int32(num.blk),
-				Kind:   trace.KindNDKernel,
-				Phase:  num.phase,
-			})
-			waitMark = num.fwait[t]
-		}
-		if err != nil {
-			num.fail(err)
-			return false
-		}
-		return true
-	}
-	endPhase := func() {
-		num.phaseDur[t] = append(num.phaseDur[t], busy)
-		busy = 0
-	}
-
-	// ---- treelevel -1: factor the leaf diagonal and its lower blocks.
-	ok := compute(func() error {
-		if err := num.factorDiag(leaf, num.a[leaf][leaf], ws, t); err != nil {
-			return err
-		}
-		num.flags.set(leaf, leaf)
-		for _, i := range s.ancestors[leaf] {
-			num.lower[i][leaf] = num.lowerKernel(i, leaf, num.a[i][leaf], mark, &tag, acc, t)
-			num.flags.set(i, leaf)
-		}
-		return nil
-	})
-	endPhase()
-	if !ok || !num.phaseBarrier(t) {
-		return
-	}
-
-	// ---- separator columns, bottom-up (the paper's slevel loop).
-	for slevel := 1; slevel <= s.maxH; slevel++ {
-		j := ancestorAtHeight(s, leaf, slevel)
-		// Step A (treelevel 0): my leaf's upper block U_{leaf,j}.
-		ok = compute(func() error {
-			num.upper[leaf][j] = num.upperKernel(leaf, j, num.a[leaf][j], ws, t)
-			num.flags.set(leaf, j)
-			return nil
-		})
-		endPhase()
-		if !ok || !num.phaseBarrier(t) {
-			return
-		}
-		// Step B: internal path nodes I owned by this thread.
-		for h := 1; h < slevel; h++ {
-			k := ancestorAtHeight(s, leaf, h)
-			if s.owner[k] == t {
-				lows, ups, ok2 := num.gatherReductionOn(num.flags, k, j, t)
-				if !ok2 {
-					endPhase()
-					return
-				}
-				if !compute(func() error {
-					ahat := num.reduceKernel(k, j, lows, ups, mark, &tag, acc, t)
-					num.upper[k][j] = num.upperKernel(k, j, ahat, ws, t)
-					num.flags.set(k, j)
-					return nil
-				}) {
-					endPhase()
-					return
-				}
-			}
-			endPhase()
-			if !num.phaseBarrier(t) {
-				return
-			}
-		}
-		// Step C: the diagonal LU_jj by the owner of j.
-		if s.owner[j] == t {
-			lows, ups, ok2 := num.gatherReductionOn(num.flags, j, j, t)
-			if !ok2 {
-				endPhase()
-				return
-			}
-			if !compute(func() error {
-				ahat := num.reduceKernel(j, j, lows, ups, mark, &tag, acc, t)
-				if err := num.factorDiag(j, ahat, ws, t); err != nil {
-					return err
-				}
-				num.flags.set(j, j)
-				return nil
-			}) {
-				endPhase()
-				return
-			}
-		}
-		endPhase()
-		if !num.phaseBarrier(t) {
-			return
-		}
-		// Step D: lower blocks L_ij for ancestors i of j, distributed
-		// round-robin over the threads of subtree(j).
-		if !num.waitOn(num.flags, j, j, t) {
-			return
-		}
-		nsub := s.leafHi[j] - s.leafLo[j] + 1
-		for idx, i := range s.ancestors[j] {
-			if idx%nsub != t-s.leafLo[j] {
-				continue
-			}
-			lows, ups, ok2 := num.gatherRowReductionOn(num.flags, i, j, t)
-			if !ok2 {
-				endPhase()
-				return
-			}
-			if !compute(func() error {
-				ahat := num.reduceKernel(i, j, lows, ups, mark, &tag, acc, t)
-				num.lower[i][j] = num.lowerKernel(i, j, ahat, mark, &tag, acc, t)
-				num.flags.set(i, j)
-				return nil
-			}) {
-				endPhase()
-				return
-			}
-		}
-		endPhase()
-		if !num.phaseBarrier(t) {
-			return
-		}
-	}
-}
-
-// factorDiag factors diagonal block b from matrix m, reusing the block's
-// prior factor storage when present; dense-tagged diagonals go through the
-// pivoted panel LU (worker index t selects the pooled panel workspace).
-func (num *ndNum) factorDiag(b int, m *sparse.CSC, ws *gp.Workspace, t int) error {
-	if num.diag[b] == nil {
-		num.diag[b] = &gp.Factors{}
-	}
-	if num.useDense(b, b) {
-		num.denseHits.Add(1)
-		if err := gp.FactorDenseInto(num.diag[b], m, num.opts.gpOptions(), num.denseWS(t)); err != nil {
-			return fmt.Errorf("core: nd diag block %d: %w", b, err)
-		}
-		return nil
-	}
-	hint := 0
-	if num.sym.est != nil {
-		hint = num.sym.est.diagNnz[b]
-	}
-	if sn := num.sym.snodesOf(b); sn != nil {
-		num.snHits.Add(1)
-		if err := gp.FactorSupernodalInto(num.diag[b], m, sn, hint, num.opts.gpOptions(), ws, num.denseWS(t)); err != nil {
-			return fmt.Errorf("core: nd diag block %d: %w", b, err)
-		}
-		return nil
-	}
-	if err := gp.FactorInto(num.diag[b], m, hint, num.opts.gpOptions(), ws); err != nil {
-		return fmt.Errorf("core: nd diag block %d: %w", b, err)
-	}
-	return nil
-}
-
-// gatherReductionOn waits (on the given flag fabric — the fresh sweep's or
-// the refactor sweep's) for and collects the (lower, upper) block pairs
-// feeding the reduction Â_kj = A_kj − Σ_{k' ∈ subtree(k)\{k}} L_kk'·U_k'j,
-// i.e. the paper's two-phase reduction of Figure 4(d). Pairs land in worker
-// t's reusable buffers (no steady-state allocation).
-func (num *ndNum) gatherReductionOn(flags *epochBlockFlags, k, j, t int) (lows, ups []*sparse.CSC, ok bool) {
-	s := num.sym
+// gatherReduction waits for and collects the (lower, upper) block pairs
+// feeding the reduction Â_ij = A_ij − Σ_{k' ∈ subtree(sub)\{sub}} L_ik'·U_k'j,
+// i.e. the paper's two-phase reduction of Figure 4(d): sub is i for an upper
+// or diagonal target (i a descendant-or-self of j) and j for a lower target
+// (i an ancestor of j). Pairs land in worker t's reusable buffers (no
+// steady-state allocation).
+func (num *ndNum) gatherReduction(i, j, sub, t int) (lows, ups []*sparse.CSC, ok bool) {
 	lows, ups = num.flows[t][:0], num.fups[t][:0]
-	for kp := s.subLo[k]; kp < k; kp++ {
-		if !num.waitOn(flags, kp, j, t) || !num.waitOn(flags, k, kp, t) {
-			return lows, ups, false
-		}
-		if num.upper[kp][j] == nil || num.lower[k][kp] == nil {
-			continue
-		}
-		lows = append(lows, num.lower[k][kp])
-		ups = append(ups, num.upper[kp][j])
-	}
-	num.flows[t], num.fups[t] = lows, ups
-	return lows, ups, true
-}
-
-// gatherRowReductionOn collects pairs for a lower target row i (an ancestor
-// of column j): Â_ij = A_ij − Σ_{k' ∈ subtree(j)\{j}} L_ik'·U_k'j.
-func (num *ndNum) gatherRowReductionOn(flags *epochBlockFlags, i, j, t int) (lows, ups []*sparse.CSC, ok bool) {
-	s := num.sym
-	lows, ups = num.flows[t][:0], num.fups[t][:0]
-	for kp := s.subLo[j]; kp < j; kp++ {
-		if !num.waitOn(flags, kp, j, t) || !num.waitOn(flags, i, kp, t) {
+	for kp := num.sym.subLo[sub]; kp < sub; kp++ {
+		if !num.wait(kp, j, t) || !num.wait(i, kp, t) {
 			return lows, ups, false
 		}
 		if num.upper[kp][j] == nil || num.lower[i][kp] == nil {
@@ -818,6 +523,371 @@ func (num *ndNum) gatherRowReductionOn(flags *epochBlockFlags, i, j, t int) (low
 	}
 	num.flows[t], num.fups[t] = lows, ups
 	return lows, ups, true
+}
+
+// ndLane is one team worker's private state for the current sweep: its
+// pooled scratch, the mode and mask, and the timing of the kernel span it is
+// in. It lives on the worker's stack, and its span helpers are plain methods
+// rather than closures, so the refresh sweeps stay allocation-free.
+type ndLane struct {
+	num  *ndNum
+	t    int
+	leaf int
+	mode sweepMode
+	st   *ndIncState
+	ws   *gp.Workspace
+	mark []int
+	acc  []float64
+	tag  int
+
+	// t0 and kind describe the open span (kind starts as KindNDKernel and is
+	// raised by a kernel that routes through the dense or supernodal layer);
+	// busy is the compute time since the last schedule step ended; waitMark
+	// is the worker's blocked-wait total when its last trace event was cut.
+	t0       time.Time
+	kind     trace.Kind
+	busy     float64
+	waitMark int64
+}
+
+// live reports whether kernel (i, j) runs this sweep; firstOf reports the
+// column of node j its refresh may start from (the mask's first dirty
+// column; everything, from column 0, without a mask).
+func (w *ndLane) live(i, j int) bool { return w.st == nil || w.st.chg[i*w.num.sym.nb+j] }
+func (w *ndLane) firstOf(j int) int {
+	if w.st == nil {
+		return 0
+	}
+	return w.st.first[j]
+}
+
+// begin opens a timed kernel span; end closes it, adding its compute time
+// (never its waits) to the current schedule step and emitting one trace
+// event that carries the blocked wait accumulated since the previous event.
+func (w *ndLane) begin() { w.t0, w.kind = time.Now(), trace.KindNDKernel }
+
+func (w *ndLane) end() {
+	d := time.Since(w.t0)
+	w.busy += d.Seconds()
+	if num := w.num; num.rec != nil {
+		w.emit(d.Nanoseconds(), w.kind)
+	}
+}
+
+// emit records one trace event of the given length ending now, carrying the
+// worker's blocked wait since its previous event.
+func (w *ndLane) emit(ns int64, kind trace.Kind) {
+	num := w.num
+	end := num.rec.Now()
+	num.rec.Record(trace.Event{
+		Start:  end - ns,
+		End:    end,
+		Wait:   num.fwait[w.t] - w.waitMark,
+		Worker: trace.NDWorker(num.blk, w.t),
+		Block:  int32(num.blk),
+		Kind:   kind,
+		Phase:  num.phase,
+	})
+	w.waitMark = num.fwait[w.t]
+}
+
+// endStep closes one step of the static schedule. All threads traverse the
+// same step sequence whatever the mask skips, so phaseDur stays aligned
+// across threads for the simulated-makespan model. It reports whether the
+// sweep goes on: in barrier mode (fresh sweeps only — the ablation concerns
+// first factorization) every thread meets here; otherwise the step boundary
+// just polls for an abort and only flag waits synchronize.
+func (w *ndLane) endStep() bool {
+	num := w.num
+	num.phaseDur[w.t] = append(num.phaseDur[w.t], w.busy)
+	w.busy = 0
+	if num.barr == nil || w.mode != modeFactor {
+		return !num.flags.Aborted()
+	}
+	if num.rec == nil {
+		return num.barr.await()
+	}
+	t0 := time.Now()
+	ok := num.barr.await()
+	num.fwait[w.t] += time.Since(t0).Nanoseconds()
+	return ok
+}
+
+// close returns the lane's mark tag to the pool and, when tracing, emits a
+// zero-length event carrying the trailing blocked wait (waits not followed
+// by any compute would otherwise be lost from the sweep summary).
+func (w *ndLane) close() {
+	num := w.num
+	num.ftag[w.t] = w.tag
+	if num.rec != nil && num.fwait[w.t] > w.waitMark {
+		w.emit(0, trace.KindNDKernel)
+	}
+}
+
+// worker runs thread t's static schedule: its leaf, then for every
+// separator level the four steps A–D of the paper's slevel loop. Each
+// kernel is its mode's variant (see the four kernel methods); the walk, the
+// point-to-point flags, the step timing and the abort protocol are the same
+// in every mode. Compute time (not waits) lands in phaseDur for the
+// simulated-makespan model. All scratch comes from the pooled per-worker
+// workspaces, so a recycled or refreshed hierarchy allocates nothing here.
+//
+// Per-column granularity at the leaves of a partial sweep: leaf kernels
+// consume no reduction, so when the change set first touches node v at
+// column st.first[v], the leaf diagonal reruns only the closure of its dirty
+// columns, leaf lower blocks refresh from that column (output column c
+// reads input column c, factor column c and earlier output columns, none of
+// which changed before the first dirty column), and leaf upper blocks
+// refresh from the target column's first dirty column provided the leaf
+// factor itself did not change this sweep (each upper column reads the
+// whole leaf L).
+func (num *ndNum) worker(t int, mode sweepMode, st *ndIncState) {
+	num.opts.Inject.WorkerPanic(faultinject.SweepND, t)
+	num.opts.Inject.StallPoint(faultinject.SweepND, num.blk)
+	s := num.sym
+	leaf := s.tree.Leaves[t]
+	w := ndLane{num: num, t: t, leaf: leaf, mode: mode, st: st, tag: num.ftag[t]}
+	w.ws, w.mark, w.acc = num.workerScratch(t)
+	defer w.close()
+
+	// ---- treelevel -1: the leaf diagonal and its lower blocks.
+	w.begin()
+	var err error
+	if w.live(leaf, leaf) {
+		if err = w.diagKernel(leaf, num.a[leaf][leaf]); err == nil {
+			num.flags.set(leaf, leaf)
+		}
+	}
+	if err == nil {
+		for _, i := range s.ancestors[leaf] {
+			if w.live(i, leaf) {
+				w.lowerKernel(i, leaf, num.a[i][leaf], w.firstOf(leaf))
+				num.flags.set(i, leaf)
+			}
+		}
+	}
+	w.end()
+	if err != nil {
+		num.fail(err)
+	}
+	if !w.endStep() {
+		return
+	}
+
+	// ---- separator columns, bottom-up (the paper's slevel loop).
+	for slevel := 1; slevel <= s.maxH; slevel++ {
+		j := ancestorAtHeight(s, leaf, slevel)
+		// Step A (treelevel 0): my leaf's upper block U_{leaf,j}.
+		if w.live(leaf, j) {
+			c0 := 0
+			if !w.live(leaf, leaf) {
+				c0 = w.firstOf(j)
+			}
+			w.begin()
+			w.upperKernel(leaf, j, num.a[leaf][j], c0)
+			num.flags.set(leaf, j)
+			w.end()
+		}
+		if !w.endStep() {
+			return
+		}
+		// Step B: internal path nodes owned by this thread.
+		for h := 1; h < slevel; h++ {
+			k := ancestorAtHeight(s, leaf, h)
+			if s.owner[k] == t && w.live(k, j) {
+				lows, ups, ok := num.gatherReduction(k, j, k, t)
+				if !ok {
+					return
+				}
+				w.begin()
+				w.upperKernel(k, j, w.reduceKernel(k, j, lows, ups), 0)
+				num.flags.set(k, j)
+				w.end()
+			}
+			if !w.endStep() {
+				return
+			}
+		}
+		// Step C: the diagonal LU_jj by the owner of j.
+		if s.owner[j] == t && w.live(j, j) {
+			lows, ups, ok := num.gatherReduction(j, j, j, t)
+			if !ok {
+				return
+			}
+			w.begin()
+			if err = w.diagKernel(j, w.reduceKernel(j, j, lows, ups)); err == nil {
+				num.flags.set(j, j)
+			}
+			w.end()
+			if err != nil {
+				num.fail(err)
+			}
+		}
+		if !w.endStep() {
+			return
+		}
+		// Step D: lower blocks L_ij for ancestors i of j, distributed
+		// round-robin over the threads of subtree(j).
+		if !num.wait(j, j, t) {
+			return
+		}
+		nsub := s.leafHi[j] - s.leafLo[j] + 1
+		for idx, i := range s.ancestors[j] {
+			if idx%nsub != t-s.leafLo[j] || !w.live(i, j) {
+				continue
+			}
+			lows, ups, ok := num.gatherReduction(i, j, j, t)
+			if !ok {
+				return
+			}
+			w.begin()
+			w.lowerKernel(i, j, w.reduceKernel(i, j, lows, ups), 0)
+			num.flags.set(i, j)
+			w.end()
+		}
+		if !w.endStep() {
+			return
+		}
+	}
+}
+
+// diagKernel factors (modeFactor) or refreshes diagonal block b from m — its
+// input block at a leaf, the reduced block at a separator. Dense-tagged
+// diagonals go through the pivoted panel LU, supernodal leaves through the
+// elimination-tree panels, the rest through column Gilbert–Peierls; under a
+// mask the leaf reruns only the dependency closure of its dirty columns (a
+// leaf diagonal consumes no reduction, so the input stamps tell the whole
+// story), while a separator diagonal reruns whole.
+func (w *ndLane) diagKernel(b int, m *sparse.CSC) error {
+	num, t := w.num, w.t
+	if num.diag[b] == nil {
+		num.diag[b] = &gp.Factors{}
+	}
+	f := num.diag[b]
+	dense, xsup := num.useDense(b, b), num.sym.snodesOf(b)
+	switch {
+	case dense:
+		// A reduce feeding this kernel has already committed its panel into
+		// red, so the one-live-panel rule of the pooled workspace holds.
+		w.kind = trace.KindDenseRefresh
+		num.denseHits.Add(1)
+	case xsup != nil:
+		w.kind = trace.KindSnodeKernel
+		num.snHits.Add(1)
+	}
+	var err error
+	switch {
+	case w.mode == modeFactor:
+		hint := 0
+		if num.sym.est != nil {
+			hint = num.sym.est.diagNnz[b]
+		}
+		switch {
+		case dense:
+			err = gp.FactorDenseInto(f, m, num.opts.gpOptions(), num.denseWS(t))
+		case xsup != nil:
+			err = gp.FactorSupernodalInto(f, m, xsup, hint, num.opts.gpOptions(), w.ws, num.denseWS(t))
+		default:
+			err = gp.FactorInto(f, m, hint, num.opts.gpOptions(), w.ws)
+		}
+	case w.st != nil && b == w.leaf:
+		b0, b1 := num.sym.blockRange(b)
+		stamp, epoch, rerun := w.st.colStamp[b0:b1], w.st.epoch, w.st.rerun[b0:b1]
+		switch {
+		case dense:
+			err = f.RefactorDenseSelective(m, num.denseWS(t), stamp, epoch, rerun)
+		case xsup != nil:
+			err = f.RefactorSupernodalSelective(m, w.ws, num.denseWS(t), stamp, epoch, rerun)
+		default:
+			err = f.RefactorSelective(m, w.ws, stamp, epoch, rerun)
+		}
+	default:
+		switch {
+		case dense:
+			err = f.RefactorDense(m, num.denseWS(t))
+		case xsup != nil:
+			err = f.RefactorSupernodal(m, w.ws, num.denseWS(t))
+		default:
+			err = f.Refactor(m, w.ws)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("core: nd %sdiag block %d: %w", sweepModes[w.mode].errTag, b, err)
+	}
+	return nil
+}
+
+// upperKernel computes U_kj = L_kk⁻¹·P_k·Â_kj from the (reduced) block ahat, or
+// refreshes its columns from c0 on over the pattern the fresh solve
+// discovered: the dense panel TRSM when both the kernel and the solving
+// diagonal are dense-tagged (the dense path reads L's contiguous dense
+// columns), the sparse Gilbert–Peierls reach solve otherwise.
+func (w *ndLane) upperKernel(k, j int, ahat *sparse.CSC, c0 int) {
+	num := w.num
+	f, dst := num.diag[k], num.upper[k][j]
+	dense := num.useDense(k, j) && num.useDense(k, k)
+	if dense {
+		w.kind = trace.KindDenseRefresh
+		num.denseHits.Add(1)
+	}
+	switch {
+	case w.mode != modeFactor && dense:
+		f.DenseUpperRefactorFrom(dst, ahat, c0)
+	case w.mode != modeFactor:
+		f.RefactorUpperBlockFrom(dst, ahat, w.ws, c0)
+	case dense:
+		num.upper[k][j] = f.DenseUpperSolveInto(dst, ahat, num.denseWS(w.t))
+	default:
+		num.upper[k][j] = num.solveUpper(k, ahat, w.ws, dst)
+	}
+}
+
+// lowerKernel computes L_ij solving X·U_jj = Â_ij, or refreshes its columns from
+// c0 on: the dense panel TRSM when both the kernel and the diagonal are
+// dense-tagged, the sparse column sweep otherwise.
+func (w *ndLane) lowerKernel(i, j int, ahat *sparse.CSC, c0 int) {
+	num := w.num
+	f, dst := num.diag[j], num.lower[i][j]
+	dense := num.useDense(i, j) && num.useDense(j, j)
+	if dense {
+		w.kind = trace.KindDenseRefresh
+		num.denseHits.Add(1)
+	}
+	switch {
+	case w.mode != modeFactor && dense:
+		f.DenseLowerRefactorFrom(dst, ahat, c0)
+	case w.mode != modeFactor:
+		f.RefactorLowerBlockFrom(dst, ahat, w.acc, c0)
+	case dense:
+		num.lower[i][j] = f.DenseLowerSolveInto(dst, ahat, num.denseWS(w.t))
+	default:
+		num.lower[i][j] = f.LowerBlockSolveInto(dst, ahat, w.mark, &w.tag, w.acc)
+	}
+}
+
+// reduceKernel assembles the reduced block Â_ij = A_ij − Σ L·U feeding kernel
+// (i, j) into red[i][j]: the dense accumulation panel for dense-tagged
+// targets (no occupancy marks, no pattern sort; the fully dense red block is
+// recycled in place by every mode), otherwise the scatter-accumulate that
+// discovers the structural pattern (modeFactor) or refills it (refresh).
+// With no contributions the input block passes through untouched.
+func (w *ndLane) reduceKernel(i, j int, lows, ups []*sparse.CSC) *sparse.CSC {
+	num := w.num
+	a0 := num.a[i][j]
+	if len(lows) == 0 {
+		return a0
+	}
+	switch {
+	case num.useDense(i, j):
+		w.kind = trace.KindDenseRefresh
+		num.denseHits.Add(1)
+		num.red[i][j] = reduceBlockDense(a0, lows, ups, num.red[i][j], num.denseWS(w.t))
+	case w.mode == modeFactor:
+		num.red[i][j] = reduceBlock(a0, lows, ups, w.mark, &w.tag, w.acc, num.red[i][j])
+	default:
+		reduceBlockInto(num.red[i][j], a0, lows, ups, w.acc)
+	}
+	return num.red[i][j]
 }
 
 // solveUpper computes U_kj = L_kk⁻¹ P_k Â_kj column by column with
@@ -1020,6 +1090,36 @@ func reduceBlockDense(a0 *sparse.CSC, lows, ups []*sparse.CSC, recycle *sparse.C
 		}
 	}
 	return sparse.FillDense(recycle, m, n, panel.Data)
+}
+
+// reduceBlockInto refreshes dst = A0 − Σ_t lows[t]·ups[t] over dst's fixed
+// structural pattern (built by reduceBlock at factorization time from the
+// same contributing patterns), so every touched accumulator index lies in
+// dst's column pattern and comes back clean. Zero allocation.
+func reduceBlockInto(dst, a0 *sparse.CSC, lows, ups []*sparse.CSC, acc []float64) {
+	for c := 0; c < dst.N; c++ {
+		for p := a0.Colptr[c]; p < a0.Colptr[c+1]; p++ {
+			acc[a0.Rowidx[p]] += a0.Values[p]
+		}
+		for t := range lows {
+			lo, up := lows[t], ups[t]
+			for p := up.Colptr[c]; p < up.Colptr[c+1]; p++ {
+				k := up.Rowidx[p]
+				ukc := up.Values[p]
+				if ukc == 0 {
+					continue // refreshed value drifted to zero: no contribution
+				}
+				for q := lo.Colptr[k]; q < lo.Colptr[k+1]; q++ {
+					acc[lo.Rowidx[q]] -= lo.Values[q] * ukc
+				}
+			}
+		}
+		for p := dst.Colptr[c]; p < dst.Colptr[c+1]; p++ {
+			i := dst.Rowidx[p]
+			dst.Values[p] = acc[i]
+			acc[i] = 0
+		}
+	}
 }
 
 func ancestorAtHeight(s *ndSym, leaf, h int) int {

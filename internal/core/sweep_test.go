@@ -1,0 +1,211 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/matgen"
+	"repro/internal/sparse"
+)
+
+// TestNDFallbackBarrierRegistration pins the cancel registry's size under
+// the SyncBarrier ablation: a pivot-drift fallback replaces a fine-ND
+// block's whole engine, and the replacement must take over the barrier of
+// the engine it replaces instead of registering another one — otherwise the
+// registry grows by one per fallback over a long transient and Cancel walks
+// dead barriers.
+func TestNDFallbackBarrierRegistration(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	a := randCircuit(rng, 400, 0.6)
+	inject := faultinject.New()
+	opts := optsWithThreads(2)
+	opts.Sync = SyncBarrier
+	opts.Inject = inject
+	num, err := FactorDirect(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndBlk := -1
+	for blk := 0; blk < num.Sym.NumBlocks(); blk++ {
+		if num.Sym.IsND(blk) {
+			ndBlk = blk
+		}
+	}
+	if ndBlk < 0 {
+		t.Fatal("test matrix needs an ND block")
+	}
+	const fallbacks = 6
+	for i := 1; i <= fallbacks; i++ {
+		// One forced failure of the ND block's refresh; the re-armed rule is
+		// spent by the time the fallback consults it, so the fallback runs.
+		inject.Arm(faultinject.PointPivotFail, faultinject.Rule{
+			Sweep: faultinject.SweepRefactor, SweepSet: true, Block: ndBlk, Worker: -1, Times: 1,
+		})
+		step := matgen.TransientStep(a, i, 52)
+		if err := num.Refactor(step); err != nil {
+			t.Fatalf("refactor %d with one forced ND pivot failure: %v", i, err)
+		}
+		solveCheck(t, step, num, 1e-7)
+	}
+	if got := num.PivotFallbacks(); got != fallbacks {
+		t.Fatalf("PivotFallbacks = %d, want %d", got, fallbacks)
+	}
+	num.sweep.mu.Lock()
+	registered := len(num.sweep.barriers)
+	num.sweep.mu.Unlock()
+	if want := num.Sym.NumNDBlocks(); registered != want {
+		t.Fatalf("%d barriers registered after %d ND fallbacks, want %d (one per ND block)", registered, fallbacks, want)
+	}
+}
+
+// TestSweepModesInterleaved is the cross-mode model test of the one
+// scheduler: every mode runs on one completion fabric, one error slice and
+// one ND flag set, so a seeded random walk over {FactorInto, Refactor,
+// RefactorPartial, RefactorAuto} × {clean, context fired mid-sweep, forced
+// pivot failure, worker panic} must keep the model's two invariants — after
+// every successful step the solve agrees with a fresh Factor of the same
+// values, after every failed step the numeric is poisoned and the next
+// (fault-free) step, whatever its mode, recovers it.
+func TestSweepModesInterleaved(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			const steps = 220
+			rng := rand.New(rand.NewSource(int64(60 + threads)))
+			base := randCircuit(rng, 320, 0.6)
+			inject := faultinject.New()
+			opts := optsWithThreads(threads)
+			opts.Inject = inject
+			sym, err := Analyze(base, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sym.NumNDBlocks() == 0 || sym.NumBlocks() == sym.NumNDBlocks() {
+				t.Fatal("test matrix needs both ND and small blocks")
+			}
+			// The scheduler hook fires the step's context (when one is set)
+			// as the first block starts: live at entry, cancelled mid-sweep.
+			// It stays installed for the whole walk, so stragglers of a
+			// cancelled sweep never race a hook swap.
+			var cancelOnStart atomic.Pointer[context.CancelFunc]
+			hooks := &schedHooks{blockStart: func(int, bool) {
+				if c := cancelOnStart.Load(); c != nil {
+					(*c)()
+				}
+			}}
+			num, err := factorFresh(context.Background(), base, sym, hooks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rhs := make([]float64, base.N)
+			for i := range rhs {
+				rhs[i] = rng.NormFloat64()
+			}
+			agree := func(step int, what string, a *sparse.CSC) {
+				t.Helper()
+				ref, err := Factor(a, sym)
+				if err != nil {
+					t.Fatalf("step %d: reference factor: %v", step, err)
+				}
+				want := append([]float64(nil), rhs...)
+				got := append([]float64(nil), rhs...)
+				ref.Solve(want)
+				num.Solve(got)
+				for i := range want {
+					if math.Abs(got[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
+						t.Fatalf("step %d (%s): x[%d] = %v, fresh factor gives %v", step, what, i, got[i], want[i])
+					}
+				}
+			}
+
+			prev := base // the values the numeric last gathered
+			recovering := false
+			failed := 0
+			modes := [4]int{}
+			for step := 1; step <= steps; step++ {
+				// Next matrix: a localized perturbation of prev (so the change
+				// set is exact) or a full restamp.
+				var cols []int
+				var next *sparse.CSC
+				if rng.Intn(2) == 0 {
+					cols = matgen.ChangeSet(base.N, 0.02+0.1*rng.Float64(), rng.Int63(), rng.Intn(2) == 0)
+					next = matgen.PerturbColumns(prev, cols, step, 61)
+				} else {
+					next = matgen.TransientStep(base, step, 62)
+				}
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				fault := "clean"
+				if !recovering {
+					switch rng.Intn(8) {
+					case 0:
+						// The context fires mid-sweep; one wedged worker holds
+						// the sweep open until the monitor has seen it.
+						fault = "cancel"
+						inject.Arm(faultinject.PointStall, faultinject.Rule{Block: -1, Worker: -1, Times: 1, Stall: 15 * time.Millisecond})
+						ctx, cancel = context.WithCancel(ctx)
+						cancelOnStart.Store(&cancel)
+					case 1:
+						fault = "pivot-once" // absorbed by the per-block fallback
+						inject.Arm(faultinject.PointPivotFail, faultinject.AnyTimes(1))
+					case 2:
+						fault = "pivot-always"
+						inject.Arm(faultinject.PointPivotFail, faultinject.Any())
+					case 3:
+						fault = "panic"
+						inject.Arm(faultinject.PointWorkerPanic, faultinject.AnyTimes(1))
+					}
+				}
+				mode := rng.Intn(4)
+				if cols == nil && mode == 2 {
+					mode = 3 // no exact change set for a full restamp: discover it
+				}
+				modes[mode]++
+				var what string
+				switch mode {
+				case 0:
+					what, err = "FactorInto", num.FactorIntoCtx(ctx, next)
+				case 1:
+					what, err = "Refactor", num.RefactorCtx(ctx, next)
+				case 2:
+					what, err = "RefactorPartial", num.RefactorPartialCtx(ctx, next, cols)
+				case 3:
+					what, err = "RefactorAuto", num.RefactorAutoCtx(ctx, next)
+				}
+				cancelOnStart.Store(nil)
+				cancel()
+				inject.DisarmAll()
+				what += "/" + fault
+				prev = next
+				if err != nil {
+					if fault == "clean" {
+						t.Fatalf("step %d (%s): %v", step, what, err)
+					}
+					if !num.Poisoned() {
+						t.Fatalf("step %d (%s) failed with %v but did not poison the numeric", step, what, err)
+					}
+					failed++
+					recovering = true
+					continue
+				}
+				if num.Poisoned() {
+					t.Fatalf("step %d (%s) succeeded but left the numeric poisoned", step, what)
+				}
+				recovering = false
+				agree(step, what, next)
+			}
+			if failed == 0 || num.PivotFallbacks() == 0 {
+				t.Fatalf("walk exercised %d failed steps and %d pivot fallbacks; want both > 0", failed, num.PivotFallbacks())
+			}
+			for m, n := range modes {
+				if n == 0 {
+					t.Fatalf("walk never drew mode %d", m)
+				}
+			}
+		})
+	}
+}

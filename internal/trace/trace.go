@@ -77,8 +77,8 @@ const (
 	KindAnalyzePlan
 	// KindSolveBlock is one coarse block of the parallel triangular solve.
 	KindSolveBlock
-	// KindDenseRefresh is a fine-ND refresh span whose kernels ran through
-	// the dense panel layer (dense refactor / dense TRSM refresh).
+	// KindDenseRefresh is a fine-ND span whose kernels ran through the dense
+	// panel layer (panel LU, TRSM or accumulation — pivoting or refresh).
 	KindDenseRefresh
 	// KindSnodeKernel is a fine-ND leaf diagonal factored or refreshed
 	// through elimination-tree supernode panels.
