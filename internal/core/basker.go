@@ -9,10 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/etree"
 	"repro/internal/faultinject"
 	"repro/internal/gp"
-	"repro/internal/order/amd"
+	"repro/internal/order"
 	"repro/internal/order/btf"
 	"repro/internal/order/matching"
 	"repro/internal/order/nd"
@@ -383,11 +382,14 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 		ndThreshold = t
 	}
 
+	permStart := rec.Now()
 	b := a.Permute(sym.RowPerm, sym.ColPerm)
+	if rec != nil {
+		rec.Record(trace.Event{Start: permStart, End: rec.Now(),
+			Worker: trace.DriverWorker, Block: -1, Kind: trace.KindGather, Phase: trace.PhaseAnalyze})
+	}
 	rowPerm := make([]int, n)
 	colPerm := make([]int, n)
-	copy(rowPerm, sym.RowPerm)
-	copy(colPerm, sym.ColPerm)
 
 	// ---- Per-block fine analysis, parallel over coarse blocks: every
 	// block's ordering work (AMD / matching+ND) reads the shared permuted
@@ -408,49 +410,35 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 			sym.kind[blk] = blockSmall
 		}
 	}
+	// Worker t draws one workspace on its first block and keeps it for all
+	// of them; all go back to the pool as soon as the blocks are done.
+	wss := make([]*analysisWS, min(opts.threads(), nblocks))
 	analyzeBlock := func(blk, t int) {
-		var t0 int64
-		if rec != nil {
-			t0 = rec.Now()
-			kind := trace.KindAnalyzeAMD
-			if sym.kind[blk] == blockND {
-				kind = trace.KindAnalyzeND
-			}
-			defer func() {
-				rec.Record(trace.Event{Start: t0, End: rec.Now(),
-					Worker: int32(t), Block: int32(blk), Kind: kind, Phase: trace.PhaseAnalyze})
-			}()
+		if wss[t] == nil {
+			wss[t] = analysisWSPool.Get().(*analysisWS)
 		}
+		ws := wss[t]
 		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-		bs := r1 - r0
 		if sym.kind[blk] == blockND {
 			flops[blk] = -1
-			errs[blk] = analyzeND(sym, b, blk, r0, r1, rowPerm, colPerm, opts)
+			errs[blk] = analyzeND(sym, b, blk, r0, r1, rowPerm, colPerm, opts, ws, t)
 			return
 		}
-		// ---- Fine BTF block (paper §III-B, Algorithm 2): AMD order.
-		if bs > 1 {
-			sub := b.ExtractBlock(r0, r1, r0, r1)
-			local := amd.Order(sub)
-			for k := 0; k < bs; k++ {
-				rowPerm[r0+k] = sym.RowPerm[r0+local[k]]
-				colPerm[r0+k] = sym.ColPerm[r0+local[k]]
-			}
-			ordered := sub.Permute(local, local)
-			parent := etree.Symmetric(ordered)
-			counts := etree.ColCounts(ordered, parent)
-			est := 0
-			for _, c := range counts {
-				est += c
-			}
-			sym.estNnz[blk] = 2 * est
-			flops[blk] = etree.FlopEstimate(counts)
-		} else {
-			sym.estNnz[blk] = 1
-			flops[blk] = 1
+		// ---- Fine BTF block (paper §III-B, Algorithm 2): AMD order and
+		// fill estimate off one graph of the block.
+		t0 := rec.Now()
+		sym.estNnz[blk], flops[blk] = ws.Block(b, r0, r1, sym.RowPerm, sym.ColPerm, rowPerm, colPerm)
+		if rec != nil {
+			rec.Record(trace.Event{Start: t0, End: rec.Now(),
+				Worker: int32(t), Block: int32(blk), Kind: trace.KindAnalyzeAMD, Phase: trace.PhaseAnalyze})
 		}
 	}
 	parallelBlocks(nblocks, opts.threads(), analyzeBlock)
+	for _, ws := range wss {
+		if ws != nil {
+			analysisWSPool.Put(ws)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -506,7 +494,11 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 // is independent per block and runs across the thread pool.
 func newFactorPlan(sym *Symbolic, a *sparse.CSC) *factorPlan {
 	nblocks := sym.NumBlocks()
-	perm, permMap := a.PermuteWithMap(sym.RowPerm, sym.ColPerm)
+	// The plan is pattern-only — every consumer either aliases the index
+	// slices (SharePattern) or gathers through the entry maps — so it is
+	// built from a's pattern alone: no value buffer is filled to be dropped.
+	pat := &sparse.CSC{M: a.M, N: a.N, Colptr: a.Colptr, Rowidx: a.Rowidx}
+	perm, permMap := pat.PermuteWithMap(sym.RowPerm, sym.ColPerm)
 	pl := &factorPlan{
 		colptr:   append([]int(nil), a.Colptr...),
 		rowidx:   append([]int(nil), a.Rowidx...),
@@ -521,36 +513,40 @@ func newFactorPlan(sym *Symbolic, a *sparse.CSC) *factorPlan {
 		switch sym.kind[blk] {
 		case blockSmall:
 			pl.smallPat[blk], pl.smallSrc[blk] = perm.ExtractBlockWithMap(r0, r1, r0, r1)
-			pl.smallPat[blk].Values = nil
 		case blockND:
 			pl.grids[blk] = buildNDGrid(perm, r0, sym.ndsym[blk])
-			for _, row := range pl.grids[blk].pat {
-				for _, pat := range row {
-					if pat != nil {
-						pat.Values = nil
-					}
-				}
-			}
 		}
 	})
-	// The plan is pattern-only: every consumer either aliases the index
-	// slices (SharePattern) or gathers through the entry maps, so the value
-	// buffers filled during construction are dead weight — drop them rather
-	// than retain ~nnz float64s per cached analysis.
-	perm.Values = nil
 	return pl
 }
 
-// btfWSPool and matchWSPool recycle the serial front end's workspaces
-// across Analyze calls (and across the parallel per-block analyses, which
-// draw one matching workspace per in-flight block): the coarse BTF and
-// bottleneck-matching scratch used to be reallocated on every call, a
-// measurable slice of the symbolic phase the paper insists must not
-// serialize the pipeline.
+// btfWSPool, matchWSPool and analysisWSPool recycle Analyze's workspaces
+// across calls (and across the parallel per-block analyses, which draw one
+// per worker): reallocating the coarse BTF, bottleneck-matching and
+// per-block ordering scratch on every call was a measurable slice of the
+// symbolic phase the paper insists must not serialize the pipeline. A
+// workspace lives in a pool or in one running Analyze, never in the
+// Symbolic that Analyze returns: the retained footprint of an analysis is
+// its permutations, estimates and plan only.
 var (
-	btfWSPool   = sync.Pool{New: func() any { return btf.NewWorkspace() }}
-	matchWSPool = sync.Pool{New: func() any { return matching.NewWorkspace() }}
+	btfWSPool      = sync.Pool{New: func() any { return btf.NewWorkspace() }}
+	matchWSPool    = sync.Pool{New: func() any { return matching.NewWorkspace() }}
+	analysisWSPool = sync.Pool{New: func() any { return new(analysisWS) }}
 )
+
+// analysisWS is one Analyze worker's scratch: the shared per-block front end
+// (graph, AMD, elimination tree) plus what only a fine-ND block needs.
+type analysisWS struct {
+	order.Workspace
+	// sub is one tree block's graph, induced from the ND block's graph G
+	// when the tree has more than one block.
+	sub sparse.SymGraph
+	// dp is the pattern of the fully permuted ND block (columns unsorted,
+	// no values), which the Algorithm 3 estimates and the supernode
+	// detection scan; rowTo is the row relabelling that formed it.
+	dp    sparse.CSC
+	rowTo []int
+}
 
 // parallelBlocks runs fn(blk, t) for every block, fanning independent
 // blocks out over up to nt worker goroutines (inline when nt <= 1); t is
@@ -585,71 +581,150 @@ func parallelBlocks(nblocks, nt int, fn func(blk, t int)) {
 
 // analyzeND builds the fine-ND symbolic structure for coarse block blk
 // (paper §III-C): local MWCM, nested dissection with one leaf per thread,
-// optional per-block AMD, composed into the global permutations.
-func analyzeND(sym *Symbolic, b *sparse.CSC, blk, r0, r1 int, rowPerm, colPerm []int, opts Options) error {
+// optional per-block AMD, composed into the global permutations. The graph
+// of the matched block is built once, in ws, and everything downstream runs
+// off it: the dissection, each tree block's AMD (on the induced subgraph),
+// and each leaf's elimination tree and column counts, which the Algorithm 3
+// estimates and the supernode detection then share. t is the calling
+// worker's trace lane.
+func analyzeND(sym *Symbolic, b *sparse.CSC, blk, r0, r1 int, rowPerm, colPerm []int, opts Options, ws *analysisWS, t int) error {
 	bs := r1 - r0
-	d := b.ExtractBlock(r0, r1, r0, r1)
+	rec := opts.Trace
+	stageStart := rec.Now()
+	stage := func(kind trace.Kind) {
+		if rec != nil {
+			now := rec.Now()
+			rec.Record(trace.Event{Start: stageStart, End: now,
+				Worker: int32(t), Block: int32(blk), Kind: kind, Phase: trace.PhaseAnalyze})
+			stageStart = now
+		}
+	}
 
 	// Local matching (Pm2) to concentrate weight on the diagonal and
-	// reduce the need to pivot.
-	localRow := sparse.IdentityPerm(bs)
+	// reduce the need to pivot: the one consumer of the block's values.
+	var localRow, rowNew []int
 	if opts.UseMWCM {
-		ws := matchWSPool.Get().(*matching.Workspace)
-		m, err := matching.BottleneckWith(d, ws)
-		matchWSPool.Put(ws)
+		d := b
+		if bs != b.N {
+			d = b.ExtractBlock(r0, r1, r0, r1)
+		}
+		mws := matchWSPool.Get().(*matching.Workspace)
+		m, err := matching.BottleneckWith(d, mws)
+		matchWSPool.Put(mws)
 		if err != nil {
 			return fmt.Errorf("core: nd block %d matching: %w", blk, err)
 		}
 		localRow = m.RowPerm
-		d = d.Permute(localRow, nil)
+		rowNew = sparse.InversePerm(localRow)
 	}
+	stage(trace.KindAnalyzeNDMatch)
 
 	// Nested dissection with one leaf per ND thread.
-	tree, err := nd.Compute(d, opts.ndLeaves())
+	ws.G.Build(b, r0, r1, rowNew)
+	tree, err := nd.ComputeGraph(&ws.G, opts.ndLeaves())
 	if err != nil {
 		return fmt.Errorf("core: nd block %d: %w", blk, err)
 	}
-	rowL := append([]int(nil), tree.Perm...)
-	colL := append([]int(nil), tree.Perm...)
+	stage(trace.KindAnalyzeNDDissect)
 
-	// Optional AMD inside each tree diagonal block for local fill
-	// reduction; the composition keeps the tree's block boundaries.
-	if opts.LocalAMD {
-		d2 := d.Permute(tree.Perm, tree.Perm)
-		for nb := 0; nb < tree.NumBlocks(); nb++ {
-			b0, b1 := tree.BlockPtr[nb], tree.BlockPtr[nb+1]
-			if b1-b0 < 3 {
-				continue
-			}
-			sub := d2.ExtractBlock(b0, b1, b0, b1)
-			local := amd.Order(sub)
-			for k := 0; k < b1-b0; k++ {
-				rowL[b0+k] = tree.Perm[b0+local[k]]
-				colL[b0+k] = tree.Perm[b0+local[k]]
+	// Per tree block: optional AMD for local fill reduction (the
+	// composition keeps the tree's block boundaries), and for leaves the
+	// column counts under the final labelling. Tree blocks are independent;
+	// at more than one thread each worker draws its own workspace and reads
+	// the shared graph.
+	permL := append([]int(nil), tree.Perm...)
+	leafCounts := make([][]int, tree.NumBlocks())
+	nt := min(opts.threads(), tree.NumBlocks())
+	parallelBlocks(tree.NumBlocks(), nt, func(nb, w int) {
+		b0, b1 := tree.BlockPtr[nb], tree.BlockPtr[nb+1]
+		leaf := tree.Height[nb] == 0
+		localAMD := opts.LocalAMD && b1-b0 >= 3
+		if !localAMD && !leaf {
+			return
+		}
+		lws, lane, t0 := ws, int32(t), rec.Now()
+		if nt > 1 {
+			lws = analysisWSPool.Get().(*analysisWS)
+			defer analysisWSPool.Put(lws)
+			lane = trace.NDWorker(blk, w)
+		}
+		g := &ws.G
+		if tree.NumBlocks() > 1 {
+			lws.sub.Induce(&ws.G, tree.Perm[b0:b1])
+			g = &lws.sub
+		}
+		var local []int
+		if localAMD {
+			local = lws.AMD.Order(g)
+			for k, v := range local {
+				permL[b0+k] = tree.Perm[b0+v]
 			}
 		}
-	}
+		if leaf {
+			parent := lws.Etree.Symmetric(g, local)
+			leafCounts[nb] = append([]int(nil), lws.Etree.ColCounts(g, local, parent)...)
+		}
+		if rec != nil {
+			rec.Record(trace.Event{Start: t0, End: rec.Now(),
+				Worker: lane, Block: int32(blk), Kind: trace.KindAnalyzeNDLocalAMD, Phase: trace.PhaseAnalyze})
+		}
+	})
+	stageStart = rec.Now()
 
 	// Compose into the global permutations:
-	// global row = BTF ∘ localRow ∘ rowL ; global col = BTF ∘ colL.
-	for k := 0; k < bs; k++ {
-		rowPerm[r0+k] = sym.RowPerm[r0+localRow[rowL[k]]]
-		colPerm[r0+k] = sym.ColPerm[r0+colL[k]]
+	// global row = BTF ∘ localRow ∘ permL ; global col = BTF ∘ permL.
+	for k, v := range permL {
+		colPerm[r0+k] = sym.ColPerm[r0+v]
+		if localRow != nil {
+			v = localRow[v]
+		}
+		rowPerm[r0+k] = sym.RowPerm[r0+v]
 	}
 	ns := newNDSym(tree)
 	// Algorithm 3: parallel symbolic estimation over the final 2D layout,
 	// so the numeric phase can pre-size factor storage.
-	dp := d.Permute(rowL, colL)
-	ns.est = estimateND(dp, ns)
+	dp := ws.permutedPattern(b, r0, r1, localRow, permL)
+	ns.est = estimateND(dp, ns, leafCounts, opts.threads())
 	// Supernode detection before the dense tags: moderate-density leaf
 	// diagonals get elimination-tree panels, and computeDenseTags tags
 	// couplings onto supernodal leaves the same way it does dense ones.
-	ns.computeSupernodes(dp, opts)
+	ns.computeSupernodes(dp, leafCounts, opts)
 	// Density-adaptive kernel classification: fill-heavy separator kernels
 	// are tagged here, once per analysis, for the dense panel layer.
 	ns.computeDenseTags(opts)
 	sym.ndsym[blk] = ns
+	stage(trace.KindAnalyzeNDEstimate)
 	return nil
+}
+
+// permutedPattern forms, in ws, the pattern of the fully permuted ND block
+// D(localRow∘permL, permL) for D = b[r0:r1, r0:r1] (a nil localRow is the
+// identity): one pass over the block's columns, rows relabelled on the fly,
+// columns left unsorted, no values — every consumer scans whole columns.
+// The result aliases ws and is valid until ws analyzes another ND block.
+func (ws *analysisWS) permutedPattern(b *sparse.CSC, r0, r1 int, localRow, permL []int) *sparse.CSC {
+	bs := r1 - r0
+	ws.rowTo = sparse.GrowInts(ws.rowTo, bs)
+	for k, v := range permL {
+		if localRow != nil {
+			v = localRow[v]
+		}
+		ws.rowTo[v] = k
+	}
+	dp := &ws.dp
+	dp.M, dp.N = bs, bs
+	dp.Colptr = sparse.GrowInts(dp.Colptr, bs+1)
+	dp.Rowidx = dp.Rowidx[:0]
+	for j, v := range permL {
+		dp.Colptr[j] = len(dp.Rowidx)
+		for p := b.Colptr[r0+v]; p < b.Colptr[r0+v+1]; p++ {
+			if i := b.Rowidx[p] - r0; i >= 0 && i < bs {
+				dp.Rowidx = append(dp.Rowidx, ws.rowTo[i])
+			}
+		}
+	}
+	dp.Colptr[bs] = len(dp.Rowidx)
+	return dp
 }
 
 // sweepMode selects what one walk of the coarse schedule does to the blocks

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/etree"
 	"repro/internal/sparse"
 )
@@ -24,9 +22,14 @@ type ndEstimates struct {
 	upperNnz [][]int
 }
 
-// estimateND runs the parallel symbolic estimation over the 2D structure of
-// one fine-ND block. d is the fully permuted ND matrix.
-func estimateND(d *sparse.CSC, s *ndSym) *ndEstimates {
+// estimateND runs the symbolic estimation over the 2D structure of one
+// fine-ND block. d is the pattern of the fully permuted ND matrix (values
+// are not read, columns need not be sorted); leafCounts[leaf] holds each
+// leaf diagonal's elimination-tree column counts, computed once by the
+// caller and shared with the supernode detection. Independent blocks of a
+// tree level are spread over up to nt workers; at one thread everything
+// runs on the caller's goroutine.
+func estimateND(d *sparse.CSC, s *ndSym, leafCounts [][]int, nt int) *ndEstimates {
 	nb := s.nb
 	est := &ndEstimates{
 		diagNnz:  make([]int, nb),
@@ -38,112 +41,87 @@ func estimateND(d *sparse.CSC, s *ndSym) *ndEstimates {
 		est.upperNnz[i] = make([]int, nb)
 	}
 
-	// treelevel -1 / 0: per-leaf etrees, diagonal column counts and the
-	// lest/uest row ranges of every off-diagonal block — embarrassingly
-	// parallel over leaves (Algorithm 3 lines 2-9).
-	type ranges struct{ lo, hi []int } // per column of the target block
-	lest := make([][]ranges, nb)       // lest[i][path idx]
-	var wg sync.WaitGroup
-	for t := 0; t < s.p; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			leaf := s.tree.Leaves[t]
-			r0, r1 := s.blockRange(leaf)
-			diag := d.ExtractBlock(r0, r1, r0, r1)
-			parent := etree.Symmetric(diag)
-			counts := etree.ColCounts(diag, parent)
-			sum := 0
-			for _, c := range counts {
-				sum += c
-			}
-			est.diagNnz[leaf] = 2 * sum
-			// Lower off-diagonal row ranges L_k,leaf (Algorithm 3 line 6):
-			// pivoting inside the leaf cannot change them (fill-path
+	// treelevel -1 / 0: diagonal column counts and the lest/uest bounds of
+	// every off-diagonal block — embarrassingly parallel over leaves
+	// (Algorithm 3 lines 2-9).
+	parallelBlocks(s.p, nt, func(t, _ int) {
+		leaf := s.tree.Leaves[t]
+		r0, r1 := s.blockRange(leaf)
+		counts := leafCounts[leaf]
+		sum := 0
+		for _, c := range counts {
+			sum += c
+		}
+		est.diagNnz[leaf] = 2 * sum
+		for _, anc := range s.ancestors[leaf] {
+			a0, a1 := s.blockRange(anc)
+			// Lower off-diagonal L_k,leaf (Algorithm 3 line 6): pivoting
+			// inside the leaf cannot change its row ranges (fill-path
 			// theorem), so the input ranges bound the factor.
-			lest[leaf] = make([]ranges, len(s.ancestors[leaf]))
-			for ai, anc := range s.ancestors[leaf] {
-				a0, a1 := s.blockRange(anc)
-				blk := d.ExtractBlock(a0, a1, r0, r1)
-				lest[leaf][ai] = blockRowRanges(blk)
-				est.lowerNnz[anc][leaf] = rangeNnz(lest[leaf][ai], true)
-			}
+			est.lowerNnz[anc][leaf] = rowSpanNnz(d, a0, a1, r0, r1)
 			// Upper off-diagonal U_leaf,k (line 8): bound each column by
 			// the reach estimate |subtree up to max row|.
-			for _, anc := range s.ancestors[leaf] {
-				a0, a1 := s.blockRange(anc)
-				blk := d.ExtractBlock(r0, r1, a0, a1)
-				est.upperNnz[leaf][anc] = reachBound(blk, counts)
-			}
-		}(t)
-	}
-	wg.Wait()
+			est.upperNnz[leaf][anc] = reachBound(d, r0, r1, a0, a1, counts)
+		}
+	})
 
 	// Higher treelevels (Algorithm 3 lines 11-18): separator diagonal and
 	// off-diagonal estimates from the accumulated child bounds. Blocks at
-	// the same height are independent — parallel over nodes per level.
+	// the same height are independent.
 	for h := 1; h <= s.maxH; h++ {
-		var lwg sync.WaitGroup
-		for j := 0; j < nb; j++ {
+		parallelBlocks(nb, nt, func(j, _ int) {
 			if s.height[j] != h {
-				continue
+				return
 			}
-			lwg.Add(1)
-			go func(j int) {
-				defer lwg.Done()
-				r0, r1 := s.blockRange(j)
-				w := r1 - r0
-				// Diagonal: input counts plus the dense-span upper bound of
-				// the products L_jk·U_kj over the subtree (line 14).
-				diag := d.ExtractBlock(r0, r1, r0, r1)
-				base := diag.Nnz()
-				fillBound := 0
+			r0, r1 := s.blockRange(j)
+			w := r1 - r0
+			// Diagonal: input counts plus the dense-span upper bound of
+			// the products L_jk·U_kj over the subtree (line 14).
+			base := blockNnz(d, r0, r1, r0, r1)
+			fillBound := 0
+			for kp := s.subLo[j]; kp < j; kp++ {
+				lo := est.lowerNnz[j][kp]
+				up := est.upperNnz[kp][j]
+				if lo > 0 && up > 0 {
+					// Overlapping contributions assumed dense in the
+					// spanned rows, bounded by the block area.
+					f := lo + up
+					if f > w*w-base-fillBound {
+						f = w*w - base - fillBound
+					}
+					if f > 0 {
+						fillBound += f
+					}
+				}
+			}
+			est.diagNnz[j] = 2 * (base + fillBound)
+			// Off-diagonal blocks of the separator column/row (lines
+			// 15-16): input nnz plus the subtree products' spans.
+			for _, anc := range s.ancestors[j] {
+				a0, a1 := s.blockRange(anc)
+				bound := blockNnz(d, a0, a1, r0, r1)
 				for kp := s.subLo[j]; kp < j; kp++ {
-					lo := est.lowerNnz[j][kp]
-					up := est.upperNnz[kp][j]
-					if lo > 0 && up > 0 {
-						// Overlapping contributions assumed dense in the
-						// spanned rows, bounded by the block area.
-						f := lo + up
-						if f > w*w-base-fillBound {
-							f = w*w - base - fillBound
-						}
-						if f > 0 {
-							fillBound += f
-						}
+					if est.lowerNnz[anc][kp] > 0 && est.upperNnz[kp][j] > 0 {
+						bound += est.upperNnz[kp][j]
 					}
 				}
-				est.diagNnz[j] = 2 * (base + fillBound)
-				// Off-diagonal blocks of the separator column/row (lines
-				// 15-16): input nnz plus the subtree products' spans.
-				for _, anc := range s.ancestors[j] {
-					a0, a1 := s.blockRange(anc)
-					low := d.ExtractBlock(a0, a1, r0, r1)
-					bound := low.Nnz()
-					for kp := s.subLo[j]; kp < j; kp++ {
-						if est.lowerNnz[anc][kp] > 0 && est.upperNnz[kp][j] > 0 {
-							bound += est.upperNnz[kp][j]
-						}
-					}
-					if cap := (a1 - a0) * w; bound > cap {
-						bound = cap
-					}
-					est.lowerNnz[anc][j] = bound
+				if cap := (a1 - a0) * w; bound > cap {
+					bound = cap
+				}
+				est.lowerNnz[anc][j] = bound
 
-					upb := d.ExtractBlock(r0, r1, a0, a1).Nnz()
-					for kp := s.subLo[j]; kp < j; kp++ {
-						if est.upperNnz[kp][anc] > 0 {
-							upb += est.upperNnz[kp][anc] / 2
-						}
+				upb := blockNnz(d, r0, r1, a0, a1)
+				for kp := s.subLo[j]; kp < j; kp++ {
+					if est.upperNnz[kp][anc] > 0 {
+						upb += est.upperNnz[kp][anc] / 2
 					}
-					if cap := w * (a1 - a0); upb > cap {
-						upb = cap
-					}
-					est.upperNnz[j][anc] = upb
 				}
-			}(j)
-		}
-		lwg.Wait()
+				if cap := w * (a1 - a0); upb > cap {
+					upb = cap
+				}
+				est.upperNnz[j][anc] = upb
+			}
+		})
 	}
 	return est
 }
@@ -284,9 +262,11 @@ const snodeMaxWidth = 64
 // blocked panel kernels. Leaf diagonals only: a leaf factors its input
 // block directly (no reduction feeds it), so the Analyze-time pattern the
 // etree is built from is exactly the pattern the numeric phase eliminates.
-// dp is the fully permuted ND matrix. Must run before computeDenseTags,
-// which consults the result to tag couplings onto supernodal leaves.
-func (s *ndSym) computeSupernodes(dp *sparse.CSC, opts Options) {
+// dp is the pattern of the fully permuted ND matrix and leafCounts the
+// per-leaf symmetric-pattern column counts estimateND also consumed. Must
+// run before computeDenseTags, which consults the result to tag couplings
+// onto supernodal leaves.
+func (s *ndSym) computeSupernodes(dp *sparse.CSC, leafCounts [][]int, opts Options) {
 	if opts.NoSupernodes || s.est == nil {
 		return
 	}
@@ -302,12 +282,14 @@ func (s *ndSym) computeSupernodes(dp *sparse.CSC, opts Options) {
 		if !opts.NoDenseKernels && s.diagDenseEst(leaf, thr) {
 			continue // the fully dense panel LU already covers it
 		}
-		diag := dp.ExtractBlock(b0, b1, b0, b1)
+		diag := dp
+		if b1-b0 != dp.N {
+			diag, _ = dp.ExtractBlockWithMap(b0, b1, b0, b1) // pattern-only, like dp
+		}
 		// Column etree drives the run structure (the LU bound under
 		// pivoting); symmetric-pattern column counts drive the padding
 		// bound that keeps runs to genuinely shared factor patterns.
-		counts := etree.ColCounts(diag, etree.Symmetric(diag))
-		xsup := etree.RelaxedSupernodes(etree.ColEtree(diag), counts, relax, snodeMaxWidth)
+		xsup := etree.RelaxedSupernodes(etree.ColEtree(diag), leafCounts[leaf], relax, snodeMaxWidth)
 		wide := false
 		for si := 0; si+1 < len(xsup); si++ {
 			if xsup[si+1]-xsup[si] >= 2 {
@@ -384,60 +366,52 @@ func (s *Symbolic) DenseKernels() int {
 	return total
 }
 
-// blockRowRanges records the min/max row index of every column of a block —
-// the paper's lest/uest data structure.
-func blockRowRanges(b *sparse.CSC) struct{ lo, hi []int } {
-	lo := make([]int, b.N)
-	hi := make([]int, b.N)
-	for c := 0; c < b.N; c++ {
-		p0, p1 := b.Colptr[c], b.Colptr[c+1]
-		if p0 == p1 {
-			lo[c], hi[c] = -1, -1
-			continue
-		}
-		lo[c] = b.Rowidx[p0] // columns are sorted
-		hi[c] = b.Rowidx[p1-1]
-	}
-	return struct{ lo, hi []int }{lo, hi}
-}
-
-// rangeNnz sums the dense spans of the recorded ranges: the "dense between
-// minimum and maximum" upper bound.
-func rangeNnz(r struct{ lo, hi []int }, dense bool) int {
+// blockNnz counts the entries of d inside rows [r0, r1) × columns
+// [c0, c1), scanning the columns in place.
+func blockNnz(d *sparse.CSC, r0, r1, c0, c1 int) int {
 	total := 0
-	for c := range r.lo {
-		if r.lo[c] < 0 {
-			continue
-		}
-		if dense {
-			total += r.hi[c] - r.lo[c] + 1
-		} else {
+	for p := d.Colptr[c0]; p < d.Colptr[c1]; p++ {
+		if i := d.Rowidx[p]; i >= r0 && i < r1 {
 			total++
 		}
 	}
 	return total
 }
 
-// reachBound estimates the nnz of an upper block U_leaf,k: each column's
-// sparse triangular solve can fill at most up to the leaf's subtree column
-// counts; bound by column count sums capped at the block area.
-func reachBound(b *sparse.CSC, leafCounts []int) int {
+// rowSpanNnz is the paper's lest/uest bound for the block rows [r0, r1) ×
+// columns [c0, c1) of d: each column is assumed dense between the minimum
+// and the maximum row it holds inside the block.
+func rowSpanNnz(d *sparse.CSC, r0, r1, c0, c1 int) int {
 	total := 0
-	for c := 0; c < b.N; c++ {
-		span := 0
-		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
-			i := b.Rowidx[p]
-			if i < len(leafCounts) {
-				span += leafCounts[i]
+	for c := c0; c < c1; c++ {
+		lo, hi := r1, r0-1
+		for p := d.Colptr[c]; p < d.Colptr[c+1]; p++ {
+			if i := d.Rowidx[p]; i >= r0 && i < r1 {
+				lo, hi = min(lo, i), max(hi, i)
 			}
 		}
-		if span > b.M {
-			span = b.M
+		if hi >= lo {
+			total += hi - lo + 1
 		}
-		total += span
-	}
-	if cap := b.M * b.N; total > cap {
-		total = cap
 	}
 	return total
+}
+
+// reachBound estimates the nnz of an upper block U_leaf,k — rows [r0, r1)
+// (the leaf) × columns [c0, c1) of d: each column's sparse triangular solve
+// can fill at most up to the leaf's subtree column counts; bound by column
+// count sums capped at the block area.
+func reachBound(d *sparse.CSC, r0, r1, c0, c1 int, leafCounts []int) int {
+	m := r1 - r0
+	total := 0
+	for c := c0; c < c1; c++ {
+		span := 0
+		for p := d.Colptr[c]; p < d.Colptr[c+1]; p++ {
+			if i := d.Rowidx[p]; i >= r0 && i < r1 {
+				span += leafCounts[i-r0]
+			}
+		}
+		total += min(span, m)
+	}
+	return min(total, m*(c1-c0))
 }

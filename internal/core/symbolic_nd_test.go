@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/etree"
 	"repro/internal/order/nd"
 	"repro/internal/sparse"
 )
@@ -21,9 +22,21 @@ func buildNDFixture(t *testing.T, k, leaves int) (*sparse.CSC, *ndSym) {
 	return d, newNDSym(tree)
 }
 
+// leafCountsOf computes every leaf diagonal's column counts the slow way,
+// from an extracted copy of the block.
+func leafCountsOf(d *sparse.CSC, s *ndSym) [][]int {
+	counts := make([][]int, s.nb)
+	for _, leaf := range s.tree.Leaves {
+		r0, r1 := s.blockRange(leaf)
+		diag := d.ExtractBlock(r0, r1, r0, r1)
+		counts[leaf] = etree.ColCounts(diag, etree.Symmetric(diag))
+	}
+	return counts
+}
+
 func TestEstimateNDBasicInvariants(t *testing.T) {
 	d, s := buildNDFixture(t, 16, 4)
-	est := estimateND(d, s)
+	est := estimateND(d, s, leafCountsOf(d, s), 4)
 	for b := 0; b < s.nb; b++ {
 		r0, r1 := s.blockRange(b)
 		w := r1 - r0
@@ -81,8 +94,8 @@ func TestEstimatesReduceReallocation(t *testing.T) {
 
 func TestEstimateNDDeterministic(t *testing.T) {
 	d, s := buildNDFixture(t, 12, 2)
-	e1 := estimateND(d, s)
-	e2 := estimateND(d, s)
+	e1 := estimateND(d, s, leafCountsOf(d, s), 1)
+	e2 := estimateND(d, s, leafCountsOf(d, s), 2)
 	for b := range e1.diagNnz {
 		if e1.diagNnz[b] != e2.diagNnz[b] {
 			t.Fatal("estimates are not deterministic")

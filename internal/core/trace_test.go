@@ -208,3 +208,46 @@ func TestTraceChromeGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceAnalyzeCoverage pins the attribution of the symbolic phase: on
+// the Xyce1 class (small BTF blocks beside one fine-ND block) the
+// analyze-phase events — BTF, the permuted-matrix gather, per-block AMD, the
+// four fine-ND stages, the plan — must account for at least 90% of the
+// analyze sweep's wall clock at one thread, with every fine-ND stage
+// present. Best of five, so one preempted run does not decide.
+func TestTraceAnalyzeCoverage(t *testing.T) {
+	var a *sparse.CSC
+	for _, m := range matgen.TableISuite(1) {
+		if m.Name == "Xyce1" {
+			a = m.Gen()
+		}
+	}
+	best := 0.0
+	for attempt := 0; attempt < 5 && best < 0.9; attempt++ {
+		rec := trace.NewRecorder(1 << 12)
+		opts := DefaultOptions()
+		opts.Trace = rec
+		if _, err := Analyze(a, opts); err != nil {
+			t.Fatal(err)
+		}
+		sum, ok := rec.LastSummary(trace.PhaseAnalyze)
+		if !ok || sum.Dropped != 0 {
+			t.Fatalf("analyze sweep summary missing or truncated: %+v", sum)
+		}
+		seen := map[trace.Kind]bool{}
+		for _, ev := range rec.Events() {
+			seen[ev.Kind] = true
+		}
+		for _, k := range []trace.Kind{trace.KindAnalyzeBTF, trace.KindGather, trace.KindAnalyzeAMD,
+			trace.KindAnalyzeNDMatch, trace.KindAnalyzeNDDissect, trace.KindAnalyzeNDLocalAMD,
+			trace.KindAnalyzeNDEstimate, trace.KindAnalyzePlan} {
+			if !seen[k] {
+				t.Fatalf("no %v event in the analyze sweep", k)
+			}
+		}
+		best = max(best, sum.WorkSeconds/sum.WallSeconds)
+	}
+	if best < 0.9 {
+		t.Errorf("analyze events cover %.0f%% of the analyze sweep, want at least 90%%", 100*best)
+	}
+}

@@ -8,18 +8,55 @@ package etree
 
 import "repro/internal/sparse"
 
+// Workspace holds the scratch of the graph-based tree and count kernels so
+// a caller analyzing many blocks reuses it. The zero value is ready to use.
+// Slices returned by its methods are owned by it and valid until the same
+// method is called again.
+type Workspace struct {
+	parent, count, mark, inv []int
+}
+
 // Symmetric computes the elimination tree of the symmetric pattern of
 // a + aᵀ. parent[j] is the etree parent of column j, or -1 for roots.
 func Symmetric(a *sparse.CSC) []int {
-	g := a.SymbolicUnion()
+	var g sparse.SymGraph
+	g.Build(a, 0, a.N, nil)
+	return new(Workspace).Symmetric(&g, nil)
+}
+
+// relabel prepares the old-to-new map of a new-to-old labelling perm (nil
+// for the identity, which needs none).
+func (ws *Workspace) relabel(perm []int) []int {
+	if perm == nil {
+		return nil
+	}
+	ws.inv = sparse.GrowInts(ws.inv, len(perm))
+	for k, v := range perm {
+		ws.inv[v] = k
+	}
+	return ws.inv
+}
+
+// Symmetric computes the elimination tree of g with its vertices relabelled
+// by the new-to-old permutation perm (nil for the identity): the tree of
+// the symmetrically permuted pattern, without forming it.
+func (ws *Workspace) Symmetric(g *sparse.SymGraph, perm []int) []int {
 	n := g.N
-	parent := make([]int, n)
-	ancestor := make([]int, n)
+	inv := ws.relabel(perm)
+	ws.parent = sparse.GrowInts(ws.parent, n)
+	ws.mark = sparse.GrowInts(ws.mark, n)
+	parent, ancestor := ws.parent, ws.mark
 	for j := 0; j < n; j++ {
 		parent[j] = -1
 		ancestor[j] = -1
-		for p := g.Colptr[j]; p < g.Colptr[j+1]; p++ {
-			i := g.Rowidx[p]
+		v := j
+		if perm != nil {
+			v = perm[j]
+		}
+		for _, i := range g.Adj[g.Ptr[v]:g.Ptr[v+1]] {
+			if inv != nil {
+				i = inv[i]
+			}
 			// Walk from i up to the root of its subtree with path
 			// compression, attaching to j.
 			for i < j && i != -1 {
@@ -208,19 +245,35 @@ func Postorder(parent []int) []int {
 // diagonal). This is the fill estimate the solvers use to size LU factor
 // storage. It runs the row-subtree traversal: O(|L|) time.
 func ColCounts(a *sparse.CSC, parent []int) []int {
-	g := a.SymbolicUnion()
+	var g sparse.SymGraph
+	g.Build(a, 0, a.N, nil)
+	return new(Workspace).ColCounts(&g, nil, parent)
+}
+
+// ColCounts is the column-count kernel on g relabelled by perm (as in
+// Symmetric); parent is the elimination tree under the same labelling.
+func (ws *Workspace) ColCounts(g *sparse.SymGraph, perm, parent []int) []int {
 	n := g.N
-	count := make([]int, n)
-	mark := make([]int, n)
+	inv := ws.relabel(perm)
+	ws.count = sparse.GrowInts(ws.count, n)
+	ws.mark = sparse.GrowInts(ws.mark, n)
+	count, mark := ws.count, ws.mark
 	for i := range mark {
 		mark[i] = -1
+		count[i] = 0
 	}
 	for i := 0; i < n; i++ {
 		count[i]++ // diagonal
 		mark[i] = i
+		v := i
+		if perm != nil {
+			v = perm[i]
+		}
 		// Row subtree of i: paths from each k (k<i, a[i,k]!=0) up to i.
-		for p := g.Colptr[i]; p < g.Colptr[i+1]; p++ {
-			k := g.Rowidx[p]
+		for _, k := range g.Adj[g.Ptr[v]:g.Ptr[v+1]] {
+			if inv != nil {
+				k = inv[k]
+			}
 			if k >= i {
 				continue
 			}

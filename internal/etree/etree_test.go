@@ -292,3 +292,42 @@ func TestRelaxedSupernodesPartitionInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphKernelsUnderLabelling checks the workspace kernels against the
+// definition they shortcut: the tree and counts of a graph relabelled by
+// perm must equal those of the symmetrically permuted matrix, and a reused
+// workspace must not carry anything from the previous (larger or smaller)
+// block.
+func TestGraphKernelsUnderLabelling(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var ws Workspace
+	var g sparse.SymGraph
+	for trial := 0; trial < 80; trial++ {
+		n := 1 + rng.Intn(70)
+		coo := sparse.NewCOO(n, n, 4*n)
+		for i := 0; i < n; i++ {
+			coo.Add(i, i, 1)
+		}
+		for e := 0; e < 2*n; e++ {
+			coo.Add(rng.Intn(n), rng.Intn(n), 1)
+		}
+		a := coo.ToCSC(false)
+		var perm []int
+		b := a
+		if trial%3 != 0 {
+			perm = rng.Perm(n)
+			b = a.Permute(perm, perm)
+		}
+		wantParent := Symmetric(b)
+		wantCounts := ColCounts(b, wantParent)
+		g.Build(a, 0, n, nil)
+		parent := ws.Symmetric(&g, perm)
+		counts := ws.ColCounts(&g, perm, parent)
+		for j := 0; j < n; j++ {
+			if parent[j] != wantParent[j] || counts[j] != wantCounts[j] {
+				t.Fatalf("trial %d col %d: parent %d count %d, permuted matrix gives %d and %d",
+					trial, j, parent[j], counts[j], wantParent[j], wantCounts[j])
+			}
+		}
+	}
+}

@@ -10,11 +10,11 @@ package klu
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
-	"repro/internal/etree"
 	"repro/internal/gp"
-	"repro/internal/order/amd"
+	"repro/internal/order"
 	"repro/internal/order/btf"
 	"repro/internal/sparse"
 )
@@ -75,7 +75,9 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	sym := &Symbolic{N: n, Opts: opts}
 
 	if opts.UseBTF {
-		form, err := btf.Compute(a, opts.UseMWCM)
+		ws := btfWSPool.Get().(*btf.Workspace)
+		form, err := btf.ComputeWith(a, opts.UseMWCM, ws)
+		btfWSPool.Put(ws)
 		if err != nil {
 			return nil, fmt.Errorf("klu: btf: %w", err)
 		}
@@ -91,41 +93,28 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	}
 
 	// Per-block AMD on the diagonal blocks of the BTF-permuted pattern,
-	// composed into the global permutations symmetrically.
+	// composed into the global permutations symmetrically, with the fill
+	// estimate from the Cholesky column counts of the reordered block.
 	b := a.Permute(sym.RowPerm, sym.ColPerm)
 	rowPerm := make([]int, n)
 	colPerm := make([]int, n)
 	sym.EstNnz = make([]int, sym.NumBlocks())
-	for blk := 0; blk < sym.NumBlocks(); blk++ {
-		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-		bs := r1 - r0
-		if bs == 1 {
-			rowPerm[r0] = sym.RowPerm[r0]
-			colPerm[r0] = sym.ColPerm[r0]
-			sym.EstNnz[blk] = 1
-			continue
-		}
-		sub := b.ExtractBlock(r0, r1, r0, r1)
-		local := amd.Order(sub)
-		for k := 0; k < bs; k++ {
-			rowPerm[r0+k] = sym.RowPerm[r0+local[k]]
-			colPerm[r0+k] = sym.ColPerm[r0+local[k]]
-		}
-		// Fill estimate from the Cholesky column counts of the reordered
-		// block pattern.
-		ordered := sub.Permute(local, local)
-		parent := etree.Symmetric(ordered)
-		counts := etree.ColCounts(ordered, parent)
-		est := 0
-		for _, c := range counts {
-			est += c
-		}
-		sym.EstNnz[blk] = 2 * est // L and U halves
+	ws := orderWSPool.Get().(*order.Workspace)
+	for blk := range sym.EstNnz {
+		sym.EstNnz[blk], _ = ws.Block(b, sym.BlockPtr[blk], sym.BlockPtr[blk+1], sym.RowPerm, sym.ColPerm, rowPerm, colPerm)
 	}
+	orderWSPool.Put(ws)
 	sym.RowPerm = rowPerm
 	sym.ColPerm = colPerm
 	return sym, nil
 }
+
+// btfWSPool and orderWSPool recycle Analyze's scratch across calls; nothing
+// drawn from them outlives the call, so a Symbolic retains no workspace.
+var (
+	btfWSPool   = sync.Pool{New: func() any { return btf.NewWorkspace() }}
+	orderWSPool = sync.Pool{New: func() any { return new(order.Workspace) }}
+)
 
 // smallBlockThreshold matches the paper's notion of "small independent
 // diagonal submatrices": anything below this size counts toward BTF%.

@@ -14,7 +14,8 @@
 package amd
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -22,28 +23,30 @@ import (
 // Order computes a fill-reducing elimination order for the symmetric pattern
 // of a (the pattern of a + aᵀ is formed internally; the diagonal is
 // ignored). It returns a new-to-old permutation p: eliminating the vertices
-// of a(p,p) in natural order yields low fill.
+// of a(p,p) in natural order yields low fill. It allocates a graph and a
+// workspace per call; callers ordering many blocks keep both and call
+// Workspace.Order.
 func Order(a *sparse.CSC) []int {
-	g := a.SymbolicUnion().DropDiagonal()
-	return orderGraph(g)
-}
-
-// OrderGraph computes the ordering for an already-symmetric adjacency
-// structure g (no diagonal, pattern symmetric). Values are ignored.
-func OrderGraph(g *sparse.CSC) []int {
-	return orderGraph(g)
+	var g sparse.SymGraph
+	g.Build(a, 0, a.N, nil)
+	return new(Workspace).Order(&g)
 }
 
 type hashEntry struct{ i, hash int }
 
-type amdState struct {
+type liveBlock struct{ id, pe int }
+
+// Workspace is the quotient-graph state of one ordering, kept by the caller
+// so that ordering block after block allocates only while blocks grow (the
+// caller-owned integer workspace of the AMD reference code). The zero value
+// is ready to use; a Workspace serves one Order call at a time.
+type Workspace struct {
 	n    int
 	pe   []int // start of adjacency block in iw (variables and elements)
 	blen []int // total adjacency length (elements then variables)
 	elen []int // number of leading element entries (variables only)
 	nv   []int // supervariable size; 0 = dead (absorbed or eliminated)
 	deg  []int // approximate external degree (vars) / |Le| in nv units (elems)
-	elem []bool
 	dead []bool
 
 	iw     []int
@@ -60,59 +63,66 @@ type amdState struct {
 	inLk []int
 	tag  int
 
-	members [][]int
-	order   []int
-	nLive   int
-	mindeg  int
+	// A supervariable's members form a list in merge order, headed by the
+	// supervariable itself: mnext[v] follows v (-1 ends the list) and
+	// mtail[i] is the last member of live supervariable i.
+	mnext  []int
+	mtail  []int
+	order  []int
+	nLive  int
+	mindeg int
 
-	scratch []int // reusable copy of an adjacency block during rewrites
+	scratch []int       // copy of an adjacency block during rewrites
+	lk      []int       // pattern of the element being formed
+	hashes  []hashEntry // supervariable-detection buckets of one elimination
+	live    []liveBlock // compaction order
 }
 
-func orderGraph(g *sparse.CSC) []int {
+// Order computes the ordering for the symmetric adjacency structure g. The
+// returned new-to-old permutation is owned by the workspace and valid until
+// its next Order call.
+func (s *Workspace) Order(g *sparse.SymGraph) []int {
 	n := g.N
-	if n == 0 {
-		return []int{}
+	s.order = sparse.GrowInts(s.order, n)[:0]
+	if n <= 1 {
+		if n == 1 {
+			s.order = append(s.order, 0)
+		}
+		return s.order
 	}
-	if n == 1 {
-		return []int{0}
-	}
-	nnz := g.Nnz()
-	s := &amdState{
-		n:       n,
-		pe:      make([]int, n),
-		blen:    make([]int, n),
-		elen:    make([]int, n),
-		nv:      make([]int, n),
-		deg:     make([]int, n),
-		elem:    make([]bool, n),
-		dead:    make([]bool, n),
-		iw:      make([]int, nnz+n+1),
-		head:    make([]int, n+1),
-		next:    make([]int, n),
-		prev:    make([]int, n),
-		w:       make([]int, n),
-		inLk:    make([]int, n),
-		members: make([][]int, n),
-		order:   make([]int, 0, n),
-		nLive:   n,
-	}
+	s.n = n
+	s.pe = sparse.GrowInts(s.pe, n)
+	s.blen = sparse.GrowInts(s.blen, n)
+	s.elen = sparse.GrowInts(s.elen, n)
+	s.nv = sparse.GrowInts(s.nv, n)
+	s.deg = sparse.GrowInts(s.deg, n)
+	s.dead = sparse.GrowBools(s.dead, n)
+	s.iw = sparse.GrowInts(s.iw, g.Nnz()+n+1)
+	s.head = sparse.GrowInts(s.head, n+1)
+	s.next = sparse.GrowInts(s.next, n)
+	s.prev = sparse.GrowInts(s.prev, n)
+	s.w = sparse.GrowInts(s.w, n)
+	s.inLk = sparse.GrowInts(s.inLk, n)
+	s.mnext = sparse.GrowInts(s.mnext, n)
+	s.mtail = sparse.GrowInts(s.mtail, n)
+	s.wflg, s.tag, s.mindeg, s.nLive = 0, 0, 0, n
 	for i := range s.head {
 		s.head[i] = -1
 	}
-	pos := 0
+	s.iwTail = copy(s.iw, g.Adj)
 	for j := 0; j < n; j++ {
-		s.pe[j] = pos
-		for p := g.Colptr[j]; p < g.Colptr[j+1]; p++ {
-			s.iw[pos] = g.Rowidx[p]
-			pos++
-		}
-		s.blen[j] = pos - s.pe[j]
+		s.pe[j] = g.Ptr[j]
+		s.blen[j] = g.Ptr[j+1] - g.Ptr[j]
+		s.elen[j] = 0
 		s.deg[j] = s.blen[j]
 		s.nv[j] = 1
-		s.members[j] = []int{j}
+		s.dead[j] = false
+		s.w[j] = 0
+		s.inLk[j] = 0
+		s.mnext[j] = -1
+		s.mtail[j] = j
 		s.listInsert(j, s.deg[j])
 	}
-	s.iwTail = pos
 
 	for s.nLive > 0 {
 		k := s.pickMinDegree()
@@ -121,7 +131,7 @@ func orderGraph(g *sparse.CSC) []int {
 	return s.order
 }
 
-func (s *amdState) listInsert(i, d int) {
+func (s *Workspace) listInsert(i, d int) {
 	s.next[i] = s.head[d]
 	s.prev[i] = -1
 	if s.head[d] != -1 {
@@ -133,7 +143,7 @@ func (s *amdState) listInsert(i, d int) {
 	}
 }
 
-func (s *amdState) listRemove(i, d int) {
+func (s *Workspace) listRemove(i, d int) {
 	if s.prev[i] != -1 {
 		s.next[s.prev[i]] = s.next[i]
 	} else {
@@ -144,7 +154,7 @@ func (s *amdState) listRemove(i, d int) {
 	}
 }
 
-func (s *amdState) pickMinDegree() int {
+func (s *Workspace) pickMinDegree() int {
 	for s.mindeg <= s.n {
 		if h := s.head[s.mindeg]; h != -1 {
 			s.listRemove(h, s.mindeg)
@@ -158,7 +168,7 @@ func (s *amdState) pickMinDegree() int {
 // ensureSpace guarantees room for extra entries at iwTail, compacting the
 // workspace (dropping dead blocks) and growing it if compaction is not
 // enough.
-func (s *amdState) ensureSpace(extra int) {
+func (s *Workspace) ensureSpace(extra int) {
 	if s.iwTail+extra <= len(s.iw) {
 		return
 	}
@@ -170,16 +180,16 @@ func (s *amdState) ensureSpace(extra int) {
 	}
 }
 
-func (s *amdState) compact() {
-	type blk struct{ id, pe int }
-	live := make([]blk, 0, s.n)
+func (s *Workspace) compact() {
+	live := s.live[:0]
 	for i := 0; i < s.n; i++ {
 		if s.dead[i] {
 			continue
 		}
-		live = append(live, blk{i, s.pe[i]})
+		live = append(live, liveBlock{i, s.pe[i]})
 	}
-	sort.Slice(live, func(a, b int) bool { return live[a].pe < live[b].pe })
+	s.live = live
+	slices.SortFunc(live, func(a, b liveBlock) int { return cmp.Compare(a.pe, b.pe) })
 	pos := 0
 	for _, b := range live {
 		l := s.blen[b.id]
@@ -192,12 +202,12 @@ func (s *amdState) compact() {
 
 // eliminate removes supervariable k, forms element k, and updates degrees of
 // all variables in the new element's pattern.
-func (s *amdState) eliminate(k int) {
+func (s *Workspace) eliminate(k int) {
 	// ---- Build Lk: live variables adjacent to k directly or via k's
 	// elements. Mark membership with inLk tags.
 	s.tag++
 	tag := s.tag
-	lk := make([]int, 0, s.deg[k]+4)
+	lk := s.lk[:0]
 	base := s.pe[k]
 	for t := 0; t < s.blen[k]; t++ {
 		e := s.iw[base+t]
@@ -224,8 +234,11 @@ func (s *amdState) eliminate(k int) {
 		}
 	}
 
+	s.lk = lk
 	// Emit k's variables in the final order.
-	s.order = append(s.order, s.members[k]...)
+	for v := k; v != -1; v = s.mnext[v] {
+		s.order = append(s.order, v)
+	}
 	s.nLive -= s.nv[k]
 	s.nv[k] = 0
 	s.dead[k] = true
@@ -236,7 +249,6 @@ func (s *amdState) eliminate(k int) {
 
 	// Store Lk as element k's list.
 	s.dead[k] = false // k lives on as an element
-	s.elem[k] = true
 	s.ensureSpace(len(lk))
 	s.pe[k] = s.iwTail
 	copy(s.iw[s.iwTail:], lk)
@@ -269,7 +281,7 @@ func (s *amdState) eliminate(k int) {
 
 	// ---- Scan 2: rewrite adjacency of each i in Lk, compute approximate
 	// degree, detect supervariables.
-	hashes := make([]hashEntry, 0, len(lk))
+	hashes := s.hashes[:0]
 	for _, i := range lk {
 		if s.nv[i] <= 0 {
 			continue // merged away earlier in this scan (defensive)
@@ -330,8 +342,15 @@ func (s *amdState) eliminate(k int) {
 		hashes = append(hashes, hashEntry{i, hash % (4 * s.n)})
 	}
 
+	s.hashes = hashes
+
 	// ---- Supervariable detection: bucket by hash, compare exact lists.
-	sort.Slice(hashes, func(a, b int) bool { return hashes[a].hash < hashes[b].hash })
+	// Which member of an equal-hash bucket absorbs the others follows the
+	// sorted order, so the final permutation depends on how this sort leaves
+	// ties: slices.SortFunc runs the same pattern-defeating quicksort as the
+	// sort.Slice it replaced (minus the reflection swapper), compare for
+	// compare.
+	slices.SortFunc(hashes, func(a, b hashEntry) int { return cmp.Compare(a.hash, b.hash) })
 	for lo := 0; lo < len(hashes); {
 		hi := lo + 1
 		for hi < len(hashes) && hashes[hi].hash == hashes[lo].hash {
@@ -347,7 +366,7 @@ func (s *amdState) eliminate(k int) {
 // mergeEqualAdjacency merges variables in the bucket whose quotient-graph
 // adjacency lists are identical sets (they are indistinguishable and will
 // have the same elimination behaviour).
-func (s *amdState) mergeEqualAdjacency(bucket []hashEntry) {
+func (s *Workspace) mergeEqualAdjacency(bucket []hashEntry) {
 	for a := 0; a < len(bucket); a++ {
 		i := bucket[a].i
 		if s.nv[i] <= 0 {
@@ -369,8 +388,8 @@ func (s *amdState) mergeEqualAdjacency(bucket []hashEntry) {
 				s.nv[i] += s.nv[j]
 				s.nv[j] = 0
 				s.dead[j] = true
-				s.members[i] = append(s.members[i], s.members[j]...)
-				s.members[j] = nil
+				s.mnext[s.mtail[i]] = j
+				s.mtail[i] = s.mtail[j]
 				s.listInsert(i, s.deg[i])
 			}
 		}
@@ -379,7 +398,7 @@ func (s *amdState) mergeEqualAdjacency(bucket []hashEntry) {
 
 // sameAdjacency reports whether live adjacency sets of variables i and j are
 // identical ignoring each other.
-func (s *amdState) sameAdjacency(i, j int) bool {
+func (s *Workspace) sameAdjacency(i, j int) bool {
 	s.tag++
 	tag := s.tag
 	ci := 0

@@ -62,15 +62,16 @@ func starGraph(n int) *sparse.CSC {
 // symbolicFill counts fill edges created by eliminating the symmetric graph
 // of a in the order perm (new-to-old).
 func symbolicFill(a *sparse.CSC, perm []int) int {
-	g := a.SymbolicUnion().DropDiagonal()
+	var g sparse.SymGraph
+	g.Build(a, 0, a.N, nil)
 	n := g.N
 	adj := make([]map[int]bool, n)
 	for j := 0; j < n; j++ {
 		adj[j] = map[int]bool{}
 	}
 	for j := 0; j < n; j++ {
-		for p := g.Colptr[j]; p < g.Colptr[j+1]; p++ {
-			adj[j][g.Rowidx[p]] = true
+		for _, i := range g.Adj[g.Ptr[j]:g.Ptr[j+1]] {
+			adj[j][i] = true
 		}
 	}
 	pos := make([]int, n)
@@ -215,5 +216,44 @@ func TestDenseBlockOrder(t *testing.T) {
 	}
 	if fill := symbolicFill(a, p); fill != 0 {
 		t.Fatalf("complete graph fill = %d, want 0", fill)
+	}
+}
+
+// TestWorkspaceReuseMatchesFresh orders blocks of growing and shrinking
+// size through one workspace: each result must equal the order a fresh
+// workspace computes, i.e. nothing of a previous block survives in the
+// reused scratch.
+func TestWorkspaceReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var ws Workspace
+	var g sparse.SymGraph
+	for trial := 0; trial < 60; trial++ {
+		var a *sparse.CSC
+		switch trial % 4 {
+		case 0:
+			a = grid2D(2 + rng.Intn(12))
+		case 1:
+			a = starGraph(1 + rng.Intn(40))
+		case 2:
+			a = pathGraph(1 + rng.Intn(5))
+		default:
+			n := 1 + rng.Intn(80)
+			coo := sparse.NewCOO(n, n, 4*n)
+			for e := 0; e < 3*n; e++ {
+				coo.Add(rng.Intn(n), rng.Intn(n), 1)
+			}
+			a = coo.ToCSC(false)
+		}
+		g.Build(a, 0, a.N, nil)
+		got := ws.Order(&g)
+		want := Order(a)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: length %d, fresh %d", trial, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d: reused workspace order differs from fresh at %d: %d vs %d", trial, k, got[k], want[k])
+			}
+		}
 	}
 }

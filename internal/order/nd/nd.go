@@ -59,11 +59,29 @@ func Compute(a *sparse.CSC, leaves int) (*Tree, error) {
 	if a.M != a.N {
 		return nil, fmt.Errorf("nd: matrix must be square, got %d×%d", a.M, a.N)
 	}
+	var g sparse.SymGraph
+	g.Build(a, 0, a.N, nil)
+	return ComputeGraph(&g, leaves)
+}
+
+// ComputeGraph is Compute on an already-built adjacency structure. With one
+// leaf the tree is the single block in natural order and g's adjacency is
+// never read — only g.N is.
+func ComputeGraph(g *sparse.SymGraph, leaves int) (*Tree, error) {
 	if leaves < 1 || leaves&(leaves-1) != 0 {
 		return nil, fmt.Errorf("nd: leaves must be a power of two, got %d", leaves)
 	}
-	g := a.SymbolicUnion().DropDiagonal()
 	n := g.N
+	if leaves == 1 {
+		return &Tree{
+			NumLeaves: 1,
+			Perm:      sparse.IdentityPerm(n),
+			BlockPtr:  []int{0, n},
+			Parent:    []int{-1},
+			Height:    []int{0},
+			Leaves:    []int{0},
+		}, nil
+	}
 	depth := 0
 	for 1<<depth < leaves {
 		depth++
@@ -74,10 +92,7 @@ func Compute(a *sparse.CSC, leaves int) (*Tree, error) {
 		level: make([]int, n),
 		queue: make([]int, 0, n),
 	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
+	all := sparse.IdentityPerm(n)
 	t := &Tree{NumLeaves: leaves}
 	t.Parent = make([]int, 0, 2*leaves-1)
 	t.Height = make([]int, 0, 2*leaves-1)
@@ -92,7 +107,7 @@ func Compute(a *sparse.CSC, leaves int) (*Tree, error) {
 }
 
 type builder struct {
-	g      *sparse.CSC
+	g      *sparse.SymGraph
 	gen    []int // membership generation marks
 	curGen int
 	level  []int
@@ -275,8 +290,8 @@ func (b *builder) trimSeparator(left, right, sep []int) ([]int, []int, []int) {
 	kept := sep[:0]
 	for _, v := range sep {
 		touchesL, touchesR := false, false
-		for p := b.g.Colptr[v]; p < b.g.Colptr[v+1]; p++ {
-			switch b.gen[b.g.Rowidx[p]] {
+		for _, w := range b.g.Adj[b.g.Ptr[v]:b.g.Ptr[v+1]] {
+			switch b.gen[w] {
 			case lGen:
 				touchesL = true
 			case rGen:
@@ -312,8 +327,7 @@ func (b *builder) bfs(src int, gen int) int {
 	maxLevel := 0
 	for head := 0; head < len(q); head++ {
 		v := q[head]
-		for p := b.g.Colptr[v]; p < b.g.Colptr[v+1]; p++ {
-			w := b.g.Rowidx[p]
+		for _, w := range b.g.Adj[b.g.Ptr[v]:b.g.Ptr[v+1]] {
 			if b.gen[w] != gen {
 				continue
 			}
@@ -346,7 +360,7 @@ func (b *builder) pseudoPeripheral(verts []int, gen int) int {
 		far, farDeg := src, 1<<62
 		for _, v := range verts {
 			if b.level[v] == levels-1 {
-				if d := b.g.Colptr[v+1] - b.g.Colptr[v]; d < farDeg {
+				if d := b.g.Ptr[v+1] - b.g.Ptr[v]; d < farDeg {
 					far, farDeg = v, d
 				}
 			}
@@ -373,8 +387,7 @@ func (b *builder) components(verts []int, gen int) [][]int {
 		b.gen[s] = vis
 		for head := 0; head < len(comp); head++ {
 			v := comp[head]
-			for p := b.g.Colptr[v]; p < b.g.Colptr[v+1]; p++ {
-				w := b.g.Rowidx[p]
+			for _, w := range b.g.Adj[b.g.Ptr[v]:b.g.Ptr[v+1]] {
 				if b.gen[w] == gen {
 					b.gen[w] = vis
 					comp = append(comp, w)

@@ -225,9 +225,11 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	b := b1.Permute(p, p)
 
 	// Static symbolic factorization of the symmetric union pattern.
-	g := b.SymbolicUnion()
-	sym.Parent = etree.Symmetric(g)
-	lpat := symbolicL(g, sym.Parent)
+	var g sparse.SymGraph
+	g.Build(b, 0, n, nil)
+	ws := new(etree.Workspace)
+	sym.Parent = ws.Symmetric(&g, nil)
+	lpat := symbolicL(&g, sym.Parent, ws.ColCounts(&g, nil, sym.Parent))
 	sym.LPat = lpat
 	sym.UPat = upperFromLower(lpat)
 
@@ -298,10 +300,10 @@ func orderNDAMD(b1 *sparse.CSC) []int {
 }
 
 // symbolicL computes the full Cholesky-style pattern of L for the symmetric
-// pattern g with the given etree, columns sorted, diagonal included.
-func symbolicL(g *sparse.CSC, parent []int) *sparse.CSC {
+// pattern g with the given etree and column counts, columns sorted,
+// diagonal included.
+func symbolicL(g *sparse.SymGraph, parent, counts []int) *sparse.CSC {
 	n := g.N
-	counts := etree.ColCounts(g, parent)
 	l := &sparse.CSC{M: n, N: n, Colptr: make([]int, n+1)}
 	for j := 0; j < n; j++ {
 		l.Colptr[j+1] = l.Colptr[j] + counts[j]
@@ -322,8 +324,7 @@ func symbolicL(g *sparse.CSC, parent []int) *sparse.CSC {
 	// each k (g(i,k) != 0, k < i) to i; traversing i ascending keeps each
 	// column's rows sorted.
 	for i := 0; i < n; i++ {
-		for p := g.Colptr[i]; p < g.Colptr[i+1]; p++ {
-			k := g.Rowidx[p]
+		for _, k := range g.Adj[g.Ptr[i]:g.Ptr[i+1]] {
 			if k >= i {
 				continue
 			}

@@ -221,7 +221,8 @@ func (a *CSC) Permute(p, q []int) *CSC {
 // B = A(p, q) together with src, where entry t of B came from entry src[t]
 // of A. After the one-time structural cost, same-pattern matrices can be
 // re-permuted with PermuteInto as a pure value gather — the refactorization
-// pipeline's replacement for calling Permute on every transient step.
+// pipeline's replacement for calling Permute on every transient step. A
+// pattern-only a (nil Values) yields a pattern-only B.
 func (a *CSC) PermuteWithMap(p, q []int) (*CSC, []int) {
 	pinv := InversePerm(p)
 	nnz := a.Nnz()
@@ -230,7 +231,6 @@ func (a *CSC) PermuteWithMap(p, q []int) (*CSC, []int) {
 		N:      a.N,
 		Colptr: make([]int, a.N+1),
 		Rowidx: make([]int, nnz),
-		Values: make([]float64, nnz),
 	}
 	src := make([]int, nnz)
 	nz := 0
@@ -256,8 +256,9 @@ func (a *CSC) PermuteWithMap(p, q []int) (*CSC, []int) {
 	for k := 0; k < a.N; k++ {
 		sortColumnWithMap(b.Rowidx[b.Colptr[k]:b.Colptr[k+1]], src[b.Colptr[k]:b.Colptr[k+1]])
 	}
-	for t, s := range src {
-		b.Values[t] = a.Values[s]
+	if a.Values != nil {
+		b.Values = make([]float64, nnz)
+		gatherValues(b.Values, a.Values, src)
 	}
 	return b, src
 }
@@ -285,19 +286,33 @@ func PermuteInto(dst, src *CSC, entryMap []int) {
 // ExtractBlockWithMap is ExtractBlock plus a cached entry map: entry t of
 // the returned block came from entry src[t] of a, so same-pattern refreshes
 // can run through ExtractBlockInto without re-walking the source columns.
+// The block is counted first and allocated at its exact size; a
+// pattern-only a (nil Values) yields a pattern-only block.
 func (a *CSC) ExtractBlockWithMap(r0, r1, c0, c1 int) (*CSC, []int) {
-	b := NewCSC(r1-r0, c1-c0, 0)
-	var src []int
+	b := &CSC{M: r1 - r0, N: c1 - c0, Colptr: make([]int, c1-c0+1)}
+	nnz := 0
 	for j := c0; j < c1; j++ {
 		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			i := a.Rowidx[p]
-			if i >= r0 && i < r1 {
-				b.Rowidx = append(b.Rowidx, i-r0)
-				b.Values = append(b.Values, a.Values[p])
-				src = append(src, p)
+			if i := a.Rowidx[p]; i >= r0 && i < r1 {
+				nnz++
 			}
 		}
-		b.Colptr[j-c0+1] = len(b.Rowidx)
+		b.Colptr[j-c0+1] = nnz
+	}
+	b.Rowidx = make([]int, nnz)
+	src := make([]int, nnz)
+	t := 0
+	for j := c0; j < c1; j++ {
+		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
+			if i := a.Rowidx[p]; i >= r0 && i < r1 {
+				b.Rowidx[t], src[t] = i-r0, p
+				t++
+			}
+		}
+	}
+	if a.Values != nil {
+		b.Values = make([]float64, nnz)
+		gatherValues(b.Values, a.Values, src)
 	}
 	return b, src
 }
@@ -454,56 +469,6 @@ func (a *CSC) ExtractBlock(r0, r1, c0, c1 int) *CSC {
 		b.Colptr[j-c0+1] = len(b.Rowidx)
 	}
 	return b
-}
-
-// SymbolicUnion returns the pattern of A + Aᵀ as a CSC matrix with all
-// values set to 1. The input must be square. Diagonal entries are included
-// only if present in A. Used to build graphs for ordering algorithms.
-func (a *CSC) SymbolicUnion() *CSC {
-	t := a.Transpose()
-	n := a.N
-	out := NewCSC(n, n, a.Nnz()*2)
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for j := 0; j < n; j++ {
-		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			i := a.Rowidx[p]
-			if mark[i] != j {
-				mark[i] = j
-				out.Rowidx = append(out.Rowidx, i)
-				out.Values = append(out.Values, 1)
-			}
-		}
-		for p := t.Colptr[j]; p < t.Colptr[j+1]; p++ {
-			i := t.Rowidx[p]
-			if mark[i] != j {
-				mark[i] = j
-				out.Rowidx = append(out.Rowidx, i)
-				out.Values = append(out.Values, 1)
-			}
-		}
-		out.Colptr[j+1] = len(out.Rowidx)
-	}
-	out.SortColumns()
-	return out
-}
-
-// DropDiagonal returns a copy of a square matrix with diagonal entries
-// removed. Ordering code works on adjacency structures without self loops.
-func (a *CSC) DropDiagonal() *CSC {
-	out := NewCSC(a.M, a.N, a.Nnz())
-	for j := 0; j < a.N; j++ {
-		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			if a.Rowidx[p] != j {
-				out.Rowidx = append(out.Rowidx, a.Rowidx[p])
-				out.Values = append(out.Values, a.Values[p])
-			}
-		}
-		out.Colptr[j+1] = len(out.Rowidx)
-	}
-	return out
 }
 
 // MaxAbs returns the largest absolute value stored in the matrix.

@@ -65,14 +65,25 @@ const (
 	// KindNDKernel is one contiguous run of fine-ND kernels executed by a
 	// 2D-schedule worker between synchronization points.
 	KindNDKernel
-	// KindGather is the driver's value gather / permutation step.
+	// KindGather is the driver's value gather / permutation step (in the
+	// analyze phase: forming the BTF-permuted matrix the blocks are read
+	// from).
 	KindGather
 	// KindAnalyzeBTF is the analyze front end: matching + BTF ordering.
 	KindAnalyzeBTF
 	// KindAnalyzeAMD is one small block's local AMD ordering + estimate.
 	KindAnalyzeAMD
-	// KindAnalyzeND is one big block's nested-dissection analysis.
-	KindAnalyzeND
+	// The analysis of one big block, stage by stage: KindAnalyzeNDMatch is
+	// the block's extraction and local bottleneck matching;
+	// KindAnalyzeNDDissect the graph of the matched block and its nested
+	// dissection; KindAnalyzeNDLocalAMD one tree block's local AMD (plus,
+	// for a leaf, its elimination tree and column counts);
+	// KindAnalyzeNDEstimate the Algorithm 3 estimates, supernode detection
+	// and dense tags over the final 2D layout.
+	KindAnalyzeNDMatch
+	KindAnalyzeNDDissect
+	KindAnalyzeNDLocalAMD
+	KindAnalyzeNDEstimate
 	// KindAnalyzePlan is the gather-plan construction step.
 	KindAnalyzePlan
 	// KindSolveBlock is one coarse block of the parallel triangular solve.
@@ -97,8 +108,14 @@ func (k Kind) String() string {
 		return "analyze-btf"
 	case KindAnalyzeAMD:
 		return "analyze-amd"
-	case KindAnalyzeND:
-		return "analyze-nd"
+	case KindAnalyzeNDMatch:
+		return "analyze-nd-match"
+	case KindAnalyzeNDDissect:
+		return "analyze-nd-dissect"
+	case KindAnalyzeNDLocalAMD:
+		return "analyze-nd-local-amd"
+	case KindAnalyzeNDEstimate:
+		return "analyze-nd-estimate"
 	case KindAnalyzePlan:
 		return "analyze-plan"
 	case KindSolveBlock:
