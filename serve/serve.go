@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
+	"io"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,6 +60,14 @@ type pattern struct {
 	a     *basker.Matrix
 	shard int
 }
+
+// scratchPool recycles request scratch between requests; see scratch for
+// what may and may not point into one.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// solverHandler is a /v1/ endpoint that reads a request body: it is handed
+// the scratch its request lives in.
+type solverHandler func(w http.ResponseWriter, r *http.Request, sc *scratch)
 
 // ServerStats is the front end's own counter block, reported beside the
 // pool's in /v1/stats.
@@ -123,7 +135,7 @@ func (s *Server) Stats() ServerStats {
 // the chaos battery's survival property — and a full server must shed
 // immediately so health checks and queued upstream load balancers see
 // backpressure, not latency.
-func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) admit(h solverHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.inflight != nil {
 			select {
@@ -145,7 +157,11 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 			}
 		}()
 		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-		h(w, r)
+		sc := scratchPool.Get().(*scratch)
+		h(w, r, sc)
+		// Not deferred: after a panic nobody can say what still points into
+		// sc, so it is left to the collector.
+		scratchPool.Put(sc)
 	}
 }
 
@@ -166,24 +182,45 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	s.writeError(w, status, code, err.Error())
 }
 
-// decode reads one JSON body into dst, translating size and syntax defects
-// into wire errors.
-func (s *Server) decode(r *http.Request, dst any) error {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &wireError{status: http.StatusRequestEntityTooLarge, code: "body_too_large",
-				msg: "request body exceeds the server limit"}
-		}
-		return badRequest("bad_input", "invalid JSON request body: %v", err)
+var errBodyTooLarge = &wireError{status: http.StatusRequestEntityTooLarge, code: "body_too_large",
+	msg: "request body exceeds the server limit"}
+
+// readRequest reads the request body into sc and decodes it as the request
+// object of an endpoint that takes the members in keys, translating size
+// and syntax defects into wire errors. A body that declares its length is
+// refused or given its buffer before a byte is read; one that does not
+// (chunked) grows its buffer under the MaxBytesReader admit installed.
+func (s *Server) readRequest(r *http.Request, keys uint, sc *scratch) (*request, error) {
+	if r.ContentLength > s.opts.MaxBodyBytes {
+		return nil, errBodyTooLarge
 	}
-	return nil
+	body := slices.Grow(sc.body[:0], int(max(r.ContentLength, 0))+bytes.MinRead)
+	for {
+		n, err := r.Body.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			var maxBytes *http.MaxBytesError
+			if errors.As(err, &maxBytes) {
+				return nil, errBodyTooLarge
+			}
+			return nil, badRequest("bad_input", "reading request body: %v", err)
+		}
+		if len(body) == cap(body) {
+			body = slices.Grow(body, bytes.MinRead)
+		}
+	}
+	sc.body = body
+	return s.decodeRequest(body, keys, sc)
 }
 
 // resolveMatrix turns a request's matrix selector — inline CSC, inline
 // triplets, or registered id with optional replacement values — into the
 // CSC the pool factors.
-func (s *Server) resolveMatrix(mj *MatrixJSON, tj *TripletsJSON, id string, values []float64) (*basker.Matrix, error) {
+func (s *Server) resolveMatrix(req *request) (*basker.Matrix, error) {
+	mj, tj, id, values := req.matrix, req.triplets, req.id, req.values
 	selectors := 0
 	if mj != nil {
 		selectors++
@@ -239,33 +276,33 @@ func (s *Server) requestContext(r *http.Request, timeoutMillis int64) (context.C
 	return cancel, c
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, sc *scratch) {
 	start := time.Now()
-	var req SolveRequest
-	if err := s.decode(r, &req); err != nil {
+	req, err := s.readRequest(r, solveKeys, sc)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if (req.B == nil) == (len(req.Bs) == 0) {
+	if (req.b == nil) == (len(req.bs) == 0) {
 		s.fail(w, badRequest("bad_input", "exactly one of b or bs must be set"))
 		return
 	}
-	a, err := s.resolveMatrix(req.Matrix, req.Triplets, req.ID, req.Values)
+	a, err := s.resolveMatrix(req)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	cancel, ctx := s.requestContext(r, req.TimeoutMillis)
+	cancel, ctx := s.requestContext(r, req.timeoutMillis)
 	defer cancel()
-	lease, err := s.acquire(ctx, a, req.Mode)
+	lease, err := s.acquire(ctx, a, req.mode)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if req.B != nil {
-		err = lease.SolveCtx(ctx, req.B)
+	if req.b != nil {
+		err = lease.SolveCtx(ctx, req.b)
 	} else {
-		err = lease.SolveManyCtx(ctx, req.Bs)
+		err = lease.SolveManyCtx(ctx, req.bs)
 	}
 	if err != nil {
 		lease.Release()
@@ -276,16 +313,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// mode) can survive factorization and surface only in the solution.
 	// A non-finite answer is never served; the factorization that produced
 	// it is discarded so the next same-pattern request refactors cleanly.
-	finite := true
-	if req.B != nil {
-		finite = finiteSlice(req.B)
-	} else {
-		for _, b := range req.Bs {
-			if !finiteSlice(b) {
-				finite = false
-				break
-			}
-		}
+	finite := finiteSlice(req.b)
+	for _, b := range req.bs {
+		finite = finite && finiteSlice(b)
 	}
 	if !finite {
 		lease.Discard()
@@ -294,30 +324,29 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lease.Release()
-	resp := SolveResponse{ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond)}
-	if req.B != nil {
-		resp.X = req.B
-	} else {
-		resp.Xs = req.Bs
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	// The solves ran in place: b and bs now hold x and xs.
+	sc.resp = appendSolveResponse(sc.resp[:0], req.b, req.bs, float64(time.Since(start))/float64(time.Millisecond))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.resp)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.resp) // a client that has gone away is the only failure, and nobody's to report
 }
 
-func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, sc *scratch) {
 	start := time.Now()
-	var req FactorRequest
-	if err := s.decode(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	a, err := s.resolveMatrix(req.Matrix, req.Triplets, req.ID, req.Values)
+	req, err := s.readRequest(r, factorKeys, sc)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	cancel, ctx := s.requestContext(r, req.TimeoutMillis)
+	a, err := s.resolveMatrix(req)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	cancel, ctx := s.requestContext(r, req.timeoutMillis)
 	defer cancel()
-	lease, err := s.acquire(ctx, a, req.Mode)
+	lease, err := s.acquire(ctx, a, req.mode)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -331,24 +360,23 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if err := s.decode(r, &req); err != nil {
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request, sc *scratch) {
+	req, err := s.readRequest(r, registerKeys, sc)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if (req.Matrix == nil) == (req.Triplets == nil) {
+	if (req.matrix == nil) == (req.triplets == nil) {
 		s.fail(w, badRequest("bad_input", "exactly one of matrix or triplets must be set"))
 		return
 	}
-	var (
-		a   *basker.Matrix
-		err error
-	)
-	if req.Matrix != nil {
-		a, err = req.Matrix.toCSC()
+	var a *basker.Matrix
+	if req.matrix != nil {
+		if a, err = req.matrix.toCSC(); err == nil {
+			a = a.Clone() // the registry keeps it; the request's arrays go back to scratchPool
+		}
 	} else {
-		a, err = req.Triplets.toCSC()
+		a, err = req.triplets.toCSC()
 	}
 	if err != nil {
 		s.fail(w, err)
@@ -359,8 +387,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if _, existed := s.registry.Swap(id, pat); !existed {
 		s.patterns.Add(1)
 	}
-	if req.Warm {
-		cancel, ctx := s.requestContext(r, req.TimeoutMillis)
+	if req.warm {
+		cancel, ctx := s.requestContext(r, req.timeoutMillis)
 		defer cancel()
 		lease, err := s.pool.AcquireCtx(ctx, a)
 		if err != nil {

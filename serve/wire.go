@@ -1,7 +1,50 @@
 // Package serve is the HTTP/JSON front end of the solver-as-a-service
 // layer: assemble→factor→solve and refactor→solve traffic over a
 // basker.ShardedPool, with the library's typed error taxonomy mapped onto
-// HTTP semantics. Everything is stdlib net/http + encoding/json.
+// HTTP semantics. Everything is stdlib; the transport is net/http.
+//
+// The request bodies of /v1/solve, /v1/factor and /v1/matrices and the
+// /v1/solve response do not go through encoding/json: a body is read whole
+// into a buffer sized from Content-Length and walked once by a scanner that
+// knows the request schema (scan.go), whose number routine validates the
+// grammar and accumulates mantissa and exponent in the same pass (float.go);
+// the response is appended by appendSolveResponse. The JSON on the wire is
+// what it was: SolveRequest, FactorRequest, RegisterRequest and
+// SolveResponse remain its schema, every number decodes to the bits
+// strconv.ParseFloat gives it, and the response bytes are those
+// json.NewEncoder wrote. Small replies (factor, register, stats, errors)
+// are still encoding/json's.
+//
+// Buffer lifetime: the body, every decoded array and the response bytes of
+// a request live in one scratch taken from a sync.Pool and put back once the
+// reply is written. Nothing that outlives the request may point into it —
+// registration clones what the registry keeps, and the pool gathers a
+// matrix into storage of its own before any worker runs. A request that
+// panics does not return its scratch.
+//
+// The scanner accepts a subset of what the encoding/json decoder accepted,
+// and gives what it accepts the same meaning (member names still match
+// exactly or under case folding, unknown members are skipped, null leaves a
+// member unset, strings take the same escapes). It is stricter in that
+//
+//   - the body must be one JSON object followed by nothing but whitespace
+//     (encoding/json read a top-level null as an empty request and ignored
+//     whatever followed the value);
+//   - a member an endpoint knows may appear once per object (encoding/json
+//     let the last occurrence win, merging repeated matrix objects);
+//   - null is refused inside arrays — as an element of a numeric array
+//     (encoding/json read 0) or as a row of bs (a nil row);
+//   - a member an endpoint does not know may nest at most 32 levels deep
+//     (encoding/json allowed 10 000);
+//   - decoding stops at the first defect, and once an id naming a registered
+//     pattern has been read, a values, b or row of bs longer than that
+//     pattern allows is a dimension_mismatch before it is stored, whatever
+//     else is wrong further on;
+//   - a declared Content-Length over Options.MaxBodyBytes is a 413 before
+//     a byte is read.
+//
+// Every refusal is a 400 bad_input, a 400 dimension_mismatch or a 413
+// body_too_large; FuzzDecodeRequest holds the scanner to all of this.
 //
 // Endpoints:
 //
@@ -32,8 +75,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
+	"strconv"
 
 	basker "repro"
+	"repro/internal/sparse"
 )
 
 // StatusClientClosedRequest is the non-standard 499 status (nginx's
@@ -94,8 +140,8 @@ func (mj *MatrixJSON) toCSC() (*basker.Matrix, error) {
 	return &basker.Matrix{M: mj.M, N: mj.N, Colptr: mj.Colptr, Rowidx: mj.Rowidx, Values: mj.Values}, nil
 }
 
-// toCSC assembles the triplets through the library's accumulator
-// (duplicates sum), yielding sorted CSC.
+// toCSC assembles the triplets the way the library's accumulator does
+// (duplicates sum), yielding sorted CSC in arrays of its own.
 func (tj *TripletsJSON) toCSC() (*basker.Matrix, error) {
 	if tj.M <= 0 || tj.N <= 0 {
 		return nil, badRequest("bad_input", "matrix dimensions %dx%d must be positive", tj.M, tj.N)
@@ -104,15 +150,14 @@ func (tj *TripletsJSON) toCSC() (*basker.Matrix, error) {
 		return nil, badRequest("bad_input", "triplet arrays disagree: %d rows, %d cols, %d values",
 			len(tj.Rows), len(tj.Cols), len(tj.Values))
 	}
-	tr := basker.NewTriplets(tj.M, tj.N)
 	for k := range tj.Rows {
 		i, j := tj.Rows[k], tj.Cols[k]
 		if i < 0 || i >= tj.M || j < 0 || j >= tj.N {
 			return nil, badRequest("bad_input", "triplet %d at (%d,%d) outside %dx%d", k, i, j, tj.M, tj.N)
 		}
-		tr.Add(i, j, tj.Values[k])
 	}
-	return tr.Matrix(), nil
+	coo := sparse.COO{M: tj.M, N: tj.N, Row: tj.Rows, Col: tj.Cols, Val: tj.Values}
+	return coo.ToCSC(false), nil
 }
 
 // SolveRequest asks for A·x = b (or a batch). Exactly one of Matrix,
@@ -141,6 +186,64 @@ type SolveResponse struct {
 	X         []float64   `json:"x,omitempty"`
 	Xs        [][]float64 `json:"xs,omitempty"`
 	ElapsedMS float64     `json:"elapsed_ms"`
+}
+
+// appendSolveResponse appends the bytes json.NewEncoder(w).Encode writes
+// for SolveResponse{X: x, Xs: xs, ElapsedMS: elapsedMS}, trailing newline
+// included. The numbers must be finite.
+func appendSolveResponse(dst []byte, x []float64, xs [][]float64, elapsedMS float64) []byte {
+	count := len(x)
+	for _, row := range xs {
+		count += len(row)
+	}
+	dst = slices.Grow(dst, 64+24*count) // a shortest-form double is rarely longer
+	dst = append(dst, '{')
+	if len(x) > 0 {
+		dst = appendFloats(append(dst, `"x":`...), x)
+		dst = append(dst, ',')
+	}
+	if len(xs) > 0 {
+		dst = append(dst, `"xs":[`...)
+		for i, row := range xs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendFloats(dst, row)
+		}
+		dst = append(dst, "],"...)
+	}
+	dst = appendFloat(append(dst, `"elapsed_ms":`...), elapsedMS)
+	return append(dst, "}\n"...)
+}
+
+func appendFloats(dst []byte, xs []float64) []byte {
+	if xs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, v := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendFloat(dst, v)
+	}
+	return append(dst, ']')
+}
+
+// appendFloat formats v as encoding/json does: the shortest digits that
+// round-trip, as an ES6 number — positional except below 1e-6 and from 1e21
+// up, where the exponent is written without a leading zero.
+func appendFloat(dst []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-09 is written e-9
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // FactorRequest warms or refreshes the pool cache for a matrix without
