@@ -363,3 +363,57 @@ func TestDenseRefreshPivotDriftFallback(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkRefactorSupernodal times the full same-pattern refresh at
+// Threads 1, library defaults, on every Table I class whose analysis has a
+// fine-ND block and on the G2_Circuit-, Xyce1- and hcircuit-class benchmark
+// patterns — the per-class evidence for the supernodal refresh kernels. The
+// G2_Circuit class also runs the NoSupernodes ablation beside the default.
+func BenchmarkRefactorSupernodal(b *testing.B) {
+	type input struct {
+		name string
+		a    *sparse.CSC
+	}
+	var ins []input
+	for _, m := range matgen.TableISuite(1) {
+		ins = append(ins, input{m.Name, m.Gen()})
+	}
+	ins = append(ins,
+		input{"bench-grid3d", matgen.Circuit(matgen.CircuitParams{N: 2700, Core: matgen.CoreGrid3D, ExtraDensity: 0.2, Seed: 120})},
+		input{"bench-xyce", matgen.Circuit(matgen.CircuitParams{N: 30000, BTFPct: 21, Blocks: 1000, Core: matgen.CoreLadder, ExtraDensity: 0.4, Seed: 111})},
+		input{"bench-hcircuit", matgen.Circuit(matgen.CircuitParams{N: 4800, BTFPct: 13, Blocks: 80, Core: matgen.CoreGrid, ExtraDensity: 0.3, Seed: 117})},
+	)
+	run := func(b *testing.B, a *sparse.CSC, noSupernodes bool) {
+		opts := DefaultOptions()
+		opts.NoSupernodes = noSupernodes
+		num, err := FactorDirect(a, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps := []*sparse.CSC{matgen.TransientStep(a, 1, 5), matgen.TransientStep(a, 2, 5)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := num.Refactor(steps[i%len(steps)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, in := range ins {
+		sym, err := Analyze(in.a, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sym.NumNDBlocks() == 0 {
+			continue
+		}
+		if in.name != "G2_Circuit" {
+			b.Run(in.name, func(b *testing.B) { run(b, in.a, false) })
+			continue
+		}
+		b.Run(in.name, func(b *testing.B) {
+			b.Run("supernodes", func(b *testing.B) { run(b, in.a, false) })
+			b.Run("nosupernodes", func(b *testing.B) { run(b, in.a, true) })
+		})
+	}
+}

@@ -92,6 +92,10 @@ type Factors struct {
 	// refreshed by RefactorSupernodal, which relies on the padded panel
 	// layout).
 	Snodes []int
+	// snBlocked[s] records, fixed when FactorSupernodalInto emits the
+	// pattern, whether wide supernode s refreshes through the blocked
+	// outside update (see snode.go).
+	snBlocked []bool
 }
 
 // NnzLU reports nnz(L)+nnz(U) counting both diagonals once each (the |L+U|
@@ -125,6 +129,8 @@ type Workspace struct {
 	// lazily built on first use (nil for workspaces that never factor
 	// supernodally).
 	sn *snScratch
+	// blk is the block scratch of the blocked supernode refresh.
+	blk snBlock
 }
 
 // NewWorkspace returns a workspace for dimension n.

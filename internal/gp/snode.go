@@ -3,6 +3,7 @@ package gp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dense"
 	"repro/internal/sparse"
@@ -12,10 +13,34 @@ import (
 // SuperLU idea (Demmel, Eisenstat, Gilbert, Li, Liu): consecutive columns
 // whose factor patterns nest — detected from the column elimination tree by
 // etree.RelaxedSupernodes — are factored and refreshed together through one
-// blocked dense panel instead of column at a time. The win is for blocks at
-// moderate density (0.1–0.2): too sparse for the fully dense panel LU of
-// dense_feed.go, but with enough pattern overlap that per-column scatter,
-// DFS and sort bookkeeping dominates the arithmetic.
+// blocked dense panel instead of column at a time. The fresh factor wins
+// for blocks at moderate density (0.1–0.2): too sparse for the fully dense
+// panel LU of dense_feed.go, but with enough pattern overlap that
+// per-column scatter, DFS and sort bookkeeping dominates the arithmetic.
+//
+// The same-pattern refresh of a wide supernode has two outside-update
+// strategies (the updates from columns left of the supernode, which is
+// where the fill-heavy classes spend their refresh):
+//   - column at a time (outsideColumns): each target column replays its
+//     U pattern's source columns through the dense accumulator, so every
+//     L(:,j) is streamed once per target column;
+//   - supernode–panel (outsideBlocked, the SuperLU shape): up to
+//     snTileCols target columns are gathered into one dense block over the
+//     sorted union of their outside rows, and each source is applied to the
+//     whole tile — a narrow source four target columns per pass over
+//     L(:,j), the trailing run of a wide source as an in-source triangle
+//     solve followed by a 4×2 register-tiled product over its shared
+//     below rows.
+//
+// The choice is pattern-only and fixed when FactorSupernodalInto emits the
+// pattern: a supernode refreshes blocked when its outside-U density
+// (stored outside entries over w × outside-row union) reaches
+// snBlockedDensity; sparser ones pay more for the union and the block
+// scan than the reuse saves. Both strategies are bitwise identical: every
+// element receives exactly the updates t -= l·u of the column kernel, one
+// at a time in ascending source column, skipping the same zero
+// multipliers — the register tiles only keep the running value in a
+// register between them, nothing is summed separately or reassociated.
 //
 // Layout invariants of a supernodal factor over supernode S = [k0, k1),
 // w = k1-k0 (on top of the standard sorted-factor invariants):
@@ -79,8 +104,8 @@ func FactorSupernodalInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opt
 		return fmt.Errorf("gp: matrix must be square, got %d×%d", a.M, a.N)
 	}
 	n := a.N
-	if len(xsup) < 2 || xsup[0] != 0 || xsup[len(xsup)-1] != n {
-		return fmt.Errorf("gp: supernode partition does not cover 0..%d", n)
+	if err := checkPartition(xsup, n); err != nil {
+		return err
 	}
 	if ws == nil {
 		ws = NewWorkspace(n)
@@ -133,6 +158,7 @@ func FactorSupernodalInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opt
 	}
 	f.finishFactor(ws, prune)
 	f.Snodes = append(f.Snodes[:0], xsup...)
+	f.markBlocked(ws)
 	return nil
 }
 
@@ -314,6 +340,77 @@ func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts O
 	return nil
 }
 
+// Blocked-refresh tuning; the file header explains the two outside-update
+// strategies these constants choose between.
+const (
+	// snBlockedDensity is the outside-U density (stored outside entries
+	// over w × |union of the columns' outside rows|) from which a wide
+	// supernode refreshes through the blocked outside update, picked from
+	// BenchmarkRefactorSupernodal in internal/core: the fill-heavy classes'
+	// supernodes sit at 0.3–0.7, the Xyce-class ones at ≤ 0.15, and the
+	// classes in between time the same either way.
+	snBlockedDensity = 0.25
+	// snTileCols caps the target columns of one block tile.
+	snTileCols = 16
+	// snTileFloats bounds one block tile (rows × columns) to 0.4 MiB.
+	snTileFloats = 52428
+	// snWideRun is the shortest run of one wide source supernode's columns
+	// that takes the in-source triangle solve plus tiled below product;
+	// shorter runs go column by column.
+	snWideRun = 4
+)
+
+// snBlock is the reusable scratch of the blocked outside update: the tile's
+// ascending outside-row union, its value block, and a wide source's
+// block-relative below rows and per-column offsets of its below values.
+type snBlock struct {
+	rows  []int
+	val   []float64
+	rel   []int
+	lbase []int
+}
+
+// block returns a zeroed n-element value block.
+func (sb *snBlock) block(n int) []float64 {
+	if cap(sb.val) < n {
+		sb.val = make([]float64, n)
+	}
+	sb.val = sb.val[:n]
+	clear(sb.val)
+	return sb.val
+}
+
+// checkPartition rejects a supernode partition that does not tile 0..n.
+func checkPartition(xsup []int, n int) error {
+	if len(xsup) < 2 || xsup[0] != 0 || xsup[len(xsup)-1] != n {
+		return fmt.Errorf("gp: supernode partition does not cover 0..%d", n)
+	}
+	return nil
+}
+
+// markBlocked fixes, once per fresh factorization, which wide supernodes
+// refresh through the blocked outside update: those whose outside-U density
+// reaches snBlockedDensity. Pattern-only, so it holds for every refresh.
+func (f *Factors) markBlocked(ws *Workspace) {
+	ns := len(f.Snodes) - 1
+	f.snBlocked = sparse.GrowBools(f.snBlocked, ns)
+	for s := 0; s < ns; s++ {
+		k0, k1 := f.Snodes[s], f.Snodes[s+1]
+		ws.Tag++
+		nnz, rows := 0, 0
+		for k := k0; k < k1 && k1-k0 > 1; k++ {
+			for p := f.U.Colptr[k]; f.U.Rowidx[p] < k0; p++ {
+				nnz++
+				if j := f.U.Rowidx[p]; ws.Mark[j] != ws.Tag {
+					ws.Mark[j] = ws.Tag
+					rows++
+				}
+			}
+		}
+		f.snBlocked[s] = nnz > 0 && float64(nnz) >= snBlockedDensity*float64((k1-k0)*rows)
+	}
+}
+
 // RefactorSupernodal recomputes the numeric values of a supernodal
 // factorization (built by FactorSupernodalInto) for a new matrix a with the
 // same pattern, reusing the pivot sequence: singleton supernodes refresh
@@ -321,32 +418,10 @@ func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts O
 // outside-eliminated columns into a pooled panel and re-run the
 // right-looking elimination with no pivot search. Deterministic and
 // idempotent like every refresh kernel, so the partial-vs-full bitwise
-// contract carries over.
+// contract carries over. A factor whose Snodes do not partition 0..N is
+// rejected with the same error FactorSupernodalInto raises.
 func (f *Factors) RefactorSupernodal(a *sparse.CSC, ws *Workspace, dws *dense.Workspace) error {
-	n := f.N
-	if a.M != n || a.N != n {
-		return fmt.Errorf("gp: refactor dimension mismatch")
-	}
-	if ws == nil {
-		ws = NewWorkspace(n)
-	} else {
-		ws.Grow(n)
-	}
-	x := ws.X
-	xsup := f.Snodes
-	for s := 0; s+1 < len(xsup); s++ {
-		k0, k1 := xsup[s], xsup[s+1]
-		if k1 == k0+1 {
-			if err := f.refactorColumn(a, x, k0); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := f.refreshSupernode(a, x, k0, k1, dws); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.refactorSupernodal(a, ws, dws, nil, 0, nil, f.snBlocked)
 }
 
 // RefactorSupernodalSelective is RefactorSupernodal restricted to the
@@ -358,81 +433,107 @@ func (f *Factors) RefactorSupernodal(a *sparse.CSC, ws *Workspace, dws *dense.Wo
 // determinism makes bitwise harmless; rerun is overwritten per column so
 // downstream closure scans see the same contract as RefactorSelective.
 func (f *Factors) RefactorSupernodalSelective(a *sparse.CSC, ws *Workspace, dws *dense.Workspace, colStamp []uint64, epoch uint64, rerun []bool) error {
+	return f.refactorSupernodal(a, ws, dws, colStamp, epoch, rerun, f.snBlocked)
+}
+
+// refactorSupernodal is the sweep behind both refreshes: a nil colStamp
+// reruns every supernode, otherwise the selective closure rule decides.
+// blocked[s] picks the outside update of wide supernode s.
+func (f *Factors) refactorSupernodal(a *sparse.CSC, ws *Workspace, dws *dense.Workspace, colStamp []uint64, epoch uint64, rerun, blocked []bool) error {
 	n := f.N
 	if a.M != n || a.N != n {
 		return fmt.Errorf("gp: refactor dimension mismatch")
+	}
+	xsup := f.Snodes
+	if err := checkPartition(xsup, n); err != nil {
+		return err
 	}
 	if ws == nil {
 		ws = NewWorkspace(n)
 	} else {
 		ws.Grow(n)
 	}
-	x := ws.X
-	xsup := f.Snodes
 	for s := 0; s+1 < len(xsup); s++ {
 		k0, k1 := xsup[s], xsup[s+1]
-		need := false
-		for k := k0; k < k1 && !need; k++ {
-			if colStamp[k] == epoch {
-				need = true
-				break
-			}
-			up0, up1 := f.U.Colptr[k], f.U.Colptr[k+1]
-			for p := up0; p < up1-1; p++ {
-				r := f.U.Rowidx[p]
-				if r >= k0 {
-					break // supernode triangle: own columns, covered above
-				}
-				if rerun[r] {
-					need = true
-					break
-				}
-			}
-		}
-		for k := k0; k < k1; k++ {
-			rerun[k] = need
-		}
-		if !need {
+		if colStamp != nil && !f.snodeNeedsRerun(k0, k1, colStamp, epoch, rerun) {
 			continue
 		}
+		var err error
 		if k1 == k0+1 {
-			if err := f.refactorColumn(a, x, k0); err != nil {
-				return err
-			}
-			continue
+			err = f.refactorColumn(a, ws.X, k0)
+		} else {
+			err = f.refreshSupernode(a, ws, k0, k1, s < len(blocked) && blocked[s], dws)
 		}
-		if err := f.refreshSupernode(a, x, k0, k1, dws); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// refreshSupernode refreshes the wide supernode [k0, k1) in place: each
-// column scatters its input in pivot space, eliminates against the
-// outside columns along its own U pattern (ascending, same arithmetic as
-// refactorColumn), and lands its supernode-triangle and below values in the
-// panel; the panel then re-runs the fixed-sequence right-looking
-// elimination and scatters back over the unchanged factor patterns. Panel
-// row w+t is the t-th below-supernode entry of every column — the shared
+// snodeNeedsRerun applies the selective closure rule to supernode
+// [k0, k1) and records the verdict in rerun for each of its columns.
+func (f *Factors) snodeNeedsRerun(k0, k1 int, colStamp []uint64, epoch uint64, rerun []bool) bool {
+	need := false
+	for k := k0; k < k1 && !need; k++ {
+		if colStamp[k] == epoch {
+			need = true
+			break
+		}
+		up0, up1 := f.U.Colptr[k], f.U.Colptr[k+1]
+		for p := up0; p < up1-1; p++ {
+			r := f.U.Rowidx[p]
+			if r >= k0 {
+				break // supernode triangle: own columns, covered above
+			}
+			if rerun[r] {
+				need = true
+				break
+			}
+		}
+	}
+	for k := k0; k < k1; k++ {
+		rerun[k] = need
+	}
+	return need
+}
+
+// refreshSupernode refreshes the wide supernode [k0, k1) in place: the
+// outside update — blocked or column at a time — lands every column's
+// supernode-triangle and below values in the panel, the panel re-runs the
+// fixed-sequence right-looking elimination, and the result scatters back
+// over the unchanged factor patterns. Panel row d < w is pivot position
+// k0+d, row w+t the t-th below-supernode entry of every column — the shared
 // sorted below-row sequence the supernodal emission guarantees.
-func (f *Factors) refreshSupernode(a *sparse.CSC, x []float64, k0, k1 int, dws *dense.Workspace) error {
+func (f *Factors) refreshSupernode(a *sparse.CSC, ws *Workspace, k0, k1 int, blocked bool, dws *dense.Workspace) error {
+	panel := dws.Panel(f.L.Colptr[k0+1]-f.L.Colptr[k0], k1-k0)
+	if blocked {
+		f.outsideBlocked(a, ws, k0, k1, panel)
+	} else {
+		f.outsideColumns(a, ws.X, k0, k1, panel)
+	}
+	if err := eliminatePanel(panel, k0); err != nil {
+		return err
+	}
+	f.scatterPanel(panel, k0)
+	return nil
+}
+
+// outsideColumns is the column-at-a-time outside update, the branch of
+// sparse supernodes: each column scatters its input in pivot space and
+// eliminates against the outside columns along its own U pattern
+// (ascending, same arithmetic as refactorColumn) through the dense
+// accumulator x, which it leaves clean.
+func (f *Factors) outsideColumns(a *sparse.CSC, x []float64, k0, k1 int, panel *dense.Matrix) {
 	w := k1 - k0
-	lp0, lp1 := f.L.Colptr[k0], f.L.Colptr[k0+1]
-	below := f.L.Rowidx[lp0+w : lp1] // below-supernode pivot positions, ascending
-	m := w + len(below)
-	panel := dws.Panel(m, w)
+	below := f.L.Rowidx[f.L.Colptr[k0]+w : f.L.Colptr[k0+1]]
 	for c := 0; c < w; c++ {
 		k := k0 + c
 		for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
 			x[f.Pinv[a.Rowidx[p]]] = a.Values[p]
 		}
-		up1 := f.U.Colptr[k+1]
-		for p := f.U.Colptr[k]; p < up1; p++ {
+		for p := f.U.Colptr[k]; f.U.Rowidx[p] < k0; p++ {
 			j := f.U.Rowidx[p]
-			if j >= k0 {
-				break
-			}
 			xj := x[j]
 			f.U.Values[p] = xj
 			x[j] = 0
@@ -456,9 +557,330 @@ func (f *Factors) refreshSupernode(a *sparse.CSC, x []float64, k0, k1 int, dws *
 			x[pos] = 0
 		}
 	}
-	// Fixed-sequence elimination: no pivot search, error out on drift to
-	// zero (the caller falls back to a fresh factorization). x is already
-	// clean here, so the error path needs no workspace cleanup.
+}
+
+// outsideBlocked is the supernode–panel outside update. Tiles of up to
+// snTileCols target columns (fewer when the block would exceed
+// snTileFloats) are gathered into one dense block whose rows are the
+// ascending union of the tile's outside rows followed by the panel rows;
+// ws.Pstack, idle during a refresh, maps a pivot position to its block row.
+// Every source column is then applied to the whole tile in ascending
+// order, and the block lands in U's outside values and the panel.
+func (f *Factors) outsideBlocked(a *sparse.CSC, ws *Workspace, k0, k1 int, panel *dense.Matrix) {
+	w, m := k1-k0, panel.Rows
+	below := f.L.Rowidx[f.L.Colptr[k0]+w : f.L.Colptr[k0+1]]
+	slot, sb := ws.Pstack, &ws.blk
+	for c0 := 0; c0 < w; {
+		ws.Tag++
+		rows := sb.rows[:0]
+		c1 := c0
+		for c1 < w && c1-c0 < snTileCols {
+			up0 := f.U.Colptr[k0+c1]
+			up := up0
+			for f.U.Rowidx[up] < k0 {
+				up++
+			}
+			if c1 > c0 && (len(rows)+up-up0+m)*(c1-c0+1) > snTileFloats {
+				break
+			}
+			for _, j := range f.U.Rowidx[up0:up] {
+				if ws.Mark[j] != ws.Tag {
+					ws.Mark[j] = ws.Tag
+					rows = append(rows, j)
+				}
+			}
+			c1++
+		}
+		slices.Sort(rows)
+		sb.rows = rows
+		nOut, tc := len(rows), c1-c0
+		ld := nOut + m
+		for q, j := range rows {
+			slot[j] = q
+		}
+		for d := 0; d < w; d++ {
+			slot[k0+d] = nOut + d
+		}
+		for t, i := range below {
+			slot[i] = nOut + w + t
+		}
+		blk := sb.block(ld * tc)
+		for c := 0; c < tc; c++ {
+			k, col := k0+c0+c, blk[c*ld:(c+1)*ld]
+			for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
+				col[slot[f.Pinv[a.Rowidx[p]]]] = a.Values[p]
+			}
+		}
+		f.applySources(sb, blk, ld, tc, slot)
+		for c := 0; c < tc; c++ {
+			k, col := k0+c0+c, blk[c*ld:(c+1)*ld]
+			for p := f.U.Colptr[k]; f.U.Rowidx[p] < k0; p++ {
+				f.U.Values[p] = col[slot[f.U.Rowidx[p]]]
+			}
+			copy(panel.Col(c0+c), col[nOut:])
+		}
+		c0 = c1
+	}
+}
+
+// applySources eliminates a tile block of tc columns (leading dimension
+// ld) against every source column in sb.rows, ascending: a run of
+// snWideRun or more trailing columns of one wide source supernode goes
+// through applyWide, every other source through applySingle.
+func (f *Factors) applySources(sb *snBlock, blk []float64, ld, tc int, slot []int) {
+	rows, xsup := sb.rows, f.Snodes
+	s := 0
+	for q := 0; q < len(rows); {
+		j := rows[q]
+		d, _ := slices.BinarySearch(xsup[s+1:], j+1)
+		s += d // xsup[s] <= j < xsup[s+1]
+		j1 := xsup[s+1]
+		r := q + 1
+		for r < len(rows) && rows[r] < j1 {
+			r++
+		}
+		// The fill closure makes the run the contiguous tail j..j1-1 of the
+		// source (its padded triangle reaches every later column), so its
+		// length is j1-j; anything else goes column by column.
+		if r-q >= snWideRun && r-q == j1-j {
+			f.applyWide(sb, blk, ld, tc, q, j, xsup[s], j1, slot)
+		} else {
+			for ; q < r; q++ {
+				f.applySingle(blk, ld, tc, q, rows[q], slot)
+			}
+		}
+		q = r
+	}
+}
+
+// applySingle applies source column j (block row q) to every tile column
+// with a nonzero multiplier, four columns per pass over L(:,j). Its rows go
+// through the slot map on every pass: a tile takes at most snTileCols/4
+// passes, too few to repay a separate translation.
+func (f *Factors) applySingle(blk []float64, ld, tc, q, j int, slot []int) {
+	lp0, lp1 := f.L.Colptr[j]+1, f.L.Colptr[j+1]
+	rows, vals := f.L.Rowidx[lp0:lp1], f.L.Values[lp0:lp1]
+	var cols [4][]float64
+	var us [4]float64
+	nc := 0
+	for c := 0; c < tc; c++ {
+		col := blk[c*ld : (c+1)*ld]
+		if u := col[q]; u != 0 {
+			cols[nc], us[nc] = col, u
+			if nc++; nc == 4 {
+				axpy4(rows, slot, vals, &cols, &us)
+				nc = 0
+			}
+		}
+	}
+	if nc >= 2 {
+		nc -= 2
+		axpy2(rows, slot, vals, cols[nc], cols[nc+1], us[nc], us[nc+1])
+	}
+	if nc == 1 {
+		axpy1(rows, slot, vals, cols[0], us[0])
+	}
+}
+
+// applyWide applies the trailing run j..j1-1 of wide source supernode
+// [j0, j1) (block rows q..) to the tile: per column, the in-source
+// triangle solve on the packed multipliers, then the shared below rows as
+// a register-tiled product starting at the column's first nonzero
+// multiplier. Columns pair up for the 4×2 tile; a column with a zero
+// multiplier inside its segment takes the skipping column-by-column path,
+// so every element sees exactly the per-column kernel's operations.
+func (f *Factors) applyWide(sb *snBlock, blk []float64, ld, tc, q, j, j0, j1 int, slot []int) {
+	run := j1 - j
+	lv := f.L.Values
+	rel := sb.rel[:0]
+	for _, i := range f.L.Rowidx[f.L.Colptr[j0]+j1-j0 : f.L.Colptr[j0+1]] {
+		rel = append(rel, slot[i])
+	}
+	sb.rel = rel
+	lb := sb.lbase[:0]
+	for d := j; d < j1; d++ {
+		lb = append(lb, f.L.Colptr[d]+j1-d) // first below value of L(:,d)
+	}
+	sb.lbase = lb
+	pend, pendLo := []float64(nil), 0 // a clean column awaiting a partner
+	for c := 0; c < tc; c++ {
+		col := blk[c*ld : (c+1)*ld]
+		u := col[q : q+run]
+		lo, clean := run, true
+		for d, ud := range u {
+			if ud == 0 {
+				if lo < run {
+					clean = false
+				}
+				continue
+			}
+			if lo == run {
+				lo = d
+			}
+			lp := f.L.Colptr[j+d] + 1
+			tri := lv[lp : lp+run-d-1]
+			ut := u[d+1:]
+			ut = ut[:len(tri)] // bounds-check elimination hint
+			for e, l := range tri {
+				ut[e] -= l * ud
+			}
+		}
+		switch {
+		case lo == run:
+		case !clean:
+			// Each maximal run of nonzero multipliers, ascending.
+			for d := lo; d < run; {
+				e := d + 1
+				for e < run && u[e] != 0 {
+					e++
+				}
+				tile41(rel, lv, lb[d:e], col, u[d:e])
+				for d = e; d < run && u[d] == 0; d++ {
+				}
+			}
+		case pend == nil:
+			pend, pendLo = col, lo
+		default:
+			pu := pend[q : q+run]
+			if pendLo < lo {
+				tile41(rel, lv, lb[pendLo:lo], pend, pu[pendLo:lo])
+			} else if lo < pendLo {
+				tile41(rel, lv, lb[lo:pendLo], col, u[lo:pendLo])
+			}
+			hi := max(lo, pendLo)
+			tile42(rel, lv, lb[hi:], pend, col, pu[hi:], u[hi:])
+			pend = nil
+		}
+	}
+	if pend != nil {
+		tile41(rel, lv, lb[pendLo:], pend, pend[q+pendLo:q+run])
+	}
+}
+
+// axpy1 is col[slot[rows[t]]] -= vals[t]·u over one source column.
+func axpy1(rows, slot []int, vals, col []float64, u float64) {
+	vals = vals[:len(rows)] // bounds-check elimination hint
+	for t, i := range rows {
+		col[slot[i]] -= vals[t] * u
+	}
+}
+
+// axpy2 is axpy1 on two target columns per pass over the source.
+func axpy2(rows, slot []int, vals, c0, c1 []float64, u0, u1 float64) {
+	vals = vals[:len(rows)] // bounds-check elimination hint
+	for t, i := range rows {
+		l, r := vals[t], slot[i]
+		c0[r] -= l * u0
+		c1[r] -= l * u1
+	}
+}
+
+// axpy4 is axpy1 on four target columns per pass over the source.
+func axpy4(rows, slot []int, vals []float64, cols *[4][]float64, us *[4]float64) {
+	vals = vals[:len(rows)] // bounds-check elimination hint
+	c0, c1, c2, c3 := cols[0], cols[1], cols[2], cols[3]
+	u0, u1, u2, u3 := us[0], us[1], us[2], us[3]
+	for t, i := range rows {
+		l, r := vals[t], slot[i]
+		c0[r] -= l * u0
+		c1[r] -= l * u1
+		c2[r] -= l * u2
+		c3[r] -= l * u3
+	}
+}
+
+// tile41 subtracts the product of a wide source's below block (row t of
+// source column d at lv[lb[d]+t], block rows rel) and the multipliers u
+// from col, four rows held in registers across the whole run: each element
+// still sees its updates one by one in ascending d.
+func tile41(rel []int, lv []float64, lb []int, col, u []float64) {
+	u = u[:len(lb)]
+	t := 0
+	for ; t+4 <= len(rel); t += 4 {
+		i0, i1, i2, i3 := rel[t], rel[t+1], rel[t+2], rel[t+3]
+		a0, a1, a2, a3 := col[i0], col[i1], col[i2], col[i3]
+		for d, p := range lb {
+			l := lv[p+t : p+t+4]
+			ud := u[d]
+			a0 -= l[0] * ud
+			a1 -= l[1] * ud
+			a2 -= l[2] * ud
+			a3 -= l[3] * ud
+		}
+		col[i0], col[i1], col[i2], col[i3] = a0, a1, a2, a3
+	}
+	for ; t < len(rel); t++ {
+		i := rel[t]
+		a := col[i]
+		for d, p := range lb {
+			a -= lv[p+t] * u[d]
+		}
+		col[i] = a
+	}
+}
+
+// tile42 is tile41 on two target columns at once: a 4×2 register tile
+// reads each source value once for both columns.
+func tile42(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64) {
+	uA, uB = uA[:len(lb)], uB[:len(lb)]
+	t := 0
+	var acc [8]float64
+	for ; t+4 <= len(rel); t += 4 {
+		r := rel[t : t+4]
+		for e, i := range r {
+			acc[e], acc[4+e] = colA[i], colB[i]
+		}
+		dot42(lv[t:], lb, uA, uB, &acc)
+		for e, i := range r {
+			colA[i], colB[i] = acc[e], acc[4+e]
+		}
+	}
+	for ; t < len(rel); t++ {
+		i := rel[t]
+		a, b := colA[i], colB[i]
+		for d, p := range lb {
+			l := lv[p+t]
+			a -= l * uA[d]
+			b -= l * uB[d]
+		}
+		colA[i], colB[i] = a, b
+	}
+}
+
+// dot42 is one 4×2 tile of tile42 over the whole run: acc holds four
+// rows of column A, then the same rows of column B, and source column d
+// contributes lv[lb[d]:lb[d]+4]. It stays out of line so the caller's
+// loop state is not live across the run; inlined, the compiler spills the
+// accumulators and reloads the slices on every step.
+//
+//go:noinline
+func dot42(lv []float64, lb []int, uA, uB []float64, acc *[8]float64) {
+	uA, uB = uA[:len(lb)], uB[:len(lb)]
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	b0, b1, b2, b3 := acc[4], acc[5], acc[6], acc[7]
+	for d, p := range lb {
+		l := lv[p : p+4]
+		ua, ub := uA[d], uB[d]
+		a0 -= l[0] * ua
+		b0 -= l[0] * ub
+		a1 -= l[1] * ua
+		b1 -= l[1] * ub
+		a2 -= l[2] * ua
+		b2 -= l[2] * ub
+		a3 -= l[3] * ua
+		b3 -= l[3] * ub
+	}
+	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+	acc[4], acc[5], acc[6], acc[7] = b0, b1, b2, b3
+}
+
+// eliminatePanel is the fixed-sequence right-looking elimination of the
+// refreshed panel of the supernode starting at k0: no pivot search, error
+// out on drift to zero (the caller falls back to a fresh factorization).
+// Both outside updates leave the workspace clean before it, so the error
+// path needs no cleanup.
+func eliminatePanel(panel *dense.Matrix, k0 int) error {
+	w, m := panel.Cols, panel.Rows
 	for d := 0; d < w; d++ {
 		cd := panel.Col(d)
 		piv := cd[d]
@@ -482,7 +904,13 @@ func (f *Factors) refreshSupernode(a *sparse.CSC, x []float64, k0, k1 int, dws *
 			}
 		}
 	}
-	// Scatter back over the fixed patterns.
+	return nil
+}
+
+// scatterPanel writes the eliminated panel of the supernode starting at
+// k0 back over the fixed U triangle, pivot and L patterns.
+func (f *Factors) scatterPanel(panel *dense.Matrix, k0 int) {
+	w, nb := panel.Cols, panel.Rows-panel.Cols
 	for c := 0; c < w; c++ {
 		k := k0 + c
 		col := panel.Col(c)
@@ -495,10 +923,6 @@ func (f *Factors) refreshSupernode(a *sparse.CSC, x []float64, k0, k1 int, dws *
 		for d := c + 1; d < w; d++ {
 			f.L.Values[lp+d-c] = col[d]
 		}
-		base := lp + w - c
-		for t := range below {
-			f.L.Values[base+t] = col[w+t]
-		}
+		copy(f.L.Values[lp+w-c:lp+w-c+nb], col[w:])
 	}
-	return nil
 }

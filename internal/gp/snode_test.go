@@ -2,12 +2,18 @@ package gp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dense"
 	"repro/internal/etree"
+	"repro/internal/matgen"
+	"repro/internal/order/amd"
+	"repro/internal/order/btf"
+	"repro/internal/order/matching"
 	"repro/internal/sparse"
 )
 
@@ -447,4 +453,375 @@ func TestDenseTRSMRefreshMatchesSolve(t *testing.T) {
 			t.Fatalf("lower refresh value %d diverges: %v vs %v", i, lo.Values[i], v)
 		}
 	}
+}
+
+// refactorSupernodalReference is the supernodal refresh as it stood before
+// the blocked outside update, kept here as the oracle of the bitwise pins:
+// every wide-supernode column eliminates against the outside columns one
+// at a time through the dense accumulator, then the panel re-runs the
+// fixed-sequence elimination and scatters back. A nil colStamp refreshes
+// every supernode; otherwise the selective closure rule picks them.
+func (f *Factors) refactorSupernodalReference(a *sparse.CSC, ws *Workspace, dws *dense.Workspace, colStamp []uint64, epoch uint64, rerun []bool) error {
+	n := f.N
+	if a.M != n || a.N != n {
+		return fmt.Errorf("gp: refactor dimension mismatch")
+	}
+	if err := checkPartition(f.Snodes, n); err != nil {
+		return err
+	}
+	ws.Grow(n)
+	x := ws.X
+	xsup := f.Snodes
+	for s := 0; s+1 < len(xsup); s++ {
+		k0, k1 := xsup[s], xsup[s+1]
+		if colStamp != nil && !f.snodeNeedsRerun(k0, k1, colStamp, epoch, rerun) {
+			continue
+		}
+		if k1 == k0+1 {
+			if err := f.refactorColumn(a, x, k0); err != nil {
+				return err
+			}
+			continue
+		}
+		w := k1 - k0
+		lp0, lp1 := f.L.Colptr[k0], f.L.Colptr[k0+1]
+		below := f.L.Rowidx[lp0+w : lp1]
+		m := w + len(below)
+		panel := dws.Panel(m, w)
+		for c := 0; c < w; c++ {
+			k := k0 + c
+			for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
+				x[f.Pinv[a.Rowidx[p]]] = a.Values[p]
+			}
+			up1 := f.U.Colptr[k+1]
+			for p := f.U.Colptr[k]; p < up1; p++ {
+				j := f.U.Rowidx[p]
+				if j >= k0 {
+					break
+				}
+				xj := x[j]
+				f.U.Values[p] = xj
+				x[j] = 0
+				if xj == 0 {
+					continue
+				}
+				rows := f.L.Rowidx[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
+				vals := f.L.Values[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
+				for t, i := range rows {
+					x[i] -= vals[t] * xj
+				}
+			}
+			col := panel.Col(c)
+			for d := 0; d < w; d++ {
+				col[d] = x[k0+d]
+				x[k0+d] = 0
+			}
+			for t, pos := range below {
+				col[w+t] = x[pos]
+				x[pos] = 0
+			}
+		}
+		for d := 0; d < w; d++ {
+			cd := panel.Col(d)
+			piv := cd[d]
+			if piv == 0 {
+				return fmt.Errorf("gp: refactor column %d: %w", k0+d, ErrSingular)
+			}
+			for r := d + 1; r < m; r++ {
+				cd[r] /= piv
+			}
+			for j := d + 1; j < w; j++ {
+				cj := panel.Col(j)
+				fjd := cj[d]
+				if fjd == 0 {
+					continue
+				}
+				for r := d + 1; r < m; r++ {
+					cj[r] -= cd[r] * fjd
+				}
+			}
+		}
+		for c := 0; c < w; c++ {
+			k := k0 + c
+			col := panel.Col(c)
+			up1 := f.U.Colptr[k+1]
+			for d := 0; d < c; d++ {
+				f.U.Values[up1-1-c+d] = col[d]
+			}
+			f.U.Values[up1-1] = col[c]
+			lp := f.L.Colptr[k]
+			for d := c + 1; d < w; d++ {
+				f.L.Values[lp+d-c] = col[d]
+			}
+			for t := range below {
+				f.L.Values[lp+w-c+t] = col[w+t]
+			}
+		}
+	}
+	return nil
+}
+
+// allBlocked returns a blocked-rule slice that sends every wide supernode
+// of f through the blocked outside update, whatever its density.
+func allBlocked(f *Factors) []bool {
+	b := make([]bool, len(f.Snodes)-1)
+	for i := range b {
+		b[i] = true
+	}
+	return b
+}
+
+// assertBitsEqual compares every L and U value of two factorizations
+// bit for bit, so signed zeros count. Any NaN matches any NaN: IEEE 754
+// leaves payload propagation open and the compiler may order the operands
+// of a commutative multiply either way.
+func assertBitsEqual(t testing.TB, want, got *Factors, ctx string) {
+	t.Helper()
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for i, v := range want.L.Values {
+		if !same(got.L.Values[i], v) {
+			t.Fatalf("%s: L value %d diverges: %v vs %v", ctx, i, got.L.Values[i], v)
+		}
+	}
+	for i, v := range want.U.Values {
+		if !same(got.U.Values[i], v) {
+			t.Fatalf("%s: U value %d diverges: %v vs %v", ctx, i, got.U.Values[i], v)
+		}
+	}
+}
+
+// snodeCase is one input of the supernodal bitwise pins: a square block
+// and its supernode partition.
+type snodeCase struct {
+	name string
+	a    *sparse.CSC
+	xsup []int
+}
+
+// ndSnodeCases replays, on a, the single-thread analysis the fine-ND
+// engine runs before factoring a leaf supernodally: BTF, then for every
+// block big enough for the engine the local bottleneck matching, an AMD
+// ordering of the matched block, and the relaxed supernode partition from
+// its column elimination tree and symmetric column counts. It returns the
+// permuted blocks that carry a wide supernode.
+func ndSnodeCases(tb testing.TB, name string, a *sparse.CSC) []snodeCase {
+	tb.Helper()
+	form, err := btf.Compute(a, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := a.Permute(form.RowPerm, form.ColPerm)
+	var out []snodeCase
+	for blk := 0; blk+1 < len(form.BlockPtr); blk++ {
+		r0, r1 := form.BlockPtr[blk], form.BlockPtr[blk+1]
+		if r1-r0 < max(128, a.N/4) {
+			continue
+		}
+		d := b.ExtractBlock(r0, r1, r0, r1)
+		match, err := matching.Bottleneck(d)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		d = d.Permute(match.RowPerm, sparse.IdentityPerm(d.N))
+		perm := amd.Order(d)
+		d = d.Permute(perm, perm)
+		counts := etree.ColCounts(d, etree.Symmetric(d))
+		xsup := etree.RelaxedSupernodes(etree.ColEtree(d), counts, 8, 64)
+		if len(xsup) < d.N+1 {
+			out = append(out, snodeCase{fmt.Sprintf("%s/%d", name, blk), d, xsup})
+		}
+	}
+	return out
+}
+
+// bitwiseCases gathers the inputs of TestRefreshSupernodeBlockedBitwise:
+// the ND blocks of the Table I suite, the G2_Circuit-, Xyce1- and
+// hcircuit-class benchmark patterns, and synthetic dense-ish blocks.
+func bitwiseCases(tb testing.TB) []snodeCase {
+	var cases []snodeCase
+	for _, m := range matgen.TableISuite(1) {
+		cases = append(cases, ndSnodeCases(tb, m.Name, m.Gen())...)
+	}
+	for _, p := range []struct {
+		name string
+		prm  matgen.CircuitParams
+	}{
+		{"bench-grid3d", matgen.CircuitParams{N: 2700, Core: matgen.CoreGrid3D, ExtraDensity: 0.2, Seed: 120}},
+		{"bench-xyce", matgen.CircuitParams{N: 30000, BTFPct: 21, Blocks: 1000, Core: matgen.CoreLadder, ExtraDensity: 0.4, Seed: 111}},
+		{"bench-hcircuit", matgen.CircuitParams{N: 4800, BTFPct: 13, Blocks: 80, Core: matgen.CoreGrid, ExtraDensity: 0.3, Seed: 117}},
+	} {
+		cases = append(cases, ndSnodeCases(tb, p.name, matgen.Circuit(p.prm))...)
+	}
+	rng := rand.New(rand.NewSource(69))
+	for _, n := range []int{60, 150} {
+		for _, fill := range []float64{0.05, 0.15, 0.35} {
+			a := denseishCSC(rng, n, fill, true)
+			xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 8, 64)
+			cases = append(cases, snodeCase{fmt.Sprintf("denseish-%d-%g", n, fill), a, xsup})
+		}
+	}
+	return cases
+}
+
+// TestRefreshSupernodeBlockedBitwise pins the blocked outside update to the
+// column-at-a-time reference bit for bit, with the blocked path driven on
+// every wide supernode regardless of the density rule: full refresh,
+// selective refresh with every column stamped, and selective refresh with
+// one column stamped. The production rule mix must match too.
+func TestRefreshSupernodeBlockedBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(70))
+	dws := dense.NewWorkspace()
+	ws := NewWorkspace(1)
+	var marked, unmarked int
+	for _, c := range bitwiseCases(t) {
+		n := c.a.N
+		var ref, blk, rule Factors
+		for _, f := range []*Factors{&ref, &blk, &rule} {
+			if err := FactorSupernodalInto(f, c.a, c.xsup, 0, Options{}, ws, dws); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		for s, b := range rule.snBlocked {
+			if c.xsup[s+1]-c.xsup[s] > 1 {
+				if b {
+					marked++
+				} else {
+					unmarked++
+				}
+			}
+		}
+		forced := allBlocked(&blk)
+
+		a2 := perturbSamePattern(rng, c.a)
+		if err := ref.refactorSupernodalReference(a2, ws, dws, nil, 0, nil); err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		if err := blk.refactorSupernodal(a2, ws, dws, nil, 0, nil, forced); err != nil {
+			t.Fatalf("%s: blocked: %v", c.name, err)
+		}
+		assertBitsEqual(t, &ref, &blk, c.name+" full")
+		if err := rule.RefactorSupernodal(a2, ws, dws); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		assertBitsEqual(t, &ref, &rule, c.name+" full, density rule")
+
+		stamp := make([]uint64, n)
+		rrRef, rrBlk := make([]bool, n), make([]bool, n)
+		for i := range stamp {
+			stamp[i] = 1
+		}
+		a3 := perturbSamePattern(rng, c.a)
+		if err := ref.refactorSupernodalReference(a3, ws, dws, stamp, 1, rrRef); err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		if err := blk.refactorSupernodal(a3, ws, dws, stamp, 1, rrBlk, forced); err != nil {
+			t.Fatalf("%s: blocked: %v", c.name, err)
+		}
+		assertBitsEqual(t, &ref, &blk, c.name+" selective, all stamped")
+
+		col := n / 2
+		a4 := a3.Clone()
+		for p := a4.Colptr[col]; p < a4.Colptr[col+1]; p++ {
+			a4.Values[p] *= 1.5
+		}
+		stamp[col] = 2
+		if err := ref.refactorSupernodalReference(a4, ws, dws, stamp, 2, rrRef); err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		if err := blk.refactorSupernodal(a4, ws, dws, stamp, 2, rrBlk, forced); err != nil {
+			t.Fatalf("%s: blocked: %v", c.name, err)
+		}
+		assertBitsEqual(t, &ref, &blk, c.name+" selective, one column stamped")
+		for k := range rrRef {
+			if rrRef[k] != rrBlk[k] {
+				t.Fatalf("%s: rerun[%d] = %v, reference %v", c.name, k, rrBlk[k], rrRef[k])
+			}
+		}
+	}
+	if marked == 0 || unmarked == 0 {
+		t.Fatalf("density rule marks %d wide supernodes blocked and %d not: want both kinds covered", marked, unmarked)
+	}
+}
+
+// TestRefactorSupernodalRejectsPartition: a factor whose supernode
+// partition is missing or does not span 0..n must fail the refresh with
+// the partition error instead of silently refreshing nothing.
+func TestRefactorSupernodalRejectsPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	n := 40
+	a := denseishCSC(rng, n, 0.2, true)
+	xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 8, 64)
+	dws := dense.NewWorkspace()
+	f := &Factors{}
+	if err := FactorSupernodalInto(f, a, xsup, 0, Options{}, nil, dws); err != nil {
+		t.Fatal(err)
+	}
+	stamp := make([]uint64, n)
+	rerun := make([]bool, n)
+	for _, bad := range []struct {
+		name   string
+		snodes []int
+	}{{"nil", nil}, {"truncated", xsup[:len(xsup)-1]}} {
+		f.Snodes = bad.snodes
+		if err := f.RefactorSupernodal(a, nil, dws); err == nil || !strings.Contains(err.Error(), "does not cover") {
+			t.Fatalf("%s partition: RefactorSupernodal err = %v", bad.name, err)
+		}
+		if err := f.RefactorSupernodalSelective(a, nil, dws, stamp, 0, rerun); err == nil || !strings.Contains(err.Error(), "does not cover") {
+			t.Fatalf("%s partition: RefactorSupernodalSelective err = %v", bad.name, err)
+		}
+	}
+}
+
+// FuzzRefactorSupernodal: on a random square pattern with random values
+// (signed zeros and non-finite values included) and a relaxed supernode
+// partition, the blocked refresh on every wide supernode must never panic
+// and must match the reference bit for bit — or fail with the same error.
+func FuzzRefactorSupernodal(f *testing.F) {
+	f.Add(int64(1), uint8(30), uint8(60), uint8(8), uint8(16), uint8(0))
+	f.Add(int64(2), uint8(70), uint8(20), uint8(4), uint8(64), uint8(3))
+	f.Add(int64(3), uint8(12), uint8(200), uint8(16), uint8(5), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, n8, fill8, relax8, maxw8, special8 uint8) {
+		n := 1 + int(n8)%90
+		fill := float64(fill8) / 255
+		special := float64(special8) / 255 / 4
+		rng := rand.New(rand.NewSource(seed))
+		value := func() float64 {
+			if rng.Float64() < special {
+				return []float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN(), 1e-300}[rng.Intn(5)]
+			}
+			return rng.NormFloat64()
+		}
+		coo := sparse.NewCOO(n, n, n)
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				if i == j {
+					coo.Add(i, j, 4+rng.Float64())
+				} else if rng.Float64() < fill {
+					coo.Add(i, j, value())
+				}
+			}
+		}
+		a := coo.ToCSC(false)
+		xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 1+int(relax8)%16, 1+int(maxw8)%64)
+		dws := dense.NewWorkspace()
+		ws := NewWorkspace(n)
+		var ref, blk Factors
+		for _, fc := range []*Factors{&ref, &blk} {
+			if err := FactorSupernodalInto(fc, a, xsup, 0, Options{}, ws, dws); err != nil {
+				return
+			}
+		}
+		a2 := a.Clone()
+		for i := range a2.Values {
+			a2.Values[i] = value()
+		}
+		errRef := ref.refactorSupernodalReference(a2, ws, dws, nil, 0, nil)
+		errBlk := blk.refactorSupernodal(a2, ws, dws, nil, 0, nil, allBlocked(&blk))
+		if fmt.Sprint(errRef) != fmt.Sprint(errBlk) {
+			t.Fatalf("errors diverge: reference %v, blocked %v", errRef, errBlk)
+		}
+		assertBitsEqual(t, &ref, &blk, "fuzz")
+	})
 }
