@@ -461,12 +461,14 @@ func (f *Factorization) RefactorPartialCtx(ctx context.Context, a *Matrix, chang
 }
 
 // RefactorAuto is Refactor with automatic change discovery: incoming values
-// are diffed against the cached previous gather entry by entry, and only
-// the blocks a real change reaches are refreshed. Use it when tracking an
-// explicit change set is impractical; the cost over RefactorPartial is one
-// compare per matrix entry, and a fully-changed matrix degrades gracefully
-// to roughly full-Refactor speed. Pool.Acquire uses this path, so pooled
-// lease holders get incremental refreshes transparently.
+// are compared bit for bit, in one sequential pass, with a snapshot of the
+// values the factorization holds, and only the columns that differ — and
+// the blocks their changes reach — are refreshed. A +0 ↔ −0 restamp counts
+// as a change, a NaN restamped with the same bits does not. Use it when
+// tracking an explicit change set is impractical; the cost over
+// RefactorPartial is that compare pass, and when at least half the columns
+// changed it runs the full Refactor sweep instead. Pool.Acquire uses this
+// path, so pooled lease holders get incremental refreshes transparently.
 //
 // Exclusion and error contracts match Refactor.
 func (f *Factorization) RefactorAuto(a *Matrix) error {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/gp"
 	"repro/internal/matgen"
 )
 
@@ -101,5 +105,114 @@ func FuzzFactorSolve(f *testing.F) {
 			t.Skip()
 		}
 		check("refactor-partial")
+	})
+}
+
+// FuzzRefactorAuto drives RefactorAuto through a restamp sequence on a
+// random matgen class against a twin that runs a full Refactor every step:
+// after each step the factors and permuted values of the two must agree
+// bit for bit, or both calls must fail with the same error class. Each
+// script byte is one step: a restamp below or above the half-the-columns
+// rule, flips of stored zeros between +0 and −0, NaNs restamped with the
+// same bits, planted infinities — or an interleaved Refactor,
+// RefactorPartial or FactorInto on the subject. Fresh-factor arithmetic
+// (FactorInto, a pivot-drift fallback) sums in another order than the
+// refresh, so after it both sides refresh once more before the next step.
+//
+// Run the smoke locally with:
+//
+//	go test -run xxx -fuzz FuzzRefactorAuto -fuzztime=10s ./internal/core
+func FuzzRefactorAuto(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), []byte{0, 2, 2, 3, 3, 1, 0})
+	f.Add(int64(2), uint8(10), uint8(1), []byte{3, 4, 0, 5, 6, 7, 2, 1})
+	f.Add(int64(3), uint8(16), uint8(1), []byte{2, 6, 2, 0, 3, 3, 4, 1, 0})
+	f.Add(int64(4), uint8(21), uint8(0), []byte{1, 0, 7, 0, 5, 2})
+	f.Fuzz(func(t *testing.T, seed int64, class, threads uint8, script []byte) {
+		suite := matgen.TableISuite(0.05)
+		a := suite[int(class)%len(suite)].Gen()
+		sym, err := Analyze(a, optsWithThreads(1+int(threads)%2))
+		if err != nil {
+			t.Skip()
+		}
+		var sub, twin *Numeric
+		for _, p := range []**Numeric{&sub, &twin} {
+			num, err := Factor(a, sym)
+			if err != nil {
+				t.Skip()
+			}
+			if err := num.Refactor(a); err != nil {
+				t.Skip()
+			}
+			*p = num
+		}
+		errClass := func(err error) string {
+			switch {
+			case err == nil:
+				return "nil"
+			case errors.Is(err, gp.ErrSingular):
+				return "singular"
+			}
+			return "other"
+		}
+		// both runs one call on each side and reports whether both succeeded.
+		both := func(ctx string, errSub, errTwin error) bool {
+			if errClass(errSub) != errClass(errTwin) {
+				t.Fatalf("%s: subject %v, twin %v", ctx, errSub, errTwin)
+			}
+			return errSub == nil
+		}
+		rng := rand.New(rand.NewSource(seed))
+		nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+		if len(script) > 16 {
+			script = script[:16]
+		}
+		for step, op := range script {
+			kind := op % 8
+			ctx := fmt.Sprintf("step %d (kind %d)", step, kind)
+			frac := 0.04
+			if kind == 1 {
+				frac = 0.6
+			}
+			cols := matgen.ChangeSet(a.N, frac, rng.Int63(), rng.Intn(2) == 0)
+			for _, j := range cols {
+				for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
+					v, off := a.Values[p], a.Rowidx[p] != j
+					switch {
+					case kind == 2 && off && v == 0:
+						a.Values[p] = math.Copysign(0, -math.Copysign(1, v))
+					case kind == 2 && off && rng.Intn(2) == 0:
+						a.Values[p] = math.Copysign(0, float64(1-2*rng.Intn(2)))
+					case kind == 3 && off && rng.Intn(3) == 0:
+						a.Values[p] = nan
+					case kind == 4 && off && rng.Intn(4) == 0:
+						a.Values[p] = math.Inf(1 - 2*rng.Intn(2))
+					case kind < 2 || kind > 4:
+						a.Values[p] = v * (0.85 + 0.3*rng.Float64())
+					}
+				}
+			}
+			fallbacks := sub.PivotFallbacks() + twin.PivotFallbacks()
+			var errSub, errTwin error
+			switch kind {
+			case 5:
+				errSub, errTwin = sub.Refactor(a), twin.Refactor(a)
+			case 6:
+				errSub, errTwin = sub.RefactorPartial(a, cols), twin.Refactor(a)
+			case 7:
+				errSub, errTwin = sub.FactorInto(a), twin.FactorInto(a)
+			default:
+				errSub, errTwin = sub.RefactorAuto(a), twin.Refactor(a)
+			}
+			if !both(ctx, errSub, errTwin) {
+				return // values unspecified on both sides
+			}
+			assertSameFactors(t, twin, sub, ctx)
+			if kind == 7 || sub.PivotFallbacks()+twin.PivotFallbacks() != fallbacks {
+				if !both(ctx+" re-normalize", sub.Refactor(a), twin.Refactor(a)) {
+					return
+				}
+				assertSameFactors(t, twin, sub, ctx+" re-normalize")
+			}
+		}
 	})
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/sparse"
 	"repro/internal/trace"
@@ -14,8 +16,8 @@ import (
 // sweep skips work at — coarse BTF blocks, the dirty columns inside a
 // diagonal block (gp.RefactorSelective recomputes their dependency
 // closure alone), and the (row-node, column-node) pairs of each fine-ND
-// block's 2D hierarchy. All marking is O(size of the change set); nothing
-// here allocates after construction.
+// block's 2D hierarchy — plus RefactorAuto's value snapshot. All marking
+// is O(size of the change set), and a steady state allocates nothing.
 type incState struct {
 	// permColOf[j] is the permuted column position of original column j
 	// (the inverse of Sym.ColPerm).
@@ -36,14 +38,17 @@ type incState struct {
 	// slice and concurrent block refreshes never share state.
 	colStamp []uint64
 	rerun    []bool
-	// aDst/aPos are the reverse scatter map of the diagonal-block gathers:
-	// permuted entry t lands at aDst[t].Values[aPos[t]] (nil for coarse
-	// off-diagonal entries, which live in permuted storage only). Marking a
-	// changed entry forwards its value straight into the small-block or
-	// 2D-hierarchy input storage, so the partial sweep never re-extracts a
-	// block and the marking cost stays proportional to the change set.
-	aDst []*sparse.CSC
-	aPos []int
+	// snap is RefactorAuto's copy, in the caller's (original) entry order,
+	// of the values permuted storage holds, so change discovery is one
+	// sequential compare against the incoming values. Built by the first
+	// RefactorAuto; snapOK is false whenever another writer (a full sweep's
+	// gather, RefactorPartial's column gathers, an injected NaN) may have
+	// made permuted storage differ from it, and the next RefactorAuto then
+	// rebuilds it once from permuted storage.
+	snap   []float64
+	snapOK bool
+	// changed is the reusable list of original columns the compare found.
+	changed []int
 	// dirty counts the coarse blocks marked this epoch.
 	dirty int
 }
@@ -107,21 +112,12 @@ func (num *Numeric) ensureIncremental() {
 		nd:        make([]*ndIncState, nblocks),
 		colStamp:  make([]uint64, sym.N),
 		rerun:     make([]bool, sym.N),
-		aDst:      make([]*sparse.CSC, num.Perm.Nnz()),
-		aPos:      make([]int, num.Perm.Nnz()),
 	}
 	for k, j := range sym.ColPerm {
 		inc.permColOf[j] = k
 	}
 	for blk := 0; blk < nblocks; blk++ {
-		switch sym.kind[blk] {
-		case blockSmall:
-			sub := num.smallIn[blk]
-			for q, src := range num.plan.smallSrc[blk] {
-				inc.aDst[src] = sub
-				inc.aPos[src] = q
-			}
-		case blockND:
+		if sym.kind[blk] == blockND {
 			ns := sym.ndsym[blk]
 			bs := sym.BlockPtr[blk+1] - sym.BlockPtr[blk]
 			st := &ndIncState{
@@ -146,10 +142,13 @@ func (num *Numeric) ensureIncremental() {
 		}
 	}
 	num.inc = inc
-	for blk := 0; blk < nblocks; blk++ {
-		if sym.kind[blk] == blockND {
-			num.remapBlockDst(blk)
-		}
+}
+
+// staleSnapshot records that permuted storage was written behind
+// RefactorAuto's snapshot.
+func (num *Numeric) staleSnapshot() {
+	if num.inc != nil {
+		num.inc.snapOK = false
 	}
 }
 
@@ -161,14 +160,14 @@ func (num *Numeric) ensureIncremental() {
 // its factored values — inside a dirty fine-ND block the skipped kernels'
 // completion flags are pre-armed, so the rerun kernels synchronize
 // point-to-point and fall back per block exactly like Refactor, while the
-// sweep touches only what the perturbation reaches. Columns not listed must hold values identical to
-// the previous refresh (Factor, FactorInto, Refactor, RefactorPartial or
-// RefactorAuto — whichever last ran, including a failed attempt); listing
-// extra unchanged columns is allowed and merely wastes work. The sparsity
-// pattern must match the analyzed one: dimensions, the column pointers and
-// every changed column's rows are verified, while unchanged columns are
-// trusted (the full O(nnz) verification of Refactor would dwarf a small
-// change set).
+// sweep touches only what the perturbation reaches. Columns not listed must
+// hold values identical to the previous refresh (Factor, FactorInto,
+// Refactor, RefactorPartial or RefactorAuto — whichever last ran,
+// including a failed attempt); listing extra unchanged columns is allowed
+// and merely wastes work. The sparsity pattern must match the analyzed
+// one: dimensions, the column pointers and every changed column's rows are
+// verified, while unchanged columns are trusted (the full O(nnz)
+// verification of Refactor would dwarf a small change set).
 //
 // The exclusion and error contracts are Refactor's: no concurrent solves,
 // and on error the values are unspecified until a subsequent refresh
@@ -222,20 +221,24 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 	}
 	inc.epoch++
 	inc.dirty = 0
+	inc.snapOK = false
 	for _, j := range changed {
-		num.gatherChangedColumn(a, inc.permColOf[j])
+		num.diffColumn(a, inc.permColOf[j], true)
 	}
 	return num.partialSweep(ctx)
 }
 
 // RefactorAuto is Refactor with automatic change discovery: the incoming
-// values are diffed against the cached previous gather while they are
-// scattered into permuted storage, and the sweep then refreshes only the
-// blocks the diff reached — callers that cannot (or do not want to) track
-// their own change sets get the incremental fast path transparently, for
-// one compare per entry on top of the gather Refactor already performs. A
-// fully-changed matrix degrades gracefully to roughly full-sweep cost (the
-// diff pass replaces the flat gather).
+// values are compared bit for bit, in one sequential pass, with a snapshot
+// of the values the factorization holds; only the columns that differ are
+// scattered into permuted storage and diffed entry by entry there, and the
+// sweep then refreshes only the blocks those entries reach — callers that
+// cannot (or do not want to) track their own change sets get the
+// incremental fast path transparently, for a compare pass over the values
+// plus work proportional to the change. When at least half the columns
+// changed it runs the flat full sweep instead, which keeps a fully-changed
+// matrix at full-Refactor cost. Bitwise comparison makes a +0 ↔ −0
+// restamp a change and a NaN restamped with the same bits none.
 //
 // Exclusion and error contracts are Refactor's.
 func (num *Numeric) RefactorAuto(a *sparse.CSC) error {
@@ -257,12 +260,86 @@ func (num *Numeric) RefactorAutoCtx(ctx context.Context, a *sparse.CSC) (err err
 	}
 	num.ensureIncremental()
 	inc := num.inc
+	num.syncSnapshot()
+	changed := inc.diffSnapshot(a)
+	if len(changed)*2 >= num.Sym.N {
+		// The compare already copied a into the snapshot, and the full
+		// sweep's gather leaves permuted storage agreeing with it.
+		err := num.fullSweep(ctx, modeRefresh, a)
+		inc.snapOK = true
+		return err
+	}
 	inc.epoch++
 	inc.dirty = 0
-	for k := 0; k < num.Sym.N; k++ {
-		num.diffColumn(a, k)
+	for _, j := range changed {
+		num.diffColumn(a, inc.permColOf[j], false)
 	}
 	return num.partialSweep(ctx)
+}
+
+// syncSnapshot makes RefactorAuto's snapshot equal to the values permuted
+// storage holds, allocating it on first use and regathering it through the
+// permutation map when a writer has marked it stale.
+func (num *Numeric) syncSnapshot() {
+	inc := num.inc
+	if inc.snapOK {
+		return
+	}
+	pm, pv := num.plan.permMap, num.Perm.Values
+	if inc.snap == nil {
+		inc.snap = make([]float64, len(pm))
+	}
+	for t, s := range pm {
+		inc.snap[s] = pv[t]
+	}
+	inc.snapOK = true
+}
+
+// diffSnapshot compares a's values with the snapshot bit for bit, eight
+// entries per branch, copies every differing value into the snapshot, and
+// returns the original columns holding one, ascending. It stops listing
+// columns once half of them changed: the caller then sweeps everything.
+func (inc *incState) diffSnapshot(a *sparse.CSC) []int {
+	sv, colptr := inc.snap, a.Colptr
+	av := a.Values[:len(sv)]
+	out := inc.changed[:0]
+	// last is the column listed last and end its end: entries before end
+	// belong to columns already listed.
+	last, end := -1, 0
+	// slow records the differing entries of [t0, t1).
+	slow := func(t0, t1 int) {
+		for t := t0; t < t1; t++ {
+			if math.Float64bits(sv[t]) == math.Float64bits(av[t]) {
+				continue
+			}
+			sv[t] = av[t]
+			if t < end || len(out)*2 >= a.N {
+				continue
+			}
+			idx, _ := slices.BinarySearch(colptr[last+1:], t+1)
+			last += idx
+			end = colptr[last+1]
+			out = append(out, last)
+		}
+	}
+	t := 0
+	for ; t+8 <= len(sv); t += 8 {
+		s, v := sv[t:t+8:t+8], av[t:t+8:t+8]
+		// ^ and | share a precedence level in Go: every XOR is parenthesized.
+		if (math.Float64bits(s[0])^math.Float64bits(v[0]))|
+			(math.Float64bits(s[1])^math.Float64bits(v[1]))|
+			(math.Float64bits(s[2])^math.Float64bits(v[2]))|
+			(math.Float64bits(s[3])^math.Float64bits(v[3]))|
+			(math.Float64bits(s[4])^math.Float64bits(v[4]))|
+			(math.Float64bits(s[5])^math.Float64bits(v[5]))|
+			(math.Float64bits(s[6])^math.Float64bits(v[6]))|
+			(math.Float64bits(s[7])^math.Float64bits(v[7])) != 0 {
+			slow(t, t+8)
+		}
+	}
+	slow(t, len(sv))
+	inc.changed = out
+	return out
 }
 
 // partialSweep runs the sweep over the blocks the marking phase dirtied.
@@ -294,54 +371,20 @@ func (st *ndIncState) markNDNode(jn, c int, epoch uint64) {
 	}
 }
 
-// gatherChangedColumn scatters permuted column k of a into permuted storage
-// and, through the reverse scatter map, into the owning block's input
-// storage, marking the dirty structures as it goes — the explicit
-// change-set path, which trusts the caller that any entry of the column may
-// have changed.
-func (num *Numeric) gatherChangedColumn(a *sparse.CSC, k int) {
-	sym, pl, inc := num.Sym, num.plan, num.inc
-	perm := num.Perm
-	p0, p1 := perm.Colptr[k], perm.Colptr[k+1]
-	sparse.GatherRange(perm, a, pl.permMap, p0, p1)
-	blk := sym.blockOf[k]
-	r0 := sym.BlockPtr[blk]
-	inc.colStamp[k] = inc.epoch
-	num.markDirtyBlock(blk)
-	pv := perm.Values
-	if sym.kind[blk] != blockND {
-		for t := p0; t < p1; t++ {
-			if d := inc.aDst[t]; d != nil {
-				d.Values[inc.aPos[t]] = pv[t]
-			}
-		}
-		return
-	}
-	st := inc.nd[blk]
-	nb := sym.ndsym[blk].nb
-	jn := st.nodeOf[k-r0]
-	st.markNDNode(jn, st.colOf[k-r0], inc.epoch)
-	for t := p0; t < p1; t++ {
-		d := inc.aDst[t]
-		if d == nil {
-			continue // coarse off-diagonal entry: permuted storage only
-		}
-		d.Values[inc.aPos[t]] = pv[t]
-		st.pairStamp[st.nodeOf[perm.Rowidx[t]-r0]*nb+jn] = inc.epoch
-	}
-}
-
 // diffColumn scatters permuted column k of a into permuted storage entry by
-// entry, comparing against the resident values; real changes are forwarded
-// through the reverse scatter map and mark the dirty structures, but only
-// when they land inside the diagonal block (coarse off-diagonal entries
-// feed solves straight from permuted storage and never dirty a factor).
-func (num *Numeric) diffColumn(a *sparse.CSC, k int) {
+// entry, comparing bit for bit against the resident values (all counts
+// every entry as changed: the explicit change-set path trusts its caller).
+// Changes inside the diagonal block (rows BlockPtr[blk] ≤ r <
+// BlockPtr[blk+1]) mark the dirty structures, and the column is then
+// re-gathered into the block's input storage; changes to coarse
+// off-diagonal entries only update permuted storage, which solves read
+// them from, and never dirty a factor.
+func (num *Numeric) diffColumn(a *sparse.CSC, k int, all bool) {
 	sym, pl, inc := num.Sym, num.plan, num.inc
 	perm := num.Perm
 	p0, p1 := perm.Colptr[k], perm.Colptr[k+1]
 	blk := sym.blockOf[k]
-	r0 := sym.BlockPtr[blk]
+	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 	nd := sym.kind[blk] == blockND
 	var st *ndIncState
 	var nb, jn int
@@ -354,18 +397,17 @@ func (num *Numeric) diffColumn(a *sparse.CSC, k int) {
 	inBlock := false
 	for t := p0; t < p1; t++ {
 		v := av[pl.permMap[t]]
-		if pv[t] == v {
+		if !all && math.Float64bits(pv[t]) == math.Float64bits(v) {
 			continue
 		}
 		pv[t] = v
-		d := inc.aDst[t]
-		if d == nil {
+		r := perm.Rowidx[t]
+		if r < r0 || r >= r1 {
 			continue
 		}
-		d.Values[inc.aPos[t]] = v
 		inBlock = true
 		if nd {
-			st.pairStamp[st.nodeOf[perm.Rowidx[t]-r0]*nb+jn] = inc.epoch
+			st.pairStamp[st.nodeOf[r-r0]*nb+jn] = inc.epoch
 		}
 	}
 	if !inBlock {
@@ -376,28 +418,26 @@ func (num *Numeric) diffColumn(a *sparse.CSC, k int) {
 	if nd {
 		st.markNDNode(jn, st.colOf[k-r0], inc.epoch)
 	}
+	num.regatherBlockColumn(blk, k)
 }
 
-// remapBlockDst re-points the reverse scatter map at coarse block blk's
-// current input storage — required after an ND pivot-drift fallback
-// replaces the whole 2D hierarchy (small-block fallbacks keep their gather
-// target, so only fine-ND blocks ever need this).
-func (num *Numeric) remapBlockDst(blk int) {
-	inc := num.inc
-	if inc == nil {
+// regatherBlockColumn refreshes permuted column k's slice of coarse block
+// blk's input storage from permuted storage, through the forward entry maps
+// the full sweeps gather with: the small block's column, or column k's
+// column of every input block (i, node of k) of the 2D hierarchy.
+func (num *Numeric) regatherBlockColumn(blk, k int) {
+	sym, perm := num.Sym, num.Perm
+	c := k - sym.BlockPtr[blk]
+	if sym.kind[blk] != blockND {
+		sub := num.smallIn[blk]
+		sparse.GatherRange(sub, perm, num.plan.smallSrc[blk], sub.Colptr[c], sub.Colptr[c+1])
 		return
 	}
-	ndn := num.nd[blk]
-	for i := range ndn.aSrc {
-		for j, src := range ndn.aSrc[i] {
-			if src == nil {
-				continue
-			}
-			b := ndn.a[i][j]
-			for q, s := range src {
-				inc.aDst[s] = b
-				inc.aPos[s] = q
-			}
+	st, ndn := num.inc.nd[blk], num.nd[blk]
+	jn, col := st.nodeOf[c], st.colOf[c]
+	for i := range ndn.a {
+		if d := ndn.a[i][jn]; d != nil {
+			sparse.GatherRange(d, perm, ndn.aSrc[i][jn], d.Colptr[col], d.Colptr[col+1])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,28 +11,34 @@ import (
 	"repro/internal/sparse"
 )
 
-// assertSameFactors compares every factored value of two numerics bitwise:
-// small-block L/U values and pivots, and each fine-ND block's diagonal
-// factors, lower and upper off-diagonal blocks. Both numerics must be in
-// refactorization arithmetic (one full Refactor after Factor) — Factor and
-// Refactor sum column updates in different orders, so bitwise comparison is
-// only meaningful between Refactor-produced values.
-func assertSameFactors(t *testing.T, want, got *Numeric, ctx string) {
+// assertSameFactors compares every factored value of two numerics bit for
+// bit (math.Float64bits, so +0 and −0 differ and a NaN matches only the
+// same NaN): small-block L/U values and pivots, each fine-ND block's
+// diagonal factors, lower and upper off-diagonal blocks, and the permuted
+// values. Both numerics must be in refactorization arithmetic (one full
+// Refactor after Factor) — Factor and Refactor sum column updates in
+// different orders, so bitwise comparison is only meaningful between
+// Refactor-produced values.
+func assertSameFactors(t testing.TB, want, got *Numeric, ctx string) {
 	t.Helper()
 	sym := want.Sym
+	cmpVals := func(a, b []float64, what string) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %s: %d vs %d entries", ctx, what, len(b), len(a))
+		}
+		for i, v := range a {
+			if math.Float64bits(b[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: %s diverges at entry %d: %v vs %v", ctx, what, i, b[i], v)
+			}
+		}
+	}
 	cmpCSC := func(a, b *sparse.CSC, what string) {
 		t.Helper()
 		if a == nil && b == nil {
 			return
 		}
-		if len(a.Values) != len(b.Values) {
-			t.Fatalf("%s: %s: %d vs %d entries", ctx, what, len(b.Values), len(a.Values))
-		}
-		for i, v := range a.Values {
-			if b.Values[i] != v {
-				t.Fatalf("%s: %s diverges at entry %d: %v vs %v", ctx, what, i, b.Values[i], v)
-			}
-		}
+		cmpVals(a.Values, b.Values, what)
 	}
 	cmpFactors := func(a, b *gp.Factors, what string) {
 		t.Helper()
@@ -67,11 +74,7 @@ func assertSameFactors(t *testing.T, want, got *Numeric, ctx string) {
 		}
 	}
 	// The solve also reads permuted off-block values: compare them too.
-	for i, v := range want.Perm.Values {
-		if got.Perm.Values[i] != v {
-			t.Fatalf("%s: permuted values diverge at entry %d", ctx, i)
-		}
-	}
+	cmpVals(want.Perm.Values, got.Perm.Values, "permuted values")
 }
 
 // TestRefactorPartialSuiteEquivalence is the suite-wide equivalence sweep:

@@ -53,9 +53,7 @@ func FactorDenseInto(f *Factors, a *sparse.CSC, opts Options, dws *dense.Workspa
 
 	// Emit in pivot order: position k of the panel is pivot row k.
 	nnzHalf := n * (n + 1) / 2
-	f.N = n
-	f.L = resetFactorCSC(f.L, n, nnzHalf)
-	f.U = resetFactorCSC(f.U, n, nnzHalf)
+	f.resetPatterns(n, nnzHalf)
 	f.P = sparse.GrowInts(f.P, n)
 	f.Pinv = sparse.GrowInts(f.Pinv, n)
 	f.Flops = 0

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -96,6 +97,12 @@ type Factors struct {
 	// pattern, whether wide supernode s refreshes through the blocked
 	// outside update (see snode.go).
 	snBlocked []bool
+	// urowPtr/urowCol index the pattern of U's strictly-upper part by row:
+	// row j's entries lie in columns urowCol[urowPtr[j]:urowPtr[j+1]],
+	// ascending — the row structure of U (Gilbert & Liu, SIMAX 1993) the
+	// selective refreshes propagate their closure forward along. Built by
+	// the first selective refresh, emptied wherever a pattern is emitted.
+	urowPtr, urowCol []int32
 }
 
 // NnzLU reports nnz(L)+nnz(U) counting both diagonals once each (the |L+U|
@@ -187,9 +194,7 @@ func FactorInto(f *Factors, a *sparse.CSC, estNnz int, opts Options, ws *Workspa
 	if estNnz < a.Nnz()+n {
 		estNnz = a.Nnz() + n
 	}
-	f.N = n
-	f.L = resetFactorCSC(f.L, n, estNnz)
-	f.U = resetFactorCSC(f.U, n, estNnz)
+	f.resetPatterns(n, estNnz)
 	f.P = sparse.GrowInts(f.P, n)
 	f.Pinv = sparse.GrowInts(f.Pinv, n)
 	f.Flops = 0
@@ -465,6 +470,58 @@ func (f *Factors) finishPruneEnd() {
 	}
 }
 
+// resetPatterns prepares f for emitting new factor patterns of dimension n:
+// L and U are emptied for refilling and the row index of U, which described
+// the old pattern, is dropped (its capacity kept for the rebuild).
+func (f *Factors) resetPatterns(n, estNnz int) {
+	f.N = n
+	f.L = resetFactorCSC(f.L, n, estNnz)
+	f.U = resetFactorCSC(f.U, n, estNnz)
+	f.urowPtr = f.urowPtr[:0]
+}
+
+// upperRows builds the row index of U's strictly-upper pattern unless it is
+// current: one counting pass and one filling pass over U. int32 suffices
+// for any block whose U holds fewer than 2³¹ entries.
+func (f *Factors) upperRows() {
+	n := f.N
+	if len(f.urowPtr) == n+1 {
+		return
+	}
+	u := f.U
+	ptr := slices.Grow(f.urowPtr[:0], n+1)[:n+1]
+	clear(ptr)
+	for k := 0; k < n; k++ {
+		for _, j := range u.Rowidx[u.Colptr[k] : u.Colptr[k+1]-1] {
+			ptr[j+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		ptr[j+1] += ptr[j]
+	}
+	col := slices.Grow(f.urowCol[:0], int(ptr[n]))[:ptr[n]]
+	// Fill with ptr[j] as row j's cursor (columns visited ascending, so each
+	// row comes out sorted), then shift the cursors back into row starts.
+	for k := 0; k < n; k++ {
+		for _, j := range u.Rowidx[u.Colptr[k] : u.Colptr[k+1]-1] {
+			col[ptr[j]] = int32(k)
+			ptr[j]++
+		}
+	}
+	copy(ptr[1:], ptr[:n])
+	ptr[0] = 0
+	f.urowPtr, f.urowCol = ptr, col
+}
+
+// markDependents flags rerun on every column whose U pattern holds a row in
+// [k0, k1) — the columns whose elimination consumes those factor columns.
+// The row index must be current (upperRows).
+func (f *Factors) markDependents(k0, k1 int, rerun []bool) {
+	for _, c := range f.urowCol[f.urowPtr[k0]:f.urowPtr[k1]] {
+		rerun[c] = true
+	}
+}
+
 // resetFactorCSC prepares an n×n factor for refilling, reusing the entry
 // slices' capacity when possible.
 func resetFactorCSC(c *sparse.CSC, n, estNnz int) *sparse.CSC {
@@ -698,10 +755,11 @@ func (f *Factors) Refactor(a *sparse.CSC, ws *Workspace) error {
 // consumes — and skipped otherwise, its values provably identical to what
 // a full Refactor would produce. rerun must have length n; it is
 // overwritten with the computed closure so the caller can inspect what
-// reran. The skipped-column scan costs one walk of U's pattern, orders of
-// magnitude below the arithmetic it avoids, which is what makes localized
-// change sets cheap even inside a large diagonal block whose fill-reducing
-// ordering scattered them.
+// reran. The closure runs forward: each recomputed column marks its row of
+// U's pattern (the row index is built on the first selective refresh), so
+// beyond one pass over the stamps the bookkeeping costs as much as the
+// closure it finds — which is what makes localized change sets cheap even
+// inside a large diagonal block whose fill-reducing ordering scattered them.
 func (f *Factors) RefactorSelective(a *sparse.CSC, ws *Workspace, colStamp []uint64, epoch uint64, rerun []bool) error {
 	n := f.N
 	if a.M != n || a.N != n {
@@ -712,25 +770,18 @@ func (f *Factors) RefactorSelective(a *sparse.CSC, ws *Workspace, colStamp []uin
 	} else {
 		ws.Grow(n)
 	}
+	f.upperRows()
+	clear(rerun[:n])
 	x := ws.X
 	for k := 0; k < n; k++ {
-		need := colStamp[k] == epoch
-		if !need {
-			up0, up1 := f.U.Colptr[k], f.U.Colptr[k+1]
-			for p := up0; p < up1-1; p++ {
-				if rerun[f.U.Rowidx[p]] {
-					need = true
-					break
-				}
-			}
-		}
-		rerun[k] = need
-		if !need {
+		if !rerun[k] && colStamp[k] != epoch {
 			continue
 		}
+		rerun[k] = true
 		if err := f.refactorColumn(a, x, k); err != nil {
 			return err
 		}
+		f.markDependents(k, k+1, rerun)
 	}
 	return nil
 }

@@ -115,9 +115,7 @@ func FactorSupernodalInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opt
 	if estNnz < a.Nnz()+n {
 		estNnz = a.Nnz() + n
 	}
-	f.N = n
-	f.L = resetFactorCSC(f.L, n, estNnz)
-	f.U = resetFactorCSC(f.U, n, estNnz)
+	f.resetPatterns(n, estNnz)
 	f.P = sparse.GrowInts(f.P, n)
 	f.Pinv = sparse.GrowInts(f.Pinv, n)
 	f.Flops = 0
@@ -453,9 +451,13 @@ func (f *Factors) refactorSupernodal(a *sparse.CSC, ws *Workspace, dws *dense.Wo
 	} else {
 		ws.Grow(n)
 	}
+	if colStamp != nil {
+		f.upperRows()
+		clear(rerun[:n])
+	}
 	for s := 0; s+1 < len(xsup); s++ {
 		k0, k1 := xsup[s], xsup[s+1]
-		if colStamp != nil && !f.snodeNeedsRerun(k0, k1, colStamp, epoch, rerun) {
+		if colStamp != nil && !snodeDirty(k0, k1, colStamp, epoch, rerun) {
 			continue
 		}
 		var err error
@@ -467,35 +469,26 @@ func (f *Factors) refactorSupernodal(a *sparse.CSC, ws *Workspace, dws *dense.Wo
 		if err != nil {
 			return err
 		}
+		if colStamp != nil {
+			f.markDependents(k0, k1, rerun)
+		}
 	}
 	return nil
 }
 
-// snodeNeedsRerun applies the selective closure rule to supernode
-// [k0, k1) and records the verdict in rerun for each of its columns.
-func (f *Factors) snodeNeedsRerun(k0, k1 int, colStamp []uint64, epoch uint64, rerun []bool) bool {
-	need := false
-	for k := k0; k < k1 && !need; k++ {
-		if colStamp[k] == epoch {
-			need = true
-			break
-		}
-		up0, up1 := f.U.Colptr[k], f.U.Colptr[k+1]
-		for p := up0; p < up1-1; p++ {
-			r := f.U.Rowidx[p]
-			if r >= k0 {
-				break // supernode triangle: own columns, covered above
-			}
-			if rerun[r] {
-				need = true
-				break
-			}
-		}
-	}
+// snodeDirty applies the selective closure rule to supernode [k0, k1): it
+// reruns when a column's input changed or an earlier rerun column marked
+// one of its columns forward, and the verdict covers all its columns.
+func snodeDirty(k0, k1 int, colStamp []uint64, epoch uint64, rerun []bool) bool {
 	for k := k0; k < k1; k++ {
-		rerun[k] = need
+		if rerun[k] || colStamp[k] == epoch {
+			for j := k0; j < k1; j++ {
+				rerun[j] = true
+			}
+			return true
+		}
 	}
-	return need
+	return false
 }
 
 // refreshSupernode refreshes the wide supernode [k0, k1) in place: the

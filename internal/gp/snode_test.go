@@ -561,6 +561,62 @@ func (f *Factors) refactorSupernodalReference(a *sparse.CSC, ws *Workspace, dws 
 	return nil
 }
 
+// snodeNeedsRerun is the backward form of the selective closure rule, kept
+// as the reference of the forward closure: supernode [k0, k1) reruns when a
+// column's input changed or an already-rerun column appears in one of its
+// outside U patterns, and the verdict is recorded for each of its columns.
+func (f *Factors) snodeNeedsRerun(k0, k1 int, colStamp []uint64, epoch uint64, rerun []bool) bool {
+	need := false
+	for k := k0; k < k1 && !need; k++ {
+		if colStamp[k] == epoch {
+			need = true
+			break
+		}
+		up0, up1 := f.U.Colptr[k], f.U.Colptr[k+1]
+		for p := up0; p < up1-1; p++ {
+			r := f.U.Rowidx[p]
+			if r >= k0 {
+				break // supernode triangle: own columns, covered above
+			}
+			if rerun[r] {
+				need = true
+				break
+			}
+		}
+	}
+	for k := k0; k < k1; k++ {
+		rerun[k] = need
+	}
+	return need
+}
+
+// refactorSelectiveScan is RefactorSelective with the closure found by a
+// backward scan of every column's U pattern — the reference the forward
+// closure must reproduce exactly.
+func (f *Factors) refactorSelectiveScan(a *sparse.CSC, ws *Workspace, colStamp []uint64, epoch uint64, rerun []bool) error {
+	ws.Grow(f.N)
+	for k := 0; k < f.N; k++ {
+		need := colStamp[k] == epoch
+		if !need {
+			up0, up1 := f.U.Colptr[k], f.U.Colptr[k+1]
+			for p := up0; p < up1-1; p++ {
+				if rerun[f.U.Rowidx[p]] {
+					need = true
+					break
+				}
+			}
+		}
+		rerun[k] = need
+		if !need {
+			continue
+		}
+		if err := f.refactorColumn(a, ws.X, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // allBlocked returns a blocked-rule slice that sends every wide supernode
 // of f through the blocked outside update, whatever its density.
 func allBlocked(f *Factors) []bool {

@@ -408,6 +408,10 @@ func TestServeRefreshSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("status %d, %d response bytes", w.status, w.n)
 		}
 	}
+	// One P: sync.Pool keeps a put item in the putting P's private slot,
+	// which no other P can steal, so a request that migrates between Ps
+	// would allocate a fresh scratch and measure the scheduler instead.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < 3; i++ {
 		serveOne() // sizes the scratch, builds the refresh plan
 	}
