@@ -342,11 +342,12 @@ func (f *Factorization) SolveCtx(ctx context.Context, b []float64) error {
 }
 
 // SolveMany solves A·xᵢ = bᵢ in place for every right-hand side. The batch
-// is cut into panels of 8 vectors; each panel is gathered into a
-// row-interleaved buffer (row i of all 8 vectors is one cache line) and
-// runs a single back-substitution sweep in which every factor entry — small
-// blocks, the fine-ND block, off-block couplings — is loaded once and
-// applied to all 8 lanes, and panels are dealt to the solver's worker
+// is cut into panels of 8 vectors; each panel is packed once, in the
+// factorization's pivot order, into a row-interleaved buffer (row i of all
+// 8 vectors is one cache line) and runs a single back-substitution sweep in
+// which every diagonal block is solved in place and every factor entry —
+// small blocks, the fine-ND block, off-block couplings — is loaded once and
+// applied to all 8 lanes; panels are dealt to the solver's worker
 // goroutines. Allocation-free in steady state on the serial path. Each bᵢ
 // must have length n (checked up front, before any vector is touched). Per
 // right-hand side the floating-point operation order is Solve's, so every

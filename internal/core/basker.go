@@ -43,10 +43,14 @@ type Symbolic struct {
 	// blockOf[i] is the coarse block containing permuted row/column i,
 	// built once at analysis time (NnzLU and the trisolve dependency
 	// builder both need it; rebuilding it per call was measurable).
-	blockOf []int
-	// scratchLen is the pivot-application scratch length a reentrant solve
-	// must provide: the largest fine-ND tree-block dimension or fine-BTF
-	// block dimension across all coarse blocks.
+	blockOf []int32
+	// colPos[j] is the permuted position of original column j, the inverse
+	// of ColPerm: the solves unpack solutions and the incremental paths
+	// locate changed columns through it.
+	colPos []int32
+	// scratchLen is the pivot-application scratch length the transposed
+	// solve must provide: the largest fine-ND tree-block dimension or
+	// fine-BTF block dimension across all coarse blocks.
 	scratchLen int
 	// plan caches the entry maps from the analyzed matrix's pattern into the
 	// permuted matrix and every diagonal block, so every sweep starts from a
@@ -74,6 +78,11 @@ type factorPlan struct {
 	perm *sparse.CSC
 	// permMap sends entry t of perm to its source entry in the caller's CSC.
 	permMap []int
+	// offPtr[c]..offPtr[c+1] number the coarse off-block entries of permuted
+	// column c: the leading entries of the (row-sorted) column, those above
+	// its diagonal block. The solves walk them through this prefix count
+	// instead of comparing rows, and Numeric.offRow holds their rows.
+	offPtr []int32
 	// smallPat/smallSrc cache each small diagonal block's pattern and its
 	// entry map into the permuted matrix.
 	smallPat []*sparse.CSC
@@ -143,12 +152,11 @@ func (s *Symbolic) BlockRange(blk int) (int, int) {
 func (s *Symbolic) IsND(blk int) bool { return s.kind[blk] == blockND }
 
 // BlockOf reports the coarse block containing permuted index i.
-func (s *Symbolic) BlockOf(i int) int { return s.blockOf[i] }
+func (s *Symbolic) BlockOf(i int) int { return int(s.blockOf[i]) }
 
-// SolveScratchLen reports the scratch length required by SolveBlock and
-// SolveInto: the largest diagonal sub-block dimension over all coarse
-// blocks (fine-BTF block size or fine-ND tree-block size).
-func (s *Symbolic) SolveScratchLen() int { return s.scratchLen }
+// ColPos returns the inverse of ColPerm: ColPos()[j] is the permuted
+// position of original column j. Read-only.
+func (s *Symbolic) ColPos() []int32 { return s.colPos }
 
 // NumNDBlocks reports how many coarse blocks use the fine-ND engine.
 func (s *Symbolic) NumNDBlocks() int { return len(s.ndBlocks) }
@@ -162,6 +170,17 @@ type Numeric struct {
 	// nnzLU caches |L+U|, recounted at the end of every sweep that built or
 	// replaced factors so Stats and FillDensity never recount it.
 	nnzLU int
+	// rowPos and offRow are the forward solves' pivot-order layout, rebuilt
+	// next to nnzLU (never inside a solve: solves are concurrent readers).
+	// rowPos[i] is the position of caller row i in pivot order — RowPerm
+	// composed with every small block's and every fine-ND tree block's row
+	// pivots — so a right-hand side is permuted once on the way in and every
+	// diagonal block is then solved in place. offRow lists the rows of the
+	// coarse off-block entries (plan.offPtr numbers them column by column)
+	// in the pivot order of the blocks they target; Perm's pattern is shared
+	// with the plan and keeps the unpivoted rows.
+	rowPos []int32
+	offRow []int32
 	// SyncWaits aggregates contended point-to-point waits (ablation metric);
 	// SyncWaitNs aggregates the wall-clock nanoseconds those blocked waits
 	// (and barrier waits) cost across the last numeric sweep — the
@@ -367,10 +386,10 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	sym.kind = make([]blockKind, nblocks)
 	sym.ndsym = make([]*ndSym, nblocks)
 	sym.estNnz = make([]int, nblocks)
-	sym.blockOf = make([]int, n)
+	sym.blockOf = make([]int32, n)
 	for blk := 0; blk < nblocks; blk++ {
 		for i := sym.BlockPtr[blk]; i < sym.BlockPtr[blk+1]; i++ {
-			sym.blockOf[i] = blk
+			sym.blockOf[i] = int32(blk)
 		}
 	}
 
@@ -451,6 +470,10 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 		}
 	}
 	sym.RowPerm, sym.ColPerm = rowPerm, colPerm
+	sym.colPos = make([]int32, n)
+	for k, j := range colPerm {
+		sym.colPos[j] = int32(k)
+	}
 
 	// ---- Partition small blocks among threads by estimated flops
 	// (longest-processing-time greedy, Algorithm 2 line 5).
@@ -507,6 +530,14 @@ func newFactorPlan(sym *Symbolic, a *sparse.CSC) *factorPlan {
 		smallPat: make([]*sparse.CSC, nblocks),
 		smallSrc: make([][]int, nblocks),
 		grids:    make([]*ndGrid, nblocks),
+		offPtr:   make([]int32, sym.N+1),
+	}
+	for c := 0; c < sym.N; c++ {
+		r0, p := sym.BlockPtr[sym.blockOf[c]], perm.Colptr[c]
+		for p < perm.Colptr[c+1] && perm.Rowidx[p] < r0 {
+			p++
+		}
+		pl.offPtr[c+1] = pl.offPtr[c] + int32(p-perm.Colptr[c])
 	}
 	parallelBlocks(nblocks, sym.Opts.threads(), func(blk, _ int) {
 		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
@@ -966,7 +997,8 @@ func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC
 //     (ErrInternalPanic), cancellation marker, first per-block error.
 //     Nothing below touches block storage unless every slot was set.
 //  5. on success: aggregate the ND teams' sync counters and simulated
-//     makespans, recount |L+U| if factors were built or replaced.
+//     makespans; if factors were built or replaced, recount |L+U| and
+//     rebuild the solves' pivot-order layout.
 //  6. poison: the numeric is poisoned exactly when the sweep returns an
 //     error — its values are unspecified — and the next successful sweep
 //     clears it: an incremental call on a poisoned numeric runs a full
@@ -1059,6 +1091,7 @@ func (num *Numeric) runSweep(ctx context.Context, mode sweepMode, dirty *incStat
 	}
 	if mode == modeFactor || num.refit.Swap(false) {
 		num.nnzLU = num.countNnzLU()
+		num.buildSolveLayout()
 	}
 	done = true
 	return nil
@@ -1234,101 +1267,6 @@ func (num *Numeric) compactStorage() {
 	for _, ndn := range num.nd {
 		if ndn != nil {
 			ndn.compactStorage()
-		}
-	}
-}
-
-// Solve solves A x = rhs in place. It allocates its scratch; concurrent
-// and allocation-free solves go through the internal/trisolve subsystem,
-// which feeds caller-owned workspaces to SolveInto.
-func (num *Numeric) Solve(rhs []float64) {
-	n := num.Sym.N
-	num.SolveInto(rhs, make([]float64, n), make([]float64, num.Sym.SolveScratchLen()))
-}
-
-// SolveInto solves A x = rhs in place using caller-provided scratch: y must
-// have length n, scratch at least Sym.SolveScratchLen(). It performs no
-// allocation and is safe for concurrent use on one Numeric (each caller
-// brings its own y and scratch), as long as no Refactor runs concurrently.
-func (num *Numeric) SolveInto(rhs, y, scratch []float64) {
-	sym := num.Sym
-	n := sym.N
-	for k := 0; k < n; k++ {
-		y[k] = rhs[sym.RowPerm[k]]
-	}
-	// Coarse block back-substitution, last block first (upper BTF).
-	for blk := sym.NumBlocks() - 1; blk >= 0; blk-- {
-		num.SolveBlock(blk, y, scratch)
-		num.OffBlockUpdate(blk, y)
-	}
-	for k := 0; k < n; k++ {
-		rhs[sym.ColPerm[k]] = y[k]
-	}
-}
-
-// SolveBlock solves coarse diagonal block blk against the permuted vector
-// y (full length n; only y[r0:r1] is touched). scratch needs at least
-// Sym.SolveScratchLen() elements.
-func (num *Numeric) SolveBlock(blk int, y, scratch []float64) {
-	sym := num.Sym
-	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-	switch sym.kind[blk] {
-	case blockSmall:
-		num.small[blk].SolveWith(y[r0:r1], scratch)
-	case blockND:
-		num.nd[blk].ndSolve(y[r0:r1], scratch)
-	}
-}
-
-// SolvePanel runs the coarse BTF back-substitution over a row-interleaved
-// panel: y[i] holds permuted row i of all gp.PanelLanes right-hand sides
-// (already in row-permuted order), so every entry of the diagonal-block
-// factors, the fine-ND couplings and the off-block columns is loaded once
-// and applied to eight contiguous lanes. scratch needs at least
-// Sym.SolveScratchLen() rows. Per lane the operation sequence is the serial
-// sweep's of SolveInto.
-func (num *Numeric) SolvePanel(y, scratch []gp.PanelRow) {
-	sym, perm := num.Sym, num.Perm
-	for blk := sym.NumBlocks() - 1; blk >= 0; blk-- {
-		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-		switch sym.kind[blk] {
-		case blockSmall:
-			num.small[blk].SolvePanelWith(y[r0:r1], scratch)
-		case blockND:
-			num.nd[blk].ndSolvePanel(y[r0:r1], scratch)
-		}
-		// Off-block couplings: the rows above the diagonal block lead each
-		// (sorted) column of the permuted matrix.
-		for c := r0; c < r1; c++ {
-			p0, p1 := perm.Colptr[c], perm.Colptr[c+1]
-			pEnd := p0
-			for pEnd < p1 && perm.Rowidx[pEnd] < r0 {
-				pEnd++
-			}
-			if x := &y[c]; pEnd > p0 && !x.IsZero() {
-				gp.PanelAxpy(y, perm.Rowidx[p0:pEnd], perm.Values[p0:pEnd], x)
-			}
-		}
-	}
-}
-
-// OffBlockUpdate subtracts block blk's solution from earlier rows of y
-// (entries above the diagonal block in its columns) — the coupling step of
-// the coarse BTF back-substitution.
-func (num *Numeric) OffBlockUpdate(blk int, y []float64) {
-	sym := num.Sym
-	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-	for c := r0; c < r1; c++ {
-		xc := y[c]
-		if xc == 0 {
-			continue
-		}
-		for p := num.Perm.Colptr[c]; p < num.Perm.Colptr[c+1]; p++ {
-			i := num.Perm.Rowidx[p]
-			if i >= r0 {
-				break
-			}
-			y[i] -= num.Perm.Values[p] * xc
 		}
 	}
 }

@@ -201,7 +201,8 @@ func finiteFactors(f *gp.Factors) bool {
 }
 
 // SolveTransposeInto solves Aᵀ x = rhs in place using caller-provided
-// scratch: y must have length n, scratch at least Sym.SolveScratchLen().
+// scratch: y must have length n, scratch at least the largest diagonal
+// sub-block dimension (Symbolic.scratchLen).
 // With Perm = R A Cᵀ (the BTF+fine permutations), Aᵀ x = rhs reduces to
 // Permᵀ (R x) = C rhs — a block forward substitution, since Permᵀ is block
 // lower triangular. This is the A⁻ᵀ application the Hager/Higham condition
@@ -244,7 +245,7 @@ func (num *Numeric) offBlockUpdateT(blk int, y []float64) {
 
 // SolveBlockTranspose solves coarse diagonal block blk transposed against
 // the permuted vector y (only y[r0:r1) is touched). scratch needs at least
-// Sym.SolveScratchLen() elements.
+// Symbolic.scratchLen elements.
 func (num *Numeric) SolveBlockTranspose(blk int, y, scratch []float64) {
 	sym := num.Sym
 	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
@@ -280,7 +281,7 @@ func (num *Numeric) EstimateRcond() float64 {
 	b := make([]float64, n)
 	x := make([]float64, n)
 	y := make([]float64, n)
-	scratch := make([]float64, num.Sym.SolveScratchLen())
+	scratch := make([]float64, num.Sym.scratchLen)
 
 	for i := range x {
 		x[i] = 1 / float64(n)
@@ -289,7 +290,7 @@ func (num *Numeric) EstimateRcond() float64 {
 	for iter := 0; iter < rcondMaxIter; iter++ {
 		// w = A⁻¹ x ; est = ‖w‖₁.
 		copy(b, x)
-		num.SolveInto(b, y, scratch)
+		num.SolveInto(b, y)
 		cur := 0.0
 		for _, v := range b {
 			cur += math.Abs(v)
@@ -336,7 +337,7 @@ func (num *Numeric) EstimateRcond() float64 {
 		}
 		b[i] = v
 	}
-	num.SolveInto(b, y, scratch)
+	num.SolveInto(b, y)
 	alt := 0.0
 	for _, v := range b {
 		alt += math.Abs(v)

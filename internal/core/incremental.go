@@ -19,9 +19,6 @@ import (
 // block's 2D hierarchy — plus RefactorAuto's value snapshot. All marking
 // is O(size of the change set), and a steady state allocates nothing.
 type incState struct {
-	// permColOf[j] is the permuted column position of original column j
-	// (the inverse of Sym.ColPerm).
-	permColOf []int
 	// epoch stamps the current partial sweep; a dirty mark is live only
 	// when its stamp equals the epoch, so resetting the dirty sets between
 	// sweeps costs one increment.
@@ -107,14 +104,10 @@ func (num *Numeric) ensureIncremental() {
 	sym := num.Sym
 	nblocks := sym.NumBlocks()
 	inc := &incState{
-		permColOf: make([]int, sym.N),
-		blkStamp:  make([]uint64, nblocks),
-		nd:        make([]*ndIncState, nblocks),
-		colStamp:  make([]uint64, sym.N),
-		rerun:     make([]bool, sym.N),
-	}
-	for k, j := range sym.ColPerm {
-		inc.permColOf[j] = k
+		blkStamp: make([]uint64, nblocks),
+		nd:       make([]*ndIncState, nblocks),
+		colStamp: make([]uint64, sym.N),
+		rerun:    make([]bool, sym.N),
 	}
 	for blk := 0; blk < nblocks; blk++ {
 		if sym.kind[blk] == blockND {
@@ -211,7 +204,7 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 		if j < 0 || j >= sym.N {
 			return fmt.Errorf("core: RefactorPartial: column %d out of range", j)
 		}
-		k := inc.permColOf[j]
+		k := sym.colPos[j]
 		p0, p1 := num.Perm.Colptr[k], num.Perm.Colptr[k+1]
 		for t := p0; t < p1; t++ {
 			if s := pl.permMap[t]; a.Rowidx[s] != pl.rowidx[s] {
@@ -223,7 +216,7 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 	inc.dirty = 0
 	inc.snapOK = false
 	for _, j := range changed {
-		num.diffColumn(a, inc.permColOf[j], true)
+		num.diffColumn(a, int(sym.colPos[j]), true)
 	}
 	return num.partialSweep(ctx)
 }
@@ -272,7 +265,7 @@ func (num *Numeric) RefactorAutoCtx(ctx context.Context, a *sparse.CSC) (err err
 	inc.epoch++
 	inc.dirty = 0
 	for _, j := range changed {
-		num.diffColumn(a, inc.permColOf[j], false)
+		num.diffColumn(a, int(num.Sym.colPos[j]), false)
 	}
 	return num.partialSweep(ctx)
 }
@@ -383,7 +376,7 @@ func (num *Numeric) diffColumn(a *sparse.CSC, k int, all bool) {
 	sym, pl, inc := num.Sym, num.plan, num.inc
 	perm := num.Perm
 	p0, p1 := perm.Colptr[k], perm.Colptr[k+1]
-	blk := sym.blockOf[k]
+	blk := sym.BlockOf(k)
 	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 	nd := sym.kind[blk] == blockND
 	var st *ndIncState

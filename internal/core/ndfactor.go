@@ -1130,11 +1130,12 @@ func ancestorAtHeight(s *ndSym, leaf, h int) int {
 	return b
 }
 
-// ndSolve applies the 2D block forward/backward substitution to y (the
-// right-hand side in ND-permuted local coordinates), in place. scratch is
-// caller-provided pivot-application space of at least sym.maxDim elements,
-// so repeated solves stay allocation-free and reentrant.
-func (num *ndNum) ndSolve(y []float64, scratch []float64) {
+// ndSolve applies the 2D block forward/backward substitution to y, the
+// right-hand side in the block's pivot order, in place: every tree block's
+// rows already sit in the order its pivots chose, so each diagonal solve
+// runs in place, and a lower coupling reaches its ancestor's pivot-order
+// rows through the ancestor's Pinv.
+func (num *ndNum) ndSolve(y []float64) {
 	s := num.sym
 	nb := s.nb
 	// Forward: block columns ascending (postorder = matrix order).
@@ -1143,14 +1144,7 @@ func (num *ndNum) ndSolve(y []float64, scratch []float64) {
 		if c0 == c1 {
 			continue
 		}
-		f := num.diag[k]
-		// Apply the block pivot then unit-lower solve.
-		z := scratch[:c1-c0]
-		for i := range z {
-			z[i] = y[c0+f.P[i]]
-		}
-		f.LSolve(z)
-		copy(y[c0:c1], z)
+		num.diag[k].LSolve(y[c0:c1])
 		// Subtract this block's influence on ancestor rows.
 		for _, i := range s.ancestors[k] {
 			lb := num.lower[i][k]
@@ -1158,13 +1152,14 @@ func (num *ndNum) ndSolve(y []float64, scratch []float64) {
 				continue
 			}
 			r0, _ := s.blockRange(i)
+			yi, pinv := y[r0:], num.diag[i].Pinv
 			for c := 0; c < lb.N; c++ {
 				xc := y[c0+c]
 				if xc == 0 {
 					continue
 				}
 				for p := lb.Colptr[c]; p < lb.Colptr[c+1]; p++ {
-					y[r0+lb.Rowidx[p]] -= lb.Values[p] * xc
+					yi[pinv[lb.Rowidx[p]]] -= lb.Values[p] * xc
 				}
 			}
 		}
@@ -1198,10 +1193,10 @@ func (num *ndNum) ndSolve(y []float64, scratch []float64) {
 }
 
 // ndSolvePanel is ndSolve over a row-interleaved panel (y holds the block's
-// rows for all gp.PanelLanes right-hand sides, scratch at least sym.maxDim
-// rows): the same block order, every diagonal factor and coupling block
-// traversed once for the eight lanes.
-func (num *ndNum) ndSolvePanel(y, scratch []gp.PanelRow) {
+// pivot-order rows for all gp.PanelLanes right-hand sides): the same block
+// order, every diagonal factor and coupling block traversed once for the
+// eight lanes.
+func (num *ndNum) ndSolvePanel(y []gp.PanelRow) {
 	s := num.sym
 	nb := s.nb
 	for k := 0; k < nb; k++ {
@@ -1209,17 +1204,11 @@ func (num *ndNum) ndSolvePanel(y, scratch []gp.PanelRow) {
 		if c0 == c1 {
 			continue
 		}
-		f := num.diag[k]
-		z := scratch[:c1-c0]
-		for i := range z {
-			z[i] = y[c0+f.P[i]]
-		}
-		f.LSolvePanel(z)
-		copy(y[c0:c1], z)
+		num.diag[k].LSolvePanel(y[c0:c1])
 		for _, i := range s.ancestors[k] {
 			if lb := num.lower[i][k]; lb != nil {
 				r0, _ := s.blockRange(i)
-				couplePanel(y[r0:], lb, y[c0:c1])
+				couplePanel(y[r0:], lb, num.diag[i].Pinv, y[c0:c1])
 			}
 		}
 	}
@@ -1231,19 +1220,24 @@ func (num *ndNum) ndSolvePanel(y, scratch []gp.PanelRow) {
 		for _, j := range s.ancestors[k] {
 			if ub := num.upper[k][j]; ub != nil {
 				j0, _ := s.blockRange(j)
-				couplePanel(y[c0:], ub, y[j0:])
+				couplePanel(y[c0:], ub, nil, y[j0:])
 			}
 		}
 		num.diag[k].USolvePanel(y[c0:c1])
 	}
 }
 
-// couplePanel subtracts coupling block b times the solved rows x from y.
-func couplePanel(y []gp.PanelRow, b *sparse.CSC, x []gp.PanelRow) {
+// couplePanel subtracts coupling block b times the solved rows x from y,
+// reaching b's rows through pos when it is non-nil.
+func couplePanel(y []gp.PanelRow, b *sparse.CSC, pos []int, x []gp.PanelRow) {
 	for c := 0; c < b.N; c++ {
 		if xc := &x[c]; !xc.IsZero() {
 			p0, p1 := b.Colptr[c], b.Colptr[c+1]
-			gp.PanelAxpy(y, b.Rowidx[p0:p1], b.Values[p0:p1], xc)
+			if pos == nil {
+				gp.PanelAxpy(y, b.Rowidx[p0:p1], b.Values[p0:p1], xc)
+			} else {
+				gp.PanelAxpyVia(y, pos, b.Rowidx[p0:p1], b.Values[p0:p1], xc)
+			}
 		}
 	}
 }

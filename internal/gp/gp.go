@@ -612,20 +612,13 @@ func dfs(start int, l *sparse.CSC, pinv []int, xi []int, top int, pstack, mark [
 	return top
 }
 
-// Solve solves A x = b in place using the factors (b becomes x).
+// Solve solves A x = b in place using the factors (b becomes x). It
+// allocates the pivoted copy of b; the block solves of the engine keep their
+// right-hand sides in pivot order and call LSolve and USolve directly.
 func (f *Factors) Solve(b []float64) {
-	f.SolveWith(b, make([]float64, f.N))
-}
-
-// SolveWith is Solve with caller-provided pivot-application scratch of at
-// least N elements: no allocation, safe for concurrent use on immutable
-// factors when each caller brings its own scratch.
-func (f *Factors) SolveWith(b, scratch []float64) {
-	n := f.N
-	// y = P b
-	y := scratch[:n]
-	for k := 0; k < n; k++ {
-		y[k] = b[f.P[k]]
+	y := make([]float64, f.N)
+	for k, p := range f.P[:f.N] {
+		y[k] = b[p]
 	}
 	f.LSolve(y)
 	f.USolve(y)
@@ -647,11 +640,12 @@ func (r *PanelRow) IsZero() bool {
 }
 
 // PanelAxpy applies one sparse column to a panel: y[rows[q]] -= vals[q]·x
-// on all eight lanes. Every panel sweep — L, U, the fine-ND coupling
-// blocks and the coarse off-block columns — is this loop: each (row, value)
-// entry is decoded once and applied to eight contiguous lanes. Lanes of x
-// that are zero are updated with ±0, which leaves finite values unchanged.
-func PanelAxpy(y []PanelRow, rows []int, vals []float64, x *PanelRow) {
+// on all eight lanes. The coupling sweeps — the fine-ND coupling blocks and
+// the coarse off-block columns, whose pivot-order rows are int32 — are this
+// loop: each (row, value) entry is decoded once and applied to eight
+// contiguous lanes. Lanes of x that are zero are updated with ±0, which
+// leaves finite values unchanged.
+func PanelAxpy[I int | int32](y []PanelRow, rows []I, vals []float64, x *PanelRow) {
 	vals = vals[:len(rows)]
 	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 	for q, i := range rows {
@@ -667,44 +661,80 @@ func PanelAxpy(y []PanelRow, rows []int, vals []float64, x *PanelRow) {
 	}
 }
 
-// SolvePanelWith is SolveWith over a row-interleaved panel: b holds the N
-// rows of the block for all eight right-hand sides, scratch at least N
-// rows. Per lane the floating-point operation sequence is SolveWith's, so
-// for finite factors every component compares == with it.
-func (f *Factors) SolvePanelWith(b, scratch []PanelRow) {
-	y := scratch[:f.N]
-	for k, p := range f.P[:f.N] {
-		y[k] = b[p]
+// PanelAxpyVia is PanelAxpy with every row reached through pos:
+// y[pos[rows[q]]] -= vals[q]·x. A fine-ND lower coupling holds its
+// ancestor's unpivoted rows and reaches the pivot-order ones through the
+// ancestor's Pinv.
+func PanelAxpyVia(y []PanelRow, pos, rows []int, vals []float64, x *PanelRow) {
+	vals = vals[:len(rows)]
+	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+	for q, i := range rows {
+		v, r := vals[q], &y[pos[i]]
+		r[0] -= v * x0
+		r[1] -= v * x1
+		r[2] -= v * x2
+		r[3] -= v * x3
+		r[4] -= v * x4
+		r[5] -= v * x5
+		r[6] -= v * x6
+		r[7] -= v * x7
 	}
-	f.LSolvePanel(y)
-	f.USolvePanel(y)
-	copy(b, y)
 }
 
-// LSolvePanel is LSolve over a row-interleaved panel: one pass over L.
+// LSolvePanel is LSolve over a row-interleaved panel (y in pivot order):
+// one pass over L, every entry applied to the eight lanes in this loop.
+// Per lane the floating-point operation sequence is LSolve's, so for finite
+// factors every component compares == with it.
 func (f *Factors) LSolvePanel(y []PanelRow) {
-	l := f.L
+	lp, li, lx := f.L.Colptr, f.L.Rowidx, f.L.Values
 	for j := 0; j < f.N; j++ {
-		p0, p1 := l.Colptr[j]+1, l.Colptr[j+1]
-		if x := &y[j]; p0 < p1 && !x.IsZero() {
-			PanelAxpy(y, l.Rowidx[p0:p1], l.Values[p0:p1], x)
+		p0, p1 := lp[j]+1, lp[j+1]
+		x := &y[j]
+		if p0 == p1 || x.IsZero() {
+			continue
+		}
+		x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+		vals := lx[p0:p1]
+		for q, i := range li[p0:p1] {
+			v, r := vals[q], &y[i]
+			r[0] -= v * x0
+			r[1] -= v * x1
+			r[2] -= v * x2
+			r[3] -= v * x3
+			r[4] -= v * x4
+			r[5] -= v * x5
+			r[6] -= v * x6
+			r[7] -= v * x7
 		}
 	}
 }
 
 // USolvePanel is USolve over a row-interleaved panel: one backward pass
-// over U.
+// over U, the eight quotients of a column held in locals while its entries
+// are applied.
 func (f *Factors) USolvePanel(y []PanelRow) {
-	u := f.U
+	up, ui, ux := f.U.Colptr, f.U.Rowidx, f.U.Values
 	for j := f.N - 1; j >= 0; j-- {
-		p0, p1 := u.Colptr[j], u.Colptr[j+1]-1
-		piv := u.Values[p1] // diagonal is the largest row index: last
+		p0, p1 := up[j], up[j+1]-1
+		piv := ux[p1] // diagonal is the largest row index: last
 		x := &y[j]
-		for l := range x {
-			x[l] /= piv
+		x0, x1, x2, x3 := x[0]/piv, x[1]/piv, x[2]/piv, x[3]/piv
+		x4, x5, x6, x7 := x[4]/piv, x[5]/piv, x[6]/piv, x[7]/piv
+		*x = PanelRow{x0, x1, x2, x3, x4, x5, x6, x7}
+		if p0 == p1 || x.IsZero() {
+			continue
 		}
-		if p0 < p1 && !x.IsZero() {
-			PanelAxpy(y, u.Rowidx[p0:p1], u.Values[p0:p1], x)
+		vals := ux[p0:p1]
+		for q, i := range ui[p0:p1] {
+			v, r := vals[q], &y[i]
+			r[0] -= v * x0
+			r[1] -= v * x1
+			r[2] -= v * x2
+			r[3] -= v * x3
+			r[4] -= v * x4
+			r[5] -= v * x5
+			r[6] -= v * x6
+			r[7] -= v * x7
 		}
 	}
 }

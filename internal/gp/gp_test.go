@@ -178,11 +178,16 @@ func TestSolvePanelMatchesSolve(t *testing.T) {
 			}
 			f.Solve(want[l])
 		}
-		f.SolvePanelWith(panel, make([]PanelRow, n))
-		for i := range panel {
+		y := make([]PanelRow, n) // the panel in pivot order
+		for k, p := range f.P[:n] {
+			y[k] = panel[p]
+		}
+		f.LSolvePanel(y)
+		f.USolvePanel(y)
+		for i := range y {
 			for l, w := range want {
-				if panel[i][l] != w[i] {
-					t.Fatalf("n=%d row %d lane %d: panel %v != solve %v", n, i, l, panel[i][l], w[i])
+				if y[i][l] != w[i] {
+					t.Fatalf("n=%d row %d lane %d: panel %v != solve %v", n, i, l, y[i][l], w[i])
 				}
 			}
 		}

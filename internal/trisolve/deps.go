@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/sparse"
 	"repro/internal/trace"
 )
 
@@ -18,13 +17,16 @@ import (
 // column ascending, then position ascending — so the parallel sweep is
 // bit-for-bit identical to the serial one), and deps[i] lists the distinct
 // source blocks, descending. The structure depends only on the sparsity
-// pattern and therefore survives Refactor.
+// pattern and therefore survives Refactor and FactorInto: a feed names its
+// entry, and the pivot-order row it targets is read from the numeric's
+// OffRows at solve time.
 func (s *Solver) buildDeps() {
 	s.depOnce.Do(func() {
 		sym := s.num.Sym
 		perm := s.num.Perm
 		nb := sym.NumBlocks()
 		feeds := make([][]feed, nb)
+		q := int32(0) // OffRows index: off-block entries in column order
 		for c := 0; c < sym.N; c++ {
 			r0, _ := sym.BlockRange(sym.BlockOf(c))
 			for p := perm.Colptr[c]; p < perm.Colptr[c+1]; p++ {
@@ -33,7 +35,8 @@ func (s *Solver) buildDeps() {
 					break // columns are row-sorted; the rest is diagonal-block
 				}
 				bi := sym.BlockOf(i)
-				feeds[bi] = append(feeds[bi], feed{int32(i), int32(c), int32(p)})
+				feeds[bi] = append(feeds[bi], feed{q, int32(c), int32(p)})
+				q++
 			}
 		}
 		deps := make([][]int, nb)
@@ -53,9 +56,6 @@ func (s *Solver) buildDeps() {
 			}
 		}
 		s.feeds, s.deps = feeds, deps
-		// Inverse column permutation for SolutionClosure and BlockOfColumn;
-		// built here so per-step closure queries allocate only their result.
-		s.colPos = sparse.InversePerm(sym.ColPerm)
 	})
 }
 
@@ -63,11 +63,11 @@ func (s *Solver) buildDeps() {
 // -1 when j is out of range (mirroring SolutionClosure, which skips
 // out-of-range columns instead of panicking — the two are used together).
 func (s *Solver) BlockOfColumn(j int) int {
-	s.buildDeps()
-	if j < 0 || j >= len(s.colPos) {
+	sym := s.num.Sym
+	if j < 0 || j >= sym.N {
 		return -1
 	}
-	return s.num.Sym.BlockOf(s.colPos[j])
+	return sym.BlockOf(int(sym.ColPos()[j]))
 }
 
 // SolutionClosure reports which coarse blocks' solution components can
@@ -89,12 +89,12 @@ func (s *Solver) SolutionClosure(changedCols []int) []bool {
 	perm := num.Perm
 	nb := sym.NumBlocks()
 	dirty := make([]bool, nb)
-	colPos := s.colPos
+	colPos := sym.ColPos()
 	for _, c := range changedCols {
 		if c < 0 || c >= sym.N {
 			continue
 		}
-		k := colPos[c]
+		k := int(colPos[c])
 		bj := sym.BlockOf(k)
 		r0, _ := sym.BlockRange(bj)
 		for p := perm.Colptr[k]; p < perm.Colptr[k+1]; p++ {
@@ -142,9 +142,10 @@ func (s *Solver) solveBlockParallel(ctx context.Context, rhs []float64) error {
 	n := sym.N
 	ws := s.pool.get()
 	y := ws.y
-	for k := 0; k < n; k++ {
-		y[k] = rhs[sym.RowPerm[k]]
+	for i, p := range num.RowPos() {
+		y[p] = rhs[i]
 	}
+	offRow := num.OffRows()
 	nb := sym.NumBlocks()
 	stall := sym.Opts.StallTimeout
 	armed := core.MonitorArmed(ctx, stall)
@@ -187,11 +188,6 @@ func (s *Solver) solveBlockParallel(ctx context.Context, rhs []float64) error {
 				}
 			}()
 			inject.WorkerPanic(faultinject.SweepSolve, w)
-			wws := ws
-			if w != 0 {
-				wws = s.pool.get()
-				defer s.pool.put(wws)
-			}
 			// Descending order per worker: every dependency points at a
 			// strictly later block, so the schedule is acyclic and
 			// deadlock-free. When traced, each block's event spans the
@@ -218,10 +214,10 @@ func (s *Solver) solveBlockParallel(ctx context.Context, rhs []float64) error {
 				t0 := rec.Now()
 				for _, f := range s.feeds[blk] {
 					if xc := y[f.col]; xc != 0 {
-						y[f.row] -= num.Perm.Values[f.p] * xc
+						y[offRow[f.q]] -= num.Perm.Values[f.p] * xc
 					}
 				}
-				num.SolveBlock(blk, y, wws.scratch)
+				num.SolveBlock(blk, y)
 				if rec != nil {
 					rec.Record(trace.Event{Start: t0, End: rec.Now(), Wait: waitNs,
 						Worker: trace.SolveWorker(w), Block: int32(blk), Kind: trace.KindSolveBlock, Phase: trace.PhaseSolve})

@@ -10,20 +10,21 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestPanelGolden pins the row-interleaved panel sweep to the per-vector
-// solve: on every matgen class, with the rows in many small BTF blocks, in
-// one fine-ND block or split between them, factored serially and by four
-// threads, SolveMany and SolveMatrix must agree with Solve component-wise
-// (==) for batch sizes on both sides of every panel boundary.
-func TestPanelGolden(t *testing.T) {
+// panelMatrix is one input of the panel tests: a matgen class with the rows
+// in many small BTF blocks, in one fine-ND block or split between them.
+type panelMatrix struct {
+	name          string
+	a             *sparse.CSC
+	minBlocks, nd int // coarse BTF blocks at least, fine-ND blocks exactly
+}
+
+// panelMatrices are the inputs of TestPanelGolden and TestSolveGolden,
+// factored with Options.BigBlockMin = 32.
+func panelMatrices() []panelMatrix {
 	circuit := func(btfPct float64, blocks int, kind matgen.CoreKind, seed int64) *sparse.CSC {
 		return matgen.Circuit(matgen.CircuitParams{N: 500, BTFPct: btfPct, Blocks: blocks, Core: kind, ExtraDensity: 0.3, Seed: seed})
 	}
-	matrices := []struct {
-		name          string
-		a             *sparse.CSC
-		minBlocks, nd int // coarse BTF blocks at least, fine-ND blocks exactly
-	}{
+	return []panelMatrix{
 		{"ladder/btf", circuit(100, 60, matgen.CoreLadder, 1), 60, 0},
 		{"ladder/nd", circuit(0, 1, matgen.CoreLadder, 2), 1, 1},
 		{"ladder/mixed", circuit(40, 30, matgen.CoreLadder, 3), 30, 1},
@@ -35,8 +36,16 @@ func TestPanelGolden(t *testing.T) {
 		{"mesh3d", matgen.Mesh3D(7, 9), 1, 1},
 		{"powergrid", matgen.PowerGrid(500, 25, 10), 20, 0},
 	}
+}
+
+// TestPanelGolden pins the row-interleaved panel sweep to the per-vector
+// solve: on every matgen class, with the rows in many small BTF blocks, in
+// one fine-ND block or split between them, factored serially and by four
+// threads, SolveMany and SolveMatrix must agree with Solve component-wise
+// (==) for batch sizes on both sides of every panel boundary.
+func TestPanelGolden(t *testing.T) {
 	const maxK = 67
-	for _, m := range matrices {
+	for _, m := range panelMatrices() {
 		n := m.a.N
 		// Dense vectors with one all-zero right-hand side, and vectors that
 		// are all zero on the same leading 70 % of the rows, so whole panel

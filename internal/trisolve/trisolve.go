@@ -5,23 +5,30 @@
 // many right-hand sides and many concurrent scenarios, so this package
 // provides
 //
-//   - reentrant solves: every per-call scratch buffer (the permuted RHS,
-//     the diagonal-block pivot scratch formerly allocated inside ndSolve
-//     and gp.Solve, refinement residuals, the multi-RHS panel) lives in a
+//   - reentrant solves: every per-call scratch buffer (the pivot-order
+//     RHS, refinement residuals, the multi-RHS panel) lives in a
 //     sync.Pool-backed Workspace, so any number of goroutines can solve
 //     against one factorization with zero steady-state allocation;
+//   - solves in pivot order: a right-hand side is permuted once on the way
+//     in, through the numeric's composed row map core.Numeric.RowPos
+//     (RowPerm and every diagonal block's row pivots), and once on the way
+//     out, through ColPerm; every diagonal block is solved in place and the
+//     couplings target pivot-order rows, so no block gathers through its
+//     pivots or needs scratch;
 //   - row-interleaved multi-RHS solves: SolveMany and SolveMatrix cut the
-//     batch into panels of gp.PanelLanes (8) vectors and gather each panel
-//     through RowPerm into one []gp.PanelRow, where row i of all eight
-//     vectors is a single 64-byte cache line. The whole back-substitution
-//     then runs on that layout — the small diagonal blocks, the fine-ND
-//     block's diagonal factors and coupling blocks, and the coarse
-//     off-block columns all go through one kernel, gp.PanelAxpy, that
-//     loads a factor entry once and applies it to eight contiguous lanes
-//     (the data layout matched to the memory hierarchy, as the paper's 2D
-//     layout does for the factorization). A column is skipped only when
-//     all eight lanes are zero; a short tail repeats live vectors in the
-//     spare lanes, and a one-vector panel is a plain solve;
+//     batch into panels of gp.PanelLanes (8) vectors and pack each panel
+//     into one []gp.PanelRow, where row i of all eight vectors is a single
+//     64-byte cache line: the pack streams the caller's vectors and writes
+//     each row whole at its pivot position, the unpack reads each row
+//     through the inverse of ColPerm, so a panel touches one random cache
+//     line per row. The whole back-substitution then runs on that layout —
+//     the small diagonal blocks, the fine-ND block's diagonal factors and
+//     coupling blocks, and the coarse off-block columns each load a factor
+//     entry once and apply it to eight contiguous lanes (the data layout
+//     matched to the memory hierarchy, as the paper's 2D layout does for
+//     the factorization). A column is skipped only when all eight lanes are
+//     zero; a short tail repeats live vectors in the spare lanes, and a
+//     one-vector panel is a plain solve;
 //   - scheduled parallelism: panels are dealt to worker goroutines through
 //     an atomic cursor, and single-RHS solves on matrices with many coarse
 //     blocks run a dependency-scheduled parallel block sweep that reuses
@@ -83,20 +90,19 @@ type Solver struct {
 	pool     *wsPool
 
 	// Block-dependency structure for the parallel sweep, built lazily once
-	// (the pattern is immutable across Refactor). colPos is the inverse
-	// column permutation SolutionClosure maps changed columns through.
+	// (the pattern is immutable across Refactor).
 	depOnce sync.Once
 	feeds   [][]feed
 	deps    [][]int
-	colPos  []int
 }
 
-// feed is one off-block coupling entry: y[row] -= Perm.Values[p] · y[col].
-// Positions are stored as indices into the permuted matrix so the values
-// stay current across Refactor, which rebuilds Perm with an identical
-// layout.
+// feed is one off-block coupling entry:
+// y[OffRows[q]] -= Perm.Values[p] · y[col]. It is stored as indices — into
+// the numeric's pivot-order off-block rows and into the permuted matrix —
+// so rows and values stay current across Refactor and FactorInto, which
+// keep both layouts and rewrite their contents.
 type feed struct {
-	row, col, p int32
+	q, col, p int32
 }
 
 // New returns a Solver over num.
@@ -165,7 +171,7 @@ func (s *Solver) SolveCtx(ctx context.Context, b []float64) (err error) {
 	}
 	ws := s.pool.get()
 	defer s.pool.put(ws)
-	s.num.SolveInto(b, ws.y, ws.scratch)
+	s.num.SolveInto(b, ws.y)
 	return nil
 }
 
@@ -304,38 +310,51 @@ func (s *Solver) solveManyParallel(ctx context.Context, r rhsBatch, npanels, nw 
 }
 
 // solvePanel solves right-hand sides lo..lo+gp.PanelLanes of r (fewer in
-// the batch's tail) with a single pooled workspace: gather them through
-// RowPerm into the row-interleaved panel, run the core panel sweep, and
-// scatter them back through ColPerm.
+// the batch's tail) with a single pooled workspace: pack them into the
+// row-interleaved panel in pivot order, run the core panel sweep, and
+// unpack the solution. Both passes stream the caller's vectors in order and
+// touch one 64-byte panel row per row: the pack writes row i of all eight
+// vectors at its pivot position RowPos[i], the unpack reads the row of
+// column j at ColPos[j].
 func (s *Solver) solvePanel(r *rhsBatch, lo int) {
 	ws := s.pool.get()
 	defer s.pool.put(ws)
-	sym := s.num.Sym
-	n := sym.N
+	n := s.num.Sym.N
 	live := min(gp.PanelLanes, r.k-lo)
 	if live == 1 {
 		// A one-vector panel (k == 1, or a tail of one) is a plain solve.
-		s.num.SolveInto(r.col(lo), ws.y, ws.scratch)
+		s.num.SolveInto(r.col(lo), ws.y)
 		return
 	}
 	// Lanes past a short tail repeat live vectors; their results are dropped.
 	var b [gp.PanelLanes][]float64
 	for l := range b {
-		b[l] = r.col(lo + l%live)[:n]
+		b[l] = r.col(lo + l%live)
 	}
-	y, scratch := ws.panelBufs(sym)
-	for i, p := range sym.RowPerm[:n] {
-		row := &y[i]
-		for l, x := range &b {
-			row[l] = x[p]
-		}
+	b0, b1, b2, b3 := b[0][:n], b[1][:n], b[2][:n], b[3][:n]
+	b4, b5, b6, b7 := b[4][:n], b[5][:n], b[6][:n], b[7][:n]
+	y := ws.panelBuf(n)
+	for i, p := range s.num.RowPos()[:n] {
+		row := &y[p]
+		row[0], row[1], row[2], row[3] = b0[i], b1[i], b2[i], b3[i]
+		row[4], row[5], row[6], row[7] = b4[i], b5[i], b6[i], b7[i]
 	}
-	s.num.SolvePanel(y, scratch)
-	for i, p := range sym.ColPerm[:n] {
-		row := &y[i]
-		for l, x := range b[:live] {
-			x[p] = row[l]
+	s.num.SolvePanel(y)
+	colPos := s.num.Sym.ColPos()[:n]
+	if live < gp.PanelLanes {
+		for j, k := range colPos {
+			row := &y[k]
+			for l, x := range b[:live] {
+				x[j] = row[l]
+			}
 		}
+		return
+	}
+	// A full panel, the common case, unpacks without the per-lane loop.
+	for j, k := range colPos {
+		row := &y[k]
+		b0[j], b1[j], b2[j], b3[j] = row[0], row[1], row[2], row[3]
+		b4[j], b5[j], b6[j], b7[j] = row[4], row[5], row[6], row[7]
 	}
 }
 
@@ -401,7 +420,7 @@ func (s *Solver) SolveRefinedCtx(ctx context.Context, a *sparse.CSC, b []float64
 	n := a.N
 	r, rhs, den := ws.refine(n)
 	copy(rhs, b)
-	s.num.SolveInto(b, ws.y, ws.scratch)
+	s.num.SolveInto(b, ws.y)
 	scale := 0.0
 	for _, v := range rhs {
 		if v := math.Abs(v); v > scale {
@@ -435,7 +454,7 @@ func (s *Solver) SolveRefinedCtx(ctx context.Context, a *sparse.CSC, b []float64
 			return res, nil
 		}
 		prev = omega
-		s.num.SolveInto(r, ws.y, ws.scratch)
+		s.num.SolveInto(r, ws.y)
 		for i := range b {
 			b[i] += r[i]
 		}

@@ -8,20 +8,17 @@ import (
 )
 
 // Workspace holds every per-call scratch buffer of the solve phase: the
-// permuted right-hand side, the pivot-application scratch that used to be
-// allocated inside ndSolve/gp.Solve, the iterative-refinement residuals,
-// and the row-interleaved panel of the multi-RHS sweep. Workspaces are owned
+// pivot-order right-hand side, the iterative-refinement residuals, and the
+// row-interleaved panel of the multi-RHS sweep. Workspaces are owned
 // by a Solver's sync.Pool, so steady-state solves allocate nothing and any
 // number of goroutines can solve concurrently, each with its own set.
 type Workspace struct {
-	y       []float64 // permuted RHS, length n
-	scratch []float64 // diagonal-block pivot scratch, length SolveScratchLen
-	r       []float64 // refinement residual, length n (lazily sized)
-	rhs     []float64 // refinement saved RHS, length n (lazily sized)
-	den     []float64 // Oettli–Prager denominator |A||x|+|b|, length n (lazily sized)
+	y   []float64 // pivot-order RHS, length n
+	r   []float64 // refinement residual, length n (lazily sized)
+	rhs []float64 // refinement saved RHS, length n (lazily sized)
+	den []float64 // Oettli–Prager denominator |A||x|+|b|, length n (lazily sized)
 
-	panel        []gp.PanelRow // row-interleaved multi-RHS panel, n rows (lazily sized)
-	panelScratch []gp.PanelRow // pivot scratch of the panel sweep, SolveScratchLen rows (lazily sized)
+	panel []gp.PanelRow // row-interleaved multi-RHS panel, n rows (lazily sized)
 
 	// sig is the per-call point-to-point fabric of the parallel block
 	// sweep. The resettable epoch variant lives in the pooled workspace so
@@ -49,10 +46,7 @@ func (w *Workspace) signals(nb int) *core.EpochSignals {
 }
 
 func newWorkspace(sym *core.Symbolic) *Workspace {
-	return &Workspace{
-		y:       make([]float64, sym.N),
-		scratch: make([]float64, sym.SolveScratchLen()),
-	}
+	return &Workspace{y: make([]float64, sym.N)}
 }
 
 // refine returns the residual, saved-RHS and backward-error denominator
@@ -67,14 +61,13 @@ func (w *Workspace) refine(n int) (r, rhs, den []float64) {
 	return w.r[:n], w.rhs[:n], w.den[:n]
 }
 
-// panelBufs returns the row-interleaved panel and its pivot scratch,
-// sizing them on first use so callers that only ever Solve pay for neither.
-func (w *Workspace) panelBufs(sym *core.Symbolic) (panel, scratch []gp.PanelRow) {
+// panelBuf returns the row-interleaved panel, sizing it on first use so
+// callers that only ever Solve never pay for it.
+func (w *Workspace) panelBuf(n int) []gp.PanelRow {
 	if w.panel == nil {
-		w.panel = make([]gp.PanelRow, sym.N)
-		w.panelScratch = make([]gp.PanelRow, sym.SolveScratchLen())
+		w.panel = make([]gp.PanelRow, n)
 	}
-	return w.panel, w.panelScratch
+	return w.panel
 }
 
 // wsPool is a typed sync.Pool of Workspaces for one factorization shape.
