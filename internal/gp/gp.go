@@ -625,6 +625,26 @@ func (f *Factors) Solve(b []float64) {
 	copy(b, y)
 }
 
+// The panel kernels. A panel holds PanelLanes right-hand sides
+// row-interleaved, so a sweep loads each factor entry once and applies it
+// to eight contiguous lanes. The diagonal-block sweeps LSolvePanel and
+// USolvePanel are most of a batched solve and the package's one use of the
+// CPU's vector units, the third level of hardware parallelism the paper
+// maps onto: on amd64 with AVX2 they run assembly kernels (panel_amd64.s)
+// that hold a PanelRow in two 4-lane registers and sweep up to panelChunk
+// columns per call. Other architectures, CPUs without AVX2 and
+// race-detector builds (the detector cannot see the memory accesses of
+// assembly) run the Go loops lsolvePanelGo and usolvePanelGo, which also
+// stay the kernels' test reference.
+//
+// Both paths give the same bits. The kernels multiply, then subtract
+// (VMULPD, VSUBPD; VDIVPD for U's quotients) and never fuse the two into an
+// FMA, which the Go compiler does not do on amd64 either, so every lane is
+// rounded exactly as the Go loops' scalar MULSD, SUBSD and DIVSD, in the
+// same order. The kernels check what the Go loops' bounds checks do (each
+// column's entry range, U's pivot slot, every row against the panel), so a
+// corrupt factor panics without a write outside y.
+
 // PanelLanes is the width of a row-interleaved right-hand-side panel: row i
 // of all eight vectors is one PanelRow, one 64-byte cache line.
 const PanelLanes = 8
@@ -682,10 +702,22 @@ func PanelAxpyVia(y []PanelRow, pos, rows []int, vals []float64, x *PanelRow) {
 }
 
 // LSolvePanel is LSolve over a row-interleaved panel (y in pivot order):
-// one pass over L, every entry applied to the eight lanes in this loop.
-// Per lane the floating-point operation sequence is LSolve's, so for finite
-// factors every component compares == with it.
+// one pass over L, every entry applied to the eight lanes. Per lane the
+// floating-point operation sequence is LSolve's, so for finite factors
+// every component compares == with it. It runs the AVX2 kernel where there
+// is one and the Go loop elsewhere, with the same bits (see the panel
+// kernels above).
 func (f *Factors) LSolvePanel(y []PanelRow) {
+	if hasAVX2 {
+		f.lsolvePanelVec(y)
+		return
+	}
+	f.lsolvePanelGo(y)
+}
+
+// lsolvePanelGo is LSolvePanel's Go loop: the fallback, and the reference
+// of the vector kernel.
+func (f *Factors) lsolvePanelGo(y []PanelRow) {
 	lp, li, lx := f.L.Colptr, f.L.Rowidx, f.L.Values
 	for j := 0; j < f.N; j++ {
 		p0, p1 := lp[j]+1, lp[j+1]
@@ -710,9 +742,19 @@ func (f *Factors) LSolvePanel(y []PanelRow) {
 }
 
 // USolvePanel is USolve over a row-interleaved panel: one backward pass
-// over U, the eight quotients of a column held in locals while its entries
-// are applied.
+// over U, the eight quotients of a column held while its entries are
+// applied. Like LSolvePanel it runs the AVX2 kernel where there is one.
 func (f *Factors) USolvePanel(y []PanelRow) {
+	if hasAVX2 {
+		f.usolvePanelVec(y)
+		return
+	}
+	f.usolvePanelGo(y)
+}
+
+// usolvePanelGo is USolvePanel's Go loop: the fallback, and the reference
+// of the vector kernel.
+func (f *Factors) usolvePanelGo(y []PanelRow) {
 	up, ui, ux := f.U.Colptr, f.U.Rowidx, f.U.Values
 	for j := f.N - 1; j >= 0; j-- {
 		p0, p1 := up[j], up[j+1]-1

@@ -15,6 +15,7 @@ package nd
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sparse"
 )
@@ -357,7 +358,7 @@ func (b *builder) pseudoPeripheral(verts []int, gen int) int {
 		}
 		lastLevels = levels
 		// Farthest vertex with the smallest degree.
-		far, farDeg := src, 1<<62
+		far, farDeg := src, math.MaxInt
 		for _, v := range verts {
 			if b.level[v] == levels-1 {
 				if d := b.g.Ptr[v+1] - b.g.Ptr[v]; d < farDeg {
