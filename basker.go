@@ -84,26 +84,6 @@ type Options struct {
 	BigBlockMin int
 	// DisableLocalAMD turns off AMD ordering inside ND diagonal blocks.
 	DisableLocalAMD bool
-	// Barrier switches the ND engine from point-to-point synchronization
-	// to global barriers (slower; exists for the paper's ablation).
-	Barrier bool
-	// NoDenseKernels disables the density-adaptive dense panel kernels of
-	// the fine-ND engine: fill-heavy separator blocks stay on the sparse
-	// Gilbert–Peierls path (exists for the ablation study).
-	NoDenseKernels bool
-	// DenseKernelThreshold overrides the estimated block density at which
-	// fine-ND kernels switch to the dense panel layer. 0 selects the
-	// default; values above 1 never trigger.
-	DenseKernelThreshold float64
-	// SupernodeRelax overrides the relaxed-amalgamation bound of the
-	// elimination-tree supernode detection inside fine-ND leaf diagonals
-	// (the largest merged column run that is not a pure etree chain;
-	// SuperLU's relaxation parameter). 0 selects the default.
-	SupernodeRelax int
-	// NoSupernodes disables elimination-tree supernode detection: every
-	// moderate-density leaf diagonal factors column at a time (exists for
-	// the ablation study).
-	NoSupernodes bool
 	// Trace, when non-nil, records per-kernel scheduler events from every
 	// phase (analyze, factor, refactor, partial refactor, parallel solve)
 	// into the given recorder: per-sweep profiles come back through
@@ -150,7 +130,7 @@ func (o Options) InjectFaults(inj *faultinject.Injector) Options {
 type Tracer = trace.Recorder
 
 // Profile is a per-sweep scheduler summary: wall/work/wait seconds, the
-// sync-overhead fraction (the paper's 2.3%-vs-11% metric), effective
+// point-to-point sync-overhead fraction (2.3 % in the paper), effective
 // parallelism, per-worker utilization and the top straggler blocks.
 type Profile = trace.Summary
 
@@ -172,13 +152,6 @@ func (o Options) internal() core.Options {
 		c.BigBlockMin = o.BigBlockMin
 	}
 	c.LocalAMD = !o.DisableLocalAMD
-	if o.Barrier {
-		c.Sync = core.SyncBarrier
-	}
-	c.NoDenseKernels = o.NoDenseKernels
-	c.DenseKernelThreshold = o.DenseKernelThreshold
-	c.SupernodeRelax = o.SupernodeRelax
-	c.NoSupernodes = o.NoSupernodes
 	c.Trace = o.Trace
 	c.ValidateInputs = o.ValidateInputs
 	c.StallTimeout = o.StallTimeout
@@ -719,8 +692,8 @@ type Stats struct {
 	DirtyBlocksTotal int64
 	// SyncWaits counts contended point-to-point waits of the last numeric
 	// sweep; SyncWaitSeconds is the wall-clock time those blocked waits
-	// (plus barrier waits) cost, summed over workers — the paper's
-	// sync-overhead measurement, available even without tracing.
+	// cost, summed over workers — the paper's sync-overhead measurement,
+	// available even without tracing.
 	SyncWaits       int64
 	SyncWaitSeconds float64
 	// Poisoned reports that the last refresh failed, leaving the numeric

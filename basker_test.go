@@ -106,27 +106,6 @@ func TestMatrixMarketRoundTripPublic(t *testing.T) {
 	}
 }
 
-func TestBarrierOption(t *testing.T) {
-	a := matgen.Mesh2D(12, 2)
-	f, err := New(Options{Threads: 4, Barrier: true, BigBlockMin: 32}).Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, a.N)
-	for i := range b {
-		b[i] = 1
-	}
-	want := append([]float64(nil), b...)
-	f.Solve(b)
-	r := make([]float64, a.N)
-	a.MulVec(r, b)
-	for i := range r {
-		if math.Abs(r[i]-want[i]) > 1e-8 {
-			t.Fatalf("residual at %d: %v", i, r[i]-want[i])
-		}
-	}
-}
-
 func TestSolveRefined(t *testing.T) {
 	a := matgen.Circuit(matgen.CircuitParams{N: 400, BTFPct: 30, Blocks: 20, Core: matgen.CoreLadder, ExtraDensity: 0.4, Seed: 9})
 	f, err := New(Options{Threads: 2, BigBlockMin: 64, PivotTol: 0.0001}).Factor(a)

@@ -320,37 +320,6 @@ func TestCtxCancelMidRefactor(t *testing.T) {
 	chaosCheckSolve(t, f, a)
 }
 
-// TestBarrierCancelCause pins the barrier-mode ablation contract: a sweep
-// aborted by cancellation must report the typed cancellation error — the
-// barrier is broken with a distinct cause, so waiters unwind as cancelled,
-// never as ErrInternalPanic.
-func TestBarrierCancelCause(t *testing.T) {
-	inject := faultinject.New()
-	a := chaosMatrix()
-	s := New(Options{Threads: 4, BigBlockMin: 64, Barrier: true, inject: inject})
-
-	stallRule(inject, faultinject.SweepND, 900*time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
-	defer cancel()
-	_, err := s.FactorCtx(ctx, a)
-	if err == nil {
-		t.Skip("matrix produced no ND sweep at this configuration")
-	}
-	if errors.Is(err, ErrInternalPanic) {
-		t.Fatalf("cancelled barrier-mode sweep misreported as panic: %v", err)
-	}
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("cancelled barrier-mode sweep: %v, want ErrDeadlineExceeded", err)
-	}
-
-	inject.DisarmAll()
-	f, err := s.Factor(a)
-	if err != nil {
-		t.Fatalf("barrier-mode factor after cancel: %v", err)
-	}
-	chaosCheckSolve(t, f, a)
-}
-
 // TestSolveRefinedCtxBestIterate cancels refinement between iterations:
 // the call reports Canceled with the typed error, and b holds the direct
 // solve's iterate (finite, usable) rather than garbage.

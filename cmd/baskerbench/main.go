@@ -5,13 +5,15 @@
 //
 // Usage:
 //
-//	baskerbench -experiment=table1|table2|fig5|fig6a|fig6b|fig7a|fig7b|fig7c|fig8|xyce|sync|geomean|ablation|solve|refactor|factor|incremental|densend|denserefresh|all
+//	baskerbench -experiment=table1|table2|fig5|fig6a|fig6b|fig7a|fig7b|fig7c|fig8|xyce|geomean|ablation|solve|refactor|factor|incremental|densend|denserefresh|all
 //	            [-scale=1.0] [-maxcores=16] [-seqlen=200] [-mintime=50ms] [-refactorjson=BENCH_refactor.json]
 //	            [-factorjson=BENCH_factor.json] [-incrementaljson=BENCH_incremental.json]
 //
-// Absolute numbers differ from the paper (different hardware, matrices
-// scaled down, pure Go); the shapes — who wins, by what factor, where the
-// fill-density crossover falls — are the reproduction target.
+// Every time is wall clock on the host's own cores. Absolute numbers differ
+// from the paper (different hardware, matrices scaled down, pure Go); the
+// shapes — who wins, by what factor, where the fill-density crossover falls
+// — are the reproduction target. The paper's barrier-vs-point-to-point
+// comparison (§IV) is cited, not rerun: only point-to-point ships.
 package main
 
 import (
@@ -35,13 +37,11 @@ import (
 )
 
 var (
-	experiment = flag.String("experiment", "all", "which experiment to run")
-	scale      = flag.Float64("scale", 1.0, "matrix size scale factor")
-	maxCores   = flag.Int("maxcores", 16, "maximum core count to sweep")
-	seqLen     = flag.Int("seqlen", 200, "length of the Xyce transient sequence")
-	minTime    = flag.Duration("mintime", 50*time.Millisecond, "minimum measuring time per point")
-	simulate   = flag.Bool("simulate", runtime.NumCPU() == 1,
-		"report simulated p-core makespans from per-task timings instead of wall clock (default on single-core hosts; see DESIGN.md)")
+	experiment   = flag.String("experiment", "all", "which experiment to run")
+	scale        = flag.Float64("scale", 1.0, "matrix size scale factor")
+	maxCores     = flag.Int("maxcores", 16, "maximum core count to sweep")
+	seqLen       = flag.Int("seqlen", 200, "length of the Xyce transient sequence")
+	minTime      = flag.Duration("mintime", 50*time.Millisecond, "minimum measuring time per point")
 	refactorJSON = flag.String("refactorjson", "BENCH_refactor.json",
 		"output path for the refactor-trajectory JSON (refactor experiment); empty disables the file")
 	factorJSON = flag.String("factorjson", "BENCH_factor.json",
@@ -96,9 +96,7 @@ func main() {
 	if *traceOut != "" {
 		tracer = trace.NewRecorder(0)
 	}
-	if *simulate {
-		fmt.Printf("timing mode: simulated p-core makespan from per-task measurements (host has %d CPU(s))\n", runtime.NumCPU())
-	} else if *maxCores > runtime.NumCPU() {
+	if *maxCores > runtime.NumCPU() {
 		fmt.Printf("note: -maxcores=%d exceeds NumCPU=%d; larger counts oversubscribe (the Phi-like mode)\n",
 			*maxCores, runtime.NumCPU())
 	}
@@ -118,7 +116,6 @@ func main() {
 	run("fig7c", func() { fig7(fmt.Sprintf("fig7c: %d-thread (Phi-like) profile", 2**maxCores), 2**maxCores, false) })
 	run("fig8", fig8)
 	run("xyce", xyce)
-	run("sync", syncAblation)
 	run("geomean", geomean)
 	run("ablation", ablation)
 	run("solve", solvePhase)
@@ -161,19 +158,6 @@ func timeKLU(a *sparse.CSC) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	if *simulate {
-		best := math.Inf(1)
-		for r := 0; r < 3; r++ {
-			num, err := klu.Factor(a, sym)
-			if err != nil {
-				fatalf("klu factor: %v", err)
-			}
-			if num.KernelSeconds < best {
-				best = num.KernelSeconds
-			}
-		}
-		return best
-	}
 	return perf.Time(*minTime, func() {
 		if _, err := klu.Factor(a, sym); err != nil {
 			fatalf("klu factor: %v", err)
@@ -195,19 +179,6 @@ func timeBaskerOpts(a *sparse.CSC, threads int, mod func(*core.Options)) float64
 	if err != nil {
 		return math.Inf(1)
 	}
-	if *simulate {
-		best := math.Inf(1)
-		for r := 0; r < 3; r++ {
-			num, err := core.Factor(a, sym)
-			if err != nil {
-				fatalf("factor: %v", err)
-			}
-			if s := num.SimulatedSeconds(); s < best {
-				best = s
-			}
-		}
-		return best
-	}
 	return perf.Time(*minTime, func() {
 		if _, err := core.Factor(a, sym); err != nil {
 			fatalf("factor: %v", err)
@@ -222,19 +193,6 @@ func timePMKL(a *sparse.CSC, threads int) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	if *simulate {
-		best := math.Inf(1)
-		for r := 0; r < 3; r++ {
-			num, err := pmkl.Factor(a, sym)
-			if err != nil {
-				fatalf("pmkl factor: %v", err)
-			}
-			if s := num.SimulatedSeconds(threads); s < best {
-				best = s
-			}
-		}
-		return best
-	}
 	return perf.Time(*minTime, func() {
 		if _, err := pmkl.Factor(a, sym); err != nil {
 			fatalf("pmkl factor: %v", err)
@@ -246,19 +204,6 @@ func timeSLUMT(a *sparse.CSC, threads int) (float64, bool) {
 	sym, err := pmkl.Analyze(a, pmkl.Options{Threads: 1})
 	if err != nil {
 		return math.Inf(1), true
-	}
-	if *simulate {
-		best := math.Inf(1)
-		for r := 0; r < 3; r++ {
-			num, err := slumt.FactorWithSymbolic(a, sym, slumt.Options{Threads: threads})
-			if err != nil {
-				return math.Inf(1), true
-			}
-			if s := num.SimulatedSeconds(threads); s < best {
-				best = s
-			}
-		}
-		return best, false
 	}
 	failed := false
 	sec := perf.Time(*minTime, func() {
@@ -478,7 +423,7 @@ func xyce() {
 		steps[t] = matgen.TransientStep(base, t, 777)
 	}
 
-	// Basker with maxcores threads (simulated: sum of per-step makespans).
+	// Basker with maxcores threads.
 	bOpts := benchOpts()
 	bOpts.Threads = *maxCores
 	bSym, err := core.Analyze(base, bOpts)
@@ -492,38 +437,28 @@ func xyce() {
 		fmt.Fprintln(os.Stderr, "basker factor:", err)
 		return
 	}
-	baskerTotal := bNum.SimulatedSeconds()
 	for t := 1; t < *seqLen; t++ {
 		if err := bNum.Refactor(steps[t]); err != nil {
 			fmt.Fprintf(os.Stderr, "basker refactor %d: %v\n", t, err)
 			return
 		}
-		baskerTotal += bNum.SimulatedSeconds()
 	}
-	if !*simulate {
-		baskerTotal = time.Since(start).Seconds()
-	}
+	baskerTotal := time.Since(start).Seconds()
 
-	// KLU serial (kernel time in simulate mode, for consistency).
+	// KLU serial.
 	start = time.Now()
-	kluTotal := 0.0
 	kNum, err := klu.FactorDirect(steps[0], klu.DefaultOptions())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "klu:", err)
 		return
 	}
-	kluTotal += kNum.KernelSeconds
 	for t := 1; t < *seqLen; t++ {
-		t0 := time.Now()
 		if err := kNum.Refactor(steps[t]); err != nil {
 			fmt.Fprintf(os.Stderr, "klu refactor %d: %v\n", t, err)
 			return
 		}
-		kluTotal += time.Since(t0).Seconds()
 	}
-	if !*simulate {
-		kluTotal = time.Since(start).Seconds()
-	}
+	kluTotal := time.Since(start).Seconds()
 
 	// PMKL with maxcores threads.
 	pOpts := pmkl.DefaultOptions()
@@ -534,76 +469,19 @@ func xyce() {
 		return
 	}
 	start = time.Now()
-	pmklTotal := 0.0
 	for t := 0; t < *seqLen; t++ {
-		num, err := pmkl.Factor(steps[t], pSym)
-		if err != nil {
+		if _, err := pmkl.Factor(steps[t], pSym); err != nil {
 			fmt.Fprintf(os.Stderr, "pmkl factor %d: %v\n", t, err)
 			return
 		}
-		pmklTotal += num.SimulatedSeconds(*maxCores)
 	}
-	if !*simulate {
-		pmklTotal = time.Since(start).Seconds()
-	}
+	pmklTotal := time.Since(start).Seconds()
 
 	fmt.Printf("  Basker (%d threads): %8.3f s\n", *maxCores, baskerTotal)
 	fmt.Printf("  KLU    (serial):    %8.3f s\n", kluTotal)
 	fmt.Printf("  PMKL   (%d threads): %8.3f s\n", *maxCores, pmklTotal)
 	fmt.Printf("  speedup vs KLU:  %.2fx (paper: 5.22x)\n", kluTotal/baskerTotal)
 	fmt.Printf("  speedup vs PMKL: %.2fx (paper: 5.43x)\n", pmklTotal/baskerTotal)
-}
-
-// ---- §IV: synchronization ablation ----
-
-func syncAblation() {
-	fmt.Println("Synchronization ablation on the G2_Circuit replica (paper §IV:")
-	fmt.Println("barrier sync cost 11% of runtime vs 2.3% for point-to-point)")
-	var g2 matgen.Named
-	for _, m := range matgen.TableISuite(*scale) {
-		if m.Name == "G2_Circuit" {
-			g2 = m
-		}
-	}
-	fmt.Println("(wall-clock on this host: synchronization cost is real even when")
-	fmt.Println(" goroutines serialize, so -simulate does not apply here)")
-	a := g2.Gen()
-	var rows [][]string
-	for _, c := range sweep(*maxCores) {
-		p2p, waits := wallBasker(a, c, core.SyncPointToPoint)
-		bar, _ := wallBasker(a, c, core.SyncBarrier)
-		over := 100 * (bar - p2p) / bar
-		_ = waits
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", c),
-			fmt.Sprintf("%.4f", p2p),
-			fmt.Sprintf("%.4f", bar),
-			fmt.Sprintf("%.1f%%", over),
-			fmt.Sprintf("%d", waits),
-		})
-	}
-	fmt.Print(perf.Table([]string{"cores", "point-to-point s", "barrier s", "barrier overhead", "contended waits"}, rows))
-}
-
-// wallBasker measures wall-clock numeric time with the given sync mode and
-// reports the number of contended point-to-point waits.
-func wallBasker(a *sparse.CSC, threads int, mode core.SyncMode) (float64, int64) {
-	opts := benchOpts()
-	opts.Threads = threads
-	opts.Sync = mode
-	sym, err := core.Analyze(a, opts)
-	if err != nil {
-		return math.Inf(1), 0
-	}
-	var waits int64
-	sec := perf.Time(*minTime, func() {
-		num, err := core.Factor(a, sym)
-		if err != nil {
-			fatalf("factor (sync sweep): %v", err)
-		}
-		waits = num.SyncWaits
-	})
-	return sec, waits
 }
 
 // ---- geometric means over the whole suite ----
@@ -633,7 +511,7 @@ func geomean() {
 		perf.GeoMean(bsp), perf.GeoMean(psp), wins, total)
 }
 
-// ---- design-choice ablations (DESIGN.md §5) ----
+// ---- design-choice ablations ----
 
 func ablation() {
 	fmt.Println("Design ablations on a mid-suite circuit matrix (rajat21 replica)")
@@ -660,7 +538,6 @@ func ablation() {
 		mk("no-BTF", func(o *core.Options) { o.UseBTF = false }),
 		mk("no-MWCM", func(o *core.Options) { o.UseMWCM = false }),
 		mk("no-localAMD", func(o *core.Options) { o.LocalAMD = false }),
-		mk("barrier-sync", func(o *core.Options) { o.Sync = core.SyncBarrier }),
 		mk("serial", func(o *core.Options) { o.Threads = 1 }),
 	}
 	var rows [][]string
@@ -675,24 +552,12 @@ func ablation() {
 			rows = append(rows, []string{c.name, "fail", "-"})
 			continue
 		}
-		nnz := num.NnzLU()
-		var sec float64
-		if *simulate {
-			sec = num.SimulatedSeconds()
-			for r := 0; r < 2; r++ {
-				n2, err := core.Factor(a, sym)
-				if err == nil && n2.SimulatedSeconds() < sec {
-					sec = n2.SimulatedSeconds()
-				}
+		sec := perf.Time(*minTime, func() {
+			if _, err := core.Factor(a, sym); err != nil {
+				fatalf("factor (config sweep): %v", err)
 			}
-		} else {
-			sec = perf.Time(*minTime, func() {
-				if _, err := core.Factor(a, sym); err != nil {
-					fatalf("factor (config sweep): %v", err)
-				}
-			})
-		}
-		rows = append(rows, []string{c.name, fmt.Sprintf("%.4f", sec), fmt.Sprintf("%.2e", float64(nnz))})
+		})
+		rows = append(rows, []string{c.name, fmt.Sprintf("%.4f", sec), fmt.Sprintf("%.2e", float64(num.NnzLU()))})
 	}
 	fmt.Print(perf.Table([]string{"config", "numeric s", "|L+U|"}, rows))
 }
@@ -814,9 +679,7 @@ func refactorTrajectory() {
 // unpruned, from-scratch Factor vs the pooled FactorInto serving loop —
 // against serial KLU, and emits the trajectory as BENCH_factor.json so
 // future changes to the fresh hot path can be tracked. Like the refactor
-// trajectory, every column is wall-clock (the pooled-storage and pruning
-// wins are real time spent outside the kernels, which the simulated
-// makespan model deliberately excludes).
+// trajectory, every column is wall-clock.
 func factorTrajectory() {
 	fmt.Println("Fresh factorization: pruning, unified scheduler, pooled storage")
 	fmt.Println("(wall-clock on this host, like the refactor trajectory)")

@@ -7,12 +7,9 @@
 //
 //	baskerload                 in-process benchmark: the same workload runs
 //	                           against a sharded pool and a single-shard
-//	                           pool, with real wall-clock numbers, measured
-//	                           lock wait/hold seconds, and — following the
-//	                           repo's single-core measurement convention
-//	                           (see baskerbench -simulate) — simulated
-//	                           p-core makespans replayed from measured
-//	                           per-request service and lock segments.
+//	                           pool, timed by the wall clock on the host's
+//	                           own cores, with measured lock wait/hold
+//	                           seconds.
 //	baskerload -url=http://... burst against a live baskerserve over real
 //	                           HTTP (the CI smoke path); exits non-zero on
 //	                           any non-2xx response.
@@ -29,7 +26,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -48,11 +44,8 @@ var (
 	shards   = flag.Int("shards", 8, "shard count for the sharded configuration")
 	threads  = flag.Int("threads", 1, "factorization threads per request")
 	seed     = flag.Int64("seed", 1, "workload RNG seed")
-	simCores = flag.String("simcores", "8,32,128,512",
-		"comma-separated core counts for the simulated-parallel replay (fleet-scale serving hosts included)")
-	jsonOut = flag.String("json", "", "write the benchmark report to this path")
-	calN    = flag.Int("calibrate", 0, "sequential requests measured for the simulated replay (0 = the whole stream)")
-	maxByt  = flag.Int64("maxbytes", 0,
+	jsonOut  = flag.String("json", "", "write the benchmark report to this path")
+	maxByt   = flag.Int64("maxbytes", 0,
 		"pool memory bound in bytes (0 = unbounded); a tight bound makes every release run the eviction scan — the memory-pressured serving regime")
 )
 
@@ -61,12 +54,10 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// workItem is one pre-generated request: its JSON body and the pattern it
-// routes on (for the shard-aware replay).
+// workItem is one pre-generated request: its endpoint and JSON body.
 type workItem struct {
 	path string
 	body []byte
-	pat  int
 }
 
 // mkPatterns builds the distinct circuit patterns of the workload.
@@ -119,7 +110,7 @@ func mkWorkload(mats []*basker.Matrix, ids []string, total int, rng *rand.Rand) 
 		if err != nil {
 			fatalf("marshal workload: %v", err)
 		}
-		items[i] = workItem{path: path, body: blob, pat: p}
+		items[i] = workItem{path: path, body: blob}
 	}
 	return items
 }
@@ -169,19 +160,6 @@ type configResult struct {
 	Misses          uint64  `json:"pool_misses"`
 	LockWaitSeconds float64 `json:"lock_wait_s"`
 	LockHoldSeconds float64 `json:"lock_hold_s"`
-
-	CalRequests        int     `json:"cal_requests"`
-	CalServiceSeconds  float64 `json:"cal_service_s"`
-	CalLockHoldSeconds float64 `json:"cal_lock_hold_s"`
-	SerializedFraction float64 `json:"serialized_fraction"`
-
-	Simulated []simPoint `json:"simulated"`
-}
-
-type simPoint struct {
-	Cores         int     `json:"cores"`
-	MakespanS     float64 `json:"makespan_s"`
-	ThroughputRPS float64 `json:"throughput_rps"`
 }
 
 type report struct {
@@ -196,14 +174,11 @@ type report struct {
 	Mix         map[string]float64 `json:"mix"`
 	Configs     []configResult     `json:"configs"`
 	SpeedupReal float64            `json:"sharded_vs_single_real_wall"`
-	SpeedupSim  map[string]float64 `json:"sharded_vs_single_simulated"`
 }
 
-// runConfig measures one pool configuration against the workload: the
-// concurrent phase gives real wall clock and latency percentiles, the
-// sequential calibration phase gives the per-request service times and
-// aggregate lock-hold fraction the simulated replay consumes.
-func runConfig(name string, shardCount int, mats []*basker.Matrix, workload []workItem, cores []int) configResult {
+// runConfig measures one pool configuration against the workload: closed-loop
+// concurrent clients give the wall clock and the latency percentiles.
+func runConfig(name string, shardCount int, mats []*basker.Matrix, workload []workItem) configResult {
 	// MaxCachedPatterns is unlimited in both configurations so the
 	// comparison isolates what sharding changes (lock contention and
 	// per-shard eviction-scan cost), not aggregate symbolic-cache capacity.
@@ -263,7 +238,7 @@ func runConfig(name string, shardCount int, mats []*basker.Matrix, workload []wo
 	sorted := append([]float64(nil), lat...)
 	sort.Float64s(sorted)
 
-	res := configResult{
+	return configResult{
 		Name:            name,
 		Shards:          pool.NumShards(),
 		WallSeconds:     wall,
@@ -277,108 +252,6 @@ func runConfig(name string, shardCount int, mats []*basker.Matrix, workload []wo
 		LockWaitSeconds: stats.LockWaitSeconds,
 		LockHoldSeconds: stats.LockHoldSeconds,
 	}
-
-	// Calibration phase: the warmed server serves a prefix of the stream
-	// sequentially; per-request service time is measured directly and the
-	// aggregate lock-hold delta gives the serialized fraction. The stream
-	// runs calPasses times with GC off and each request keeps its minimum —
-	// a single GC or scheduler pause on this shared host would otherwise be
-	// replayed as 100-500x-the-mean "work" and floor the simulated
-	// makespan at high core counts.
-	calN := *calN
-	if calN <= 0 || calN > len(workload) {
-		calN = len(workload)
-	}
-	const calPasses = 3
-	gcPrev := debug.SetGCPercent(-1)
-	before := pool.Stats()
-	service := make([]float64, calN)
-	shardIdx := make([]int, calN)
-	var total float64
-	for pass := 0; pass < calPasses; pass++ {
-		runtime.GC()
-		for i := 0; i < calN; i++ {
-			it := workload[i]
-			req := httptest.NewRequest("POST", it.path, bytes.NewReader(it.body))
-			rec := httptest.NewRecorder()
-			s0 := time.Now()
-			srv.ServeHTTP(rec, req)
-			s := time.Since(s0).Seconds()
-			total += s
-			if pass == 0 || s < service[i] {
-				service[i] = s
-			}
-			shardIdx[i] = pool.ShardIndex(mats[it.pat])
-		}
-	}
-	after := pool.Stats()
-	debug.SetGCPercent(gcPrev)
-	lockHold := after.LockHoldSeconds - before.LockHoldSeconds
-	frac := 0.0
-	if total > 0 {
-		frac = lockHold / total
-	}
-	res.CalRequests = calN
-	res.CalServiceSeconds = total
-	res.CalLockHoldSeconds = lockHold
-	res.SerializedFraction = frac
-
-	// Simulated replay: list-schedule the measured stream onto p cores.
-	// Each request occupies a core for its measured service time and its
-	// shard's lock for the serialized share (frac × service, the measured
-	// aggregate hold split pro rata). The single-shard configuration routes
-	// every request through one lock — the serialization sharding divides.
-	for _, p := range cores {
-		mk := simulateMakespan(service, shardIdx, frac, p, pool.NumShards())
-		res.Simulated = append(res.Simulated, simPoint{
-			Cores:         p,
-			MakespanS:     mk,
-			ThroughputRPS: float64(calN) / mk,
-		})
-	}
-	return res
-}
-
-// simulateMakespan replays measured requests onto `cores` workers and
-// `locks` shard mutexes: request i needs its lock exclusively for h_i =
-// frac*s_i starting at dispatch, and a core for all of s_i.
-func simulateMakespan(service []float64, shardIdx []int, frac float64, cores, locks int) float64 {
-	coreFree := make([]float64, cores)
-	lockFree := make([]float64, locks)
-	end := 0.0
-	for i, s := range service {
-		// Earliest-free core (cores are interchangeable).
-		c := 0
-		for j := 1; j < cores; j++ {
-			if coreFree[j] < coreFree[c] {
-				c = j
-			}
-		}
-		l := shardIdx[i] % locks
-		start := coreFree[c]
-		if lockFree[l] > start {
-			start = lockFree[l]
-		}
-		h := frac * s
-		lockFree[l] = start + h
-		coreFree[c] = start + s
-		if coreFree[c] > end {
-			end = coreFree[c]
-		}
-	}
-	return end
-}
-
-func parseCores(s string) []int {
-	var out []int
-	for _, f := range bytes.Split([]byte(s), []byte(",")) {
-		var c int
-		if _, err := fmt.Sscanf(string(f), "%d", &c); err != nil || c < 1 {
-			fatalf("bad -simcores entry %q", f)
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 func main() {
@@ -403,19 +276,18 @@ func main() {
 	total := *clients * *perCli
 	rng := rand.New(rand.NewSource(*seed))
 	workload := mkWorkload(mats, ids, total, rng)
-	cores := parseCores(*simCores)
 
 	fmt.Printf("baskerload: %d clients × %d requests over %d patterns (n = %d…%d), %d-thread factors\n",
 		*clients, *perCli, *patterns, mats[0].N, mats[len(mats)-1].N, *threads)
-	fmt.Printf("timing mode: real wall clock on %d CPU(s) + simulated p-core replay from measured segments\n\n", runtime.NumCPU())
+	fmt.Printf("timing mode: wall clock on %d CPU(s)\n\n", runtime.NumCPU())
 
-	sharded := runConfig(fmt.Sprintf("sharded-%d", *shards), *shards, mats, workload, cores)
-	single := runConfig("single-shard", 1, mats, workload, cores)
+	sharded := runConfig(fmt.Sprintf("sharded-%d", *shards), *shards, mats, workload)
+	single := runConfig("single-shard", 1, mats, workload)
 
 	rep := report{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		HostCPUs:   runtime.NumCPU(),
-		TimingMode: "real-wall-1core+simulated-replay",
+		TimingMode: "real-wall",
 		Clients:    *clients,
 		PerClient:  *perCli,
 		Patterns:   *patterns,
@@ -423,7 +295,6 @@ func main() {
 		Threads:    *threads,
 		Mix:        map[string]float64{"solve": 0.75, "refresh": 0.15, "factor": 0.10},
 		Configs:    []configResult{sharded, single},
-		SpeedupSim: map[string]float64{},
 	}
 	if sharded.WallSeconds > 0 {
 		rep.SpeedupReal = single.WallSeconds / sharded.WallSeconds
@@ -439,17 +310,7 @@ func main() {
 			fatalf("%s: %d request(s) failed", r.Name, r.Errors)
 		}
 	}
-	fmt.Printf("\nserialized fraction (measured lock hold / service): sharded %.3f, single %.3f\n",
-		sharded.SerializedFraction, single.SerializedFraction)
-	fmt.Printf("\nsimulated p-core replay (measured segments; single-shard serializes on one lock):\n")
-	fmt.Printf("%6s %18s %18s %9s\n", "cores", "sharded rps", "single rps", "speedup")
-	for i, sp := range sharded.Simulated {
-		sg := single.Simulated[i]
-		speed := sp.ThroughputRPS / sg.ThroughputRPS
-		rep.SpeedupSim[fmt.Sprintf("%d", sp.Cores)] = speed
-		fmt.Printf("%6d %18.0f %18.0f %8.2fx\n", sp.Cores, sp.ThroughputRPS, sg.ThroughputRPS, speed)
-	}
-	fmt.Printf("\nreal wall clock on this host: sharded %.3fs vs single %.3fs (%.2fx on %d CPU)\n",
+	fmt.Printf("\nwall clock on this host: sharded %.3fs vs single %.3fs (%.2fx on %d CPU)\n",
 		sharded.WallSeconds, single.WallSeconds, rep.SpeedupReal, runtime.NumCPU())
 
 	if *jsonOut != "" {

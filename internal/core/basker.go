@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/gp"
@@ -181,12 +180,11 @@ type Numeric struct {
 	// with the plan and keeps the unpivoted rows.
 	rowPos []int32
 	offRow []int32
-	// SyncWaits aggregates contended point-to-point waits (ablation metric);
-	// SyncWaitNs aggregates the wall-clock nanoseconds those blocked waits
-	// (and barrier waits) cost across the last numeric sweep — the
-	// sync-overhead side of the paper's 2.3%-vs-11% comparison, measured
-	// even when tracing is off because the fabrics time only their
-	// contended slow paths.
+	// SyncWaits aggregates contended point-to-point waits; SyncWaitNs
+	// aggregates the wall-clock nanoseconds those blocked waits cost across
+	// the last numeric sweep — the paper's point-to-point sync overhead
+	// (2.3 % of runtime in §IV), measured even when tracing is off because
+	// the fabrics time only their contended slow paths.
 	SyncWaits  int64
 	SyncWaitNs int64
 	// pivotFallbacks counts per-block fresh-pivot fallbacks taken by
@@ -196,11 +194,6 @@ type Numeric struct {
 	pivotFallbacks atomic.Int64
 	lastDirty      int
 	dirtyTotal     int64
-
-	// btfBusy[t] is thread t's summed compute time over its fine-BTF
-	// blocks; ndSim accumulates the simulated makespans of the ND engines.
-	btfBusy []float64
-	ndSim   float64
 
 	// plan is the gather plan of this numeric's sparsity pattern: the
 	// Symbolic's when the factored matrix has the analyzed pattern, a private
@@ -285,27 +278,8 @@ func (num *Numeric) hookDone(blk int, nd bool) {
 	}
 }
 
-// SimulatedSeconds reports the numeric-factorization makespan of the static
-// schedule on an ideal machine with Sym.Opts.Threads cores: the maximum
-// per-thread fine-BTF compute time plus the dependency-tree makespan of
-// every fine-ND block. This is the hardware-substitution timing model used
-// when the host has fewer physical cores than the experiment sweeps
-// (DESIGN.md); matrix permutation/extraction overhead is excluded for all
-// solvers alike.
-func (num *Numeric) SimulatedSeconds() float64 {
-	total := num.ndSim
-	max := 0.0
-	for _, b := range num.btfBusy {
-		if b > max {
-			max = b
-		}
-	}
-	return total + max
-}
-
 // SyncWaitSeconds reports the wall-clock time the last numeric sweep's
-// workers spent blocked on the synchronization fabric (point-to-point
-// waits plus barrier waits), summed over workers.
+// workers spent blocked in point-to-point waits, summed over workers.
 func (num *Numeric) SyncWaitSeconds() float64 {
 	return float64(num.SyncWaitNs) / 1e9
 }
@@ -821,7 +795,6 @@ func factorFresh(ctx context.Context, a *sparse.CSC, sym *Symbolic, hooks *sched
 		Sym:      sym,
 		small:    make([]*gp.Factors, nblocks),
 		nd:       make([]*ndNum, nblocks),
-		btfBusy:  make([]float64, nt),
 		plan:     sym.plan,
 		sig:      NewEpochSignals(nblocks),
 		errs:     make([]error, nblocks),
@@ -979,7 +952,7 @@ func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC
 //
 // Lifecycle, the same in every mode:
 //
-//  1. reset: completion fabric, error slots, fail flag, timing counters;
+//  1. reset: completion fabric, error slots, fail flag, sync counters;
 //     BeginSweep re-arms the cancel control and, when the context can fire
 //     or Options.StallTimeout is set, a SweepMonitor starts.
 //  2. launch: every dirty fine-ND block gets a goroutine (its cooperative
@@ -996,9 +969,9 @@ func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC
 //     ErrDeadlineExceeded / *StallError), recorded panic
 //     (ErrInternalPanic), cancellation marker, first per-block error.
 //     Nothing below touches block storage unless every slot was set.
-//  5. on success: aggregate the ND teams' sync counters and simulated
-//     makespans; if factors were built or replaced, recount |L+U| and
-//     rebuild the solves' pivot-order layout.
+//  5. on success: aggregate the ND teams' sync counters; if factors were
+//     built or replaced, recount |L+U| and rebuild the solves' pivot-order
+//     layout.
 //  6. poison: the numeric is poisoned exactly when the sweep returns an
 //     error — its values are unspecified — and the next successful sweep
 //     clears it: an incremental call on a poisoned numeric runs a full
@@ -1009,9 +982,8 @@ func (num *Numeric) runSweep(ctx context.Context, mode sweepMode, dirty *incStat
 	nblocks := sym.NumBlocks()
 	num.sig.Reset()
 	clear(num.errs)
-	clear(num.btfBusy)
 	num.failed.Store(false)
-	num.SyncWaits, num.SyncWaitNs, num.ndSim = 0, 0, 0
+	num.SyncWaits, num.SyncWaitNs = 0, 0
 	armed := MonitorArmed(ctx, sym.Opts.StallTimeout)
 	num.sweep.BeginSweep(armed)
 	var mon *SweepMonitor
@@ -1086,7 +1058,6 @@ func (num *Numeric) runSweep(ctx context.Context, mode sweepMode, dirty *incStat
 		if dirty.has(blk) {
 			num.SyncWaits += num.nd[blk].SyncWaits
 			num.SyncWaitNs += num.nd[blk].SyncWaitNs
-			num.ndSim += num.nd[blk].simSeconds()
 		}
 	}
 	if mode == modeFactor || num.refit.Swap(false) {
@@ -1112,9 +1083,11 @@ func (num *Numeric) lane(blks []int, t, id int, mode sweepMode, dirty *incState)
 }
 
 // sweepBlock runs coarse block blk's kernel for the sweep's mode (worker
-// index t selects the pooled fine-BTF workspace and timing slot) and signals
-// its completion slot. Once a block has failed or the sweep is cancelled,
-// remaining blocks skip their work but still signal, so the join quiesces.
+// index t selects the pooled fine-BTF workspace) and signals its completion
+// slot. Once a block has failed or the sweep is cancelled, remaining blocks
+// skip their work but still signal, so the join quiesces; a block whose
+// kernel returns into a cancelled sweep records its outcome and signals,
+// and nothing more.
 // A refresh whose reused pivot sequence is defeated by the new values
 // (gp.ErrSingular) falls back to freshKernel for this block alone; permuted
 // storage always holds the complete current block, so the re-pivoting sees
@@ -1149,7 +1122,11 @@ func (num *Numeric) sweepBlock(blk, t int, mode sweepMode, dirty *incState) {
 			sub.Values[0] = nan()
 		}
 	}
-	t0 := time.Now()
+	rec := sym.Opts.Trace
+	var start int64
+	if rec != nil && !nd {
+		start = rec.Now()
+	}
 	var err error
 	switch {
 	case inject.PivotFail(m.inject, blk):
@@ -1167,15 +1144,6 @@ func (num *Numeric) sweepBlock(blk, t int, mode sweepMode, dirty *incState) {
 			err = num.freshKernel(blk, t, sub, true)
 		}
 	}
-	if !nd {
-		d := time.Since(t0)
-		num.btfBusy[t] += d.Seconds()
-		if rec := sym.Opts.Trace; rec != nil {
-			end := rec.Now()
-			rec.Record(trace.Event{Start: end - d.Nanoseconds(), End: end,
-				Worker: int32(t), Block: int32(blk), Kind: trace.KindSmallBlock, Phase: m.phase})
-		}
-	}
 	if err != nil {
 		kind := "small"
 		if nd {
@@ -1183,6 +1151,17 @@ func (num *Numeric) sweepBlock(blk, t int, mode sweepMode, dirty *incState) {
 		}
 		num.errs[blk] = fmt.Errorf("core: %s%s block %d: %w", m.errTag, kind, blk, err)
 		num.failed.Store(true)
+	}
+	// A cancelled sweep has already returned to its caller: a straggler
+	// only releases its slot and leaves hooks and fault points to the next
+	// sweep.
+	if num.sweep.Canceled() {
+		num.sig.Set(blk)
+		return
+	}
+	if rec != nil && !nd {
+		rec.Record(trace.Event{Start: start, End: rec.Now(),
+			Worker: int32(t), Block: int32(blk), Kind: trace.KindSmallBlock, Phase: m.phase})
 	}
 	num.hookDone(blk, nd)
 	inject.StallPoint(m.inject, blk)
@@ -1209,7 +1188,7 @@ func (num *Numeric) freshKernel(blk, t int, sub *sparse.CSC, replace bool) error
 	} else {
 		ndn, opts := num.nd[blk], num.sweepOpts()
 		if ndn == nil || replace {
-			ndn = newNDNum(blk, sym.ndsym[blk], num.plan.grids[blk], opts, ndn)
+			ndn = newNDNum(blk, sym.ndsym[blk], num.plan.grids[blk], opts)
 		}
 		if err := ndn.sweep(num.Perm, opts, modeFactor, nil); err != nil {
 			return err

@@ -138,26 +138,6 @@ func TestGridPureND(t *testing.T) {
 	}
 }
 
-func TestBarrierSyncMatchesP2P(t *testing.T) {
-	a := grid2D(16)
-	optsP := optsWithThreads(4)
-	p2p, err := FactorDirect(a, optsP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optsB := optsWithThreads(4)
-	optsB.Sync = SyncBarrier
-	bar, err := FactorDirect(a, optsB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solveCheck(t, a, p2p, 1e-8)
-	solveCheck(t, a, bar, 1e-8)
-	if p2p.NnzLU() != bar.NnzLU() {
-		t.Fatalf("sync mode changed |L+U|: %d vs %d", p2p.NnzLU(), bar.NnzLU())
-	}
-}
-
 func TestRefactorSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randCircuit(rng, 350, 0.6)

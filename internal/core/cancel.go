@@ -16,9 +16,8 @@ import (
 //
 //   - a SweepControl carried by the sweep's owner (the Numeric, or the
 //     trisolve workspace) holds a cancel flag every synchronization fabric
-//     polls on its blocked slow path, a progress counter every completion
-//     signal bumps, and the registry of ablation barriers that must be
-//     broken to release barrier-mode waiters;
+//     polls on its blocked slow path and a progress counter every completion
+//     signal bumps;
 //   - a SweepMonitor goroutine — armed only when the caller supplied a
 //     cancellable context or a positive Options.StallTimeout — watches the
 //     context and the progress counter, and cancels the sweep when the
@@ -29,7 +28,10 @@ import (
 //     Gilbert–Peierls kernels, every few hundred columns via gp.Options.Poll),
 //     so a cancelled sweep unwinds through the same poisoned-but-recoverable
 //     machinery as a worker panic: the driver returns the typed error, the
-//     numeric is poisoned, and the next refresh recovers.
+//     numeric is poisoned, and the next refresh recovers. A worker whose
+//     kernel returns into a cancelled sweep only releases its completion
+//     slot: no scheduler hook, fault point or trace event runs for a sweep
+//     nobody waits for.
 //
 // Cancellation is cooperative: a worker that is truly wedged inside a
 // kernel (the faultinject.PointStall chaos case) cannot be pre-empted, so a
@@ -97,8 +99,7 @@ func MonitorArmed(ctx context.Context, stall time.Duration) bool {
 
 // SweepControl is the shared cancellation fabric of one sweep owner. All
 // EpochSignals bound to it poll its cancel flag on their blocked slow path
-// and bump its progress counter on every Set; ablation barriers register so
-// cancellation can break them (a condition-variable wait cannot poll).
+// and bump its progress counter on every Set.
 //
 // The control is single-sweep-at-a-time, like the fabrics it serves:
 // BeginSweep must not race any worker of a previous sweep (the drivers
@@ -121,9 +122,6 @@ type SweepControl struct {
 	// add entirely on unarmed sweeps (a plain read — BeginSweep writes it
 	// strictly before workers launch, after stragglers drained).
 	armed bool
-
-	mu       sync.Mutex
-	barriers []*barrier
 }
 
 // BeginSweep re-arms the control for a new sweep. armed selects whether a
@@ -140,18 +138,12 @@ func (c *SweepControl) BeginSweep(armed bool) {
 }
 
 // Cancel aborts the current sweep: every bound fabric's blocked wait
-// returns false, the Signals cancel channel fires, and every registered
-// ablation barrier is broken with the cancel cause.
+// returns false and the Signals cancel channel fires.
 func (c *SweepControl) Cancel() {
 	c.flag.Store(true)
 	if c.cancelCh != nil {
 		close(c.cancelCh)
 	}
-	c.mu.Lock()
-	for _, b := range c.barriers {
-		b.breakCanceled()
-	}
-	c.mu.Unlock()
 }
 
 // Canceled reports whether the current sweep has been cancelled.
@@ -168,16 +160,6 @@ func (c *SweepControl) Poll() error {
 		return errSweepAborted
 	}
 	return nil
-}
-
-// registerBarrier adds an ablation barrier to the set Cancel breaks. A
-// barrier belongs to a fine-ND block, not to one engine: an engine replaced
-// by a pivot-drift fallback hands its barrier on (newNDNum), so the set
-// holds one per block however long the transient runs.
-func (c *SweepControl) registerBarrier(b *barrier) {
-	c.mu.Lock()
-	c.barriers = append(c.barriers, b)
-	c.mu.Unlock()
 }
 
 // addWorker/workerDone bracket every launched sweep goroutine, so drain can

@@ -161,55 +161,46 @@ func TestFactorIntoPatternMismatchRejected(t *testing.T) {
 
 // TestFactorIntoRetryAfterFailure: a FactorInto defeated by singular values
 // leaves the structure intact and a retry with good values must genuinely
-// recompute (regression: in SyncBarrier mode the broken barrier used to
-// stay broken, so the retry reported success over stale garbage values).
+// recompute, not report success over the failed sweep's values.
 func TestFactorIntoRetryAfterFailure(t *testing.T) {
-	for _, barrier := range []bool{false, true} {
-		name := "p2p"
-		if barrier {
-			name = "barrier"
+	// The point-to-point sweep is the only sync mode; the subtest keeps
+	// its historical name.
+	t.Run("p2p", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(45))
+		a := randCircuit(rng, 300, 0.6)
+		num, err := FactorDirect(a, optsWithThreads(2))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(45))
-			a := randCircuit(rng, 300, 0.6)
-			opts := optsWithThreads(2)
-			if barrier {
-				opts.Sync = SyncBarrier
+		if num.Sym.NumNDBlocks() == 0 {
+			t.Fatal("want an ND block so the ND retry path is exercised")
+		}
+		// Zero a column inside the ND block: singular, FactorInto fails.
+		bad := a.Clone()
+		ndBlk := -1
+		for blk := 0; blk < num.Sym.NumBlocks(); blk++ {
+			if num.Sym.IsND(blk) {
+				ndBlk = blk
 			}
-			num, err := FactorDirect(a, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if num.Sym.NumNDBlocks() == 0 {
-				t.Fatal("want an ND block so the ND retry path is exercised")
-			}
-			// Zero a column inside the ND block: singular, FactorInto fails.
-			bad := a.Clone()
-			ndBlk := -1
-			for blk := 0; blk < num.Sym.NumBlocks(); blk++ {
-				if num.Sym.IsND(blk) {
-					ndBlk = blk
-				}
-			}
-			r0, _ := num.Sym.BlockRange(ndBlk)
-			ocol := num.Sym.ColPerm[r0]
-			for p := bad.Colptr[ocol]; p < bad.Colptr[ocol+1]; p++ {
-				bad.Values[p] = 0
-			}
-			if err := num.FactorInto(bad); err == nil {
-				t.Fatal("expected singularity error")
-			}
-			// Retry with fresh values — must recompute for real.
-			good := a.Clone()
-			for p := range good.Values {
-				good.Values[p] *= 1 + 0.2*rng.Float64()
-			}
-			if err := num.FactorInto(good); err != nil {
-				t.Fatalf("retry after failure: %v", err)
-			}
-			solveCheck(t, good, num, 1e-7)
-		})
-	}
+		}
+		r0, _ := num.Sym.BlockRange(ndBlk)
+		ocol := num.Sym.ColPerm[r0]
+		for p := bad.Colptr[ocol]; p < bad.Colptr[ocol+1]; p++ {
+			bad.Values[p] = 0
+		}
+		if err := num.FactorInto(bad); err == nil {
+			t.Fatal("expected singularity error")
+		}
+		// Retry with fresh values — must recompute for real.
+		good := a.Clone()
+		for p := range good.Values {
+			good.Values[p] *= 1 + 0.2*rng.Float64()
+		}
+		if err := num.FactorInto(good); err != nil {
+			t.Fatalf("retry after failure: %v", err)
+		}
+		solveCheck(t, good, num, 1e-7)
+	})
 }
 
 // TestFactorSlowPathDifferentPattern keeps the historical contract: a

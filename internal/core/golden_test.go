@@ -13,7 +13,7 @@ import (
 	"repro/internal/matgen"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/analyze_golden.json from the current Analyze")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden files of the tests selected by -run")
 
 const goldenPath = "testdata/analyze_golden.json"
 

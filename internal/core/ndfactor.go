@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dense"
 	"repro/internal/faultinject"
@@ -176,15 +175,13 @@ type ndNum struct {
 	red [][]*sparse.CSC
 
 	// opts are the options of the current sweep. flags is the resettable
-	// point-to-point fabric, one completion slot per 2D block, and barr the
-	// SyncBarrier ablation's barrier (nil otherwise); every sweep of this
-	// hierarchy, whatever its mode, runs on them — sweeps are mutually
+	// point-to-point fabric, one completion slot per 2D block; every sweep
+	// of this hierarchy, whatever its mode, runs on it — sweeps are mutually
 	// exclusive by contract.
 	opts  Options
 	flags *epochBlockFlags
-	barr  *barrier
-	// lastContended/lastWaitNs snapshot the cumulative contended-wait count
-	// and blocked nanoseconds (flags plus barrier), so each sweep reports
+	// lastContended/lastWaitNs snapshot the fabric's cumulative
+	// contended-wait count and blocked nanoseconds, so each sweep reports
 	// its own SyncWaits/SyncWaitNs delta.
 	lastContended int64
 	lastWaitNs    int64
@@ -205,11 +202,9 @@ type ndNum struct {
 	errMu    sync.Mutex
 	firstErr error
 
-	// SyncWaits counts point-to-point waits that actually blocked, for the
-	// synchronization ablation experiment. SyncWaitNs is the wall-clock
-	// nanoseconds those blocked waits (plus barrier waits in SyncBarrier
-	// mode) cost during the last sweep — measured on the contended slow
-	// path even when tracing is off.
+	// SyncWaits counts point-to-point waits that actually blocked during the
+	// last sweep, and SyncWaitNs the wall-clock nanoseconds they cost —
+	// measured on the contended slow path even when tracing is off.
 	SyncWaits  int64
 	SyncWaitNs int64
 
@@ -229,32 +224,6 @@ type ndNum struct {
 	// snHits counts kernel executions routed through the supernodal blocked
 	// panels — the numeric-side counterpart of Symbolic.Supernodes.
 	snHits atomic.Int64
-
-	// phaseDur[t][phase] is thread t's compute time in each step of the
-	// static schedule. All threads traverse the same phase sequence, so the
-	// simulated p-core makespan of the schedule is Σ_phase max_t duration —
-	// the hardware-substitution timing model of DESIGN.md.
-	phaseDur [][]float64
-}
-
-// simSeconds returns the simulated parallel makespan of the recorded
-// schedule.
-func (num *ndNum) simSeconds() float64 {
-	total := 0.0
-	if len(num.phaseDur) == 0 {
-		return 0
-	}
-	phases := len(num.phaseDur[0])
-	for ph := 0; ph < phases; ph++ {
-		max := 0.0
-		for t := range num.phaseDur {
-			if ph < len(num.phaseDur[t]) && num.phaseDur[t][ph] > max {
-				max = num.phaseDur[t][ph]
-			}
-		}
-		total += max
-	}
-	return total
 }
 
 // blockRange returns the index range of tree block b within the ND matrix.
@@ -264,30 +233,26 @@ func (s *ndSym) blockRange(b int) (int, int) {
 
 // newNDNum allocates the numeric 2D hierarchy of coarse BTF block blk (the
 // id labels trace events and stall points) over the grid's input patterns.
-// old, when non-nil, is the engine a pivot-drift fallback is replacing: its
-// ablation barrier is handed over, so the owning Numeric's cancel registry
-// holds exactly one barrier per fine-ND block however many fallbacks run.
-func newNDNum(blk int, sym *ndSym, grid *ndGrid, opts Options, old *ndNum) *ndNum {
+func newNDNum(blk int, sym *ndSym, grid *ndGrid, opts Options) *ndNum {
 	nb := sym.nb
 	num := &ndNum{
-		sym:      sym,
-		n:        grid.n(),
-		blk:      blk,
-		diag:     make([]*gp.Factors, nb),
-		aSrc:     grid.src,
-		flags:    newEpochBlockFlags(nb),
-		lower:    make([][]*sparse.CSC, nb),
-		upper:    make([][]*sparse.CSC, nb),
-		a:        make([][]*sparse.CSC, nb),
-		red:      make([][]*sparse.CSC, nb),
-		fws:      make([]*gp.Workspace, sym.p),
-		fmark:    make([][]int, sym.p),
-		facc:     make([][]float64, sym.p),
-		ftag:     make([]int, sym.p),
-		flows:    make([][]*sparse.CSC, sym.p),
-		fups:     make([][]*sparse.CSC, sym.p),
-		fdws:     make([]*dense.Workspace, sym.p),
-		phaseDur: make([][]float64, sym.p),
+		sym:   sym,
+		n:     grid.n(),
+		blk:   blk,
+		diag:  make([]*gp.Factors, nb),
+		aSrc:  grid.src,
+		flags: newEpochBlockFlags(nb),
+		lower: make([][]*sparse.CSC, nb),
+		upper: make([][]*sparse.CSC, nb),
+		a:     make([][]*sparse.CSC, nb),
+		red:   make([][]*sparse.CSC, nb),
+		fws:   make([]*gp.Workspace, sym.p),
+		fmark: make([][]int, sym.p),
+		facc:  make([][]float64, sym.p),
+		ftag:  make([]int, sym.p),
+		flows: make([][]*sparse.CSC, sym.p),
+		fups:  make([][]*sparse.CSC, sym.p),
+		fdws:  make([]*dense.Workspace, sym.p),
 	}
 	for i := 0; i < nb; i++ {
 		num.a[i] = make([]*sparse.CSC, nb)
@@ -301,18 +266,8 @@ func newNDNum(blk int, sym *ndSym, grid *ndGrid, opts Options, old *ndNum) *ndNu
 		}
 	}
 	// The flag fabric binds to the owner's cancel source so inner waits
-	// unblock on cancellation; the barrier registers with it so a fired
-	// deadline or stall verdict wakes barrier sleepers (with a cancellation
-	// cause, not a failure one).
+	// unblock on cancellation.
 	num.flags.Bind(opts.ctl)
-	if opts.Sync == SyncBarrier {
-		if old != nil {
-			num.barr, num.lastWaitNs = old.barr, old.barr.waitNs()
-		} else {
-			num.barr = newBarrier(sym.p)
-			opts.ctl.registerBarrier(num.barr)
-		}
-	}
 	return num
 }
 
@@ -343,12 +298,6 @@ func (num *ndNum) sweep(perm *sparse.CSC, opts Options, mode sweepMode, st *ndIn
 	num.phase = sweepModes[mode].phase
 	num.firstErr = nil
 	num.flags.Reset()
-	if num.barr != nil {
-		num.barr.reset() // a prior failed sweep leaves the barrier broken
-	}
-	for t := range num.phaseDur {
-		num.phaseDur[t] = num.phaseDur[t][:0]
-	}
 	num.resetWaitAccounting()
 	if st == nil {
 		for i := range num.a {
@@ -373,9 +322,9 @@ func (num *ndNum) sweep(perm *sparse.CSC, opts Options, mode sweepMode, st *ndIn
 			wg.Add(1)
 			go func(t int) {
 				// Panic isolation: record the panic as the sweep error and
-				// fail the flag fabric (and barrier) so cooperating siblings
-				// abort their waits instead of deadlocking. The WaitGroup is
-				// the join, so no completion slots need force-releasing.
+				// fail the flag fabric so cooperating siblings abort their
+				// waits instead of deadlocking. The WaitGroup is the join,
+				// so no completion slots need force-releasing.
 				defer wg.Done()
 				defer func() {
 					if r := recover(); r != nil {
@@ -390,9 +339,6 @@ func (num *ndNum) sweep(perm *sparse.CSC, opts Options, mode sweepMode, st *ndIn
 	// Each sweep reports its own delta of the fabric's cumulative contended
 	// counters — also when it failed, so its waits never leak into the next.
 	contended, waitNs := num.flags.Contended(), num.flags.WaitNanos()
-	if num.barr != nil {
-		waitNs += num.barr.waitNs()
-	}
 	num.SyncWaits, num.lastContended = contended-num.lastContended, contended
 	num.SyncWaitNs, num.lastWaitNs = waitNs-num.lastWaitNs, waitNs
 	if num.firstErr == nil && opts.ctl.Canceled() {
@@ -487,9 +433,6 @@ func (num *ndNum) fail(err error) {
 	}
 	num.errMu.Unlock()
 	num.flags.fail()
-	if num.barr != nil {
-		num.barr.breakBarrier()
-	}
 }
 
 // wait waits for kernel (i, j), charging the blocked time to worker t's
@@ -540,13 +483,12 @@ type ndLane struct {
 	acc  []float64
 	tag  int
 
-	// t0 and kind describe the open span (kind starts as KindNDKernel and is
-	// raised by a kernel that routes through the dense or supernodal layer);
-	// busy is the compute time since the last schedule step ended; waitMark
-	// is the worker's blocked-wait total when its last trace event was cut.
-	t0       time.Time
+	// t0 and kind describe the open span (t0 is read only when tracing;
+	// kind starts as KindNDKernel and is raised by a kernel that routes
+	// through the dense or supernodal layer); waitMark is the worker's
+	// blocked-wait total when its last trace event was cut.
+	t0       int64
 	kind     trace.Kind
-	busy     float64
 	waitMark int64
 }
 
@@ -561,16 +503,18 @@ func (w *ndLane) firstOf(j int) int {
 	return w.st.first[j]
 }
 
-// begin opens a timed kernel span; end closes it, adding its compute time
-// (never its waits) to the current schedule step and emitting one trace
+// begin opens a kernel span; end closes it and, when tracing, emits one
 // event that carries the blocked wait accumulated since the previous event.
-func (w *ndLane) begin() { w.t0, w.kind = time.Now(), trace.KindNDKernel }
+func (w *ndLane) begin() {
+	w.kind = trace.KindNDKernel
+	if rec := w.num.rec; rec != nil {
+		w.t0 = rec.Now()
+	}
+}
 
 func (w *ndLane) end() {
-	d := time.Since(w.t0)
-	w.busy += d.Seconds()
-	if num := w.num; num.rec != nil {
-		w.emit(d.Nanoseconds(), w.kind)
+	if rec := w.num.rec; rec != nil {
+		w.emit(rec.Now()-w.t0, w.kind)
 	}
 }
 
@@ -591,27 +535,10 @@ func (w *ndLane) emit(ns int64, kind trace.Kind) {
 	w.waitMark = num.fwait[w.t]
 }
 
-// endStep closes one step of the static schedule. All threads traverse the
-// same step sequence whatever the mask skips, so phaseDur stays aligned
-// across threads for the simulated-makespan model. It reports whether the
-// sweep goes on: in barrier mode (fresh sweeps only — the ablation concerns
-// first factorization) every thread meets here; otherwise the step boundary
-// just polls for an abort and only flag waits synchronize.
-func (w *ndLane) endStep() bool {
-	num := w.num
-	num.phaseDur[w.t] = append(num.phaseDur[w.t], w.busy)
-	w.busy = 0
-	if num.barr == nil || w.mode != modeFactor {
-		return !num.flags.Aborted()
-	}
-	if num.rec == nil {
-		return num.barr.await()
-	}
-	t0 := time.Now()
-	ok := num.barr.await()
-	num.fwait[w.t] += time.Since(t0).Nanoseconds()
-	return ok
-}
+// endStep closes one step of the static schedule and reports whether the
+// sweep goes on: the step boundary polls for an abort, and only the flag
+// waits synchronize.
+func (w *ndLane) endStep() bool { return !w.num.flags.Aborted() }
 
 // close returns the lane's mark tag to the pool and, when tracing, emits a
 // zero-length event carrying the trailing blocked wait (waits not followed
@@ -627,9 +554,8 @@ func (w *ndLane) close() {
 // worker runs thread t's static schedule: its leaf, then for every
 // separator level the four steps A–D of the paper's slevel loop. Each
 // kernel is its mode's variant (see the four kernel methods); the walk, the
-// point-to-point flags, the step timing and the abort protocol are the same
-// in every mode. Compute time (not waits) lands in phaseDur for the
-// simulated-makespan model. All scratch comes from the pooled per-worker
+// point-to-point flags and the abort protocol are the same in every mode.
+// All scratch comes from the pooled per-worker
 // workspaces, so a recycled or refreshed hierarchy allocates nothing here.
 //
 // Per-column granularity at the leaves of a partial sweep: leaf kernels

@@ -14,8 +14,7 @@
 //     mapped onto a binary dependency tree, and factored by the parallel
 //     Gilbert–Peierls algorithm (Algorithms 3-4): multiple threads
 //     cooperate on a single block column, synchronizing point-to-point
-//     through atomic per-block flags (the paper's volatile-variable sync)
-//     or, for the ablation study, through global barriers.
+//     through atomic per-block flags (the paper's volatile-variable sync).
 //
 // Partial pivoting happens inside diagonal blocks only, which the
 // fill-path theorem makes safe for the already-computed lower off-diagonal
@@ -28,21 +27,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/gp"
 	"repro/internal/trace"
-)
-
-// SyncMode selects the synchronization strategy of the parallel numeric
-// phase of the fine-ND engine.
-type SyncMode int
-
-const (
-	// SyncPointToPoint uses one atomic flag per 2D block; a thread waits
-	// only on the exact blocks it consumes. This is Basker's default and
-	// the subject of the paper's §IV synchronization discussion.
-	SyncPointToPoint SyncMode = iota
-	// SyncBarrier synchronizes every thread of a subtree at every
-	// dependency-tree step — the traditional parallel-for behaviour the
-	// paper measured at 11% of runtime versus 2.3% for point-to-point.
-	SyncBarrier
 )
 
 // Options configures a Basker solver.
@@ -65,29 +49,32 @@ type Options struct {
 	// LocalAMD applies an AMD ordering inside each ND diagonal block
 	// (leaves and separators) to cut fill within the 2D blocks.
 	LocalAMD bool
-	// Sync selects the synchronization mode of the ND numeric phase.
-	Sync SyncMode
 	// NoPrune disables Eisenstat–Liu symmetric pruning inside every
 	// Gilbert–Peierls kernel (ablation; see gp.Options.NoPrune).
 	NoPrune bool
+
+	// DenseKernelThreshold, NoDenseKernels, SupernodeRelax and NoSupernodes
+	// are not product options: the public API sets none of them. They exist
+	// only as the sparse-column reference arm of this package's equivalence
+	// tests (TestDenseKernelEquivalenceSuite, TestSupernodeAblationParity,
+	// FuzzFactorSolve) and of baskerbench's internal ablation tables.
+	//
 	// DenseKernelThreshold is the estimated block density (from the fine-ND
 	// symbolic estimates, Algorithm 3) at or above which a 2D kernel is
 	// routed through the dense panel layer at numeric time. 0 selects
 	// DefaultDenseKernelThreshold; values above 1 never trigger (only the
-	// density estimate's clamp reaches exactly 1), so e.g. 2 disables the
-	// layer through the threshold alone.
+	// density estimate's clamp reaches exactly 1).
 	DenseKernelThreshold float64
-	// NoDenseKernels disables the density-adaptive dense kernel layer
-	// entirely (ablation; every fine-ND kernel stays on the sparse
-	// Gilbert–Peierls path regardless of the density estimates).
+	// NoDenseKernels keeps every fine-ND kernel on the sparse
+	// Gilbert–Peierls path regardless of the density estimates.
 	NoDenseKernels bool
 	// SupernodeRelax is the relaxed-amalgamation bound for supernode
 	// detection in fine-ND leaf diagonals: the largest column run merged
 	// into one panel when the run is not a pure elimination-tree chain
 	// (SuperLU's relaxation parameter). 0 selects DefaultSupernodeRelax.
 	SupernodeRelax int
-	// NoSupernodes disables elimination-tree supernode detection entirely
-	// (ablation; moderate-density leaf diagonals factor column at a time).
+	// NoSupernodes turns supernode detection off: moderate-density leaf
+	// diagonals factor column at a time.
 	NoSupernodes bool
 	// Trace, when non-nil, receives per-kernel scheduler events from every
 	// sweep (analyze, factor, refactor, partial refactor, parallel solve).
@@ -127,7 +114,7 @@ const DefaultDenseKernelThreshold = 0.5
 const DefaultSupernodeRelax = 8
 
 // DefaultOptions returns the paper-faithful defaults: BTF + MWCM on,
-// KLU-style pivot tolerance, point-to-point synchronization.
+// KLU-style pivot tolerance.
 func DefaultOptions() Options {
 	return Options{
 		Threads:     1,
@@ -136,7 +123,6 @@ func DefaultOptions() Options {
 		PivotTol:    gp.DefaultPivotTol,
 		BigBlockMin: 128,
 		LocalAMD:    true,
-		Sync:        SyncPointToPoint,
 	}
 }
 

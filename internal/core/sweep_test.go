@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,53 +16,62 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestNDFallbackBarrierRegistration pins the cancel registry's size under
-// the SyncBarrier ablation: a pivot-drift fallback replaces a fine-ND
-// block's whole engine, and the replacement must take over the barrier of
-// the engine it replaces instead of registering another one — otherwise the
-// registry grows by one per fallback over a long transient and Cancel walks
-// dead barriers.
-func TestNDFallbackBarrierRegistration(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	a := randCircuit(rng, 400, 0.6)
-	inject := faultinject.New()
-	opts := optsWithThreads(2)
-	opts.Sync = SyncBarrier
-	opts.Inject = inject
-	num, err := FactorDirect(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ndBlk := -1
-	for blk := 0; blk < num.Sym.NumBlocks(); blk++ {
-		if num.Sym.IsND(blk) {
-			ndBlk = blk
-		}
-	}
-	if ndBlk < 0 {
-		t.Fatal("test matrix needs an ND block")
-	}
-	const fallbacks = 6
-	for i := 1; i <= fallbacks; i++ {
-		// One forced failure of the ND block's refresh; the re-armed rule is
-		// spent by the time the fallback consults it, so the fallback runs.
-		inject.Arm(faultinject.PointPivotFail, faultinject.Rule{
-			Sweep: faultinject.SweepRefactor, SweepSet: true, Block: ndBlk, Worker: -1, Times: 1,
+// TestCanceledSweepSkipsStallPoint pins what a worker of a cancelled sweep
+// does once its kernel returns: it records its block's outcome and signals,
+// and runs neither the scheduler hooks nor the fault points. The one armed
+// stall rule must still be unfired after the next entry point has drained
+// the cancelled sweep — otherwise a straggler the caller no longer waits for
+// takes a rule, or CPU, meant for the next sweep.
+func TestCanceledSweepSkipsStallPoint(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(73))
+			a := randCircuit(rng, 320, 0.6)
+			inject := faultinject.New()
+			opts := optsWithThreads(threads)
+			opts.Inject = inject
+			sym, err := Analyze(a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The hook cancels the step's context as a block starts and holds
+			// that block until the monitor has cancelled the sweep, so every
+			// kernel that runs finishes inside a cancelled sweep.
+			var num *Numeric
+			var cancelOnStart atomic.Pointer[context.CancelFunc]
+			hooks := &schedHooks{blockStart: func(int, bool) {
+				if c := cancelOnStart.Load(); c != nil {
+					(*c)()
+					for !num.sweep.Canceled() {
+						runtime.Gosched()
+					}
+				}
+			}}
+			if num, err = factorFresh(context.Background(), a, sym, hooks); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cancelOnStart.Store(&cancel)
+			inject.Arm(faultinject.PointStall, faultinject.Rule{
+				Sweep: faultinject.SweepFactor, SweepSet: true, Block: -1, Worker: -1, Times: 1, Stall: 20 * time.Millisecond,
+			})
+			if err := num.FactorIntoCtx(ctx, a); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("FactorIntoCtx cancelled from the block-start hook: %v, want ErrCanceled", err)
+			}
+			if err := num.enter(context.Background(), a); err != nil {
+				t.Fatal(err)
+			}
+			if n := inject.Fired(faultinject.PointStall); n != 0 {
+				t.Fatalf("the cancelled sweep's workers fired the stall rule %d time(s)", n)
+			}
+			cancelOnStart.Store(nil)
+			inject.DisarmAll()
+			if err := num.FactorInto(a); err != nil {
+				t.Fatal(err)
+			}
+			solveCheck(t, a, num, 1e-7)
 		})
-		step := matgen.TransientStep(a, i, 52)
-		if err := num.Refactor(step); err != nil {
-			t.Fatalf("refactor %d with one forced ND pivot failure: %v", i, err)
-		}
-		solveCheck(t, step, num, 1e-7)
-	}
-	if got := num.PivotFallbacks(); got != fallbacks {
-		t.Fatalf("PivotFallbacks = %d, want %d", got, fallbacks)
-	}
-	num.sweep.mu.Lock()
-	registered := len(num.sweep.barriers)
-	num.sweep.mu.Unlock()
-	if want := num.Sym.NumNDBlocks(); registered != want {
-		t.Fatalf("%d barriers registered after %d ND fallbacks, want %d (one per ND block)", registered, fallbacks, want)
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 // per slot; consumers wait only on the slots they need — the Go analogue of
 // the paper's write-to-volatile point-to-point synchronization. Signals are
 // implemented as closed channels so waiting goroutines consume no CPU even
-// when the host has fewer cores than workers (which matters for the
-// simulated-makespan timing mode described in DESIGN.md).
+// when the host has fewer cores than workers.
 type Signals struct {
 	done  []chan struct{}
 	abort chan struct{}
@@ -260,101 +259,3 @@ func (f *epochBlockFlags) waitTimed(i, j int) (int64, bool) {
 	return f.WaitTimed(f.idx(i, j))
 }
 func (f *epochBlockFlags) fail() { f.Fail() }
-
-// barrier is a reusable counting barrier for the SyncBarrier ablation mode.
-// It deliberately models the heavyweight "rejoin everything" semantics of a
-// parallel-for: every participant waits for every other at each phase.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	count   int
-	gen     int
-	broken  atomic.Bool
-	// cause distinguishes why the barrier broke: a numeric failure
-	// (breakBarrier) or an external cancellation (breakCanceled). The
-	// distinction lets the barrier-ablation sweeps report a cancelled
-	// deadline as ErrCanceled instead of misclassifying it as an internal
-	// failure.
-	cause atomic.Uint32
-	// waitNanos accumulates the wall-clock time participants spent blocked
-	// waiting for the rest (the last arriver pays nothing) — the barrier
-	// half of the paper's 2.3%-vs-11% sync-overhead comparison.
-	waitNanos atomic.Int64
-}
-
-// barrier break causes.
-const (
-	barrierIntact uint32 = iota
-	barrierFailed
-	barrierCanceled
-)
-
-func newBarrier(parties int) *barrier {
-	b := &barrier{parties: parties}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// await blocks until all parties arrive. Returns false if the barrier was
-// broken by an error.
-func (b *barrier) await() bool {
-	if b.broken.Load() {
-		return false
-	}
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.parties {
-		b.count = 0
-		b.gen++
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return !b.broken.Load()
-	}
-	if gen == b.gen && !b.broken.Load() {
-		t0 := time.Now()
-		for gen == b.gen && !b.broken.Load() {
-			b.cond.Wait()
-		}
-		b.waitNanos.Add(time.Since(t0).Nanoseconds())
-	}
-	b.mu.Unlock()
-	return !b.broken.Load()
-}
-
-// waitNs reports the cumulative blocked nanoseconds across all participants.
-func (b *barrier) waitNs() int64 { return b.waitNanos.Load() }
-
-// breakBarrier releases all waiters with a failure indication.
-func (b *barrier) breakBarrier() { b.breakWith(barrierFailed) }
-
-// breakCanceled releases all waiters with the external-cancellation cause,
-// so the sweep driver can surface ErrCanceled/ErrDeadlineExceeded/ErrStalled
-// instead of a numeric failure.
-func (b *barrier) breakCanceled() { b.breakWith(barrierCanceled) }
-
-func (b *barrier) breakWith(cause uint32) {
-	b.cause.CompareAndSwap(barrierIntact, cause)
-	b.broken.Store(true)
-	b.mu.Lock()
-	b.gen++
-	b.count = 0
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// canceled reports that the barrier was broken by external cancellation
-// (false for an intact barrier or a failure break).
-func (b *barrier) canceled() bool { return b.cause.Load() == barrierCanceled }
-
-// reset re-arms a quiesced barrier for a new parallel region after a
-// failure (all prior participants must have returned).
-func (b *barrier) reset() {
-	b.mu.Lock()
-	b.broken.Store(false)
-	b.cause.Store(barrierIntact)
-	b.count = 0
-	b.gen++
-	b.mu.Unlock()
-}

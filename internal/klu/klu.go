@@ -11,7 +11,6 @@ package klu
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/gp"
 	"repro/internal/order"
@@ -60,10 +59,6 @@ type Numeric struct {
 	Blocks  []*gp.Factors
 	Perm    *sparse.CSC // B = A(RowPerm, ColPerm), kept for off-block solve
 	FlopsLU int64
-	// KernelSeconds is the summed per-block factorization time, the serial
-	// counterpart of the parallel solvers' SimulatedSeconds (matrix
-	// permutation overhead excluded consistently across solvers).
-	KernelSeconds float64
 }
 
 // Analyze computes the BTF + AMD orderings for the pattern of a.
@@ -132,9 +127,7 @@ func Factor(a *sparse.CSC, sym *Symbolic) (*Numeric, error) {
 	for blk := 0; blk < sym.NumBlocks(); blk++ {
 		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 		sub := b.ExtractBlock(r0, r1, r0, r1)
-		t0 := time.Now()
 		f, err := gp.Factor(sub, sym.EstNnz[blk], opts, ws)
-		num.KernelSeconds += time.Since(t0).Seconds()
 		if err != nil {
 			return nil, fmt.Errorf("klu: block %d (rows %d..%d): %w", blk, r0, r1, err)
 		}

@@ -5,7 +5,7 @@
 // statistics Basker's behaviour depends on* — dimension (scaled down),
 // nonzeros per row, the share of rows in small BTF blocks (Table I's BTF%),
 // the number of BTF blocks, and the fill-in density class — as recorded in
-// Table I/II of the paper. DESIGN.md documents this substitution.
+// Table I/II of the paper.
 package matgen
 
 import (

@@ -225,36 +225,3 @@ func TrendLine(xs, ys []float64) (a, b float64) {
 	a = (sy - b*sx) / n
 	return a, b
 }
-
-// Makespan computes the completion time of scheduling independent tasks
-// with the given durations onto p identical workers using the
-// longest-processing-time (LPT) greedy rule. It is used to *simulate*
-// multicore execution of one scheduling level on hosts with fewer physical
-// cores than the experiment sweeps (see DESIGN.md's hardware substitution).
-func Makespan(durations []float64, p int) float64 {
-	if p < 1 {
-		p = 1
-	}
-	if len(durations) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), durations...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	bins := make([]float64, p)
-	for _, d := range sorted {
-		best := 0
-		for i := 1; i < p; i++ {
-			if bins[i] < bins[best] {
-				best = i
-			}
-		}
-		bins[best] += d
-	}
-	max := 0.0
-	for _, b := range bins {
-		if b > max {
-			max = b
-		}
-	}
-	return max
-}

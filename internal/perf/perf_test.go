@@ -101,18 +101,3 @@ func TestTrendLine(t *testing.T) {
 		t.Fatal("empty trend should be zero")
 	}
 }
-
-func TestMakespan(t *testing.T) {
-	if m := Makespan([]float64{4, 3, 2, 1}, 2); m != 5 {
-		t.Fatalf("Makespan = %v, want 5", m)
-	}
-	if m := Makespan([]float64{4, 3, 2, 1}, 1); m != 10 {
-		t.Fatalf("Makespan p=1 = %v, want 10", m)
-	}
-	if m := Makespan(nil, 4); m != 0 {
-		t.Fatalf("Makespan empty = %v", m)
-	}
-	if m := Makespan([]float64{5}, 8); m != 5 {
-		t.Fatalf("Makespan single = %v", m)
-	}
-}

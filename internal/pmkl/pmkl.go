@@ -19,7 +19,6 @@ package pmkl
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/dense"
 	"repro/internal/etree"
@@ -99,107 +98,6 @@ func (s *Symbolic) NnzLU() int { return s.LPat.Nnz() + s.UPat.Nnz() - s.N }
 type Numeric struct {
 	Sym  *Symbolic
 	L, U *sparse.CSC
-	// SnSeconds records each supernode's compute time for the simulated
-	// level-scheduled makespan (DESIGN.md hardware substitution).
-	SnSeconds []float64
-}
-
-// SimulatedSeconds estimates the numeric-phase makespan on `threads` ideal
-// cores from the recorded per-supernode durations, with an event-driven
-// list scheduling over the supernodal elimination tree. It captures
-// Pardiso's parallelism levels: (a) independent subtrees run concurrently
-// (a supernode becomes ready only when its children finished), (b) large
-// supernode panels are internally parallel (threaded BLAS), modelled by
-// shrinking a task's duration with its panel area, and (c) every supernode
-// task pays a fixed dispatch overhead (BLAS call setup + task scheduling,
-// calibrated at 2µs — the constant that makes real supernodal solvers lose
-// on circuit matrices whose supernodes are one or two columns wide; our
-// plain-Go loops lack it, so the simulator restores it; see DESIGN.md).
-// This is the hardware-substitution timing model of DESIGN.md.
-func (num *Numeric) SimulatedSeconds(threads int) float64 {
-	if threads < 1 {
-		threads = 1
-	}
-	sym := num.Sym
-	ns := sym.NumSupernodes()
-	if ns == 0 {
-		return 0
-	}
-	snOf := make([]int, sym.N)
-	for s := 0; s < ns; s++ {
-		for c := sym.Super[s]; c < sym.Super[s+1]; c++ {
-			snOf[c] = s
-		}
-	}
-	// Effective (BLAS-scaled) duration per supernode.
-	eff := make([]float64, ns)
-	for s := 0; s < ns; s++ {
-		c0, c1 := sym.Super[s], sym.Super[s+1]
-		rows := sym.LPat.Colptr[c0+1] - sym.LPat.Colptr[c0]
-		par := 1 + rows*(c1-c0)/2048
-		if par > threads {
-			par = threads
-		}
-		const taskOverhead = 2e-6 // BLAS dispatch + task scheduling
-		eff[s] = num.SnSeconds[s]/float64(par) + taskOverhead
-	}
-	parent := make([]int, ns)
-	pending := make([]int, ns)
-	readyAt := make([]float64, ns)
-	for s := 0; s < ns; s++ {
-		parent[s] = -1
-		if par := sym.Parent[sym.Super[s+1]-1]; par != -1 {
-			parent[s] = snOf[par]
-			pending[snOf[par]]++
-		}
-	}
-	ready := make([]int, 0, ns)
-	for s := 0; s < ns; s++ {
-		if pending[s] == 0 {
-			ready = append(ready, s)
-		}
-	}
-	workers := make([]float64, threads)
-	makespan := 0.0
-	for done := 0; done < ns; done++ {
-		if len(ready) == 0 {
-			break
-		}
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if eff[ready[i]] > eff[ready[best]] {
-				best = i
-			}
-		}
-		s := ready[best]
-		ready[best] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		w := 0
-		for i := 1; i < threads; i++ {
-			if workers[i] < workers[w] {
-				w = i
-			}
-		}
-		startT := workers[w]
-		if readyAt[s] > startT {
-			startT = readyAt[s]
-		}
-		fin := startT + eff[s]
-		workers[w] = fin
-		if fin > makespan {
-			makespan = fin
-		}
-		if par := parent[s]; par != -1 {
-			if fin > readyAt[par] {
-				readyAt[par] = fin
-			}
-			pending[par]--
-			if pending[par] == 0 {
-				ready = append(ready, par)
-			}
-		}
-	}
-	return makespan
 }
 
 // Analyze orders the matrix and computes the static factor structure.
@@ -358,10 +256,9 @@ func Factor(a *sparse.CSC, sym *Symbolic) (*Numeric, error) {
 	}
 	b := a.Permute(sym.RowPerm, sym.ColPerm)
 	num := &Numeric{
-		Sym:       sym,
-		L:         sym.LPat.Clone(),
-		U:         sym.UPat.Clone(),
-		SnSeconds: make([]float64, sym.NumSupernodes()),
+		Sym: sym,
+		L:   sym.LPat.Clone(),
+		U:   sym.UPat.Clone(),
 	}
 	for i := range num.L.Values {
 		num.L.Values[i] = 0
@@ -384,10 +281,7 @@ func Factor(a *sparse.CSC, sym *Symbolic) (*Numeric, error) {
 				defer wg.Done()
 				x := make([]float64, sym.N)
 				for s := range work {
-					t0 := time.Now()
-					err := factorSupernode(num, b, s, x, minPiv)
-					num.SnSeconds[s] = time.Since(t0).Seconds()
-					if err != nil {
+					if err := factorSupernode(num, b, s, x, minPiv); err != nil {
 						errMu.Lock()
 						if firstErr == nil {
 							firstErr = err

@@ -12,7 +12,6 @@ package slumt
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/etree"
 	"repro/internal/pmkl"
@@ -35,40 +34,6 @@ type Numeric struct {
 	Sym  *pmkl.Symbolic
 	L, U *sparse.CSC
 	Opts Options
-	// ColSeconds records each column's compute time; byLevel holds the
-	// column level schedule. Together they give the simulated makespan.
-	ColSeconds []float64
-	byLevel    [][]int
-}
-
-// SimulatedSeconds reports the level-by-level makespan of the recorded
-// column durations on `threads` ideal cores (greedy bin packing per level,
-// with a barrier between levels — the 1D layout's cost model).
-func (num *Numeric) SimulatedSeconds(threads int) float64 {
-	if threads < 1 {
-		threads = 1
-	}
-	total := 0.0
-	for _, level := range num.byLevel {
-		bins := make([]float64, threads)
-		for _, c := range level {
-			best := 0
-			for i := 1; i < threads; i++ {
-				if bins[i] < bins[best] {
-					best = i
-				}
-			}
-			bins[best] += num.ColSeconds[c]
-		}
-		max := 0.0
-		for _, b := range bins {
-			if b > max {
-				max = b
-			}
-		}
-		total += max
-	}
-	return total
 }
 
 // Factor analyzes and factors a with the 1D level-scheduled algorithm.
@@ -92,8 +57,7 @@ func FactorWithSymbolic(a *sparse.CSC, sym *pmkl.Symbolic, opts Options) (*Numer
 		opts.PerturbRel = 1e-10
 	}
 	b := a.Permute(sym.RowPerm, sym.ColPerm)
-	num := &Numeric{Sym: sym, L: sym.LPat.Clone(), U: sym.UPat.Clone(), Opts: opts,
-		ColSeconds: make([]float64, sym.N)}
+	num := &Numeric{Sym: sym, L: sym.LPat.Clone(), U: sym.UPat.Clone(), Opts: opts}
 	for i := range num.L.Values {
 		num.L.Values[i] = 0
 	}
@@ -101,7 +65,6 @@ func FactorWithSymbolic(a *sparse.CSC, sym *pmkl.Symbolic, opts Options) (*Numer
 
 	// Column-level schedule from the scalar etree.
 	_, byLevel := etree.LevelSets(sym.Parent)
-	num.byLevel = byLevel
 
 	var firstErr error
 	var errMu sync.Mutex
@@ -118,10 +81,7 @@ func FactorWithSymbolic(a *sparse.CSC, sym *pmkl.Symbolic, opts Options) (*Numer
 				defer wg.Done()
 				x := make([]float64, sym.N)
 				for j := range work {
-					t0 := time.Now()
-					err := factorColumn(num, b, j, x, minPiv)
-					num.ColSeconds[j] = time.Since(t0).Seconds()
-					if err != nil {
+					if err := factorColumn(num, b, j, x, minPiv); err != nil {
 						errMu.Lock()
 						if firstErr == nil {
 							firstErr = err

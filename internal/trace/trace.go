@@ -131,8 +131,8 @@ func (k Kind) String() string {
 // Event is one recorded kernel execution. Start and End are nanoseconds
 // since the recorder's base time; Wait is the portion of the worker's
 // time since its previous event (or sweep start) spent blocked on the
-// point-to-point/barrier fabric, accounted separately from compute so
-// sync overhead is measurable (the paper's 2.3%-vs-11% claim).
+// point-to-point fabric, accounted separately from compute so sync
+// overhead is measurable (the paper's 2.3 % claim).
 type Event struct {
 	Start  int64
 	End    int64
@@ -457,11 +457,11 @@ type Summary struct {
 	WallSeconds float64
 	// WorkSeconds is the total compute across all workers.
 	WorkSeconds float64
-	// WaitSeconds is the total blocked synchronization time across all
-	// workers (point-to-point waits, barrier waits).
+	// WaitSeconds is the total blocked point-to-point wait time across all
+	// workers.
 	WaitSeconds float64
 	// SyncFraction is WaitSeconds / (WorkSeconds + WaitSeconds) — the
-	// paper's sync-overhead metric (~2.3% point-to-point vs ~11% barrier).
+	// paper's sync-overhead metric (~2.3 % for point-to-point).
 	SyncFraction float64
 	// Parallelism is WorkSeconds / WallSeconds: the effective number of
 	// busy workers (1.0 = serial, p = perfect scaling on p workers).
