@@ -628,9 +628,10 @@ func (f *Factors) Solve(b []float64) {
 // The panel kernels. A panel holds PanelLanes right-hand sides
 // row-interleaved, so a sweep loads each factor entry once and applies it
 // to eight contiguous lanes. The diagonal-block sweeps LSolvePanel and
-// USolvePanel are most of a batched solve and the package's one use of the
-// CPU's vector units, the third level of hardware parallelism the paper
-// maps onto: on amd64 with AVX2 they run assembly kernels (panel_amd64.s)
+// USolvePanel are most of a batched solve and one of the package's two uses
+// of the CPU's vector units, the third level of hardware parallelism the
+// paper maps onto (the other is the supernode refresh, snode.go): on amd64
+// with AVX2 they run assembly kernels (panel_amd64.s)
 // that hold a PanelRow in two 4-lane registers and sweep up to panelChunk
 // columns per call. Other architectures, CPUs without AVX2 and
 // race-detector builds (the detector cannot see the memory accesses of

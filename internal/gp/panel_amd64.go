@@ -4,9 +4,11 @@ package gp
 
 import "fmt"
 
-// hasAVX2 reports whether the panel sweeps run their AVX2 kernels: the CPU
-// has AVX and AVX2 (CPUID.1:ECX bit 28, CPUID.7:EBX bit 5) and the OS saves
-// the YMM registers (CPUID.1:ECX bit 27, OSXSAVE, and XCR0 bits 1 and 2).
+// hasAVX2 gates every vector kernel of gp: the panel sweeps
+// (panel_amd64.s) and the supernode refresh tiles (snode_amd64.s). It
+// reports whether the CPU has AVX and AVX2 (CPUID.1:ECX bit 28, CPUID.7:EBX
+// bit 5) and the OS saves the YMM registers (CPUID.1:ECX bit 27, OSXSAVE,
+// and XCR0 bits 1 and 2).
 var hasAVX2 = detectAVX2()
 
 func detectAVX2() bool {

@@ -29,8 +29,8 @@ import (
 //     sorted union of their outside rows, and each source is applied to the
 //     whole tile — a narrow source four target columns per pass over
 //     L(:,j), the trailing run of a wide source as an in-source triangle
-//     solve followed by a 4×2 register-tiled product over its shared
-//     below rows.
+//     solve followed by a register-tiled product over its shared below
+//     rows, two target columns at a time.
 //
 // The choice is pattern-only and fixed when FactorSupernodalInto emits the
 // pattern: a supernode refreshes blocked when its outside-U density
@@ -41,6 +41,18 @@ import (
 // at a time in ascending source column, skipping the same zero
 // multipliers — the register tiles only keep the running value in a
 // register between them, nothing is summed separately or reassociated.
+//
+// Every refresh loop that runs along contiguous memory has an AVX2 kernel
+// (snode_amd64.s), selected by hasAVX2 like the panel sweeps: the wide
+// source's below product (tile42 as 8×2 and 4×2 register tiles, tile41 as
+// 8×1 and 4×1; the last rows of either stay in the Go loop), the in-source
+// triangle and eliminatePanel's column update (axpy), and eliminatePanel's
+// pivot-column scaling (divBy). They multiply, then subtract (or divide),
+// never fused, so the bits are the Go loops' — which stay the fallback and
+// the reference. applySingle's axpy4 stays Go: its rows go through slot
+// to scattered addresses of the column-major tile, so it is bound by those
+// stores, not by arithmetic a vector register could share; it needs a
+// row-major tile layout first.
 //
 // Layout invariants of a supernodal factor over supernode S = [k0, k1),
 // w = k1-k0 (on top of the standard sorted-factor invariants):
@@ -679,7 +691,7 @@ func (f *Factors) applySingle(blk []float64, ld, tc, q, j int, slot []int) {
 // [j0, j1) (block rows q..) to the tile: per column, the in-source
 // triangle solve on the packed multipliers, then the shared below rows as
 // a register-tiled product starting at the column's first nonzero
-// multiplier. Columns pair up for the 4×2 tile; a column with a zero
+// multiplier. Columns pair up for tile42; a column with a zero
 // multiplier inside its segment takes the skipping column-by-column path,
 // so every element sees exactly the per-column kernel's operations.
 func (f *Factors) applyWide(sb *snBlock, blk []float64, ld, tc, q, j, j0, j1 int, slot []int) {
@@ -711,12 +723,7 @@ func (f *Factors) applyWide(sb *snBlock, blk []float64, ld, tc, q, j, j0, j1 int
 				lo = d
 			}
 			lp := f.L.Colptr[j+d] + 1
-			tri := lv[lp : lp+run-d-1]
-			ut := u[d+1:]
-			ut = ut[:len(tri)] // bounds-check elimination hint
-			for e, l := range tri {
-				ut[e] -= l * ud
-			}
+			axpy(u[d+1:], lv[lp:lp+run-d-1], ud)
 		}
 		switch {
 		case lo == run:
@@ -784,11 +791,22 @@ func axpy4(rows, slot []int, vals []float64, cols *[4][]float64, us *[4]float64)
 
 // tile41 subtracts the product of a wide source's below block (row t of
 // source column d at lv[lb[d]+t], block rows rel) and the multipliers u
-// from col, four rows held in registers across the whole run: each element
-// still sees its updates one by one in ascending d.
+// from col: the vector kernel's 8- and 4-row tiles where there is one, then
+// the Go loop for the rows left.
 func tile41(rel []int, lv []float64, lb []int, col, u []float64) {
-	u = u[:len(lb)]
 	t := 0
+	if hasAVX2 {
+		t = tile41Vec(rel, lv, lb, col, u)
+	}
+	tile41Go(rel, lv, lb, col, u, t)
+}
+
+// tile41Go is tile41's Go loop from row t0: the fallback, and the reference
+// of the vector kernel. Four rows are held in registers across the whole
+// run, so each element still sees its updates one by one in ascending d.
+func tile41Go(rel []int, lv []float64, lb []int, col, u []float64, t0 int) {
+	u = u[:len(lb)]
+	t := t0
 	for ; t+4 <= len(rel); t += 4 {
 		i0, i1, i2, i3 := rel[t], rel[t+1], rel[t+2], rel[t+3]
 		a0, a1, a2, a3 := col[i0], col[i1], col[i2], col[i3]
@@ -812,11 +830,21 @@ func tile41(rel []int, lv []float64, lb []int, col, u []float64) {
 	}
 }
 
-// tile42 is tile41 on two target columns at once: a 4×2 register tile
-// reads each source value once for both columns.
+// tile42 is tile41 on two target columns at once: a register tile reads
+// each source value once for both columns.
 func tile42(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64) {
-	uA, uB = uA[:len(lb)], uB[:len(lb)]
 	t := 0
+	if hasAVX2 {
+		t = tile42Vec(rel, lv, lb, colA, colB, uA, uB)
+	}
+	tile42Go(rel, lv, lb, colA, colB, uA, uB, t)
+}
+
+// tile42Go is tile42's Go loop from row t0, in 4×2 tiles: the fallback,
+// and the reference of the vector kernel.
+func tile42Go(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64, t0 int) {
+	uA, uB = uA[:len(lb)], uB[:len(lb)]
+	t := t0
 	var acc [8]float64
 	for ; t+4 <= len(rel); t += 4 {
 		r := rel[t : t+4]
@@ -873,31 +901,58 @@ func dot42(lv []float64, lb []int, uA, uB []float64, acc *[8]float64) {
 // Both outside updates leave the workspace clean before it, so the error
 // path needs no cleanup.
 func eliminatePanel(panel *dense.Matrix, k0 int) error {
-	w, m := panel.Cols, panel.Rows
+	w := panel.Cols
 	for d := 0; d < w; d++ {
 		cd := panel.Col(d)
 		piv := cd[d]
 		if piv == 0 {
 			return fmt.Errorf("gp: refactor column %d: %w", k0+d, ErrSingular)
 		}
-		for r := d + 1; r < m; r++ {
-			cd[r] /= piv
-		}
+		divBy(cd[d+1:], piv)
 		for j := d + 1; j < w; j++ {
 			cj := panel.Col(j)
-			fjd := cj[d]
-			if fjd == 0 {
-				continue
-			}
-			tgt := cj[d+1:]
-			lo := cd[d+1:]
-			lo = lo[:len(tgt)] // bounds-check elimination hint
-			for r, v := range lo {
-				tgt[r] -= v * fjd
+			if fjd := cj[d]; fjd != 0 {
+				axpy(cj[d+1:], cd[d+1:], fjd)
 			}
 		}
 	}
 	return nil
+}
+
+// axpy is dst[i] -= src[i]·s over the contiguous dst: the in-source
+// triangle of applyWide and the column update of eliminatePanel.
+func axpy(dst, src []float64, s float64) {
+	if hasAVX2 {
+		axpyVec(dst, src, s)
+		return
+	}
+	axpyGo(dst, src, s)
+}
+
+// axpyGo is axpy's Go loop: the fallback, and the reference of the vector
+// kernel.
+func axpyGo(dst, src []float64, s float64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] -= v * s
+	}
+}
+
+// divBy is x[i] /= s, eliminatePanel's scaling of a pivot column.
+func divBy(x []float64, s float64) {
+	if hasAVX2 {
+		divByVec(x, s)
+		return
+	}
+	divByGo(x, s)
+}
+
+// divByGo is divBy's Go loop: the fallback, and the reference of the
+// vector kernel.
+func divByGo(x []float64, s float64) {
+	for i := range x {
+		x[i] /= s
+	}
 }
 
 // scatterPanel writes the eliminated panel of the supernode starting at

@@ -834,10 +834,21 @@ func TestRefactorSupernodalRejectsPartition(t *testing.T) {
 // (signed zeros and non-finite values included) and a relaxed supernode
 // partition, the blocked refresh on every wide supernode must never panic
 // and must match the reference bit for bit — or fail with the same error.
+// The reference is pure Go with its own elimination loop, so on amd64 it
+// is an oracle independent of the vector kernels. The seeds after the
+// first three were picked so that, together, their refreshes reach panels
+// and wide-source below blocks of every row count 1–7 (mod 8), the
+// kernels' 4-row and scalar tails, and wide runs of every length from
+// snWideRun to snTileCols.
 func FuzzRefactorSupernodal(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(60), uint8(8), uint8(16), uint8(0))
 	f.Add(int64(2), uint8(70), uint8(20), uint8(4), uint8(64), uint8(3))
 	f.Add(int64(3), uint8(12), uint8(200), uint8(16), uint8(5), uint8(40))
+	f.Add(int64(1619), uint8(157), uint8(13), uint8(176), uint8(7), uint8(2))
+	f.Add(int64(1190), uint8(248), uint8(13), uint8(239), uint8(120), uint8(3))
+	f.Add(int64(88), uint8(74), uint8(14), uint8(155), uint8(150), uint8(4))
+	f.Add(int64(69), uint8(223), uint8(13), uint8(254), uint8(179), uint8(27))
+	f.Add(int64(399), uint8(224), uint8(21), uint8(31), uint8(3), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, n8, fill8, relax8, maxw8, special8 uint8) {
 		n := 1 + int(n8)%90
 		fill := float64(fill8) / 255
