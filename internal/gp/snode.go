@@ -27,10 +27,9 @@ import (
 //   - supernode–panel (outsideBlocked, the SuperLU shape): up to
 //     snTileCols target columns are gathered into one dense block over the
 //     sorted union of their outside rows, and each source is applied to the
-//     whole tile — a narrow source four target columns per pass over
-//     L(:,j), the trailing run of a wide source as an in-source triangle
-//     solve followed by a register-tiled product over its shared below
-//     rows, two target columns at a time.
+//     whole tile — a narrow source as one pass over L(:,j), the trailing
+//     run of a wide source as an in-source triangle solve followed by a
+//     register-tiled product over its shared below rows.
 //
 // The choice is pattern-only and fixed when FactorSupernodalInto emits the
 // pattern: a supernode refreshes blocked when its outside-U density
@@ -42,17 +41,22 @@ import (
 // multipliers — the register tiles only keep the running value in a
 // register between them, nothing is summed separately or reassociated.
 //
-// Every refresh loop that runs along contiguous memory has an AVX2 kernel
-// (snode_amd64.s), selected by hasAVX2 like the panel sweeps: the wide
-// source's below product (tile42 as 8×2 and 4×2 register tiles, tile41 as
-// 8×1 and 4×1; the last rows of either stay in the Go loop), the in-source
-// triangle and eliminatePanel's column update (axpy), and eliminatePanel's
-// pivot-column scaling (divBy). They multiply, then subtract (or divide),
-// never fused, so the bits are the Go loops' — which stay the fallback and
-// the reference. applySingle's axpy4 stays Go: its rows go through slot
-// to scattered addresses of the column-major tile, so it is bound by those
-// stores, not by arithmetic a vector register could share; it needs a
-// row-major tile layout first.
+// The block is row-major, one 16-lane row per block row, so a source row
+// updates all target columns of its block row with four YMM registers.
+// Both tile kernels (snode_amd64.s; the Go loops stay the fallback and
+// the reference, selected by hasAVX2 like the panel sweeps) apply a
+// source as row -= l·mult, mult the source's block row of multipliers,
+// and select the result only in the lanes where mult is nonzero: a masked
+// lane keeps its exact bits (a −0 target, a NaN payload, a zero multiplier
+// under an Inf or NaN l), which subtracting a zeroed product would not.
+// rowUpdate applies one source column to scattered target rows — a narrow
+// source, and each column of a wide run's in-source triangle. runUpdate
+// applies a wide run's below product, each target row held in registers
+// across the run: masked up to the first multiplier row from which every
+// later one is live in all 16 lanes, then unmasked, two target rows at a
+// time. eliminatePanel's column update (axpy) and pivot-column scaling
+// (divBy) have vector kernels too. All of them multiply, then subtract (or
+// divide), never fused, so the bits are the Go loops'.
 //
 // Layout invariants of a supernodal factor over supernode S = [k0, k1),
 // w = k1-k0 (on top of the standard sorted-factor invariants):
@@ -360,9 +364,10 @@ const (
 	// supernodes sit at 0.3–0.7, the Xyce-class ones at ≤ 0.15, and the
 	// classes in between time the same either way.
 	snBlockedDensity = 0.25
-	// snTileCols caps the target columns of one block tile.
+	// snTileCols caps the target columns of one block tile and is its row
+	// stride: the 16 lanes (four YMM registers) of the tile kernels.
 	snTileCols = 16
-	// snTileFloats bounds one block tile (rows × columns) to 0.4 MiB.
+	// snTileFloats bounds one block tile (rows × snTileCols) to 0.4 MiB.
 	snTileFloats = 52428
 	// snWideRun is the shortest run of one wide source supernode's columns
 	// that takes the in-source triangle solve plus tiled below product;
@@ -371,8 +376,9 @@ const (
 )
 
 // snBlock is the reusable scratch of the blocked outside update: the tile's
-// ascending outside-row union, its value block, and a wide source's
-// block-relative below rows and per-column offsets of its below values.
+// ascending outside-row union, its row-major value block, and a wide
+// source's block rows of its below rows and per-column offsets of its below
+// values.
 type snBlock struct {
 	rows  []int
 	val   []float64
@@ -566,11 +572,13 @@ func (f *Factors) outsideColumns(a *sparse.CSC, x []float64, k0, k1 int, panel *
 
 // outsideBlocked is the supernode–panel outside update. Tiles of up to
 // snTileCols target columns (fewer when the block would exceed
-// snTileFloats) are gathered into one dense block whose rows are the
-// ascending union of the tile's outside rows followed by the panel rows;
-// ws.Pstack, idle during a refresh, maps a pivot position to its block row.
-// Every source column is then applied to the whole tile in ascending
-// order, and the block lands in U's outside values and the panel.
+// snTileFloats) are gathered into one dense row-major block: block row r is
+// blk[r*snTileCols:][:snTileCols], one lane per tile column (lanes past
+// the tile's columns stay zero), and the rows are the ascending union of
+// the tile's outside rows followed by the panel rows. ws.Pstack, idle
+// during a refresh, maps a pivot position to its block row. Every source
+// column is then applied to the whole tile in ascending order, and the
+// block lands in U's outside values and, transposed, in the panel.
 func (f *Factors) outsideBlocked(a *sparse.CSC, ws *Workspace, k0, k1 int, panel *dense.Matrix) {
 	w, m := k1-k0, panel.Rows
 	below := f.L.Rowidx[f.L.Colptr[k0]+w : f.L.Colptr[k0+1]]
@@ -585,7 +593,7 @@ func (f *Factors) outsideBlocked(a *sparse.CSC, ws *Workspace, k0, k1 int, panel
 			for f.U.Rowidx[up] < k0 {
 				up++
 			}
-			if c1 > c0 && (len(rows)+up-up0+m)*(c1-c0+1) > snTileFloats {
+			if c1 > c0 && (len(rows)+up-up0+m)*snTileCols > snTileFloats {
 				break
 			}
 			for _, j := range f.U.Rowidx[up0:up] {
@@ -599,7 +607,6 @@ func (f *Factors) outsideBlocked(a *sparse.CSC, ws *Workspace, k0, k1 int, panel
 		slices.Sort(rows)
 		sb.rows = rows
 		nOut, tc := len(rows), c1-c0
-		ld := nOut + m
 		for q, j := range rows {
 			slot[j] = q
 		}
@@ -609,30 +616,33 @@ func (f *Factors) outsideBlocked(a *sparse.CSC, ws *Workspace, k0, k1 int, panel
 		for t, i := range below {
 			slot[i] = nOut + w + t
 		}
-		blk := sb.block(ld * tc)
+		blk := sb.block((nOut + m) * snTileCols)
 		for c := 0; c < tc; c++ {
-			k, col := k0+c0+c, blk[c*ld:(c+1)*ld]
+			k := k0 + c0 + c
 			for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
-				col[slot[f.Pinv[a.Rowidx[p]]]] = a.Values[p]
+				blk[slot[f.Pinv[a.Rowidx[p]]]*snTileCols+c] = a.Values[p]
 			}
 		}
-		f.applySources(sb, blk, ld, tc, slot)
+		f.applySources(sb, blk, slot)
 		for c := 0; c < tc; c++ {
-			k, col := k0+c0+c, blk[c*ld:(c+1)*ld]
+			k := k0 + c0 + c
 			for p := f.U.Colptr[k]; f.U.Rowidx[p] < k0; p++ {
-				f.U.Values[p] = col[slot[f.U.Rowidx[p]]]
+				f.U.Values[p] = blk[slot[f.U.Rowidx[p]]*snTileCols+c]
 			}
-			copy(panel.Col(c0+c), col[nOut:])
+			col := panel.Col(c0 + c)
+			for r := range col {
+				col[r] = blk[(nOut+r)*snTileCols+c]
+			}
 		}
 		c0 = c1
 	}
 }
 
-// applySources eliminates a tile block of tc columns (leading dimension
-// ld) against every source column in sb.rows, ascending: a run of
-// snWideRun or more trailing columns of one wide source supernode goes
-// through applyWide, every other source through applySingle.
-func (f *Factors) applySources(sb *snBlock, blk []float64, ld, tc int, slot []int) {
+// applySources eliminates a tile block against every source column in
+// sb.rows, ascending: a run of snWideRun or more trailing columns of one
+// wide source supernode goes through applyWide, every other source column
+// through one rowUpdate of its L column.
+func (f *Factors) applySources(sb *snBlock, blk []float64, slot []int) {
 	rows, xsup := sb.rows, f.Snodes
 	s := 0
 	for q := 0; q < len(rows); {
@@ -648,55 +658,27 @@ func (f *Factors) applySources(sb *snBlock, blk []float64, ld, tc int, slot []in
 		// source (its padded triangle reaches every later column), so its
 		// length is j1-j; anything else goes column by column.
 		if r-q >= snWideRun && r-q == j1-j {
-			f.applyWide(sb, blk, ld, tc, q, j, xsup[s], j1, slot)
+			f.applyWide(sb, blk, q, j, xsup[s], j1, slot)
 		} else {
 			for ; q < r; q++ {
-				f.applySingle(blk, ld, tc, q, rows[q], slot)
+				lp0, lp1 := f.L.Colptr[rows[q]]+1, f.L.Colptr[rows[q]+1]
+				rowUpdate(blk, q, f.L.Rowidx[lp0:lp1], slot, f.L.Values[lp0:lp1])
 			}
 		}
 		q = r
 	}
 }
 
-// applySingle applies source column j (block row q) to every tile column
-// with a nonzero multiplier, four columns per pass over L(:,j). Its rows go
-// through the slot map on every pass: a tile takes at most snTileCols/4
-// passes, too few to repay a separate translation.
-func (f *Factors) applySingle(blk []float64, ld, tc, q, j int, slot []int) {
-	lp0, lp1 := f.L.Colptr[j]+1, f.L.Colptr[j+1]
-	rows, vals := f.L.Rowidx[lp0:lp1], f.L.Values[lp0:lp1]
-	var cols [4][]float64
-	var us [4]float64
-	nc := 0
-	for c := 0; c < tc; c++ {
-		col := blk[c*ld : (c+1)*ld]
-		if u := col[q]; u != 0 {
-			cols[nc], us[nc] = col, u
-			if nc++; nc == 4 {
-				axpy4(rows, slot, vals, &cols, &us)
-				nc = 0
-			}
-		}
-	}
-	if nc >= 2 {
-		nc -= 2
-		axpy2(rows, slot, vals, cols[nc], cols[nc+1], us[nc], us[nc+1])
-	}
-	if nc == 1 {
-		axpy1(rows, slot, vals, cols[0], us[0])
-	}
-}
-
 // applyWide applies the trailing run j..j1-1 of wide source supernode
-// [j0, j1) (block rows q..) to the tile: per column, the in-source
-// triangle solve on the packed multipliers, then the shared below rows as
-// a register-tiled product starting at the column's first nonzero
-// multiplier. Columns pair up for tile42; a column with a zero
-// multiplier inside its segment takes the skipping column-by-column path,
-// so every element sees exactly the per-column kernel's operations.
-func (f *Factors) applyWide(sb *snBlock, blk []float64, ld, tc, q, j, j0, j1 int, slot []int) {
+// [j0, j1) (block rows q..) to the tile: the in-source triangle solve, one
+// rowUpdate per source column over its triangle rows — the run's next
+// block rows — then the shared below rows as one runUpdate.
+func (f *Factors) applyWide(sb *snBlock, blk []float64, q, j, j0, j1 int, slot []int) {
 	run := j1 - j
-	lv := f.L.Values
+	for d := 0; d+1 < run; d++ {
+		lp := f.L.Colptr[j+d] + 1
+		rowUpdate(blk, q+d, f.L.Rowidx[lp:lp+run-d-1], slot, f.L.Values[lp:lp+run-d-1])
+	}
 	rel := sb.rel[:0]
 	for _, i := range f.L.Rowidx[f.L.Colptr[j0]+j1-j0 : f.L.Colptr[j0+1]] {
 		rel = append(rel, slot[i])
@@ -707,192 +689,81 @@ func (f *Factors) applyWide(sb *snBlock, blk []float64, ld, tc, q, j, j0, j1 int
 		lb = append(lb, f.L.Colptr[d]+j1-d) // first below value of L(:,d)
 	}
 	sb.lbase = lb
-	pend, pendLo := []float64(nil), 0 // a clean column awaiting a partner
-	for c := 0; c < tc; c++ {
-		col := blk[c*ld : (c+1)*ld]
-		u := col[q : q+run]
-		lo, clean := run, true
-		for d, ud := range u {
-			if ud == 0 {
-				if lo < run {
-					clean = false
-				}
-				continue
-			}
-			if lo == run {
-				lo = d
-			}
-			lp := f.L.Colptr[j+d] + 1
-			axpy(u[d+1:], lv[lp:lp+run-d-1], ud)
-		}
-		switch {
-		case lo == run:
-		case !clean:
-			// Each maximal run of nonzero multipliers, ascending.
-			for d := lo; d < run; {
-				e := d + 1
-				for e < run && u[e] != 0 {
-					e++
-				}
-				tile41(rel, lv, lb[d:e], col, u[d:e])
-				for d = e; d < run && u[d] == 0; d++ {
-				}
-			}
-		case pend == nil:
-			pend, pendLo = col, lo
-		default:
-			pu := pend[q : q+run]
-			if pendLo < lo {
-				tile41(rel, lv, lb[pendLo:lo], pend, pu[pendLo:lo])
-			} else if lo < pendLo {
-				tile41(rel, lv, lb[lo:pendLo], col, u[lo:pendLo])
-			}
-			hi := max(lo, pendLo)
-			tile42(rel, lv, lb[hi:], pend, col, pu[hi:], u[hi:])
-			pend = nil
-		}
-	}
-	if pend != nil {
-		tile41(rel, lv, lb[pendLo:], pend, pend[q+pendLo:q+run])
-	}
+	runUpdate(blk, rel, f.L.Values, lb, q)
 }
 
-// axpy1 is col[slot[rows[t]]] -= vals[t]·u over one source column.
-func axpy1(rows, slot []int, vals, col []float64, u float64) {
-	vals = vals[:len(rows)] // bounds-check elimination hint
-	for t, i := range rows {
-		col[slot[i]] -= vals[t] * u
-	}
-}
-
-// axpy2 is axpy1 on two target columns per pass over the source.
-func axpy2(rows, slot []int, vals, c0, c1 []float64, u0, u1 float64) {
-	vals = vals[:len(rows)] // bounds-check elimination hint
-	for t, i := range rows {
-		l, r := vals[t], slot[i]
-		c0[r] -= l * u0
-		c1[r] -= l * u1
-	}
-}
-
-// axpy4 is axpy1 on four target columns per pass over the source.
-func axpy4(rows, slot []int, vals []float64, cols *[4][]float64, us *[4]float64) {
-	vals = vals[:len(rows)] // bounds-check elimination hint
-	c0, c1, c2, c3 := cols[0], cols[1], cols[2], cols[3]
-	u0, u1, u2, u3 := us[0], us[1], us[2], us[3]
-	for t, i := range rows {
-		l, r := vals[t], slot[i]
-		c0[r] -= l * u0
-		c1[r] -= l * u1
-		c2[r] -= l * u2
-		c3[r] -= l * u3
-	}
-}
-
-// tile41 subtracts the product of a wide source's below block (row t of
-// source column d at lv[lb[d]+t], block rows rel) and the multipliers u
-// from col: the vector kernel's 8- and 4-row tiles where there is one, then
-// the Go loop for the rows left.
-func tile41(rel []int, lv []float64, lb []int, col, u []float64) {
-	t := 0
+// rowUpdate applies one source column to a row-major tile block: every
+// target row slot[rows[t]] receives row -= vals[t]·mult on the lanes where
+// the multiplier row mult (block row q) is nonzero; the other lanes keep
+// their bits. The vector kernel selects, it does not subtract a zeroed
+// product, so −0, NaN and what an Inf or NaN vals[t] would make of a zero
+// multiplier stay out of the masked lanes.
+func rowUpdate(blk []float64, q int, rows, slot []int, vals []float64) {
 	if hasAVX2 {
-		t = tile41Vec(rel, lv, lb, col, u)
+		rowUpdateVec(blk, q, rows, slot, vals)
+		return
 	}
-	tile41Go(rel, lv, lb, col, u, t)
+	rowUpdateGo(blk, q, rows, slot, vals)
 }
 
-// tile41Go is tile41's Go loop from row t0: the fallback, and the reference
-// of the vector kernel. Four rows are held in registers across the whole
-// run, so each element still sees its updates one by one in ascending d.
-func tile41Go(rel []int, lv []float64, lb []int, col, u []float64, t0 int) {
-	u = u[:len(lb)]
-	t := t0
-	for ; t+4 <= len(rel); t += 4 {
-		i0, i1, i2, i3 := rel[t], rel[t+1], rel[t+2], rel[t+3]
-		a0, a1, a2, a3 := col[i0], col[i1], col[i2], col[i3]
-		for d, p := range lb {
-			l := lv[p+t : p+t+4]
-			ud := u[d]
-			a0 -= l[0] * ud
-			a1 -= l[1] * ud
-			a2 -= l[2] * ud
-			a3 -= l[3] * ud
+// rowUpdateGo is rowUpdate's Go loop over the live lanes only: the
+// fallback, and the reference of the vector kernel.
+func rowUpdateGo(blk []float64, q int, rows, slot []int, vals []float64) {
+	mult := (*[snTileCols]float64)(blk[q*snTileCols:])
+	live, n := liveLanes(mult)
+	vals = vals[:len(rows)] // bounds-check elimination hint
+	for t, i := range rows {
+		row := (*[snTileCols]float64)(blk[slot[i]*snTileCols:])
+		l := vals[t]
+		for _, c := range live[:n] {
+			row[c] -= l * mult[c]
 		}
-		col[i0], col[i1], col[i2], col[i3] = a0, a1, a2, a3
-	}
-	for ; t < len(rel); t++ {
-		i := rel[t]
-		a := col[i]
-		for d, p := range lb {
-			a -= lv[p+t] * u[d]
-		}
-		col[i] = a
 	}
 }
 
-// tile42 is tile41 on two target columns at once: a register tile reads
-// each source value once for both columns.
-func tile42(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64) {
-	t := 0
+// liveLanes lists the nonzero lanes of a multiplier row.
+func liveLanes(mult *[snTileCols]float64) (live [snTileCols]int, n int) {
+	for c, u := range mult {
+		if u != 0 {
+			live[n] = c
+			n++
+		}
+	}
+	return live, n
+}
+
+// runUpdate subtracts the product of a wide source run's below block (row
+// t of source column d at lv[lb[d]+t], target block row rel[t]) and its
+// multiplier rows (block rows q..q+len(lb)-1) from the tile, lane by lane
+// under the same nonzero-multiplier mask as rowUpdate. The vector kernel
+// holds two target rows in registers across the whole run, masked up to
+// the first multiplier row from which every later one is live in all
+// lanes, unmasked after it.
+func runUpdate(blk []float64, rel []int, lv []float64, lb []int, q int) {
 	if hasAVX2 {
-		t = tile42Vec(rel, lv, lb, colA, colB, uA, uB)
+		runUpdateVec(blk, rel, lv, lb, q)
+		return
 	}
-	tile42Go(rel, lv, lb, colA, colB, uA, uB, t)
+	runUpdateGo(blk, rel, lv, lb, q)
 }
 
-// tile42Go is tile42's Go loop from row t0, in 4×2 tiles: the fallback,
-// and the reference of the vector kernel.
-func tile42Go(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64, t0 int) {
-	uA, uB = uA[:len(lb)], uB[:len(lb)]
-	t := t0
-	var acc [8]float64
-	for ; t+4 <= len(rel); t += 4 {
-		r := rel[t : t+4]
-		for e, i := range r {
-			acc[e], acc[4+e] = colA[i], colB[i]
-		}
-		dot42(lv[t:], lb, uA, uB, &acc)
-		for e, i := range r {
-			colA[i], colB[i] = acc[e], acc[4+e]
-		}
-	}
-	for ; t < len(rel); t++ {
-		i := rel[t]
-		a, b := colA[i], colB[i]
-		for d, p := range lb {
-			l := lv[p+t]
-			a -= l * uA[d]
-			b -= l * uB[d]
-		}
-		colA[i], colB[i] = a, b
-	}
-}
-
-// dot42 is one 4×2 tile of tile42 over the whole run: acc holds four
-// rows of column A, then the same rows of column B, and source column d
-// contributes lv[lb[d]:lb[d]+4]. It stays out of line so the caller's
-// loop state is not live across the run; inlined, the compiler spills the
-// accumulators and reloads the slices on every step.
-//
-//go:noinline
-func dot42(lv []float64, lb []int, uA, uB []float64, acc *[8]float64) {
-	uA, uB = uA[:len(lb)], uB[:len(lb)]
-	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
-	b0, b1, b2, b3 := acc[4], acc[5], acc[6], acc[7]
+// runUpdateGo is runUpdate's Go loop: the fallback, and the reference of
+// the vector kernel. It sweeps the target rows once per source column, in
+// ascending order, so each element still receives its updates one at a
+// time in ascending source column.
+func runUpdateGo(blk []float64, rel []int, lv []float64, lb []int, q int) {
 	for d, p := range lb {
-		l := lv[p : p+4]
-		ua, ub := uA[d], uB[d]
-		a0 -= l[0] * ua
-		b0 -= l[0] * ub
-		a1 -= l[1] * ua
-		b1 -= l[1] * ub
-		a2 -= l[2] * ua
-		b2 -= l[2] * ub
-		a3 -= l[3] * ua
-		b3 -= l[3] * ub
+		mult := (*[snTileCols]float64)(blk[(q+d)*snTileCols:])
+		live, n := liveLanes(mult)
+		vals := lv[p : p+len(rel)]
+		for t, r := range rel {
+			row := (*[snTileCols]float64)(blk[r*snTileCols:])
+			l := vals[t]
+			for _, c := range live[:n] {
+				row[c] -= l * mult[c]
+			}
+		}
 	}
-	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
-	acc[4], acc[5], acc[6], acc[7] = b0, b1, b2, b3
 }
 
 // eliminatePanel is the fixed-sequence right-looking elimination of the
@@ -919,8 +790,8 @@ func eliminatePanel(panel *dense.Matrix, k0 int) error {
 	return nil
 }
 
-// axpy is dst[i] -= src[i]·s over the contiguous dst: the in-source
-// triangle of applyWide and the column update of eliminatePanel.
+// axpy is dst[i] -= src[i]·s over the contiguous dst, eliminatePanel's
+// column update.
 func axpy(dst, src []float64, s float64) {
 	if hasAVX2 {
 		axpyVec(dst, src, s)

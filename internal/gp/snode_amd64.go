@@ -3,27 +3,33 @@
 package gp
 
 // corruptTile is the panic message for a supernode tile whose source
-// offsets or target rows lie outside the factor's values or the block.
-const corruptTile = "gp: corrupt factor: a supernode tile indexes outside its source values or target column"
+// offsets, target rows or multiplier rows lie outside the factor's values
+// or the block.
+const corruptTile = "gp: corrupt factor: a supernode tile indexes outside its source values or block"
 
-// tile41Vec runs tile41's vector kernel and returns how many leading rows
-// of rel it applied.
-func tile41Vec(rel []int, lv []float64, lb []int, col, u []float64) int {
-	t := tile41AVX2(rel, lv, lb, col, u)
-	if t < 0 {
+func rowUpdateVec(blk []float64, q int, rows, slot []int, vals []float64) {
+	if !rowUpdateAVX2(blk, q, rows, slot, vals) {
 		panic(corruptTile)
 	}
-	return t
 }
 
-// tile42Vec runs tile42's vector kernel and returns how many leading rows
-// of rel it applied.
-func tile42Vec(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64) int {
-	t := tile42AVX2(rel, lv, lb, colA, colB, uA, uB)
-	if t < 0 {
+func runUpdateVec(blk []float64, rel []int, lv []float64, lb []int, q int) {
+	if !runUpdateAVX2(blk, rel, lv, lb, q, fullFrom(blk, q, len(lb))) {
 		panic(corruptTile)
 	}
-	return t
+}
+
+// fullFrom returns the least d ≤ run such that the multiplier rows
+// q+d..q+run-1 of a tile block are nonzero in every lane.
+func fullFrom(blk []float64, q, run int) int {
+	for d := run; d > 0; d-- {
+		for _, u := range (*[snTileCols]float64)(blk[(q+d-1)*snTileCols:]) {
+			if u == 0 {
+				return d
+			}
+		}
+	}
+	return 0
 }
 
 func axpyVec(dst, src []float64, s float64) {
@@ -34,20 +40,26 @@ func axpyVec(dst, src []float64, s float64) {
 
 func divByVec(x []float64, s float64) { divByAVX2(x, s) }
 
-// tile41AVX2 runs tile41Go's loop over the leading rows = len(rel)&^3
-// rows of rel, in 8-row tiles and a last 4-row tile, and returns rows. It
-// returns -1 and writes nothing when len(u) < len(lb), when an offset
-// lb[d] does not lie in [0, len(lv)-rows] or when a row rel[t], t < rows,
-// does not lie in [0, len(col)).
+// rowUpdateAVX2 runs rowUpdateGo's loop on the 16 lanes of each target
+// row, selecting the result in the live ones. It returns false and writes
+// nothing when len(vals) < len(rows) or the multiplier row q is not a
+// whole row of blk. It returns false at the first rows[t] that does not
+// index slot or whose target row slot[rows[t]] is not a whole row of blk,
+// leaving that row and the later ones unwritten, as the Go loop's bounds
+// checks would.
 //
 //go:noescape
-func tile41AVX2(rel []int, lv []float64, lb []int, col, u []float64) (done int)
+func rowUpdateAVX2(blk []float64, q int, rows, slot []int, vals []float64) (ok bool)
 
-// tile42AVX2 is tile41AVX2 for tile42Go on two target columns; a row must
-// lie in both.
+// runUpdateAVX2 runs runUpdateGo's loop, masked for the multiplier rows
+// before full and unmasked from full on, which the caller guarantees are
+// nonzero in every lane (full > len(lb) counts as len(lb)). It returns
+// false and writes nothing when a target row rel[t] or a multiplier row
+// q..q+len(lb)-1 is not a whole row of blk, or when an offset lb[d] does
+// not lie in [0, len(lv)-len(rel)].
 //
 //go:noescape
-func tile42AVX2(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64) (done int)
+func runUpdateAVX2(blk []float64, rel []int, lv []float64, lb []int, q, full int) (ok bool)
 
 // axpyAVX2 runs axpyGo's loop. It returns false and writes nothing when
 // len(src) < len(dst).

@@ -2,271 +2,323 @@
 
 #include "textflag.h"
 
-// The supernode tiles hold the running values of eight target rows (two YMM
-// registers per target column) across a whole run of source columns and
-// apply each source column as two loads of its contiguous below values, a
-// broadcast of its multiplier, VMULPD and VSUBPD: per element exactly the
+// The tile kernels work on the row-major block of the blocked outside
+// update: block row r is 16 float64 lanes at blk+r*128, four YMM registers.
+// A source contributes row -= l·mult, mult being its block row of
+// multipliers: VBROADCASTSD of l, VMULPD, VSUBPD — per lane exactly the
 // MULSD/SUBSD of the Go loops, in the same ascending source order, never
-// fused. The target rows are scattered (rel), so they are gathered once
-// before the run and written back once after it. A 4-row tile takes the
-// last whole four rows; the rows after it are left to the Go loop.
+// fused, and with the multiplier as the first factor like the compiled Go
+// loops (of two NaN factors, the first one's payload wins). Where a
+// multiplier lane is zero the Go loops skip the lane, so the kernels
+// select the old lane back with VBLENDVPD on the mask mult != 0 (VCMPPD
+// predicate 4, NEQ_UQ: true for NaN as in Go); the lane keeps its bits,
+// −0 and NaN payloads included. Every index is checked with unsigned
+// compares, so a negative one fails too, before the write it would
+// address; a bad one returns false.
+
+// MASKED(off, p, M, K, A) applies the source lanes at off(p) — multiplier
+// M (loaded here), l broadcast in Y8, mask K (made here) — to the
+// accumulator A.
+#define MASKED(off, p, M, K, A) \
+	VMOVUPD   off(p), M;       \
+	VCMPPD    $4, Y15, M, K;   \
+	VMULPD    Y8, M, M;        \
+	VSUBPD    M, A, M;         \
+	VBLENDVPD K, M, A, A
+
+// ROWGROUP(off, M, K) applies lane group off of the source — multiplier M,
+// mask K, l broadcast in Y8 — to the target row at AX.
+#define ROWGROUP(off, M, K) \
+	VMOVUPD   off(AX), Y9;   \
+	VMULPD    Y8, M, Y10;    \
+	VSUBPD    Y10, Y9, Y10;  \
+	VBLENDVPD K, Y10, Y9, Y9; \
+	VMOVUPD   Y9, off(AX)
+
+// func rowUpdateAVX2(blk []float64, q int, rows, slot []int, vals []float64) (ok bool)
 //
-// Registers of both tiles:
-//	SI  rel base        CX  rows to apply, len(rel)&^3
-//	DI  lv base         R8  lb base        R9  run, len(lb)
-//	R10 colA base       R11 colB base (tile42)
-//	R12 uA base         R13 uB base (tile42)
-//	BX  row t           DX  source d       R14 &lv[t]
-//	AX  row index / offset / temporary
-// Every offset and row is checked with unsigned compares before the first
-// write, so a negative one fails too; a bad one returns -1.
+// The target rows are checked one by one as the loop reaches them: a
+// separate pass over rows and slot first would cost as much as the update.
+//
+//	DI blk base      R8 whole rows in blk     AX q, then row address
+//	SI rows base     CX len(rows)             BX t
+//	R9 slot base     R10 len(slot)            R11 vals base
+//	Y0-Y3 mult row   Y4-Y7 its masks          Y8 vals[t]   Y15 zero
+//	R12 the masks' sign bits, four per lane group
+TEXT ·rowUpdateAVX2(SB), NOSPLIT, $0-105
+	MOVQ blk_base+0(FP), DI
+	MOVQ blk_len+8(FP), R8
+	SHRQ $4, R8
+	MOVQ q+24(FP), AX
+	CMPQ AX, R8
+	JAE  rubad
+	MOVQ rows_base+32(FP), SI
+	MOVQ rows_len+40(FP), CX
+	MOVQ slot_base+56(FP), R9
+	MOVQ slot_len+64(FP), R10
+	MOVQ vals_base+80(FP), R11
+	CMPQ vals_len+88(FP), CX
+	JLT  rubad
 
-// GATHER4(off, c, X, T, Y) loads rows rel[t+off/8 .. +3] of the column at
-// c into Y (X its low half, T a temporary).
-#define GATHER4(off, c, X, T, Y) \
-	MOVQ        off(SI)(BX*8), AX; \
-	VMOVSD      (c)(AX*8), X;      \
-	MOVQ        off+8(SI)(BX*8), AX; \
-	VMOVHPD     (c)(AX*8), X, X;   \
-	MOVQ        off+16(SI)(BX*8), AX; \
-	VMOVSD      (c)(AX*8), T;      \
-	MOVQ        off+24(SI)(BX*8), AX; \
-	VMOVHPD     (c)(AX*8), T, T;   \
-	VINSERTF128 $1, T, Y, Y
+	SHLQ      $7, AX
+	ADDQ      DI, AX
+	VMOVUPD   (AX), Y0
+	VMOVUPD   32(AX), Y1
+	VMOVUPD   64(AX), Y2
+	VMOVUPD   96(AX), Y3
+	VXORPD    Y15, Y15, Y15
+	VCMPPD    $4, Y15, Y0, Y4
+	VCMPPD    $4, Y15, Y1, Y5
+	VCMPPD    $4, Y15, Y2, Y6
+	VCMPPD    $4, Y15, Y3, Y7
+	VMOVMSKPD Y4, R12       // live lanes, four per group: a group with none is skipped
+	VMOVMSKPD Y5, R13
+	VMOVMSKPD Y6, R14
+	VMOVMSKPD Y7, DX
+	SHLQ      $4, R13
+	SHLQ      $8, R14
+	SHLQ      $12, DX
+	ORQ       R13, R12
+	ORQ       R14, R12
+	ORQ       DX, R12
+	XORQ      BX, BX
 
-// SCATTER4(off, c, X, T, Y) stores Y back to the rows GATHER4 loaded.
-#define SCATTER4(off, c, X, T, Y) \
-	VEXTRACTF128 $1, Y, T;          \
-	MOVQ         off(SI)(BX*8), AX; \
-	VMOVSD       X, (c)(AX*8);      \
-	MOVQ         off+8(SI)(BX*8), AX; \
-	VMOVHPD      X, (c)(AX*8);      \
-	MOVQ         off+16(SI)(BX*8), AX; \
-	VMOVSD       T, (c)(AX*8);      \
-	MOVQ         off+24(SI)(BX*8), AX; \
-	VMOVHPD      T, (c)(AX*8)
+rurow:
+	CMPQ         BX, CX
+	JGE          rudone
+	MOVQ         (SI)(BX*8), DX
+	CMPQ         DX, R10
+	JAE          rubad
+	MOVQ         (R9)(DX*8), AX
+	CMPQ         AX, R8
+	JAE          rubad
+	SHLQ         $7, AX
+	ADDQ         DI, AX
+	VBROADCASTSD (R11)(BX*8), Y8
+	INCQ         BX
+	TESTQ        $0xf, R12
+	JEQ          rug1
+	ROWGROUP(0, Y0, Y4)
 
-// func tile41AVX2(rel []int, lv []float64, lb []int, col, u []float64) (done int)
-TEXT ·tile41AVX2(SB), NOSPLIT, $0-128
-	MOVQ rel_base+0(FP), SI
-	MOVQ rel_len+8(FP), CX
-	ANDQ $-4, CX
-	MOVQ lv_base+24(FP), DI
-	MOVQ lv_len+32(FP), BX
-	MOVQ lb_base+48(FP), R8
-	MOVQ lb_len+56(FP), R9
-	MOVQ col_base+72(FP), R10
-	MOVQ col_len+80(FP), AX
-	MOVQ u_base+96(FP), R12
-	CMPQ u_len+104(FP), R9
-	JLT  t41bad
-	SUBQ CX, BX            // the largest valid offset, len(lv)-rows
-	JLT  t41bad
-	XORQ DX, DX
+rug1:
+	TESTQ $0xf0, R12
+	JEQ   rug2
+	ROWGROUP(32, Y1, Y5)
 
-t41lb:
-	CMPQ DX, R9
-	JGE  t41rel0
-	MOVQ (R8)(DX*8), R14
-	CMPQ R14, BX
-	JA   t41bad
-	INCQ DX
-	JMP  t41lb
+rug2:
+	TESTQ $0xf00, R12
+	JEQ   rug3
+	ROWGROUP(64, Y2, Y6)
 
-t41rel0:
-	XORQ DX, DX
+rug3:
+	TESTQ $0xf000, R12
+	JEQ   rurow
+	ROWGROUP(96, Y3, Y7)
+	JMP   rurow
 
-t41rel:
-	CMPQ DX, CX
-	JGE  t41go
-	MOVQ (SI)(DX*8), R14
-	CMPQ R14, AX
-	JAE  t41bad
-	INCQ DX
-	JMP  t41rel
-
-t41go:
-	XORQ BX, BX
-
-t41row8:
-	LEAQ 8(BX), AX
-	CMPQ AX, CX
-	JGT  t41row4
-	GATHER4(0, R10, X0, X4, Y0)
-	GATHER4(32, R10, X1, X4, Y1)
-	LEAQ (DI)(BX*8), R14
-	XORQ DX, DX
-
-t41d8:
-	CMPQ         DX, R9
-	JGE          t41st8
-	MOVQ         (R8)(DX*8), AX
-	VMOVUPD      (R14)(AX*8), Y4
-	VMOVUPD      32(R14)(AX*8), Y5
-	VBROADCASTSD (R12)(DX*8), Y6
-	VMULPD       Y6, Y4, Y4
-	VMULPD       Y6, Y5, Y5
-	VSUBPD       Y4, Y0, Y0
-	VSUBPD       Y5, Y1, Y1
-	INCQ         DX
-	JMP          t41d8
-
-t41st8:
-	SCATTER4(0, R10, X0, X4, Y0)
-	SCATTER4(32, R10, X1, X4, Y1)
-	ADDQ $8, BX
-	JMP  t41row8
-
-t41row4:
-	CMPQ BX, CX
-	JGE  t41done
-	GATHER4(0, R10, X0, X4, Y0)
-	LEAQ (DI)(BX*8), R14
-	XORQ DX, DX
-
-t41d4:
-	CMPQ         DX, R9
-	JGE          t41st4
-	MOVQ         (R8)(DX*8), AX
-	VMOVUPD      (R14)(AX*8), Y4
-	VBROADCASTSD (R12)(DX*8), Y6
-	VMULPD       Y6, Y4, Y4
-	VSUBPD       Y4, Y0, Y0
-	INCQ         DX
-	JMP          t41d4
-
-t41st4:
-	SCATTER4(0, R10, X0, X4, Y0)
-
-t41done:
+rudone:
 	VZEROUPPER
-	MOVQ CX, done+120(FP)
+	MOVB $1, ok+104(FP)
 	RET
 
-t41bad:
-	MOVQ $-1, done+120(FP)
-	RET
-
-// func tile42AVX2(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64) (done int)
-TEXT ·tile42AVX2(SB), NOSPLIT, $0-176
-	MOVQ    rel_base+0(FP), SI
-	MOVQ    rel_len+8(FP), CX
-	ANDQ    $-4, CX
-	MOVQ    lv_base+24(FP), DI
-	MOVQ    lv_len+32(FP), BX
-	MOVQ    lb_base+48(FP), R8
-	MOVQ    lb_len+56(FP), R9
-	MOVQ    colA_base+72(FP), R10
-	MOVQ    colA_len+80(FP), AX
-	MOVQ    colB_base+96(FP), R11
-	MOVQ    colB_len+104(FP), DX
-	CMPQ    DX, AX
-	CMOVQLT DX, AX         // a row must lie in both columns
-	MOVQ    uA_base+120(FP), R12
-	MOVQ    uB_base+144(FP), R13
-	CMPQ    uA_len+128(FP), R9
-	JLT     t42bad
-	CMPQ    uB_len+152(FP), R9
-	JLT     t42bad
-	SUBQ    CX, BX
-	JLT     t42bad
-	XORQ    DX, DX
-
-t42lb:
-	CMPQ DX, R9
-	JGE  t42rel0
-	MOVQ (R8)(DX*8), R14
-	CMPQ R14, BX
-	JA   t42bad
-	INCQ DX
-	JMP  t42lb
-
-t42rel0:
-	XORQ DX, DX
-
-t42rel:
-	CMPQ DX, CX
-	JGE  t42go
-	MOVQ (SI)(DX*8), R14
-	CMPQ R14, AX
-	JAE  t42bad
-	INCQ DX
-	JMP  t42rel
-
-t42go:
-	XORQ BX, BX
-
-t42row8:
-	LEAQ 8(BX), AX
-	CMPQ AX, CX
-	JGT  t42row4
-	GATHER4(0, R10, X0, X4, Y0)
-	GATHER4(32, R10, X1, X4, Y1)
-	GATHER4(0, R11, X2, X4, Y2)
-	GATHER4(32, R11, X3, X4, Y3)
-	LEAQ (DI)(BX*8), R14
-	XORQ DX, DX
-
-t42d8:
-	CMPQ         DX, R9
-	JGE          t42st8
-	MOVQ         (R8)(DX*8), AX
-	VMOVUPD      (R14)(AX*8), Y4
-	VMOVUPD      32(R14)(AX*8), Y5
-	VBROADCASTSD (R12)(DX*8), Y6
-	VBROADCASTSD (R13)(DX*8), Y7
-	VMULPD       Y6, Y4, Y8
-	VMULPD       Y6, Y5, Y9
-	VMULPD       Y7, Y4, Y10
-	VMULPD       Y7, Y5, Y11
-	VSUBPD       Y8, Y0, Y0
-	VSUBPD       Y9, Y1, Y1
-	VSUBPD       Y10, Y2, Y2
-	VSUBPD       Y11, Y3, Y3
-	INCQ         DX
-	JMP          t42d8
-
-t42st8:
-	SCATTER4(0, R10, X0, X4, Y0)
-	SCATTER4(32, R10, X1, X4, Y1)
-	SCATTER4(0, R11, X2, X4, Y2)
-	SCATTER4(32, R11, X3, X4, Y3)
-	ADDQ $8, BX
-	JMP  t42row8
-
-t42row4:
-	CMPQ BX, CX
-	JGE  t42done
-	GATHER4(0, R10, X0, X4, Y0)
-	GATHER4(0, R11, X2, X4, Y2)
-	LEAQ (DI)(BX*8), R14
-	XORQ DX, DX
-
-t42d4:
-	CMPQ         DX, R9
-	JGE          t42st4
-	MOVQ         (R8)(DX*8), AX
-	VMOVUPD      (R14)(AX*8), Y4
-	VBROADCASTSD (R12)(DX*8), Y6
-	VBROADCASTSD (R13)(DX*8), Y7
-	VMULPD       Y6, Y4, Y8
-	VMULPD       Y7, Y4, Y10
-	VSUBPD       Y8, Y0, Y0
-	VSUBPD       Y10, Y2, Y2
-	INCQ         DX
-	JMP          t42d4
-
-t42st4:
-	SCATTER4(0, R10, X0, X4, Y0)
-	SCATTER4(0, R11, X2, X4, Y2)
-
-t42done:
+rubad:
 	VZEROUPPER
-	MOVQ CX, done+168(FP)
+	MOVB $0, ok+104(FP)
 	RET
 
-t42bad:
-	MOVQ $-1, done+168(FP)
+// MASKED2(off, A, B) is MASKED on two target rows, l broadcast in Y8 and
+// Y9, accumulators A and B.
+#define MASKED2(off, A, B) \
+	VMOVUPD   off(R8), Y10;      \
+	VCMPPD    $4, Y15, Y10, Y11; \
+	VMULPD    Y8, Y10, Y12;      \
+	VMULPD    Y9, Y10, Y13;      \
+	VSUBPD    Y12, A, Y12;       \
+	VSUBPD    Y13, B, Y13;       \
+	VBLENDVPD Y11, Y12, A, A;    \
+	VBLENDVPD Y11, Y13, B, B
+
+// FULL2(off, A, B) is MASKED2 with every lane live: no mask, no select.
+#define FULL2(off, A, B) \
+	VMOVUPD off(R8), Y10; \
+	VMULPD  Y8, Y10, Y12; \
+	VMULPD  Y9, Y10, Y13; \
+	VSUBPD  Y12, A, A;    \
+	VSUBPD  Y13, B, B
+
+// FULL1(off, A) is FULL2 on one target row.
+#define FULL1(off, A) \
+	VMOVUPD off(R8), Y10; \
+	VMULPD  Y8, Y10, Y12; \
+	VSUBPD  Y12, A, A
+
+// LOADROW(r, A0, A1, A2, A3) loads block row r, clobbering AX.
+#define LOADROW(r, A0, A1, A2, A3) \
+	MOVQ    r, AX;            \
+	SHLQ    $7, AX;           \
+	VMOVUPD (DI)(AX*1), A0;   \
+	VMOVUPD 32(DI)(AX*1), A1; \
+	VMOVUPD 64(DI)(AX*1), A2; \
+	VMOVUPD 96(DI)(AX*1), A3
+
+// STOREROW(r, A0, A1, A2, A3) stores block row r, clobbering AX.
+#define STOREROW(r, A0, A1, A2, A3) \
+	MOVQ    r, AX;            \
+	SHLQ    $7, AX;           \
+	VMOVUPD A0, (DI)(AX*1);   \
+	VMOVUPD A1, 32(DI)(AX*1); \
+	VMOVUPD A2, 64(DI)(AX*1); \
+	VMOVUPD A3, 96(DI)(AX*1)
+
+// func runUpdateAVX2(blk []float64, rel []int, lv []float64, lb []int, q, full int) (ok bool)
+//
+// Two target rows at a time (then the odd last one) stay in registers
+// across the whole run: the source columns d < full apply under the
+// masks, the rest unmasked.
+//
+//	DI blk base      SI rel base       CX len(rel)       BX t
+//	R11 lv base      R12 lb base       R9 run, len(lb)   R13 full
+//	R10 &mult row q  R8 &mult row d    DX d
+//	R14 &lv[t]       AX offset / row / temporary         Y15 zero
+TEXT ·runUpdateAVX2(SB), NOSPLIT, $0-113
+	MOVQ blk_base+0(FP), DI
+	MOVQ blk_len+8(FP), R8
+	SHRQ $4, R8
+	MOVQ rel_base+24(FP), SI
+	MOVQ rel_len+32(FP), CX
+	MOVQ lv_base+48(FP), R11
+	MOVQ lv_len+56(FP), BX
+	MOVQ lb_base+72(FP), R12
+	MOVQ lb_len+80(FP), R9
+	MOVQ q+96(FP), R10
+	CMPQ R10, R8
+	JA   rnbad
+	MOVQ R8, DX
+	SUBQ R10, DX           // rows from q to the end
+	CMPQ R9, DX
+	JA   rnbad
+	SUBQ CX, BX            // the largest valid offset, len(lv)-len(rel)
+	JLT  rnbad
+	XORQ DX, DX
+
+rnlb:
+	CMPQ DX, R9
+	JGE  rnrel0
+	MOVQ (R12)(DX*8), AX
+	CMPQ AX, BX
+	JA   rnbad
+	INCQ DX
+	JMP  rnlb
+
+rnrel0:
+	XORQ DX, DX
+
+rnrel:
+	CMPQ DX, CX
+	JGE  rngo
+	MOVQ (SI)(DX*8), AX
+	CMPQ AX, R8
+	JAE  rnbad
+	INCQ DX
+	JMP  rnrel
+
+rngo:
+	SHLQ    $7, R10
+	ADDQ    DI, R10
+	MOVQ    full+104(FP), R13
+	CMPQ    R13, R9
+	CMOVQHI R9, R13        // at most run; a negative one counts as run too
+	VXORPD  Y15, Y15, Y15
+	XORQ    BX, BX
+
+rn2:
+	LEAQ 2(BX), AX
+	CMPQ AX, CX
+	JGT  rn1
+	LOADROW((SI)(BX*8), Y0, Y1, Y2, Y3)
+	LOADROW(8(SI)(BX*8), Y4, Y5, Y6, Y7)
+	LEAQ (R11)(BX*8), R14
+	MOVQ R10, R8
+	XORQ DX, DX
+
+rn2m:
+	CMPQ         DX, R13
+	JGE          rn2f
+	MOVQ         (R12)(DX*8), AX
+	VBROADCASTSD (R14)(AX*8), Y8
+	VBROADCASTSD 8(R14)(AX*8), Y9
+	MASKED2(0, Y0, Y4)
+	MASKED2(32, Y1, Y5)
+	MASKED2(64, Y2, Y6)
+	MASKED2(96, Y3, Y7)
+	ADDQ         $128, R8
+	INCQ         DX
+	JMP          rn2m
+
+rn2f:
+	CMPQ         DX, R9
+	JGE          rn2st
+	MOVQ         (R12)(DX*8), AX
+	VBROADCASTSD (R14)(AX*8), Y8
+	VBROADCASTSD 8(R14)(AX*8), Y9
+	FULL2(0, Y0, Y4)
+	FULL2(32, Y1, Y5)
+	FULL2(64, Y2, Y6)
+	FULL2(96, Y3, Y7)
+	ADDQ         $128, R8
+	INCQ         DX
+	JMP          rn2f
+
+rn2st:
+	STOREROW((SI)(BX*8), Y0, Y1, Y2, Y3)
+	STOREROW(8(SI)(BX*8), Y4, Y5, Y6, Y7)
+	ADDQ $2, BX
+	JMP  rn2
+
+rn1:
+	CMPQ BX, CX
+	JGE  rndone
+	LOADROW((SI)(BX*8), Y0, Y1, Y2, Y3)
+	LEAQ (R11)(BX*8), R14
+	MOVQ R10, R8
+	XORQ DX, DX
+
+rn1m:
+	CMPQ         DX, R13
+	JGE          rn1f
+	MOVQ         (R12)(DX*8), AX
+	VBROADCASTSD (R14)(AX*8), Y8
+	MASKED(0, R8, Y9, Y10, Y0)
+	MASKED(32, R8, Y11, Y12, Y1)
+	MASKED(64, R8, Y13, Y14, Y2)
+	MASKED(96, R8, Y9, Y10, Y3)
+	ADDQ         $128, R8
+	INCQ         DX
+	JMP          rn1m
+
+rn1f:
+	CMPQ         DX, R9
+	JGE          rn1st
+	MOVQ         (R12)(DX*8), AX
+	VBROADCASTSD (R14)(AX*8), Y8
+	FULL1(0, Y0)
+	FULL1(32, Y1)
+	FULL1(64, Y2)
+	FULL1(96, Y3)
+	ADDQ         $128, R8
+	INCQ         DX
+	JMP          rn1f
+
+rn1st:
+	STOREROW((SI)(BX*8), Y0, Y1, Y2, Y3)
+
+rndone:
+	VZEROUPPER
+	MOVB $1, ok+112(FP)
+	RET
+
+rnbad:
+	MOVB $0, ok+112(FP)
 	RET
 
 // func axpyAVX2(dst, src []float64, s float64) (ok bool)

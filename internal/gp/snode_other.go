@@ -2,13 +2,18 @@
 
 package gp
 
-// The supernode tiles' vector entry points where there is no vector
-// kernel (see hasAVX2). The dispatchers never call them there; each does
-// the Go loop's work, so a call would still be correct.
+// The supernode refresh kernels' vector entry points where there is no
+// vector kernel (see hasAVX2): rowUpdate, runUpdate, axpy and divBy. The
+// dispatchers never call them there; each does the Go loop's work, so a
+// call would still be correct.
 
-func tile41Vec(rel []int, lv []float64, lb []int, col, u []float64) int { return 0 }
+func rowUpdateVec(blk []float64, q int, rows, slot []int, vals []float64) {
+	rowUpdateGo(blk, q, rows, slot, vals)
+}
 
-func tile42Vec(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64) int { return 0 }
+func runUpdateVec(blk []float64, rel []int, lv []float64, lb []int, q int) {
+	runUpdateGo(blk, rel, lv, lb, q)
+}
 
 func axpyVec(dst, src []float64, s float64) { axpyGo(dst, src, s) }
 

@@ -835,11 +835,12 @@ func TestRefactorSupernodalRejectsPartition(t *testing.T) {
 // partition, the blocked refresh on every wide supernode must never panic
 // and must match the reference bit for bit — or fail with the same error.
 // The reference is pure Go with its own elimination loop, so on amd64 it
-// is an oracle independent of the vector kernels. The seeds after the
-// first three were picked so that, together, their refreshes reach panels
-// and wide-source below blocks of every row count 1–7 (mod 8), the
-// kernels' 4-row and scalar tails, and wide runs of every length from
-// snWideRun to snTileCols.
+// is an oracle independent of the vector kernels; under -race the blocked
+// side runs the Go row loops instead. The seeds after the first three were
+// picked so that, together, their refreshes reach panels and wide-source
+// below blocks of every row count 1–7 (mod 8) — axpy's 4-value and scalar
+// tails, runUpdate's 2-row tile and its odd last row — and wide runs of
+// every length from snWideRun to snTileCols.
 func FuzzRefactorSupernodal(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(60), uint8(8), uint8(16), uint8(0))
 	f.Add(int64(2), uint8(70), uint8(20), uint8(4), uint8(64), uint8(3))

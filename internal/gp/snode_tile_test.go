@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -67,44 +68,6 @@ func sameTileBits(want, got []float64) int {
 	return -1
 }
 
-// tileInput is one call of the tile kernels: a source's below values lv,
-// the per-column offsets lb, the target rows rel and two target columns
-// with their multipliers.
-type tileInput struct {
-	rel        []int
-	lv         []float64
-	lb         []int
-	bufA, bufB []float64
-	uA, uB     []float64
-}
-
-// checkTiles runs tile41 and tile42 on in through the Go loop and through
-// the dispatching entry point (the vector kernel plus the Go tail), each
-// on its own copy of the target columns, and fails on any differing bit or
-// written guard.
-func checkTiles(t *testing.T, ctx string, in tileInput) {
-	t.Helper()
-	wantA, gotA := slices.Clone(in.bufA), slices.Clone(in.bufA)
-	tile41Go(in.rel, in.lv, in.lb, guardWindow(wantA), in.uA, 0)
-	tile41(in.rel, in.lv, in.lb, guardWindow(gotA), in.uA)
-	if i := sameTileBits(wantA, gotA); i >= 0 {
-		t.Fatalf("%s: tile41 cell %d: vector %#x, Go %#x", ctx, i-panelPad, math.Float64bits(gotA[i]), math.Float64bits(wantA[i]))
-	}
-	wantA, gotA = slices.Clone(in.bufA), slices.Clone(in.bufA)
-	wantB, gotB := slices.Clone(in.bufB), slices.Clone(in.bufB)
-	tile42Go(in.rel, in.lv, in.lb, guardWindow(wantA), guardWindow(wantB), in.uA, in.uB, 0)
-	tile42(in.rel, in.lv, in.lb, guardWindow(gotA), guardWindow(gotB), in.uA, in.uB)
-	if i := sameTileBits(wantA, gotA); i >= 0 {
-		t.Fatalf("%s: tile42 column A cell %d: vector %#x, Go %#x", ctx, i-panelPad, math.Float64bits(gotA[i]), math.Float64bits(wantA[i]))
-	}
-	if i := sameTileBits(wantB, gotB); i >= 0 {
-		t.Fatalf("%s: tile42 column B cell %d: vector %#x, Go %#x", ctx, i-panelPad, math.Float64bits(gotB[i]), math.Float64bits(wantB[i]))
-	}
-	if !columnGuardsIntact(gotA) || !columnGuardsIntact(gotB) {
-		t.Fatalf("%s: a tile wrote outside its target column", ctx)
-	}
-}
-
 // checkAxpy runs axpy and divBy on a guarded copy of dst through the Go
 // loop and the dispatching entry point and fails on any differing bit or
 // written guard.
@@ -141,13 +104,12 @@ func eliminatePanelGo(panel *dense.Matrix) {
 	}
 }
 
-// TestSupernodeTileVectorBitwise pins every vector kernel of the supernode
-// refresh to its Go loop bit for bit, with no write around the target:
-// tile41 and tile42 over 1–19 target rows (the 8-row, 4-row and scalar
-// tails) and runs of 1–20 source columns, axpy and divBy over 1–19 values,
-// all on special values; then the same kernels on the real source blocks,
-// in-source triangles of every wide supernode of the bench-grid3d pattern
-// and the panels of its blocked ones.
+// TestSupernodeTileVectorBitwise pins the panel kernels of the supernode
+// refresh to their Go loops bit for bit, with no write around the target:
+// axpy and divBy over 1–19 values on special values, then on the real
+// in-source triangles of every wide supernode of the bench-grid3d pattern,
+// and eliminatePanel on the panels of its blocked ones. The tile kernels
+// have TestSupernodeRowKernelBitwise.
 func TestSupernodeTileVectorBitwise(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no vector supernode kernel in this build or on this CPU")
@@ -155,24 +117,6 @@ func TestSupernodeTileVectorBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	value := func() float64 { return tileValue(rng) }
 	for rows := 1; rows <= 19; rows++ {
-		for run := 1; run <= 20; run++ {
-			ncol := rows + rng.Intn(2*rows+1)
-			lv := make([]float64, (run+1)*rows+rng.Intn(8))
-			for i := range lv {
-				lv[i] = value()
-			}
-			lb := make([]int, run)
-			for d := range lb {
-				lb[d] = rng.Intn(len(lv) - rows + 1)
-			}
-			in := tileInput{rel: rng.Perm(ncol)[:rows], lv: lv, lb: lb, uA: make([]float64, run), uB: make([]float64, run)}
-			for d := range run {
-				in.uA[d], in.uB[d] = value(), value()
-			}
-			in.bufA = guardedColumn(ncol, value)
-			in.bufB = guardedColumn(ncol, value)
-			checkTiles(t, "synthetic", in)
-		}
 		src := make([]float64, rows+rng.Intn(3))
 		for i := range src {
 			src[i] = value()
@@ -199,26 +143,15 @@ func TestSupernodeTileVectorBitwise(t *testing.T) {
 				continue
 			}
 			nb := f.L.Colptr[j0+1] - f.L.Colptr[j0] - (j1 - j0)
-			// As a source (any wide supernode can be one): every trailing run
-			// j..j1-1, rows scattered over a column with room to spare, and
-			// the triangle solve on u.
+			// As a source (any wide supernode can be one): the triangle
+			// solve of every trailing run j..j1-1 on a random u.
 			for j := j0; j < j1; j++ {
 				run := j1 - j
-				in := tileInput{lv: lv, rel: rng.Perm(nb + 5)[:nb], uA: make([]float64, run), uB: make([]float64, run)}
-				for d := j; d < j1; d++ {
-					in.lb = append(in.lb, f.L.Colptr[d]+j1-d)
-				}
-				for d := range run {
-					in.uA[d], in.uB[d] = rng.NormFloat64(), rng.NormFloat64()
-				}
 				for d := 0; d+1 < run; d++ {
 					lp := f.L.Colptr[j+d] + 1
 					ubuf := guardedColumn(run-d-1, rng.NormFloat64)
-					checkAxpy(t, "bench-grid3d triangle", ubuf, lv[lp:lp+run-d-1], in.uA[d])
+					checkAxpy(t, "bench-grid3d triangle", ubuf, lv[lp:lp+run-d-1], rng.NormFloat64())
 				}
-				in.bufA = guardedColumn(nb+5, rng.NormFloat64)
-				in.bufB = guardedColumn(nb+5, rng.NormFloat64)
-				checkTiles(t, "bench-grid3d source", in)
 			}
 			if !isBlocked {
 				continue
@@ -250,61 +183,343 @@ func TestSupernodeTileVectorBitwise(t *testing.T) {
 	t.Logf("%d blocked supernodes of bench-grid3d", blocked)
 }
 
-// TestSupernodeTileCorrupt checks that both paths of tile41 and tile42 panic
-// on a source offset or a target row outside its storage (past the end, or
-// negative), at the first, a middle and the last source column or row, with
-// no guard cell around the target written; and that both paths of axpy
-// panic on a source shorter than its target.
+// tileMults are the multipliers the tile kernels must mask (zeros of both
+// signs) or apply (subnormals, infinities) like the Go loops. NaN
+// multipliers get their own case.
+var tileMults = []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, math.Inf(1), math.Inf(-1)}
+
+// tilePads are what the pad lanes of a tile test block hold: the kernels
+// must leave them alone whatever they are, as their multipliers are zero.
+var tilePads = []float64{0, math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_0000_0bad), math.Inf(-1), 7}
+
+// tileBlock returns a guarded block of nrows tile rows: the first width
+// lanes of each row from fill, the pad lanes from tilePads.
+func tileBlock(rng *rand.Rand, nrows, width int, fill func() float64) []float64 {
+	buf := guardedColumn(nrows*snTileCols, fill)
+	blk := guardWindow(buf)
+	for i := range blk {
+		if i%snTileCols >= width {
+			blk[i] = tilePads[rng.Intn(len(tilePads))]
+		}
+	}
+	return buf
+}
+
+// setMults fills the multiplier rows q..q+run-1 of a tile block: lane c
+// of the first width lanes is zero before row q+first[c] and from mult
+// after it, the pad lanes are signed zeros. A monotone lane is what the
+// padded triangle gives a wide run; random first values give every mask.
+func setMults(rng *rand.Rand, blk []float64, q, run, width int, first []int, mult func() float64) {
+	for d := 0; d < run; d++ {
+		row := blk[(q+d)*snTileCols : (q+d+1)*snTileCols]
+		for c := range row {
+			switch {
+			case c >= width:
+				row[c] = tileMults[rng.Intn(2)]
+			case d < first[c]:
+				row[c] = 0
+			default:
+				for row[c] = mult(); row[c] == 0; row[c] = mult() {
+				}
+			}
+		}
+	}
+}
+
+// checkTileBits fails on the first cell where the vector side of a tile
+// kernel (got) differs from the Go side (want), guards included, or where
+// a pad lane (at or past width) differs from the input. NaN payloads count:
+// the vector kernels take the multiplier as the first factor, as the
+// compiled Go loops do, so even a NaN times a NaN agrees.
+func checkTileBits(t *testing.T, ctx string, in, want, got []float64, width int) {
+	t.Helper()
+	for i, w := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(w) {
+			c := i - panelPad
+			t.Fatalf("%s: block row %d lane %d: vector %#x, Go %#x", ctx, c/snTileCols, c%snTileCols, math.Float64bits(got[i]), math.Float64bits(w))
+		}
+	}
+	for i, v := range guardWindow(got) {
+		if i%snTileCols >= width && math.Float64bits(v) != math.Float64bits(guardWindow(in)[i]) {
+			t.Fatalf("%s: pad lane %d of block row %d written", ctx, i%snTileCols, i/snTileCols)
+		}
+	}
+}
+
+// tileCase is one input of the tile kernels on a guarded block: a narrow
+// source (positions narrowRows through slot, multiplier row q), and a wide
+// run on the multiplier rows q..q+len(lb)-1 — its in-source triangle (the
+// positions of source column d's triangle rows at tri[d]) and its below
+// product (rel, lv, lb).
+type tileCase struct {
+	buf        []float64
+	width, q   int
+	tri        [][]int
+	triVals    [][]float64
+	slot       []int
+	rel        []int
+	lv         []float64
+	lb         []int
+	ctx        string
+	narrowRows []int
+	narrowVals []float64
+}
+
+// checkTileCase runs the case through the Go loops and through the
+// dispatching entry points, each on its own copy of the block, and
+// compares after the narrow source, every triangle step and the below
+// product.
+func checkTileCase(t *testing.T, c tileCase) {
+	t.Helper()
+	want, got := slices.Clone(c.buf), slices.Clone(c.buf)
+	wb, gb := guardWindow(want), guardWindow(got)
+	if c.narrowRows != nil {
+		rowUpdateGo(wb, c.q, c.narrowRows, c.slot, c.narrowVals)
+		rowUpdate(gb, c.q, c.narrowRows, c.slot, c.narrowVals)
+		checkTileBits(t, c.ctx+" rowUpdate", c.buf, want, got, c.width)
+		copy(want, c.buf)
+		copy(got, c.buf)
+	}
+	for d, rows := range c.tri {
+		rowUpdateGo(wb, c.q+d, rows, c.slot, c.triVals[d])
+		rowUpdate(gb, c.q+d, rows, c.slot, c.triVals[d])
+		checkTileBits(t, fmt.Sprintf("%s triangle step %d", c.ctx, d), c.buf, want, got, c.width)
+	}
+	runUpdateGo(wb, c.rel, c.lv, c.lb, c.q)
+	runUpdate(gb, c.rel, c.lv, c.lb, c.q)
+	checkTileBits(t, c.ctx+" runUpdate", c.buf, want, got, c.width)
+}
+
+// TestSupernodeRowKernelBitwise pins the tile kernels of the blocked
+// refresh, rowUpdate and runUpdate, to their Go loops bit for bit, pad
+// lanes and the cells around the block untouched: every width 1–16, 0–19
+// target rows (the 2-row tile's odd last row), runs of 1–20 source
+// columns with every masked prefix, multipliers 0, −0 and subnormal,
+// targets −0, NaN and Inf, Inf and NaN source values under zero
+// multipliers; NaN multipliers on finite sources; then the real source
+// columns of every wide supernode of the bench-grid3d pattern, each
+// trailing run as narrow source, in-source triangle and below product.
+func TestSupernodeRowKernelBitwise(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no vector supernode kernel in this build or on this CPU")
+	}
+	rng := rand.New(rand.NewSource(34))
+	value := func() float64 { return tileValue(rng) }
+	mult := func() float64 {
+		if rng.Intn(3) == 0 {
+			return tileMults[rng.Intn(len(tileMults))]
+		}
+		return rng.NormFloat64()
+	}
+	nanMult := func() float64 {
+		if rng.Intn(3) == 0 {
+			return math.NaN()
+		}
+		return rng.NormFloat64()
+	}
+	for width := 1; width <= snTileCols; width++ {
+		for n := 0; n <= 19; n++ {
+			for run := 1; run <= 20; run++ {
+				m, src := mult, value
+				if run%5 == 0 {
+					m, src = nanMult, rng.NormFloat64
+				}
+				nrows := run + n + rng.Intn(4)
+				q := rng.Intn(nrows - run - n + 1)
+				others := rng.Perm(nrows - run)
+				for i := range others {
+					if others[i] >= q {
+						others[i] += run
+					}
+				}
+				c := tileCase{buf: tileBlock(rng, nrows, width, value), width: width, q: q, ctx: fmt.Sprintf("width %d, %d rows, run %d", width, n, run)}
+				full := rng.Intn(run + 1)
+				first := make([]int, width)
+				for i := range first {
+					first[i] = rng.Intn(full + 1)
+				}
+				setMults(rng, guardWindow(c.buf), q, run, width, first, m)
+				// Source positions 0..run-1 are the run, the next n its below
+				// rows; slot sends them to their block rows.
+				c.slot = make([]int, run+n)
+				for d := range run {
+					c.slot[d] = q + d
+				}
+				for d := 0; d+1 < run; d++ {
+					var rows []int
+					var vals []float64
+					for e := d + 1; e < run; e++ {
+						rows, vals = append(rows, e), append(vals, src())
+					}
+					c.tri, c.triVals = append(c.tri, rows), append(c.triVals, vals)
+				}
+				c.rel = others[:n]
+				for i, r := range c.rel {
+					c.slot[run+i] = r
+					c.narrowRows = append(c.narrowRows, run+i)
+					c.narrowVals = append(c.narrowVals, src())
+				}
+				c.lv = make([]float64, (run+1)*n+rng.Intn(8))
+				for i := range c.lv {
+					c.lv[i] = src()
+				}
+				for range run {
+					c.lb = append(c.lb, rng.Intn(len(c.lv)-n+1))
+				}
+				checkTileCase(t, c)
+			}
+		}
+	}
+
+	cases := ndSnodeCases(t, "bench-grid3d", matgen.Circuit(matgen.CircuitParams{N: 2700, Core: matgen.CoreGrid3D, ExtraDensity: 0.2, Seed: 120}))
+	dws := dense.NewWorkspace()
+	runs := 0
+	for _, cs := range cases {
+		f := &Factors{}
+		if err := FactorSupernodalInto(f, cs.a, cs.xsup, 0, Options{}, nil, dws); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s+1 < len(f.Snodes); s++ {
+			j0, j1 := f.Snodes[s], f.Snodes[s+1]
+			if j1-j0 < 2 {
+				continue
+			}
+			below := f.L.Rowidx[f.L.Colptr[j0]+j1-j0 : f.L.Colptr[j0+1]]
+			for j := j0; j < j1; j++ {
+				run, nb := j1-j, len(below)
+				width := 1 + rng.Intn(snTileCols)
+				nrows := run + nb + rng.Intn(4)
+				q := rng.Intn(nrows - run - nb + 1)
+				others := rng.Perm(nrows - run)
+				c := tileCase{buf: tileBlock(rng, nrows, width, rng.NormFloat64), width: width, q: q, lv: f.L.Values, slot: make([]int, f.N)}
+				c.ctx = fmt.Sprintf("bench-grid3d source %d..%d", j, j1-1)
+				first := make([]int, width)
+				full := rng.Intn(run + 1)
+				for i := range first {
+					first[i] = rng.Intn(full + 1)
+				}
+				setMults(rng, guardWindow(c.buf), q, run, width, first, rng.NormFloat64)
+				for d := 0; d < run; d++ {
+					c.slot[j+d] = q + d
+				}
+				for t, i := range below {
+					r := others[t]
+					if r >= q {
+						r += run
+					}
+					c.slot[i] = r
+					c.rel = append(c.rel, r)
+				}
+				for d := 0; d+1 < run; d++ {
+					lp := f.L.Colptr[j+d] + 1
+					c.tri = append(c.tri, f.L.Rowidx[lp:lp+run-d-1])
+					c.triVals = append(c.triVals, f.L.Values[lp:lp+run-d-1])
+				}
+				for d := j; d < j1; d++ {
+					c.lb = append(c.lb, f.L.Colptr[d]+j1-d)
+				}
+				lp0, lp1 := f.L.Colptr[j]+1, f.L.Colptr[j+1]
+				c.narrowRows, c.narrowVals = f.L.Rowidx[lp0:lp1], f.L.Values[lp0:lp1]
+				checkTileCase(t, c)
+				runs++
+			}
+		}
+	}
+	if runs == 0 {
+		t.Fatal("test premise broken: bench-grid3d has no wide supernode")
+	}
+}
+
+// TestSupernodeTileCorrupt checks that both paths of rowUpdate and
+// runUpdate panic on a target row, a source position, a source offset or
+// a multiplier row outside its storage (past the end, or negative), at
+// the first, a middle and the last row or source column, without a write
+// around the block; runUpdate's vector kernel, which checks every index
+// first, without writing the block either. Both paths of axpy panic on a
+// source shorter than its target.
 func TestSupernodeTileCorrupt(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
+	rng := rand.New(rand.NewSource(35))
 	type path struct {
-		name   string
-		tile41 func(rel []int, lv []float64, lb []int, col, u []float64)
-		tile42 func(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64)
-		axpy   func(dst, src []float64, s float64)
+		name      string
+		rowUpdate func(blk []float64, q int, rows, slot []int, vals []float64)
+		runUpdate func(blk []float64, rel []int, lv []float64, lb []int, q int)
+		axpy      func(dst, src []float64, s float64)
 	}
-	paths := []path{{"go",
-		func(rel []int, lv []float64, lb []int, col, u []float64) { tile41Go(rel, lv, lb, col, u, 0) },
-		func(rel []int, lv []float64, lb []int, colA, colB, uA, uB []float64) {
-			tile42Go(rel, lv, lb, colA, colB, uA, uB, 0)
-		},
-		axpyGo,
-	}}
+	paths := []path{{"go", rowUpdateGo, runUpdateGo, axpyGo}}
 	if hasAVX2 {
-		paths = append(paths, path{"vector", tile41, tile42, axpy})
+		paths = append(paths, path{"vector", rowUpdate, runUpdate, axpy})
 	}
-	for _, rows := range []int{4, 8, 9, 13, 16} {
+	// check runs call on a fresh all-live block and fails unless it panics
+	// and leaves the block as the path promises: untouched when whole is
+	// set, untouched around it otherwise.
+	check := func(ctx string, p path, nrows int, whole bool, call func(p path, blk []float64)) {
+		buf := tileBlock(rng, nrows, snTileCols, func() float64 { return 1 + rng.Float64() })
+		in := slices.Clone(buf)
+		if !panics(func() { call(p, guardWindow(buf)) }) {
+			t.Fatalf("%s, %s: no panic", ctx, p.name)
+		}
+		if !columnGuardsIntact(buf) {
+			t.Fatalf("%s, %s: wrote outside the block", ctx, p.name)
+		}
+		if whole && sameTileBits(in, buf) >= 0 {
+			t.Fatalf("%s, %s: wrote the block before panicking", ctx, p.name)
+		}
+	}
+	for _, n := range []int{1, 2, 7, 16} {
 		const run = 6
-		ncol := rows + 3
+		nrows := run + n + 2
 		for _, at := range []int{0, 1, 2} {
+			row, col := at*(n-1)/2, at*(run-1)/2
+			// rowUpdate: multiplier row 0, source positions 0..n-1 to block
+			// rows run.. through slot.
 			for _, c := range []struct {
 				name    string
-				corrupt func(in *tileInput)
+				corrupt func(q *int, rows, slot []int, vals *[]float64)
 			}{
-				{"lb past the end", func(in *tileInput) { in.lb[at*(run-1)/2] = len(in.lv) - rows + 1 }},
-				{"lb at the end", func(in *tileInput) { in.lb[at*(run-1)/2] = len(in.lv) }},
-				{"negative lb", func(in *tileInput) { in.lb[at*(run-1)/2] = -1 }},
-				{"rel past the end", func(in *tileInput) { in.rel[at*(rows-1)/2] = ncol }},
-				{"negative rel", func(in *tileInput) { in.rel[at*(rows-1)/2] = -1 }},
+				{"slot past the end", func(q *int, rows, slot []int, vals *[]float64) { slot[rows[row]] = nrows }},
+				{"negative slot", func(q *int, rows, slot []int, vals *[]float64) { slot[rows[row]] = -1 }},
+				{"position past slot", func(q *int, rows, slot []int, vals *[]float64) { rows[row] = len(slot) }},
+				{"negative position", func(q *int, rows, slot []int, vals *[]float64) { rows[row] = -1 }},
+				{"multiplier row past the end", func(q *int, rows, slot []int, vals *[]float64) { *q = nrows }},
+				{"negative multiplier row", func(q *int, rows, slot []int, vals *[]float64) { *q = -1 }},
+				{"short values", func(q *int, rows, slot []int, vals *[]float64) { *vals = slices.Clip((*vals)[:n-1]) }},
 			} {
 				for _, p := range paths {
-					in := tileInput{rel: rng.Perm(ncol)[:rows], lv: make([]float64, run*rows), uA: make([]float64, run), uB: make([]float64, run)}
-					for d := range run {
-						in.lb = append(in.lb, d*rows)
-						in.uA[d], in.uB[d] = 1, 2
+					q, rows, slot, vals := 0, rng.Perm(n), make([]int, n), make([]float64, n)
+					for i := range slot {
+						slot[i], vals[i] = run+i, 1
 					}
-					c.corrupt(&in)
-					bufA, bufB := guardedColumn(ncol, rng.NormFloat64), guardedColumn(ncol, rng.NormFloat64)
-					colA, colB := guardWindow(bufA), guardWindow(bufB)
-					if !panics(func() { p.tile41(in.rel, in.lv, in.lb, colA, in.uA) }) {
-						t.Fatalf("%d rows, %s at %d, %s tile41: no panic", rows, c.name, at, p.name)
+					c.corrupt(&q, rows, slot, &vals)
+					check(fmt.Sprintf("rowUpdate, %d rows, %s at %d", n, c.name, at), p, nrows, false, func(p path, blk []float64) {
+						p.rowUpdate(blk, q, rows, slot, vals)
+					})
+				}
+			}
+			// runUpdate: multiplier rows 0..run-1, below rows run.. .
+			for _, c := range []struct {
+				name    string
+				corrupt func(q *int, rel []int, lv []float64, lb []int)
+			}{
+				{"offset past the end", func(q *int, rel []int, lv []float64, lb []int) { lb[col] = len(lv) - n + 1 }},
+				{"offset at the end", func(q *int, rel []int, lv []float64, lb []int) { lb[col] = len(lv) }},
+				{"negative offset", func(q *int, rel []int, lv []float64, lb []int) { lb[col] = -1 }},
+				{"row past the end", func(q *int, rel []int, lv []float64, lb []int) { rel[row] = nrows }},
+				{"negative row", func(q *int, rel []int, lv []float64, lb []int) { rel[row] = -1 }},
+				{"multiplier rows past the end", func(q *int, rel []int, lv []float64, lb []int) { *q = nrows - run + 1 }},
+				{"negative multiplier row", func(q *int, rel []int, lv []float64, lb []int) { *q = -1 }},
+			} {
+				for _, p := range paths {
+					q, rel, lv, lb := 0, make([]int, n), make([]float64, run*n), make([]int, run)
+					for i := range rel {
+						rel[i] = run + i
 					}
-					if !panics(func() { p.tile42(in.rel, in.lv, in.lb, colA, colB, in.uA, in.uB) }) {
-						t.Fatalf("%d rows, %s at %d, %s tile42: no panic", rows, c.name, at, p.name)
+					for d := range lb {
+						lb[d] = d * n
 					}
-					if !columnGuardsIntact(bufA) || !columnGuardsIntact(bufB) {
-						t.Fatalf("%d rows, %s at %d, %s: wrote outside the target column", rows, c.name, at, p.name)
-					}
+					c.corrupt(&q, rel, lv, lb)
+					check(fmt.Sprintf("runUpdate, %d rows, %s at %d", n, c.name, at), p, nrows, p.name == "vector", func(p path, blk []float64) {
+						p.runUpdate(blk, rel, lv, lb, q)
+					})
 				}
 			}
 		}
@@ -317,5 +532,109 @@ func TestSupernodeTileCorrupt(t *testing.T) {
 		if !columnGuardsIntact(buf) {
 			t.Fatalf("%s axpy: wrote outside dst", p.name)
 		}
+	}
+}
+
+// BenchmarkSupernodeTile times the tile kernels on the two shapes the
+// bench-grid3d refresh spends its blocked outside update on: a narrow
+// source (one L column of 130 rows onto a full 16-lane tile, 7 lanes live)
+// and a wide run (56 source columns, in-source triangle and 238 below
+// rows, on 16 lanes that are all live from the 16th source column on, 73 %
+// of the below product). ns/update is per live lane update t -= l·u.
+func BenchmarkSupernodeTile(b *testing.B) {
+	type path struct {
+		name      string
+		rowUpdate func(blk []float64, q int, rows, slot []int, vals []float64)
+		runUpdate func(blk []float64, rel []int, lv []float64, lb []int, q int)
+	}
+	paths := []path{{"go", rowUpdateGo, runUpdateGo}}
+	if hasAVX2 {
+		paths = append(paths, path{"vector", rowUpdate, runUpdate})
+	}
+	rng := rand.New(rand.NewSource(36))
+	nonzero := func() float64 { return 1 + rng.Float64() }
+
+	const narrowRows, narrowLive = 130, 7
+	narrow := make([]float64, (1+2*narrowRows)*snTileCols)
+	for _, c := range rng.Perm(snTileCols)[:narrowLive] {
+		narrow[c] = nonzero()
+	}
+	for i := snTileCols; i < len(narrow); i++ {
+		narrow[i] = rng.NormFloat64()
+	}
+	pos, slot := make([]int, narrowRows), rng.Perm(2*narrowRows)
+	vals := make([]float64, narrowRows)
+	for t := range pos {
+		pos[t], slot[t], vals[t] = t, slot[t]+1, rng.NormFloat64()
+	}
+	for _, p := range paths {
+		b.Run("narrow/"+p.name, func(b *testing.B) {
+			for range b.N {
+				p.rowUpdate(narrow, 0, pos, slot, vals)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(narrowRows*narrowLive), "ns/update")
+		})
+	}
+
+	// The wide run: multiplier rows 0..run-1, below rows run.. scattered
+	// over twice their count; lane c is live from source column first[c].
+	const run, nb, allLive = 56, 238, 16
+	wide := make([]float64, (run+2*nb)*snTileCols)
+	first := rng.Perm(allLive)
+	for d := 0; d < run; d++ {
+		for c := range snTileCols {
+			if d >= first[c%allLive] {
+				wide[d*snTileCols+c] = nonzero()
+			}
+		}
+	}
+	for i := run * snTileCols; i < len(wide); i++ {
+		wide[i] = rng.NormFloat64()
+	}
+	tslot := make([]int, run)
+	for d := range tslot {
+		tslot[d] = d
+	}
+	var tri [][]int
+	var triVals [][]float64
+	for d := 0; d+1 < run; d++ {
+		var rows []int
+		var vals []float64
+		for e := d + 1; e < run; e++ {
+			rows, vals = append(rows, e), append(vals, rng.NormFloat64()/run)
+		}
+		tri, triVals = append(tri, rows), append(triVals, vals)
+	}
+	rel := rng.Perm(2 * nb)[:nb]
+	for t := range rel {
+		rel[t] += run
+	}
+	lv, lb := make([]float64, run*nb), make([]int, run)
+	for i := range lv {
+		lv[i] = rng.NormFloat64()
+	}
+	for d := range lb {
+		lb[d] = d * nb
+	}
+	updates := 0
+	for d := 0; d < run; d++ {
+		for _, u := range wide[d*snTileCols : (d+1)*snTileCols] {
+			if u != 0 {
+				updates += run - d - 1 + nb
+			}
+		}
+	}
+	blk := slices.Clone(wide)
+	for _, p := range paths {
+		b.Run("wide/"+p.name, func(b *testing.B) {
+			for range b.N {
+				copy(blk, wide)
+				for d, rows := range tri {
+					p.rowUpdate(blk, d, rows, tslot, triVals[d])
+				}
+				p.runUpdate(blk, rel, lv, lb, 0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(updates), "ns/update")
+		})
 	}
 }
