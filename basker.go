@@ -98,9 +98,9 @@ type Options struct {
 	// dimension checks are always on regardless of this flag.
 	ValidateInputs bool
 	// StallTimeout arms the per-sweep stall watchdog: a parallel sweep
-	// (factor, refactor, partial refactor, parallel solve) that makes no
-	// progress for this long is aborted with ErrStalled naming the stuck
-	// block and worker lane, and the factorization is left poisoned but
+	// (factor, refactor, partial refactor, panel-parallel SolveMany) that
+	// makes no progress for this long is aborted with ErrStalled naming the
+	// stuck block and worker lane, and the factorization is left poisoned but
 	// recoverable (RefactorRobust or a fresh Factor restores it). 0 — the
 	// default — disables the watchdog. Serial sweeps run on the caller's
 	// goroutine and cannot be unwound by the watchdog.
@@ -285,14 +285,12 @@ func newFactorization(num *core.Numeric) *Factorization {
 
 // Solve solves A·x = b in place: b is overwritten with x. It is reentrant
 // — any number of goroutines may call Solve, SolveMany and SolveRefined on
-// one Factorization concurrently (but not concurrently with Refactor);
-// per-call scratch comes from an internal workspace pool, so the serial
-// path is allocation-free in steady state. On matrices whose BTF blocks
-// are both many and large, independent blocks are scheduled across the
-// solver's worker goroutines (that path allocates its per-call signal
-// fabric). A wrong-length b reports ErrDimensionMismatch; a non-nil error
-// leaves b unspecified but never harms the factorization (solves only read
-// it).
+// one Factorization concurrently (but not concurrently with Refactor).
+// One right-hand side is one serial back-substitution in pivot order on
+// the caller's goroutine, at every Threads setting, with its scratch from
+// an internal workspace pool: allocation-free in steady state. A
+// wrong-length b reports ErrDimensionMismatch; a non-nil error leaves b
+// unspecified but never harms the factorization (solves only read it).
 func (f *Factorization) Solve(b []float64) error {
 	if n := f.num.Sym.N; len(b) != n {
 		return fmt.Errorf("%w: len(b) = %d, want %d", ErrDimensionMismatch, len(b), n)
@@ -300,13 +298,11 @@ func (f *Factorization) Solve(b []float64) error {
 	return wrapErr(f.ts.Solve(b))
 }
 
-// SolveCtx is Solve with cooperative cancellation: a fired ctx aborts the
-// dependency-scheduled parallel sweep at the next block boundary and
-// returns ErrCanceled or ErrDeadlineExceeded with b unspecified (the
-// factorization is unharmed — solves only read it). The serial solve path
-// runs on the caller's goroutine and only honours a ctx already expired at
-// entry. A Done-capable ctx or Options.StallTimeout arms the sweep monitor
-// on the parallel path.
+// SolveCtx is Solve with a context check at entry: a ctx that has already
+// expired returns ErrCanceled or ErrDeadlineExceeded with b untouched.
+// The solve itself is one uninterruptible serial sweep, so neither a ctx
+// that fires mid-solve nor Options.StallTimeout arms a monitor; the batch
+// entry points (SolveManyCtx) are the cancellable solves.
 func (f *Factorization) SolveCtx(ctx context.Context, b []float64) error {
 	if n := f.num.Sym.N; len(b) != n {
 		return fmt.Errorf("%w: len(b) = %d, want %d", ErrDimensionMismatch, len(b), n)
@@ -495,7 +491,6 @@ const (
 	PhaseFactor   = trace.PhaseFactor
 	PhaseRefactor = trace.PhaseRefactor
 	PhasePartial  = trace.PhasePartial
-	PhaseSolve    = trace.PhaseSolve
 )
 
 // tracer returns the recorder this factorization was configured with
@@ -540,7 +535,7 @@ func (f *Factorization) BlockOfColumn(j int) int {
 // solution component can change when the listed columns' values change: the
 // blocks whose factors the change set dirties plus everything upstream of
 // them through the coupling structure (the reachability closure of the
-// block dependency graph the parallel solver schedules with). Blocks
+// graph of off-block couplings between BTF blocks). Blocks
 // reported false produce bit-for-bit identical solution components for the
 // same right-hand side, so callers running incremental refactorization can
 // reuse per-block solution work across steps.

@@ -3,6 +3,7 @@ package basker
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -460,4 +461,55 @@ func TestRefactorCtxBackgroundZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state RefactorCtx(Background) allocates: %v allocs/op", allocs)
 	}
 	chaosCheckSolve(t, f, steps[i%len(steps)])
+}
+
+// TestSolveBackgroundZeroAlloc pins the single-RHS solve's steady state at
+// zero allocations for Solve and SolveCtx(context.Background()) at every
+// thread count, including BTF-only inputs with many large blocks: a
+// factorization with several threads solves one vector with the same
+// serial sweep as a one-thread one.
+func TestSolveBackgroundZeroAlloc(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops items under -race; allocation counts are unrepresentative")
+	}
+	for _, tc := range []struct {
+		name    string
+		a       *Matrix
+		threads int
+	}{
+		{"circuit/T1", chaosMatrix(), 1},
+		{"powergrid-20000/T2", matgen.PowerGrid(20000, 8, 3), 2},
+		{"powergrid-4000/T4", matgen.PowerGrid(4000, 12, 1), 4},
+	} {
+		f, err := New(Options{Threads: tc.threads}).Factor(tc.a)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		b := make([]float64, tc.a.N)
+		for i := range b {
+			b[i] = float64(i%7) - 3
+		}
+		ctx := context.Background()
+		if err := f.SolveCtx(ctx, b); err != nil { // warm the workspace pool
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { f.Solve(b) }); allocs != 0 {
+			t.Errorf("%s: steady-state Solve allocates %v allocs/op, want 0", tc.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { f.SolveCtx(ctx, b) }); allocs != 0 {
+			t.Errorf("%s: steady-state SolveCtx(Background) allocates %v allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

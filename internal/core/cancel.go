@@ -12,7 +12,7 @@ import (
 
 // This file is the cooperative-cancellation and stall-watchdog layer of the
 // numeric engine. Every parallel sweep (fresh factor, refactor, partial
-// refactor, parallel solve) shares one design:
+// refactor, panel-parallel batch solve) shares one design:
 //
 //   - a SweepControl carried by the sweep's owner (the Numeric, or the
 //     trisolve workspace) holds a cancel flag every synchronization fabric
@@ -37,7 +37,7 @@ import (
 // kernel (the faultinject.PointStall chaos case) cannot be pre-empted, so a
 // cancelled factor/refactor sweep returns early while the straggler drains
 // in the background — sweepControl.drain() at every sweep entry waits for
-// such stragglers before any shared state is touched again. Parallel solves
+// such stragglers before any shared state is touched again. Batch solves
 // instead always join fully, because their workers write into the
 // caller-owned right-hand side. When every check lands on a blocked slow
 // path or is amortized per block, the zero-allocation and ~0-overhead
@@ -112,11 +112,6 @@ type SweepControl struct {
 	// before any shared state is reset.
 	inflight atomic.Int64
 
-	// cancelCh is the channel face of the cancel flag for the one-shot
-	// Signals fabric (whose waits block in a select). Allocated only for
-	// armed sweeps; written in BeginSweep, strictly before workers launch.
-	cancelCh chan struct{}
-
 	// armed mirrors the BeginSweep argument: only monitored sweeps need
 	// the progress heartbeat, so bound fabrics skip the per-block atomic
 	// add entirely on unarmed sweeps (a plain read — BeginSweep writes it
@@ -125,33 +120,19 @@ type SweepControl struct {
 }
 
 // BeginSweep re-arms the control for a new sweep. armed selects whether a
-// monitor will watch this sweep (only then is the Signals-facing cancel
-// channel allocated). Callers must have drained every straggler first.
+// monitor will watch this sweep. Callers must have drained every straggler
+// first.
 func (c *SweepControl) BeginSweep(armed bool) {
 	c.flag.Store(false)
 	c.armed = armed
-	if armed {
-		c.cancelCh = make(chan struct{})
-	} else {
-		c.cancelCh = nil
-	}
 }
 
 // Cancel aborts the current sweep: every bound fabric's blocked wait
-// returns false and the Signals cancel channel fires.
-func (c *SweepControl) Cancel() {
-	c.flag.Store(true)
-	if c.cancelCh != nil {
-		close(c.cancelCh)
-	}
-}
+// returns false.
+func (c *SweepControl) Cancel() { c.flag.Store(true) }
 
 // Canceled reports whether the current sweep has been cancelled.
 func (c *SweepControl) Canceled() bool { return c.flag.Load() }
-
-// CancelChan exposes the channel face of the cancel flag for one-shot
-// channel-based waiters (nil on unarmed sweeps; a nil channel never fires).
-func (c *SweepControl) CancelChan() <-chan struct{} { return c.cancelCh }
 
 // Poll adapts the cancel flag to the gp.Options.Poll hook: long kernels
 // call it every few hundred columns and unwind on a non-nil return.

@@ -822,7 +822,7 @@ func (w *ndLane) reduceKernel(i, j int, lows, ups []*sparse.CSC) *sparse.CSC {
 // and refilled so repeated fresh factorizations stop allocating. The output
 // pattern is the structural DFS reach — exact-zero values are kept — so a
 // same-pattern refactorization can refresh the block's values in place with
-// gp.RefactorUpperBlock.
+// gp.RefactorUpperBlockFrom.
 func (num *ndNum) solveUpper(k int, ahat *sparse.CSC, ws *gp.Workspace, recycle *sparse.CSC) *sparse.CSC {
 	f := num.diag[k]
 	out := recycle

@@ -2,8 +2,9 @@ package core
 
 import "repro/internal/gp"
 
-// The forward solves (SolveInto, SolveBlock, SolvePanel and trisolve's
-// block-parallel sweep) run in pivot order: a right-hand side is permuted
+// The solves run in pivot order: SolveInto on one right-hand side,
+// SolvePanel on a row-interleaved panel of gp.PanelLanes of them, and every
+// trisolve entry point is one of the two. A right-hand side is permuted
 // once on the way in, through rowPos, and once on the way out, through
 // ColPerm. In between every diagonal block is solved in place, since its
 // rows already sit in the order its pivots chose, and the coarse off-block
@@ -49,16 +50,11 @@ func (num *Numeric) buildSolveLayout() {
 }
 
 // RowPos returns the solves' row map: RowPos()[i] is the position of
-// original row i in pivot order, where SolveBlock and SolvePanel expect it.
+// original row i in pivot order, where SolveInto's work vector and
+// SolvePanel's panel hold it.
 // Read-only; it changes only with the pivots (FactorInto, or a Refactor that
 // re-pivoted a block).
 func (num *Numeric) RowPos() []int32 { return num.rowPos }
-
-// OffRows returns the pivot-order rows of the coarse off-block entries: the
-// entries of Perm above the diagonal blocks, which lead their columns,
-// listed column by column in permuted column order. Read-only, and as
-// current as RowPos.
-func (num *Numeric) OffRows() []int32 { return num.offRow }
 
 // Solve solves A x = rhs in place. It allocates its work vector; concurrent
 // and allocation-free solves go through the internal/trisolve subsystem,
@@ -79,17 +75,17 @@ func (num *Numeric) SolveInto(rhs, y []float64) {
 	}
 	// Coarse block back-substitution, last block first (upper BTF).
 	for blk := sym.NumBlocks() - 1; blk >= 0; blk-- {
-		num.SolveBlock(blk, y)
-		num.OffBlockUpdate(blk, y)
+		num.solveBlock(blk, y)
+		num.offBlockUpdate(blk, y)
 	}
 	for k, j := range sym.ColPerm {
 		rhs[j] = y[k]
 	}
 }
 
-// SolveBlock solves coarse diagonal block blk in place against the
+// solveBlock solves coarse diagonal block blk in place against the
 // pivot-order vector y (full length n; only y[r0:r1] is touched).
-func (num *Numeric) SolveBlock(blk int, y []float64) {
+func (num *Numeric) solveBlock(blk int, y []float64) {
 	sym := num.Sym
 	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 	switch sym.kind[blk] {
@@ -102,10 +98,10 @@ func (num *Numeric) SolveBlock(blk int, y []float64) {
 	}
 }
 
-// OffBlockUpdate subtracts block blk's solution from earlier rows of the
+// offBlockUpdate subtracts block blk's solution from earlier rows of the
 // pivot-order vector y (the entries above the diagonal block in its
 // columns) — the coupling step of the coarse BTF back-substitution.
-func (num *Numeric) OffBlockUpdate(blk int, y []float64) {
+func (num *Numeric) offBlockUpdate(blk int, y []float64) {
 	sym, perm, offPtr := num.Sym, num.Perm, num.plan.offPtr
 	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 	for c := r0; c < r1; c++ {

@@ -2,110 +2,22 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Signals is the point-to-point synchronization fabric shared by the
-// numeric engine and the trisolve subsystem: a flat array of one-shot
-// completion signals plus an abort channel. A producer signals exactly once
-// per slot; consumers wait only on the slots they need — the Go analogue of
-// the paper's write-to-volatile point-to-point synchronization. Signals are
-// implemented as closed channels so waiting goroutines consume no CPU even
-// when the host has fewer cores than workers.
-type Signals struct {
-	done  []chan struct{}
-	abort chan struct{}
-	// cancel is the external cancel source (a SweepControl's channel face):
-	// unlike abort, which a worker closes on numeric failure, cancel is
-	// fired from outside the sweep (context expiry, stall watchdog). A nil
-	// channel never fires, so unbound fabrics pay one extra select arm.
-	cancel <-chan struct{}
-	once   sync.Once
-	// contended counts waits that actually had to block (ablation metric);
-	// waitNanos accumulates the wall-clock time those blocked waits cost
-	// (the fast path pays nothing — uncontended waits read no clock).
-	contended atomic.Int64
-	waitNanos atomic.Int64
-}
-
-// NewSignals returns a fabric with n one-shot completion slots.
-func NewSignals(n int) *Signals {
-	s := &Signals{
-		done:  make([]chan struct{}, n),
-		abort: make(chan struct{}),
-	}
-	for i := range s.done {
-		s.done[i] = make(chan struct{})
-	}
-	return s
-}
-
-// Set marks slot i complete. Each slot has exactly one producer.
-func (s *Signals) Set(i int) { close(s.done[i]) }
-
-// BindCancel attaches an external cancel source: a blocked Wait returns
-// false when ch fires, exactly as it does for an internal abort. Must be
-// called before any waiter blocks.
-func (s *Signals) BindCancel(ch <-chan struct{}) { s.cancel = ch }
-
-// Wait blocks until slot i is complete. It returns false if the
-// computation has been aborted (another worker hit an error) or cancelled
-// from outside, so waiters can unwind instead of deadlocking.
-func (s *Signals) Wait(i int) bool {
-	ch := s.done[i]
-	select {
-	case <-ch:
-		return true
-	default:
-	}
-	s.contended.Add(1)
-	t0 := time.Now()
-	select {
-	case <-ch:
-		s.waitNanos.Add(time.Since(t0).Nanoseconds())
-		return true
-	case <-s.abort:
-		s.waitNanos.Add(time.Since(t0).Nanoseconds())
-		return false
-	case <-s.cancel:
-		s.waitNanos.Add(time.Since(t0).Nanoseconds())
-		return false
-	}
-}
-
-// WaitNanos reports the cumulative wall-clock nanoseconds of blocked waits.
-func (s *Signals) WaitNanos() int64 { return s.waitNanos.Load() }
-
-// Fail aborts the whole parallel region.
-func (s *Signals) Fail() { s.once.Do(func() { close(s.abort) }) }
-
-// Contended reports how many waits actually had to block.
-func (s *Signals) Contended() int64 { return s.contended.Load() }
-
-func (s *Signals) aborted() bool {
-	select {
-	case <-s.abort:
-		return true
-	default:
-		return false
-	}
-}
-
-// EpochSignals is the resettable variant of the Signals fabric, built for
-// sweeps that repeat on a fixed dependency structure (the refactorization
-// hot loop and the pooled parallel block solve). Where Signals allocates
-// one-shot channels per sweep, EpochSignals keeps a flat array of epoch
-// stamps: slot i is complete for the current sweep when its stamp has
-// reached the sweep's epoch, so restarting costs one counter increment and
-// no allocation. Waits spin briefly through the scheduler and then back off
-// to short sleeps — the Go analogue of the paper's write-to-volatile
-// point-to-point synchronization, bounded so oversubscribed hosts still
-// make progress.
+// EpochSignals is the point-to-point synchronization fabric of the
+// numeric engine's sweeps, built for sweeps that repeat on a fixed
+// dependency structure (the factor and refactorization hot loops). It
+// keeps a flat array of epoch stamps: slot i is complete for the current
+// sweep when its stamp has reached the sweep's epoch, so restarting costs
+// one counter increment and no allocation. Waits spin briefly through the
+// scheduler and then back off to short sleeps — the Go analogue of the
+// paper's write-to-volatile point-to-point synchronization, bounded so
+// oversubscribed hosts still make progress.
 //
 // The fabric is single-sweep-at-a-time: Reset must not race with Set/Wait
-// (callers quiesce between sweeps, which the refactor and solve drivers
+// (callers quiesce between sweeps, which the factor and refactor drivers
 // guarantee by construction).
 type EpochSignals struct {
 	slots []atomic.Uint64
@@ -128,9 +40,6 @@ type EpochSignals struct {
 func NewEpochSignals(n int) *EpochSignals {
 	return &EpochSignals{slots: make([]atomic.Uint64, n), epoch: 1}
 }
-
-// Len reports the number of slots.
-func (s *EpochSignals) Len() int { return len(s.slots) }
 
 // Bind attaches the fabric to a sweep's cancellation control. Must happen
 // before workers launch; the binding is stable for the fabric's lifetime.
@@ -240,9 +149,7 @@ func (s *EpochSignals) Contended() int64 { return s.contended.Load() }
 
 // epochBlockFlags adapts EpochSignals to the fine-ND engine's 2D block
 // indexing: one resettable completion slot per (i, j) block of the
-// hierarchy, shared by the fresh-factorization and refactorization sweeps
-// (the channel-based Signals fabric remains for one-shot consumers like the
-// trisolve dependency scheduler).
+// hierarchy, shared by the fresh-factorization and refactorization sweeps.
 type epochBlockFlags struct {
 	n int
 	*EpochSignals

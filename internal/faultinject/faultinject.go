@@ -35,7 +35,10 @@ const (
 	SweepRefactor
 	// SweepPartial is the incremental (RefactorPartial/RefactorAuto) sweep.
 	SweepPartial
-	// SweepSolve is the dependency-scheduled parallel block solve.
+	// SweepSolve is the panel-parallel multi-RHS solve (SolveMany and
+	// SolveMatrix with several panels and workers): WorkerPanic fires as a
+	// worker starts, StallPoint after each panel it finishes, with the
+	// panel index as the block.
 	SweepSolve
 	numSweeps
 )

@@ -103,7 +103,7 @@ func FactorDenseInto(f *Factors, a *sparse.CSC, opts Options, dws *dense.Workspa
 // storage (dst may be nil): one forward-substitution sweep per column over
 // the panel, reading f's contiguous dense L columns directly — no reach
 // DFS, no pattern sort. The caller must guarantee f is dense-built; the
-// arithmetic per column matches RefactorUpperBlock's masked substitution,
+// arithmetic per column matches RefactorUpperBlockFrom's masked substitution,
 // so a same-values refresh reproduces the block bitwise.
 func (f *Factors) DenseUpperSolveInto(dst, b *sparse.CSC, dws *dense.Workspace) *sparse.CSC {
 	w, nc := f.N, b.N
@@ -137,7 +137,7 @@ func (f *Factors) DenseUpperSolveInto(dst, b *sparse.CSC, dws *dense.Workspace) 
 // rows outside the factored block: a left-looking TRSM over the panel
 // reading f's contiguous dense U columns. Output is structural fully dense
 // into recycled storage (dst may be nil). The per-column arithmetic matches
-// RefactorLowerBlock, so a same-values refresh reproduces the block
+// RefactorLowerBlockFrom, so a same-values refresh reproduces the block
 // bitwise.
 func (f *Factors) DenseLowerSolveInto(dst, b *sparse.CSC, dws *dense.Workspace) *sparse.CSC {
 	h, w := b.M, b.N

@@ -167,13 +167,13 @@ func TestDenseSolvesMatchSparseKernels(t *testing.T) {
 		}
 	}
 
-	// Lower kernel: X·U = B against LowerBlockSolve.
+	// Lower kernel: X·U = B against LowerBlockSolveInto.
 	h := 17
 	bl := denseishCSC(rng, n, 0.25, false).ExtractBlock(0, h, 0, n)
 	mark := make([]int, h+1)
 	acc := make([]float64, h+1)
 	tag := 0
-	sparseX := f.LowerBlockSolve(bl, mark, &tag, acc)
+	sparseX := f.LowerBlockSolveInto(nil, bl, mark, &tag, acc)
 	denseX := f.DenseLowerSolveInto(nil, bl, dws)
 	for c := 0; c < n; c++ {
 		got := make([]float64, h)

@@ -128,7 +128,7 @@ func (f *Factors) refactorDenseFrom(a *sparse.CSC, dws *dense.Workspace, k0 int)
 // contiguous fully dense slices of its value array, so the forward
 // substitution runs directly on the destination storage — no panel, no
 // scatter-back. The arithmetic per column matches DenseUpperSolveInto (and
-// therefore RefactorUpperBlock) bitwise. The suffix restriction carries
+// therefore RefactorUpperBlockFrom) bitwise. The suffix restriction carries
 // RefactorUpperBlockFrom's contract: sound only when the factor did not
 // change this sweep and every changed input column lies at or beyond c0.
 func (f *Factors) DenseUpperRefactorFrom(dst, b *sparse.CSC, c0 int) {

@@ -96,7 +96,7 @@ func dfsFinal(start int, l *sparse.CSC, xi []int, top int, pstack, mark []int, t
 	return top
 }
 
-// LowerBlockSolve computes X solving X·U = B column by column, where U is
+// LowerBlockSolveInto computes X solving X·U = B column by column, where U is
 // this factorization's upper factor and B is a sparse block whose rows are
 // *outside* the factored block (so no pivoting interaction). This produces
 // Basker's lower off-diagonal blocks L_ki from A_ki: column c satisfies
@@ -108,16 +108,13 @@ func dfsFinal(start int, l *sparse.CSC, xi []int, top int, pstack, mark []int, t
 //
 // The output pattern is structural: entries whose value works out to exact
 // zero are kept, so the pattern depends only on the patterns of B and the
-// factors — the invariant that lets RefactorLowerBlock refresh the block's
-// values in place for a same-pattern matrix.
-func (f *Factors) LowerBlockSolve(b *sparse.CSC, mark []int, tagp *int, acc []float64) *sparse.CSC {
-	return f.LowerBlockSolveInto(nil, b, mark, tagp, acc)
-}
-
-// LowerBlockSolveInto is LowerBlockSolve writing into recycled storage: when
-// dst is non-nil its entry slices are reset and refilled (growing only if
-// the new pattern is larger), so repeated fresh factorizations on a fixed
-// input pattern stop allocating block storage.
+// factors — the invariant that lets RefactorLowerBlockFrom refresh the
+// block's values in place for a same-pattern matrix.
+//
+// A nil dst allocates the result; a non-nil dst is recycled storage whose
+// entry slices are reset and refilled (growing only if the new pattern is
+// larger), so repeated fresh factorizations on a fixed input pattern stop
+// allocating block storage.
 func (f *Factors) LowerBlockSolveInto(dst, b *sparse.CSC, mark []int, tagp *int, acc []float64) *sparse.CSC {
 	x := dst
 	if x == nil {
@@ -168,19 +165,15 @@ func (f *Factors) LowerBlockSolveInto(dst, b *sparse.CSC, mark []int, tagp *int,
 	return x
 }
 
-// RefactorLowerBlock recomputes dst = B·U⁻¹ in place for a same-pattern B,
-// where dst was produced by LowerBlockSolve against the matrix originally
-// factored and f's values have already been refreshed (Refactor). Because
-// LowerBlockSolve patterns are structural, every index touched by the
-// recomputation lies inside dst's fixed column patterns, so the sweep needs
-// no pattern discovery and performs no allocation. acc must have length
-// ≥ B.M and arrive zeroed; it comes back clean.
-func (f *Factors) RefactorLowerBlock(dst, b *sparse.CSC, acc []float64) {
-	f.RefactorLowerBlockFrom(dst, b, acc, 0)
-}
-
-// RefactorLowerBlockFrom is RefactorLowerBlock restricted to columns
-// c0..N-1. Column c of the result depends only on input column c, factor
+// RefactorLowerBlockFrom recomputes columns c0..N-1 of dst = B·U⁻¹ in place
+// for a same-pattern B, where dst was produced by LowerBlockSolveInto
+// against the matrix originally factored and f's values have already been
+// refreshed (Refactor). Because LowerBlockSolveInto patterns are
+// structural, every index touched by the recomputation lies inside dst's
+// fixed column patterns, so the sweep needs no pattern discovery and
+// performs no allocation. acc must have length ≥ B.M and arrive zeroed; it
+// comes back clean. c0 = 0 is the full refresh. Column c of the result
+// depends only on input column c, factor
 // column U(:,c) and earlier result columns, so when neither the input's
 // columns before c0 nor the factor's columns before c0 changed since the
 // last refresh, the prefix is already correct and recomputing the suffix
@@ -211,18 +204,14 @@ func (f *Factors) RefactorLowerBlockFrom(dst, b *sparse.CSC, acc []float64, c0 i
 	}
 }
 
-// RefactorUpperBlock recomputes dst = L⁻¹·P·B in place for a same-pattern
-// B, where dst's columns hold the (structural, sorted, pivot-space)
-// patterns discovered by SolveSparseL at factorization time and f's values
-// have already been refreshed. Ascending pivot order is a topological order
-// of the forward solve, so each column is one masked substitution pass;
-// no DFS, no allocation. ws provides the dense accumulator.
-func (f *Factors) RefactorUpperBlock(dst, b *sparse.CSC, ws *Workspace) {
-	f.RefactorUpperBlockFrom(dst, b, ws, 0)
-}
-
-// RefactorUpperBlockFrom is RefactorUpperBlock restricted to columns
-// c0..N-1. Unlike the lower-block sweep, each output column here is
+// RefactorUpperBlockFrom recomputes columns c0..N-1 of dst = L⁻¹·P·B in
+// place for a same-pattern B, where dst's columns hold the (structural,
+// sorted, pivot-space) patterns discovered by SolveSparseL at factorization
+// time and f's values have already been refreshed. Ascending pivot order is
+// a topological order of the forward solve, so each column is one masked
+// substitution pass; no DFS, no allocation. ws provides the dense
+// accumulator. c0 = 0 is the full refresh. Unlike the lower-block sweep,
+// each output column here is
 // independent of the others but reads the whole of L, so the suffix
 // restriction is sound only when the factor itself did not change this
 // sweep and every changed input column lies at or beyond c0.

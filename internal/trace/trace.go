@@ -35,7 +35,6 @@ const (
 	PhaseFactor
 	PhaseRefactor
 	PhasePartial
-	PhaseSolve
 	numPhases
 )
 
@@ -49,8 +48,6 @@ func (p Phase) String() string {
 		return "refactor"
 	case PhasePartial:
 		return "partial"
-	case PhaseSolve:
-		return "solve"
 	}
 	return "unknown"
 }
@@ -86,8 +83,6 @@ const (
 	KindAnalyzeNDEstimate
 	// KindAnalyzePlan is the gather-plan construction step.
 	KindAnalyzePlan
-	// KindSolveBlock is one coarse block of the parallel triangular solve.
-	KindSolveBlock
 	// KindDenseRefresh is a fine-ND span whose kernels ran through the dense
 	// panel layer (panel LU, TRSM or accumulation — pivoting or refresh).
 	KindDenseRefresh
@@ -118,8 +113,6 @@ func (k Kind) String() string {
 		return "analyze-nd-estimate"
 	case KindAnalyzePlan:
 		return "analyze-plan"
-	case KindSolveBlock:
-		return "solve-block"
 	case KindDenseRefresh:
 		return "dense-refresh"
 	case KindSnodeKernel:
@@ -148,9 +141,8 @@ type Event struct {
 const DriverWorker int32 = -1
 
 const (
-	ndLaneShift   = 10
-	ndLaneMask    = 1<<ndLaneShift - 1
-	solveLaneBase = 1 << 20
+	ndLaneShift = 10
+	ndLaneMask  = 1<<ndLaneShift - 1
 )
 
 // NDWorker returns the trace lane of fine-ND worker t cooperating on
@@ -161,19 +153,12 @@ func NDWorker(blk, t int) int32 {
 	return int32((blk+1)<<ndLaneShift + t)
 }
 
-// SolveWorker returns the trace lane of parallel-solve worker w.
-func SolveWorker(w int) int32 {
-	return int32(solveLaneBase + w)
-}
-
 // LaneName names a worker lane for human-facing output (thread names in
 // the Chrome export).
 func LaneName(worker int32) string {
 	switch {
 	case worker == DriverWorker:
 		return "driver"
-	case worker >= solveLaneBase:
-		return "solve-w" + itoa(int(worker-solveLaneBase))
 	case worker >= 1<<ndLaneShift:
 		blk := int(worker>>ndLaneShift) - 1
 		return "nd" + itoa(blk) + "-w" + itoa(int(worker&ndLaneMask))

@@ -194,7 +194,6 @@ func TestTraceLaneNames(t *testing.T) {
 		{3, "worker-3"},
 		{NDWorker(3, 2), "nd3-w2"},
 		{NDWorker(0, 0), "nd0-w0"},
-		{SolveWorker(4), "solve-w4"},
 	}
 	for _, c := range cases {
 		if got := LaneName(c.worker); got != c.want {

@@ -10,109 +10,60 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/gp"
-	"repro/internal/matgen"
 )
 
-// stallSolver is chaosSolver with the stall watchdog armed on the
-// factorization's options, so block-parallel solves run monitored.
-func stallSolver(t *testing.T, inject *faultinject.Injector, stall time.Duration) (*Solver, []float64, []float64) {
-	t.Helper()
-	a := matgen.Circuit(matgen.CircuitParams{
-		N: 700, BTFPct: 50, Blocks: 40, Core: matgen.CoreLadder, ExtraDensity: 0.3, Seed: 11,
-	})
+// TestSolveManyStallWatchdog wedges one panel of a panel-parallel batch
+// solve for far longer than StallTimeout: the watchdog aborts the sweep with
+// ErrStalled naming the solve, the sweep joins before the call returns —
+// every panel whole — and the very next batch succeeds.
+func TestSolveManyStallWatchdog(t *testing.T) {
+	inject := faultinject.New()
+	a := testMatrix(t)
+	const budget = 40 * time.Millisecond
 	opts := core.DefaultOptions()
-	opts.Threads = 4
+	opts.Threads = 2
 	opts.BigBlockMin = 64
 	opts.Inject = inject
-	opts.StallTimeout = stall
+	opts.StallTimeout = budget
 	num, err := core.FactorDirect(a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(num, Options{Workers: 4, BlockParallelMin: 1})
-	x := randRHS(a.N, 7)
-	b := make([]float64, a.N)
-	a.MulVec(b, x)
-	return s, b, x
-}
-
-// TestSolveStallWatchdog wedges a block-parallel solve worker for far
-// longer than StallTimeout: the watchdog aborts the sweep with ErrStalled
-// naming the stuck block, the caller's right-hand side is untouched (the
-// sweep writes only its pooled workspace until the final scatter), the
-// factorization is unharmed, and the very next solve succeeds while the
-// straggler is still draining.
-func TestSolveStallWatchdog(t *testing.T) {
-	inject := faultinject.New()
-	s, b, x := stallSolver(t, inject, 60*time.Millisecond)
-
+	s := New(num, Options{Workers: 2})
+	const panels = 6
+	want, batch := solvedBatch(num, a.N, panels*gp.PanelLanes)
+	orig := cloneVecs(batch)
+	const stall = 6 * budget
 	inject.Arm(faultinject.PointStall, faultinject.Rule{
 		Sweep: faultinject.SweepSolve, SweepSet: true, Block: -1, Worker: -1,
-		Times: 1, Stall: 900 * time.Millisecond,
+		Times: 1, Stall: stall,
 	})
-	got := append([]float64(nil), b...)
 	t0 := time.Now()
-	err := s.Solve(got)
-	if elapsed := time.Since(t0); elapsed >= 700*time.Millisecond {
-		t.Fatalf("stalled solve took %v to return, want early abort", elapsed)
+	err = s.SolveManyCtx(context.Background(), batch)
+	if elapsed := time.Since(t0); elapsed < stall {
+		t.Fatalf("stalled batch returned after %v, before its wedged worker (%v): the sweep did not join", elapsed, stall)
 	}
 	if !errors.Is(err, core.ErrStalled) {
-		t.Fatalf("stalled solve error %v does not match ErrStalled", err)
+		t.Fatalf("stalled batch error %v does not match ErrStalled", err)
 	}
 	var se *core.StallError
 	if !errors.As(err, &se) {
-		t.Fatalf("stalled solve error %v carries no *StallError", err)
+		t.Fatalf("stalled batch error %v carries no *StallError", err)
 	}
-	if se.Sweep != "solve" || se.Block < 0 || se.Lane < 0 {
-		t.Fatalf("StallError diagnostics incomplete: %+v", se)
+	if se.Sweep != "solve" || se.Idle < budget {
+		t.Fatalf("StallError diagnostics wrong: %+v", se)
 	}
-	for i := range got {
-		if got[i] != b[i] {
-			t.Fatalf("aborted solve clobbered rhs[%d]: %v != %v", i, got[i], b[i])
+	checkWholePanels(t, batch, orig, want)
+
+	// Solves only read the factorization: the next batch succeeds.
+	if err := s.SolveMany(orig); err != nil {
+		t.Fatalf("SolveMany after stall: %v", err)
+	}
+	for i := range orig {
+		if !slices.Equal(orig[i], want[i]) {
+			t.Fatalf("rhs %d after stall differs from the serial solve", i)
 		}
 	}
-
-	// Solves only read the factorization: the next call — racing the
-	// still-sleeping straggler, which owns a detached workspace — succeeds.
-	got = append([]float64(nil), b...)
-	if err := s.Solve(got); err != nil {
-		t.Fatalf("solve after stall: %v", err)
-	}
-	checkSolution(t, got, x)
-}
-
-// TestSolveCtxDeadline aborts a block-parallel solve via context deadline
-// (no watchdog armed): ErrDeadlineExceeded, rhs untouched, next solve fine.
-func TestSolveCtxDeadline(t *testing.T) {
-	inject := faultinject.New()
-	s, b, x := stallSolver(t, inject, 0)
-
-	inject.Arm(faultinject.PointStall, faultinject.Rule{
-		Sweep: faultinject.SweepSolve, SweepSet: true, Block: -1, Worker: -1,
-		Times: 1, Stall: 900 * time.Millisecond,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	got := append([]float64(nil), b...)
-	t0 := time.Now()
-	err := s.SolveCtx(ctx, got)
-	if elapsed := time.Since(t0); elapsed >= 700*time.Millisecond {
-		t.Fatalf("deadline abort took %v, want early return", elapsed)
-	}
-	if !errors.Is(err, core.ErrDeadlineExceeded) {
-		t.Fatalf("solve past deadline: %v, want ErrDeadlineExceeded", err)
-	}
-	for i := range got {
-		if got[i] != b[i] {
-			t.Fatalf("aborted solve clobbered rhs[%d]", i)
-		}
-	}
-
-	got = append([]float64(nil), b...)
-	if err := s.Solve(got); err != nil {
-		t.Fatalf("solve after deadline abort: %v", err)
-	}
-	checkSolution(t, got, x)
 }
 
 // TestSolveManyCtxArmedPath runs the panel-parallel batch solve with a

@@ -29,11 +29,12 @@
 //     the factorization). A column is skipped only when all eight lanes are
 //     zero; a short tail repeats live vectors in the spare lanes, and a
 //     one-vector panel is a plain solve;
-//   - scheduled parallelism: panels are dealt to worker goroutines through
-//     an atomic cursor, and single-RHS solves on matrices with many coarse
-//     blocks run a dependency-scheduled parallel block sweep that reuses
-//     the point-to-point Signals fabric of the numeric engine — block i
-//     waits only on the exact later blocks that feed it.
+//   - panel parallelism: the panels of a batch are dealt to worker
+//     goroutines through an atomic cursor. A single right-hand side runs
+//     the serial pivot-order sweep on the caller's goroutine, as KLU's
+//     solve does: the paper parallelizes the factorization, and a
+//     dependency-scheduled block sweep measured no faster than the serial
+//     one on any input.
 //
 // All entry points perform the same floating-point operation sequence per
 // right-hand side as a serial core.Numeric.Solve, so batched, parallel and
@@ -57,76 +58,29 @@ import (
 	"repro/internal/sparse"
 )
 
-const (
-	// blockParallelMinDim is the default minimum average block dimension
-	// (rows per coarse block) before a single-RHS solve uses the
-	// dependency-scheduled parallel sweep: with thousands of tiny blocks,
-	// per-block synchronization costs more than the block solves.
-	blockParallelMinDim = 256
-)
-
 // Options configures a Solver.
 type Options struct {
-	// Workers is the number of goroutines used for panel and block
-	// parallelism. Values below 1 mean 1 (fully serial).
+	// Workers is the number of goroutines the multi-RHS solves deal their
+	// panels to. Values below 1 mean 1 (fully serial).
 	Workers int
-	// BlockParallelMin overrides the single-RHS parallel-sweep gate: a
-	// positive value engages the parallel sweep whenever the matrix has at
-	// least that many coarse blocks (regardless of block size), a negative
-	// value disables it, and 0 selects the default heuristic (at least
-	// 2×Workers blocks averaging blockParallelMinDim rows).
-	BlockParallelMin int
 }
 
 // Solver drives reentrant, batched and parallel solves against one
 // core.Numeric. It is safe for concurrent use by multiple goroutines as
 // long as no Refactor runs concurrently with solves; Refactor between
-// solve batches is fine (the cached block-dependency structure depends
-// only on the sparsity pattern, which Refactor preserves).
+// solve batches is fine.
 type Solver struct {
-	num      *core.Numeric
-	workers  int
-	blockPar bool
-	pool     *wsPool
-
-	// Block-dependency structure for the parallel sweep, built lazily once
-	// (the pattern is immutable across Refactor).
-	depOnce sync.Once
-	feeds   [][]feed
-	deps    [][]int
-}
-
-// feed is one off-block coupling entry:
-// y[OffRows[q]] -= Perm.Values[p] · y[col]. It is stored as indices — into
-// the numeric's pivot-order off-block rows and into the permuted matrix —
-// so rows and values stay current across Refactor and FactorInto, which
-// keep both layouts and rewrite their contents.
-type feed struct {
-	q, col, p int32
+	num     *core.Numeric
+	workers int
+	pool    *wsPool
 }
 
 // New returns a Solver over num.
 func New(num *core.Numeric, opt Options) *Solver {
-	w := opt.Workers
-	if w < 1 {
-		w = 1
-	}
-	sym := num.Sym
-	nb := sym.NumBlocks()
-	var blockPar bool
-	switch {
-	case w <= 1 || opt.BlockParallelMin < 0:
-		blockPar = false
-	case opt.BlockParallelMin > 0:
-		blockPar = nb >= opt.BlockParallelMin && nb >= 2
-	default:
-		blockPar = nb >= 2*w && sym.N/nb >= blockParallelMinDim
-	}
 	return &Solver{
-		num:      num,
-		workers:  w,
-		blockPar: blockPar,
-		pool:     newWSPool(sym),
+		num:     num,
+		workers: max(opt.Workers, 1),
+		pool:    newWSPool(num.Sym),
 	}
 }
 
@@ -141,22 +95,18 @@ func panicErr(r any) error {
 	return fmt.Errorf("%w: %v\n%s", core.ErrInternalPanic, r, debug.Stack())
 }
 
-// Solve solves A·x = b in place. Reentrant and allocation-free in steady
-// state on the serial path. On a non-nil error (a recovered panic in a
-// sweep) b is unspecified; the factorization itself is unharmed, solves
-// are read-only against it.
+// Solve solves A·x = b in place with the serial pivot-order sweep of
+// core.Numeric.SolveInto on the caller's goroutine. Reentrant and
+// allocation-free in steady state. On a non-nil error (a recovered panic
+// in the sweep) b is unspecified; the factorization itself is unharmed,
+// solves are read-only against it.
 func (s *Solver) Solve(b []float64) error {
 	return s.SolveCtx(context.Background(), b)
 }
 
-// SolveCtx is Solve with cooperative cancellation: a fired ctx aborts the
-// dependency-scheduled parallel sweep at the next block boundary and
-// returns ErrCanceled or ErrDeadlineExceeded; b is then unspecified (the
-// factorization is unharmed — solves only read it). A Done-capable ctx or
-// a positive Options.StallTimeout on the factorization also arms the sweep
-// watchdog, which aborts a no-progress sweep with ErrStalled. The serial
-// path runs on the caller's goroutine and only honours a ctx that is
-// already expired at entry.
+// SolveCtx is Solve with a context check at entry: an already expired ctx
+// returns ErrCanceled or ErrDeadlineExceeded with b untouched. The sweep
+// itself is one uninterruptible pass of the serial solve.
 func (s *Solver) SolveCtx(ctx context.Context, b []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -165,9 +115,6 @@ func (s *Solver) SolveCtx(ctx context.Context, b []float64) (err error) {
 	}()
 	if ctx != nil && ctx.Err() != nil {
 		return core.CancelCause(ctx)
-	}
-	if s.blockPar {
-		return s.solveBlockParallel(ctx, b)
 	}
 	ws := s.pool.get()
 	defer s.pool.put(ws)

@@ -41,8 +41,7 @@ func randRHS(n int, seed int64) []float64 {
 }
 
 // TestSolveMatchesSerial pins every trisolve path — serial, blocked
-// multi-RHS, panel-parallel, and the dependency-scheduled block-parallel
-// sweep — to the bit pattern of core.Numeric.Solve.
+// multi-RHS and panel-parallel — to the bit pattern of core.Numeric.Solve.
 func TestSolveMatchesSerial(t *testing.T) {
 	a := testMatrix(t)
 	num := factor(t, a, 4)
@@ -64,7 +63,6 @@ func TestSolveMatchesSerial(t *testing.T) {
 	}{
 		{"serial", Options{Workers: 1}},
 		{"panel-parallel", Options{Workers: 4}},
-		{"block-parallel", Options{Workers: 4, BlockParallelMin: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,7 +120,7 @@ func TestSolveMatrix(t *testing.T) {
 
 // TestConcurrentSolvesRace hammers one Solver from many goroutines mixing
 // Solve and SolveMany; run under -race it checks the workspace pool and
-// the parallel sweeps share nothing by accident.
+// the panel-parallel sweep share nothing by accident.
 func TestConcurrentSolvesRace(t *testing.T) {
 	a := testMatrix(t)
 	num := factor(t, a, 4)
@@ -130,37 +128,32 @@ func TestConcurrentSolvesRace(t *testing.T) {
 	b := make([]float64, a.N)
 	a.MulVec(b, x)
 
-	for _, opt := range []Options{
-		{Workers: 4},
-		{Workers: 4, BlockParallelMin: 1},
-	} {
-		s := New(num, opt)
-		const goroutines = 8
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for it := 0; it < 15; it++ {
-					if (g+it)%2 == 0 {
-						got := append([]float64(nil), b...)
-						s.Solve(got)
+	s := New(num, Options{Workers: 4})
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 15; it++ {
+				if (g+it)%2 == 0 {
+					got := append([]float64(nil), b...)
+					s.Solve(got)
+					checkSolution(t, got, x)
+				} else {
+					batch := make([][]float64, gp.PanelLanes)
+					for c := range batch {
+						batch[c] = append([]float64(nil), b...)
+					}
+					s.SolveMany(batch)
+					for _, got := range batch {
 						checkSolution(t, got, x)
-					} else {
-						batch := make([][]float64, gp.PanelLanes)
-						for c := range batch {
-							batch[c] = append([]float64(nil), b...)
-						}
-						s.SolveMany(batch)
-						for _, got := range batch {
-							checkSolution(t, got, x)
-						}
 					}
 				}
-			}(g)
-		}
-		wg.Wait()
+			}
+		}(g)
 	}
+	wg.Wait()
 }
 
 func checkSolution(t *testing.T, got, want []float64) {
@@ -196,21 +189,35 @@ func TestSolveRefinedPooled(t *testing.T) {
 	checkSolution(t, b, x)
 }
 
-// TestSteadyStateAllocs asserts the serial solve paths stop allocating once
-// the workspace pool is warm: Solve, and SolveMany/SolveMatrix on a full
-// panel, a panel plus a one-vector tail, and several panels with a tail.
+// TestSteadyStateAllocs asserts the solve paths stop allocating once the
+// workspace pool is warm: the single-RHS Solve at every thread count —
+// including BTF-only inputs with many large blocks, where a solver with
+// several workers still runs the serial sweep — and the serial
+// SolveMany/SolveMatrix on a full panel, a panel plus a one-vector tail,
+// and several panels with a tail.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are unrepresentative")
 	}
-	a := testMatrix(t)
-	num := factor(t, a, 1)
-	s := New(num, Options{Workers: 1})
-	b := randRHS(a.N, 3)
-	s.Solve(b) // warm the pool
-	if avg := testing.AllocsPerRun(50, func() { s.Solve(b) }); avg > 0.5 {
-		t.Errorf("Solve allocates %.1f objects/call in steady state, want 0", avg)
+	for _, tc := range []struct {
+		name    string
+		a       *sparse.CSC
+		threads int
+	}{
+		{"circuit/T1", testMatrix(t), 1},
+		{"powergrid-20000/T2", matgen.PowerGrid(20000, 8, 3), 2},
+		{"powergrid-4000/T4", matgen.PowerGrid(4000, 12, 1), 4},
+	} {
+		num := factor(t, tc.a, tc.threads)
+		s := New(num, Options{Workers: tc.threads})
+		b := randRHS(tc.a.N, 3)
+		s.Solve(b) // warm the pool
+		if avg := testing.AllocsPerRun(50, func() { s.Solve(b) }); avg > 0.5 {
+			t.Errorf("%s: Solve allocates %.1f objects/call in steady state, want 0", tc.name, avg)
+		}
 	}
+	a := testMatrix(t)
+	s := New(factor(t, a, 1), Options{Workers: 1})
 	for _, k := range []int{2, 8, 9, 33} {
 		batch := make([][]float64, k)
 		for c := range batch {

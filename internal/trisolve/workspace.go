@@ -20,29 +20,11 @@ type Workspace struct {
 
 	panel []gp.PanelRow // row-interleaved multi-RHS panel, n rows (lazily sized)
 
-	// sig is the per-call point-to-point fabric of the parallel block
-	// sweep. The resettable epoch variant lives in the pooled workspace so
-	// steady-state parallel solves allocate no synchronization state
-	// (each concurrent call owns its workspace, hence its fabric).
-	sig *core.EpochSignals
-
-	// ctl is the per-call cancellation fabric: the sweep monitor of an
-	// armed (cancellable or stall-watched) solve cancels through it, and
-	// sig's blocked waits poll it. Living in the pooled workspace keeps
-	// armed solves as reentrant as plain ones.
+	// ctl is the per-call cancellation control of an armed (cancellable or
+	// stall-watched) batch solve: the sweep monitor cancels through it and
+	// the panel workers poll it. Living in the pooled workspace keeps armed
+	// solves as reentrant as plain ones.
 	ctl core.SweepControl
-}
-
-// signals returns the workspace's block-completion fabric, reset for a new
-// sweep (lazily sized on first use so serial solves never pay for it) and
-// bound to the workspace's cancellation control.
-func (w *Workspace) signals(nb int) *core.EpochSignals {
-	if w.sig == nil || w.sig.Len() < nb {
-		w.sig = core.NewEpochSignals(nb)
-		w.sig.Bind(&w.ctl)
-	}
-	w.sig.Reset()
-	return w.sig
 }
 
 func newWorkspace(sym *core.Symbolic) *Workspace {

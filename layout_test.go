@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/matgen"
-	"repro/internal/trisolve"
 )
 
 // backwardError is the normwise relative residual of x for A·x = b:
@@ -33,11 +32,10 @@ func backwardError(a *Matrix, x, b []float64) float64 {
 	return rn / (an*xn + bn)
 }
 
-// layoutCheck solves a fixed batch through Solve, SolveMany and the
-// block-parallel sweep and checks what every event of
-// TestSolveLayoutAfterRepivot must leave behind: a relative residual of at
-// most 1e-12 (backwardError), SolveMany == Solve and block-parallel == Solve. It returns the
-// Solve solutions.
+// layoutCheck solves a fixed batch through Solve and SolveMany and checks
+// what every event of TestSolveLayoutAfterRepivot must leave behind: a
+// relative residual of at most 1e-12 (backwardError) and SolveMany ==
+// Solve. It returns the Solve solutions.
 func layoutCheck(t *testing.T, event string, f *Factorization, a *Matrix) [][]float64 {
 	t.Helper()
 	const k = 9 // one full panel and a one-vector tail
@@ -66,15 +64,10 @@ func layoutCheck(t *testing.T, event string, f *Factorization, a *Matrix) [][]fl
 	if err := f.SolveMany(many); err != nil {
 		t.Fatalf("%s: SolveMany: %v", event, err)
 	}
-	blockPar := trisolve.New(f.num, trisolve.Options{Workers: 4, BlockParallelMin: 1})
 	for c := range rhs {
-		par := slices.Clone(rhs[c])
-		if err := blockPar.Solve(par); err != nil {
-			t.Fatalf("%s: block-parallel Solve: %v", event, err)
-		}
 		for i, w := range want[c] {
-			if many[c][i] != w || par[i] != w {
-				t.Fatalf("%s: rhs %d row %d: SolveMany %v, block-parallel %v, Solve %v", event, c, i, many[c][i], par[i], w)
+			if many[c][i] != w {
+				t.Fatalf("%s: rhs %d row %d: SolveMany %v, Solve %v", event, c, i, many[c][i], w)
 			}
 		}
 	}
