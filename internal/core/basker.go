@@ -940,10 +940,14 @@ func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC
 // Algorithm 4 team per fine-ND block) that serves fresh factorization, full
 // refresh and partial refresh.
 //
-//	mode         kernel per block                    mask       on gp.ErrSingular
-//	modeFactor   gp.FactorInto / pivoting ND walk    all dirty  sweep fails
-//	modeRefresh  Refactor / fixed-pivot ND walk      all dirty  re-pivot that block (freshKernel)
-//	modePartial  RefactorSelective / masked ND walk  dirty      re-pivot that block (freshKernel)
+//	mode         kernel per block                       mask       on gp.ErrSingular
+//	modeFactor   gp.FactorInto / pivoting ND walk       all dirty  sweep fails
+//	modeRefresh  gp.Refactor / fixed-pivot ND walk      all dirty  re-pivot that block (freshKernel)
+//	modePartial  gp.RefactorSelective / masked ND walk  dirty      re-pivot that block (freshKernel)
+//
+// The ND walk's diagonal kernels refresh through the same two gp entries,
+// whichever layout — column, supernodal or dense-built — their fresh
+// factorization chose.
 //
 // dirty is the mask (nil = every block): clean blocks are never visited and
 // their completion slots are pre-armed. The caller has already drained the

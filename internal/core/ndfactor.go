@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dense"
 	"repro/internal/faultinject"
 	"repro/internal/gp"
 	"repro/internal/order/nd"
@@ -42,10 +41,11 @@ type ndSym struct {
 	dense []bool
 	// snodes[b], when non-nil, is the supernode partition (xsup boundaries)
 	// of leaf diagonal b, detected from its column elimination tree at
-	// Analyze time: the block factors through gp.FactorSupernodalInto and
-	// refreshes through gp.RefactorSupernodal. Only leaf diagonals that the
-	// dense-tag gate did not claim are candidates. nil when nothing merged
-	// (including Options.NoSupernodes and the est-free unit-test path).
+	// Analyze time: the block factors through gp.FactorSupernodalInto, and
+	// gp.Refactor refreshes it over the recorded partition. Only leaf
+	// diagonals that the dense-tag gate did not claim are candidates. nil
+	// when nothing merged (including Options.NoSupernodes and the est-free
+	// unit-test path).
 	snodes [][]int
 }
 
@@ -194,10 +194,6 @@ type ndNum struct {
 	ftag  []int
 	flows [][]*sparse.CSC
 	fups  [][]*sparse.CSC
-	// fdws[t] is worker t's pooled dense panel workspace, lazily built on
-	// the first dense-tagged kernel it runs (nil forever on untagged
-	// hierarchies, so the low-fill path carries no dense-layer cost).
-	fdws []*dense.Workspace
 
 	errMu    sync.Mutex
 	firstErr error
@@ -252,7 +248,6 @@ func newNDNum(blk int, sym *ndSym, grid *ndGrid, opts Options) *ndNum {
 		ftag:  make([]int, sym.p),
 		flows: make([][]*sparse.CSC, sym.p),
 		fups:  make([][]*sparse.CSC, sym.p),
-		fdws:  make([]*dense.Workspace, sym.p),
 	}
 	for i := 0; i < nb; i++ {
 		num.a[i] = make([]*sparse.CSC, nb)
@@ -372,14 +367,6 @@ func (num *ndNum) workerScratch(t int) (*gp.Workspace, []int, []float64) {
 		num.facc[t] = make([]float64, num.n+1)
 	}
 	return num.fws[t], num.fmark[t], num.facc[t]
-}
-
-// denseWS returns worker t's pooled dense panel workspace.
-func (num *ndNum) denseWS(t int) *dense.Workspace {
-	if num.fdws[t] == nil {
-		num.fdws[t] = dense.NewWorkspace()
-	}
-	return num.fdws[t]
 }
 
 // useDense reports whether kernel (i, j) runs on the dense panel layer:
@@ -678,14 +665,16 @@ func (num *ndNum) worker(t int, mode sweepMode, st *ndIncState) {
 }
 
 // diagKernel factors (modeFactor) or refreshes diagonal block b from m — its
-// input block at a leaf, the reduced block at a separator. Dense-tagged
-// diagonals go through the pivoted panel LU, supernodal leaves through the
-// elimination-tree panels, the rest through column Gilbert–Peierls; under a
-// mask the leaf reruns only the dependency closure of its dirty columns (a
-// leaf diagonal consumes no reduction, so the input stamps tell the whole
-// story), while a separator diagonal reruns whole.
+// input block at a leaf, the reduced block at a separator. A fresh factor
+// picks its layout: dense-tagged diagonals go through the pivoted panel LU,
+// supernodal leaves through the elimination-tree panels, the rest through
+// column Gilbert–Peierls. A refresh is one gp.Refactor, which follows the
+// layout the factor recorded; under a mask the leaf reruns only the
+// dependency closure of its dirty columns (a leaf diagonal consumes no
+// reduction, so the input stamps tell the whole story), while a separator
+// diagonal reruns whole.
 func (w *ndLane) diagKernel(b int, m *sparse.CSC) error {
-	num, t := w.num, w.t
+	num := w.num
 	if num.diag[b] == nil {
 		num.diag[b] = &gp.Factors{}
 	}
@@ -710,32 +699,17 @@ func (w *ndLane) diagKernel(b int, m *sparse.CSC) error {
 		}
 		switch {
 		case dense:
-			err = gp.FactorDenseInto(f, m, num.opts.gpOptions(), num.denseWS(t))
+			err = gp.FactorDenseInto(f, m, num.opts.gpOptions(), w.ws)
 		case xsup != nil:
-			err = gp.FactorSupernodalInto(f, m, xsup, hint, num.opts.gpOptions(), w.ws, num.denseWS(t))
+			err = gp.FactorSupernodalInto(f, m, xsup, hint, num.opts.gpOptions(), w.ws)
 		default:
 			err = gp.FactorInto(f, m, hint, num.opts.gpOptions(), w.ws)
 		}
 	case w.st != nil && b == w.leaf:
 		b0, b1 := num.sym.blockRange(b)
-		stamp, epoch, rerun := w.st.colStamp[b0:b1], w.st.epoch, w.st.rerun[b0:b1]
-		switch {
-		case dense:
-			err = f.RefactorDenseSelective(m, num.denseWS(t), stamp, epoch, rerun)
-		case xsup != nil:
-			err = f.RefactorSupernodalSelective(m, w.ws, num.denseWS(t), stamp, epoch, rerun)
-		default:
-			err = f.RefactorSelective(m, w.ws, stamp, epoch, rerun)
-		}
+		err = f.RefactorSelective(m, w.ws, w.st.colStamp[b0:b1], w.st.epoch, w.st.rerun[b0:b1])
 	default:
-		switch {
-		case dense:
-			err = f.RefactorDense(m, num.denseWS(t))
-		case xsup != nil:
-			err = f.RefactorSupernodal(m, w.ws, num.denseWS(t))
-		default:
-			err = f.Refactor(m, w.ws)
-		}
+		err = f.Refactor(m, w.ws)
 	}
 	if err != nil {
 		return fmt.Errorf("core: nd %sdiag block %d: %w", sweepModes[w.mode].errTag, b, err)
@@ -762,7 +736,7 @@ func (w *ndLane) upperKernel(k, j int, ahat *sparse.CSC, c0 int) {
 	case w.mode != modeFactor:
 		f.RefactorUpperBlockFrom(dst, ahat, w.ws, c0)
 	case dense:
-		num.upper[k][j] = f.DenseUpperSolveInto(dst, ahat, num.denseWS(w.t))
+		num.upper[k][j] = f.DenseUpperSolveInto(dst, ahat, w.ws)
 	default:
 		num.upper[k][j] = num.solveUpper(k, ahat, w.ws, dst)
 	}
@@ -785,7 +759,7 @@ func (w *ndLane) lowerKernel(i, j int, ahat *sparse.CSC, c0 int) {
 	case w.mode != modeFactor:
 		f.RefactorLowerBlockFrom(dst, ahat, w.acc, c0)
 	case dense:
-		num.lower[i][j] = f.DenseLowerSolveInto(dst, ahat, num.denseWS(w.t))
+		num.lower[i][j] = f.DenseLowerSolveInto(dst, ahat, w.ws)
 	default:
 		num.lower[i][j] = f.LowerBlockSolveInto(dst, ahat, w.mark, &w.tag, w.acc)
 	}
@@ -807,7 +781,7 @@ func (w *ndLane) reduceKernel(i, j int, lows, ups []*sparse.CSC) *sparse.CSC {
 	case num.useDense(i, j):
 		w.kind = trace.KindDenseRefresh
 		num.denseHits.Add(1)
-		num.red[i][j] = reduceBlockDense(a0, lows, ups, num.red[i][j], num.denseWS(w.t))
+		num.red[i][j] = reduceBlockDense(a0, lows, ups, num.red[i][j], w.ws)
 	case w.mode == modeFactor:
 		num.red[i][j] = reduceBlock(a0, lows, ups, w.mark, &w.tag, w.acc, num.red[i][j])
 	default:
@@ -976,14 +950,14 @@ func reduceBlock(a0 *sparse.CSC, lows, ups []*sparse.CSC, mark []int, tagp *int,
 // reproduce dense-reduced blocks bitwise. Contributor columns that are
 // themselves fully dense (dense-built factor blocks) collapse to contiguous
 // axpys — the blocked rank-k update of the dense layer.
-func reduceBlockDense(a0 *sparse.CSC, lows, ups []*sparse.CSC, recycle *sparse.CSC, dws *dense.Workspace) *sparse.CSC {
+func reduceBlockDense(a0 *sparse.CSC, lows, ups []*sparse.CSC, recycle *sparse.CSC, ws *gp.Workspace) *sparse.CSC {
 	m, n := 0, 0
 	if a0 != nil {
 		m, n = a0.M, a0.N
 	} else {
 		m, n = lows[0].M, ups[0].N
 	}
-	panel := dws.Panel(m, n)
+	panel := ws.Panel(m, n)
 	for c := 0; c < n; c++ {
 		col := panel.Col(c)
 		if a0 != nil {

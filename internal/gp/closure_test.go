@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dense"
 	"repro/internal/matgen"
 	"repro/internal/order/btf"
 	"repro/internal/sparse"
@@ -56,7 +55,6 @@ type selectiveKernel struct {
 // from the old pattern would send the closure down the wrong rows.
 func TestSelectiveClosureMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	dws := dense.NewWorkspace()
 	ws := NewWorkspace(1)
 	plain := selectiveKernel{
 		name:   "column",
@@ -76,13 +74,13 @@ func TestSelectiveClosureMatchesScan(t *testing.T) {
 			kernels = append(kernels, selectiveKernel{
 				name: "supernodal",
 				factor: func(f *Factors, a *sparse.CSC) error {
-					return FactorSupernodalInto(f, a, xsup, 0, Options{}, ws, dws)
+					return FactorSupernodalInto(f, a, xsup, 0, Options{}, ws)
 				},
 				fwd: func(f *Factors, a *sparse.CSC, stamp []uint64, epoch uint64, rerun []bool) error {
-					return f.RefactorSupernodalSelective(a, ws, dws, stamp, epoch, rerun)
+					return f.RefactorSelective(a, ws, stamp, epoch, rerun)
 				},
 				scan: func(f *Factors, a *sparse.CSC, stamp []uint64, epoch uint64, rerun []bool) error {
-					return f.refactorSupernodalReference(a, ws, dws, stamp, epoch, rerun)
+					return f.refactorSupernodalReference(a, ws, stamp, epoch, rerun)
 				},
 			})
 		}

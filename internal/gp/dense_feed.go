@@ -3,7 +3,6 @@ package gp
 import (
 	"fmt"
 
-	"repro/internal/dense"
 	"repro/internal/sparse"
 )
 
@@ -29,21 +28,23 @@ import (
 // recycling f's storage like FactorInto: a is scattered into a pooled
 // column-major panel, factored by right-looking LU with the same
 // diagonal-preference partial pivoting as the sparse kernel, and emitted as
-// structural fully dense factors. dws provides the pooled panel; on error
-// f's contents are unspecified (retrying is fine).
-func FactorDenseInto(f *Factors, a *sparse.CSC, opts Options, dws *dense.Workspace) error {
+// structural fully dense factors, recorded as the single supernode [0, n)
+// so that Refactor refreshes them through the supernode panel. ws provides
+// the pooled panel; on error f's contents are unspecified (retrying is
+// fine).
+func FactorDenseInto(f *Factors, a *sparse.CSC, opts Options, ws *Workspace) error {
 	if a.M != a.N {
 		return fmt.Errorf("gp: matrix must be square, got %d×%d", a.M, a.N)
 	}
 	n := a.N
-	panel := dws.Panel(n, n)
+	panel := ws.Panel(n, n)
 	for j := 0; j < n; j++ {
 		col := panel.Col(j)
 		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
 			col[a.Rowidx[p]] = a.Values[p]
 		}
 	}
-	rows := dws.Rows(n)
+	rows := ws.panels.Rows(n)
 	for i := range rows {
 		rows[i] = i
 	}
@@ -57,7 +58,8 @@ func FactorDenseInto(f *Factors, a *sparse.CSC, opts Options, dws *dense.Workspa
 	f.P = sparse.GrowInts(f.P, n)
 	f.Pinv = sparse.GrowInts(f.Pinv, n)
 	f.Flops = 0
-	f.Snodes = nil
+	f.Snodes = append(f.Snodes[:0], 0, n)
+	f.snBlocked = append(f.snBlocked[:0], false)
 	for k := 0; k < n; k++ {
 		f.P[k] = rows[k]
 		f.Pinv[rows[k]] = k
@@ -105,9 +107,9 @@ func FactorDenseInto(f *Factors, a *sparse.CSC, opts Options, dws *dense.Workspa
 // DFS, no pattern sort. The caller must guarantee f is dense-built; the
 // arithmetic per column matches RefactorUpperBlockFrom's masked substitution,
 // so a same-values refresh reproduces the block bitwise.
-func (f *Factors) DenseUpperSolveInto(dst, b *sparse.CSC, dws *dense.Workspace) *sparse.CSC {
+func (f *Factors) DenseUpperSolveInto(dst, b *sparse.CSC, ws *Workspace) *sparse.CSC {
 	w, nc := f.N, b.N
-	panel := dws.Panel(w, nc)
+	panel := ws.Panel(w, nc)
 	for c := 0; c < nc; c++ {
 		col := panel.Col(c)
 		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
@@ -125,7 +127,7 @@ func (f *Factors) DenseUpperSolveInto(dst, b *sparse.CSC, dws *dense.Workspace) 
 			tgt := x[d+1:]
 			tgt = tgt[:len(lv)] // bounds-check elimination hint
 			for i, v := range lv {
-				tgt[i] -= v * xd
+				tgt[i] -= float64(v * xd)
 			}
 		}
 	}
@@ -139,9 +141,9 @@ func (f *Factors) DenseUpperSolveInto(dst, b *sparse.CSC, dws *dense.Workspace) 
 // into recycled storage (dst may be nil). The per-column arithmetic matches
 // RefactorLowerBlockFrom, so a same-values refresh reproduces the block
 // bitwise.
-func (f *Factors) DenseLowerSolveInto(dst, b *sparse.CSC, dws *dense.Workspace) *sparse.CSC {
+func (f *Factors) DenseLowerSolveInto(dst, b *sparse.CSC, ws *Workspace) *sparse.CSC {
 	h, w := b.M, b.N
-	panel := dws.Panel(h, w)
+	panel := ws.Panel(h, w)
 	for c := 0; c < w; c++ {
 		col := panel.Col(c)
 		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
@@ -159,7 +161,7 @@ func (f *Factors) DenseLowerSolveInto(dst, b *sparse.CSC, dws *dense.Workspace) 
 			xt := panel.Col(t)
 			xt = xt[:len(xc)] // bounds-check elimination hint
 			for i := range xc {
-				xc[i] -= xt[i] * utc
+				xc[i] -= float64(xt[i] * utc)
 			}
 		}
 		piv := uv[c]

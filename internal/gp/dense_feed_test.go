@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dense"
 	"repro/internal/sparse"
 )
 
@@ -46,7 +45,7 @@ func TestFactorDenseIntoMatchesSparse(t *testing.T) {
 			t.Fatal(err)
 		}
 		dn := &Factors{}
-		if err := FactorDenseInto(dn, a, Options{}, dense.NewWorkspace()); err != nil {
+		if err := FactorDenseInto(dn, a, Options{}, NewWorkspace(n)); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k < n; k++ {
@@ -94,7 +93,7 @@ func TestFactorDenseIntoPivots(t *testing.T) {
 	n := 24
 	a := denseishCSC(rng, n, 0.6, false)
 	f := &Factors{}
-	if err := FactorDenseInto(f, a, Options{PivotTol: 1}, dense.NewWorkspace()); err != nil {
+	if err := FactorDenseInto(f, a, Options{PivotTol: 1}, NewWorkspace(n)); err != nil {
 		t.Fatal(err)
 	}
 	// Check L·U = A(P,:) column by column.
@@ -123,7 +122,7 @@ func TestFactorDenseIntoSingular(t *testing.T) {
 	coo.Add(2, 2, 1)
 	coo.Add(0, 1, 0) // structural entry, zero value
 	f := &Factors{}
-	err := FactorDenseInto(f, coo.ToCSC(false), Options{}, dense.NewWorkspace())
+	err := FactorDenseInto(f, coo.ToCSC(false), Options{}, NewWorkspace(3))
 	if !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular in chain", err)
 	}
@@ -138,15 +137,14 @@ func TestDenseSolvesMatchSparseKernels(t *testing.T) {
 	n, m := 32, 20
 	a := denseishCSC(rng, n, 0.5, true)
 	f := &Factors{}
-	dws := dense.NewWorkspace()
-	if err := FactorDenseInto(f, a, Options{}, dws); err != nil {
+	ws := NewWorkspace(n)
+	if err := FactorDenseInto(f, a, Options{}, ws); err != nil {
 		t.Fatal(err)
 	}
 
 	// Upper kernel: U = L⁻¹·P·B against the sparse reach solve.
 	b := denseishCSC(rng, n, 0.2, false).ExtractBlock(0, n, 0, m)
-	up := f.DenseUpperSolveInto(nil, b, dws)
-	ws := NewWorkspace(n)
+	up := f.DenseUpperSolveInto(nil, b, ws)
 	for c := 0; c < m; c++ {
 		bIdx := b.Rowidx[b.Colptr[c]:b.Colptr[c+1]]
 		bVal := b.Values[b.Colptr[c]:b.Colptr[c+1]]
@@ -174,7 +172,7 @@ func TestDenseSolvesMatchSparseKernels(t *testing.T) {
 	acc := make([]float64, h+1)
 	tag := 0
 	sparseX := f.LowerBlockSolveInto(nil, bl, mark, &tag, acc)
-	denseX := f.DenseLowerSolveInto(nil, bl, dws)
+	denseX := f.DenseLowerSolveInto(nil, bl, ws)
 	for c := 0; c < n; c++ {
 		got := make([]float64, h)
 		for p := denseX.Colptr[c]; p < denseX.Colptr[c+1]; p++ {
@@ -202,13 +200,13 @@ func TestDenseBuiltRefactorBitwiseNoOp(t *testing.T) {
 	n := 40
 	a := denseishCSC(rng, n, 0.45, true)
 	f := &Factors{}
-	dws := dense.NewWorkspace()
-	if err := FactorDenseInto(f, a, Options{}, dws); err != nil {
+	ws := NewWorkspace(n)
+	if err := FactorDenseInto(f, a, Options{}, ws); err != nil {
 		t.Fatal(err)
 	}
 	lvals := append([]float64(nil), f.L.Values...)
 	uvals := append([]float64(nil), f.U.Values...)
-	if err := f.Refactor(a, NewWorkspace(n)); err != nil {
+	if err := f.Refactor(a, ws); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range lvals {
@@ -234,16 +232,16 @@ func TestFactorDenseIntoRecyclesStorage(t *testing.T) {
 		steps[i] = denseishCSC(rng, n, 0.5, true)
 	}
 	f := &Factors{}
-	dws := dense.NewWorkspace()
+	ws := NewWorkspace(n)
 	for _, s := range steps {
-		if err := FactorDenseInto(f, s, Options{}, dws); err != nil {
+		if err := FactorDenseInto(f, s, Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		i++
-		if err := FactorDenseInto(f, steps[i%len(steps)], Options{}, dws); err != nil {
+		if err := FactorDenseInto(f, steps[i%len(steps)], Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -19,6 +19,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/dense"
 	"repro/internal/sparse"
 )
 
@@ -88,14 +89,14 @@ type Factors struct {
 	Flops int64
 	// Snodes, when non-nil, is the supernode partition the factorization was
 	// built with: supernode s spans columns [Snodes[s], Snodes[s+1]).
-	// Set by FactorSupernodalInto, nil for column-at-a-time and dense-built
-	// factors; the refresh sweeps dispatch on it (a supernodal factor is
-	// refreshed by RefactorSupernodal, which relies on the padded panel
-	// layout).
+	// FactorSupernodalInto records its partition, FactorDenseInto the single
+	// supernode [0, N), FactorInto nil. Refactor and RefactorSelective
+	// dispatch on it: a nil partition refreshes column at a time, a wide
+	// supernode through its panel, which relies on the padded layout.
 	Snodes []int
-	// snBlocked[s] records, fixed when FactorSupernodalInto emits the
-	// pattern, whether wide supernode s refreshes through the blocked
-	// outside update (see snode.go).
+	// snBlocked[s] records, fixed when the pattern is emitted, whether wide
+	// supernode s refreshes through the blocked outside update (see
+	// snode.go).
 	snBlocked []bool
 	// urowPtr/urowCol index the pattern of U's strictly-upper part by row:
 	// row j's entries lie in columns urowCol[urowPtr[j]:urowPtr[j+1]],
@@ -138,6 +139,17 @@ type Workspace struct {
 	sn *snScratch
 	// blk is the block scratch of the blocked supernode refresh.
 	blk snBlock
+	// panels pools the dense panels of the supernode and dense-built
+	// kernels; its buffers grow on first use, so a workspace that only
+	// ever runs column kernels carries none.
+	panels dense.Workspace
+}
+
+// Panel returns a zeroed rows×cols column-major panel from the
+// workspace's pool, valid until the next panel taken from it: the one
+// live panel of every dense kernel run through this workspace.
+func (w *Workspace) Panel(rows, cols int) *dense.Matrix {
+	return w.panels.Panel(rows, cols)
 }
 
 // NewWorkspace returns a workspace for dimension n.
@@ -275,7 +287,7 @@ func (f *Factors) factorFreshColumn(a *sparse.CSC, k int, tol float64, opts Opti
 			vals := f.L.Values[lp0+1 : lp1]
 			vals = vals[:len(rows)] // bounds-check elimination hint
 			for t2, i2 := range rows {
-				x[i2] -= vals[t2] * xj
+				x[i2] -= float64(vals[t2] * xj)
 			}
 			f.Flops += int64(lp1 - lp0 - 1)
 		}
@@ -671,14 +683,14 @@ func PanelAxpy[I int | int32](y []PanelRow, rows []I, vals []float64, x *PanelRo
 	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 	for q, i := range rows {
 		v, r := vals[q], &y[i]
-		r[0] -= v * x0
-		r[1] -= v * x1
-		r[2] -= v * x2
-		r[3] -= v * x3
-		r[4] -= v * x4
-		r[5] -= v * x5
-		r[6] -= v * x6
-		r[7] -= v * x7
+		r[0] -= float64(v * x0)
+		r[1] -= float64(v * x1)
+		r[2] -= float64(v * x2)
+		r[3] -= float64(v * x3)
+		r[4] -= float64(v * x4)
+		r[5] -= float64(v * x5)
+		r[6] -= float64(v * x6)
+		r[7] -= float64(v * x7)
 	}
 }
 
@@ -691,14 +703,14 @@ func PanelAxpyVia(y []PanelRow, pos, rows []int, vals []float64, x *PanelRow) {
 	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 	for q, i := range rows {
 		v, r := vals[q], &y[pos[i]]
-		r[0] -= v * x0
-		r[1] -= v * x1
-		r[2] -= v * x2
-		r[3] -= v * x3
-		r[4] -= v * x4
-		r[5] -= v * x5
-		r[6] -= v * x6
-		r[7] -= v * x7
+		r[0] -= float64(v * x0)
+		r[1] -= float64(v * x1)
+		r[2] -= float64(v * x2)
+		r[3] -= float64(v * x3)
+		r[4] -= float64(v * x4)
+		r[5] -= float64(v * x5)
+		r[6] -= float64(v * x6)
+		r[7] -= float64(v * x7)
 	}
 }
 
@@ -730,14 +742,14 @@ func (f *Factors) lsolvePanelGo(y []PanelRow) {
 		vals := lx[p0:p1]
 		for q, i := range li[p0:p1] {
 			v, r := vals[q], &y[i]
-			r[0] -= v * x0
-			r[1] -= v * x1
-			r[2] -= v * x2
-			r[3] -= v * x3
-			r[4] -= v * x4
-			r[5] -= v * x5
-			r[6] -= v * x6
-			r[7] -= v * x7
+			r[0] -= float64(v * x0)
+			r[1] -= float64(v * x1)
+			r[2] -= float64(v * x2)
+			r[3] -= float64(v * x3)
+			r[4] -= float64(v * x4)
+			r[5] -= float64(v * x5)
+			r[6] -= float64(v * x6)
+			r[7] -= float64(v * x7)
 		}
 	}
 }
@@ -770,14 +782,14 @@ func (f *Factors) usolvePanelGo(y []PanelRow) {
 		vals := ux[p0:p1]
 		for q, i := range ui[p0:p1] {
 			v, r := vals[q], &y[i]
-			r[0] -= v * x0
-			r[1] -= v * x1
-			r[2] -= v * x2
-			r[3] -= v * x3
-			r[4] -= v * x4
-			r[5] -= v * x5
-			r[6] -= v * x6
-			r[7] -= v * x7
+			r[0] -= float64(v * x0)
+			r[1] -= float64(v * x1)
+			r[2] -= float64(v * x2)
+			r[3] -= float64(v * x3)
+			r[4] -= float64(v * x4)
+			r[5] -= float64(v * x5)
+			r[6] -= float64(v * x6)
+			r[7] -= float64(v * x7)
 		}
 	}
 }
@@ -791,7 +803,7 @@ func (f *Factors) LSolve(y []float64) {
 			continue
 		}
 		for p := f.L.Colptr[j] + 1; p < f.L.Colptr[j+1]; p++ {
-			y[f.L.Rowidx[p]] -= f.L.Values[p] * yj
+			y[f.L.Rowidx[p]] -= float64(f.L.Values[p] * yj)
 		}
 	}
 }
@@ -807,7 +819,7 @@ func (f *Factors) USolve(y []float64) {
 			continue
 		}
 		for p := f.U.Colptr[j]; p < p1-1; p++ {
-			y[f.U.Rowidx[p]] -= f.U.Values[p] * yj
+			y[f.U.Rowidx[p]] -= float64(f.U.Values[p] * yj)
 		}
 	}
 }
@@ -816,9 +828,14 @@ func (f *Factors) USolve(y []float64) {
 // same nonzero pattern as the matrix originally factored, reusing the
 // pivot sequence and factor patterns (no pivoting). This is the kernel of
 // the Xyce transient-sequence experiment: one symbolic+pivoting
-// factorization followed by many cheap refactorizations.
+// factorization followed by many cheap refactorizations. Every layout
+// refreshes here: column at a time when f has no supernode partition,
+// otherwise supernode by supernode over Snodes — a singleton like a plain
+// column, a wide one (a dense-built factor is the single supernode
+// [0, N)) through its panel. A partition that does not tile 0..N is
+// rejected with the error FactorSupernodalInto raises.
 func (f *Factors) Refactor(a *sparse.CSC, ws *Workspace) error {
-	return f.RefactorFrom(a, ws, 0)
+	return f.refresh(a, ws, nil, 0, nil)
 }
 
 // RefactorSelective is Refactor restricted to the dependency closure of a
@@ -826,72 +843,71 @@ func (f *Factors) Refactor(a *sparse.CSC, ws *Workspace) error {
 // (colStamp[k] == epoch) or when an already-recomputed column appears in
 // U(:,k)'s structural pattern — exactly the factor columns its elimination
 // consumes — and skipped otherwise, its values provably identical to what
-// a full Refactor would produce. rerun must have length n; it is
-// overwritten with the computed closure so the caller can inspect what
-// reran. The closure runs forward: each recomputed column marks its row of
-// U's pattern (the row index is built on the first selective refresh), so
-// beyond one pass over the stamps the bookkeeping costs as much as the
-// closure it finds — which is what makes localized change sets cheap even
-// inside a large diagonal block whose fill-reducing ordering scattered them.
+// a full Refactor would produce. A wide supernode reruns whole when any of
+// its columns does: rerunning its clean columns is an over-refresh the
+// refresh's determinism makes bitwise harmless. rerun must have length n;
+// it is overwritten with the computed closure so the caller can inspect
+// what reran. The closure runs forward: each recomputed column marks its
+// row of U's pattern (the row index is built on the first selective
+// refresh), so beyond one pass over the stamps the bookkeeping costs as
+// much as the closure it finds — which is what makes localized change sets
+// cheap even inside a large diagonal block whose fill-reducing ordering
+// scattered them.
 func (f *Factors) RefactorSelective(a *sparse.CSC, ws *Workspace, colStamp []uint64, epoch uint64, rerun []bool) error {
-	n := f.N
-	if a.M != n || a.N != n {
-		return fmt.Errorf("gp: refactor dimension mismatch")
-	}
-	if ws == nil {
-		ws = NewWorkspace(n)
-	} else {
-		ws.Grow(n)
-	}
-	f.upperRows()
-	clear(rerun[:n])
-	x := ws.X
-	for k := 0; k < n; k++ {
-		if !rerun[k] && colStamp[k] != epoch {
-			continue
-		}
-		rerun[k] = true
-		if err := f.refactorColumn(a, x, k); err != nil {
-			return err
-		}
-		f.markDependents(k, k+1, rerun)
-	}
-	return nil
+	return f.refresh(a, ws, colStamp, epoch, rerun)
 }
 
-// RefactorFrom is Refactor restricted to columns k0..n-1: factor column k
-// depends only on A(:,k) and on earlier factor columns, so when every
-// column before k0 of a is unchanged since the last refresh, the prefix
-// factor columns are already correct and recomputing the suffix alone
-// yields values bitwise identical to a full Refactor. This is the
-// per-column granularity the change-set-aware refactorization uses inside a
-// dirty diagonal block: k0 is the first column the change set touches.
-func (f *Factors) RefactorFrom(a *sparse.CSC, ws *Workspace, k0 int) error {
+// refresh is the one loop behind Refactor and RefactorSelective: a nil
+// colStamp reruns every supernode (every column, without a partition),
+// otherwise the selective closure rule decides.
+func (f *Factors) refresh(a *sparse.CSC, ws *Workspace, colStamp []uint64, epoch uint64, rerun []bool) error {
 	n := f.N
 	if a.M != n || a.N != n {
 		return fmt.Errorf("gp: refactor dimension mismatch")
 	}
-	if k0 < 0 {
-		k0 = 0
+	xsup := f.Snodes
+	if xsup != nil {
+		if err := checkPartition(xsup, n); err != nil {
+			return err
+		}
 	}
 	if ws == nil {
 		ws = NewWorkspace(n)
 	} else {
 		ws.Grow(n)
 	}
-	x := ws.X
-	for k := k0; k < n; k++ {
-		if err := f.refactorColumn(a, x, k); err != nil {
-			return err
+	if colStamp != nil {
+		f.upperRows()
+		clear(rerun[:n])
+	}
+	for s, k0 := 0, 0; k0 < n; s++ {
+		k1 := k0 + 1
+		if xsup != nil {
+			k1 = xsup[s+1]
 		}
+		if colStamp == nil || snodeDirty(k0, k1, colStamp, epoch, rerun) {
+			var err error
+			if k1 == k0+1 {
+				err = f.refactorColumn(a, ws.X, k0)
+			} else {
+				err = f.refreshSupernode(a, ws, k0, k1, f.snBlocked[s])
+			}
+			if err != nil {
+				return err
+			}
+			if colStamp != nil {
+				f.markDependents(k0, k1, rerun)
+			}
+		}
+		k0 = k1
 	}
 	return nil
 }
 
 // refactorColumn refreshes factor column k from a's column k with the
-// fixed pivot sequence: the one-column body shared by Refactor,
-// RefactorFrom and RefactorSelective. x is the dense accumulator (clean on
-// entry and on return, including the singular-pivot error path).
+// fixed pivot sequence: the refresh of a column and of a singleton
+// supernode. x is the dense accumulator (clean on entry and on return,
+// including the singular-pivot error path).
 func (f *Factors) refactorColumn(a *sparse.CSC, x []float64, k int) error {
 	// Scatter P·A(:,k) over pivot positions.
 	for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
@@ -910,7 +926,7 @@ func (f *Factors) refactorColumn(a *sparse.CSC, x []float64, k int) error {
 		vals := f.L.Values[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
 		vals = vals[:len(rows)] // bounds-check elimination hint
 		for t, i := range rows {
-			x[i] -= vals[t] * xj
+			x[i] -= float64(vals[t] * xj)
 		}
 	}
 	piv := x[k]

@@ -349,54 +349,3 @@ func TestFlopsCounted(t *testing.T) {
 		t.Fatal("NnzLU impossibly small")
 	}
 }
-
-// TestRefactorFromMatchesFull checks the per-column granularity contract:
-// when only columns >= k0 change, RefactorFrom(k0) produces factors bitwise
-// identical to a full Refactor of the same matrix.
-func TestRefactorFromMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	a := randNonsingular(rng, 60, 0.15)
-	full, err := Factor(a, 0, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := Factor(a, 0, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Normalize both to refactorization arithmetic: Factor and Refactor sum
-	// column updates in different orders, so the retained prefix columns are
-	// bitwise comparable only once both sides hold Refactor-produced values.
-	if err := full.Refactor(a, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := part.Refactor(a, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, k0 := range []int{a.N - 1, 40, 17, 0} {
-		b := a.Clone()
-		for j := k0; j < b.N; j++ {
-			for p := b.Colptr[j]; p < b.Colptr[j+1]; p++ {
-				b.Values[p] *= 1 + 0.2*rng.Float64()
-			}
-		}
-		if err := full.Refactor(b, nil); err != nil {
-			t.Fatalf("full refactor from %d: %v", k0, err)
-		}
-		if err := part.RefactorFrom(b, nil, k0); err != nil {
-			t.Fatalf("partial refactor from %d: %v", k0, err)
-		}
-		for i, v := range full.L.Values {
-			if part.L.Values[i] != v {
-				t.Fatalf("k0=%d: L values diverge at entry %d: %v vs %v", k0, i, part.L.Values[i], v)
-			}
-		}
-		for i, v := range full.U.Values {
-			if part.U.Values[i] != v {
-				t.Fatalf("k0=%d: U values diverge at entry %d: %v vs %v", k0, i, part.U.Values[i], v)
-			}
-		}
-		a = b // next round perturbs relative to the new values
-	}
-	checkTriangular(t, part)
-}

@@ -18,6 +18,12 @@ import (
 // panel LU of dense_feed.go, but with enough pattern overlap that
 // per-column scatter, DFS and sort bookkeeping dominates the arithmetic.
 //
+// Refactor and RefactorSelective (gp.go) walk a factor's Snodes and hand
+// every wide supernode to refreshSupernode: outside update into a pooled
+// panel, fixed-sequence elimination (eliminatePanel), scatter back. A
+// dense-built factor (dense_feed.go) is the single supernode [0, N): it has
+// no outside columns, so its refresh is the panel elimination alone.
+//
 // The same-pattern refresh of a wide supernode has two outside-update
 // strategies (the updates from columns left of the supernode, which is
 // where the fill-heavy classes spend their refresh):
@@ -56,7 +62,11 @@ import (
 // later one is live in all 16 lanes, then unmasked, two target rows at a
 // time. eliminatePanel's column update (axpy) and pivot-column scaling
 // (divBy) have vector kernels too. All of them multiply, then subtract (or
-// divide), never fused, so the bits are the Go loops'.
+// divide), never fused, so the bits are the Go loops'. Every Go kernel of
+// this package writes its products as float64(a*b): the explicit
+// conversion is the Go spec's way to forbid fusing x -= a*b into one
+// multiply-add, which arm64 builds would otherwise emit, so the Go loops
+// round the same way on every platform.
 //
 // Layout invariants of a supernodal factor over supernode S = [k0, k1),
 // w = k1-k0 (on top of the standard sorted-factor invariants):
@@ -67,7 +77,7 @@ import (
 //   - every L(:,k) of the supernode stores the same below-supernode row
 //     set (the union over the supernode's columns, padded with explicit
 //     zeros), so after the final position remap and sort, all w columns
-//     share one ascending below-row sequence. RefactorSupernodal leans on
+//     share one ascending below-row sequence. refreshSupernode leans on
 //     this: panel row w+t of the refresh is the t-th below entry of every
 //     column, no row map needed.
 //
@@ -114,8 +124,8 @@ func (w *Workspace) snScratch(n int) *snScratch {
 // right-looking with the same diagonal-preference partial pivoting as the
 // sparse kernel. Singleton supernodes take the plain per-column path
 // unchanged. Storage recycling, error contract and the emitted invariants
-// match FactorInto; dws provides the pooled panel.
-func FactorSupernodalInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opts Options, ws *Workspace, dws *dense.Workspace) error {
+// match FactorInto; ws provides the pooled panel.
+func FactorSupernodalInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opts Options, ws *Workspace) error {
 	if a.M != a.N {
 		return fmt.Errorf("gp: matrix must be square, got %d×%d", a.M, a.N)
 	}
@@ -166,7 +176,7 @@ func FactorSupernodalInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opt
 			}
 			continue
 		}
-		if err := f.factorSupernode(a, k0, k1, tol, opts, ws, sn, dws, prune); err != nil {
+		if err := f.factorSupernode(a, k0, k1, tol, opts, ws, sn, prune); err != nil {
 			return err
 		}
 	}
@@ -179,7 +189,7 @@ func FactorSupernodalInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opt
 // factorSupernode eliminates the wide supernode [k0, k1) in two phases:
 // the left-looking outside elimination and U emission per column, then one
 // right-looking pivoted panel LU over the staged union sub-panel.
-func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts Options, ws *Workspace, sn *snScratch, dws *dense.Workspace, prune bool) error {
+func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts Options, ws *Workspace, sn *snScratch, prune bool) error {
 	n := f.N
 	w := k1 - k0
 	x := ws.X
@@ -216,7 +226,7 @@ func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts O
 			vals := f.L.Values[lp0+1 : lp1]
 			vals = vals[:len(rows)] // bounds-check elimination hint
 			for t2, i2 := range rows {
-				x[i2] -= vals[t2] * xj
+				x[i2] -= float64(vals[t2] * xj)
 			}
 			f.Flops += int64(lp1 - lp0 - 1)
 		}
@@ -262,7 +272,7 @@ func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts O
 	}
 
 	// --- Phase 2: right-looking pivoted LU of the m×w union sub-panel.
-	panel := dws.Panel(m, w)
+	panel := ws.Panel(m, w)
 	for c := 0; c < w; c++ {
 		col := panel.Col(c)
 		for q := sn.stageOff[c]; q < sn.stageOff[c+1]; q++ {
@@ -319,7 +329,7 @@ func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts O
 			lo := cd[d+1:]
 			lo = lo[:len(tgt)] // bounds-check elimination hint
 			for r, v := range lo {
-				tgt[r] -= v * fjd
+				tgt[r] -= float64(v * fjd)
 			}
 		}
 		f.Flops += int64(m-d-1) * int64(w-d)
@@ -427,73 +437,6 @@ func (f *Factors) markBlocked(ws *Workspace) {
 	}
 }
 
-// RefactorSupernodal recomputes the numeric values of a supernodal
-// factorization (built by FactorSupernodalInto) for a new matrix a with the
-// same pattern, reusing the pivot sequence: singleton supernodes refresh
-// column at a time exactly like Refactor, wide supernodes gather their
-// outside-eliminated columns into a pooled panel and re-run the
-// right-looking elimination with no pivot search. Deterministic and
-// idempotent like every refresh kernel, so the partial-vs-full bitwise
-// contract carries over. A factor whose Snodes do not partition 0..N is
-// rejected with the same error FactorSupernodalInto raises.
-func (f *Factors) RefactorSupernodal(a *sparse.CSC, ws *Workspace, dws *dense.Workspace) error {
-	return f.refactorSupernodal(a, ws, dws, nil, 0, nil, f.snBlocked)
-}
-
-// RefactorSupernodalSelective is RefactorSupernodal restricted to the
-// dependency closure of a dirty column set, at supernode granularity: a
-// wide supernode reruns when any of its columns' inputs changed
-// (colStamp == epoch) or any already-rerun column appears in its outside
-// U patterns, and is skipped whole otherwise. Rerunning a supernode whose
-// earlier columns are clean is an over-refresh, which the refresh kernels'
-// determinism makes bitwise harmless; rerun is overwritten per column so
-// downstream closure scans see the same contract as RefactorSelective.
-func (f *Factors) RefactorSupernodalSelective(a *sparse.CSC, ws *Workspace, dws *dense.Workspace, colStamp []uint64, epoch uint64, rerun []bool) error {
-	return f.refactorSupernodal(a, ws, dws, colStamp, epoch, rerun, f.snBlocked)
-}
-
-// refactorSupernodal is the sweep behind both refreshes: a nil colStamp
-// reruns every supernode, otherwise the selective closure rule decides.
-// blocked[s] picks the outside update of wide supernode s.
-func (f *Factors) refactorSupernodal(a *sparse.CSC, ws *Workspace, dws *dense.Workspace, colStamp []uint64, epoch uint64, rerun, blocked []bool) error {
-	n := f.N
-	if a.M != n || a.N != n {
-		return fmt.Errorf("gp: refactor dimension mismatch")
-	}
-	xsup := f.Snodes
-	if err := checkPartition(xsup, n); err != nil {
-		return err
-	}
-	if ws == nil {
-		ws = NewWorkspace(n)
-	} else {
-		ws.Grow(n)
-	}
-	if colStamp != nil {
-		f.upperRows()
-		clear(rerun[:n])
-	}
-	for s := 0; s+1 < len(xsup); s++ {
-		k0, k1 := xsup[s], xsup[s+1]
-		if colStamp != nil && !snodeDirty(k0, k1, colStamp, epoch, rerun) {
-			continue
-		}
-		var err error
-		if k1 == k0+1 {
-			err = f.refactorColumn(a, ws.X, k0)
-		} else {
-			err = f.refreshSupernode(a, ws, k0, k1, s < len(blocked) && blocked[s], dws)
-		}
-		if err != nil {
-			return err
-		}
-		if colStamp != nil {
-			f.markDependents(k0, k1, rerun)
-		}
-	}
-	return nil
-}
-
 // snodeDirty applies the selective closure rule to supernode [k0, k1): it
 // reruns when a column's input changed or an earlier rerun column marked
 // one of its columns forward, and the verdict covers all its columns.
@@ -516,8 +459,8 @@ func snodeDirty(k0, k1 int, colStamp []uint64, epoch uint64, rerun []bool) bool 
 // over the unchanged factor patterns. Panel row d < w is pivot position
 // k0+d, row w+t the t-th below-supernode entry of every column — the shared
 // sorted below-row sequence the supernodal emission guarantees.
-func (f *Factors) refreshSupernode(a *sparse.CSC, ws *Workspace, k0, k1 int, blocked bool, dws *dense.Workspace) error {
-	panel := dws.Panel(f.L.Colptr[k0+1]-f.L.Colptr[k0], k1-k0)
+func (f *Factors) refreshSupernode(a *sparse.CSC, ws *Workspace, k0, k1 int, blocked bool) error {
+	panel := ws.Panel(f.L.Colptr[k0+1]-f.L.Colptr[k0], k1-k0)
 	if blocked {
 		f.outsideBlocked(a, ws, k0, k1, panel)
 	} else {
@@ -555,7 +498,7 @@ func (f *Factors) outsideColumns(a *sparse.CSC, x []float64, k0, k1 int, panel *
 			vals := f.L.Values[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
 			vals = vals[:len(rows)] // bounds-check elimination hint
 			for t, i := range rows {
-				x[i] -= vals[t] * xj
+				x[i] -= float64(vals[t] * xj)
 			}
 		}
 		col := panel.Col(c)
@@ -716,7 +659,7 @@ func rowUpdateGo(blk []float64, q int, rows, slot []int, vals []float64) {
 		row := (*[snTileCols]float64)(blk[slot[i]*snTileCols:])
 		l := vals[t]
 		for _, c := range live[:n] {
-			row[c] -= l * mult[c]
+			row[c] -= float64(l * mult[c])
 		}
 	}
 }
@@ -760,7 +703,7 @@ func runUpdateGo(blk []float64, rel []int, lv []float64, lb []int, q int) {
 			row := (*[snTileCols]float64)(blk[r*snTileCols:])
 			l := vals[t]
 			for _, c := range live[:n] {
-				row[c] -= l * mult[c]
+				row[c] -= float64(l * mult[c])
 			}
 		}
 	}
@@ -805,7 +748,7 @@ func axpy(dst, src []float64, s float64) {
 func axpyGo(dst, src []float64, s float64) {
 	src = src[:len(dst)]
 	for i, v := range src {
-		dst[i] -= v * s
+		dst[i] -= float64(v * s)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dense"
 	"repro/internal/etree"
 	"repro/internal/matgen"
 	"repro/internal/order/amd"
@@ -48,13 +47,12 @@ func assertValuesEqual(t *testing.T, want, got *Factors, ctx string) {
 // P·A, and solve to the same answers as the plain per-column kernel.
 func TestFactorSupernodalMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	dws := dense.NewWorkspace()
 	for _, n := range []int{20, 60, 120} {
 		for _, fill := range []float64{0.05, 0.15, 0.35} {
 			a := denseishCSC(rng, n, fill, true)
 			xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 8, 64)
 			sn := &Factors{}
-			if err := FactorSupernodalInto(sn, a, xsup, 0, Options{}, nil, dws); err != nil {
+			if err := FactorSupernodalInto(sn, a, xsup, 0, Options{}, nil); err != nil {
 				t.Fatalf("n=%d fill=%g: %v", n, fill, err)
 			}
 			checkFactorization(t, a, sn, 100)
@@ -100,7 +98,7 @@ func TestFactorSupernodalArbitraryPartition(t *testing.T) {
 			xsup = append(xsup, e)
 		}
 		sn := &Factors{}
-		if err := FactorSupernodalInto(sn, a, xsup, 0, Options{PivotTol: 1}, nil, dense.NewWorkspace()); err != nil {
+		if err := FactorSupernodalInto(sn, a, xsup, 0, Options{PivotTol: 1}, nil); err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
 		checkFactorization(t, a, sn, 100)
@@ -108,9 +106,15 @@ func TestFactorSupernodalArbitraryPartition(t *testing.T) {
 }
 
 // TestRefactorSupernodalBitwise pins the refresh contracts the fine-ND
-// sweeps rely on: after normalizing to refresh arithmetic, a same-values
-// refresh is a bitwise no-op (idempotence), and the selective refresh with
-// every column stamped is bitwise identical to the full refresh.
+// sweeps rely on, on every layout the one refresh loop serves: column
+// (FactorInto), supernodal (FactorSupernodalInto) and dense-built
+// (FactorDenseInto) factors of one matrix. After normalizing to refresh
+// arithmetic, Refactor is bitwise equal to the column-at-a-time reference
+// on the same factor, a same-values refresh is a bitwise no-op
+// (idempotence), RefactorSelective with every column stamped and over a
+// random stamp set is bitwise identical to the full refresh, no stamps
+// rerun nothing, and both entries allocate nothing with one shared
+// workspace — which pins that its panel pool is reused.
 func TestRefactorSupernodalBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	n := 90
@@ -125,73 +129,121 @@ func TestRefactorSupernodalBitwise(t *testing.T) {
 	if !wide {
 		t.Fatal("test premise broken: partition has no wide supernode")
 	}
-	dws := dense.NewWorkspace()
 	ws := NewWorkspace(n)
-	var fs [2]*Factors
-	for i := range fs {
-		fs[i] = &Factors{}
-		if err := FactorSupernodalInto(fs[i], a, xsup, 0, Options{}, ws, dws); err != nil {
+	for _, layout := range []struct {
+		name   string
+		factor func(f *Factors) error
+	}{
+		{"column", func(f *Factors) error { return FactorInto(f, a, 0, Options{}, ws) }},
+		{"supernodal", func(f *Factors) error { return FactorSupernodalInto(f, a, xsup, 0, Options{}, ws) }},
+		{"dense-built", func(f *Factors) error { return FactorDenseInto(f, a, Options{}, ws) }},
+	} {
+		// fs[2] refreshes through the column-at-a-time reference.
+		var fs [3]*Factors
+		for i := range fs {
+			fs[i] = &Factors{}
+			if err := layout.factor(fs[i]); err != nil {
+				t.Fatalf("%s: %v", layout.name, err)
+			}
+			if err := fs[i].Refactor(a, ws); err != nil {
+				t.Fatalf("%s: %v", layout.name, err)
+			}
+		}
+		checkFactorization(t, a, fs[0], 100)
+
+		// Idempotence: a second same-values refresh changes no bit.
+		snapL := append([]float64(nil), fs[0].L.Values...)
+		snapU := append([]float64(nil), fs[0].U.Values...)
+		if err := fs[0].Refactor(a, ws); err != nil {
 			t.Fatal(err)
 		}
-		if err := fs[i].RefactorSupernodal(a, ws, dws); err != nil {
+		for i, v := range snapL {
+			if fs[0].L.Values[i] != v {
+				t.Fatalf("%s idempotence: L value %d changed", layout.name, i)
+			}
+		}
+		for i, v := range snapU {
+			if fs[0].U.Values[i] != v {
+				t.Fatalf("%s idempotence: U value %d changed", layout.name, i)
+			}
+		}
+
+		// Full vs the column-at-a-time reference and vs selective with
+		// everything stamped: bitwise identical, and the rerun closure
+		// marks every column.
+		a2 := perturbSamePattern(rng, a)
+		if err := fs[0].Refactor(a2, ws); err != nil {
 			t.Fatal(err)
 		}
-	}
-	checkFactorization(t, a, fs[0], 100)
+		if err := fs[2].refactorColumns(a2, ws); err != nil {
+			t.Fatal(err)
+		}
+		assertBitsEqual(t, fs[2], fs[0], layout.name+" full vs column reference")
+		stamp := make([]uint64, n)
+		rerun := make([]bool, n)
+		for i := range stamp {
+			stamp[i] = 7
+		}
+		if err := fs[1].RefactorSelective(a2, ws, stamp, 7, rerun); err != nil {
+			t.Fatal(err)
+		}
+		assertBitsEqual(t, fs[0], fs[1], layout.name+" selective full-stamp")
+		for k, r := range rerun {
+			if !r {
+				t.Fatalf("%s: column %d not marked rerun under full stamps", layout.name, k)
+			}
+		}
+		checkFactorization(t, a2, fs[0], 100)
 
-	// Idempotence: a second same-values refresh changes no bit.
-	snapL := append([]float64(nil), fs[0].L.Values...)
-	snapU := append([]float64(nil), fs[0].U.Values...)
-	if err := fs[0].RefactorSupernodal(a, ws, dws); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range snapL {
-		if fs[0].L.Values[i] != v {
-			t.Fatalf("idempotence: L value %d changed", i)
+		// A random stamp set over exactly the changed columns: bitwise
+		// identical to the full refresh.
+		a3 := a2.Clone()
+		for _, j := range rng.Perm(n)[:1+n/10] {
+			stamp[j] = 8
+			for p := a3.Colptr[j]; p < a3.Colptr[j+1]; p++ {
+				a3.Values[p] *= 1 + 0.25*rng.Float64()
+			}
 		}
-	}
-	for i, v := range snapU {
-		if fs[0].U.Values[i] != v {
-			t.Fatalf("idempotence: U value %d changed", i)
+		if err := fs[0].Refactor(a3, ws); err != nil {
+			t.Fatal(err)
 		}
-	}
+		if err := fs[1].RefactorSelective(a3, ws, stamp, 8, rerun); err != nil {
+			t.Fatal(err)
+		}
+		assertBitsEqual(t, fs[0], fs[1], layout.name+" selective random stamps")
 
-	// Full vs selective-with-everything-stamped: bitwise identical, and the
-	// rerun closure marks every column.
-	a2 := perturbSamePattern(rng, a)
-	if err := fs[0].RefactorSupernodal(a2, ws, dws); err != nil {
-		t.Fatal(err)
-	}
-	stamp := make([]uint64, n)
-	rerun := make([]bool, n)
-	for i := range stamp {
-		stamp[i] = 7
-	}
-	if err := fs[1].RefactorSupernodalSelective(a2, ws, dws, stamp, 7, rerun); err != nil {
-		t.Fatal(err)
-	}
-	assertValuesEqual(t, fs[0], fs[1], "selective full-stamp")
-	for k, r := range rerun {
-		if !r {
-			t.Fatalf("column %d not marked rerun under full stamps", k)
+		// No stamps at all: nothing reruns, nothing changes, rerun comes
+		// back all-false.
+		snapL = append(snapL[:0], fs[1].L.Values...)
+		if err := fs[1].RefactorSelective(a, ws, stamp, 9, rerun); err != nil {
+			t.Fatal(err)
 		}
-	}
-	checkFactorization(t, a2, fs[0], 100)
+		for i, v := range snapL {
+			if fs[1].L.Values[i] != v {
+				t.Fatalf("%s: no-stamp refresh touched L value %d", layout.name, i)
+			}
+		}
+		for k, r := range rerun {
+			if r {
+				t.Fatalf("%s: column %d marked rerun with no stamps", layout.name, k)
+			}
+		}
 
-	// No stamps at all: nothing reruns, nothing changes, rerun comes back
-	// all-false.
-	snapL = append(snapL[:0], fs[1].L.Values...)
-	if err := fs[1].RefactorSupernodalSelective(a, ws, dws, stamp, 8, rerun); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range snapL {
-		if fs[1].L.Values[i] != v {
-			t.Fatalf("no-stamp refresh touched L value %d", i)
+		// Steady state: neither entry allocates through the shared
+		// workspace.
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := fs[0].Refactor(a3, ws); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: steady-state Refactor allocates: %v allocs/op", layout.name, allocs)
 		}
-	}
-	for k, r := range rerun {
-		if r {
-			t.Fatalf("column %d marked rerun with no stamps", k)
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := fs[1].RefactorSelective(a3, ws, stamp, 8, rerun); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: steady-state RefactorSelective allocates: %v allocs/op", layout.name, allocs)
 		}
 	}
 }
@@ -204,15 +256,14 @@ func TestRefactorSupernodalSelectiveClosure(t *testing.T) {
 	n := 80
 	a := denseishCSC(rng, n, 0.12, true)
 	xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 8, 64)
-	dws := dense.NewWorkspace()
 	ws := NewWorkspace(n)
 	var fs [2]*Factors
 	for i := range fs {
 		fs[i] = &Factors{}
-		if err := FactorSupernodalInto(fs[i], a, xsup, 0, Options{}, ws, dws); err != nil {
+		if err := FactorSupernodalInto(fs[i], a, xsup, 0, Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
-		if err := fs[i].RefactorSupernodal(a, ws, dws); err != nil {
+		if err := fs[i].Refactor(a, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,13 +273,13 @@ func TestRefactorSupernodalSelectiveClosure(t *testing.T) {
 	for p := a2.Colptr[c]; p < a2.Colptr[c+1]; p++ {
 		a2.Values[p] *= 1.5
 	}
-	if err := fs[0].RefactorSupernodal(a2, ws, dws); err != nil {
+	if err := fs[0].Refactor(a2, ws); err != nil {
 		t.Fatal(err)
 	}
 	stamp := make([]uint64, n)
 	rerun := make([]bool, n)
 	stamp[c] = 3
-	if err := fs[1].RefactorSupernodalSelective(a2, ws, dws, stamp, 3, rerun); err != nil {
+	if err := fs[1].RefactorSelective(a2, ws, stamp, 3, rerun); err != nil {
 		t.Fatal(err)
 	}
 	assertValuesEqual(t, fs[0], fs[1], "selective closure")
@@ -259,22 +310,21 @@ func TestRefactorSupernodalSingular(t *testing.T) {
 	n := 40
 	a := denseishCSC(rng, n, 0.2, true)
 	xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 8, 64)
-	dws := dense.NewWorkspace()
 	ws := NewWorkspace(n)
 	f := &Factors{}
-	if err := FactorSupernodalInto(f, a, xsup, 0, Options{}, ws, dws); err != nil {
+	if err := FactorSupernodalInto(f, a, xsup, 0, Options{}, ws); err != nil {
 		t.Fatal(err)
 	}
 	bad := a.Clone()
 	for p := bad.Colptr[n/2]; p < bad.Colptr[n/2+1]; p++ {
 		bad.Values[p] = 0
 	}
-	if err := f.RefactorSupernodal(bad, ws, dws); !errors.Is(err, ErrSingular) {
+	if err := f.Refactor(bad, ws); !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular in chain", err)
 	}
 	// Workspace left clean: a fresh supernodal factorization of a good
 	// matrix through the same workspace must succeed and verify.
-	if err := FactorSupernodalInto(f, a, xsup, 0, Options{}, ws, dws); err != nil {
+	if err := FactorSupernodalInto(f, a, xsup, 0, Options{}, ws); err != nil {
 		t.Fatalf("retry after singular refresh: %v", err)
 	}
 	checkFactorization(t, a, f, 100)
@@ -294,16 +344,15 @@ func TestFactorSupernodalRecyclesStorage(t *testing.T) {
 	}
 	f := &Factors{}
 	ws := NewWorkspace(n)
-	dws := dense.NewWorkspace()
 	for _, s := range steps {
-		if err := FactorSupernodalInto(f, s, xsup, 0, Options{}, ws, dws); err != nil {
+		if err := FactorSupernodalInto(f, s, xsup, 0, Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		i++
-		if err := FactorSupernodalInto(f, steps[i%len(steps)], xsup, 0, Options{}, ws, dws); err != nil {
+		if err := FactorSupernodalInto(f, steps[i%len(steps)], xsup, 0, Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -312,7 +361,7 @@ func TestFactorSupernodalRecyclesStorage(t *testing.T) {
 	}
 	allocs = testing.AllocsPerRun(20, func() {
 		i++
-		if err := f.RefactorSupernodal(steps[i%len(steps)], ws, dws); err != nil {
+		if err := f.Refactor(steps[i%len(steps)], ws); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -321,35 +370,35 @@ func TestFactorSupernodalRecyclesStorage(t *testing.T) {
 	}
 }
 
-// TestRefactorDenseMatchesSparseRefresh pins the tentpole bitwise claim at
-// the kernel level: on a dense-built factorization, RefactorDense (panel
-// right-looking) produces values bitwise identical to Refactor (per-column
-// left-looking), and the selective variant degenerates to the suffix rule.
+// TestRefactorDenseMatchesSparseRefresh pins the dense-built layout at the
+// kernel level: Refactor on a dense-built factorization — the single
+// supernode [0, n), eliminated right-looking in the panel — produces values
+// bitwise identical to the left-looking column-at-a-time refresh, and a
+// selective refresh reruns the dirty dense block whole.
 func TestRefactorDenseMatchesSparseRefresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	n := 56
 	a := denseishCSC(rng, n, 0.4, true)
-	dws := dense.NewWorkspace()
 	ws := NewWorkspace(n)
 	var fs [2]*Factors
 	for i := range fs {
 		fs[i] = &Factors{}
-		if err := FactorDenseInto(fs[i], a, Options{}, dws); err != nil {
+		if err := FactorDenseInto(fs[i], a, Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
 	a2 := perturbSamePattern(rng, a)
-	if err := fs[0].Refactor(a2, ws); err != nil {
+	if err := fs[0].refactorColumns(a2, ws); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs[1].RefactorDense(a2, dws); err != nil {
+	if err := fs[1].Refactor(a2, ws); err != nil {
 		t.Fatal(err)
 	}
 	assertValuesEqual(t, fs[0], fs[1], "dense vs sparse refresh")
 
-	// Suffix restriction: perturb only columns >= c, stamp exactly those,
-	// and the selective dense refresh must match the full one bitwise while
-	// reporting the rerun suffix.
+	// Perturb only columns >= c and stamp exactly those: the selective
+	// refresh must match the full one bitwise, and the dense block, one
+	// supernode, reruns whole.
 	c := n / 3
 	a3 := a2.Clone()
 	for j := c; j < n; j++ {
@@ -357,7 +406,7 @@ func TestRefactorDenseMatchesSparseRefresh(t *testing.T) {
 			a3.Values[p] *= 1.25
 		}
 	}
-	if err := fs[0].RefactorDense(a3, dws); err != nil {
+	if err := fs[0].Refactor(a3, ws); err != nil {
 		t.Fatal(err)
 	}
 	stamp := make([]uint64, n)
@@ -365,18 +414,18 @@ func TestRefactorDenseMatchesSparseRefresh(t *testing.T) {
 	for j := c; j < n; j++ {
 		stamp[j] = 5
 	}
-	if err := fs[1].RefactorDenseSelective(a3, dws, stamp, 5, rerun); err != nil {
+	if err := fs[1].RefactorSelective(a3, ws, stamp, 5, rerun); err != nil {
 		t.Fatal(err)
 	}
 	assertValuesEqual(t, fs[0], fs[1], "selective dense refresh")
 	for k := range rerun {
-		if rerun[k] != (k >= c) {
-			t.Fatalf("rerun[%d] = %v, want suffix from %d", k, rerun[k], c)
+		if !rerun[k] {
+			t.Fatalf("rerun[%d] = false: the dirty dense block must rerun whole", k)
 		}
 	}
 
 	// No stamps: a no-op that clears rerun.
-	if err := fs[1].RefactorDenseSelective(a3, dws, stamp, 6, rerun); err != nil {
+	if err := fs[1].RefactorSelective(a3, ws, stamp, 6, rerun); err != nil {
 		t.Fatal(err)
 	}
 	for k := range rerun {
@@ -391,7 +440,7 @@ func TestRefactorDenseMatchesSparseRefresh(t *testing.T) {
 		bad.Values[p] = 0
 	}
 	snapU := append([]float64(nil), fs[1].U.Values...)
-	if err := fs[1].RefactorDense(bad, dws); !errors.Is(err, ErrSingular) {
+	if err := fs[1].Refactor(bad, ws); !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular in chain", err)
 	}
 	for i, v := range snapU {
@@ -408,17 +457,17 @@ func TestDenseTRSMRefreshMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
 	n, m, h := 36, 22, 15
 	a := denseishCSC(rng, n, 0.45, true)
-	dws := dense.NewWorkspace()
 	f := &Factors{}
-	if err := FactorDenseInto(f, a, Options{}, dws); err != nil {
+	ws := NewWorkspace(n)
+	if err := FactorDenseInto(f, a, Options{}, ws); err != nil {
 		t.Fatal(err)
 	}
 
 	// Upper: refresh in place vs fresh solve of the new right-hand block.
 	b := denseishCSC(rng, n, 0.25, false).ExtractBlock(0, n, 0, m)
-	up := f.DenseUpperSolveInto(nil, b, dws)
+	up := f.DenseUpperSolveInto(nil, b, ws)
 	b2 := perturbSamePattern(rng, b)
-	want := f.DenseUpperSolveInto(nil, b2, dws)
+	want := f.DenseUpperSolveInto(nil, b2, ws)
 	f.DenseUpperRefactorFrom(up, b2, 0)
 	for i, v := range want.Values {
 		if up.Values[i] != v {
@@ -434,7 +483,7 @@ func TestDenseTRSMRefreshMatchesSolve(t *testing.T) {
 			b3.Values[p] *= 1.3
 		}
 	}
-	want = f.DenseUpperSolveInto(want, b3, dws)
+	want = f.DenseUpperSolveInto(want, b3, ws)
 	f.DenseUpperRefactorFrom(up, b3, c0)
 	for i, v := range want.Values {
 		if up.Values[i] != v {
@@ -444,9 +493,9 @@ func TestDenseTRSMRefreshMatchesSolve(t *testing.T) {
 
 	// Lower: same contract for X·U = B.
 	bl := denseishCSC(rng, n, 0.25, false).ExtractBlock(0, h, 0, n)
-	lo := f.DenseLowerSolveInto(nil, bl, dws)
+	lo := f.DenseLowerSolveInto(nil, bl, ws)
 	bl2 := perturbSamePattern(rng, bl)
-	wantL := f.DenseLowerSolveInto(nil, bl2, dws)
+	wantL := f.DenseLowerSolveInto(nil, bl2, ws)
 	f.DenseLowerRefactorFrom(lo, bl2, 0)
 	for i, v := range wantL.Values {
 		if lo.Values[i] != v {
@@ -461,7 +510,7 @@ func TestDenseTRSMRefreshMatchesSolve(t *testing.T) {
 // at a time through the dense accumulator, then the panel re-runs the
 // fixed-sequence elimination and scatters back. A nil colStamp refreshes
 // every supernode; otherwise the selective closure rule picks them.
-func (f *Factors) refactorSupernodalReference(a *sparse.CSC, ws *Workspace, dws *dense.Workspace, colStamp []uint64, epoch uint64, rerun []bool) error {
+func (f *Factors) refactorSupernodalReference(a *sparse.CSC, ws *Workspace, colStamp []uint64, epoch uint64, rerun []bool) error {
 	n := f.N
 	if a.M != n || a.N != n {
 		return fmt.Errorf("gp: refactor dimension mismatch")
@@ -487,7 +536,7 @@ func (f *Factors) refactorSupernodalReference(a *sparse.CSC, ws *Workspace, dws 
 		lp0, lp1 := f.L.Colptr[k0], f.L.Colptr[k0+1]
 		below := f.L.Rowidx[lp0+w : lp1]
 		m := w + len(below)
-		panel := dws.Panel(m, w)
+		panel := ws.Panel(m, w)
 		for c := 0; c < w; c++ {
 			k := k0 + c
 			for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
@@ -508,7 +557,7 @@ func (f *Factors) refactorSupernodalReference(a *sparse.CSC, ws *Workspace, dws 
 				rows := f.L.Rowidx[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
 				vals := f.L.Values[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
 				for t, i := range rows {
-					x[i] -= vals[t] * xj
+					x[i] -= float64(vals[t] * xj)
 				}
 			}
 			col := panel.Col(c)
@@ -537,7 +586,7 @@ func (f *Factors) refactorSupernodalReference(a *sparse.CSC, ws *Workspace, dws 
 					continue
 				}
 				for r := d + 1; r < m; r++ {
-					cj[r] -= cd[r] * fjd
+					cj[r] -= float64(cd[r] * fjd)
 				}
 			}
 		}
@@ -617,14 +666,24 @@ func (f *Factors) refactorSelectiveScan(a *sparse.CSC, ws *Workspace, colStamp [
 	return nil
 }
 
-// allBlocked returns a blocked-rule slice that sends every wide supernode
-// of f through the blocked outside update, whatever its density.
-func allBlocked(f *Factors) []bool {
-	b := make([]bool, len(f.Snodes)-1)
-	for i := range b {
-		b[i] = true
+// forceBlocked sends every wide supernode of f through the blocked
+// outside update, whatever its density.
+func forceBlocked(f *Factors) {
+	for s := range f.snBlocked {
+		f.snBlocked[s] = true
 	}
-	return b
+}
+
+// refactorColumns is the column-at-a-time reference refresh: refactorColumn
+// on every column in order, whatever partition f records.
+func (f *Factors) refactorColumns(a *sparse.CSC, ws *Workspace) error {
+	ws.Grow(f.N)
+	for k := 0; k < f.N; k++ {
+		if err := f.refactorColumn(a, ws.X, k); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // assertBitsEqual compares every L and U value of two factorizations
@@ -728,14 +787,13 @@ func bitwiseCases(tb testing.TB) []snodeCase {
 // one column stamped. The production rule mix must match too.
 func TestRefreshSupernodeBlockedBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
-	dws := dense.NewWorkspace()
 	ws := NewWorkspace(1)
 	var marked, unmarked int
 	for _, c := range bitwiseCases(t) {
 		n := c.a.N
 		var ref, blk, rule Factors
 		for _, f := range []*Factors{&ref, &blk, &rule} {
-			if err := FactorSupernodalInto(f, c.a, c.xsup, 0, Options{}, ws, dws); err != nil {
+			if err := FactorSupernodalInto(f, c.a, c.xsup, 0, Options{}, ws); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 		}
@@ -748,17 +806,17 @@ func TestRefreshSupernodeBlockedBitwise(t *testing.T) {
 				}
 			}
 		}
-		forced := allBlocked(&blk)
+		forceBlocked(&blk)
 
 		a2 := perturbSamePattern(rng, c.a)
-		if err := ref.refactorSupernodalReference(a2, ws, dws, nil, 0, nil); err != nil {
+		if err := ref.refactorSupernodalReference(a2, ws, nil, 0, nil); err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}
-		if err := blk.refactorSupernodal(a2, ws, dws, nil, 0, nil, forced); err != nil {
+		if err := blk.Refactor(a2, ws); err != nil {
 			t.Fatalf("%s: blocked: %v", c.name, err)
 		}
 		assertBitsEqual(t, &ref, &blk, c.name+" full")
-		if err := rule.RefactorSupernodal(a2, ws, dws); err != nil {
+		if err := rule.Refactor(a2, ws); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		assertBitsEqual(t, &ref, &rule, c.name+" full, density rule")
@@ -769,10 +827,10 @@ func TestRefreshSupernodeBlockedBitwise(t *testing.T) {
 			stamp[i] = 1
 		}
 		a3 := perturbSamePattern(rng, c.a)
-		if err := ref.refactorSupernodalReference(a3, ws, dws, stamp, 1, rrRef); err != nil {
+		if err := ref.refactorSupernodalReference(a3, ws, stamp, 1, rrRef); err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}
-		if err := blk.refactorSupernodal(a3, ws, dws, stamp, 1, rrBlk, forced); err != nil {
+		if err := blk.RefactorSelective(a3, ws, stamp, 1, rrBlk); err != nil {
 			t.Fatalf("%s: blocked: %v", c.name, err)
 		}
 		assertBitsEqual(t, &ref, &blk, c.name+" selective, all stamped")
@@ -783,10 +841,10 @@ func TestRefreshSupernodeBlockedBitwise(t *testing.T) {
 			a4.Values[p] *= 1.5
 		}
 		stamp[col] = 2
-		if err := ref.refactorSupernodalReference(a4, ws, dws, stamp, 2, rrRef); err != nil {
+		if err := ref.refactorSupernodalReference(a4, ws, stamp, 2, rrRef); err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}
-		if err := blk.refactorSupernodal(a4, ws, dws, stamp, 2, rrBlk, forced); err != nil {
+		if err := blk.RefactorSelective(a4, ws, stamp, 2, rrBlk); err != nil {
 			t.Fatalf("%s: blocked: %v", c.name, err)
 		}
 		assertBitsEqual(t, &ref, &blk, c.name+" selective, one column stamped")
@@ -802,16 +860,16 @@ func TestRefreshSupernodeBlockedBitwise(t *testing.T) {
 }
 
 // TestRefactorSupernodalRejectsPartition: a factor whose supernode
-// partition is missing or does not span 0..n must fail the refresh with
-// the partition error instead of silently refreshing nothing.
+// partition does not span 0..n must fail the refresh with the partition
+// error instead of silently refreshing nothing. (A nil partition is the
+// column layout.)
 func TestRefactorSupernodalRejectsPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	n := 40
 	a := denseishCSC(rng, n, 0.2, true)
 	xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 8, 64)
-	dws := dense.NewWorkspace()
 	f := &Factors{}
-	if err := FactorSupernodalInto(f, a, xsup, 0, Options{}, nil, dws); err != nil {
+	if err := FactorSupernodalInto(f, a, xsup, 0, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	stamp := make([]uint64, n)
@@ -819,13 +877,13 @@ func TestRefactorSupernodalRejectsPartition(t *testing.T) {
 	for _, bad := range []struct {
 		name   string
 		snodes []int
-	}{{"nil", nil}, {"truncated", xsup[:len(xsup)-1]}} {
+	}{{"truncated", xsup[:len(xsup)-1]}, {"not from 0", xsup[1:]}} {
 		f.Snodes = bad.snodes
-		if err := f.RefactorSupernodal(a, nil, dws); err == nil || !strings.Contains(err.Error(), "does not cover") {
-			t.Fatalf("%s partition: RefactorSupernodal err = %v", bad.name, err)
+		if err := f.Refactor(a, nil); err == nil || !strings.Contains(err.Error(), "does not cover") {
+			t.Fatalf("%s partition: Refactor err = %v", bad.name, err)
 		}
-		if err := f.RefactorSupernodalSelective(a, nil, dws, stamp, 0, rerun); err == nil || !strings.Contains(err.Error(), "does not cover") {
-			t.Fatalf("%s partition: RefactorSupernodalSelective err = %v", bad.name, err)
+		if err := f.RefactorSelective(a, nil, stamp, 0, rerun); err == nil || !strings.Contains(err.Error(), "does not cover") {
+			t.Fatalf("%s partition: RefactorSelective err = %v", bad.name, err)
 		}
 	}
 }
@@ -840,7 +898,9 @@ func TestRefactorSupernodalRejectsPartition(t *testing.T) {
 // picked so that, together, their refreshes reach panels and wide-source
 // below blocks of every row count 1–7 (mod 8) — axpy's 4-value and scalar
 // tails, runUpdate's 2-row tile and its odd last row — and wide runs of
-// every length from snWideRun to snTileCols.
+// every length from snWideRun to snTileCols. Each input is also refreshed
+// as a dense-built factor, the single supernode [0, n), against the
+// column-at-a-time reference.
 func FuzzRefactorSupernodal(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(60), uint8(8), uint8(16), uint8(0))
 	f.Add(int64(2), uint8(70), uint8(20), uint8(4), uint8(64), uint8(3))
@@ -873,11 +933,10 @@ func FuzzRefactorSupernodal(f *testing.F) {
 		}
 		a := coo.ToCSC(false)
 		xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 1+int(relax8)%16, 1+int(maxw8)%64)
-		dws := dense.NewWorkspace()
 		ws := NewWorkspace(n)
 		var ref, blk Factors
 		for _, fc := range []*Factors{&ref, &blk} {
-			if err := FactorSupernodalInto(fc, a, xsup, 0, Options{}, ws, dws); err != nil {
+			if err := FactorSupernodalInto(fc, a, xsup, 0, Options{}, ws); err != nil {
 				return
 			}
 		}
@@ -885,11 +944,28 @@ func FuzzRefactorSupernodal(f *testing.F) {
 		for i := range a2.Values {
 			a2.Values[i] = value()
 		}
-		errRef := ref.refactorSupernodalReference(a2, ws, dws, nil, 0, nil)
-		errBlk := blk.refactorSupernodal(a2, ws, dws, nil, 0, nil, allBlocked(&blk))
+		errRef := ref.refactorSupernodalReference(a2, ws, nil, 0, nil)
+		forceBlocked(&blk)
+		errBlk := blk.Refactor(a2, ws)
 		if fmt.Sprint(errRef) != fmt.Sprint(errBlk) {
 			t.Fatalf("errors diverge: reference %v, blocked %v", errRef, errBlk)
 		}
 		assertBitsEqual(t, &ref, &blk, "fuzz")
+
+		// A failed column reference has already overwritten the columns
+		// before the zero pivot, the panel nothing: only errors compare.
+		var dref, dn Factors
+		for _, fc := range []*Factors{&dref, &dn} {
+			if err := FactorDenseInto(fc, a, Options{}, ws); err != nil {
+				return
+			}
+		}
+		errRef, errDn := dref.refactorColumns(a2, ws), dn.Refactor(a2, ws)
+		if fmt.Sprint(errRef) != fmt.Sprint(errDn) {
+			t.Fatalf("dense-built errors diverge: column reference %v, panel %v", errRef, errDn)
+		}
+		if errRef == nil {
+			assertBitsEqual(t, &dref, &dn, "fuzz dense-built")
+		}
 	})
 }

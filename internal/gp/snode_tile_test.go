@@ -130,10 +130,9 @@ func TestSupernodeTileVectorBitwise(t *testing.T) {
 
 	cases := ndSnodeCases(t, "bench-grid3d", matgen.Circuit(matgen.CircuitParams{N: 2700, Core: matgen.CoreGrid3D, ExtraDensity: 0.2, Seed: 120}))
 	blocked := 0
-	dws := dense.NewWorkspace()
 	for _, c := range cases {
 		f := &Factors{}
-		if err := FactorSupernodalInto(f, c.a, c.xsup, 0, Options{}, nil, dws); err != nil {
+		if err := FactorSupernodalInto(f, c.a, c.xsup, 0, Options{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		lv := f.L.Values
@@ -372,11 +371,10 @@ func TestSupernodeRowKernelBitwise(t *testing.T) {
 	}
 
 	cases := ndSnodeCases(t, "bench-grid3d", matgen.Circuit(matgen.CircuitParams{N: 2700, Core: matgen.CoreGrid3D, ExtraDensity: 0.2, Seed: 120}))
-	dws := dense.NewWorkspace()
 	runs := 0
 	for _, cs := range cases {
 		f := &Factors{}
-		if err := FactorSupernodalInto(f, cs.a, cs.xsup, 0, Options{}, nil, dws); err != nil {
+		if err := FactorSupernodalInto(f, cs.a, cs.xsup, 0, Options{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s+1 < len(f.Snodes); s++ {

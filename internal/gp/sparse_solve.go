@@ -44,7 +44,7 @@ func (f *Factors) SolveSparseL(bIdx []int, bVal []float64, ws *Workspace) []int 
 		vals := f.L.Values[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
 		vals = vals[:len(rows)] // bounds-check elimination hint
 		for p, i := range rows {
-			x[i] -= vals[p] * xj
+			x[i] -= float64(vals[p] * xj)
 		}
 	}
 	return pattern
@@ -146,7 +146,7 @@ func (f *Factors) LowerBlockSolveInto(dst, b *sparse.CSC, mark []int, tagp *int,
 			vals := x.Values[x.Colptr[t]:x.Colptr[t+1]]
 			vals = vals[:len(rows)] // bounds-check elimination hint
 			for qi, i := range rows {
-				acc[i] -= vals[qi] * utc
+				acc[i] -= float64(vals[qi] * utc)
 				if mark[i] != tag {
 					mark[i] = tag
 					patt = append(patt, i)
@@ -192,7 +192,7 @@ func (f *Factors) RefactorLowerBlockFrom(dst, b *sparse.CSC, acc []float64, c0 i
 				continue // refreshed value drifted to zero: contribution vanishes
 			}
 			for q := dst.Colptr[t]; q < dst.Colptr[t+1]; q++ {
-				acc[dst.Rowidx[q]] -= dst.Values[q] * utc
+				acc[dst.Rowidx[q]] -= float64(dst.Values[q] * utc)
 			}
 		}
 		piv := f.U.Values[up1-1]
@@ -231,7 +231,7 @@ func (f *Factors) RefactorUpperBlockFrom(dst, b *sparse.CSC, ws *Workspace, c0 i
 				continue
 			}
 			for q := f.L.Colptr[r] + 1; q < f.L.Colptr[r+1]; q++ {
-				x[f.L.Rowidx[q]] -= f.L.Values[q] * xr
+				x[f.L.Rowidx[q]] -= float64(f.L.Values[q] * xr)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ func (f *Factors) LSolveT(y []float64) {
 	for j := f.N - 1; j >= 0; j-- {
 		yj := y[j]
 		for p := f.L.Colptr[j] + 1; p < f.L.Colptr[j+1]; p++ {
-			yj -= f.L.Values[p] * y[f.L.Rowidx[p]]
+			yj -= float64(f.L.Values[p] * y[f.L.Rowidx[p]])
 		}
 		y[j] = yj
 	}
@@ -27,7 +27,7 @@ func (f *Factors) USolveT(y []float64) {
 		p1 := f.U.Colptr[j+1]
 		yj := y[j]
 		for p := f.U.Colptr[j]; p < p1-1; p++ {
-			yj -= f.U.Values[p] * y[f.U.Rowidx[p]]
+			yj -= float64(f.U.Values[p] * y[f.U.Rowidx[p]])
 		}
 		y[j] = yj / f.U.Values[p1-1]
 	}
