@@ -237,7 +237,7 @@ func (num *Numeric) offBlockUpdateT(blk int, y []float64) {
 			if i >= r0 {
 				break
 			}
-			s += num.Perm.Values[p] * y[i]
+			s += float64(num.Perm.Values[p] * y[i])
 		}
 		y[c] -= s
 	}
@@ -311,7 +311,7 @@ func (num *Numeric) EstimateRcond() float64 {
 		// Converged when ‖z‖∞ ≤ zᵀx; otherwise steepest-ascent to e_jmax.
 		zmax, jmax, zdotx := 0.0, 0, 0.0
 		for i, v := range b {
-			zdotx += v * x[i]
+			zdotx += float64(v * x[i])
 			if a := math.Abs(v); a > zmax {
 				zmax, jmax = a, i
 			}

@@ -886,7 +886,7 @@ func reduceBlock(a0 *sparse.CSC, lows, ups []*sparse.CSC, mark []int, tagp *int,
 					vals := lo.Values[lo.Colptr[k]:lo.Colptr[k+1]]
 					vals = vals[:len(rows)] // bounds-check elimination hint
 					for qi, i := range rows {
-						acc[i] -= vals[qi] * ukc
+						acc[i] -= float64(vals[qi] * ukc)
 						mark[i] = tag
 					}
 				}
@@ -922,7 +922,7 @@ func reduceBlock(a0 *sparse.CSC, lows, ups []*sparse.CSC, mark []int, tagp *int,
 				vals := lo.Values[lo.Colptr[k]:lo.Colptr[k+1]]
 				vals = vals[:len(rows)] // bounds-check elimination hint
 				for qi, i := range rows {
-					acc[i] -= vals[qi] * ukc
+					acc[i] -= float64(vals[qi] * ukc)
 					if mark[i] != tag {
 						mark[i] = tag
 						out.Rowidx = append(out.Rowidx, i)
@@ -979,12 +979,12 @@ func reduceBlockDense(a0 *sparse.CSC, lows, ups []*sparse.CSC, recycle *sparse.C
 				if len(rows) == m {
 					// Fully dense contributor column: rows are 0..m-1.
 					for i, v := range vals {
-						col[i] -= v * ukc
+						col[i] -= float64(v * ukc)
 					}
 					continue
 				}
 				for qi, i := range rows {
-					col[i] -= vals[qi] * ukc
+					col[i] -= float64(vals[qi] * ukc)
 				}
 			}
 		}
@@ -1010,7 +1010,7 @@ func reduceBlockInto(dst, a0 *sparse.CSC, lows, ups []*sparse.CSC, acc []float64
 					continue // refreshed value drifted to zero: no contribution
 				}
 				for q := lo.Colptr[k]; q < lo.Colptr[k+1]; q++ {
-					acc[lo.Rowidx[q]] -= lo.Values[q] * ukc
+					acc[lo.Rowidx[q]] -= float64(lo.Values[q] * ukc)
 				}
 			}
 		}
@@ -1059,7 +1059,7 @@ func (num *ndNum) ndSolve(y []float64) {
 					continue
 				}
 				for p := lb.Colptr[c]; p < lb.Colptr[c+1]; p++ {
-					yi[pinv[lb.Rowidx[p]]] -= lb.Values[p] * xc
+					yi[pinv[lb.Rowidx[p]]] -= float64(lb.Values[p] * xc)
 				}
 			}
 		}
@@ -1084,7 +1084,7 @@ func (num *ndNum) ndSolve(y []float64) {
 					continue
 				}
 				for p := ub.Colptr[c]; p < ub.Colptr[c+1]; p++ {
-					y[c0+ub.Rowidx[p]] -= ub.Values[p] * xc
+					y[c0+ub.Rowidx[p]] -= float64(ub.Values[p] * xc)
 				}
 			}
 		}
@@ -1170,7 +1170,7 @@ func (num *ndNum) ndSolveT(y []float64, scratch []float64) {
 			for c := 0; c < ub.N; c++ {
 				sum := 0.0
 				for p := ub.Colptr[c]; p < ub.Colptr[c+1]; p++ {
-					sum += ub.Values[p] * y[c0+ub.Rowidx[p]]
+					sum += float64(ub.Values[p] * y[c0+ub.Rowidx[p]])
 				}
 				y[j0+c] -= sum
 			}
@@ -1194,7 +1194,7 @@ func (num *ndNum) ndSolveT(y []float64, scratch []float64) {
 			for c := 0; c < lb.N; c++ {
 				sum := 0.0
 				for p := lb.Colptr[c]; p < lb.Colptr[c+1]; p++ {
-					sum += lb.Values[p] * y[r0+lb.Rowidx[p]]
+					sum += float64(lb.Values[p] * y[r0+lb.Rowidx[p]])
 				}
 				y[c0+c] -= sum
 			}

@@ -112,7 +112,7 @@ func (num *Numeric) offBlockUpdate(blk int, y []float64) {
 		}
 		rows, vals := num.offRow[q0:q1], perm.Values[perm.Colptr[c]:]
 		for q, i := range rows {
-			y[i] -= vals[q] * xc
+			y[i] -= float64(vals[q] * xc)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func (m *Matrix) LUNoPivot(k int, minPiv float64) error {
 				continue
 			}
 			for i := d + 1; i < m.Rows; i++ {
-				cj[i] -= f * cd[i]
+				cj[i] -= float64(f * cd[i])
 			}
 		}
 	}
@@ -149,7 +149,7 @@ func (m *Matrix) LUPartialPivot(tol float64, noPivot bool, rows []int) error {
 			tgt := cj[d+1 : m.Rows]
 			tgt = tgt[:len(lo)] // bounds-check elimination hint
 			for i, v := range lo {
-				tgt[i] -= f * v
+				tgt[i] -= float64(f * v)
 			}
 		}
 	}
@@ -211,7 +211,7 @@ func TRSMLowerUnit(lu *Matrix, k int, b *Matrix) {
 			}
 			ld := lu.Col(d)
 			for i := d + 1; i < k; i++ {
-				col[i] -= ld[i] * xd
+				col[i] -= float64(ld[i] * xd)
 			}
 		}
 	}
@@ -229,7 +229,7 @@ func GEMMSub(c *Matrix, a *Matrix, b *Matrix) {
 			}
 			al := a.Col(l)
 			for i := 0; i < c.Rows; i++ {
-				cj[i] -= al[i] * f
+				cj[i] -= float64(al[i] * f)
 			}
 		}
 	}

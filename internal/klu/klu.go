@@ -190,7 +190,7 @@ func (num *Numeric) Solve(b []float64) {
 				if i >= r0 {
 					break // rows within the block: already handled
 				}
-				y[i] -= num.Perm.Values[p] * xc
+				y[i] -= float64(num.Perm.Values[p] * xc)
 			}
 		}
 	}

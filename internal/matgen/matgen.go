@@ -6,6 +6,12 @@
 // nonzeros per row, the share of rows in small BTF blocks (Table I's BTF%),
 // the number of BTF blocks, and the fill-in density class — as recorded in
 // Table I/II of the paper.
+//
+// Every product that meets an addition is written float64(a*b), and
+// rng.Float64() is wrapped in float64(...) where its inlined scaling would
+// otherwise fuse with the caller's arithmetic: an explicit conversion
+// forbids a fused multiply-add, so the values (and every golden built from
+// them) are the same bits on amd64 and arm64.
 package matgen
 
 import (
@@ -57,7 +63,7 @@ func Circuit(p CircuitParams) *sparse.CSC {
 	coo := sparse.NewCOO(n, n, 8*n)
 	// Dominant diagonal keeps every matrix numerically comfortable.
 	for i := 0; i < n; i++ {
-		coo.Add(i, i, 8+2*rng.Float64())
+		coo.Add(i, i, 8+float64(2*float64(rng.Float64())))
 	}
 	coreN := int((1 - p.BTFPct/100) * float64(n))
 	if coreN > n {
@@ -84,7 +90,7 @@ func Circuit(p CircuitParams) *sparse.CSC {
 		for k := 0; k < size; k++ {
 			next := i + (k+1)%size
 			if next != i+k {
-				coo.Add(next, i+k, 0.5+rng.Float64())
+				coo.Add(next, i+k, 0.5+float64(rng.Float64()))
 			}
 		}
 		i += size
@@ -107,7 +113,7 @@ func Circuit(p CircuitParams) *sparse.CSC {
 func genCore(coo *sparse.COO, rng *rand.Rand, lo, size int, kind CoreKind, extra float64) {
 	// A ring makes the block strongly connected regardless of kind.
 	for k := 0; k < size; k++ {
-		coo.Add(lo+(k+1)%size, lo+k, 1+0.5*rng.Float64())
+		coo.Add(lo+(k+1)%size, lo+k, 1+float64(0.5*rng.Float64()))
 	}
 	switch kind {
 	case CoreLadder:
@@ -127,16 +133,16 @@ func genCore(coo *sparse.COO, rng *rand.Rand, lo, size int, kind CoreKind, extra
 		for i := 0; i < side; i++ {
 			for j := 0; j < side; j++ {
 				if i > 0 {
-					coo.Add(id(i, j), id(i-1, j), -1+0.1*rng.NormFloat64())
+					coo.Add(id(i, j), id(i-1, j), -1+float64(0.1*rng.NormFloat64()))
 				}
 				if j > 0 {
-					coo.Add(id(i, j), id(i, j-1), -1+0.1*rng.NormFloat64())
+					coo.Add(id(i, j), id(i, j-1), -1+float64(0.1*rng.NormFloat64()))
 				}
 				if i < side-1 {
-					coo.Add(id(i, j), id(i+1, j), -1+0.1*rng.NormFloat64())
+					coo.Add(id(i, j), id(i+1, j), -1+float64(0.1*rng.NormFloat64()))
 				}
 				if j < side-1 {
-					coo.Add(id(i, j), id(i, j+1), -1+0.1*rng.NormFloat64())
+					coo.Add(id(i, j), id(i, j+1), -1+float64(0.1*rng.NormFloat64()))
 				}
 			}
 		}
@@ -150,22 +156,22 @@ func genCore(coo *sparse.COO, rng *rand.Rand, lo, size int, kind CoreKind, extra
 			for j := 0; j < side; j++ {
 				for k := 0; k < side; k++ {
 					if i > 0 {
-						coo.Add(id(i, j, k), id(i-1, j, k), -1+0.1*rng.NormFloat64())
+						coo.Add(id(i, j, k), id(i-1, j, k), -1+float64(0.1*rng.NormFloat64()))
 					}
 					if j > 0 {
-						coo.Add(id(i, j, k), id(i, j-1, k), -1+0.1*rng.NormFloat64())
+						coo.Add(id(i, j, k), id(i, j-1, k), -1+float64(0.1*rng.NormFloat64()))
 					}
 					if k > 0 {
-						coo.Add(id(i, j, k), id(i, j, k-1), -1+0.1*rng.NormFloat64())
+						coo.Add(id(i, j, k), id(i, j, k-1), -1+float64(0.1*rng.NormFloat64()))
 					}
 					if i < side-1 {
-						coo.Add(id(i, j, k), id(i+1, j, k), -1+0.1*rng.NormFloat64())
+						coo.Add(id(i, j, k), id(i+1, j, k), -1+float64(0.1*rng.NormFloat64()))
 					}
 					if j < side-1 {
-						coo.Add(id(i, j, k), id(i, j+1, k), -1+0.1*rng.NormFloat64())
+						coo.Add(id(i, j, k), id(i, j+1, k), -1+float64(0.1*rng.NormFloat64()))
 					}
 					if k < side-1 {
-						coo.Add(id(i, j, k), id(i, j, k+1), -1+0.1*rng.NormFloat64())
+						coo.Add(id(i, j, k), id(i, j, k+1), -1+float64(0.1*rng.NormFloat64()))
 					}
 				}
 			}
@@ -204,18 +210,18 @@ func Mesh2D(k int, seed int64) *sparse.CSC {
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			v := id(i, j)
-			coo.Add(v, v, 4+0.1*rng.Float64())
+			coo.Add(v, v, 4+float64(0.1*rng.Float64()))
 			if i > 0 {
-				coo.Add(v, id(i-1, j), -1+0.05*rng.NormFloat64())
+				coo.Add(v, id(i-1, j), -1+float64(0.05*rng.NormFloat64()))
 			}
 			if i < k-1 {
-				coo.Add(v, id(i+1, j), -1+0.05*rng.NormFloat64())
+				coo.Add(v, id(i+1, j), -1+float64(0.05*rng.NormFloat64()))
 			}
 			if j > 0 {
-				coo.Add(v, id(i, j-1), -1+0.05*rng.NormFloat64())
+				coo.Add(v, id(i, j-1), -1+float64(0.05*rng.NormFloat64()))
 			}
 			if j < k-1 {
-				coo.Add(v, id(i, j+1), -1+0.05*rng.NormFloat64())
+				coo.Add(v, id(i, j+1), -1+float64(0.05*rng.NormFloat64()))
 			}
 		}
 	}
@@ -232,24 +238,24 @@ func Mesh3D(k int, seed int64) *sparse.CSC {
 		for j := 0; j < k; j++ {
 			for l := 0; l < k; l++ {
 				v := id(i, j, l)
-				coo.Add(v, v, 6+0.1*rng.Float64())
+				coo.Add(v, v, 6+float64(0.1*rng.Float64()))
 				if i > 0 {
-					coo.Add(v, id(i-1, j, l), -1+0.05*rng.NormFloat64())
+					coo.Add(v, id(i-1, j, l), -1+float64(0.05*rng.NormFloat64()))
 				}
 				if i < k-1 {
-					coo.Add(v, id(i+1, j, l), -1+0.05*rng.NormFloat64())
+					coo.Add(v, id(i+1, j, l), -1+float64(0.05*rng.NormFloat64()))
 				}
 				if j > 0 {
-					coo.Add(v, id(i, j-1, l), -1+0.05*rng.NormFloat64())
+					coo.Add(v, id(i, j-1, l), -1+float64(0.05*rng.NormFloat64()))
 				}
 				if j < k-1 {
-					coo.Add(v, id(i, j+1, l), -1+0.05*rng.NormFloat64())
+					coo.Add(v, id(i, j+1, l), -1+float64(0.05*rng.NormFloat64()))
 				}
 				if l > 0 {
-					coo.Add(v, id(i, j, l-1), -1+0.05*rng.NormFloat64())
+					coo.Add(v, id(i, j, l-1), -1+float64(0.05*rng.NormFloat64()))
 				}
 				if l < k-1 {
-					coo.Add(v, id(i, j, l+1), -1+0.05*rng.NormFloat64())
+					coo.Add(v, id(i, j, l+1), -1+float64(0.05*rng.NormFloat64()))
 				}
 			}
 		}
@@ -276,10 +282,10 @@ func PowerGrid(n int, blocks int, seed int64) *sparse.CSC {
 func TransientStep(base *sparse.CSC, t int, seed int64) *sparse.CSC {
 	rng := rand.New(rand.NewSource(seed + int64(t)*1000003))
 	out := base.Clone()
-	phase := float64(t) * 0.05
+	phase := float64(float64(t) * 0.05)
 	for j := 0; j < out.N; j++ {
 		for p := out.Colptr[j]; p < out.Colptr[j+1]; p++ {
-			f := 1 + 0.4*math.Sin(phase+float64(j)*0.01) + 0.1*rng.NormFloat64()
+			f := 1 + float64(0.4*math.Sin(phase+float64(float64(j)*0.01))) + float64(0.1*rng.NormFloat64())
 			if out.Rowidx[p] == j {
 				// Keep diagonals bounded away from zero.
 				if f < 0.3 {
@@ -302,10 +308,10 @@ func TransientStep(base *sparse.CSC, t int, seed int64) *sparse.CSC {
 func PerturbColumns(base *sparse.CSC, cols []int, t int, seed int64) *sparse.CSC {
 	rng := rand.New(rand.NewSource(seed + int64(t)*1000003))
 	out := base.Clone()
-	phase := float64(t) * 0.05
+	phase := float64(float64(t) * 0.05)
 	for _, j := range cols {
 		for p := out.Colptr[j]; p < out.Colptr[j+1]; p++ {
-			f := 1 + 0.4*math.Sin(phase+float64(j)*0.01) + 0.1*rng.NormFloat64()
+			f := 1 + float64(0.4*math.Sin(phase+float64(float64(j)*0.01))) + float64(0.1*rng.NormFloat64())
 			if out.Rowidx[p] == j && f < 0.3 {
 				f = 0.3
 			}
@@ -321,7 +327,7 @@ func PerturbColumns(base *sparse.CSC, cols []int, t int, seed int64) *sparse.CSC
 // orderings keep confined to few blocks — while scattered draws a uniform
 // subset, the adversarial spread for change-set-aware refactorization.
 func ChangeSet(n int, frac float64, seed int64, clustered bool) []int {
-	k := int(frac*float64(n) + 0.5)
+	k := int(float64(frac*float64(n)) + 0.5)
 	if k < 1 {
 		k = 1
 	}

@@ -6,13 +6,18 @@
 //   - Bottleneck: maximum weight-cardinality matching (MWCM) in the
 //     bottleneck sense used by Basker — among all perfect matchings, it
 //     maximizes the smallest |a_ij| placed on the diagonal. This mirrors the
-//     MC64 "bottleneck" option the paper says its MWCM resembles.
+//     MC64 "bottleneck" option the paper says its MWCM resembles. The
+//     threshold is found by a selection search: MC21 probes at medians of
+//     the entry magnitudes that lie between a feasible lower bound (the
+//     pattern matching's smallest diagonal) and an upper bound no perfect
+//     matching can beat (the smallest column or row maximum). Nothing is
+//     sorted, and the result is the one a binary search over every sorted
+//     magnitude would give.
 package matching
 
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"repro/internal/sparse"
 )
@@ -21,11 +26,14 @@ import (
 // the matrix cannot be permuted to a zero-free diagonal.
 var ErrStructurallySingular = errors.New("matching: matrix is structurally singular")
 
-// Workspace holds the reusable scratch of the matching searches. The
-// bottleneck search runs O(log nnz) feasibility probes, each of which used
-// to allocate its full scratch set; a Workspace carried across probes — and
-// across Analyze calls, which run one matching per BTF front end plus one
-// per fine-ND block — removes that churn from the serial symbolic phase.
+// Workspace holds the reusable scratch of the matching searches: MC21's
+// matching arrays and DFS stacks, the best matching found so far, and mags,
+// which holds the row maxima and then the candidate magnitudes the
+// bottleneck search selects among. The search runs O(log c) feasibility
+// probes (c magnitudes between its bounds), all drawing from one Workspace;
+// carried across Analyze calls, which run one matching per BTF front end
+// plus one per fine-ND block, it keeps the serial symbolic phase free of
+// scratch allocation.
 type Workspace struct {
 	rowOf, colOf, visited []int
 	best                  []int
@@ -177,16 +185,35 @@ func MaxCardinalityPermWith(a *sparse.CSC, ws *Workspace) (*Result, error) {
 }
 
 // Bottleneck computes a maximum weight-cardinality matching that maximizes
-// the minimum |a_ij| on the diagonal, by binary searching the threshold over
-// the distinct entry magnitudes and testing perfect-matching feasibility
-// with the filtered MC21. Complexity O(nnz · log nnz · augmenting cost).
+// the minimum |a_ij| on the diagonal. The answer t* is the largest entry
+// magnitude at which the filtered MC21 still finds a perfect matching;
+// feasibility only falls as the threshold rises, so t* is found by a
+// selection search over the magnitudes between two provable bounds (see
+// BottleneckWith). Complexity O(nnz) for the bounds and the selections plus
+// O(log c) MC21 probes, where c ≤ nnz counts the magnitudes between the
+// bounds.
 func Bottleneck(a *sparse.CSC) (*Result, error) {
 	return BottleneckWith(a, nil)
 }
 
 // BottleneckWith is Bottleneck drawing all scratch — including every
 // feasibility probe's — from ws (nil allocates a private workspace). Only
-// the returned permutation is freshly allocated.
+// the returned Result and its permutation are freshly allocated.
+//
+// The search keeps t* inside [lo, hi]:
+//
+//   - lo, the smallest magnitude on the threshold-0 matching (the
+//     structural-singularity check's matching), is feasible: that matching
+//     survives the filter at lo.
+//   - hi, the minimum over columns and rows of their largest magnitude, is
+//     an upper bound: above it some column or row has no entry left.
+//
+// NaN entries are never filtered (|NaN| < t is false), so a NaN counts as
+// +Inf in hi and is skipped in lo. Each step selects the median of the
+// magnitudes still strictly between lo and hi, probes it, and keeps the
+// half the probe leaves open. The result is
+// maxCardinalityFiltered(a, t*, ws) — the matching a search over every
+// magnitude would return — and t*; an all-NaN matrix reports t* = NaN.
 func BottleneckWith(a *sparse.CSC, ws *Workspace) (*Result, error) {
 	if a.M != a.N {
 		return nil, errors.New("matching: matrix must be square")
@@ -198,43 +225,130 @@ func BottleneckWith(a *sparse.CSC, ws *Workspace) (*Result, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	// Distinct magnitudes, ascending. Zero entries can never be diagonal
-	// candidates for a *weighted* matching unless nothing else works; keep
-	// them so pattern-singular detection still goes through MC21.
-	mags := ws.mags[:0]
-	for _, v := range a.Values[:a.Nnz()] {
-		mags = append(mags, math.Abs(v))
-	}
-	sort.Float64s(mags)
-	mags = dedupSorted(mags)
-	ws.mags = mags
-
-	// Feasibility at the smallest magnitude == plain maximum matching.
+	// Feasibility at threshold 0 == plain maximum matching.
 	rowOf, size := maxCardinalityFiltered(a, 0, ws)
 	if size != n {
 		return nil, ErrStructurallySingular
 	}
-	ws.best = append(ws.best[:0], rowOf...)
-	bestThresh := 0.0
-	lo, hi := 0, len(mags)-1 // mags[lo] is always feasible once set
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		r, s := maxCardinalityFiltered(a, mags[mid], ws)
-		if s == n {
-			ws.best = append(ws.best[:0], r...)
-			bestThresh = mags[mid]
-			lo = mid + 1
-		} else {
-			hi = mid - 1
+	// One pass for both bounds. lo is the largest magnitude known feasible
+	// (-1 while none is); it starts at the smallest non-NaN magnitude on
+	// the matching just found. hi takes the column maxima directly and the
+	// row maxima through ws.mags, with NaN counted as +Inf.
+	if cap(ws.mags) < n {
+		ws.mags = make([]float64, n)
+	}
+	rowMax := ws.mags[:n]
+	clear(rowMax)
+	lo, hi := -1.0, math.Inf(1)
+	for j, matched := range rowOf {
+		colMax := 0.0
+		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
+			i, m := a.Rowidx[p], math.Abs(a.Values[p])
+			if math.IsNaN(m) {
+				m = math.Inf(1)
+			} else if i == matched && (lo < 0 || m < lo) {
+				lo = m
+			}
+			colMax = max(colMax, m)
+			rowMax[i] = max(rowMax[i], m)
+		}
+		hi = min(hi, colMax)
+	}
+	for _, m := range rowMax {
+		hi = min(hi, m)
+	}
+
+	// Candidates: the magnitudes in (lo, hi]; NaN fails both tests.
+	cand := rowMax[:0]
+	for _, v := range a.Values[:a.Nnz()] {
+		if m := math.Abs(v); m > lo && m <= hi {
+			cand = append(cand, m)
 		}
 	}
-	return &Result{RowPerm: append([]int(nil), ws.best...), Bottleneck: bestThresh}, nil
+	ws.mags = cand
+	probed := false // ws.best holds the matching at lo
+	for len(cand) > 0 {
+		k := len(cand) / 2
+		selectKth(cand, k)
+		t := cand[k]
+		r, s := maxCardinalityFiltered(a, t, ws)
+		if s == n {
+			ws.best = append(ws.best[:0], r...)
+			lo, probed = t, true
+			cand = keepAbove(cand[k+1:], t)
+		} else {
+			cand = keepBelow(cand[:k], t)
+		}
+	}
+	if lo < 0 { // every value is NaN, and so is the largest feasible threshold
+		lo = math.NaN()
+	}
+	best := ws.best
+	if !probed {
+		best, _ = maxCardinalityFiltered(a, lo, ws)
+	}
+	return &Result{RowPerm: append([]int(nil), best...), Bottleneck: lo}, nil
 }
 
-func dedupSorted(x []float64) []float64 {
+// selectKth reorders x so that x[k] is the value a sort would put there,
+// with x[:k] <= x[k] <= x[k+1:] (quickselect, median-of-three pivots,
+// Hoare partition). x must hold no NaN.
+func selectKth(x []float64, k int) {
+	l, r := 0, len(x)-1
+	for r > l {
+		mid := l + (r-l)/2
+		if x[mid] < x[l] {
+			x[mid], x[l] = x[l], x[mid]
+		}
+		if x[r] < x[l] {
+			x[r], x[l] = x[l], x[r]
+		}
+		if x[r] < x[mid] {
+			x[r], x[mid] = x[mid], x[r]
+		}
+		pivot := x[mid]
+		i, j := l, r
+		for i <= j {
+			for x[i] < pivot {
+				i++
+			}
+			for pivot < x[j] {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i++
+				j--
+			}
+		}
+		// Now x[l:j+1] <= pivot <= x[i:r+1], and x[j+1:i] == pivot.
+		switch {
+		case k <= j:
+			r = j
+		case k >= i:
+			l = i
+		default:
+			return
+		}
+	}
+}
+
+// keepAbove compacts the entries of x greater than t to its front.
+func keepAbove(x []float64, t float64) []float64 {
 	out := x[:0]
-	for i, v := range x {
-		if i == 0 || v != x[i-1] {
+	for _, v := range x {
+		if v > t {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// keepBelow compacts the entries of x less than t to its front.
+func keepBelow(x []float64, t float64) []float64 {
+	out := x[:0]
+	for _, v := range x {
+		if v < t {
 			out = append(out, v)
 		}
 	}

@@ -437,7 +437,7 @@ func (a *CSC) MulVec(y, x []float64) {
 			continue
 		}
 		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			y[a.Rowidx[p]] += a.Values[p] * xj
+			y[a.Rowidx[p]] += float64(a.Values[p] * xj)
 		}
 	}
 }
@@ -447,7 +447,7 @@ func (a *CSC) MulVecT(y, x []float64) {
 	for j := 0; j < a.N; j++ {
 		s := 0.0
 		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			s += a.Values[p] * x[a.Rowidx[p]]
+			s += float64(a.Values[p] * x[a.Rowidx[p]])
 		}
 		y[j] = s
 	}

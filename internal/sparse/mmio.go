@@ -11,7 +11,24 @@ import (
 // ReadMatrixMarket parses a MatrixMarket "coordinate" stream. Supported
 // qualifiers: real/integer/pattern and general/symmetric. Pattern entries
 // get value 1; symmetric files are expanded to full storage.
+//
+// The stream is untrusted: a malformed size line, an index outside the
+// declared shape, a wrong entry count, a dimension above 2^26 or a value
+// that is (or whose duplicates sum to) NaN or ±Inf is an error, never a
+// panic, and memory grows with the entries actually read rather than the
+// count the size line declares. A returned matrix passes Validate.
 func ReadMatrixMarket(r io.Reader) (*CSC, error) {
+	return readMatrixMarket(r, 1<<26)
+}
+
+// mmPrealloc caps the triplet storage reserved from the declared count.
+const mmPrealloc = 1 << 16
+
+// readMatrixMarket is ReadMatrixMarket with the largest accepted dimension
+// as a parameter: the column pointers cost 16 bytes per column whatever
+// the entry count, so the dimension must be bounded before anything is
+// built.
+func readMatrixMarket(r io.Reader, maxDim int) (*CSC, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
 	if !sc.Scan() {
@@ -37,7 +54,8 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 	}
 
 	var m, n, nnz int
-	for sc.Scan() {
+	sized := false
+	for !sized && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
@@ -45,9 +63,22 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 		if _, err := fmt.Sscan(line, &m, &n, &nnz); err != nil {
 			return nil, fmt.Errorf("sparse: bad size line %q: %w", line, err)
 		}
-		break
+		sized = true
 	}
-	coo := NewCOO(m, n, nnz)
+	switch {
+	case !sized:
+		if err := sc.Err(); err != nil {
+			return nil, fmt.Errorf("sparse: reading MatrixMarket: %w", err)
+		}
+		return nil, fmt.Errorf("sparse: MatrixMarket stream has no size line")
+	case m < 0 || n < 0 || m > maxDim || n > maxDim:
+		return nil, fmt.Errorf("sparse: MatrixMarket dimensions %d×%d outside [0, %d]", m, n, maxDim)
+	case nnz < 0 || int64(nnz) > int64(m)*int64(n):
+		return nil, fmt.Errorf("sparse: MatrixMarket entry count %d outside [0, m·n] for %d×%d", nnz, m, n)
+	case sym == "symmetric" && m != n:
+		return nil, fmt.Errorf("sparse: symmetric MatrixMarket matrix is %d×%d", m, n)
+	}
+	coo := NewCOO(m, n, min(nnz, mmPrealloc))
 	read := 0
 	for read < nnz && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -66,6 +97,9 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sparse: bad col in %q: %w", line, err)
 		}
+		if i < 1 || i > m || j < 1 || j > n {
+			return nil, fmt.Errorf("sparse: entry (%d,%d) in %q outside the %d×%d matrix", i, j, line, m, n)
+		}
 		v := 1.0
 		if field != "pattern" {
 			if len(f) < 3 {
@@ -82,13 +116,17 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 		}
 		read++
 	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("sparse: reading MatrixMarket: %w", err)
+	}
 	if read != nnz {
 		return nil, fmt.Errorf("sparse: expected %d entries, read %d", nnz, read)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	a := coo.ToCSC(false)
+	if err := a.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("sparse: MatrixMarket values: %w", err)
 	}
-	return coo.ToCSC(false), nil
+	return a, nil
 }
 
 // WriteMatrixMarket writes a in MatrixMarket coordinate real general format.

@@ -427,8 +427,8 @@ func backwardError(a *sparse.CSC, x, rhs, r, den []float64) (omega, resid float6
 		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
 			i := a.Rowidx[p]
 			v := a.Values[p]
-			r[i] -= v * xj
-			den[i] += math.Abs(v) * axj
+			r[i] -= float64(v * xj)
+			den[i] += float64(math.Abs(v) * axj)
 		}
 	}
 	for i := range r {
