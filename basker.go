@@ -214,6 +214,15 @@ var (
 // and how long the sweep had been idle.
 type StallError = core.StallError
 
+// checkNil is the always-on screen of every entry point that takes a
+// *Matrix: a nil matrix reports ErrBadInput instead of a nil dereference.
+func checkNil(a *Matrix) error {
+	if a == nil {
+		return fmt.Errorf("%w: nil matrix", ErrBadInput)
+	}
+	return nil
+}
+
 // validateInput is the gated O(nnz) screen of the API boundary.
 func validateInput(a *Matrix, on bool) error {
 	if !on {
@@ -259,6 +268,9 @@ func (s *Solver) Factor(a *Matrix) (*Factorization, error) {
 // Options.StallTimeout. context.Background() keeps the exact fast path of
 // Factor.
 func (s *Solver) FactorCtx(ctx context.Context, a *Matrix) (*Factorization, error) {
+	if err := checkNil(a); err != nil {
+		return nil, err
+	}
 	if a.M != a.N {
 		return nil, fmt.Errorf("%w: matrix is %d×%d, want square", ErrDimensionMismatch, a.M, a.N)
 	}
@@ -391,8 +403,12 @@ func (f *Factorization) RefactorCtx(ctx context.Context, a *Matrix) error {
 }
 
 // refreshChecks is the shared API-boundary screen of the Refactor family:
-// an always-on O(1) dimension check plus the gated O(nnz) validation pass.
+// always-on O(1) nil and dimension checks plus the gated O(nnz) validation
+// pass.
 func (f *Factorization) refreshChecks(a *Matrix) error {
+	if err := checkNil(a); err != nil {
+		return err
+	}
 	if n := f.num.Sym.N; a.M != n || a.N != n {
 		return fmt.Errorf("%w: matrix is %d×%d, factorization is %d×%d", ErrDimensionMismatch, a.M, a.N, n, n)
 	}
@@ -562,15 +578,28 @@ const RefineTol = trisolve.RefineTol
 // matrix that was factored (or refactored). b is overwritten with x. Like
 // Solve, it is reentrant and draws all scratch from the workspace pool.
 func (f *Factorization) SolveRefined(a *Matrix, b []float64, maxIters int) (RefineResult, error) {
-	n := f.num.Sym.N
-	if a.M != n || a.N != n {
-		return RefineResult{}, fmt.Errorf("%w: matrix is %d×%d, factorization is %d×%d", ErrDimensionMismatch, a.M, a.N, n, n)
-	}
-	if len(b) != n {
-		return RefineResult{}, fmt.Errorf("%w: len(b) = %d, want %d", ErrDimensionMismatch, len(b), n)
+	if err := f.refineChecks(a, b); err != nil {
+		return RefineResult{}, err
 	}
 	res, err := f.ts.SolveRefined(a, b, maxIters)
 	return res, wrapErr(err)
+}
+
+// refineChecks is the always-on O(1) screen of SolveRefined and
+// SolveRefinedCtx: a nil matrix, and a matrix or right-hand side whose
+// dimensions do not match the factorization.
+func (f *Factorization) refineChecks(a *Matrix, b []float64) error {
+	if err := checkNil(a); err != nil {
+		return err
+	}
+	n := f.num.Sym.N
+	if a.M != n || a.N != n {
+		return fmt.Errorf("%w: matrix is %d×%d, factorization is %d×%d", ErrDimensionMismatch, a.M, a.N, n, n)
+	}
+	if len(b) != n {
+		return fmt.Errorf("%w: len(b) = %d, want %d", ErrDimensionMismatch, len(b), n)
+	}
+	return nil
 }
 
 // SolveRefinedCtx is SolveRefined with cooperative cancellation between
@@ -578,12 +607,8 @@ func (f *Factorization) SolveRefined(a *Matrix, b []float64, maxIters int) (Refi
 // best iterate computed so far, and the returned RefineResult describes it
 // with Canceled set alongside ErrCanceled or ErrDeadlineExceeded.
 func (f *Factorization) SolveRefinedCtx(ctx context.Context, a *Matrix, b []float64, maxIters int) (RefineResult, error) {
-	n := f.num.Sym.N
-	if a.M != n || a.N != n {
-		return RefineResult{}, fmt.Errorf("%w: matrix is %d×%d, factorization is %d×%d", ErrDimensionMismatch, a.M, a.N, n, n)
-	}
-	if len(b) != n {
-		return RefineResult{}, fmt.Errorf("%w: len(b) = %d, want %d", ErrDimensionMismatch, len(b), n)
+	if err := f.refineChecks(a, b); err != nil {
+		return RefineResult{}, err
 	}
 	res, err := f.ts.SolveRefinedCtx(ctx, a, b, maxIters)
 	return res, wrapErr(err)
@@ -701,11 +726,15 @@ type Stats struct {
 
 // Stats reports factorization statistics relative to the matrix a that was
 // factored. |L+U| is cached on the numeric object at factorization time,
-// so this is O(1).
+// so this is O(1). A nil a reports FillDensity 0.
 func (f *Factorization) Stats(a *Matrix) Stats {
+	fill := 0.0
+	if a != nil {
+		fill = f.num.FillDensity(a)
+	}
 	return Stats{
 		NnzLU:            f.num.NnzLU(),
-		FillDensity:      f.num.FillDensity(a),
+		FillDensity:      fill,
 		BTFBlocks:        f.num.Sym.NumBlocks(),
 		BTFPercent:       f.num.Sym.BTFPercent,
 		NDBlocks:         f.num.Sym.NumNDBlocks(),

@@ -1,6 +1,7 @@
 package basker
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -137,5 +138,61 @@ func TestFaultTypedErrorsMalformed(t *testing.T) {
 	}
 	if err := f.RefactorAuto(poisoned); !errors.Is(err, ErrNotFinite) {
 		t.Fatalf("RefactorAuto with -Inf value reported %v, want ErrNotFinite", err)
+	}
+}
+
+// TestNilMatrixRejected pins the always-on nil screen: every entry point
+// that takes a *Matrix reports ErrBadInput for a nil one instead of
+// dereferencing it, with the validation screen off, and Stats reports a
+// zero fill density.
+func TestNilMatrixRejected(t *testing.T) {
+	a := matgen.Circuit(matgen.CircuitParams{N: 80, BTFPct: 40, Blocks: 6, Core: matgen.CoreLadder, ExtraDensity: 0.3, Seed: 5})
+	f, err := New(Options{}).Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pool, sharded := NewPool(PoolOptions{}), NewShardedPool(2, PoolOptions{})
+	b := make([]float64, a.N)
+	lease := func(_ *Lease, err error) error { return err }
+	refine := func(_ RefineResult, err error) error { return err }
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Solver.Factor", func() error { _, err := New(Options{}).Factor(nil); return err }},
+		{"Solver.FactorCtx", func() error { _, err := New(Options{}).FactorCtx(ctx, nil); return err }},
+		{"Refactor", func() error { return f.Refactor(nil) }},
+		{"RefactorCtx", func() error { return f.RefactorCtx(ctx, nil) }},
+		{"RefactorPartial", func() error { return f.RefactorPartial(nil, []int{0}) }},
+		{"RefactorPartialCtx", func() error { return f.RefactorPartialCtx(ctx, nil, []int{0}) }},
+		{"RefactorAuto", func() error { return f.RefactorAuto(nil) }},
+		{"RefactorAutoCtx", func() error { return f.RefactorAutoCtx(ctx, nil) }},
+		{"RefactorRobust", func() error { return f.RefactorRobust(nil) }},
+		{"SolveRefined", func() error { return refine(f.SolveRefined(nil, b, 2)) }},
+		{"SolveRefinedCtx", func() error { return refine(f.SolveRefinedCtx(ctx, nil, b, 2)) }},
+		{"Pool.Acquire", func() error { return lease(pool.Acquire(nil)) }},
+		{"Pool.AcquireCtx", func() error { return lease(pool.AcquireCtx(ctx, nil)) }},
+		{"Pool.Factor", func() error { return lease(pool.Factor(nil)) }},
+		{"Pool.Solve", func() error { return pool.Solve(nil, b) }},
+		{"Pool.SolveMany", func() error { return pool.SolveMany(nil, [][]float64{b}) }},
+		{"ShardedPool.Acquire", func() error { return lease(sharded.Acquire(nil)) }},
+		{"ShardedPool.AcquireCtx", func() error { return lease(sharded.AcquireCtx(ctx, nil)) }},
+		{"ShardedPool.Factor", func() error { return lease(sharded.Factor(nil)) }},
+		{"ShardedPool.Solve", func() error { return sharded.Solve(nil, b) }},
+		{"ShardedPool.SolveMany", func() error { return sharded.SolveMany(nil, [][]float64{b}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.call(); !errors.Is(err, ErrBadInput) {
+				t.Fatalf("nil matrix reported %v, want ErrBadInput", err)
+			}
+		})
+	}
+	if s := f.Stats(nil); s.FillDensity != 0 || s.NnzLU != f.Stats(a).NnzLU {
+		t.Fatalf("Stats(nil) = %+v, want the factorization's counts with FillDensity 0", s)
+	}
+	// The rejected calls left the factorization usable.
+	if err := f.Solve(b); err != nil {
+		t.Fatalf("solve after rejected nil inputs: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gp"
@@ -213,6 +214,132 @@ func FuzzRefactorAuto(f *testing.F) {
 				}
 				assertSameFactors(t, twin, sub, ctx+" re-normalize")
 			}
+		}
+	})
+}
+
+// FuzzRefactorPartial drives RefactorPartial with adversarial change sets
+// on a random matgen class against a twin that runs a full Refactor every
+// step. Each script byte is one step that restamps a few columns and lists
+// them: as they are, with duplicates, unsorted, not at all (an empty set
+// for an unchanged matrix), padded with unchanged columns, padded past half
+// the columns (the full-sweep degrade), or with an out-of-range index on a
+// small or a near-total set. After each step the factors, permuted values
+// and the solution of one right-hand side must agree bit for bit, or both
+// calls must fail with the same error class. An out-of-range index must be
+// rejected before anything is gathered: the subject keeps the twin's bits,
+// and the restamp is undone. As in FuzzRefactorAuto, a pivot-drift
+// fallback refactors in another order, so both sides refresh once more.
+//
+// Run the smoke locally with:
+//
+//	go test -run xxx -fuzz FuzzRefactorPartial -fuzztime=10s ./internal/core
+func FuzzRefactorPartial(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(int64(2), uint8(10), uint8(1), []byte{7, 6, 5, 4, 3, 2, 1, 0})
+	f.Add(int64(3), uint8(16), uint8(1), []byte{1, 1, 6, 2, 5, 0})
+	f.Add(int64(4), uint8(21), uint8(0), []byte{4, 3, 7, 0, 2})
+	f.Fuzz(func(t *testing.T, seed int64, class, threads uint8, script []byte) {
+		suite := matgen.TableISuite(0.05)
+		a := suite[int(class)%len(suite)].Gen()
+		n := a.N
+		sym, err := Analyze(a, optsWithThreads(1+int(threads)%2))
+		if err != nil {
+			t.Skip()
+		}
+		var sub, twin *Numeric
+		for _, p := range []**Numeric{&sub, &twin} {
+			num, err := Factor(a, sym)
+			if err != nil {
+				t.Skip()
+			}
+			if err := num.Refactor(a); err != nil {
+				t.Skip()
+			}
+			*p = num
+		}
+		errClass := func(err error) string {
+			switch {
+			case err == nil:
+				return "nil"
+			case errors.Is(err, gp.ErrSingular):
+				return "singular"
+			}
+			return "other"
+		}
+		both := func(ctx string, errSub, errTwin error) bool {
+			if errClass(errSub) != errClass(errTwin) {
+				t.Fatalf("%s: subject %v, twin %v", ctx, errSub, errTwin)
+			}
+			return errSub == nil
+		}
+		rng := rand.New(rand.NewSource(seed))
+		rhs := make([]float64, n)
+		for i := range rhs {
+			rhs[i] = rng.NormFloat64()
+		}
+		sameSolve := func(ctx string) {
+			xs, xt := slices.Clone(rhs), slices.Clone(rhs)
+			sub.Solve(xs)
+			twin.Solve(xt)
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(xt[i]) {
+					t.Fatalf("%s: solution diverges at %d: %v vs %v", ctx, i, xs[i], xt[i])
+				}
+			}
+		}
+		if len(script) > 12 {
+			script = script[:12]
+		}
+		for step, op := range script {
+			kind := op % 8
+			ctx := fmt.Sprintf("step %d (kind %d)", step, kind)
+			var cols []int
+			if kind != 3 {
+				cols = matgen.ChangeSet(n, 0.04, rng.Int63(), rng.Intn(2) == 0)
+			}
+			prev := slices.Clone(a.Values)
+			for _, j := range cols {
+				for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
+					a.Values[p] *= 0.85 + 0.3*rng.Float64()
+				}
+			}
+			listed := slices.Clone(cols)
+			switch kind {
+			case 1: // every column twice, the copies after the originals
+				listed = append(listed, cols...)
+			case 2: // shuffled
+				rng.Shuffle(len(listed), func(i, j int) { listed[i], listed[j] = listed[j], listed[i] })
+			case 4: // plus a few unchanged columns
+				for range 1 + rng.Intn(8) {
+					listed = append(listed, rng.Intn(n))
+				}
+			case 5, 7: // past half the columns: the full-sweep degrade
+				for len(listed)*2 < n+2 {
+					listed = append(listed, rng.Intn(n))
+				}
+			}
+			if kind == 6 || kind == 7 {
+				bad := []int{-1, n, n + 1 + rng.Intn(n), math.MinInt}[rng.Intn(4)]
+				listed = slices.Insert(listed, rng.Intn(len(listed)+1), bad)
+				if err := sub.RefactorPartial(a, listed); err == nil {
+					t.Fatalf("%s: column %d out of range accepted", ctx, bad)
+				}
+				copy(a.Values, prev)
+				assertSameFactors(t, twin, sub, ctx+" rejected")
+				continue
+			}
+			fallbacks := sub.PivotFallbacks() + twin.PivotFallbacks()
+			if !both(ctx, sub.RefactorPartial(a, listed), twin.Refactor(a)) {
+				return // values unspecified on both sides
+			}
+			if sub.PivotFallbacks()+twin.PivotFallbacks() != fallbacks {
+				if !both(ctx+" re-normalize", sub.Refactor(a), twin.Refactor(a)) {
+					return
+				}
+			}
+			assertSameFactors(t, twin, sub, ctx)
+			sameSolve(ctx)
 		}
 	})
 }

@@ -184,6 +184,13 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 	// call runs a full recovery refresh.
 	defer num.recoverSerial(&err)
 	sym, pl := num.Sym, num.plan
+	// An out-of-range column is rejected whatever the set's size, before
+	// the near-total degrade below could accept it.
+	for _, j := range changed {
+		if j < 0 || j >= sym.N {
+			return fmt.Errorf("core: RefactorPartial: column %d out of range", j)
+		}
+	}
 	if num.incPoisoned || len(changed)*2 >= sym.N {
 		// A prior failed sweep left unspecified values behind, so the partial
 		// contract cannot hold; and a near-total change set gains nothing
@@ -201,9 +208,6 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 	num.ensureIncremental()
 	inc := num.inc
 	for _, j := range changed {
-		if j < 0 || j >= sym.N {
-			return fmt.Errorf("core: RefactorPartial: column %d out of range", j)
-		}
 		k := sym.colPos[j]
 		p0, p1 := num.Perm.Colptr[k], num.Perm.Colptr[k+1]
 		for t := p0; t < p1; t++ {

@@ -350,6 +350,11 @@ func TestRefactorPartialGuards(t *testing.T) {
 	if err := num.RefactorPartial(base, []int{base.N}); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
+	// A near-total set degrades to the full sweep, but only after its
+	// indices passed the same range check.
+	if err := num.RefactorPartial(base, append(sparse.IdentityPerm(base.N), -1)); err == nil {
+		t.Fatal("expected out-of-range error from a near-total change set")
+	}
 	// Move an entry of a column to another row: the changed-column pattern
 	// verification must reject it.
 	shifted := base.Clone()

@@ -1053,13 +1053,15 @@ func (num *ndNum) ndSolve(y []float64) {
 			}
 			r0, _ := s.blockRange(i)
 			yi, pinv := y[r0:], num.diag[i].Pinv
-			for c := 0; c < lb.N; c++ {
-				xc := y[c0+c]
+			lp, li, lx := lb.Colptr, lb.Rowidx, lb.Values
+			for c, xc := range y[c0 : c0+lb.N] {
 				if xc == 0 {
 					continue
 				}
-				for p := lb.Colptr[c]; p < lb.Colptr[c+1]; p++ {
-					yi[pinv[lb.Rowidx[p]]] -= float64(lb.Values[p] * xc)
+				rows, vals := li[lp[c]:lp[c+1]], lx[lp[c]:lp[c+1]]
+				vals = vals[:len(rows)]
+				for q, r := range rows {
+					yi[pinv[r]] -= float64(vals[q] * xc)
 				}
 			}
 		}
@@ -1078,13 +1080,15 @@ func (num *ndNum) ndSolve(y []float64) {
 				continue
 			}
 			j0, _ := s.blockRange(j)
-			for c := 0; c < ub.N; c++ {
-				xc := y[j0+c]
+			yk, up, ui, ux := y[c0:], ub.Colptr, ub.Rowidx, ub.Values
+			for c, xc := range y[j0 : j0+ub.N] {
 				if xc == 0 {
 					continue
 				}
-				for p := ub.Colptr[c]; p < ub.Colptr[c+1]; p++ {
-					y[c0+ub.Rowidx[p]] -= float64(ub.Values[p] * xc)
+				rows, vals := ui[up[c]:up[c+1]], ux[up[c]:up[c+1]]
+				vals = vals[:len(rows)]
+				for q, r := range rows {
+					yk[r] -= float64(vals[q] * xc)
 				}
 			}
 		}

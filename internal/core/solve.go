@@ -78,6 +78,7 @@ func (num *Numeric) SolveInto(rhs, y []float64) {
 		num.solveBlock(blk, y)
 		num.offBlockUpdate(blk, y)
 	}
+	y = y[:len(sym.ColPerm)]
 	for k, j := range sym.ColPerm {
 		rhs[j] = y[k]
 	}
@@ -102,7 +103,8 @@ func (num *Numeric) solveBlock(blk int, y []float64) {
 // pivot-order vector y (the entries above the diagonal block in its
 // columns) — the coupling step of the coarse BTF back-substitution.
 func (num *Numeric) offBlockUpdate(blk int, y []float64) {
-	sym, perm, offPtr := num.Sym, num.Perm, num.plan.offPtr
+	sym, offPtr, offRow := num.Sym, num.plan.offPtr, num.offRow
+	pp, px := num.Perm.Colptr, num.Perm.Values
 	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 	for c := r0; c < r1; c++ {
 		xc := y[c]
@@ -110,7 +112,9 @@ func (num *Numeric) offBlockUpdate(blk int, y []float64) {
 		if xc == 0 || q0 == q1 {
 			continue
 		}
-		rows, vals := num.offRow[q0:q1], perm.Values[perm.Colptr[c]:]
+		rows := offRow[q0:q1]
+		vals := px[pp[c]:]
+		vals = vals[:len(rows)]
 		for q, i := range rows {
 			y[i] -= float64(vals[q] * xc)
 		}

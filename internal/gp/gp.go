@@ -795,31 +795,41 @@ func (f *Factors) usolvePanelGo(y []PanelRow) {
 }
 
 // LSolve solves L y = y in place (forward substitution, unit diagonal,
-// sorted columns with the diagonal first).
+// sorted columns with the diagonal first). As in the panel sweeps, the
+// factor's slices are loaded once and every column is sliced once, so the
+// inner loop pays one bounds check, on the scatter target: reads through
+// f would be reloaded after every store to y. USolve, the transpose
+// solves and the column refresh follow the same rule.
 func (f *Factors) LSolve(y []float64) {
-	for j := 0; j < f.N; j++ {
+	lp, li, lx := f.L.Colptr, f.L.Rowidx, f.L.Values
+	for j := range f.N {
 		yj := y[j]
 		if yj == 0 {
 			continue
 		}
-		for p := f.L.Colptr[j] + 1; p < f.L.Colptr[j+1]; p++ {
-			y[f.L.Rowidx[p]] -= float64(f.L.Values[p] * yj)
+		p0, p1 := lp[j]+1, lp[j+1]
+		rows, vals := li[p0:p1], lx[p0:p1]
+		vals = vals[:len(rows)]
+		for q, i := range rows {
+			y[i] -= float64(vals[q] * yj)
 		}
 	}
 }
 
 // USolve solves U x = y in place (backward substitution, pivot last).
 func (f *Factors) USolve(y []float64) {
+	up, ui, ux := f.U.Colptr, f.U.Rowidx, f.U.Values
 	for j := f.N - 1; j >= 0; j-- {
-		p1 := f.U.Colptr[j+1]
-		piv := f.U.Values[p1-1] // diagonal is the largest row index: last
-		yj := y[j] / piv
+		p0, p1 := up[j], up[j+1]-1
+		yj := y[j] / ux[p1] // diagonal is the largest row index: last
 		y[j] = yj
 		if yj == 0 {
 			continue
 		}
-		for p := f.U.Colptr[j]; p < p1-1; p++ {
-			y[f.U.Rowidx[p]] -= float64(f.U.Values[p] * yj)
+		rows, vals := ui[p0:p1], ux[p0:p1]
+		vals = vals[:len(rows)]
+		for q, i := range rows {
+			y[i] -= float64(vals[q] * yj)
 		}
 	}
 }
@@ -909,45 +919,58 @@ func (f *Factors) refresh(a *sparse.CSC, ws *Workspace, colStamp []uint64, epoch
 // supernode. x is the dense accumulator (clean on entry and on return,
 // including the singular-pivot error path).
 func (f *Factors) refactorColumn(a *sparse.CSC, x []float64, k int) error {
-	// Scatter P·A(:,k) over pivot positions.
-	for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
-		x[f.Pinv[a.Rowidx[p]]] = a.Values[p]
-	}
+	scatterColumn(x, f.Pinv, a, k)
+	lp, li, lx := f.L.Colptr, f.L.Rowidx, f.L.Values
 	// Eliminate along U(:,k)'s pattern in ascending row order.
 	up0, up1 := f.U.Colptr[k], f.U.Colptr[k+1]
-	for p := up0; p < up1-1; p++ {
-		j := f.U.Rowidx[p]
+	upat := f.U.Rowidx[up0:up1]
+	urows, uvals := upat[:len(upat)-1], f.U.Values[up0:up1-1]
+	uvals = uvals[:len(urows)]
+	for p, j := range urows {
 		xj := x[j]
-		f.U.Values[p] = xj
+		uvals[p] = xj
 		if xj == 0 {
 			continue
 		}
-		rows := f.L.Rowidx[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
-		vals := f.L.Values[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
-		vals = vals[:len(rows)] // bounds-check elimination hint
+		p0, p1 := lp[j]+1, lp[j+1]
+		rows, vals := li[p0:p1], lx[p0:p1]
+		vals = vals[:len(rows)]
 		for t, i := range rows {
 			x[i] -= float64(vals[t] * xj)
 		}
 	}
+	l0, l1 := lp[k], lp[k+1]
 	piv := x[k]
 	if piv == 0 {
 		// Clear workspace before reporting.
-		for p := up0; p < up1; p++ {
-			x[f.U.Rowidx[p]] = 0
+		for _, i := range upat {
+			x[i] = 0
 		}
-		for t := f.L.Colptr[k]; t < f.L.Colptr[k+1]; t++ {
-			x[f.L.Rowidx[t]] = 0
+		for _, i := range li[l0:l1] {
+			x[i] = 0
 		}
 		return fmt.Errorf("gp: refactor column %d: %w", k, ErrSingular)
 	}
 	f.U.Values[up1-1] = piv
-	for t := f.L.Colptr[k] + 1; t < f.L.Colptr[k+1]; t++ {
-		i := f.L.Rowidx[t]
-		f.L.Values[t] = x[i] / piv
+	rows, vals := li[l0+1:l1], lx[l0+1:l1]
+	vals = vals[:len(rows)]
+	for t, i := range rows {
+		vals[t] = x[i] / piv
 		x[i] = 0
 	}
-	for p := up0; p < up1; p++ {
-		x[f.U.Rowidx[p]] = 0
+	for _, i := range upat {
+		x[i] = 0
 	}
 	return nil
+}
+
+// scatterColumn scatters P·A(:,k) over pivot positions of the dense
+// accumulator x: the first step of every column refresh.
+func scatterColumn(x []float64, pinv []int, a *sparse.CSC, k int) {
+	p0, p1 := a.Colptr[k], a.Colptr[k+1]
+	rows, vals := a.Rowidx[p0:p1], a.Values[p0:p1]
+	vals = vals[:len(rows)]
+	for t, r := range rows {
+		x[pinv[r]] = vals[t]
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/matgen"
 	"repro/internal/order/amd"
@@ -321,6 +322,64 @@ func BenchmarkPanelSweep(b *testing.B) {
 				path.l(f, y)
 				path.u(f, y)
 			}
+		})
+	}
+}
+
+// BenchmarkColumnSweep times the single-vector column kernels on the same
+// 30k xyce leaf, factored column at a time: each op is one LSolve + USolve
+// from a fresh copy of one right-hand side and one full Refactor, through
+// the pre-hoist reference loops (column_ref_test.go) and through the
+// production kernels. solve-ms and refactor-ms split the op.
+func BenchmarkColumnSweep(b *testing.B) {
+	blocks := ndSnodeCases(b, "xyce", matgen.Circuit(matgen.CircuitParams{N: 30000, BTFPct: 21, Blocks: 1000, Core: matgen.CoreLadder, ExtraDensity: 0.4, Seed: 111}))
+	if len(blocks) == 0 {
+		b.Fatal("the xyce pattern has no large diagonal block")
+	}
+	a := blocks[0].a
+	f, err := Factor(a, 0, Options{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(33))
+	in := make([]float64, f.N)
+	for i := range in {
+		in[i] = rng.NormFloat64()
+	}
+	y := make([]float64, f.N)
+	ws := NewWorkspace(f.N)
+	refRefactor := func(f *Factors, a *sparse.CSC, ws *Workspace) error {
+		for k := range f.N {
+			if err := f.refactorColumnRef(a, ws.X, k); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, path := range []struct {
+		name     string
+		l, u     func(*Factors, []float64)
+		refactor func(*Factors, *sparse.CSC, *Workspace) error
+	}{
+		{"ref", (*Factors).lsolveRef, (*Factors).usolveRef, refRefactor},
+		{"kernel", (*Factors).LSolve, (*Factors).USolve, (*Factors).Refactor},
+	} {
+		b.Run(path.name, func(b *testing.B) {
+			var solve, refactor time.Duration
+			for b.Loop() {
+				t0 := time.Now()
+				copy(y, in)
+				path.l(f, y)
+				path.u(f, y)
+				t1 := time.Now()
+				if err := path.refactor(f, a, ws); err != nil {
+					b.Fatal(err)
+				}
+				solve += t1.Sub(t0)
+				refactor += time.Since(t1)
+			}
+			b.ReportMetric(float64(solve.Nanoseconds())/1e6/float64(b.N), "solve-ms")
+			b.ReportMetric(float64(refactor.Nanoseconds())/1e6/float64(b.N), "refactor-ms")
 		})
 	}
 }

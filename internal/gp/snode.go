@@ -480,23 +480,28 @@ func (f *Factors) refreshSupernode(a *sparse.CSC, ws *Workspace, k0, k1 int, blo
 // accumulator x, which it leaves clean.
 func (f *Factors) outsideColumns(a *sparse.CSC, x []float64, k0, k1 int, panel *dense.Matrix) {
 	w := k1 - k0
-	below := f.L.Rowidx[f.L.Colptr[k0]+w : f.L.Colptr[k0+1]]
+	lp, li, lx := f.L.Colptr, f.L.Rowidx, f.L.Values
+	up, ui, ux := f.U.Colptr, f.U.Rowidx, f.U.Values
+	below := li[lp[k0]+w : lp[k0+1]]
 	for c := 0; c < w; c++ {
 		k := k0 + c
-		for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
-			x[f.Pinv[a.Rowidx[p]]] = a.Values[p]
-		}
-		for p := f.U.Colptr[k]; f.U.Rowidx[p] < k0; p++ {
-			j := f.U.Rowidx[p]
+		scatterColumn(x, f.Pinv, a, k)
+		// U(:,k)'s outside rows come first; its pivot row k ≥ k0 ends them.
+		urows, uvals := ui[up[k]:up[k+1]], ux[up[k]:up[k+1]]
+		uvals = uvals[:len(urows)]
+		for p, j := range urows {
+			if j >= k0 {
+				break
+			}
 			xj := x[j]
-			f.U.Values[p] = xj
+			uvals[p] = xj
 			x[j] = 0
 			if xj == 0 {
 				continue
 			}
-			rows := f.L.Rowidx[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
-			vals := f.L.Values[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
-			vals = vals[:len(rows)] // bounds-check elimination hint
+			p0, p1 := lp[j]+1, lp[j+1]
+			rows, vals := li[p0:p1], lx[p0:p1]
+			vals = vals[:len(rows)]
 			for t, i := range rows {
 				x[i] -= float64(vals[t] * xj)
 			}

@@ -11,10 +11,14 @@ package gp
 // sweep runs backward; row j of Lᵀ is column j of L (entries below the
 // diagonal).
 func (f *Factors) LSolveT(y []float64) {
+	lp, li, lx := f.L.Colptr, f.L.Rowidx, f.L.Values
 	for j := f.N - 1; j >= 0; j-- {
+		p0, p1 := lp[j]+1, lp[j+1]
+		rows, vals := li[p0:p1], lx[p0:p1]
+		vals = vals[:len(rows)]
 		yj := y[j]
-		for p := f.L.Colptr[j] + 1; p < f.L.Colptr[j+1]; p++ {
-			yj -= float64(f.L.Values[p] * y[f.L.Rowidx[p]])
+		for q, i := range rows {
+			yj -= float64(vals[q] * y[i])
 		}
 		y[j] = yj
 	}
@@ -23,13 +27,16 @@ func (f *Factors) LSolveT(y []float64) {
 // USolveT solves Uᵀ x = y in place. Uᵀ is lower triangular, so the sweep
 // runs forward; row j of Uᵀ is column j of U with the pivot stored last.
 func (f *Factors) USolveT(y []float64) {
-	for j := 0; j < f.N; j++ {
-		p1 := f.U.Colptr[j+1]
+	up, ui, ux := f.U.Colptr, f.U.Rowidx, f.U.Values
+	for j := range f.N {
+		p0, p1 := up[j], up[j+1]-1
+		rows, vals := ui[p0:p1], ux[p0:p1]
+		vals = vals[:len(rows)]
 		yj := y[j]
-		for p := f.U.Colptr[j]; p < p1-1; p++ {
-			yj -= float64(f.U.Values[p] * y[f.U.Rowidx[p]])
+		for q, i := range rows {
+			yj -= float64(vals[q] * y[i])
 		}
-		y[j] = yj / f.U.Values[p1-1]
+		y[j] = yj / ux[p1]
 	}
 }
 

@@ -330,13 +330,13 @@ func ExtractBlockInto(dst, src *CSC, entryMap []int) {
 // change set that touches a few columns gathers exactly those columns'
 // entries instead of the whole matrix. Zero allocation.
 func GatherRange(dst, src *CSC, entryMap []int, p0, p1 int) {
-	dv, sv := dst.Values, src.Values
-	for t := p0; t < p1; t++ {
-		dv[t] = sv[entryMap[t]]
-	}
+	gatherValues(dst.Values[p0:p1], src.Values, entryMap[p0:p1])
 }
 
+// gatherValues sets dst[t] = src[entryMap[t]]. dst is cut to the map's
+// length first, so the loop pays one bounds check per entry, on the source.
 func gatherValues(dst, src []float64, entryMap []int) {
+	dst = dst[:len(entryMap)]
 	for t, s := range entryMap {
 		dst[t] = src[s]
 	}

@@ -393,6 +393,9 @@ func (p *Pool) Acquire(a *Matrix) (*Lease, error) {
 // is discarded (its numerics are unspecified), so later Acquires of the
 // pattern rebuild cleanly.
 func (p *Pool) AcquireCtx(ctx context.Context, a *Matrix) (*Lease, error) {
+	if err := checkNil(a); err != nil {
+		return nil, err
+	}
 	return p.acquireKeyed(ctx, a, patternKey(a))
 }
 
@@ -472,6 +475,9 @@ func isAbortErr(err error) bool {
 // when an idle same-pattern factorization is cached, its entire storage are
 // reused, so repeated same-pattern Factor calls allocate almost nothing.
 func (p *Pool) Factor(a *Matrix) (*Lease, error) {
+	if err := checkNil(a); err != nil {
+		return nil, err
+	}
 	return p.factorKeyed(a, patternKey(a))
 }
 

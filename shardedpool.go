@@ -122,12 +122,18 @@ func (sp *ShardedPool) Acquire(a *Matrix) (*Lease, error) {
 
 // AcquireCtx routes to the pattern's shard; see Pool.AcquireCtx.
 func (sp *ShardedPool) AcquireCtx(ctx context.Context, a *Matrix) (*Lease, error) {
+	if err := checkNil(a); err != nil {
+		return nil, err
+	}
 	key := patternKey(a)
 	return sp.shardOf(key).acquireKeyed(ctx, a, key)
 }
 
 // Factor routes to the pattern's shard; see Pool.Factor.
 func (sp *ShardedPool) Factor(a *Matrix) (*Lease, error) {
+	if err := checkNil(a); err != nil {
+		return nil, err
+	}
 	key := patternKey(a)
 	return sp.shardOf(key).factorKeyed(a, key)
 }
