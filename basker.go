@@ -214,11 +214,15 @@ var (
 // and how long the sweep had been idle.
 type StallError = core.StallError
 
-// checkNil is the always-on screen of every entry point that takes a
-// *Matrix: a nil matrix reports ErrBadInput instead of a nil dereference.
-func checkNil(a *Matrix) error {
+// checkMatrix is the always-on O(1) screen of every entry point that takes
+// a *Matrix: a nil matrix or a negative dimension reports ErrBadInput
+// instead of a nil dereference or an out-of-range slice.
+func checkMatrix(a *Matrix) error {
 	if a == nil {
 		return fmt.Errorf("%w: nil matrix", ErrBadInput)
+	}
+	if a.M < 0 || a.N < 0 {
+		return fmt.Errorf("%w: matrix is %d×%d, dimensions must not be negative", ErrBadInput, a.M, a.N)
 	}
 	return nil
 }
@@ -268,7 +272,7 @@ func (s *Solver) Factor(a *Matrix) (*Factorization, error) {
 // Options.StallTimeout. context.Background() keeps the exact fast path of
 // Factor.
 func (s *Solver) FactorCtx(ctx context.Context, a *Matrix) (*Factorization, error) {
-	if err := checkNil(a); err != nil {
+	if err := checkMatrix(a); err != nil {
 		return nil, err
 	}
 	if a.M != a.N {
@@ -406,7 +410,7 @@ func (f *Factorization) RefactorCtx(ctx context.Context, a *Matrix) error {
 // always-on O(1) nil and dimension checks plus the gated O(nnz) validation
 // pass.
 func (f *Factorization) refreshChecks(a *Matrix) error {
-	if err := checkNil(a); err != nil {
+	if err := checkMatrix(a); err != nil {
 		return err
 	}
 	if n := f.num.Sym.N; a.M != n || a.N != n {
@@ -589,7 +593,7 @@ func (f *Factorization) SolveRefined(a *Matrix, b []float64, maxIters int) (Refi
 // SolveRefinedCtx: a nil matrix, and a matrix or right-hand side whose
 // dimensions do not match the factorization.
 func (f *Factorization) refineChecks(a *Matrix, b []float64) error {
-	if err := checkNil(a); err != nil {
+	if err := checkMatrix(a); err != nil {
 		return err
 	}
 	n := f.num.Sym.N

@@ -42,7 +42,7 @@ var (
 	stallTimeout = flag.Duration("stall-timeout", 10*time.Second,
 		"per-sweep stall watchdog; a wedged sweep aborts with 503 stalled instead of hanging (0 disables)")
 	validate = flag.Bool("validate", true,
-		"screen incoming matrices (CSC invariants, finiteness) before factoring")
+		"screen incoming matrices for non-finite values before factoring (inline CSC structure is always checked)")
 )
 
 func main() {

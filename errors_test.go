@@ -90,6 +90,12 @@ func TestFaultTypedErrorsMalformed(t *testing.T) {
 		t.Fatalf("Factor of broken colptr reported %v, want ErrBadInput", err)
 	}
 
+	// An interior column pointer past nnz: rejected before any row read.
+	bad = &Matrix{M: 2, N: 2, Colptr: []int{0, 5, 2}, Rowidx: []int{0, 1}, Values: []float64{1, 1}}
+	if _, err := s.Factor(bad); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("Factor of colptr past nnz reported %v, want ErrBadInput", err)
+	}
+
 	// Row index out of range.
 	bad = &Matrix{M: 2, N: 2, Colptr: []int{0, 1, 2}, Rowidx: []int{0, 5}, Values: []float64{1, 1}}
 	if _, err := s.Factor(bad); !errors.Is(err, ErrBadInput) {
@@ -141,10 +147,10 @@ func TestFaultTypedErrorsMalformed(t *testing.T) {
 	}
 }
 
-// TestNilMatrixRejected pins the always-on nil screen: every entry point
-// that takes a *Matrix reports ErrBadInput for a nil one instead of
-// dereferencing it, with the validation screen off, and Stats reports a
-// zero fill density.
+// TestNilMatrixRejected pins the always-on O(1) screen: every entry point
+// that takes a *Matrix reports ErrBadInput for a nil one or one with
+// negative dimensions instead of dereferencing or slicing it, with the
+// validation screen off, and Stats reports a zero fill density.
 func TestNilMatrixRejected(t *testing.T) {
 	a := matgen.Circuit(matgen.CircuitParams{N: 80, BTFPct: 40, Blocks: 6, Core: matgen.CoreLadder, ExtraDensity: 0.3, Seed: 5})
 	f, err := New(Options{}).Factor(a)
@@ -158,33 +164,36 @@ func TestNilMatrixRejected(t *testing.T) {
 	refine := func(_ RefineResult, err error) error { return err }
 	for _, c := range []struct {
 		name string
-		call func() error
+		call func(*Matrix) error
 	}{
-		{"Solver.Factor", func() error { _, err := New(Options{}).Factor(nil); return err }},
-		{"Solver.FactorCtx", func() error { _, err := New(Options{}).FactorCtx(ctx, nil); return err }},
-		{"Refactor", func() error { return f.Refactor(nil) }},
-		{"RefactorCtx", func() error { return f.RefactorCtx(ctx, nil) }},
-		{"RefactorPartial", func() error { return f.RefactorPartial(nil, []int{0}) }},
-		{"RefactorPartialCtx", func() error { return f.RefactorPartialCtx(ctx, nil, []int{0}) }},
-		{"RefactorAuto", func() error { return f.RefactorAuto(nil) }},
-		{"RefactorAutoCtx", func() error { return f.RefactorAutoCtx(ctx, nil) }},
-		{"RefactorRobust", func() error { return f.RefactorRobust(nil) }},
-		{"SolveRefined", func() error { return refine(f.SolveRefined(nil, b, 2)) }},
-		{"SolveRefinedCtx", func() error { return refine(f.SolveRefinedCtx(ctx, nil, b, 2)) }},
-		{"Pool.Acquire", func() error { return lease(pool.Acquire(nil)) }},
-		{"Pool.AcquireCtx", func() error { return lease(pool.AcquireCtx(ctx, nil)) }},
-		{"Pool.Factor", func() error { return lease(pool.Factor(nil)) }},
-		{"Pool.Solve", func() error { return pool.Solve(nil, b) }},
-		{"Pool.SolveMany", func() error { return pool.SolveMany(nil, [][]float64{b}) }},
-		{"ShardedPool.Acquire", func() error { return lease(sharded.Acquire(nil)) }},
-		{"ShardedPool.AcquireCtx", func() error { return lease(sharded.AcquireCtx(ctx, nil)) }},
-		{"ShardedPool.Factor", func() error { return lease(sharded.Factor(nil)) }},
-		{"ShardedPool.Solve", func() error { return sharded.Solve(nil, b) }},
-		{"ShardedPool.SolveMany", func() error { return sharded.SolveMany(nil, [][]float64{b}) }},
+		{"Solver.Factor", func(m *Matrix) error { _, err := New(Options{}).Factor(m); return err }},
+		{"Solver.FactorCtx", func(m *Matrix) error { _, err := New(Options{}).FactorCtx(ctx, m); return err }},
+		{"Refactor", func(m *Matrix) error { return f.Refactor(m) }},
+		{"RefactorCtx", func(m *Matrix) error { return f.RefactorCtx(ctx, m) }},
+		{"RefactorPartial", func(m *Matrix) error { return f.RefactorPartial(m, []int{0}) }},
+		{"RefactorPartialCtx", func(m *Matrix) error { return f.RefactorPartialCtx(ctx, m, []int{0}) }},
+		{"RefactorAuto", func(m *Matrix) error { return f.RefactorAuto(m) }},
+		{"RefactorAutoCtx", func(m *Matrix) error { return f.RefactorAutoCtx(ctx, m) }},
+		{"RefactorRobust", func(m *Matrix) error { return f.RefactorRobust(m) }},
+		{"SolveRefined", func(m *Matrix) error { return refine(f.SolveRefined(m, b, 2)) }},
+		{"SolveRefinedCtx", func(m *Matrix) error { return refine(f.SolveRefinedCtx(ctx, m, b, 2)) }},
+		{"Pool.Acquire", func(m *Matrix) error { return lease(pool.Acquire(m)) }},
+		{"Pool.AcquireCtx", func(m *Matrix) error { return lease(pool.AcquireCtx(ctx, m)) }},
+		{"Pool.Factor", func(m *Matrix) error { return lease(pool.Factor(m)) }},
+		{"Pool.Solve", func(m *Matrix) error { return pool.Solve(m, b) }},
+		{"Pool.SolveMany", func(m *Matrix) error { return pool.SolveMany(m, [][]float64{b}) }},
+		{"ShardedPool.Acquire", func(m *Matrix) error { return lease(sharded.Acquire(m)) }},
+		{"ShardedPool.AcquireCtx", func(m *Matrix) error { return lease(sharded.AcquireCtx(ctx, m)) }},
+		{"ShardedPool.Factor", func(m *Matrix) error { return lease(sharded.Factor(m)) }},
+		{"ShardedPool.Solve", func(m *Matrix) error { return sharded.Solve(m, b) }},
+		{"ShardedPool.SolveMany", func(m *Matrix) error { return sharded.SolveMany(m, [][]float64{b}) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if err := c.call(); !errors.Is(err, ErrBadInput) {
+			if err := c.call(nil); !errors.Is(err, ErrBadInput) {
 				t.Fatalf("nil matrix reported %v, want ErrBadInput", err)
+			}
+			if err := c.call(&Matrix{M: -1, N: -1}); !errors.Is(err, ErrBadInput) {
+				t.Fatalf("negative dimensions reported %v, want ErrBadInput", err)
 			}
 		})
 	}

@@ -50,14 +50,16 @@ type Options struct {
 	// (leaves and separators) to cut fill within the 2D blocks.
 	LocalAMD bool
 	// NoPrune disables Eisenstat–Liu symmetric pruning inside every
-	// Gilbert–Peierls kernel (ablation; see gp.Options.NoPrune).
+	// Gilbert–Peierls kernel (see gp.Options.NoPrune). Like the four fields
+	// below it is test-only: the public API never sets it.
 	NoPrune bool
 
 	// DenseKernelThreshold, NoDenseKernels, SupernodeRelax and NoSupernodes
-	// are not product options: the public API sets none of them. They exist
-	// only as the sparse-column reference arm of this package's equivalence
-	// tests (TestDenseKernelEquivalenceSuite, TestSupernodeAblationParity,
-	// FuzzFactorSolve) and of baskerbench's internal ablation tables.
+	// are not product options: the public API sets none of them, and no
+	// command does either. They exist only as the sparse-column reference
+	// arm of this package's equivalence tests
+	// (TestDenseKernelEquivalenceSuite, TestSupernodeAblationParity,
+	// FuzzFactorSolve).
 	//
 	// DenseKernelThreshold is the estimated block density (from the fine-ND
 	// symbolic estimates, Algorithm 3) at or above which a 2D kernel is

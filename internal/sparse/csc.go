@@ -510,22 +510,26 @@ func (a *CSC) Validate() error {
 	return a.CheckFinite()
 }
 
-// Check validates structural invariants: monotone Colptr, in-range row
-// indices, and sorted columns. It returns a descriptive error for tests.
+// Check validates structural invariants: non-negative dimensions, a
+// monotone Colptr from 0 to len(Rowidx) = len(Values), in-range row indices,
+// and sorted columns. Every length and pointer is checked before it is used
+// as an index, so Check never panics on a malformed matrix; it returns a
+// descriptive error instead.
 func (a *CSC) Check() error {
-	if len(a.Colptr) != a.N+1 {
+	if a.N < 0 || a.M < 0 || len(a.Colptr) != a.N+1 || a.Colptr[0] != 0 {
 		return errBadColptr
 	}
-	if a.Colptr[0] != 0 {
+	nnz := len(a.Rowidx)
+	if a.Colptr[a.N] != nnz || len(a.Values) != nnz {
 		return errBadColptr
 	}
 	for j := 0; j < a.N; j++ {
-		if a.Colptr[j] > a.Colptr[j+1] {
+		p0, p1 := a.Colptr[j], a.Colptr[j+1]
+		if p0 > p1 || p1 > nnz {
 			return errBadColptr
 		}
 		prev := -1
-		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			i := a.Rowidx[p]
+		for _, i := range a.Rowidx[p0:p1] {
 			if i < 0 || i >= a.M {
 				return errRowRange
 			}
@@ -534,9 +538,6 @@ func (a *CSC) Check() error {
 			}
 			prev = i
 		}
-	}
-	if a.Colptr[a.N] != len(a.Rowidx) || len(a.Rowidx) != len(a.Values) {
-		return errBadColptr
 	}
 	return nil
 }

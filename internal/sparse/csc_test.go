@@ -264,6 +264,107 @@ func TestCheckDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckMalformedShapes pins that Check rejects, without panicking, the
+// shapes whose lengths or pointers cannot be trusted as indices.
+func TestCheckMalformedShapes(t *testing.T) {
+	cases := []struct {
+		name string
+		a    CSC
+	}{
+		{"interior pointer past nnz", CSC{M: 2, N: 2, Colptr: []int{0, 5, 2}, Rowidx: []int{0, 1}, Values: []float64{1, 2}}},
+		{"negative interior pointer", CSC{M: 2, N: 2, Colptr: []int{0, -1, 2}, Rowidx: []int{0, 1}, Values: []float64{1, 2}}},
+		{"negative N, nil Colptr", CSC{M: -1, N: -1}},
+		{"negative M", CSC{M: -1, N: 0, Colptr: []int{0}}},
+		{"Colptr too short", CSC{M: 2, N: 2, Colptr: []int{0, 1}, Rowidx: []int{0}, Values: []float64{1}}},
+		{"nonzero Colptr[0]", CSC{M: 2, N: 1, Colptr: []int{1, 1}, Rowidx: []int{0}, Values: []float64{1}}},
+		{"Colptr[N] short of Rowidx", CSC{M: 2, N: 1, Colptr: []int{0, 1}, Rowidx: []int{0, 1}, Values: []float64{1, 2}}},
+		{"Values shorter than Rowidx", CSC{M: 2, N: 1, Colptr: []int{0, 2}, Rowidx: []int{0, 1}, Values: []float64{1}}},
+		{"row out of range", CSC{M: 2, N: 1, Colptr: []int{0, 1}, Rowidx: []int{2}, Values: []float64{1}}},
+		{"unsorted rows", CSC{M: 2, N: 1, Colptr: []int{0, 2}, Rowidx: []int{1, 0}, Values: []float64{1, 2}}},
+	}
+	for _, c := range cases {
+		if err := c.a.Check(); err == nil {
+			t.Errorf("%s: Check accepted %+v", c.name, c.a)
+		}
+	}
+}
+
+// checkOracle is an invariant check written independently of Check: it
+// walks the stored positions in order, assigns each to the column whose
+// pointer range holds it, and requires the (column, row) sequence to be
+// strictly increasing in column-major order.
+func checkOracle(a *CSC) string {
+	if a.M < 0 || a.N < 0 {
+		return "negative dimension"
+	}
+	if len(a.Colptr) != a.N+1 {
+		return "Colptr length"
+	}
+	nnz := len(a.Rowidx)
+	if len(a.Values) != nnz || a.Colptr[0] != 0 || a.Colptr[a.N] != nnz {
+		return "Colptr ends or Values length"
+	}
+	for k := 0; k < a.N; k++ {
+		if a.Colptr[k] > a.Colptr[k+1] {
+			return "Colptr not monotone"
+		}
+	}
+	j := 0
+	for p := 0; p < nnz; p++ {
+		for a.Colptr[j+1] <= p {
+			j++
+			if j == a.N {
+				return "position past the last column"
+			}
+		}
+		if i := a.Rowidx[p]; i < 0 || i >= a.M {
+			return "row out of range"
+		}
+		if p > a.Colptr[j] && a.Rowidx[p-1] >= a.Rowidx[p] {
+			return "rows not strictly increasing"
+		}
+	}
+	return ""
+}
+
+// FuzzCSCCheck feeds Check arbitrary shapes — negative dimensions, short or
+// long Colptr, pointers past either end, any row indices — and requires it
+// never to panic, to agree with checkOracle, and, when it accepts, that the
+// matrix survives a transpose round trip bit for bit.
+func FuzzCSCCheck(f *testing.F) {
+	f.Add(3, 3, []byte{0, 2, 3, 4}, []byte{0, 2, 1, 2}, 4)
+	f.Add(2, 2, []byte{0, 5, 2}, []byte{0, 1}, 2)
+	f.Add(-1, -1, []byte{}, []byte{}, 0)
+	f.Add(2, 3, []byte{0, 0, 0, 0}, []byte{}, 0)
+	f.Add(4, 1, []byte{0, 3}, []byte{3, 1, 2}, 3)
+	f.Fuzz(func(t *testing.T, m, n int, colptr, rowidx []byte, nval int) {
+		if n > 64 || m > 64 || nval < 0 || nval > 64 {
+			return
+		}
+		a := &CSC{M: m, N: n}
+		for _, b := range colptr {
+			a.Colptr = append(a.Colptr, int(int8(b)))
+		}
+		for _, b := range rowidx {
+			a.Rowidx = append(a.Rowidx, int(int8(b)))
+		}
+		for k := 0; k < nval; k++ {
+			a.Values = append(a.Values, float64(k+1))
+		}
+		err := a.Check()
+		if want := checkOracle(a); (err == nil) != (want == "") {
+			t.Fatalf("Check = %v, oracle = %q on %+v", err, want, a)
+		}
+		if err != nil {
+			return
+		}
+		b := a.Transpose().Transpose()
+		if err := b.Check(); err != nil || !equalCSC(a, b) {
+			t.Fatalf("accepted matrix fails the transpose round trip (%v): %+v", err, a)
+		}
+	})
+}
+
 func TestMaxAbs(t *testing.T) {
 	coo := NewCOO(2, 2, 3)
 	coo.Add(0, 0, -7)

@@ -496,7 +496,7 @@ func (s Summary) Imbalance() float64 {
 }
 
 // String renders the summary as a short human-readable block, the form
-// baskerbench -trace and baskersolve print.
+// baskersolve -trace prints.
 func (s Summary) String() string {
 	b := make([]byte, 0, 256)
 	b = append(b, s.Phase.String()...)

@@ -353,6 +353,41 @@ func TestErrorStatusTable(t *testing.T) {
 // TestServeErrorMappingTable locks the taxonomy→HTTP contract endpoint by
 // endpoint: every typed solver error, every wire defect, admission
 // rejection and cancellation land on their documented status and code.
+// malformedCSC lists inline matrices whose lengths agree but whose column
+// pointers or row indices break the CSC invariants.
+func malformedCSC() []struct {
+	name string
+	mj   *MatrixJSON
+} {
+	return []struct {
+		name string
+		mj   *MatrixJSON
+	}{
+		{"interior pointer past nnz", &MatrixJSON{M: 2, N: 2, Colptr: []int{0, 5, 2}, Rowidx: []int{0, 1}, Values: []float64{1, 2}}},
+		{"row out of range", &MatrixJSON{M: 2, N: 2, Colptr: []int{0, 1, 2}, Rowidx: []int{0, 2}, Values: []float64{1, 2}}},
+		{"unsorted rows", &MatrixJSON{M: 2, N: 2, Colptr: []int{0, 2, 3}, Rowidx: []int{1, 0, 1}, Values: []float64{1, 2, 3}}},
+	}
+}
+
+// TestServeMalformedCSCWithoutValidation pins that the structural check
+// does not depend on the solver's ValidateInputs screen.
+func TestServeMalformedCSCWithoutValidation(t *testing.T) {
+	s := NewServer(basker.NewShardedPool(1, basker.PoolOptions{Options: basker.Options{Threads: 1}}), Options{})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, bad := range malformedCSC() {
+		for path, body := range map[string]any{
+			"/v1/solve":    SolveRequest{Matrix: bad.mj, B: make([]float64, bad.mj.N)},
+			"/v1/matrices": RegisterRequest{Matrix: bad.mj},
+		} {
+			status, raw := postJSON(t, ts.URL+path, body)
+			if status != http.StatusBadRequest || errCode(t, raw) != "bad_input" {
+				t.Errorf("%s %s: status %d, body %s, want 400 bad_input", path, bad.name, status, raw)
+			}
+		}
+	}
+}
+
 func TestServeErrorMappingTable(t *testing.T) {
 	good := serveMatrix(6)
 	big := matgen.Circuit(matgen.CircuitParams{
@@ -384,8 +419,8 @@ func TestServeErrorMappingTable(t *testing.T) {
 		return mj
 	}()
 
-	// Broken CSC invariants (non-monotone colptr) that pass the wire-level
-	// shape check and must be caught by the solver's ValidateInputs screen.
+	// Broken CSC invariants (non-monotone colptr), refused by the wire-level
+	// structural check before the solver sees them.
 	brokenCSC := func() *MatrixJSON {
 		a := serveMatrix(8)
 		mj := matrixJSON(a)
@@ -402,7 +437,7 @@ func TestServeErrorMappingTable(t *testing.T) {
 
 	zeros := func(n int) []float64 { return make([]float64, n) }
 
-	cases := []struct {
+	type errorCase struct {
 		name       string
 		path       string
 		body       any
@@ -410,7 +445,8 @@ func TestServeErrorMappingTable(t *testing.T) {
 		arm        func()
 		wantStatus int
 		wantCode   string
-	}{
+	}
+	cases := []errorCase{
 		{
 			name: "invalid JSON", path: "/v1/solve", rawBody: "{not json",
 			wantStatus: http.StatusBadRequest, wantCode: "bad_input",
@@ -497,6 +533,22 @@ func TestServeErrorMappingTable(t *testing.T) {
 			},
 			wantStatus: http.StatusInternalServerError, wantCode: "internal_panic",
 		},
+	}
+
+	// Structural CSC defects are the client's on both routes: 400, never a
+	// recovered panic on solve or a 200 registration.
+	for _, bad := range malformedCSC() {
+		cases = append(cases,
+			errorCase{
+				name: "solve " + bad.name, path: "/v1/solve",
+				body:       SolveRequest{Matrix: bad.mj, B: zeros(bad.mj.N)},
+				wantStatus: http.StatusBadRequest, wantCode: "bad_input",
+			},
+			errorCase{
+				name: "register " + bad.name, path: "/v1/matrices",
+				body:       RegisterRequest{Matrix: bad.mj},
+				wantStatus: http.StatusBadRequest, wantCode: "bad_input",
+			})
 	}
 
 	// Register a pattern for the values-length-mismatch row.

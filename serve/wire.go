@@ -121,23 +121,20 @@ func badRequest(code, format string, args ...any) *wireError {
 	return &wireError{status: http.StatusBadRequest, code: code, msg: fmt.Sprintf(format, args...)}
 }
 
-// toCSC validates the wire-level shape (lengths and ranges that would make
-// the CSC unreadable) and converts. Deeper invariants — monotone column
-// pointers, ordered rows, finite values — are the solver's
-// ValidateInputs screen, reported through the error taxonomy.
+// toCSC checks the structural CSC invariants (lengths, monotone in-range
+// column pointers, in-range sorted rows) and wraps the arrays without
+// copying. A structural defect is the client's, so it is a 400 bad_input
+// whatever basker.Options.ValidateInputs says; finiteness stays behind the
+// solver's ValidateInputs screen, reported through the error taxonomy.
 func (mj *MatrixJSON) toCSC() (*basker.Matrix, error) {
 	if mj.M <= 0 || mj.N <= 0 {
 		return nil, badRequest("bad_input", "matrix dimensions %dx%d must be positive", mj.M, mj.N)
 	}
-	if len(mj.Colptr) != mj.N+1 {
-		return nil, badRequest("bad_input", "len(colptr) = %d, want n+1 = %d", len(mj.Colptr), mj.N+1)
+	a := &basker.Matrix{M: mj.M, N: mj.N, Colptr: mj.Colptr, Rowidx: mj.Rowidx, Values: mj.Values}
+	if err := a.Check(); err != nil {
+		return nil, badRequest("bad_input", "matrix: %v", err)
 	}
-	nnz := mj.Colptr[mj.N]
-	if nnz < 0 || len(mj.Rowidx) != nnz || len(mj.Values) != nnz {
-		return nil, badRequest("bad_input", "colptr[n] = %d, len(rowidx) = %d, len(values) = %d; all three must agree",
-			nnz, len(mj.Rowidx), len(mj.Values))
-	}
-	return &basker.Matrix{M: mj.M, N: mj.N, Colptr: mj.Colptr, Rowidx: mj.Rowidx, Values: mj.Values}, nil
+	return a, nil
 }
 
 // toCSC assembles the triplets the way the library's accumulator does

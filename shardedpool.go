@@ -122,7 +122,7 @@ func (sp *ShardedPool) Acquire(a *Matrix) (*Lease, error) {
 
 // AcquireCtx routes to the pattern's shard; see Pool.AcquireCtx.
 func (sp *ShardedPool) AcquireCtx(ctx context.Context, a *Matrix) (*Lease, error) {
-	if err := checkNil(a); err != nil {
+	if err := checkMatrix(a); err != nil {
 		return nil, err
 	}
 	key := patternKey(a)
@@ -131,7 +131,7 @@ func (sp *ShardedPool) AcquireCtx(ctx context.Context, a *Matrix) (*Lease, error
 
 // Factor routes to the pattern's shard; see Pool.Factor.
 func (sp *ShardedPool) Factor(a *Matrix) (*Lease, error) {
-	if err := checkNil(a); err != nil {
+	if err := checkMatrix(a); err != nil {
 		return nil, err
 	}
 	key := patternKey(a)
