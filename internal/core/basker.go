@@ -60,11 +60,10 @@ type Symbolic struct {
 	BTFPercent float64
 }
 
-// factorPlan is the gather state of one sparsity pattern: a matrix with
-// that pattern is permuted and split into diagonal blocks by flat value
-// gathers through these maps. Analyze builds the plan of the analyzed
-// pattern; a fresh factorization of a matrix with a different pattern builds
-// a private one for its Numeric, so every sweep runs on a plan.
+// factorPlan is the gather state of the analyzed sparsity pattern: a matrix
+// with that pattern is permuted and split into diagonal blocks by flat value
+// gathers through these maps. Analyze builds it; every sweep of every
+// factorization of the analysis runs on it.
 type factorPlan struct {
 	// colptr/rowidx are a private copy of the planned pattern, verified
 	// against every caller matrix before its values are gathered: a
@@ -195,10 +194,6 @@ type Numeric struct {
 	lastDirty      int
 	dirtyTotal     int64
 
-	// plan is the gather plan of this numeric's sparsity pattern: the
-	// Symbolic's when the factored matrix has the analyzed pattern, a private
-	// one otherwise.
-	plan *factorPlan
 	// sig, errs, failed and refit are the state of the one sweep scheduler
 	// (runSweep), shared by every mode — sweeps are mutually exclusive by
 	// contract — and reset, never reallocated, between sweeps: sig has one
@@ -767,11 +762,11 @@ var sweepModes = [...]struct {
 // built fresh and returned only on success, so a failed Factor never leaves
 // a partially mutated Numeric behind.
 //
-// When a's sparsity pattern matches the analyzed one (the overwhelmingly
-// common case), the Numeric gathers through the Analyze-time entry maps; a
-// different pattern gets a private plan built the same way. Either way the
-// values land in permuted and per-block storage by flat gathers — no
-// Permute, no ExtractBlock — and runSweep walks the blocks in modeFactor.
+// a must have the sparsity pattern sym was analyzed for: the values land
+// in permuted and per-block storage by flat gathers through the
+// Analyze-time entry maps — no Permute, no ExtractBlock — and runSweep
+// walks the blocks in modeFactor. Any other pattern is an error, since an
+// entry outside the analyzed blocks would have nowhere to go.
 func Factor(a *sparse.CSC, sym *Symbolic) (*Numeric, error) {
 	return factorFresh(context.Background(), a, sym, nil)
 }
@@ -790,12 +785,14 @@ func factorFresh(ctx context.Context, a *sparse.CSC, sym *Symbolic, hooks *sched
 	if a.N != sym.N || a.M != sym.N {
 		return nil, fmt.Errorf("core: dimension mismatch with symbolic analysis")
 	}
+	if !sym.plan.matches(a) {
+		return nil, fmt.Errorf("core: Factor requires a matrix with the analyzed sparsity pattern")
+	}
 	nblocks, nt := sym.NumBlocks(), sym.Opts.threads()
 	num := &Numeric{
 		Sym:      sym,
 		small:    make([]*gp.Factors, nblocks),
 		nd:       make([]*ndNum, nblocks),
-		plan:     sym.plan,
 		sig:      NewEpochSignals(nblocks),
 		errs:     make([]error, nblocks),
 		factorWS: make([]*gp.Workspace, nt),
@@ -805,10 +802,7 @@ func factorFresh(ctx context.Context, a *sparse.CSC, sym *Symbolic, hooks *sched
 	num.sig.Bind(&num.sweep)
 	num.gpPoll = num.sweep.Poll
 	defer num.recoverSerial(&err)
-	if !sym.plan.matches(a) {
-		num.plan = newFactorPlan(sym, a)
-	}
-	num.Perm = num.plan.perm.SharePattern()
+	num.Perm = sym.plan.perm.SharePattern()
 	if err := num.fullSweep(ctx, modeFactor, a); err != nil {
 		return nil, err
 	}
@@ -834,9 +828,7 @@ func (num *Numeric) FactorIntoCtx(ctx context.Context, a *sparse.CSC) (err error
 		return err
 	}
 	defer num.recoverSerial(&err)
-	// The storage being reused is laid out for the numeric's own plan, so
-	// the guard checks that plan, not the Symbolic's.
-	if !num.plan.matches(a) {
+	if !num.Sym.plan.matches(a) {
 		return fmt.Errorf("core: FactorInto requires a matrix with the sparsity pattern this numeric was factored with")
 	}
 	return num.fullSweep(ctx, modeFactor, a)
@@ -891,7 +883,7 @@ func (num *Numeric) RefactorCtx(ctx context.Context, a *sparse.CSC) (err error) 
 		return err
 	}
 	defer num.recoverSerial(&err)
-	if err := num.plan.checkPattern(a); err != nil {
+	if err := num.Sym.plan.checkPattern(a); err != nil {
 		return err
 	}
 	return num.fullSweep(ctx, modeRefresh, a)
@@ -927,7 +919,7 @@ func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC
 	defer sw.End()
 	gatherStart := rec.Now()
 	num.staleSnapshot()
-	sparse.PermuteInto(num.Perm, a, num.plan.permMap)
+	sparse.PermuteInto(num.Perm, a, num.Sym.plan.permMap)
 	if rec != nil {
 		rec.Record(trace.Event{Start: gatherStart, End: rec.Now(),
 			Worker: trace.DriverWorker, Block: -1, Kind: trace.KindGather, Phase: phase})
@@ -1110,13 +1102,13 @@ func (num *Numeric) sweepBlock(blk, t int, mode sweepMode, dirty *incState) {
 	if !nd {
 		sub = num.smallIn[blk]
 		if sub == nil {
-			sub = num.plan.smallPat[blk].SharePattern()
+			sub = num.Sym.plan.smallPat[blk].SharePattern()
 			num.smallIn[blk] = sub
 		}
 		if mode != modePartial {
 			// The marking phase of a partial sweep already re-gathered every
 			// changed column.
-			sparse.ExtractBlockInto(sub, num.Perm, num.plan.smallSrc[blk])
+			sparse.ExtractBlockInto(sub, num.Perm, num.Sym.plan.smallSrc[blk])
 		}
 	}
 	if inject.KernelNaN(m.inject, blk) {
@@ -1185,14 +1177,14 @@ func (num *Numeric) freshKernel(blk, t int, sub *sparse.CSC, replace bool) error
 		if f == nil || replace {
 			f = &gp.Factors{}
 		}
-		if err := gp.FactorInto(f, sub, sym.estNnz[blk], num.gpOpts(), num.workerWS(t)); err != nil {
+		if err := gp.FactorInto(f, sub, nil, sym.estNnz[blk], num.gpOpts(), num.workerWS(t)); err != nil {
 			return err
 		}
 		num.small[blk] = f
 	} else {
 		ndn, opts := num.nd[blk], num.sweepOpts()
 		if ndn == nil || replace {
-			ndn = newNDNum(blk, sym.ndsym[blk], num.plan.grids[blk], opts)
+			ndn = newNDNum(blk, sym.ndsym[blk], num.Sym.plan.grids[blk], opts)
 		}
 		if err := ndn.sweep(num.Perm, opts, modeFactor, nil); err != nil {
 			return err

@@ -203,55 +203,43 @@ func TestFactorIntoRetryAfterFailure(t *testing.T) {
 	})
 }
 
-// TestFactorSlowPathDifferentPattern keeps the historical contract: a
-// fresh Factor against a symbolic analysis of a different (sub-)pattern of
-// the analyzed matrix still works through the per-call permutation
-// fallback. (A pattern with entries outside the analyzed BTF structure has
-// never been supported — those couplings fall outside every block.)
-func TestFactorSlowPathDifferentPattern(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a := randCircuit(rng, 250, 0.5)
+// TestFactorRejectsForeignPattern: Factor gathers through the entry maps of
+// the analyzed pattern, so a matrix of any other pattern is an error. The
+// superset puts one entry below the BTF diagonal blocks, where it falls
+// outside every block; both cases used to factor without an error.
+func TestFactorRejectsForeignPattern(t *testing.T) {
+	a := matgen.Circuit(matgen.CircuitParams{N: 600, BTFPct: 30, Blocks: 40, Core: matgen.CoreLadder, ExtraDensity: 0.3, Seed: 7})
 	sym, err := Analyze(a, optsWithThreads(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Subset pattern: drop a sprinkling of weak coupling entries, keeping
-	// the diagonal. Structurally different, BTF structure still valid.
-	coo := sparse.NewCOO(a.M, a.N, a.Nnz())
+	if sym.NumBlocks() < 2 {
+		t.Fatal("no BTF split; test premise broken")
+	}
+	super := sparse.NewCOO(a.M, a.N, a.Nnz()+1)
+	sub := sparse.NewCOO(a.M, a.N, a.Nnz())
 	dropped := 0
 	for j := 0; j < a.N; j++ {
 		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
 			i := a.Rowidx[p]
+			super.Add(i, j, a.Values[p])
 			if i != j && dropped < 12 && p%17 == 3 {
 				dropped++
 				continue
 			}
-			coo.Add(i, j, a.Values[p])
+			sub.Add(i, j, a.Values[p])
 		}
 	}
-	if dropped == 0 {
-		t.Fatal("no entries dropped; test premise broken")
-	}
-	b := coo.ToCSC(false)
-	num, err := Factor(b, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if num.plan == sym.plan {
-		t.Fatal("different pattern must not gather through the analyzed pattern's plan")
-	}
-	if res := relResidual(b, num, 7); res > 1e-8 {
-		t.Fatalf("slow-path solve residual %.3e", res)
-	}
-	// A slow-path numeric's storage is laid out for b's pattern, so reusing
-	// it for the analyzed pattern must be rejected — even though the matrix
-	// itself matches the plan (regression: the guard must check the
-	// numeric's provenance, not just the incoming matrix).
-	if err := num.FactorInto(a); err == nil {
-		t.Fatal("FactorInto on a slow-path numeric must be rejected")
-	}
-	if res := relResidual(b, num, 7); res > 1e-8 {
-		t.Fatalf("numeric corrupted by rejected FactorInto: residual %.3e", res)
+	// Permuted row N-1 lies in the last coarse block, permuted column 0 in
+	// the first.
+	super.Add(sym.RowPerm[a.N-1], sym.ColPerm[0], 1)
+	for name, b := range map[string]*sparse.CSC{"superset": super.ToCSC(false), "subset": sub.ToCSC(false)} {
+		if b.Nnz() == a.Nnz() {
+			t.Fatalf("%s: pattern unchanged; test premise broken", name)
+		}
+		if _, err := Factor(b, sym); err == nil {
+			t.Errorf("%s pattern: Factor returned a nil error", name)
+		}
 	}
 }
 

@@ -183,7 +183,7 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 	// A panic during marking poisons the numeric, so the next incremental
 	// call runs a full recovery refresh.
 	defer num.recoverSerial(&err)
-	sym, pl := num.Sym, num.plan
+	sym, pl := num.Sym, num.Sym.plan
 	// An out-of-range column is rejected whatever the set's size, before
 	// the near-total degrade below could accept it.
 	for _, j := range changed {
@@ -252,7 +252,7 @@ func (num *Numeric) RefactorAutoCtx(ctx context.Context, a *sparse.CSC) (err err
 	if num.incPoisoned {
 		return num.RefactorCtx(ctx, a)
 	}
-	if err := num.plan.checkPattern(a); err != nil {
+	if err := num.Sym.plan.checkPattern(a); err != nil {
 		return err
 	}
 	num.ensureIncremental()
@@ -282,7 +282,7 @@ func (num *Numeric) syncSnapshot() {
 	if inc.snapOK {
 		return
 	}
-	pm, pv := num.plan.permMap, num.Perm.Values
+	pm, pv := num.Sym.plan.permMap, num.Perm.Values
 	if inc.snap == nil {
 		inc.snap = make([]float64, len(pm))
 	}
@@ -377,7 +377,7 @@ func (st *ndIncState) markNDNode(jn, c int, epoch uint64) {
 // off-diagonal entries only update permuted storage, which solves read
 // them from, and never dirty a factor.
 func (num *Numeric) diffColumn(a *sparse.CSC, k int, all bool) {
-	sym, pl, inc := num.Sym, num.plan, num.inc
+	sym, pl, inc := num.Sym, num.Sym.plan, num.inc
 	perm := num.Perm
 	p0, p1 := perm.Colptr[k], perm.Colptr[k+1]
 	blk := sym.BlockOf(k)
@@ -427,7 +427,7 @@ func (num *Numeric) regatherBlockColumn(blk, k int) {
 	c := k - sym.BlockPtr[blk]
 	if sym.kind[blk] != blockND {
 		sub := num.smallIn[blk]
-		sparse.GatherRange(sub, perm, num.plan.smallSrc[blk], sub.Colptr[c], sub.Colptr[c+1])
+		sparse.GatherRange(sub, perm, num.Sym.plan.smallSrc[blk], sub.Colptr[c], sub.Colptr[c+1])
 		return
 	}
 	st, ndn := num.inc.nd[blk], num.nd[blk]

@@ -41,7 +41,7 @@ type ndSym struct {
 	dense []bool
 	// snodes[b], when non-nil, is the supernode partition (xsup boundaries)
 	// of leaf diagonal b, detected from its column elimination tree at
-	// Analyze time: the block factors through gp.FactorSupernodalInto, and
+	// Analyze time: gp.FactorInto factors the block over it, and
 	// gp.Refactor refreshes it over the recorded partition. Only leaf
 	// diagonals that the dense-tag gate did not claim are candidates. nil
 	// when nothing merged (including Options.NoSupernodes and the est-free
@@ -666,13 +666,14 @@ func (num *ndNum) worker(t int, mode sweepMode, st *ndIncState) {
 
 // diagKernel factors (modeFactor) or refreshes diagonal block b from m — its
 // input block at a leaf, the reduced block at a separator. A fresh factor
-// picks its layout: dense-tagged diagonals go through the pivoted panel LU,
-// supernodal leaves through the elimination-tree panels, the rest through
-// column Gilbert–Peierls. A refresh is one gp.Refactor, which follows the
-// layout the factor recorded; under a mask the leaf reruns only the
-// dependency closure of its dirty columns (a leaf diagonal consumes no
-// reduction, so the input stamps tell the whole story), while a separator
-// diagonal reruns whole.
+// picks its layout: dense-tagged diagonals go through gp.FactorDenseInto,
+// the rest through gp.FactorInto over the block's supernode partition (nil,
+// column at a time, unless Analyze found supernodes in a leaf); both end in
+// the panel elimination every refresh runs. A refresh is one gp.Refactor,
+// which follows the layout the factor recorded; under a mask the leaf
+// reruns only the dependency closure of its dirty columns (a leaf diagonal
+// consumes no reduction, so the input stamps tell the whole story), while a
+// separator diagonal reruns whole.
 func (w *ndLane) diagKernel(b int, m *sparse.CSC) error {
 	num := w.num
 	if num.diag[b] == nil {
@@ -697,13 +698,10 @@ func (w *ndLane) diagKernel(b int, m *sparse.CSC) error {
 		if num.sym.est != nil {
 			hint = num.sym.est.diagNnz[b]
 		}
-		switch {
-		case dense:
+		if dense {
 			err = gp.FactorDenseInto(f, m, num.opts.gpOptions(), w.ws)
-		case xsup != nil:
-			err = gp.FactorSupernodalInto(f, m, xsup, hint, num.opts.gpOptions(), w.ws)
-		default:
-			err = gp.FactorInto(f, m, hint, num.opts.gpOptions(), w.ws)
+		} else {
+			err = gp.FactorInto(f, m, xsup, hint, num.opts.gpOptions(), w.ws)
 		}
 	case w.st != nil && b == w.leaf:
 		b0, b1 := num.sym.blockRange(b)
@@ -719,9 +717,12 @@ func (w *ndLane) diagKernel(b int, m *sparse.CSC) error {
 
 // upperKernel computes U_kj = L_kk⁻¹·P_k·Â_kj from the (reduced) block ahat, or
 // refreshes its columns from c0 on over the pattern the fresh solve
-// discovered: the dense panel TRSM when both the kernel and the solving
-// diagonal are dense-tagged (the dense path reads L's contiguous dense
-// columns), the sparse Gilbert–Peierls reach solve otherwise.
+// discovered. When both the kernel and the solving diagonal are dense-tagged
+// every mode runs the dense TRSM of gp.DenseUpperRefactorFrom over L's
+// contiguous dense columns; a fresh sweep first gives the block the
+// structural fully dense shape, and c0 is 0 there. Otherwise the sparse
+// Gilbert–Peierls reach solve builds the block and RefactorUpperBlockFrom
+// refreshes it.
 func (w *ndLane) upperKernel(k, j int, ahat *sparse.CSC, c0 int) {
 	num := w.num
 	f, dst := num.diag[k], num.upper[k][j]
@@ -731,20 +732,23 @@ func (w *ndLane) upperKernel(k, j int, ahat *sparse.CSC, c0 int) {
 		num.denseHits.Add(1)
 	}
 	switch {
-	case w.mode != modeFactor && dense:
+	case dense:
+		if w.mode == modeFactor {
+			dst = sparse.FillDense(dst, f.N, ahat.N, nil)
+			num.upper[k][j] = dst
+		}
 		f.DenseUpperRefactorFrom(dst, ahat, c0)
 	case w.mode != modeFactor:
 		f.RefactorUpperBlockFrom(dst, ahat, w.ws, c0)
-	case dense:
-		num.upper[k][j] = f.DenseUpperSolveInto(dst, ahat, w.ws)
 	default:
 		num.upper[k][j] = num.solveUpper(k, ahat, w.ws, dst)
 	}
 }
 
 // lowerKernel computes L_ij solving X·U_jj = Â_ij, or refreshes its columns from
-// c0 on: the dense panel TRSM when both the kernel and the diagonal are
-// dense-tagged, the sparse column sweep otherwise.
+// c0 on: gp.DenseLowerRefactorFrom over a fully dense block (shaped first in
+// a fresh sweep) when both the kernel and the diagonal are dense-tagged, the
+// sparse column sweep otherwise.
 func (w *ndLane) lowerKernel(i, j int, ahat *sparse.CSC, c0 int) {
 	num := w.num
 	f, dst := num.diag[j], num.lower[i][j]
@@ -754,12 +758,14 @@ func (w *ndLane) lowerKernel(i, j int, ahat *sparse.CSC, c0 int) {
 		num.denseHits.Add(1)
 	}
 	switch {
-	case w.mode != modeFactor && dense:
+	case dense:
+		if w.mode == modeFactor {
+			dst = sparse.FillDense(dst, ahat.M, ahat.N, nil)
+			num.lower[i][j] = dst
+		}
 		f.DenseLowerRefactorFrom(dst, ahat, c0)
 	case w.mode != modeFactor:
 		f.RefactorLowerBlockFrom(dst, ahat, w.acc, c0)
-	case dense:
-		num.lower[i][j] = f.DenseLowerSolveInto(dst, ahat, w.ws)
 	default:
 		num.lower[i][j] = f.LowerBlockSolveInto(dst, ahat, w.mark, &w.tag, w.acc)
 	}

@@ -16,7 +16,7 @@ import "repro/internal/gp"
 // reusing their storage. Called at the end of every sweep that built or
 // replaced factors; a refresh keeps every pivot and so the layout.
 func (num *Numeric) buildSolveLayout() {
-	sym, perm, offPtr := num.Sym, num.Perm, num.plan.offPtr
+	sym, perm, offPtr := num.Sym, num.Perm, num.Sym.plan.offPtr
 	n := sym.N
 	if num.rowPos == nil {
 		num.rowPos = make([]int32, n)
@@ -103,7 +103,7 @@ func (num *Numeric) solveBlock(blk int, y []float64) {
 // pivot-order vector y (the entries above the diagonal block in its
 // columns) — the coupling step of the coarse BTF back-substitution.
 func (num *Numeric) offBlockUpdate(blk int, y []float64) {
-	sym, offPtr, offRow := num.Sym, num.plan.offPtr, num.offRow
+	sym, offPtr, offRow := num.Sym, num.Sym.plan.offPtr, num.offRow
 	pp, px := num.Perm.Colptr, num.Perm.Values
 	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 	for c := r0; c < r1; c++ {
@@ -128,7 +128,7 @@ func (num *Numeric) offBlockUpdate(blk int, y []float64) {
 // eight contiguous lanes. Per lane the operation sequence is the serial
 // sweep's of SolveInto.
 func (num *Numeric) SolvePanel(y []gp.PanelRow) {
-	sym, perm, offPtr := num.Sym, num.Perm, num.plan.offPtr
+	sym, perm, offPtr := num.Sym, num.Perm, num.Sym.plan.offPtr
 	for blk := sym.NumBlocks() - 1; blk >= 0; blk-- {
 		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 		switch sym.kind[blk] {

@@ -58,7 +58,7 @@ func TestSelectiveClosureMatchesScan(t *testing.T) {
 	ws := NewWorkspace(1)
 	plain := selectiveKernel{
 		name:   "column",
-		factor: func(f *Factors, a *sparse.CSC) error { return FactorInto(f, a, 0, Options{}, ws) },
+		factor: func(f *Factors, a *sparse.CSC) error { return FactorInto(f, a, nil, 0, Options{}, ws) },
 		fwd: func(f *Factors, a *sparse.CSC, stamp []uint64, epoch uint64, rerun []bool) error {
 			return f.RefactorSelective(a, ws, stamp, epoch, rerun)
 		},
@@ -74,7 +74,7 @@ func TestSelectiveClosureMatchesScan(t *testing.T) {
 			kernels = append(kernels, selectiveKernel{
 				name: "supernodal",
 				factor: func(f *Factors, a *sparse.CSC) error {
-					return FactorSupernodalInto(f, a, xsup, 0, Options{}, ws)
+					return FactorInto(f, a, xsup, 0, Options{}, ws)
 				},
 				fwd: func(f *Factors, a *sparse.CSC, stamp []uint64, epoch uint64, rerun []bool) error {
 					return f.RefactorSelective(a, ws, stamp, epoch, rerun)

@@ -166,7 +166,7 @@ func (f *Factors) refactorRef(a *sparse.CSC, ws *Workspace) error {
 			} else {
 				f.outsideColumnsRef(a, ws.X, k0, k1, panel)
 			}
-			if err := eliminatePanel(panel, k0); err != nil {
+			if err := eliminatePanel(panel, k0, nil, 0, false); err != nil {
 				return err
 			}
 			f.scatterPanel(panel, k0)
@@ -304,10 +304,10 @@ func TestColumnKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, c := range bitwiseCases(t) {
 		var col, sn Factors
-		if err := FactorInto(&col, c.a, 0, Options{}, nil); err != nil {
+		if err := FactorInto(&col, c.a, nil, 0, Options{}, nil); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if err := FactorSupernodalInto(&sn, c.a, c.xsup, 0, Options{}, nil); err != nil {
+		if err := FactorInto(&sn, c.a, c.xsup, 0, Options{}, nil); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		sn.snBlocked = make([]bool, len(sn.snBlocked))
@@ -347,7 +347,7 @@ func FuzzColumnKernels(f *testing.F) {
 		a := coo.ToCSC(false)
 		xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 1+int(relax8)%16, 64)
 		var col, sn Factors
-		if FactorInto(&col, a, 0, Options{}, nil) != nil || FactorSupernodalInto(&sn, a, xsup, 0, Options{}, nil) != nil {
+		if FactorInto(&col, a, nil, 0, Options{}, nil) != nil || FactorInto(&sn, a, xsup, 0, Options{}, nil) != nil {
 			return
 		}
 		sn.snBlocked = make([]bool, len(sn.snBlocked))

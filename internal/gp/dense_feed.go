@@ -6,29 +6,28 @@ import (
 	"repro/internal/sparse"
 )
 
-// This file is the dense-fed side of the Gilbert–Peierls kernel set: entry
-// points that run a kernel's arithmetic through a column-major dense panel
-// (internal/dense) and scatter the result back into the ordinary sparse
-// factor representation. The fine-ND engine routes fill-heavy separator
-// kernels here; everything downstream — triangular solves, off-diagonal
-// kernels, in-place refactorization, the factorization pool — consumes the
-// emitted Factors and CSC blocks exactly as if the sparse kernels had
-// produced them.
+// This file is the dense-fed diagonal factorization: FactorDenseInto runs
+// a block's LU through one pooled column-major panel — the pivoting
+// eliminatePanel of snode.go — and scatters the result back into the
+// ordinary sparse factor representation. The fine-ND engine routes
+// fill-heavy separator diagonals here; everything downstream — triangular
+// solves, off-diagonal kernels (dense_refresh.go builds and refreshes the
+// dense ones), in-place refactorization, the factorization pool — consumes
+// the emitted Factors exactly as if the sparse kernels had produced them.
 //
 // Emitted patterns are *structural fully dense*: every L column stores rows
 // k..n-1 and every U column rows 0..k (exact zeros included), the same
 // values-independent-pattern invariant the sparse kernels guarantee, which
 // is what lets Refactor/RefactorPartial refresh dense-built blocks in
-// place. The per-element update order of every dense kernel matches the
-// corresponding in-place refresh sweep (ascending elimination order,
-// division by the pivot rather than reciprocal multiplication), so a
-// same-values refresh after a dense-fed factorization is a bitwise no-op.
+// place. The refresh is the fixed-sequence eliminatePanel over the same
+// panel, so a same-values refresh after a dense-fed factorization is a
+// bitwise no-op.
 
 // FactorDenseInto factors the square block a through the dense panel layer,
 // recycling f's storage like FactorInto: a is scattered into a pooled
-// column-major panel, factored by right-looking LU with the same
-// diagonal-preference partial pivoting as the sparse kernel, and emitted as
-// structural fully dense factors, recorded as the single supernode [0, n)
+// column-major panel, factored by the pivoting eliminatePanel (the
+// diagonal-preference partial pivoting of the sparse kernel), and emitted
+// as structural fully dense factors, recorded as the single supernode [0, n)
 // so that Refactor refreshes them through the supernode panel. ws provides
 // the pooled panel; on error f's contents are unspecified (retrying is
 // fine).
@@ -48,8 +47,8 @@ func FactorDenseInto(f *Factors, a *sparse.CSC, opts Options, ws *Workspace) err
 	for i := range rows {
 		rows[i] = i
 	}
-	if err := panel.LUPartialPivot(opts.tol(), opts.NoPivot, rows); err != nil {
-		return fmt.Errorf("gp: dense panel: %w", ErrSingular)
+	if err := eliminatePanel(panel, 0, rows, opts.tol(), opts.NoPivot); err != nil {
+		return err
 	}
 
 	// Emit in pivot order: position k of the panel is pivot row k.
@@ -98,76 +97,4 @@ func FactorDenseInto(f *Factors, a *sparse.CSC, opts Options, ws *Workspace) err
 		f.PruneEnd = nil
 	}
 	return nil
-}
-
-// DenseUpperSolveInto computes U_kj = L⁻¹·P·b for a factorization built by
-// FactorDenseInto, writing a structural fully dense result into recycled
-// storage (dst may be nil): one forward-substitution sweep per column over
-// the panel, reading f's contiguous dense L columns directly — no reach
-// DFS, no pattern sort. The caller must guarantee f is dense-built; the
-// arithmetic per column matches RefactorUpperBlockFrom's masked substitution,
-// so a same-values refresh reproduces the block bitwise.
-func (f *Factors) DenseUpperSolveInto(dst, b *sparse.CSC, ws *Workspace) *sparse.CSC {
-	w, nc := f.N, b.N
-	panel := ws.Panel(w, nc)
-	for c := 0; c < nc; c++ {
-		col := panel.Col(c)
-		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
-			col[f.Pinv[b.Rowidx[p]]] = b.Values[p]
-		}
-	}
-	for c := 0; c < nc; c++ {
-		x := panel.Col(c)
-		for d := 0; d < w; d++ {
-			xd := x[d]
-			if xd == 0 {
-				continue
-			}
-			lv := f.L.Values[f.L.Colptr[d]+1 : f.L.Colptr[d+1]]
-			tgt := x[d+1:]
-			tgt = tgt[:len(lv)] // bounds-check elimination hint
-			for i, v := range lv {
-				tgt[i] -= float64(v * xd)
-			}
-		}
-	}
-	return sparse.FillDense(dst, w, nc, panel.Data)
-}
-
-// DenseLowerSolveInto computes X solving X·U = B against a dense-built
-// factorization's upper factor (Basker's lower off-diagonal kernel), with B
-// rows outside the factored block: a left-looking TRSM over the panel
-// reading f's contiguous dense U columns. Output is structural fully dense
-// into recycled storage (dst may be nil). The per-column arithmetic matches
-// RefactorLowerBlockFrom, so a same-values refresh reproduces the block
-// bitwise.
-func (f *Factors) DenseLowerSolveInto(dst, b *sparse.CSC, ws *Workspace) *sparse.CSC {
-	h, w := b.M, b.N
-	panel := ws.Panel(h, w)
-	for c := 0; c < w; c++ {
-		col := panel.Col(c)
-		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
-			col[b.Rowidx[p]] = b.Values[p]
-		}
-	}
-	for c := 0; c < w; c++ {
-		uv := f.U.Values[f.U.Colptr[c]:f.U.Colptr[c+1]] // rows 0..c, pivot last
-		xc := panel.Col(c)
-		for t := 0; t < c; t++ {
-			utc := uv[t]
-			if utc == 0 {
-				continue
-			}
-			xt := panel.Col(t)
-			xt = xt[:len(xc)] // bounds-check elimination hint
-			for i := range xc {
-				xc[i] -= float64(xt[i] * utc)
-			}
-		}
-		piv := uv[c]
-		for i := range xc {
-			xc[i] /= piv
-		}
-	}
-	return sparse.FillDense(dst, h, w, panel.Data)
 }

@@ -128,6 +128,21 @@ func TestFactorDenseIntoSingular(t *testing.T) {
 	}
 }
 
+// denseUpperFresh and denseLowerFresh build a dense coupling the way the
+// fresh ND sweep does: the refresh kernel from column 0 over the shape
+// FillDense gives a nil block.
+func denseUpperFresh(f *Factors, b *sparse.CSC) *sparse.CSC {
+	dst := sparse.FillDense(nil, f.N, b.N, nil)
+	f.DenseUpperRefactorFrom(dst, b, 0)
+	return dst
+}
+
+func denseLowerFresh(f *Factors, b *sparse.CSC) *sparse.CSC {
+	dst := sparse.FillDense(nil, b.M, b.N, nil)
+	f.DenseLowerRefactorFrom(dst, b, 0)
+	return dst
+}
+
 // TestDenseSolvesMatchSparseKernels: the dense TRSM kernels must agree with
 // the sparse off-diagonal kernels they replace — same factorization, same
 // right-hand blocks, equal values on the shared pattern (and exact zeros on
@@ -144,7 +159,7 @@ func TestDenseSolvesMatchSparseKernels(t *testing.T) {
 
 	// Upper kernel: U = L⁻¹·P·B against the sparse reach solve.
 	b := denseishCSC(rng, n, 0.2, false).ExtractBlock(0, n, 0, m)
-	up := f.DenseUpperSolveInto(nil, b, ws)
+	up := denseUpperFresh(f, b)
 	for c := 0; c < m; c++ {
 		bIdx := b.Rowidx[b.Colptr[c]:b.Colptr[c+1]]
 		bVal := b.Values[b.Colptr[c]:b.Colptr[c+1]]
@@ -172,7 +187,7 @@ func TestDenseSolvesMatchSparseKernels(t *testing.T) {
 	acc := make([]float64, h+1)
 	tag := 0
 	sparseX := f.LowerBlockSolveInto(nil, bl, mark, &tag, acc)
-	denseX := f.DenseLowerSolveInto(nil, bl, ws)
+	denseX := denseLowerFresh(f, bl)
 	for c := 0; c < n; c++ {
 		got := make([]float64, h)
 		for p := denseX.Colptr[c]; p < denseX.Colptr[c+1]; p++ {

@@ -2,17 +2,20 @@ package gp
 
 import "repro/internal/sparse"
 
-// This file is the refresh-sweep side of the dense-fed off-diagonal
-// kernels: in-place value refreshes for the upper and lower blocks that
-// were *built* by the dense panel layer (dense_feed.go). Dense-built blocks
-// are structural fully dense — every column is a contiguous slice of the
-// CSC value array — so the refresh arithmetic runs on contiguous storage
-// with no pattern indirection: the same flops as the entry-at-a-time
-// sparse refresh, much better constants. A dense-built diagonal factor
-// needs no kernel here: it is the single supernode [0, N), refreshed by
-// Refactor/RefactorSelective through the supernode panel elimination,
-// whose per-element operand order, skip-on-zero tests and division by the
-// pivot match the column refresh exactly.
+// This file is the dense-fed off-diagonal kernels: the upper and lower
+// blocks coupled to a dense-built diagonal (dense_feed.go). Such blocks are
+// structural fully dense — every column is a contiguous slice of the CSC
+// value array — so the arithmetic runs on contiguous storage with no
+// pattern indirection: the same flops as the entry-at-a-time sparse
+// kernels, much better constants. One kernel per side serves every sweep:
+// a fresh factorization gives the block the fully dense shape
+// (sparse.FillDense with nil data) and runs it from column 0, since each
+// column is cleared before its input is scattered; a refresh runs it in
+// place. A dense-built diagonal factor needs no kernel here: it is the
+// single supernode [0, N), refreshed by Refactor/RefactorSelective through
+// the supernode panel elimination, whose per-element operand order,
+// skip-on-zero tests and division by the pivot match the column refresh
+// exactly.
 //
 // Bitwise contract: each *From suffix restriction produces values bitwise
 // identical to the corresponding full refresh, which is what keeps
@@ -23,10 +26,10 @@ import "repro/internal/sparse"
 // block dst = L⁻¹·P·B in place for a same-pattern B. dst's columns are
 // contiguous fully dense slices of its value array, so the forward
 // substitution runs directly on the destination storage — no panel, no
-// scatter-back. The arithmetic per column matches DenseUpperSolveInto (and
-// therefore RefactorUpperBlockFrom) bitwise. The suffix restriction carries
-// RefactorUpperBlockFrom's contract: sound only when the factor did not
-// change this sweep and every changed input column lies at or beyond c0.
+// scatter-back. The arithmetic per column matches RefactorUpperBlockFrom
+// bitwise. The suffix restriction carries RefactorUpperBlockFrom's
+// contract: sound only when the factor did not change this sweep and every
+// changed input column lies at or beyond c0.
 func (f *Factors) DenseUpperRefactorFrom(dst, b *sparse.CSC, c0 int) {
 	w := f.N
 	for c := c0; c < b.N; c++ {
@@ -51,8 +54,8 @@ func (f *Factors) DenseUpperRefactorFrom(dst, b *sparse.CSC, c0 int) {
 }
 
 // DenseLowerRefactorFrom refreshes columns c0..N-1 of a dense-built lower
-// block dst solving X·U = B in place for a same-pattern B: the left-looking
-// TRSM of DenseLowerSolveInto running directly on dst's contiguous columns.
+// block dst solving X·U = B in place for a same-pattern B: a left-looking
+// TRSM running directly on dst's contiguous columns.
 // Earlier columns are read in place — ascending order guarantees they were
 // refreshed (or were already correct) before being consumed, the same
 // dependency argument as RefactorLowerBlockFrom, whose arithmetic this

@@ -89,10 +89,11 @@ type Factors struct {
 	Flops int64
 	// Snodes, when non-nil, is the supernode partition the factorization was
 	// built with: supernode s spans columns [Snodes[s], Snodes[s+1]).
-	// FactorSupernodalInto records its partition, FactorDenseInto the single
-	// supernode [0, N), FactorInto nil. Refactor and RefactorSelective
-	// dispatch on it: a nil partition refreshes column at a time, a wide
-	// supernode through its panel, which relies on the padded layout.
+	// FactorInto records the partition it was given (nil: column at a
+	// time), FactorDenseInto the single supernode [0, N). Refactor and
+	// RefactorSelective dispatch on it: a nil partition refreshes column at
+	// a time, a wide supernode through its panel, which relies on the
+	// padded layout.
 	Snodes []int
 	// snBlocked[s] records, fixed when the pattern is emitted, whether wide
 	// supernode s refreshes through the blocked outside update (see
@@ -133,9 +134,8 @@ type Workspace struct {
 	// lpend[j] is the in-flight symmetric-pruning boundary of L(:,j) during
 	// a factorization (absolute end index into L.Rowidx; -1 = not pruned).
 	lpend []int
-	// sn holds the supernode staging scratch of FactorSupernodalInto,
-	// lazily built on first use (nil for workspaces that never factor
-	// supernodally).
+	// sn holds the staging scratch of factorSupernode, lazily built on
+	// first use (nil for workspaces that never factor a wide supernode).
 	sn *snScratch
 	// blk is the block scratch of the blocked supernode refresh.
 	blk snBlock
@@ -176,12 +176,13 @@ func (w *Workspace) Grow(n int) {
 	w.Tag = 0
 }
 
-// Factor computes the LU factorization of the square matrix a. estNnz is a
-// capacity hint for each factor (e.g. from a symbolic column-count pass);
-// storage grows on demand if the hint is low. ws may be nil.
+// Factor computes the LU factorization of the square matrix a column at a
+// time. estNnz is a capacity hint for each factor (e.g. from a symbolic
+// column-count pass); storage grows on demand if the hint is low. ws may be
+// nil.
 func Factor(a *sparse.CSC, estNnz int, opts Options, ws *Workspace) (*Factors, error) {
 	f := &Factors{}
-	if err := FactorInto(f, a, estNnz, opts, ws); err != nil {
+	if err := FactorInto(f, a, nil, estNnz, opts, ws); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -193,11 +194,23 @@ func Factor(a *sparse.CSC, estNnz int, opts Options, ws *Workspace) (*Factors, e
 // pattern reaches a steady state with no allocation at all. On error f's
 // contents are unspecified and must not be used for solves (retrying with a
 // new matrix is fine — every call rebuilds from scratch).
-func FactorInto(f *Factors, a *sparse.CSC, estNnz int, opts Options, ws *Workspace) error {
+//
+// xsup, when non-nil, is a supernode partition as returned by
+// etree.RelaxedSupernodes (supernode s spans columns [xsup[s], xsup[s+1]))
+// and is recorded in f.Snodes: every wide supernode is eliminated through a
+// blocked dense panel (factorSupernode, snode.go), every singleton like a
+// column of a nil partition. Refactor and RefactorSelective walk the same
+// partition.
+func FactorInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opts Options, ws *Workspace) error {
 	if a.M != a.N {
 		return fmt.Errorf("gp: matrix must be square, got %d×%d", a.M, a.N)
 	}
 	n := a.N
+	if xsup != nil {
+		if err := checkPartition(xsup, n); err != nil {
+			return err
+		}
+	}
 	if ws == nil {
 		ws = NewWorkspace(n)
 	} else {
@@ -232,31 +245,43 @@ func FactorInto(f *Factors, a *sparse.CSC, estNnz int, opts Options, ws *Workspa
 	}
 	tol := opts.tol()
 
-	for k := 0; k < n; k++ {
-		if opts.Poll != nil && k%pollStride == 0 {
+	for s, k0, poll := 0, 0, 0; k0 < n; s++ {
+		k1 := k0 + 1
+		if xsup != nil {
+			k1 = xsup[s+1]
+		}
+		if opts.Poll != nil && k0 >= poll {
+			poll = k0 + pollStride
 			if err := opts.Poll(); err != nil {
 				return err
 			}
 		}
-		if err := f.factorFreshColumn(a, k, tol, opts, ws, prune); err != nil {
+		var err error
+		if k1 == k0+1 {
+			err = f.factorFreshColumn(a, k0, tol, opts, ws, prune)
+		} else {
+			err = f.factorSupernode(a, k0, k1, tol, opts, ws, prune)
+		}
+		if err != nil {
 			return err
 		}
+		k0 = k1
 	}
 
-	// Remap L's row indices from original ids to pivot order and sort both
-	// factors so downstream solves and refactorization can rely on order.
-	// The sort runs in place through the dense workspace accumulator (which
-	// is clean between columns) instead of CSC.SortColumns' double
-	// transpose, so it allocates nothing and skips already-sorted columns.
 	f.finishFactor(ws, prune)
-	f.Snodes = nil
+	if xsup == nil {
+		f.Snodes = nil
+		return nil
+	}
+	f.Snodes = append(f.Snodes[:0], xsup...)
+	f.markBlocked(ws)
 	return nil
 }
 
 // factorFreshColumn runs one column of the left-looking factorization: the
 // symbolic reach, the numeric forward solve, pivot selection, U/L emission
 // and the symmetric-pruning step — the per-column body shared by FactorInto
-// and the singleton supernodes of FactorSupernodalInto.
+// for every column of a nil partition and every singleton supernode.
 func (f *Factors) factorFreshColumn(a *sparse.CSC, k int, tol float64, opts Options, ws *Workspace, prune bool) error {
 	n := f.N
 	{
@@ -843,7 +868,7 @@ func (f *Factors) USolve(y []float64) {
 // otherwise supernode by supernode over Snodes — a singleton like a plain
 // column, a wide one (a dense-built factor is the single supernode
 // [0, N)) through its panel. A partition that does not tile 0..N is
-// rejected with the error FactorSupernodalInto raises.
+// rejected with the error FactorInto raises.
 func (f *Factors) Refactor(a *sparse.CSC, ws *Workspace) error {
 	return f.refresh(a, ws, nil, 0, nil)
 }

@@ -195,7 +195,7 @@ func TestFactorIntoSteadyStateAllocFree(t *testing.T) {
 	base := randNonsingular(rng, 150, 0.08)
 	ws := NewWorkspace(base.N)
 	f := &Factors{}
-	if err := FactorInto(f, base, 0, Options{}, ws); err != nil {
+	if err := FactorInto(f, base, nil, 0, Options{}, ws); err != nil {
 		t.Fatal(err)
 	}
 	steps := make([]*sparse.CSC, 3)
@@ -204,14 +204,14 @@ func TestFactorIntoSteadyStateAllocFree(t *testing.T) {
 		for p := range steps[i].Values {
 			steps[i].Values[p] *= 1 + 0.1*rng.Float64()
 		}
-		if err := FactorInto(f, steps[i], 0, Options{}, ws); err != nil {
+		if err := FactorInto(f, steps[i], nil, 0, Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		i++
-		if err := FactorInto(f, steps[i%len(steps)], 0, Options{}, ws); err != nil {
+		if err := FactorInto(f, steps[i%len(steps)], nil, 0, Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
 	})

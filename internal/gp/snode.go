@@ -18,11 +18,16 @@ import (
 // panel LU of dense_feed.go, but with enough pattern overlap that
 // per-column scatter, DFS and sort bookkeeping dominates the arithmetic.
 //
-// Refactor and RefactorSelective (gp.go) walk a factor's Snodes and hand
-// every wide supernode to refreshSupernode: outside update into a pooled
-// panel, fixed-sequence elimination (eliminatePanel), scatter back. A
-// dense-built factor (dense_feed.go) is the single supernode [0, N): it has
-// no outside columns, so its refresh is the panel elimination alone.
+// Every dense panel LU of the package is one function, eliminatePanel. The
+// fresh FactorInto (gp.go) hands every wide supernode of its partition to
+// factorSupernode: a left-looking outside elimination per column, then the
+// pivoting eliminatePanel over the staged union sub-panel. Refactor and
+// RefactorSelective walk a factor's Snodes and hand every wide supernode to
+// refreshSupernode: outside update into a pooled panel, the fixed-sequence
+// eliminatePanel, scatter back. A dense-built factor (dense_feed.go) is the
+// single supernode [0, N): FactorDenseInto runs the pivoting eliminatePanel
+// over the whole block, and having no outside columns, its refresh is the
+// fixed-sequence one alone.
 //
 // The same-pattern refresh of a wide supernode has two outside-update
 // strategies (the updates from columns left of the supernode, which is
@@ -37,15 +42,15 @@ import (
 //     run of a wide source as an in-source triangle solve followed by a
 //     register-tiled product over its shared below rows.
 //
-// The choice is pattern-only and fixed when FactorSupernodalInto emits the
-// pattern: a supernode refreshes blocked when its outside-U density
-// (stored outside entries over w × outside-row union) reaches
-// snBlockedDensity; sparser ones pay more for the union and the block
-// scan than the reuse saves. Both strategies are bitwise identical: every
-// element receives exactly the updates t -= l·u of the column kernel, one
-// at a time in ascending source column, skipping the same zero
-// multipliers — the register tiles only keep the running value in a
-// register between them, nothing is summed separately or reassociated.
+// The choice is pattern-only and fixed when FactorInto emits the pattern:
+// a supernode refreshes blocked when its outside-U density (stored outside
+// entries over w × outside-row union) reaches snBlockedDensity; sparser
+// ones pay more for the union and the block scan than the reuse saves.
+// Both strategies are bitwise identical: every element receives exactly
+// the updates t -= l·u of the column kernel, one at a time in ascending
+// source column, skipping the same zero multipliers — the register tiles
+// only keep the running value in a register between them, nothing is
+// summed separately or reassociated.
 //
 // The block is row-major, one 16-lane row per block row, so a source row
 // updates all target columns of its block row with four YMM registers.
@@ -85,7 +90,7 @@ import (
 // the refresh sweeps and the in-place refactorization contracts work on
 // supernodal factors exactly as on plain ones.
 
-// snScratch is the reusable staging state of FactorSupernodalInto: the
+// snScratch is the reusable staging state of factorSupernode: the
 // orig-row → panel-row assignment of the current supernode (tag-guarded so
 // resets are O(1)) and the per-column staged entries awaiting the panel.
 type snScratch struct {
@@ -113,87 +118,15 @@ func (w *Workspace) snScratch(n int) *snScratch {
 	return sn
 }
 
-// FactorSupernodalInto factors the square block a like FactorInto, but
-// eliminates the supernodes of the xsup partition (boundaries as returned
-// by etree.RelaxedSupernodes: supernode s spans columns [xsup[s],
-// xsup[s+1])) through blocked dense panels: each supernode column runs the
-// standard reach + left-looking update against the columns *outside* the
-// supernode — in-panel pivots are still unassigned, so the DFS
-// self-restricts — and the remaining sub-panel (the union of the columns'
-// unpivoted patterns, padded with explicit structural zeros) is factored
-// right-looking with the same diagonal-preference partial pivoting as the
-// sparse kernel. Singleton supernodes take the plain per-column path
-// unchanged. Storage recycling, error contract and the emitted invariants
-// match FactorInto; ws provides the pooled panel.
-func FactorSupernodalInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opts Options, ws *Workspace) error {
-	if a.M != a.N {
-		return fmt.Errorf("gp: matrix must be square, got %d×%d", a.M, a.N)
-	}
-	n := a.N
-	if err := checkPartition(xsup, n); err != nil {
-		return err
-	}
-	if ws == nil {
-		ws = NewWorkspace(n)
-	} else {
-		ws.Grow(n)
-	}
-	if estNnz < a.Nnz()+n {
-		estNnz = a.Nnz() + n
-	}
-	f.resetPatterns(n, estNnz)
-	f.P = sparse.GrowInts(f.P, n)
-	f.Pinv = sparse.GrowInts(f.Pinv, n)
-	f.Flops = 0
-	for i := range f.Pinv {
-		f.Pinv[i] = -1
-	}
-	prune := !opts.NoPrune && n >= pruneMinDim
-	for j := 0; j < n; j++ {
-		ws.lpend[j] = -1
-	}
-	if prune {
-		f.PruneEnd = sparse.GrowInts(f.PruneEnd, n)
-		for j := range f.PruneEnd {
-			f.PruneEnd[j] = -1
-		}
-	} else {
-		f.PruneEnd = nil
-	}
-	tol := opts.tol()
-	sn := ws.snScratch(n)
-
-	for s := 0; s+1 < len(xsup); s++ {
-		k0, k1 := xsup[s], xsup[s+1]
-		if opts.Poll != nil && s%64 == 0 {
-			if err := opts.Poll(); err != nil {
-				return err
-			}
-		}
-		if k1 == k0+1 {
-			if err := f.factorFreshColumn(a, k0, tol, opts, ws, prune); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := f.factorSupernode(a, k0, k1, tol, opts, ws, sn, prune); err != nil {
-			return err
-		}
-	}
-	f.finishFactor(ws, prune)
-	f.Snodes = append(f.Snodes[:0], xsup...)
-	f.markBlocked(ws)
-	return nil
-}
-
 // factorSupernode eliminates the wide supernode [k0, k1) in two phases:
-// the left-looking outside elimination and U emission per column, then one
-// right-looking pivoted panel LU over the staged union sub-panel.
-func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts Options, ws *Workspace, sn *snScratch, prune bool) error {
+// the left-looking outside elimination and U emission per column, then the
+// pivoting eliminatePanel over the staged union sub-panel.
+func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts Options, ws *Workspace, prune bool) error {
 	n := f.N
 	w := k1 - k0
 	x := ws.X
 	xi := ws.Xi
+	sn := ws.snScratch(n)
 	sn.tag++
 	tag := sn.tag
 	sn.rowsArr = sn.rowsArr[:0]
@@ -280,58 +213,10 @@ func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts O
 		}
 	}
 	rowsArr := sn.rowsArr
+	if err := eliminatePanel(panel, k0, rowsArr, tol, opts.NoPivot); err != nil {
+		return err
+	}
 	for d := 0; d < w; d++ {
-		cd := panel.Col(d)
-		pivR := -1
-		maxAbs := 0.0
-		for r := d; r < m; r++ {
-			if v := math.Abs(cd[r]); v > maxAbs {
-				maxAbs = v
-				pivR = r
-			}
-		}
-		nat := -1
-		for r := d; r < m; r++ {
-			if rowsArr[r] == k0+d {
-				nat = r
-				break
-			}
-		}
-		if opts.NoPivot {
-			if nat < 0 || cd[nat] == 0 {
-				return fmt.Errorf("gp: column %d: %w", k0+d, ErrSingular)
-			}
-			pivR = nat
-		} else if pivR >= 0 && nat >= 0 {
-			// Diagonal preference: keep the natural pivot when acceptable.
-			if v := math.Abs(cd[nat]); v >= tol*maxAbs && v > 0 {
-				pivR = nat
-			}
-		}
-		if pivR < 0 || cd[pivR] == 0 {
-			return fmt.Errorf("gp: column %d: %w", k0+d, ErrSingular)
-		}
-		if pivR != d {
-			panel.SwapRows(d, pivR)
-			rowsArr[d], rowsArr[pivR] = rowsArr[pivR], rowsArr[d]
-		}
-		piv := cd[d]
-		for r := d + 1; r < m; r++ {
-			cd[r] /= piv
-		}
-		for j := d + 1; j < w; j++ {
-			cj := panel.Col(j)
-			fjd := cj[d]
-			if fjd == 0 {
-				continue
-			}
-			tgt := cj[d+1:]
-			lo := cd[d+1:]
-			lo = lo[:len(tgt)] // bounds-check elimination hint
-			for r, v := range lo {
-				tgt[r] -= float64(v * fjd)
-			}
-		}
 		f.Flops += int64(m-d-1) * int64(w-d)
 		f.P[k0+d] = rowsArr[d]
 		f.Pinv[rowsArr[d]] = k0 + d
@@ -466,7 +351,7 @@ func (f *Factors) refreshSupernode(a *sparse.CSC, ws *Workspace, k0, k1 int, blo
 	} else {
 		f.outsideColumns(a, ws.X, k0, k1, panel)
 	}
-	if err := eliminatePanel(panel, k0); err != nil {
+	if err := eliminatePanel(panel, k0, nil, 0, false); err != nil {
 		return err
 	}
 	f.scatterPanel(panel, k0)
@@ -714,19 +599,27 @@ func runUpdateGo(blk []float64, rel []int, lv []float64, lb []int, q int) {
 	}
 }
 
-// eliminatePanel is the fixed-sequence right-looking elimination of the
-// refreshed panel of the supernode starting at k0: no pivot search, error
-// out on drift to zero (the caller falls back to a fresh factorization).
-// Both outside updates leave the workspace clean before it, so the error
-// path needs no cleanup.
-func eliminatePanel(panel *dense.Matrix, k0 int) error {
+// eliminatePanel is the right-looking LU of the panel of the supernode
+// starting at pivot position k0, the one panel elimination of every fresh
+// and refresh kernel: each step scales its pivot column by the pivot (a
+// division, like the column kernels) and updates every later column with a
+// nonzero multiplier. With rows (panel row → original row id) each step
+// first picks and swaps in its pivot (pivotPanel); a refresh passes nil and
+// keeps the fixed sequence, erroring out on drift to zero (the caller falls
+// back to a fresh factorization). The outside updates leave the workspace
+// clean before it, so the error path needs no cleanup.
+func eliminatePanel(panel *dense.Matrix, k0 int, rows []int, tol float64, noPivot bool) error {
 	w := panel.Cols
 	for d := 0; d < w; d++ {
 		cd := panel.Col(d)
-		piv := cd[d]
-		if piv == 0 {
+		if rows != nil {
+			if err := pivotPanel(panel, rows, d, k0+d, tol, noPivot); err != nil {
+				return err
+			}
+		} else if cd[d] == 0 {
 			return fmt.Errorf("gp: refactor column %d: %w", k0+d, ErrSingular)
 		}
+		piv := cd[d]
 		divBy(cd[d+1:], piv)
 		for j := d + 1; j < w; j++ {
 			cj := panel.Col(j)
@@ -734,6 +627,41 @@ func eliminatePanel(panel *dense.Matrix, k0 int) error {
 				axpy(cj[d+1:], cd[d+1:], fjd)
 			}
 		}
+	}
+	return nil
+}
+
+// pivotPanel picks the pivot of step d among panel rows d.. by the
+// diagonal-preference rule of the column kernel — the first strict maximum
+// in panel-row order, unless the natural row (original id nat) is within
+// tol of it and nonzero; noPivot forces the natural row — and swaps it into
+// row d, rows included.
+func pivotPanel(panel *dense.Matrix, rows []int, d, nat int, tol float64, noPivot bool) error {
+	cd := panel.Col(d)
+	best, natR := -1, -1
+	maxAbs := 0.0
+	for r := d; r < len(cd); r++ {
+		if v := math.Abs(cd[r]); v > maxAbs {
+			maxAbs, best = v, r
+		}
+		if rows[r] == nat {
+			natR = r
+		}
+	}
+	p := best
+	if noPivot {
+		p = natR
+	} else if best >= 0 && natR >= 0 {
+		if v := math.Abs(cd[natR]); v >= tol*maxAbs && v > 0 {
+			p = natR
+		}
+	}
+	if p < 0 || cd[p] == 0 {
+		return fmt.Errorf("gp: column %d: %w", nat, ErrSingular)
+	}
+	if p != d {
+		panel.SwapRows(d, p)
+		rows[d], rows[p] = rows[p], rows[d]
 	}
 	return nil
 }

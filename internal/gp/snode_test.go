@@ -52,7 +52,7 @@ func TestFactorSupernodalMatchesPlain(t *testing.T) {
 			a := denseishCSC(rng, n, fill, true)
 			xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 8, 64)
 			sn := &Factors{}
-			if err := FactorSupernodalInto(sn, a, xsup, 0, Options{}, nil); err != nil {
+			if err := FactorInto(sn, a, xsup, 0, Options{}, nil); err != nil {
 				t.Fatalf("n=%d fill=%g: %v", n, fill, err)
 			}
 			checkFactorization(t, a, sn, 100)
@@ -98,7 +98,7 @@ func TestFactorSupernodalArbitraryPartition(t *testing.T) {
 			xsup = append(xsup, e)
 		}
 		sn := &Factors{}
-		if err := FactorSupernodalInto(sn, a, xsup, 0, Options{PivotTol: 1}, nil); err != nil {
+		if err := FactorInto(sn, a, xsup, 0, Options{PivotTol: 1}, nil); err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
 		checkFactorization(t, a, sn, 100)
@@ -107,14 +107,14 @@ func TestFactorSupernodalArbitraryPartition(t *testing.T) {
 
 // TestRefactorSupernodalBitwise pins the refresh contracts the fine-ND
 // sweeps rely on, on every layout the one refresh loop serves: column
-// (FactorInto), supernodal (FactorSupernodalInto) and dense-built
-// (FactorDenseInto) factors of one matrix. After normalizing to refresh
-// arithmetic, Refactor is bitwise equal to the column-at-a-time reference
-// on the same factor, a same-values refresh is a bitwise no-op
-// (idempotence), RefactorSelective with every column stamped and over a
-// random stamp set is bitwise identical to the full refresh, no stamps
-// rerun nothing, and both entries allocate nothing with one shared
-// workspace — which pins that its panel pool is reused.
+// (FactorInto with a nil partition), supernodal (FactorInto with xsup)
+// and dense-built (FactorDenseInto) factors of one matrix. After
+// normalizing to refresh arithmetic, Refactor is bitwise equal to the
+// column-at-a-time reference on the same factor, a same-values refresh is
+// a bitwise no-op (idempotence), RefactorSelective with every column
+// stamped and over a random stamp set is bitwise identical to the full
+// refresh, no stamps rerun nothing, and both entries allocate nothing with
+// one shared workspace — which pins that its panel pool is reused.
 func TestRefactorSupernodalBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	n := 90
@@ -134,8 +134,8 @@ func TestRefactorSupernodalBitwise(t *testing.T) {
 		name   string
 		factor func(f *Factors) error
 	}{
-		{"column", func(f *Factors) error { return FactorInto(f, a, 0, Options{}, ws) }},
-		{"supernodal", func(f *Factors) error { return FactorSupernodalInto(f, a, xsup, 0, Options{}, ws) }},
+		{"column", func(f *Factors) error { return FactorInto(f, a, nil, 0, Options{}, ws) }},
+		{"supernodal", func(f *Factors) error { return FactorInto(f, a, xsup, 0, Options{}, ws) }},
 		{"dense-built", func(f *Factors) error { return FactorDenseInto(f, a, Options{}, ws) }},
 	} {
 		// fs[2] refreshes through the column-at-a-time reference.
@@ -260,7 +260,7 @@ func TestRefactorSupernodalSelectiveClosure(t *testing.T) {
 	var fs [2]*Factors
 	for i := range fs {
 		fs[i] = &Factors{}
-		if err := FactorSupernodalInto(fs[i], a, xsup, 0, Options{}, ws); err != nil {
+		if err := FactorInto(fs[i], a, xsup, 0, Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
 		if err := fs[i].Refactor(a, ws); err != nil {
@@ -312,7 +312,7 @@ func TestRefactorSupernodalSingular(t *testing.T) {
 	xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 8, 64)
 	ws := NewWorkspace(n)
 	f := &Factors{}
-	if err := FactorSupernodalInto(f, a, xsup, 0, Options{}, ws); err != nil {
+	if err := FactorInto(f, a, xsup, 0, Options{}, ws); err != nil {
 		t.Fatal(err)
 	}
 	bad := a.Clone()
@@ -324,7 +324,7 @@ func TestRefactorSupernodalSingular(t *testing.T) {
 	}
 	// Workspace left clean: a fresh supernodal factorization of a good
 	// matrix through the same workspace must succeed and verify.
-	if err := FactorSupernodalInto(f, a, xsup, 0, Options{}, ws); err != nil {
+	if err := FactorInto(f, a, xsup, 0, Options{}, ws); err != nil {
 		t.Fatalf("retry after singular refresh: %v", err)
 	}
 	checkFactorization(t, a, f, 100)
@@ -345,19 +345,19 @@ func TestFactorSupernodalRecyclesStorage(t *testing.T) {
 	f := &Factors{}
 	ws := NewWorkspace(n)
 	for _, s := range steps {
-		if err := FactorSupernodalInto(f, s, xsup, 0, Options{}, ws); err != nil {
+		if err := FactorInto(f, s, xsup, 0, Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		i++
-		if err := FactorSupernodalInto(f, steps[i%len(steps)], xsup, 0, Options{}, ws); err != nil {
+		if err := FactorInto(f, steps[i%len(steps)], xsup, 0, Options{}, ws); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state FactorSupernodalInto allocates: %v allocs/op", allocs)
+		t.Fatalf("steady-state supernodal FactorInto allocates: %v allocs/op", allocs)
 	}
 	allocs = testing.AllocsPerRun(20, func() {
 		i++
@@ -450,9 +450,9 @@ func TestRefactorDenseMatchesSparseRefresh(t *testing.T) {
 	}
 }
 
-// TestDenseTRSMRefreshMatchesSolve: the in-place dense TRSM refreshes must
-// reproduce the dense solve kernels bitwise — same arithmetic on the same
-// contiguous columns, destination storage instead of a pooled panel.
+// TestDenseTRSMRefreshMatchesSolve: refreshing a dense coupling in place,
+// over the stale values of an earlier solve, must reproduce a fresh build
+// of the new right-hand block bitwise, in full and from a column suffix.
 func TestDenseTRSMRefreshMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
 	n, m, h := 36, 22, 15
@@ -463,11 +463,11 @@ func TestDenseTRSMRefreshMatchesSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Upper: refresh in place vs fresh solve of the new right-hand block.
+	// Upper: refresh in place vs fresh build of the new right-hand block.
 	b := denseishCSC(rng, n, 0.25, false).ExtractBlock(0, n, 0, m)
-	up := f.DenseUpperSolveInto(nil, b, ws)
+	up := denseUpperFresh(f, b)
 	b2 := perturbSamePattern(rng, b)
-	want := f.DenseUpperSolveInto(nil, b2, ws)
+	want := denseUpperFresh(f, b2)
 	f.DenseUpperRefactorFrom(up, b2, 0)
 	for i, v := range want.Values {
 		if up.Values[i] != v {
@@ -483,7 +483,7 @@ func TestDenseTRSMRefreshMatchesSolve(t *testing.T) {
 			b3.Values[p] *= 1.3
 		}
 	}
-	want = f.DenseUpperSolveInto(want, b3, ws)
+	want = denseUpperFresh(f, b3)
 	f.DenseUpperRefactorFrom(up, b3, c0)
 	for i, v := range want.Values {
 		if up.Values[i] != v {
@@ -493,9 +493,9 @@ func TestDenseTRSMRefreshMatchesSolve(t *testing.T) {
 
 	// Lower: same contract for X·U = B.
 	bl := denseishCSC(rng, n, 0.25, false).ExtractBlock(0, h, 0, n)
-	lo := f.DenseLowerSolveInto(nil, bl, ws)
+	lo := denseLowerFresh(f, bl)
 	bl2 := perturbSamePattern(rng, bl)
-	wantL := f.DenseLowerSolveInto(nil, bl2, ws)
+	wantL := denseLowerFresh(f, bl2)
 	f.DenseLowerRefactorFrom(lo, bl2, 0)
 	for i, v := range wantL.Values {
 		if lo.Values[i] != v {
@@ -793,7 +793,7 @@ func TestRefreshSupernodeBlockedBitwise(t *testing.T) {
 		n := c.a.N
 		var ref, blk, rule Factors
 		for _, f := range []*Factors{&ref, &blk, &rule} {
-			if err := FactorSupernodalInto(f, c.a, c.xsup, 0, Options{}, ws); err != nil {
+			if err := FactorInto(f, c.a, c.xsup, 0, Options{}, ws); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 		}
@@ -869,7 +869,7 @@ func TestRefactorSupernodalRejectsPartition(t *testing.T) {
 	a := denseishCSC(rng, n, 0.2, true)
 	xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 8, 64)
 	f := &Factors{}
-	if err := FactorSupernodalInto(f, a, xsup, 0, Options{}, nil); err != nil {
+	if err := FactorInto(f, a, xsup, 0, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	stamp := make([]uint64, n)
@@ -936,7 +936,7 @@ func FuzzRefactorSupernodal(f *testing.F) {
 		ws := NewWorkspace(n)
 		var ref, blk Factors
 		for _, fc := range []*Factors{&ref, &blk} {
-			if err := FactorSupernodalInto(fc, a, xsup, 0, Options{}, ws); err != nil {
+			if err := FactorInto(fc, a, xsup, 0, Options{}, ws); err != nil {
 				return
 			}
 		}

@@ -132,7 +132,7 @@ func TestSupernodeTileVectorBitwise(t *testing.T) {
 	blocked := 0
 	for _, c := range cases {
 		f := &Factors{}
-		if err := FactorSupernodalInto(f, c.a, c.xsup, 0, Options{}, nil); err != nil {
+		if err := FactorInto(f, c.a, c.xsup, 0, Options{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		lv := f.L.Values
@@ -167,7 +167,7 @@ func TestSupernodeTileVectorBitwise(t *testing.T) {
 			}
 			copy(got.Data, want.Data)
 			eliminatePanelGo(want)
-			if err := eliminatePanel(got, j0); err != nil {
+			if err := eliminatePanel(got, j0, nil, 0, false); err != nil {
 				t.Fatal(err)
 			}
 			if i := sameTileBits(want.Data, got.Data); i >= 0 {
@@ -374,7 +374,7 @@ func TestSupernodeRowKernelBitwise(t *testing.T) {
 	runs := 0
 	for _, cs := range cases {
 		f := &Factors{}
-		if err := FactorSupernodalInto(f, cs.a, cs.xsup, 0, Options{}, nil); err != nil {
+		if err := FactorInto(f, cs.a, cs.xsup, 0, Options{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s+1 < len(f.Snodes); s++ {

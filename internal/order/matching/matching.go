@@ -1,8 +1,8 @@
 // Package matching implements bipartite matchings used to permute sparse
 // matrices to a zero-free diagonal:
 //
-//   - MaxCardinality: MC21-style augmenting-path maximum cardinality
-//     matching on the pattern of A.
+//   - MaxCardinalityPermWith: MC21-style augmenting-path maximum
+//     cardinality matching on the pattern of A.
 //   - Bottleneck: maximum weight-cardinality matching (MWCM) in the
 //     bottleneck sense used by Basker — among all perfect matchings, it
 //     maximizes the smallest |a_ij| placed on the diagonal. This mirrors the
@@ -47,15 +47,6 @@ type augFrame struct{ col, ptr int }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
-
-// MaxCardinality computes a maximum cardinality matching of the columns of a
-// to its rows. It returns rowOf where rowOf[j] is the row matched to column
-// j, or -1 if column j is unmatched, along with the matching size. The
-// returned slice is freshly allocated (callers retain it).
-func MaxCardinality(a *sparse.CSC) (rowOf []int, size int) {
-	r, s := maxCardinalityFiltered(a, 0, NewWorkspace())
-	return append([]int(nil), r...), s
-}
 
 // maxCardinalityFiltered matches using only entries with |value| >= thresh.
 // thresh == 0 admits every stored entry (pattern matching). The returned
@@ -158,18 +149,13 @@ type Result struct {
 	// RowPerm is new-to-old: B = A(RowPerm, :) has B(j,j) != 0 for all j.
 	RowPerm []int
 	// Bottleneck is the smallest |a_ij| on the matched diagonal (only set
-	// by Bottleneck; MaxCardinalityPerm leaves it 0).
+	// by Bottleneck; MaxCardinalityPermWith leaves it 0).
 	Bottleneck float64
 }
 
-// MaxCardinalityPerm returns a row permutation placing nonzeros on the
-// diagonal, or ErrStructurallySingular if none exists.
-func MaxCardinalityPerm(a *sparse.CSC) (*Result, error) {
-	return MaxCardinalityPermWith(a, nil)
-}
-
-// MaxCardinalityPermWith is MaxCardinalityPerm drawing scratch from ws
-// (nil allocates a private workspace).
+// MaxCardinalityPermWith returns a row permutation placing nonzeros on the
+// diagonal, or ErrStructurallySingular if none exists, drawing scratch from
+// ws (nil allocates a private workspace).
 func MaxCardinalityPermWith(a *sparse.CSC, ws *Workspace) (*Result, error) {
 	if a.M != a.N {
 		return nil, errors.New("matching: matrix must be square")

@@ -29,7 +29,7 @@ func TestMaxCardinalityPermSimple(t *testing.T) {
 		{1, 0, 1},
 		{1, 0, 0},
 	})
-	res, err := MaxCardinalityPerm(a)
+	res, err := MaxCardinalityPermWith(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestStructurallySingular(t *testing.T) {
 		{1, 1, 0},
 		{1, 1, 0},
 	})
-	if _, err := MaxCardinalityPerm(a); err != ErrStructurallySingular {
+	if _, err := MaxCardinalityPermWith(a, nil); err != ErrStructurallySingular {
 		t.Fatalf("err = %v, want ErrStructurallySingular", err)
 	}
 	if _, err := Bottleneck(a); err != ErrStructurallySingular {
@@ -60,7 +60,7 @@ func TestStructurallySingular(t *testing.T) {
 		{0, 0, 1},
 		{0, 0, 1},
 	})
-	if _, err := MaxCardinalityPerm(b); err != ErrStructurallySingular {
+	if _, err := MaxCardinalityPermWith(b, nil); err != ErrStructurallySingular {
 		t.Fatalf("err = %v, want ErrStructurallySingular", err)
 	}
 }
@@ -114,7 +114,7 @@ func TestMatchingIsPermutationProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(60)
 		a := randSquareWithDiag(rng, n, 0.1)
-		res, err := MaxCardinalityPerm(a)
+		res, err := MaxCardinalityPermWith(a, nil)
 		if err != nil {
 			return false
 		}
@@ -174,7 +174,7 @@ func TestMaxCardinalityRect(t *testing.T) {
 		{1, 1, 0},
 		{0, 1, 1},
 	})
-	rowOf, size := MaxCardinality(a)
+	rowOf, size := maxCardinalityFiltered(a, 0, NewWorkspace())
 	if size != 2 {
 		t.Fatalf("size = %d, want 2", size)
 	}

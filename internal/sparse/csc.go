@@ -13,7 +13,10 @@
 //     new position k, so (PA)(k,:) = A(p[k],:).
 package sparse
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // CSC is a sparse matrix in compressed sparse column format.
 type CSC struct {
@@ -74,9 +77,10 @@ func (a *CSC) ResetShape(m, n int) {
 // steady state — dst is already m×n holding m·n entries, which for the
 // sorted unique column patterns all emitters maintain forces exactly the
 // full pattern — only the values are copied; otherwise the pattern is
-// rebuilt into dst's storage. dst may be nil. This is the single emission
-// point of the dense kernel layer, so the fully-dense-pattern invariant
-// lives in one place.
+// rebuilt into dst's storage. dst may be nil. A nil data sets the shape
+// only: the values are then unspecified, left for a kernel that writes
+// every column in full. This is the single emission point of the dense
+// kernel layer, so the fully-dense-pattern invariant lives in one place.
 func FillDense(dst *CSC, m, n int, data []float64) *CSC {
 	if dst == nil {
 		dst = NewCSC(m, n, m*n)
@@ -91,7 +95,8 @@ func FillDense(dst *CSC, m, n int, data []float64) *CSC {
 		}
 		dst.Colptr[c+1] = (c + 1) * m
 	}
-	dst.Values = append(dst.Values, data...)
+	dst.Values = slices.Grow(dst.Values, m*n)[:m*n]
+	copy(dst.Values, data)
 	return dst
 }
 
@@ -402,18 +407,6 @@ func IdentityPerm(n int) []int {
 	return p
 }
 
-// ComposePerm returns the permutation r with r[k] = p[q[k]], i.e. applying
-// q first and then p in new-to-old convention: (P_p P_q A)(k,:) = A(r[k],:)
-// holds when r = compose as below. Concretely if B = A(q,:) and C = B(p,:)
-// then C = A(r,:) with r[k] = q[p[k]].
-func ComposePerm(q, p []int) []int {
-	r := make([]int, len(p))
-	for k := range p {
-		r[k] = q[p[k]]
-	}
-	return r
-}
-
 // IsPerm reports whether p is a permutation of 0..len(p)-1.
 func IsPerm(p []int) bool {
 	seen := make([]bool, len(p))
@@ -439,17 +432,6 @@ func (a *CSC) MulVec(y, x []float64) {
 		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
 			y[a.Rowidx[p]] += float64(a.Values[p] * xj)
 		}
-	}
-}
-
-// MulVecT computes y = Aᵀ·x. y must have length N, x length M.
-func (a *CSC) MulVecT(y, x []float64) {
-	for j := 0; j < a.N; j++ {
-		s := 0.0
-		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			s += float64(a.Values[p] * x[a.Rowidx[p]])
-		}
-		y[j] = s
 	}
 }
 
@@ -498,16 +480,6 @@ func (a *CSC) CheckFinite() error {
 		}
 	}
 	return nil
-}
-
-// Validate runs the full API-boundary screen: structural invariants
-// (Check) plus value finiteness (CheckFinite). It is the entry-point check
-// behind Options.ValidateInputs.
-func (a *CSC) Validate() error {
-	if err := a.Check(); err != nil {
-		return err
-	}
-	return a.CheckFinite()
 }
 
 // Check validates structural invariants: non-negative dimensions, a

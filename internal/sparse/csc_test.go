@@ -139,9 +139,8 @@ func TestInverseComposePerm(t *testing.T) {
 				return false
 			}
 		}
-		id := ComposePerm(p, pinv)
 		for k := 0; k < n; k++ {
-			if id[k] != k {
+			if p[pinv[k]] != k {
 				return false
 			}
 		}
@@ -168,22 +167,6 @@ func TestMulVecAgainstDense(t *testing.T) {
 		}
 		if math.Abs(y[i]-want) > 1e-12 {
 			t.Fatalf("y[%d] = %v, want %v", i, y[i], want)
-		}
-	}
-	// Aᵀx agreement.
-	xt := make([]float64, a.M)
-	for i := range xt {
-		xt[i] = rng.NormFloat64()
-	}
-	yt := make([]float64, a.N)
-	a.MulVecT(yt, xt)
-	for j := 0; j < a.N; j++ {
-		want := 0.0
-		for i := 0; i < a.M; i++ {
-			want += a.At(i, j) * xt[i]
-		}
-		if math.Abs(yt[j]-want) > 1e-12 {
-			t.Fatalf("yt[%d] = %v, want %v", j, yt[j], want)
 		}
 	}
 }

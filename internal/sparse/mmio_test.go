@@ -105,14 +105,18 @@ func TestMatrixMarketEmptyShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
 		}
-		if err := a.Validate(); err != nil || a.Nnz() != 0 {
-			t.Fatalf("%q: nnz=%d, Validate: %v", in, a.Nnz(), err)
+		err = a.Check()
+		if err == nil {
+			err = a.CheckFinite()
+		}
+		if err != nil || a.Nnz() != 0 {
+			t.Fatalf("%q: nnz=%d, Check/CheckFinite: %v", in, a.Nnz(), err)
 		}
 	}
 }
 
 // FuzzReadMatrixMarket feeds arbitrary bytes to the reader: it must never
-// panic, and any matrix it returns must pass Validate. The dimension cap is
+// panic, and any matrix it returns must pass Check and CheckFinite. The dimension cap is
 // lowered to 2^12 so a fuzzed size line cannot ask for gigabytes of column
 // pointers; every other check is the public reader's.
 func FuzzReadMatrixMarket(f *testing.F) {
@@ -128,8 +132,11 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("returned matrix fails Validate: %v", err)
+		if err := a.Check(); err != nil {
+			t.Fatalf("returned matrix fails Check: %v", err)
+		}
+		if err := a.CheckFinite(); err != nil {
+			t.Fatalf("returned matrix fails CheckFinite: %v", err)
 		}
 	})
 }
