@@ -101,7 +101,8 @@ type Options struct {
 	// (factor, refactor, partial refactor, panel-parallel SolveMany) that
 	// makes no progress for this long is aborted with ErrStalled naming the
 	// stuck block and worker lane, and the factorization is left poisoned but
-	// recoverable (RefactorRobust or a fresh Factor restores it). 0 — the
+	// recoverable (the next successful Refactor, which then sweeps every
+	// block, or a fresh Factor restores it). 0 — the
 	// default — disables the watchdog. Serial sweeps run on the caller's
 	// goroutine and cannot be unwound by the watchdog.
 	StallTimeout time.Duration
@@ -192,7 +193,7 @@ var (
 
 // Cancellation and watchdog errors of the context-accepting entry points
 // (FactorCtx, RefactorCtx and friends). A sweep aborted by any of these
-// leaves the factorization poisoned but recoverable: RefactorRobust or a
+// leaves the factorization poisoned but recoverable: Refactor or a
 // fresh Factor re-establishes a consistent state.
 var (
 	// ErrCanceled reports that the caller's context was cancelled mid-sweep.
@@ -215,14 +216,22 @@ var (
 type StallError = core.StallError
 
 // checkMatrix is the always-on O(1) screen of every entry point that takes
-// a *Matrix: a nil matrix or a negative dimension reports ErrBadInput
-// instead of a nil dereference or an out-of-range slice.
+// a *Matrix: a nil matrix, a negative dimension or slices too short for the
+// entry count the column pointers declare report ErrBadInput instead of a
+// nil dereference or an out-of-range slice.
 func checkMatrix(a *Matrix) error {
 	if a == nil {
 		return fmt.Errorf("%w: nil matrix", ErrBadInput)
 	}
 	if a.M < 0 || a.N < 0 {
 		return fmt.Errorf("%w: matrix is %d×%d, dimensions must not be negative", ErrBadInput, a.M, a.N)
+	}
+	if len(a.Colptr) != a.N+1 {
+		return fmt.Errorf("%w: len(Colptr) = %d, want N+1 = %d", ErrBadInput, len(a.Colptr), a.N+1)
+	}
+	if nnz := a.Colptr[a.N]; a.Colptr[0] != 0 || nnz < 0 || nnz > len(a.Rowidx) || nnz > len(a.Values) {
+		return fmt.Errorf("%w: Colptr spans [%d, %d), len(Rowidx) = %d, len(Values) = %d",
+			ErrBadInput, a.Colptr[0], nnz, len(a.Rowidx), len(a.Values))
 	}
 	return nil
 }
@@ -375,17 +384,26 @@ func (f *Factorization) SolveMatrix(x []float64, nrhs int) error {
 
 // Refactor recomputes the numeric factorization for a matrix with the same
 // sparsity pattern, reusing orderings, factor patterns and pivot
-// sequences. This is the fast path of transient simulation: after the
-// first call builds its entry maps, every subsequent call refreshes all
-// numeric values in place with zero allocations, sweeping independent BTF
-// blocks concurrently. A diagonal block whose reused pivot sequence is
-// defeated by the new values is transparently re-pivoted on its own.
+// sequences. This is the fast path of transient simulation, and it finds
+// the change itself: one pass compares the new values bit for bit with the
+// values the factorization holds. When fewer than half the columns differ,
+// only the coarse BTF blocks the changed columns reach are refreshed (inside
+// them only the dependency closure of the changed columns, or the affected
+// kernels of a fine-ND block's 2D hierarchy), traced as PhasePartial;
+// otherwise every block is refreshed. A block no change reaches keeps its
+// factors bit for bit — right after Factor those are the fresh-factor
+// values — so a Refactor with unchanged values touches no block. A +0 ↔ −0
+// restamp counts as a change, a NaN restamped with the same bits does not.
+// The steady state allocates nothing, and independent BTF blocks are swept
+// concurrently. A diagonal block whose reused pivot sequence is defeated by
+// the new values is transparently re-pivoted on its own.
 //
 // Refactor must not run concurrently with solves or other Refactor calls
 // on the same Factorization (Refactor between solve batches is fine). If
 // Refactor returns an error, the factorization's numeric values are
 // unspecified and it must not be solved with until a subsequent Refactor
-// succeeds or it is discarded for a fresh Factor.
+// succeeds or it is discarded for a fresh Factor; the Refactor after a
+// failure compares nothing and refreshes every block.
 func (f *Factorization) Refactor(a *Matrix) error {
 	if err := f.refreshChecks(a); err != nil {
 		return err
@@ -396,7 +414,8 @@ func (f *Factorization) Refactor(a *Matrix) error {
 // RefactorCtx is Refactor with cooperative cancellation: a ctx cancelled or
 // deadline-expired mid-sweep aborts at the next block boundary, returning
 // ErrCanceled or ErrDeadlineExceeded and leaving the factorization poisoned
-// but recoverable (RefactorRobust or a fresh Factor restores it). A
+// but recoverable (the next successful Refactor or a fresh Factor restores
+// it). A
 // Done-capable ctx or Options.StallTimeout arms the sweep monitor;
 // context.Background() keeps Refactor's zero-allocation steady state.
 func (f *Factorization) RefactorCtx(ctx context.Context, a *Matrix) error {
@@ -429,8 +448,9 @@ func (f *Factorization) refreshChecks(a *Matrix) error {
 // blocks keep their factors untouched, so steady-state cost scales with
 // what the perturbation reaches, not with the matrix. Listing extra
 // unchanged columns is allowed; columns not listed must be bitwise
-// identical to the previous refresh. Near-total change sets transparently
-// degrade to the full Refactor sweep.
+// identical to the previous refresh. Refactor finds the change set itself;
+// RefactorPartial is for callers that know it and skips Refactor's compare
+// pass. Near-total change sets transparently degrade to the full sweep.
 //
 // Exclusion and error contracts match Refactor. After a failed refresh the
 // next incremental call automatically runs a full recovery sweep.
@@ -450,57 +470,10 @@ func (f *Factorization) RefactorPartialCtx(ctx context.Context, a *Matrix, chang
 	return wrapErr(f.num.RefactorPartialCtx(ctx, a, changedCols))
 }
 
-// RefactorAuto is Refactor with automatic change discovery: incoming values
-// are compared bit for bit, in one sequential pass, with a snapshot of the
-// values the factorization holds, and only the columns that differ — and
-// the blocks their changes reach — are refreshed. A +0 ↔ −0 restamp counts
-// as a change, a NaN restamped with the same bits does not. Use it when
-// tracking an explicit change set is impractical; the cost over
-// RefactorPartial is that compare pass, and when at least half the columns
-// changed it runs the full Refactor sweep instead. Pool.Acquire uses this
-// path, so pooled lease holders get incremental refreshes transparently.
+// RefactorAuto calls Refactor, which finds the changed columns itself.
 //
-// Exclusion and error contracts match Refactor.
-func (f *Factorization) RefactorAuto(a *Matrix) error {
-	if err := f.refreshChecks(a); err != nil {
-		return err
-	}
-	return wrapErr(f.num.RefactorAuto(a))
-}
-
-// RefactorAutoCtx is RefactorAuto with cooperative cancellation; the
-// contract matches RefactorCtx.
-func (f *Factorization) RefactorAutoCtx(ctx context.Context, a *Matrix) error {
-	if err := f.refreshChecks(a); err != nil {
-		return err
-	}
-	return wrapErr(f.num.RefactorAutoCtx(ctx, a))
-}
-
-// RefactorRobust is the graceful-degradation refresh: it tries the
-// cheapest path first and falls back rung by rung until one succeeds —
-// the change-set-aware incremental sweep, the full pivot-reusing Refactor,
-// a fresh pivoting factorization at the configured tolerance, and finally
-// a fresh factorization under full partial pivoting (tolerance 1, trading
-// sparsity for maximum stability). Use it in long transient sequences
-// where occasional pathological steps must not terminate the run; the
-// returned error is the last rung's, and only after it does the
-// factorization stay poisoned.
-func (f *Factorization) RefactorRobust(a *Matrix) error {
-	if err := f.refreshChecks(a); err != nil {
-		return err
-	}
-	if err := f.num.RefactorAuto(a); err == nil {
-		return nil
-	}
-	if err := f.num.Refactor(a); err == nil {
-		return nil
-	}
-	if err := f.num.FactorInto(a); err == nil {
-		return nil
-	}
-	return wrapErr(f.num.FactorIntoTol(a, 1.0))
-}
+// Deprecated: use Refactor.
+func (f *Factorization) RefactorAuto(a *Matrix) error { return f.Refactor(a) }
 
 // Phase identifies a pipeline stage in scheduler profiles.
 type Phase = trace.Phase
@@ -542,26 +515,6 @@ func (f *Factorization) WriteTrace(w io.Writer) error {
 
 // NumBlocks reports the number of coarse BTF blocks of the factorization.
 func (f *Factorization) NumBlocks() int { return f.num.Sym.NumBlocks() }
-
-// BlockOfColumn reports the coarse BTF block containing original column j —
-// the index to use with the AffectedSolutionBlocks result — or -1 when j is
-// out of range (matching AffectedSolutionBlocks, which skips out-of-range
-// columns).
-func (f *Factorization) BlockOfColumn(j int) int {
-	return f.ts.BlockOfColumn(j)
-}
-
-// AffectedSolutionBlocks reports, per coarse BTF block, whether the block's
-// solution component can change when the listed columns' values change: the
-// blocks whose factors the change set dirties plus everything upstream of
-// them through the coupling structure (the reachability closure of the
-// graph of off-block couplings between BTF blocks). Blocks
-// reported false produce bit-for-bit identical solution components for the
-// same right-hand side, so callers running incremental refactorization can
-// reuse per-block solution work across steps.
-func (f *Factorization) AffectedSolutionBlocks(changedCols []int) []bool {
-	return f.ts.SolutionClosure(changedCols)
-}
 
 // RefineResult reports what an iterative-refinement solve achieved:
 // correction steps taken, the final Oettli–Prager componentwise backward
@@ -673,7 +626,7 @@ func (f *Factorization) Check() error {
 	h := f.Health()
 	switch {
 	case h.Poisoned:
-		return fmt.Errorf("%w: factorization is poisoned; refresh with Factor or RefactorRobust", ErrInternalPanic)
+		return fmt.Errorf("%w: factorization is poisoned; refresh with Refactor or Factor", ErrInternalPanic)
 	case !h.Finite:
 		return fmt.Errorf("%w: factor values are NaN or Inf", ErrNotFinite)
 	case h.Rcond < RcondAdvisory:
@@ -709,9 +662,10 @@ type Stats struct {
 	// have taken over this factorization's lifetime (reused pivot
 	// sequences defeated by value drift).
 	PivotFallbacks int64
-	// DirtyBlocks is how many coarse blocks the most recent incremental
-	// refresh (RefactorPartial/RefactorAuto) reworked; DirtyBlocksTotal
-	// accumulates across all incremental calls.
+	// DirtyBlocks is how many coarse blocks the most recent partial refresh
+	// (a Refactor that found fewer than half the columns changed, or a
+	// RefactorPartial) reworked; DirtyBlocksTotal accumulates across all
+	// partial refreshes.
 	DirtyBlocks      int
 	DirtyBlocksTotal int64
 	// SyncWaits counts contended point-to-point waits of the last numeric

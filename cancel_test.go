@@ -96,9 +96,9 @@ func TestWatchdogStallND(t *testing.T) {
 	chaosCheckSolve(t, f, a)
 }
 
-// TestWatchdogStallRefactor wedges a refactor-sweep worker: ErrStalled,
-// the numeric poisoned but recoverable, RefactorRobust restores it (after
-// draining the straggler at the next sweep's entry).
+// TestWatchdogStallRefactor wedges a refactor-sweep worker on a full
+// restamp: ErrStalled, the numeric poisoned but recoverable, the next
+// Refactor restores it (after draining the straggler at its entry).
 func TestWatchdogStallRefactor(t *testing.T) {
 	inject := faultinject.New()
 	a := chaosMatrix()
@@ -108,6 +108,7 @@ func TestWatchdogStallRefactor(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	a = matgen.TransientStep(a, 1, 11)
 	stallRule(inject, faultinject.SweepRefactor, 900*time.Millisecond)
 	t0 := time.Now()
 	err = f.Refactor(a)
@@ -120,8 +121,8 @@ func TestWatchdogStallRefactor(t *testing.T) {
 	}
 
 	inject.DisarmAll()
-	if err := f.RefactorRobust(a); err != nil {
-		t.Fatalf("RefactorRobust after stall: %v", err)
+	if err := f.Refactor(a); err != nil {
+		t.Fatalf("Refactor after stall: %v", err)
 	}
 	if err := f.Check(); err != nil {
 		t.Fatalf("health check after recovery: %v", err)
@@ -154,8 +155,8 @@ func TestWatchdogStallPartial(t *testing.T) {
 	}
 
 	inject.DisarmAll()
-	if err := f.RefactorRobust(next); err != nil {
-		t.Fatalf("RefactorRobust after stalled partial: %v", err)
+	if err := f.Refactor(next); err != nil {
+		t.Fatalf("Refactor after stalled partial: %v", err)
 	}
 	chaosCheckSolve(t, f, next)
 }
@@ -164,7 +165,7 @@ func TestWatchdogStallPartial(t *testing.T) {
 // team during a refresh, full and partial: the ND walk consults the
 // SweepND stall point in every mode, so the watchdog must abort the sweep
 // with ErrStalled naming the ND block (a team, so no lane), the numeric is
-// poisoned, and RefactorRobust recovers after the straggler drains.
+// poisoned, and the next Refactor recovers after the straggler drains.
 func TestWatchdogStallNDRefactor(t *testing.T) {
 	a := chaosMatrix()
 	// Every third column: under the half-the-matrix cutoff that degrades a
@@ -173,13 +174,16 @@ func TestWatchdogStallNDRefactor(t *testing.T) {
 	for j := 0; j < a.N; j += 3 {
 		cols = append(cols, j)
 	}
-	next := matgen.PerturbColumns(a, cols, 1, 17)
+	local := matgen.PerturbColumns(a, cols, 1, 17)
+	restamp := matgen.TransientStep(a, 1, 17)
 	for _, tc := range []struct {
 		name, sweep string
+		next        *Matrix
 		refresh     func(f *Factorization) error
 	}{
-		{"full", "refactor", func(f *Factorization) error { return f.Refactor(next) }},
-		{"partial", "partial refactor", func(f *Factorization) error { return f.RefactorPartial(next, cols) }},
+		{"full", "refactor", restamp, func(f *Factorization) error { return f.Refactor(restamp) }},
+		{"partial", "partial refactor", local, func(f *Factorization) error { return f.RefactorPartial(local, cols) }},
+		{"discovered", "partial refactor", local, func(f *Factorization) error { return f.Refactor(local) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inject := faultinject.New()
@@ -205,13 +209,13 @@ func TestWatchdogStallNDRefactor(t *testing.T) {
 			}
 
 			inject.DisarmAll()
-			if err := f.RefactorRobust(next); err != nil {
-				t.Fatalf("RefactorRobust after ND stall: %v", err)
+			if err := f.Refactor(tc.next); err != nil {
+				t.Fatalf("Refactor after ND stall: %v", err)
 			}
 			if err := f.Check(); err != nil {
 				t.Fatalf("health check after recovery: %v", err)
 			}
-			chaosCheckSolve(t, f, next)
+			chaosCheckSolve(t, f, tc.next)
 		})
 	}
 }
@@ -239,7 +243,6 @@ func TestCtxPreCanceledEntryPoints(t *testing.T) {
 	_, err := s.FactorCtx(ctx, a)
 	check("FactorCtx", err)
 	check("RefactorCtx", f.RefactorCtx(ctx, a))
-	check("RefactorAutoCtx", f.RefactorAutoCtx(ctx, a))
 	check("RefactorPartialCtx", f.RefactorPartialCtx(ctx, a, []int{0}))
 
 	b := make([]float64, a.N)
@@ -291,10 +294,11 @@ func TestCtxDeadlineMidFactor(t *testing.T) {
 }
 
 // TestCtxCancelMidRefactor cancels a context mid-refactor (the sweep held
-// open by a wedged worker): ErrCanceled, poisoned, RefactorRobust recovers.
+// open by a wedged worker): ErrCanceled, poisoned, Refactor recovers.
 func TestCtxCancelMidRefactor(t *testing.T) {
 	inject := faultinject.New()
 	_, f, a := chaosFactor(t, inject)
+	a = matgen.TransientStep(a, 1, 11)
 
 	stallRule(inject, faultinject.SweepRefactor, 900*time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -315,8 +319,8 @@ func TestCtxCancelMidRefactor(t *testing.T) {
 	}
 
 	inject.DisarmAll()
-	if err := f.RefactorRobust(a); err != nil {
-		t.Fatalf("RefactorRobust after cancel: %v", err)
+	if err := f.Refactor(a); err != nil {
+		t.Fatalf("Refactor after cancel: %v", err)
 	}
 	chaosCheckSolve(t, f, a)
 }

@@ -108,10 +108,11 @@ func TestChaosNDWorkerPanic(t *testing.T) {
 
 // TestChaosRefactorWorkerPanic panics a refactorization worker: the sweep
 // reports ErrInternalPanic, the numeric is poisoned (Stats and Health agree),
-// and RefactorRobust's degradation chain restores it.
+// and the next Refactor, which then sweeps every block, restores it.
 func TestChaosRefactorWorkerPanic(t *testing.T) {
 	inject := faultinject.New()
 	_, f, a := chaosFactor(t, inject)
+	a = matgen.TransientStep(a, 1, 11)
 
 	inject.Arm(faultinject.PointWorkerPanic, faultinject.Rule{
 		Sweep: faultinject.SweepRefactor, SweepSet: true, Block: -1, Worker: -1, Times: 1,
@@ -138,11 +139,11 @@ func TestChaosRefactorWorkerPanic(t *testing.T) {
 	}
 
 	inject.DisarmAll()
-	if err := f.RefactorRobust(a); err != nil {
-		t.Fatalf("RefactorRobust after poisoning: %v", err)
+	if err := f.Refactor(a); err != nil {
+		t.Fatalf("Refactor after poisoning: %v", err)
 	}
 	if err := f.Check(); err != nil {
-		t.Fatalf("health check after RefactorRobust: %v", err)
+		t.Fatalf("health check after Refactor: %v", err)
 	}
 	chaosCheckSolve(t, f, a)
 }
@@ -170,8 +171,8 @@ func TestChaosPartialWorkerPanic(t *testing.T) {
 	}
 
 	inject.DisarmAll()
-	if err := f.RefactorRobust(next); err != nil {
-		t.Fatalf("RefactorRobust after poisoned partial: %v", err)
+	if err := f.Refactor(next); err != nil {
+		t.Fatalf("Refactor after poisoned partial: %v", err)
 	}
 	chaosCheckSolve(t, f, next)
 }
@@ -182,6 +183,7 @@ func TestChaosPartialWorkerPanic(t *testing.T) {
 func TestChaosPivotFailFallback(t *testing.T) {
 	inject := faultinject.New()
 	_, f, a := chaosFactor(t, inject)
+	a = matgen.TransientStep(a, 1, 11)
 
 	inject.Arm(faultinject.PointPivotFail, faultinject.Rule{
 		Sweep: faultinject.SweepRefactor, SweepSet: true, Block: -1, Worker: -1, Times: 1,
@@ -200,10 +202,11 @@ func TestChaosPivotFailFallback(t *testing.T) {
 
 // TestChaosPivotFailPoison forces every pivot attempt (primary and
 // fallback) to fail: the refresh must surface a typed error, poison the
-// numeric, and stay recoverable by a fresh full factorization.
+// numeric, and stay recoverable by the next Refactor.
 func TestChaosPivotFailPoison(t *testing.T) {
 	inject := faultinject.New()
 	_, f, a := chaosFactor(t, inject)
+	a = matgen.TransientStep(a, 1, 11)
 
 	inject.Arm(faultinject.PointPivotFail, faultinject.Rule{
 		Sweep: faultinject.SweepRefactor, SweepSet: true, Block: -1, Worker: -1,
@@ -220,8 +223,8 @@ func TestChaosPivotFailPoison(t *testing.T) {
 	}
 
 	inject.DisarmAll()
-	if err := f.RefactorRobust(a); err != nil {
-		t.Fatalf("RefactorRobust after forced singularity: %v", err)
+	if err := f.Refactor(a); err != nil {
+		t.Fatalf("Refactor after forced singularity: %v", err)
 	}
 	chaosCheckSolve(t, f, a)
 }
@@ -277,6 +280,8 @@ func TestChaosPoolPoisonEviction(t *testing.T) {
 	}
 	lease.Release()
 
+	// A restamp, so the pooled Refactor runs the full sweep the panic is armed in.
+	a = matgen.TransientStep(a, 1, 11)
 	inject.Arm(faultinject.PointWorkerPanic, faultinject.Rule{
 		Sweep: faultinject.SweepRefactor, SweepSet: true, Block: -1, Worker: -1, Times: 1,
 	})

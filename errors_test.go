@@ -54,9 +54,6 @@ func TestFaultTypedErrorsDimensions(t *testing.T) {
 	if err := f.Refactor(rect); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("Refactor with 3×2 matrix reported %v, want ErrDimensionMismatch", err)
 	}
-	if err := f.RefactorAuto(rect); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("RefactorAuto with 3×2 matrix reported %v, want ErrDimensionMismatch", err)
-	}
 	if err := f.RefactorPartial(rect, []int{0}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("RefactorPartial with 3×2 matrix reported %v, want ErrDimensionMismatch", err)
 	}
@@ -142,15 +139,17 @@ func TestFaultTypedErrorsMalformed(t *testing.T) {
 	if err := f.Refactor(poisoned); !errors.Is(err, ErrNotFinite) {
 		t.Fatalf("Refactor with -Inf value reported %v, want ErrNotFinite", err)
 	}
-	if err := f.RefactorAuto(poisoned); !errors.Is(err, ErrNotFinite) {
-		t.Fatalf("RefactorAuto with -Inf value reported %v, want ErrNotFinite", err)
+	if err := f.RefactorPartial(poisoned, []int{0}); !errors.Is(err, ErrNotFinite) {
+		t.Fatalf("RefactorPartial with -Inf value reported %v, want ErrNotFinite", err)
 	}
 }
 
 // TestNilMatrixRejected pins the always-on O(1) screen: every entry point
-// that takes a *Matrix reports ErrBadInput for a nil one or one with
-// negative dimensions instead of dereferencing or slicing it, with the
-// validation screen off, and Stats reports a zero fill density.
+// that takes a *Matrix reports ErrBadInput for a nil one, one with negative
+// dimensions, or one whose Values, Rowidx or Colptr is shorter than its
+// column pointers declare, instead of dereferencing or slicing it, with the
+// validation screen off; the rejected calls leave the factorization
+// healthy, and Stats reports a zero fill density.
 func TestNilMatrixRejected(t *testing.T) {
 	a := matgen.Circuit(matgen.CircuitParams{N: 80, BTFPct: 40, Blocks: 6, Core: matgen.CoreLadder, ExtraDensity: 0.3, Seed: 5})
 	f, err := New(Options{}).Factor(a)
@@ -160,6 +159,22 @@ func TestNilMatrixRejected(t *testing.T) {
 	ctx := context.Background()
 	pool, sharded := NewPool(PoolOptions{}), NewShardedPool(2, PoolOptions{})
 	b := make([]float64, a.N)
+	nnz := a.Nnz()
+	// Each short slice keeps its capacity, so a read past its length would
+	// not panic but see stale memory.
+	short := map[string]*Matrix{
+		"Values": {M: a.M, N: a.N, Colptr: a.Colptr, Rowidx: a.Rowidx, Values: a.Values[:nnz-4]},
+		"Rowidx": {M: a.M, N: a.N, Colptr: a.Colptr, Rowidx: a.Rowidx[:nnz-3], Values: a.Values},
+		"Colptr": {M: a.M, N: a.N, Colptr: a.Colptr[:a.N], Rowidx: a.Rowidx, Values: a.Values},
+	}
+	// Warm the pools, so the short matrices also meet a cached entry.
+	for _, p := range []interface{ Acquire(*Matrix) (*Lease, error) }{pool, sharded} {
+		l, err := p.Acquire(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Release()
+	}
 	lease := func(_ *Lease, err error) error { return err }
 	refine := func(_ RefineResult, err error) error { return err }
 	for _, c := range []struct {
@@ -173,8 +188,6 @@ func TestNilMatrixRejected(t *testing.T) {
 		{"RefactorPartial", func(m *Matrix) error { return f.RefactorPartial(m, []int{0}) }},
 		{"RefactorPartialCtx", func(m *Matrix) error { return f.RefactorPartialCtx(ctx, m, []int{0}) }},
 		{"RefactorAuto", func(m *Matrix) error { return f.RefactorAuto(m) }},
-		{"RefactorAutoCtx", func(m *Matrix) error { return f.RefactorAutoCtx(ctx, m) }},
-		{"RefactorRobust", func(m *Matrix) error { return f.RefactorRobust(m) }},
 		{"SolveRefined", func(m *Matrix) error { return refine(f.SolveRefined(m, b, 2)) }},
 		{"SolveRefinedCtx", func(m *Matrix) error { return refine(f.SolveRefinedCtx(ctx, m, b, 2)) }},
 		{"Pool.Acquire", func(m *Matrix) error { return lease(pool.Acquire(m)) }},
@@ -194,6 +207,14 @@ func TestNilMatrixRejected(t *testing.T) {
 			}
 			if err := c.call(&Matrix{M: -1, N: -1}); !errors.Is(err, ErrBadInput) {
 				t.Fatalf("negative dimensions reported %v, want ErrBadInput", err)
+			}
+			for name, m := range short {
+				if err := c.call(m); !errors.Is(err, ErrBadInput) {
+					t.Fatalf("short %s reported %v, want ErrBadInput", name, err)
+				}
+				if err := f.Check(); err != nil {
+					t.Fatalf("short %s left the factorization unhealthy: %v", name, err)
+				}
 			}
 		})
 	}

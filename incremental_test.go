@@ -8,8 +8,8 @@ import (
 )
 
 // TestPublicAPIRefactorPartial drives the incremental refresh through the
-// public Factorization surface: explicit change sets and the diff-based
-// RefactorAuto must both track a transient sequence of localized
+// public Factorization surface: explicit change sets and Refactor's own
+// change discovery must both track a transient sequence of localized
 // perturbations and keep solves accurate.
 func TestPublicAPIRefactorPartial(t *testing.T) {
 	base := matgen.XyceSequenceBase(0.15)
@@ -29,8 +29,8 @@ func TestPublicAPIRefactorPartial(t *testing.T) {
 		if err := fp.RefactorPartial(next, cols); err != nil {
 			t.Fatalf("partial step %d: %v", step, err)
 		}
-		if err := fa.RefactorAuto(next); err != nil {
-			t.Fatalf("auto step %d: %v", step, err)
+		if err := fa.Refactor(next); err != nil {
+			t.Fatalf("refactor step %d: %v", step, err)
 		}
 		for _, f := range []*Factorization{fp, fa} {
 			x := make([]float64, next.N)
@@ -47,64 +47,5 @@ func TestPublicAPIRefactorPartial(t *testing.T) {
 			}
 		}
 		cur = next
-	}
-}
-
-// TestAffectedSolutionBlocks verifies the dependency-closure contract: after
-// an incremental refresh, solution components of blocks the closure reports
-// clean are bit-for-bit identical to the pre-change solution.
-func TestAffectedSolutionBlocks(t *testing.T) {
-	a := matgen.Circuit(matgen.CircuitParams{N: 800, BTFPct: 90, Blocks: 60, Core: matgen.CoreLadder, ExtraDensity: 0.3, Seed: 7})
-	f, err := New(Options{Threads: 1}).Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumBlocks() < 4 {
-		t.Skip("matrix collapsed into too few blocks for a meaningful closure test")
-	}
-	rhs := make([]float64, a.N)
-	for i := range rhs {
-		rhs[i] = 1 + float64(i%7)
-	}
-	before := append([]float64(nil), rhs...)
-	f.Solve(before)
-
-	cols := matgen.ChangeSet(a.N, 0.01, 3, true)
-	affected := f.AffectedSolutionBlocks(cols)
-	if len(affected) != f.NumBlocks() {
-		t.Fatalf("affected has %d entries, want %d", len(affected), f.NumBlocks())
-	}
-	anyAffected, anyClean := false, false
-	for _, d := range affected {
-		if d {
-			anyAffected = true
-		} else {
-			anyClean = true
-		}
-	}
-	if !anyAffected {
-		t.Fatal("change set affects no block")
-	}
-	if !anyClean {
-		t.Skip("change set reaches every block; nothing to verify")
-	}
-	for _, c := range cols {
-		if !affected[f.BlockOfColumn(c)] {
-			t.Fatalf("changed column %d's own block not reported affected", c)
-		}
-	}
-
-	next := matgen.PerturbColumns(a, cols, 1, 23)
-	if err := f.RefactorPartial(next, cols); err != nil {
-		t.Fatal(err)
-	}
-	after := append([]float64(nil), rhs...)
-	f.Solve(after)
-	// Solution components of clean blocks must be bitwise unchanged.
-	for j := 0; j < a.N; j++ {
-		if !affected[f.BlockOfColumn(j)] && after[j] != before[j] {
-			t.Fatalf("solution component %d (clean block %d) changed: %v -> %v",
-				j, f.BlockOfColumn(j), after[j], before[j])
-		}
 	}
 }

@@ -95,12 +95,14 @@ func (pl *factorPlan) matches(a *sparse.CSC) bool {
 	return sparse.SamePattern(pl.colptr, pl.rowidx, a)
 }
 
-// checkColptr verifies the entry count and column pointers of an a of the
-// planned dimensions — all an incremental call checks of the columns its
-// change set does not list.
+// checkColptr verifies the entry count, the slice lengths and the column
+// pointers of an a of the planned dimensions — all an incremental call
+// checks of the columns its change set does not list.
 func (pl *factorPlan) checkColptr(a *sparse.CSC) error {
-	if a.Nnz() != len(pl.rowidx) {
-		return fmt.Errorf("core: refactor pattern mismatch: %d entries, analyzed %d", a.Nnz(), len(pl.rowidx))
+	nnz := len(pl.rowidx)
+	if len(a.Colptr) != len(pl.colptr) || a.Nnz() != nnz || len(a.Rowidx) < nnz || len(a.Values) < nnz {
+		return fmt.Errorf("core: refactor pattern mismatch: %d entries (%d rows, %d values), analyzed %d",
+			a.Nnz(), len(a.Rowidx), len(a.Values), nnz)
 	}
 	for j, c := range pl.colptr {
 		if a.Colptr[j] != c {
@@ -116,8 +118,19 @@ func (pl *factorPlan) checkPattern(a *sparse.CSC) error {
 	if err := pl.checkColptr(a); err != nil {
 		return err
 	}
-	for t, r := range pl.rowidx {
-		if a.Rowidx[t] != r {
+	want, got := pl.rowidx, a.Rowidx[:len(pl.rowidx)]
+	// Skip equal runs eight rows per branch; the loop below locates the
+	// first mismatch.
+	t := 0
+	for ; t+8 <= len(want); t += 8 {
+		w, g := want[t:t+8:t+8], got[t:t+8:t+8]
+		if (w[0]^g[0])|(w[1]^g[1])|(w[2]^g[2])|(w[3]^g[3])|
+			(w[4]^g[4])|(w[5]^g[5])|(w[6]^g[6])|(w[7]^g[7]) != 0 {
+			break
+		}
+	}
+	for ; t < len(want); t++ {
+		if got[t] != want[t] {
 			return fmt.Errorf("core: refactor pattern mismatch at entry %d", t)
 		}
 	}
@@ -189,7 +202,7 @@ type Numeric struct {
 	// pivotFallbacks counts per-block fresh-pivot fallbacks taken by
 	// refresh sweeps (pivot drift defeating a reused sequence); lastDirty
 	// and dirtyTotal track the per-call and cumulative dirty coarse-block
-	// counts of the incremental (RefactorPartial/RefactorAuto) path.
+	// counts of the partial refreshes (Refactor, RefactorPartial).
 	pivotFallbacks atomic.Int64
 	lastDirty      int
 	dirtyTotal     int64
@@ -215,9 +228,11 @@ type Numeric struct {
 	// into it.
 	smallIn []*sparse.CSC
 
-	// inc is the change-tracking state of the incremental refactorization
-	// fast path (RefactorPartial/RefactorAuto), built on first use.
-	inc *incState
+	// inc is the change-tracking state of the partial refreshes (Refactor
+	// below half the columns changed, RefactorPartial), built on first use;
+	// changed is Refactor's reusable list of changed permuted columns.
+	inc     *incState
+	changed []int32
 	// incPoisoned remembers that the last sweep failed, leaving the resident
 	// values unspecified: the next incremental call must run a full refresh
 	// instead of trusting its change set. Cleared by any successful sweep.
@@ -312,9 +327,10 @@ func (num *Numeric) SupernodeHits() int64 {
 	return total
 }
 
-// LastDirtyBlocks reports how many coarse blocks the most recent
-// incremental refresh (RefactorPartial/RefactorAuto) actually reworked;
-// DirtyBlocksTotal is the cumulative count across all incremental calls.
+// LastDirtyBlocks reports how many coarse blocks the most recent partial
+// refresh (a Refactor that found fewer than half the columns changed, or a
+// RefactorPartial) actually reworked; DirtyBlocksTotal is the cumulative
+// count across all partial refreshes.
 func (num *Numeric) LastDirtyBlocks() int    { return num.lastDirty }
 func (num *Numeric) DirtyBlocksTotal() int64 { return num.dirtyTotal }
 
@@ -736,10 +752,11 @@ const (
 	// FactorInto): new pivot sequences, new factor patterns.
 	modeFactor sweepMode = iota
 	// modeRefresh recomputes every block's values over its fixed pivots and
-	// patterns (Refactor): the all-dirty mask.
+	// patterns (Refactor with at least half the columns changed): the
+	// all-dirty mask.
 	modeRefresh
-	// modePartial is modeRefresh under a dirty mask (RefactorPartial,
-	// RefactorAuto): clean blocks, and clean kernels inside dirty fine-ND
+	// modePartial is modeRefresh under a dirty mask (Refactor below half,
+	// RefactorPartial): clean blocks, and clean kernels inside dirty fine-ND
 	// blocks, keep their values.
 	modePartial
 )
@@ -857,17 +874,26 @@ func FactorDirectCtx(ctx context.Context, a *sparse.CSC, opts Options) (*Numeric
 
 // Refactor recomputes numeric values for a same-pattern matrix, reusing the
 // symbolic analysis and all diagonal-block pivot sequences — the operation
-// the Xyce transient sequence repeats thousands of times. It is a pure
-// value gather through the plan's entry maps plus runSweep in modeRefresh:
-// zero allocations in steady state. A block whose reused pivot drifts to
-// zero (gp.ErrSingular) falls back to a fresh pivoting factorization of
-// that block alone, published into the Numeric only once completely built.
+// the Xyce transient sequence repeats thousands of times. It finds the
+// change itself: one flat pass compares the incoming values bit for bit with
+// the values the factorization holds, in permuted storage. When fewer than
+// half the columns differ, only those columns are written and only the
+// blocks (and, inside fine-ND blocks, the kernels) their changes reach are
+// refreshed, traced as trace.PhasePartial; a block no change reaches keeps
+// its factors bit for bit, so bit-identical values touch no block. Otherwise
+// every value is gathered through the plan's entry maps and runSweep runs in
+// modeRefresh. Either way the steady state allocates nothing. A block whose
+// reused pivot drifts to zero (gp.ErrSingular) falls back to a fresh
+// pivoting factorization of that block alone, published into the Numeric
+// only once completely built. Bitwise comparison makes a +0 ↔ −0 restamp a
+// change and a NaN restamped with the same bits none.
 //
 // Exclusion contract: Refactor must not run concurrently with any solve or
 // other sweep on this Numeric (values are refreshed in place). If Refactor
 // returns an error, the numeric values are unspecified: the factorization
 // must not be used for solves until a subsequent Refactor or a fresh Factor
-// succeeds; its structure remains intact, so retrying is permitted.
+// succeeds; its structure remains intact, so retrying is permitted, and the
+// next refresh compares nothing and sweeps every block.
 func (num *Numeric) Refactor(a *sparse.CSC) error {
 	return num.RefactorCtx(context.Background(), a)
 }
@@ -885,6 +911,14 @@ func (num *Numeric) RefactorCtx(ctx context.Context, a *sparse.CSC) (err error) 
 	defer num.recoverSerial(&err)
 	if err := num.Sym.plan.checkPattern(a); err != nil {
 		return err
+	}
+	// After a failed sweep the held values are unspecified (a failed fresh
+	// sweep also half-built factor patterns): nothing is compared to them.
+	if !num.incPoisoned {
+		if cols, partial := num.changedColumns(a); partial {
+			num.markChanged(a, cols)
+			return num.partialSweep(ctx)
+		}
 	}
 	return num.fullSweep(ctx, modeRefresh, a)
 }
@@ -918,7 +952,6 @@ func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC
 	sw := rec.BeginSweep(phase)
 	defer sw.End()
 	gatherStart := rec.Now()
-	num.staleSnapshot()
 	sparse.PermuteInto(num.Perm, a, num.Sym.plan.permMap)
 	if rec != nil {
 		rec.Record(trace.Event{Start: gatherStart, End: rec.Now(),
@@ -990,7 +1023,6 @@ func (num *Numeric) runSweep(ctx context.Context, mode sweepMode, dirty *incStat
 		})
 	}
 	done := false
-	nans := sym.Opts.Inject.Fired(faultinject.PointKernelNaN)
 	defer func() {
 		if merr := mon.Stop(); merr != nil {
 			err = merr
@@ -1000,10 +1032,6 @@ func (num *Numeric) runSweep(ctx context.Context, mode sweepMode, dirty *incStat
 		num.incPoisoned = bad
 		if mode == modeFactor {
 			num.repivot = bad
-		}
-		if sym.Opts.Inject.Fired(faultinject.PointKernelNaN) != nans {
-			// An injected NaN may have been planted in permuted storage.
-			num.staleSnapshot()
 		}
 	}()
 	if dirty != nil {

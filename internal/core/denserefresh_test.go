@@ -41,7 +41,7 @@ func TestSupernodeAblationParity(t *testing.T) {
 	if freshHits == 0 {
 		t.Fatal("supernodes detected but the fresh sweep never hit the supernodal path")
 	}
-	if err := num.Refactor(a); err != nil {
+	if err := refreshFull(num, a); err != nil {
 		t.Fatal(err)
 	}
 	if num.SupernodeHits() <= freshHits {
@@ -103,7 +103,7 @@ func TestRefactorPartialSupernodalBitwise(t *testing.T) {
 		if nums[i], err = Factor(base, sym); err != nil {
 			t.Fatal(err)
 		}
-		if err := nums[i].Refactor(base); err != nil {
+		if err := refreshFull(nums[i], base); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,17 +112,17 @@ func TestRefactorPartialSupernodalBitwise(t *testing.T) {
 		clustered := step%2 == 0
 		cols := matgen.ChangeSet(base.N, frac, int64(13*step+5), clustered)
 		next := matgen.PerturbColumns(cur, cols, step+1, 773)
-		if err := nums[0].Refactor(next); err != nil {
+		if err := refreshFull(nums[0], next); err != nil {
 			t.Fatalf("full refactor step %d: %v", step, err)
 		}
 		if err := nums[1].RefactorPartial(next, cols); err != nil {
 			t.Fatalf("partial refactor step %d: %v", step, err)
 		}
-		if err := nums[2].RefactorAuto(next); err != nil {
-			t.Fatalf("auto refactor step %d: %v", step, err)
+		if err := nums[2].Refactor(next); err != nil {
+			t.Fatalf("refactor step %d: %v", step, err)
 		}
 		assertSameFactors(t, nums[0], nums[1], "supernodal partial")
-		assertSameFactors(t, nums[0], nums[2], "supernodal auto")
+		assertSameFactors(t, nums[0], nums[2], "supernodal refactor")
 		cur = next
 	}
 	solveCheck(t, cur, nums[1], 1e-6)
@@ -131,7 +131,7 @@ func TestRefactorPartialSupernodalBitwise(t *testing.T) {
 // TestRefactorFillHeavyDenseRefreshBitwise is the suite-wide lockdown of
 // the dense refresh sweeps: on the fill-heavy replicas the refresh path
 // must actually route kernels through the dense layer, and RefactorPartial
-// must stay bitwise identical to the full Refactor through it.
+// must stay bitwise identical to the full refresh through it.
 func TestRefactorFillHeavyDenseRefreshBitwise(t *testing.T) {
 	fillHeavy := map[string]bool{"G2_Circuit": true, "twotone": true, "onetone1": true}
 	for _, m := range matgen.TableISuite(0.3) {
@@ -153,14 +153,14 @@ func TestRefactorFillHeavyDenseRefreshBitwise(t *testing.T) {
 				if nums[i], err = Factor(base, sym); err != nil {
 					t.Fatal(err)
 				}
-				if err := nums[i].Refactor(base); err != nil {
+				if err := refreshFull(nums[i], base); err != nil {
 					t.Fatal(err)
 				}
 			}
 			preHits := nums[0].DenseKernelHits()
 			cols := matgen.ChangeSet(base.N, 0.05, 19, true)
 			next := matgen.PerturbColumns(base, cols, 1, 881)
-			if err := nums[0].Refactor(next); err != nil {
+			if err := refreshFull(nums[0], next); err != nil {
 				t.Fatal(err)
 			}
 			if nums[0].DenseKernelHits() <= preHits {
@@ -176,7 +176,7 @@ func TestRefactorFillHeavyDenseRefreshBitwise(t *testing.T) {
 }
 
 // TestRefactorDenseRefreshZeroAlloc pins the tentpole's allocation
-// guarantee: steady-state Refactor and RefactorPartial stay at zero
+// guarantee: the steady-state full refresh and RefactorPartial stay at zero
 // allocs/op when the sweep dispatches dense panel refreshes (dense-tagged
 // diagonal) and supernodal panel refreshes (stencil leaves) — the pooled
 // panels and in-place TRSM leave nothing to allocate.
@@ -230,7 +230,7 @@ func TestRefactorDenseRefreshZeroAlloc(t *testing.T) {
 				steps[i] = matgen.PerturbColumns(base, cols, i+1, 95)
 			}
 			for _, s := range steps {
-				if err := num.Refactor(s); err != nil {
+				if err := refreshFull(num, s); err != nil {
 					t.Fatal(err)
 				}
 				if err := num.RefactorPartial(s, cols); err != nil {
@@ -240,12 +240,12 @@ func TestRefactorDenseRefreshZeroAlloc(t *testing.T) {
 			i := 0
 			allocs := testing.AllocsPerRun(20, func() {
 				i++
-				if err := num.Refactor(steps[i%len(steps)]); err != nil {
+				if err := refreshFull(num, steps[i%len(steps)]); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("steady-state Refactor allocates: %v allocs/op", allocs)
+				t.Fatalf("steady-state full refresh allocates: %v allocs/op", allocs)
 			}
 			allocs = testing.AllocsPerRun(20, func() {
 				i++

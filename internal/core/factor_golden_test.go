@@ -69,8 +69,10 @@ func factorGoldenInputs() map[string]*sparse.CSC {
 
 // factorDigests runs one numeric through every factor entry point — a
 // fresh Factor, a full Refactor on a transient restamp, a RefactorPartial
-// over a clustered change set and a RefactorAuto over a scattered one — and
-// digests the factors after each.
+// over a clustered change set and a partial Refactor, which finds its own
+// change, over a scattered one — and digests the factors after each. The
+// last digest keeps the key "RefactorAuto", the name the entry point had
+// when the golden file was recorded.
 func factorDigests(t *testing.T, a *sparse.CSC, threads int) map[string]string {
 	t.Helper()
 	opts := DefaultOptions()
@@ -95,21 +97,21 @@ func factorDigests(t *testing.T, a *sparse.CSC, threads int) map[string]string {
 		t.Fatal(err)
 	}
 	g["RefactorPartial"] = factorHash(num)
-	// The first RefactorAuto builds its value snapshot; the second one
-	// refreshes by the bitwise diff against it.
-	if err := num.RefactorAuto(m2); err != nil {
+	// A Refactor of the values already held reworks nothing; the next one
+	// refreshes by its bitwise diff against permuted storage.
+	if err := num.Refactor(m2); err != nil {
 		t.Fatal(err)
 	}
 	m3 := matgen.PerturbColumns(m2, matgen.ChangeSet(a.N, 0.05, 8, false), 3, 11)
-	if err := num.RefactorAuto(m3); err != nil {
+	if err := num.Refactor(m3); err != nil {
 		t.Fatal(err)
 	}
 	g["RefactorAuto"] = factorHash(num)
 	return g
 }
 
-// TestFactorGolden pins the bits of every block's L and U after Factor,
-// Refactor, RefactorPartial and RefactorAuto, serially and at four
+// TestFactorGolden pins the bits of every block's L and U after Factor, a
+// full Refactor, RefactorPartial and a partial Refactor, serially and at four
 // threads, against testdata/factor_golden.json. A kernel rewrite or a
 // scheduler change must not move a single bit; a deliberate change of the
 // factor arithmetic re-records the file with -update-golden.

@@ -109,21 +109,22 @@ func FuzzFactorSolve(f *testing.F) {
 	})
 }
 
-// FuzzRefactorAuto drives RefactorAuto through a restamp sequence on a
-// random matgen class against a twin that runs a full Refactor every step:
-// after each step the factors and permuted values of the two must agree
-// bit for bit, or both calls must fail with the same error class. Each
-// script byte is one step: a restamp below or above the half-the-columns
-// rule, flips of stored zeros between +0 and −0, NaNs restamped with the
-// same bits, planted infinities — or an interleaved Refactor,
-// RefactorPartial or FactorInto on the subject. Fresh-factor arithmetic
-// (FactorInto, a pivot-drift fallback) sums in another order than the
-// refresh, so after it both sides refresh once more before the next step.
+// FuzzRefactor drives Refactor's own change discovery through a restamp
+// sequence on a random matgen class against a twin that runs a full
+// refresh (refreshFull) every step: after each step the factors and
+// permuted values of the two must agree bit for bit, or both calls must
+// fail with the same error class. Each script byte is one step: a restamp
+// below or above the half-the-columns rule, flips of stored zeros between
+// +0 and −0, NaNs restamped with the same bits, planted infinities — or an
+// interleaved full refresh, RefactorPartial or FactorInto on the subject.
+// Fresh-factor arithmetic (FactorInto, a pivot-drift fallback) sums in
+// another order than the refresh, so after it both sides run a full refresh
+// once more before the next step.
 //
 // Run the smoke locally with:
 //
-//	go test -run xxx -fuzz FuzzRefactorAuto -fuzztime=10s ./internal/core
-func FuzzRefactorAuto(f *testing.F) {
+//	go test -run xxx -fuzz FuzzRefactor -fuzztime=10s ./internal/core
+func FuzzRefactor(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), []byte{0, 2, 2, 3, 3, 1, 0})
 	f.Add(int64(2), uint8(10), uint8(1), []byte{3, 4, 0, 5, 6, 7, 2, 1})
 	f.Add(int64(3), uint8(16), uint8(1), []byte{2, 6, 2, 0, 3, 3, 4, 1, 0})
@@ -141,7 +142,7 @@ func FuzzRefactorAuto(f *testing.F) {
 			if err != nil {
 				t.Skip()
 			}
-			if err := num.Refactor(a); err != nil {
+			if err := refreshFull(num, a); err != nil {
 				t.Skip()
 			}
 			*p = num
@@ -196,20 +197,20 @@ func FuzzRefactorAuto(f *testing.F) {
 			var errSub, errTwin error
 			switch kind {
 			case 5:
-				errSub, errTwin = sub.Refactor(a), twin.Refactor(a)
+				errSub, errTwin = refreshFull(sub, a), refreshFull(twin, a)
 			case 6:
-				errSub, errTwin = sub.RefactorPartial(a, cols), twin.Refactor(a)
+				errSub, errTwin = sub.RefactorPartial(a, cols), refreshFull(twin, a)
 			case 7:
 				errSub, errTwin = sub.FactorInto(a), twin.FactorInto(a)
 			default:
-				errSub, errTwin = sub.RefactorAuto(a), twin.Refactor(a)
+				errSub, errTwin = sub.Refactor(a), refreshFull(twin, a)
 			}
 			if !both(ctx, errSub, errTwin) {
 				return // values unspecified on both sides
 			}
 			assertSameFactors(t, twin, sub, ctx)
 			if kind == 7 || sub.PivotFallbacks()+twin.PivotFallbacks() != fallbacks {
-				if !both(ctx+" re-normalize", sub.Refactor(a), twin.Refactor(a)) {
+				if !both(ctx+" re-normalize", refreshFull(sub, a), refreshFull(twin, a)) {
 					return
 				}
 				assertSameFactors(t, twin, sub, ctx+" re-normalize")
@@ -219,8 +220,8 @@ func FuzzRefactorAuto(f *testing.F) {
 }
 
 // FuzzRefactorPartial drives RefactorPartial with adversarial change sets
-// on a random matgen class against a twin that runs a full Refactor every
-// step. Each script byte is one step that restamps a few columns and lists
+// on a random matgen class against a twin that runs a full refresh
+// (refreshFull) every step. Each script byte is one step that restamps a few columns and lists
 // them: as they are, with duplicates, unsorted, not at all (an empty set
 // for an unchanged matrix), padded with unchanged columns, padded past half
 // the columns (the full-sweep degrade), or with an out-of-range index on a
@@ -228,8 +229,8 @@ func FuzzRefactorAuto(f *testing.F) {
 // and the solution of one right-hand side must agree bit for bit, or both
 // calls must fail with the same error class. An out-of-range index must be
 // rejected before anything is gathered: the subject keeps the twin's bits,
-// and the restamp is undone. As in FuzzRefactorAuto, a pivot-drift
-// fallback refactors in another order, so both sides refresh once more.
+// and the restamp is undone. As in FuzzRefactor, a pivot-drift fallback
+// refactors in another order, so both sides run a full refresh once more.
 //
 // Run the smoke locally with:
 //
@@ -253,7 +254,7 @@ func FuzzRefactorPartial(f *testing.F) {
 			if err != nil {
 				t.Skip()
 			}
-			if err := num.Refactor(a); err != nil {
+			if err := refreshFull(num, a); err != nil {
 				t.Skip()
 			}
 			*p = num
@@ -330,11 +331,11 @@ func FuzzRefactorPartial(f *testing.F) {
 				continue
 			}
 			fallbacks := sub.PivotFallbacks() + twin.PivotFallbacks()
-			if !both(ctx, sub.RefactorPartial(a, listed), twin.Refactor(a)) {
+			if !both(ctx, sub.RefactorPartial(a, listed), refreshFull(twin, a)) {
 				return // values unspecified on both sides
 			}
 			if sub.PivotFallbacks()+twin.PivotFallbacks() != fallbacks {
-				if !both(ctx+" re-normalize", sub.Refactor(a), twin.Refactor(a)) {
+				if !both(ctx+" re-normalize", refreshFull(sub, a), refreshFull(twin, a)) {
 					return
 				}
 			}

@@ -4,20 +4,20 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/sparse"
 	"repro/internal/trace"
 )
 
 // incState is the change-tracking side of the incremental refactorization
-// subsystem, built lazily on the first RefactorPartial/RefactorAuto call
-// and reused forever: epoch-stamped dirty sets at every granularity the
-// sweep skips work at — coarse BTF blocks, the dirty columns inside a
-// diagonal block (gp.RefactorSelective recomputes their dependency
-// closure alone), and the (row-node, column-node) pairs of each fine-ND
-// block's 2D hierarchy — plus RefactorAuto's value snapshot. All marking
-// is O(size of the change set), and a steady state allocates nothing.
+// subsystem, built lazily on the first partial refresh (a Refactor that
+// finds fewer than half the columns changed, or a RefactorPartial) and
+// reused forever: epoch-stamped dirty sets at every granularity the sweep
+// skips work at — coarse BTF blocks, the dirty columns inside a diagonal
+// block (gp.RefactorSelective recomputes their dependency closure alone),
+// and the (row-node, column-node) pairs of each fine-ND block's 2D
+// hierarchy. All marking is O(size of the change set), and a steady state
+// allocates nothing.
 type incState struct {
 	// epoch stamps the current partial sweep; a dirty mark is live only
 	// when its stamp equals the epoch, so resetting the dirty sets between
@@ -35,17 +35,6 @@ type incState struct {
 	// slice and concurrent block refreshes never share state.
 	colStamp []uint64
 	rerun    []bool
-	// snap is RefactorAuto's copy, in the caller's (original) entry order,
-	// of the values permuted storage holds, so change discovery is one
-	// sequential compare against the incoming values. Built by the first
-	// RefactorAuto; snapOK is false whenever another writer (a full sweep's
-	// gather, RefactorPartial's column gathers, an injected NaN) may have
-	// made permuted storage differ from it, and the next RefactorAuto then
-	// rebuilds it once from permuted storage.
-	snap   []float64
-	snapOK bool
-	// changed is the reusable list of original columns the compare found.
-	changed []int
 	// dirty counts the coarse blocks marked this epoch.
 	dirty int
 }
@@ -137,14 +126,6 @@ func (num *Numeric) ensureIncremental() {
 	num.inc = inc
 }
 
-// staleSnapshot records that permuted storage was written behind
-// RefactorAuto's snapshot.
-func (num *Numeric) staleSnapshot() {
-	if num.inc != nil {
-		num.inc.snapOK = false
-	}
-}
-
 // RefactorPartial is Refactor for a matrix that differs from the one the
 // factorization currently holds only in the listed original-index columns:
 // the change set is scattered through the cached entry maps, the dirty
@@ -155,12 +136,13 @@ func (num *Numeric) staleSnapshot() {
 // point-to-point and fall back per block exactly like Refactor, while the
 // sweep touches only what the perturbation reaches. Columns not listed must
 // hold values identical to the previous refresh (Factor, FactorInto,
-// Refactor, RefactorPartial or RefactorAuto — whichever last ran,
-// including a failed attempt); listing extra unchanged columns is allowed
-// and merely wastes work. The sparsity pattern must match the analyzed
-// one: dimensions, the column pointers and every changed column's rows are
-// verified, while unchanged columns are trusted (the full O(nnz)
-// verification of Refactor would dwarf a small change set).
+// Refactor or RefactorPartial — whichever last ran, including a failed
+// attempt); listing extra unchanged columns is allowed and merely wastes
+// work. The sparsity pattern must match the analyzed one: dimensions, the
+// column pointers and every changed column's rows are verified, while
+// unchanged columns are trusted. Unlike Refactor it runs no compare pass
+// over the whole matrix: it is the path for callers that know their change
+// set.
 //
 // The exclusion and error contracts are Refactor's: no concurrent solves,
 // and on error the values are unspecified until a subsequent refresh
@@ -194,9 +176,11 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 	if num.incPoisoned || len(changed)*2 >= sym.N {
 		// A prior failed sweep left unspecified values behind, so the partial
 		// contract cannot hold; and a near-total change set gains nothing
-		// from per-column marking. Both degrade to the flat full sweep (which
-		// also keeps the 100%-changed case at full-Refactor speed).
-		return num.RefactorCtx(ctx, a)
+		// from per-column marking. Both degrade to the flat full sweep.
+		if err := pl.checkPattern(a); err != nil {
+			return err
+		}
+		return num.fullSweep(ctx, modeRefresh, a)
 	}
 	if err := pl.checkColptr(a); err != nil {
 		return err
@@ -218,125 +202,68 @@ func (num *Numeric) RefactorPartialCtx(ctx context.Context, a *sparse.CSC, chang
 	}
 	inc.epoch++
 	inc.dirty = 0
-	inc.snapOK = false
 	for _, j := range changed {
 		num.diffColumn(a, int(sym.colPos[j]), true)
 	}
 	return num.partialSweep(ctx)
 }
 
-// RefactorAuto is Refactor with automatic change discovery: the incoming
-// values are compared bit for bit, in one sequential pass, with a snapshot
-// of the values the factorization holds; only the columns that differ are
-// scattered into permuted storage and diffed entry by entry there, and the
-// sweep then refreshes only the blocks those entries reach — callers that
-// cannot (or do not want to) track their own change sets get the
-// incremental fast path transparently, for a compare pass over the values
-// plus work proportional to the change. When at least half the columns
-// changed it runs the flat full sweep instead, which keeps a fully-changed
-// matrix at full-Refactor cost. Bitwise comparison makes a +0 ↔ −0
-// restamp a change and a NaN restamped with the same bits none.
-//
-// Exclusion and error contracts are Refactor's.
-func (num *Numeric) RefactorAuto(a *sparse.CSC) error {
-	return num.RefactorAutoCtx(context.Background(), a)
+// changedColumns compares a's values bit for bit with the values permuted
+// storage holds, in one flat pass through the permutation map, and lists the
+// permuted columns holding a differing entry, ascending. Once half the
+// columns are listed it stops comparing and reports false: the caller then
+// gathers everything and runs the full sweep. Bitwise comparison makes a
+// +0 ↔ −0 restamp a change and a NaN restamped with the same bits none.
+func (num *Numeric) changedColumns(a *sparse.CSC) ([]int32, bool) {
+	pm, colptr := num.Sym.plan.permMap, num.Perm.Colptr
+	pv, av := num.Perm.Values[:len(pm)], a.Values
+	n := num.Sym.N
+	out := num.changed[:0]
+	// k trails the walk: the column of the last differing entry.
+	k := 0
+	for t := 0; t < len(pm); {
+		if math.Float64bits(pv[t]) != math.Float64bits(av[pm[t]]) {
+			for colptr[k+1] <= t {
+				k++
+			}
+			out = append(out, int32(k))
+			if len(out)*2 >= n {
+				break
+			}
+			// The rest of column k need not be compared.
+			t = colptr[k+1]
+			continue
+		}
+		// Skip equal runs eight entries per branch; ^ and | share a
+		// precedence level in Go, so every XOR is parenthesized.
+		for t++; t+8 <= len(pm); t += 8 {
+			m, v := pm[t:t+8:t+8], pv[t:t+8:t+8]
+			if (math.Float64bits(v[0])^math.Float64bits(av[m[0]]))|
+				(math.Float64bits(v[1])^math.Float64bits(av[m[1]]))|
+				(math.Float64bits(v[2])^math.Float64bits(av[m[2]]))|
+				(math.Float64bits(v[3])^math.Float64bits(av[m[3]]))|
+				(math.Float64bits(v[4])^math.Float64bits(av[m[4]]))|
+				(math.Float64bits(v[5])^math.Float64bits(av[m[5]]))|
+				(math.Float64bits(v[6])^math.Float64bits(av[m[6]]))|
+				(math.Float64bits(v[7])^math.Float64bits(av[m[7]])) != 0 {
+				break
+			}
+		}
+	}
+	num.changed = out
+	return out, len(out)*2 < n
 }
 
-// RefactorAutoCtx is RefactorAuto with cooperative cancellation and stall
-// monitoring; the contract matches RefactorPartialCtx.
-func (num *Numeric) RefactorAutoCtx(ctx context.Context, a *sparse.CSC) (err error) {
-	if err := num.enter(ctx, a); err != nil {
-		return err
-	}
-	defer num.recoverSerial(&err)
-	if num.incPoisoned {
-		return num.RefactorCtx(ctx, a)
-	}
-	if err := num.Sym.plan.checkPattern(a); err != nil {
-		return err
-	}
+// markChanged writes the differing entries of the listed permuted columns
+// into permuted storage and marks the dirty structures they reach.
+func (num *Numeric) markChanged(a *sparse.CSC, cols []int32) {
 	num.ensureIncremental()
 	inc := num.inc
-	num.syncSnapshot()
-	changed := inc.diffSnapshot(a)
-	if len(changed)*2 >= num.Sym.N {
-		// The compare already copied a into the snapshot, and the full
-		// sweep's gather leaves permuted storage agreeing with it.
-		err := num.fullSweep(ctx, modeRefresh, a)
-		inc.snapOK = true
-		return err
-	}
 	inc.epoch++
 	inc.dirty = 0
-	for _, j := range changed {
-		num.diffColumn(a, int(num.Sym.colPos[j]), false)
+	for _, k := range cols {
+		num.diffColumn(a, int(k), false)
 	}
-	return num.partialSweep(ctx)
-}
-
-// syncSnapshot makes RefactorAuto's snapshot equal to the values permuted
-// storage holds, allocating it on first use and regathering it through the
-// permutation map when a writer has marked it stale.
-func (num *Numeric) syncSnapshot() {
-	inc := num.inc
-	if inc.snapOK {
-		return
-	}
-	pm, pv := num.Sym.plan.permMap, num.Perm.Values
-	if inc.snap == nil {
-		inc.snap = make([]float64, len(pm))
-	}
-	for t, s := range pm {
-		inc.snap[s] = pv[t]
-	}
-	inc.snapOK = true
-}
-
-// diffSnapshot compares a's values with the snapshot bit for bit, eight
-// entries per branch, copies every differing value into the snapshot, and
-// returns the original columns holding one, ascending. It stops listing
-// columns once half of them changed: the caller then sweeps everything.
-func (inc *incState) diffSnapshot(a *sparse.CSC) []int {
-	sv, colptr := inc.snap, a.Colptr
-	av := a.Values[:len(sv)]
-	out := inc.changed[:0]
-	// last is the column listed last and end its end: entries before end
-	// belong to columns already listed.
-	last, end := -1, 0
-	// slow records the differing entries of [t0, t1).
-	slow := func(t0, t1 int) {
-		for t := t0; t < t1; t++ {
-			if math.Float64bits(sv[t]) == math.Float64bits(av[t]) {
-				continue
-			}
-			sv[t] = av[t]
-			if t < end || len(out)*2 >= a.N {
-				continue
-			}
-			idx, _ := slices.BinarySearch(colptr[last+1:], t+1)
-			last += idx
-			end = colptr[last+1]
-			out = append(out, last)
-		}
-	}
-	t := 0
-	for ; t+8 <= len(sv); t += 8 {
-		s, v := sv[t:t+8:t+8], av[t:t+8:t+8]
-		// ^ and | share a precedence level in Go: every XOR is parenthesized.
-		if (math.Float64bits(s[0])^math.Float64bits(v[0]))|
-			(math.Float64bits(s[1])^math.Float64bits(v[1]))|
-			(math.Float64bits(s[2])^math.Float64bits(v[2]))|
-			(math.Float64bits(s[3])^math.Float64bits(v[3]))|
-			(math.Float64bits(s[4])^math.Float64bits(v[4]))|
-			(math.Float64bits(s[5])^math.Float64bits(v[5]))|
-			(math.Float64bits(s[6])^math.Float64bits(v[6]))|
-			(math.Float64bits(s[7])^math.Float64bits(v[7])) != 0 {
-			slow(t, t+8)
-		}
-	}
-	slow(t, len(sv))
-	inc.changed = out
-	return out
 }
 
 // partialSweep runs the sweep over the blocks the marking phase dirtied.

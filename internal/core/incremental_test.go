@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -15,8 +16,8 @@ import (
 // bit (math.Float64bits, so +0 and −0 differ and a NaN matches only the
 // same NaN): small-block L/U values and pivots, each fine-ND block's
 // diagonal factors, lower and upper off-diagonal blocks, and the permuted
-// values. Both numerics must be in refactorization arithmetic (one full
-// Refactor after Factor) — Factor and Refactor sum column updates in
+// values. Both numerics must be in refactorization arithmetic (one
+// refreshFull after Factor) — Factor and Refactor sum column updates in
 // different orders, so bitwise comparison is only meaningful between
 // Refactor-produced values.
 func assertSameFactors(t testing.TB, want, got *Numeric, ctx string) {
@@ -77,11 +78,21 @@ func assertSameFactors(t testing.TB, want, got *Numeric, ctx string) {
 	cmpVals(want.Perm.Values, got.Perm.Values, "permuted values")
 }
 
+// refreshFull is the full-sweep twin of Refactor: every value gathered and
+// every block refreshed, whatever changed. It is the reference the partial
+// refreshes are pinned against, and the warm-up that puts a fresh Factor
+// into refresh arithmetic (a Refactor of unchanged values touches nothing).
+func refreshFull(num *Numeric, a *sparse.CSC) error {
+	num.sweep.drain()
+	return num.fullSweep(context.Background(), modeRefresh, a)
+}
+
 // TestRefactorPartialSuiteEquivalence is the suite-wide equivalence sweep:
 // for every matgen class, RefactorPartial (explicit change sets) and
-// RefactorAuto (diff discovery) must produce factors bitwise identical to a
-// full Refactor of the same matrix, across change-set fractions from a
-// single column to everything, both clustered and scattered.
+// Refactor (its own change discovery) must produce factors bitwise
+// identical to a full refresh of the same matrix, across change-set
+// fractions from a single column to everything, both clustered and
+// scattered.
 func TestRefactorPartialSuiteEquivalence(t *testing.T) {
 	suite := matgen.TableISuite(0.1)
 	suite = append(suite, matgen.TableIISuite(0.12)...)
@@ -95,13 +106,13 @@ func TestRefactorPartialSuiteEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("analyze: %v", err)
 			}
-			var nums [3]*Numeric // full, partial, auto
+			var nums [3]*Numeric // full, partial, discovered
 			for i := range nums {
 				if nums[i], err = Factor(base, sym); err != nil {
 					t.Fatalf("factor: %v", err)
 				}
 				// Normalize to refactorization arithmetic.
-				if err := nums[i].Refactor(base); err != nil {
+				if err := refreshFull(nums[i], base); err != nil {
 					t.Fatalf("warm refactor: %v", err)
 				}
 			}
@@ -110,17 +121,17 @@ func TestRefactorPartialSuiteEquivalence(t *testing.T) {
 				clustered := step%2 == 0
 				cols := matgen.ChangeSet(base.N, frac, int64(31*step+7), clustered)
 				next := matgen.PerturbColumns(cur, cols, step+1, 555)
-				if err := nums[0].Refactor(next); err != nil {
+				if err := refreshFull(nums[0], next); err != nil {
 					t.Fatalf("full refactor step %d: %v", step, err)
 				}
 				if err := nums[1].RefactorPartial(next, cols); err != nil {
 					t.Fatalf("partial refactor step %d: %v", step, err)
 				}
-				if err := nums[2].RefactorAuto(next); err != nil {
-					t.Fatalf("auto refactor step %d: %v", step, err)
+				if err := nums[2].Refactor(next); err != nil {
+					t.Fatalf("refactor step %d: %v", step, err)
 				}
 				assertSameFactors(t, nums[0], nums[1], "partial")
-				assertSameFactors(t, nums[0], nums[2], "auto")
+				assertSameFactors(t, nums[0], nums[2], "refactor")
 				cur = next
 			}
 			solveCheck(t, cur, nums[1], 1e-6)
@@ -130,8 +141,8 @@ func TestRefactorPartialSuiteEquivalence(t *testing.T) {
 
 // TestRefactorPartialDenseNDBitwise locks the incremental contract down on
 // dense-path numerics: a fine-ND hierarchy carrying dense-tagged separator
-// kernels must keep RefactorPartial and RefactorAuto bitwise identical to
-// the full Refactor — the dirty-kernel routing of the 2D sweep refreshes
+// kernels must keep RefactorPartial and a partial Refactor bitwise
+// identical to the full refresh — the dirty-kernel routing of the 2D sweep refreshes
 // dense-built (structural fully dense) blocks through the same in-place
 // kernels, so skipping clean work can never change a bit.
 func TestRefactorPartialDenseNDBitwise(t *testing.T) {
@@ -144,12 +155,12 @@ func TestRefactorPartialDenseNDBitwise(t *testing.T) {
 	if sym.DenseKernels() == 0 {
 		t.Fatal("test matrix tagged no dense kernels; bitwise sweep would be vacuous")
 	}
-	var nums [3]*Numeric // full, partial, auto
+	var nums [3]*Numeric // full, partial, discovered
 	for i := range nums {
 		if nums[i], err = Factor(base, sym); err != nil {
 			t.Fatal(err)
 		}
-		if err := nums[i].Refactor(base); err != nil {
+		if err := refreshFull(nums[i], base); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,17 +169,17 @@ func TestRefactorPartialDenseNDBitwise(t *testing.T) {
 		clustered := step%2 == 0
 		cols := matgen.ChangeSet(base.N, frac, int64(17*step+3), clustered)
 		next := matgen.PerturbColumns(cur, cols, step+1, 661)
-		if err := nums[0].Refactor(next); err != nil {
+		if err := refreshFull(nums[0], next); err != nil {
 			t.Fatalf("full refactor step %d: %v", step, err)
 		}
 		if err := nums[1].RefactorPartial(next, cols); err != nil {
 			t.Fatalf("partial refactor step %d: %v", step, err)
 		}
-		if err := nums[2].RefactorAuto(next); err != nil {
-			t.Fatalf("auto refactor step %d: %v", step, err)
+		if err := nums[2].Refactor(next); err != nil {
+			t.Fatalf("refactor step %d: %v", step, err)
 		}
 		assertSameFactors(t, nums[0], nums[1], "dense partial")
-		assertSameFactors(t, nums[0], nums[2], "dense auto")
+		assertSameFactors(t, nums[0], nums[2], "dense refactor")
 		cur = next
 	}
 	solveCheck(t, cur, nums[1], 1e-6)
@@ -176,7 +187,7 @@ func TestRefactorPartialDenseNDBitwise(t *testing.T) {
 
 // TestRefactorPartialExtraColumns checks that listing unchanged or
 // duplicate columns in the change set is harmless: the factors still match
-// a full Refactor bitwise.
+// a full refresh bitwise.
 func TestRefactorPartialExtraColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	base := randCircuit(rng, 400, 0.6)
@@ -189,13 +200,13 @@ func TestRefactorPartialExtraColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, num := range []*Numeric{full, part} {
-		if err := num.Refactor(base); err != nil {
+		if err := refreshFull(num, base); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cols := []int{5, 5, 120, 233}
 	next := matgen.PerturbColumns(base, []int{5, 233}, 1, 88)
-	if err := full.Refactor(next); err != nil {
+	if err := refreshFull(full, next); err != nil {
 		t.Fatal(err)
 	}
 	if err := part.RefactorPartial(next, cols); err != nil {
@@ -205,7 +216,7 @@ func TestRefactorPartialExtraColumns(t *testing.T) {
 }
 
 // TestRefactorPartialNoChange: an empty change set (and an identical matrix
-// through RefactorAuto) must visit no block at all.
+// through Refactor) must visit no block at all.
 func TestRefactorPartialNoChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	base := randCircuit(rng, 350, 0.6)
@@ -221,8 +232,8 @@ func TestRefactorPartialNoChange(t *testing.T) {
 	if err := num.RefactorPartial(base, nil); err != nil {
 		t.Fatalf("empty change set: %v", err)
 	}
-	if err := num.RefactorAuto(base); err != nil {
-		t.Fatalf("auto with identical values: %v", err)
+	if err := num.Refactor(base); err != nil {
+		t.Fatalf("refactor with identical values: %v", err)
 	}
 	num.hooks = nil
 	if visited != 0 {
@@ -234,7 +245,7 @@ func TestRefactorPartialNoChange(t *testing.T) {
 // TestRefactorPartialPivotFallback drifts a small block's pivot to zero
 // through a change set: RefactorPartial must fall back to a fresh pivoting
 // factorization of that block alone, bitwise identical to the full
-// Refactor's own fallback, and recover on the next step.
+// refresh's own fallback, and recover on the next step.
 func TestRefactorPartialPivotFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	base := randCircuit(rng, 300, 0.5)
@@ -247,7 +258,7 @@ func TestRefactorPartialPivotFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, num := range []*Numeric{full, part} {
-		if err := num.Refactor(base); err != nil {
+		if err := refreshFull(num, base); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +292,7 @@ func TestRefactorPartialPivotFallback(t *testing.T) {
 	if !zeroed {
 		t.Fatal("pivot entry not found in original coordinates")
 	}
-	if err := full.Refactor(a2); err != nil {
+	if err := refreshFull(full, a2); err != nil {
 		t.Fatalf("full refactor with drifted pivot: %v", err)
 	}
 	if err := part.RefactorPartial(a2, []int{ocol}); err != nil {
@@ -294,7 +305,7 @@ func TestRefactorPartialPivotFallback(t *testing.T) {
 	solveCheck(t, a2, part, 1e-7)
 	// Next step rides the fast path on the new pivots.
 	a3 := matgen.PerturbColumns(a2, []int{ocol}, 2, 77)
-	if err := full.Refactor(a3); err != nil {
+	if err := refreshFull(full, a3); err != nil {
 		t.Fatal(err)
 	}
 	if err := part.RefactorPartial(a3, []int{ocol}); err != nil {
@@ -384,7 +395,8 @@ func TestRefactorPartialGuards(t *testing.T) {
 
 // TestRefactorPartialZeroAllocSteadyState pins the incremental guarantee:
 // once the pipeline and change-tracking state exist, a serial
-// RefactorPartial performs zero allocations, and so does RefactorAuto.
+// RefactorPartial performs zero allocations, and so does a partial
+// Refactor — and a Refactor of unchanged values, which reworks no block.
 func TestRefactorPartialZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	base := randCircuit(rng, 400, 0.6)
@@ -404,7 +416,7 @@ func TestRefactorPartialZeroAllocSteadyState(t *testing.T) {
 		if err := num.RefactorPartial(s, cols); err != nil {
 			t.Fatal(err)
 		}
-		if err := num.RefactorAuto(s); err != nil {
+		if err := num.Refactor(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,18 +432,28 @@ func TestRefactorPartialZeroAllocSteadyState(t *testing.T) {
 	}
 	allocs = testing.AllocsPerRun(20, func() {
 		i++
-		if err := num.RefactorAuto(steps[i%len(steps)]); err != nil {
+		if err := num.Refactor(steps[i%len(steps)]); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state RefactorAuto allocates: %v allocs/op", allocs)
+		t.Fatalf("steady-state partial Refactor allocates: %v allocs/op", allocs)
+	}
+	same := steps[i%len(steps)]
+	allocs = testing.AllocsPerRun(20, func() {
+		if err := num.Refactor(same); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || num.LastDirtyBlocks() != 0 {
+		t.Fatalf("unchanged Refactor: %v allocs/op, %d dirty blocks, want 0 and 0", allocs, num.LastDirtyBlocks())
 	}
 	solveCheck(t, steps[i%len(steps)], num, 1e-7)
 }
 
 // BenchmarkRefactorPartial measures the incremental sweep at a small
-// clustered change fraction against the same matrix's full Refactor.
+// clustered change fraction against the same matrix's partial Refactor
+// (change discovery plus the same sweep) and full refresh.
 func BenchmarkRefactorPartial(b *testing.B) {
 	rng := rand.New(rand.NewSource(27))
 	base := randCircuit(rng, 2000, 0.5)
@@ -455,10 +477,10 @@ func BenchmarkRefactorPartial(b *testing.B) {
 			}
 		}
 	})
-	b.Run("auto-1pct", func(b *testing.B) {
+	b.Run("refactor-1pct", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := num.RefactorAuto(steps[i%len(steps)]); err != nil {
+			if err := num.Refactor(steps[i%len(steps)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -466,7 +488,7 @@ func BenchmarkRefactorPartial(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := num.Refactor(steps[i%len(steps)]); err != nil {
+			if err := refreshFull(num, steps[i%len(steps)]); err != nil {
 				b.Fatal(err)
 			}
 		}

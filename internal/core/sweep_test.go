@@ -78,7 +78,7 @@ func TestCanceledSweepSkipsStallPoint(t *testing.T) {
 // TestSweepModesInterleaved is the cross-mode model test of the one
 // scheduler: every mode runs on one completion fabric, one error slice and
 // one ND flag set, so a seeded random walk over {FactorInto, Refactor,
-// RefactorPartial, RefactorAuto} × {clean, context fired mid-sweep, forced
+// RefactorPartial} × {clean, context fired mid-sweep, forced
 // pivot failure, worker panic} must keep the model's two invariants — after
 // every successful step the solve agrees with a fresh Factor of the same
 // values, after every failed step the numeric is poisoned and the next
@@ -137,7 +137,7 @@ func TestSweepModesInterleaved(t *testing.T) {
 			prev := base // the values the numeric last gathered
 			recovering := false
 			failed := 0
-			modes := [4]int{}
+			modes := [3]int{}
 			for step := 1; step <= steps; step++ {
 				// Next matrix: a localized perturbation of prev (so the change
 				// set is exact) or a full restamp.
@@ -171,9 +171,9 @@ func TestSweepModesInterleaved(t *testing.T) {
 						inject.Arm(faultinject.PointWorkerPanic, faultinject.AnyTimes(1))
 					}
 				}
-				mode := rng.Intn(4)
+				mode := rng.Intn(3)
 				if cols == nil && mode == 2 {
-					mode = 3 // no exact change set for a full restamp: discover it
+					mode = 1 // no exact change set for a full restamp: discover it
 				}
 				modes[mode]++
 				var what string
@@ -184,8 +184,6 @@ func TestSweepModesInterleaved(t *testing.T) {
 					what, err = "Refactor", num.RefactorCtx(ctx, next)
 				case 2:
 					what, err = "RefactorPartial", num.RefactorPartialCtx(ctx, next, cols)
-				case 3:
-					what, err = "RefactorAuto", num.RefactorAutoCtx(ctx, next)
 				}
 				cancelOnStart.Store(nil)
 				cancel()

@@ -33,7 +33,8 @@ const (
 	SweepND
 	// SweepRefactor is the unified full-refactorization scheduler.
 	SweepRefactor
-	// SweepPartial is the incremental (RefactorPartial/RefactorAuto) sweep.
+	// SweepPartial is the partial refresh sweep (a Refactor that found
+	// fewer than half the columns changed, or RefactorPartial).
 	SweepPartial
 	// SweepSolve is the panel-parallel multi-RHS solve (SolveMany and
 	// SolveMatrix with several panels and workers): WorkerPanic fires as a

@@ -13,11 +13,11 @@ import (
 // workloads where many goroutines stamp matrices with a small set of
 // recurring sparsity patterns (one per circuit/scenario family) and solve
 // concurrently. Acquire hands each caller a private Factorization for its
-// matrix — refreshed through the change-set-aware RefactorAuto path when a
-// cached factorization with the same pattern is idle (only the blocks whose
-// values actually differ are reworked), or built with a full Factor on a
-// miss — so solves never contend and transient sequences hit the
-// incremental fast path almost always.
+// matrix — refreshed with Refactor when a cached factorization with the
+// same pattern is idle (Refactor finds the changed columns itself, so only
+// the blocks whose values actually differ are reworked), or built with a
+// full Factor on a miss — so solves never contend and transient sequences
+// hit the partial refresh almost always.
 //
 // Typical serving loop:
 //
@@ -420,10 +420,10 @@ func (p *Pool) acquireKeyed(ctx context.Context, a *Matrix, key uint64) (*Lease,
 	p.unlock()
 
 	if entry != nil {
-		// Diff-based incremental refresh: transient lease holders whose
-		// steps perturb a few stamps get the change-set-aware sweep
-		// transparently; fully-changed matrices degrade to ~full Refactor.
-		if err := entry.f.num.RefactorAutoCtx(ctx, a); err != nil {
+		// Refactor finds the change itself: transient lease holders whose
+		// steps perturb a few stamps get the partial sweep, fully-changed
+		// matrices the full one.
+		if err := entry.f.num.RefactorCtx(ctx, a); err != nil {
 			if isAbortErr(err) {
 				// Cancelled or stalled mid-refresh: the entry's numerics are
 				// unspecified, so drop the storage rather than fall through

@@ -30,7 +30,7 @@ func newChaosServer(t *testing.T, inject *faultinject.Injector) (*Server, string
 }
 
 // scaledValues returns a same-pattern values vector drifted by factor c —
-// the refresh traffic that drives the pool's RefactorAuto sweep, where the
+// the refresh traffic that drives the pool's Refactor sweep, where the
 // chaos points fire.
 func scaledValues(a *basker.Matrix, c float64) []float64 {
 	vals := make([]float64, len(a.Values))
@@ -117,7 +117,7 @@ func TestServeChaosKernelNaN(t *testing.T) {
 	inject.Arm(faultinject.PointKernelNaN, faultinject.Rule{
 		Sweep: faultinject.SweepPartial, SweepSet: true, Block: -1, Worker: -1, Times: 1,
 	})
-	// Restamping the last tenth of the columns keeps RefactorAuto on its
+	// Restamping the last tenth of the columns keeps Refactor on its
 	// partial sweep (from half the columns on it runs the full one), and
 	// those columns lie in small BTF blocks, whose kernels read the NaN.
 	vals := append([]float64(nil), a.Values...)

@@ -198,14 +198,15 @@ func TestShardedPoolShardDeterminism(t *testing.T) {
 }
 
 // TestShardedPoolHitPathZeroAlloc pins the sharded steady-state hit path —
-// pattern hash, shard routing, idle-cache checkout, no-change RefactorAuto,
+// pattern hash, shard routing, idle-cache checkout, no-change Refactor,
 // lease handout and release — at zero allocations per operation.
 func TestShardedPoolHitPathZeroAlloc(t *testing.T) {
 	a := matgen.Circuit(matgen.CircuitParams{
 		N: 160, BTFPct: 50, Blocks: 8, Core: matgen.CoreLadder, ExtraDensity: 0.4, Seed: 5,
 	})
 	sp := NewShardedPool(8, PoolOptions{Options: Options{Threads: 1, BigBlockMin: 64}})
-	// Warm: first acquire factors, second settles the RefactorAuto caches.
+	// Warm: first acquire factors, second settles Refactor's change-tracking
+	// state.
 	for i := 0; i < 2; i++ {
 		lease, err := sp.Acquire(a)
 		if err != nil {

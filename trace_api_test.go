@@ -13,8 +13,8 @@ import (
 
 // TestTracePublicAPI drives the exported observability surface end to
 // end: a Tracer attached via Options.Trace, per-sweep Profiles for every
-// pipeline phase touched, the Chrome trace export, and the extended
-// Stats counters.
+// pipeline phase touched — a Refactor that finds a local change traced as
+// PhasePartial — the Chrome trace export, and the extended Stats counters.
 func TestTracePublicAPI(t *testing.T) {
 	tr := NewTracer(0)
 	base := matgen.XyceSequenceBase(0.1)
@@ -28,6 +28,13 @@ func TestTracePublicAPI(t *testing.T) {
 		if err := f.Refactor(last); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+	}
+	if _, ok := f.Profile(PhasePartial); ok {
+		t.Fatal("full restamps traced a partial sweep")
+	}
+	last = matgen.PerturbColumns(last, matgen.ChangeSet(base.N, 0.02, 3, true), 4, 5)
+	if err := f.Refactor(last); err != nil {
+		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
 	x := make([]float64, last.N)
@@ -43,7 +50,7 @@ func TestTracePublicAPI(t *testing.T) {
 		}
 	}
 
-	for _, phase := range []Phase{PhaseAnalyze, PhaseFactor, PhaseRefactor} {
+	for _, phase := range []Phase{PhaseAnalyze, PhaseFactor, PhaseRefactor, PhasePartial} {
 		p, ok := f.Profile(phase)
 		if !ok {
 			t.Fatalf("no %v profile", phase)
@@ -52,8 +59,8 @@ func TestTracePublicAPI(t *testing.T) {
 			t.Fatalf("%v profile is empty: %+v", phase, p)
 		}
 	}
-	if got := len(f.Profiles()); got < 5 { // analyze + factor + 3 refactors
-		t.Fatalf("profiles = %d, want >= 5", got)
+	if got := len(f.Profiles()); got < 6 { // analyze + factor + 4 refactors
+		t.Fatalf("profiles = %d, want >= 6", got)
 	}
 
 	var buf bytes.Buffer
