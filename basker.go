@@ -211,7 +211,7 @@ var (
 
 // StallError carries the stall watchdog's diagnostics: the sweep name, the
 // first coarse block still pending when the watchdog fired, the fine-BTF
-// worker lane owning it (-1 for cooperative fine-ND teams or when unknown),
+// worker that took it (-1 for cooperative fine-ND teams or when unknown),
 // and how long the sweep had been idle.
 type StallError = core.StallError
 

@@ -19,8 +19,9 @@ import (
 )
 
 // Symbolic is Basker's reusable analysis: the coarse BTF structure, the
-// fine-BTF thread partition, and the fine-ND trees with all orderings
-// composed into a single pair of global permutations.
+// order the parallel sweeps deal the fine-BTF blocks in, and the fine-ND
+// trees with all orderings composed into a single pair of global
+// permutations.
 type Symbolic struct {
 	N        int
 	Opts     Options
@@ -34,9 +35,16 @@ type Symbolic struct {
 	// ascending order (the sweep launches one cooperative team per entry).
 	ndsym    []*ndSym
 	ndBlocks []int
-	// partition[t] lists the small coarse blocks assigned to thread t
-	// (flop-balanced, Algorithm 2 line 5).
-	partition [][]int
+	// smallBlocks lists the small coarse blocks by descending estNnz (ties
+	// in block order), and smallRuns cuts it into runs of about equal
+	// estimated size, eight per thread: run r is
+	// smallBlocks[smallRuns[r]:smallRuns[r+1]]. A parallel sweep's workers
+	// take the runs from one cursor, largest blocks first. A run keeps
+	// neighbouring blocks on one worker: dealt one block at a time, the
+	// small blocks cost twice the CPU at four threads on the 30k xyce
+	// pattern, most likely because two workers wrote neighbouring blocks'
+	// storage at once.
+	smallBlocks, smallRuns []int
 	// estNnz[b] is the factor size estimate for small blocks.
 	estNnz []int
 	// blockOf[i] is the coarse block containing permuted row/column i,
@@ -47,10 +55,6 @@ type Symbolic struct {
 	// of ColPerm: the solves unpack solutions and the incremental paths
 	// locate changed columns through it.
 	colPos []int32
-	// scratchLen is the pivot-application scratch length the transposed
-	// solve must provide: the largest fine-ND tree-block dimension or
-	// fine-BTF block dimension across all coarse blocks.
-	scratchLen int
 	// plan caches the entry maps from the analyzed matrix's pattern into the
 	// permuted matrix and every diagonal block, so every sweep starts from a
 	// pure value gather instead of a Permute+ExtractBlock per call. Read-only
@@ -219,6 +223,11 @@ type Numeric struct {
 	errs   []error
 	failed atomic.Bool
 	refit  atomic.Bool
+	// cursor counts the runs of Symbolic.smallBlocks the dealing workers of
+	// a parallel sweep have taken; took[blk] is 1 + the worker holding small
+	// block blk, 0 while none does.
+	cursor atomic.Int64
+	took   []atomic.Int32
 	// factorWS[t] is fine-BTF worker t's pooled Gilbert–Peierls workspace;
 	// lazily built, reused forever.
 	factorWS []*gp.Workspace
@@ -335,7 +344,7 @@ func (num *Numeric) LastDirtyBlocks() int    { return num.lastDirty }
 func (num *Numeric) DirtyBlocksTotal() int64 { return num.dirtyTotal }
 
 // Analyze computes Basker's symbolic factorization: coarse BTF, block
-// classification, fine orderings and the thread partition.
+// classification, fine orderings and the order of the small blocks.
 func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	if a.M != a.N {
 		return nil, fmt.Errorf("core: matrix must be square, got %d×%d", a.M, a.N)
@@ -399,11 +408,6 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	// block's ordering work (AMD / matching+ND) reads the shared permuted
 	// matrix and writes only its own permutation range and symbolic slots,
 	// so independent blocks analyze concurrently across the thread pool.
-	type smallStat struct {
-		blk   int
-		flops float64
-	}
-	flops := make([]float64, nblocks) // <0: fine-ND block
 	errs := make([]error, nblocks)
 	for blk := 0; blk < nblocks; blk++ {
 		bs := sym.BlockPtr[blk+1] - sym.BlockPtr[blk]
@@ -412,6 +416,7 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 			sym.ndBlocks = append(sym.ndBlocks, blk)
 		} else {
 			sym.kind[blk] = blockSmall
+			sym.smallBlocks = append(sym.smallBlocks, blk)
 		}
 	}
 	// Worker t draws one workspace on its first block and keeps it for all
@@ -424,14 +429,13 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 		ws := wss[t]
 		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
 		if sym.kind[blk] == blockND {
-			flops[blk] = -1
 			errs[blk] = analyzeND(sym, b, blk, r0, r1, rowPerm, colPerm, opts, ws, t)
 			return
 		}
 		// ---- Fine BTF block (paper §III-B, Algorithm 2): AMD order and
 		// fill estimate off one graph of the block.
 		t0 := rec.Now()
-		sym.estNnz[blk], flops[blk] = ws.Block(b, r0, r1, sym.RowPerm, sym.ColPerm, rowPerm, colPerm)
+		sym.estNnz[blk] = ws.Block(b, r0, r1, sym.RowPerm, sym.ColPerm, rowPerm, colPerm)
 		if rec != nil {
 			rec.Record(trace.Event{Start: t0, End: rec.Now(),
 				Worker: int32(t), Block: int32(blk), Kind: trace.KindAnalyzeAMD, Phase: trace.PhaseAnalyze})
@@ -448,44 +452,23 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 			return nil, err
 		}
 	}
-	var smalls []smallStat
-	for blk := 0; blk < nblocks; blk++ {
-		if sym.kind[blk] == blockSmall {
-			smalls = append(smalls, smallStat{blk, flops[blk]})
+	sort.SliceStable(sym.smallBlocks, func(i, j int) bool {
+		return sym.estNnz[sym.smallBlocks[i]] > sym.estNnz[sym.smallBlocks[j]]
+	})
+	total, size := 0, 0
+	for _, blk := range sym.smallBlocks {
+		total += sym.estNnz[blk]
+	}
+	sym.smallRuns = []int{0}
+	for k, blk := range sym.smallBlocks {
+		if size += sym.estNnz[blk]; size*8*opts.threads() >= total || k == len(sym.smallBlocks)-1 {
+			sym.smallRuns, size = append(sym.smallRuns, k+1), 0
 		}
 	}
 	sym.RowPerm, sym.ColPerm = rowPerm, colPerm
 	sym.colPos = make([]int32, n)
 	for k, j := range colPerm {
 		sym.colPos[j] = int32(k)
-	}
-
-	// ---- Partition small blocks among threads by estimated flops
-	// (longest-processing-time greedy, Algorithm 2 line 5).
-	nt := opts.threads()
-	sym.partition = make([][]int, nt)
-	sort.Slice(smalls, func(i, j int) bool { return smalls[i].flops > smalls[j].flops })
-	loads := make([]float64, nt)
-	for _, st := range smalls {
-		best := 0
-		for t := 1; t < nt; t++ {
-			if loads[t] < loads[best] {
-				best = t
-			}
-		}
-		sym.partition[best] = append(sym.partition[best], st.blk)
-		loads[best] += st.flops
-	}
-	for blk := 0; blk < nblocks; blk++ {
-		d := 0
-		if ns := sym.ndsym[blk]; ns != nil {
-			d = ns.maxDim
-		} else {
-			d = sym.BlockPtr[blk+1] - sym.BlockPtr[blk]
-		}
-		if d > sym.scratchLen {
-			sym.scratchLen = d
-		}
 	}
 	planStart := rec.Now()
 	sym.plan = newFactorPlan(sym, a)
@@ -812,6 +795,7 @@ func factorFresh(ctx context.Context, a *sparse.CSC, sym *Symbolic, hooks *sched
 		nd:       make([]*ndNum, nblocks),
 		sig:      NewEpochSignals(nblocks),
 		errs:     make([]error, nblocks),
+		took:     make([]atomic.Int32, nblocks),
 		factorWS: make([]*gp.Workspace, nt),
 		smallIn:  make([]*sparse.CSC, nblocks),
 		hooks:    hooks,
@@ -961,9 +945,9 @@ func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC
 }
 
 // runSweep is the one numeric scheduler: a single walk of the coarse
-// dependency structure (the paper's Algorithm 2 partition plus one
-// Algorithm 4 team per fine-ND block) that serves fresh factorization, full
-// refresh and partial refresh.
+// dependency structure (the fine-BTF blocks of the paper's Algorithm 2 plus
+// one Algorithm 4 team per fine-ND block) that serves fresh factorization,
+// full refresh and partial refresh.
 //
 //	mode         kernel per block                       mask       on gp.ErrSingular
 //	modeFactor   gp.FactorInto / pivoting ND walk       all dirty  sweep fails
@@ -984,12 +968,17 @@ func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC
 //  1. reset: completion fabric, error slots, fail flag, sync counters;
 //     BeginSweep re-arms the cancel control and, when the context can fire
 //     or Options.StallTimeout is set, a SweepMonitor starts.
-//  2. launch: every dirty fine-ND block gets a goroutine (its cooperative
-//     team forms inside ndNum.sweep) and every fine-BTF partition lane
-//     owning a dirty block gets one, all concurrently. A lane recovers its
-//     own panics, records the first and force-sets the slots it owns. With
-//     Threads == 1 the dirty blocks run in index order on the caller's
-//     goroutine instead, under the entry point's recoverSerial.
+//  2. launch: min(Threads, runs) dealing workers take the fine-BTF blocks
+//     from one cursor over the runs of Symbolic.smallBlocks, largest
+//     estimate first, and every dirty fine-ND block gets a goroutine (its
+//     cooperative team forms inside ndNum.sweep), all concurrently. Where
+//     the paper's Algorithm 2 balances a static partition by estimated
+//     flops, the cursor balances by what the blocks actually cost: they
+//     carry about 1.4 % of a circuit refresh's multiply-subtracts, so the
+//     estimate bought nothing. A worker recovers its own panics, records
+//     the first and force-sets the slots left in its run and on the
+//     cursor. With Threads == 1 the dirty blocks run in index order on the
+//     caller's goroutine instead, under the entry point's recoverSerial.
 //  3. join: the driver waits slot by slot. Only external cancellation
 //     (context, deadline, stall verdict) breaks a wait; the driver then
 //     returns at once and the stragglers — a wedged worker cannot be
@@ -1048,16 +1037,17 @@ func (num *Numeric) runSweep(ctx context.Context, mode sweepMode, dirty *incStat
 			}
 		}
 	} else {
-		for i, blk := range sym.ndBlocks {
+		num.cursor.Store(0)
+		for t := range min(sym.Opts.threads(), len(sym.smallRuns)-1) {
+			num.sweep.addWorker()
+			go num.dealLane(t, mode, dirty)
+		}
+		// The fine-ND blocks, the sweep's critical path, start last: Go's
+		// scheduler runs the goroutine started last next on this thread.
+		for _, blk := range sym.ndBlocks {
 			if dirty.has(blk) {
 				num.sweep.addWorker()
-				go num.lane(sym.ndBlocks[i:i+1], 0, blk, mode, dirty)
-			}
-		}
-		for t, blks := range sym.partition {
-			if dirty.hasAny(blks) {
-				num.sweep.addWorker()
-				go num.lane(blks, t, nblocks+t, mode, dirty)
+				go num.ndLane(blk, mode, dirty)
 			}
 		}
 	}
@@ -1092,18 +1082,64 @@ func (num *Numeric) runSweep(ctx context.Context, mode sweepMode, dirty *incStat
 	return nil
 }
 
-// lane is one goroutine of the sweep: it walks the dirty blocks among blks
-// — a single fine-ND block, or fine-BTF partition lane t — on worker slot t.
-// id is the lane's fault-injection worker id.
-func (num *Numeric) lane(blks []int, t, id int, mode sweepMode, dirty *incState) {
+// ndLane is the goroutine of fine-ND block blk, which is also its
+// fault-injection worker id.
+func (num *Numeric) ndLane(blk int, mode sweepMode, dirty *incState) {
 	defer num.sweep.workerDone()
-	defer num.recoverRelease(blks)
-	num.Sym.Opts.Inject.WorkerPanic(sweepModes[mode].inject, id)
-	for _, blk := range blks {
-		if dirty.has(blk) {
+	defer num.recoverRelease(blk)
+	num.Sym.Opts.Inject.WorkerPanic(sweepModes[mode].inject, blk)
+	num.sweepBlock(blk, 0, mode, dirty)
+}
+
+// dealLane is dealing worker t: it takes runs of small blocks from the
+// cursor until they run out and sweeps the dirty blocks on worker slot t,
+// recording itself in took while it holds one. Its fault-injection worker id
+// is NumBlocks()+t, consulted when it takes its first dirty block, so a
+// worker that takes none touches nothing of the sweep. A panicking worker
+// releases the rest of its run and drains the cursor, setting every
+// remaining slot.
+func (num *Numeric) dealLane(t int, mode sweepMode, dirty *incState) {
+	defer num.sweep.workerDone()
+	blks, k, end, first := num.Sym.smallBlocks, 0, 0, true
+	defer func() {
+		if r := recover(); r != nil {
+			num.notePanic(r)
+			for {
+				for ; k < end; k++ {
+					num.took[blks[k]].Store(0)
+					num.sig.Set(blks[k])
+				}
+				if k, end = num.takeRun(); k == end {
+					return
+				}
+			}
+		}
+	}()
+	for k, end = num.takeRun(); k < end; k, end = num.takeRun() {
+		for ; k < end; k++ {
+			blk := blks[k]
+			if !dirty.has(blk) {
+				continue
+			}
+			if first {
+				first = false
+				num.Sym.Opts.Inject.WorkerPanic(sweepModes[mode].inject, num.Sym.NumBlocks()+t)
+			}
+			num.took[blk].Store(int32(t + 1))
 			num.sweepBlock(blk, t, mode, dirty)
+			num.took[blk].Store(0)
 		}
 	}
+}
+
+// takeRun hands a dealing worker the next run of Symbolic.smallBlocks as
+// the positions [k, end); k == end once every run has been taken.
+func (num *Numeric) takeRun() (k, end int) {
+	runs := num.Sym.smallRuns
+	if r := int(num.cursor.Add(1)); r < len(runs) {
+		return runs[r-1], runs[r]
+	}
+	return 0, 0
 }
 
 // sweepBlock runs coarse block blk's kernel for the sweep's mode (worker
@@ -1205,7 +1241,7 @@ func (num *Numeric) freshKernel(blk, t int, sub *sparse.CSC, replace bool) error
 		if f == nil || replace {
 			f = &gp.Factors{}
 		}
-		if err := gp.FactorInto(f, sub, nil, sym.estNnz[blk], num.gpOpts(), num.workerWS(t)); err != nil {
+		if err := gp.FactorInto(f, sub, nil, sym.estNnz[blk], num.sweepOpts().gpOptions(), num.workerWS(t)); err != nil {
 			return err
 		}
 		num.small[blk] = f
@@ -1306,31 +1342,20 @@ func (num *Numeric) FillDensity(a *sparse.CSC) float64 {
 	return float64(num.NnzLU()) / float64(a.Nnz())
 }
 
-// pendingCoarse reports the first coarse block still pending and the worker
-// lane that owns it, for the stall watchdog's diagnostics. Safe to call from
-// the monitor goroutine mid-sweep: the fabric's epoch is stable between
-// Reset calls and the slots are atomic.
+// pendingCoarse reports the first coarse block still pending and the
+// fine-BTF worker that holds it, for the stall watchdog's diagnostics: the
+// caller's goroutine (0) in a serial sweep, the dealing worker that took it
+// in a parallel one, -1 for a fine-ND block (a cooperative team) or a small
+// block no worker holds. Safe to call from the monitor goroutine mid-sweep:
+// the fabric's epoch is stable between Reset calls, the slots and took are
+// atomic.
 func (num *Numeric) pendingCoarse() (int, int) {
 	blk := num.sig.FirstPending()
-	if blk < 0 {
-		return -1, -1
+	switch {
+	case blk < 0 || num.Sym.kind[blk] == blockND:
+		return blk, -1
+	case num.Sym.Opts.threads() == 1:
+		return blk, 0
 	}
-	return blk, num.laneOf(blk)
-}
-
-// laneOf maps a coarse block to the fine-BTF worker lane that owns it, or
-// -1 for fine-ND blocks (factored by a cooperative team, not a single lane).
-func (num *Numeric) laneOf(blk int) int {
-	sym := num.Sym
-	if sym.kind[blk] == blockND {
-		return -1
-	}
-	for t, blks := range sym.partition {
-		for _, b := range blks {
-			if b == blk {
-				return t
-			}
-		}
-	}
-	return -1
+	return blk, int(num.took[blk].Load()) - 1
 }

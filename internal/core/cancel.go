@@ -65,8 +65,10 @@ var errSweepAborted = errors.New("core: sweep aborted by cancellation")
 // StallError reports a sweep the watchdog had to abort: no completion
 // signal landed for Idle (at least the configured StallTimeout). Block is
 // the first coarse block still pending when the watchdog fired and Lane the
-// fine-BTF worker that owns it (-1 when the block belongs to a cooperative
-// fine-ND team, or when no pending block could be named).
+// fine-BTF worker that took it, in [0, Threads) (0, the caller's goroutine,
+// in a serial sweep; -1 when the block belongs to a cooperative fine-ND
+// team, when no worker had taken it yet, or when no pending block could be
+// named).
 type StallError struct {
 	Sweep string
 	Block int

@@ -59,16 +59,15 @@ func hashOf(fill func(h structHash)) string {
 }
 
 // goldenOf digests everything Analyze decides: the composed permutations,
-// the coarse boundaries, the fine-BTF estimates and partition, and per
-// fine-ND block the tree, the Algorithm 3 estimates, the dense tags and the
-// supernode partitions.
+// the coarse boundaries, the fine-BTF estimates, and per fine-ND block the
+// tree, the Algorithm 3 estimates, the dense tags and the supernode
+// partitions.
 func goldenOf(sym *Symbolic) map[string]string {
 	g := map[string]string{
-		"RowPerm":   hashOf(func(h structHash) { h.ints(sym.RowPerm) }),
-		"ColPerm":   hashOf(func(h structHash) { h.ints(sym.ColPerm) }),
-		"BlockPtr":  hashOf(func(h structHash) { h.ints(sym.BlockPtr) }),
-		"estNnz":    hashOf(func(h structHash) { h.ints(sym.estNnz) }),
-		"partition": hashOf(func(h structHash) { h.ints2(sym.partition) }),
+		"RowPerm":  hashOf(func(h structHash) { h.ints(sym.RowPerm) }),
+		"ColPerm":  hashOf(func(h structHash) { h.ints(sym.ColPerm) }),
+		"BlockPtr": hashOf(func(h structHash) { h.ints(sym.BlockPtr) }),
+		"estNnz":   hashOf(func(h structHash) { h.ints(sym.estNnz) }),
 	}
 	for _, blk := range sym.ndBlocks {
 		ns := sym.ndsym[blk]

@@ -52,19 +52,17 @@ func (num *Numeric) takePanicErr() error {
 	return err
 }
 
-// recoverRelease converts a worker panic into a recorded sweep error and
-// force-releases every completion slot the worker owns. EpochSignals.Set
-// is an idempotent epoch store, so slots the worker already signalled (or
-// the driver pre-armed) are unaffected — the driver's point-to-point join
-// still waits for true quiescence of every sibling instead of deadlocking or
-// returning while workers race on shared per-worker state. Must be called
-// via defer.
-func (num *Numeric) recoverRelease(owned []int) {
+// recoverRelease converts a fine-ND lane's panic into a recorded sweep
+// error and force-releases the completion slot of its block (a dealing
+// worker does the same for the rest of its run and every run left on the
+// cursor). EpochSignals.Set is an idempotent epoch store, so a slot already
+// signalled is unaffected — the driver's point-to-point join still waits for
+// true quiescence of every sibling instead of deadlocking or returning while
+// workers race on shared per-worker state. Must be called via defer.
+func (num *Numeric) recoverRelease(blk int) {
 	if r := recover(); r != nil {
 		num.notePanic(r)
-		for _, blk := range owned {
-			num.sig.Set(blk)
-		}
+		num.sig.Set(blk)
 	}
 }
 
@@ -200,60 +198,47 @@ func finiteFactors(f *gp.Factors) bool {
 	return finiteVals(f.L.Values[:f.L.Nnz()]) && finiteVals(f.U.Values[:f.U.Nnz()])
 }
 
-// SolveTransposeInto solves Aᵀ x = rhs in place using caller-provided
-// scratch: y must have length n, scratch at least the largest diagonal
-// sub-block dimension (Symbolic.scratchLen).
-// With Perm = R A Cᵀ (the BTF+fine permutations), Aᵀ x = rhs reduces to
-// Permᵀ (R x) = C rhs — a block forward substitution, since Permᵀ is block
-// lower triangular. This is the A⁻ᵀ application the Hager/Higham condition
-// estimator drives; it mirrors SolveInto's contracts (no allocation, safe
-// for concurrent use with private scratch, not concurrently with Refactor).
-func (num *Numeric) SolveTransposeInto(rhs, y, scratch []float64) {
-	sym := num.Sym
-	n := sym.N
-	for k := 0; k < n; k++ {
-		y[k] = rhs[sym.ColPerm[k]]
+// SolveTransposeInto solves Aᵀ x = rhs in place with the caller's work
+// vector y of length n: SolveInto run backwards. With Perm = R A Cᵀ and
+// every diagonal block factored as Pₖ Bₖ = Lₖ Uₖ, Aᵀ x = rhs is a block
+// forward substitution over Permᵀ. rhs is packed through ColPerm; each block,
+// first to last, pulls the off-block couplings of its columns from the
+// solved earlier blocks (pivot-order rows, through offPtr and offRow), then
+// runs Uₖᵀ and Lₖᵀ in place, which leaves its solution in its pivot order;
+// the result is unpacked through rowPos. This is the A⁻ᵀ application the
+// Hager/Higham condition estimator drives; it mirrors SolveInto's contracts
+// (no allocation, safe for concurrent use with private y, not concurrently
+// with Refactor).
+func (num *Numeric) SolveTransposeInto(rhs, y []float64) {
+	sym, offPtr, offRow := num.Sym, num.Sym.plan.offPtr, num.offRow
+	pp, px := num.Perm.Colptr, num.Perm.Values
+	y = y[:len(sym.ColPerm)]
+	for k, j := range sym.ColPerm {
+		y[k] = rhs[j]
 	}
-	// Coarse block forward substitution, first block first (Permᵀ is lower).
 	for blk := 0; blk < sym.NumBlocks(); blk++ {
-		num.offBlockUpdateT(blk, y)
-		num.SolveBlockTranspose(blk, y, scratch)
-	}
-	for k := 0; k < n; k++ {
-		rhs[sym.RowPerm[k]] = y[k]
-	}
-}
-
-// offBlockUpdateT subtracts earlier blocks' solution components from
-// y[r0:r1) through the transposed coarse couplings: entry (i, c) of Perm
-// with i above block blk contributes Perm[i,c]·y[i] to row c of Permᵀ.
-func (num *Numeric) offBlockUpdateT(blk int, y []float64) {
-	sym := num.Sym
-	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-	for c := r0; c < r1; c++ {
-		s := 0.0
-		for p := num.Perm.Colptr[c]; p < num.Perm.Colptr[c+1]; p++ {
-			i := num.Perm.Rowidx[p]
-			if i >= r0 {
-				break
+		r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
+		for c := r0; c < r1; c++ {
+			rows := offRow[offPtr[c]:offPtr[c+1]]
+			vals := px[pp[c]:]
+			vals = vals[:len(rows)]
+			s := 0.0
+			for q, i := range rows {
+				s += float64(vals[q] * y[i])
 			}
-			s += float64(num.Perm.Values[p] * y[i])
+			y[c] -= s
 		}
-		y[c] -= s
+		switch sym.kind[blk] {
+		case blockSmall:
+			num.small[blk].USolveT(y[r0:r1])
+			num.small[blk].LSolveT(y[r0:r1])
+		case blockND:
+			num.nd[blk].ndSolveT(y[r0:r1])
+		}
 	}
-}
-
-// SolveBlockTranspose solves coarse diagonal block blk transposed against
-// the permuted vector y (only y[r0:r1) is touched). scratch needs at least
-// Symbolic.scratchLen elements.
-func (num *Numeric) SolveBlockTranspose(blk int, y, scratch []float64) {
-	sym := num.Sym
-	r0, r1 := sym.BlockPtr[blk], sym.BlockPtr[blk+1]
-	switch sym.kind[blk] {
-	case blockSmall:
-		num.small[blk].SolveTransposeWith(y[r0:r1], scratch)
-	case blockND:
-		num.nd[blk].ndSolveT(y[r0:r1], scratch)
+	rhs = rhs[:len(num.rowPos)]
+	for i, p := range num.rowPos {
+		rhs[i] = y[p]
 	}
 }
 
@@ -281,7 +266,6 @@ func (num *Numeric) EstimateRcond() float64 {
 	b := make([]float64, n)
 	x := make([]float64, n)
 	y := make([]float64, n)
-	scratch := make([]float64, num.Sym.scratchLen)
 
 	for i := range x {
 		x[i] = 1 / float64(n)
@@ -307,7 +291,7 @@ func (num *Numeric) EstimateRcond() float64 {
 				b[i] = 1
 			}
 		}
-		num.SolveTransposeInto(b, y, scratch)
+		num.SolveTransposeInto(b, y)
 		// Converged when ‖z‖∞ ≤ zᵀx; otherwise steepest-ascent to e_jmax.
 		zmax, jmax, zdotx := 0.0, 0, 0.0
 		for i, v := range b {
@@ -355,23 +339,12 @@ func (num *Numeric) EstimateRcond() float64 {
 	return rcond
 }
 
-// gpOpts returns the Gilbert–Peierls options of this numeric's sweeps:
-// the symbolic defaults, with the per-Numeric pivot-tolerance override
-// applied when a recovery factorization tightened it (the Symbolic and its
-// Options are shared across pooled factorizations and must never be
-// mutated).
-func (num *Numeric) gpOpts() gp.Options {
-	o := num.Sym.Opts.gpOptions()
-	if num.pivotTolOverride > 0 {
-		o.PivotTol = num.pivotTolOverride
-	}
-	o.Poll = num.gpPoll
-	return o
-}
-
 // sweepOpts returns the Options driving this numeric's sweeps, with the
-// per-Numeric pivot-tolerance override applied (for the fine-ND engine,
-// which derives its kernel options from the Options value it is handed).
+// per-Numeric pivot-tolerance override applied when a recovery
+// factorization tightened it (the Symbolic and its Options are shared
+// across pooled factorizations and must never be mutated). The fine-ND
+// engine derives its kernel options from it, the small blocks take its
+// gpOptions.
 func (num *Numeric) sweepOpts() Options {
 	o := num.Sym.Opts
 	if num.pivotTolOverride > 0 {

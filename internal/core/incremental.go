@@ -75,16 +75,6 @@ func (inc *incState) has(blk int) bool {
 	return inc == nil || inc.blkStamp[blk] == inc.epoch
 }
 
-// hasAny reports whether any of blks is dirty.
-func (inc *incState) hasAny(blks []int) bool {
-	for _, blk := range blks {
-		if inc.has(blk) {
-			return true
-		}
-	}
-	return false
-}
-
 // ensureIncremental builds the change-tracking state on first use.
 func (num *Numeric) ensureIncremental() {
 	if num.inc != nil {

@@ -27,8 +27,8 @@ type ndSym struct {
 	leafHi    []int   // last leaf rank in subtree(K)
 	height    []int
 	maxH      int
-	// maxDim is the largest tree-block dimension: the pivot-application
-	// scratch length of the block solves.
+	// maxDim is the largest tree-block dimension: the size of the fine-ND
+	// workers' Gilbert–Peierls workspaces.
 	maxDim int
 
 	// est holds the Algorithm 3 nonzero estimates (may be nil when the
@@ -1153,13 +1153,14 @@ func couplePanel(y []gp.PanelRow, b *sparse.CSC, pos []int, x []gp.PanelRow) {
 }
 
 // ndSolveT applies the transposed 2D block substitution to y in place — the
-// A⁻ᵀ application the condition estimator needs. With the block hierarchy
-// factored as B = L̂Û (L̂ₖₖ = Pₖᵀ Lₖ, the per-block pivots applied by
-// ndSolve's forward phase), Bᵀ x = y splits into an ascending Ûᵀ sweep
-// (transpose-lower) and a descending L̂ᵀ sweep (transpose-upper). Couplings
-// mirror ndSolve's exactly, as dot products instead of scattered updates.
-// scratch needs sym.maxDim elements.
-func (num *ndNum) ndSolveT(y []float64, scratch []float64) {
+// A⁻ᵀ application the condition estimator needs — and leaves the solution
+// in the block's pivot order, as ndSolve takes its right-hand side. With the
+// block hierarchy factored as B = L̂Û (L̂ₖₖ = Pₖᵀ Lₖ), Bᵀ x = y splits into
+// an ascending Ûᵀ sweep (transpose-lower) and a descending L̂ᵀ sweep
+// (transpose-upper). Couplings mirror ndSolve's exactly, as dot products
+// instead of scattered updates: a lower coupling reads its ancestor's
+// pivot-order rows through the ancestor's Pinv.
+func (num *ndNum) ndSolveT(y []float64) {
 	s := num.sym
 	nb := s.nb
 	// Forward: Ûᵀ is block lower triangular, ascending block columns. After
@@ -1188,8 +1189,7 @@ func (num *ndNum) ndSolveT(y []float64, scratch []float64) {
 	}
 	// Backward: L̂ᵀ is block upper triangular, descending block columns.
 	// Pull the transposed lower couplings from the already-solved ancestors,
-	// then solve L̂ₖₖᵀ = Lₖᵀ Pₖ: unit-upper transpose solve, then scatter
-	// through the block pivot.
+	// then solve Lₖᵀ in place.
 	for k := nb - 1; k >= 0; k-- {
 		c0, c1 := s.blockRange(k)
 		if c0 == c1 {
@@ -1201,21 +1201,16 @@ func (num *ndNum) ndSolveT(y []float64, scratch []float64) {
 				continue
 			}
 			r0, _ := s.blockRange(i)
+			yi, pinv := y[r0:], num.diag[i].Pinv
 			for c := 0; c < lb.N; c++ {
 				sum := 0.0
 				for p := lb.Colptr[c]; p < lb.Colptr[c+1]; p++ {
-					sum += float64(lb.Values[p] * y[r0+lb.Rowidx[p]])
+					sum += float64(lb.Values[p] * yi[pinv[lb.Rowidx[p]]])
 				}
 				y[c0+c] -= sum
 			}
 		}
-		f := num.diag[k]
-		z := scratch[:c1-c0]
-		copy(z, y[c0:c1])
-		f.LSolveT(z)
-		for i := range z {
-			y[c0+f.P[i]] = z[i]
-		}
+		num.diag[k].LSolveT(y[c0:c1])
 	}
 }
 

@@ -313,15 +313,3 @@ func LevelSets(parent []int) (level []int, byLevel [][]int) {
 	}
 	return level, byLevel
 }
-
-// FlopEstimate estimates the floating point operations of a Cholesky-style
-// factorization with the given column counts: sum over columns of
-// count[j]^2 — the quantity Basker's fine-BTF symbolic phase uses to
-// balance blocks across threads.
-func FlopEstimate(counts []int) float64 {
-	f := 0.0
-	for _, c := range counts {
-		f += float64(c) * float64(c)
-	}
-	return f
-}

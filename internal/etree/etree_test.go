@@ -151,12 +151,6 @@ func TestColEtreeRect(t *testing.T) {
 	}
 }
 
-func TestFlopEstimate(t *testing.T) {
-	if f := FlopEstimate([]int{2, 3}); f != 13 {
-		t.Fatalf("FlopEstimate = %v, want 13", f)
-	}
-}
-
 // TestRelaxedSupernodesChain: a pure-chain etree (tridiagonal pattern)
 // amalgamates into maxWidth-bounded runs regardless of the relax bound.
 func TestRelaxedSupernodesChain(t *testing.T) {

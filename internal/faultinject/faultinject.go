@@ -26,7 +26,7 @@ type Sweep uint8
 
 const (
 	// SweepFactor is the unified fresh-factorization scheduler (the
-	// fine-BTF partition workers and the per-ND-block launch goroutines).
+	// fine-BTF dealing workers and the per-ND-block launch goroutines).
 	SweepFactor Sweep = iota
 	// SweepND is a fine-ND block's cooperative worker team (both the fresh
 	// factorization and in-place refactorization schedules).

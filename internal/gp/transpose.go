@@ -40,20 +40,6 @@ func (f *Factors) USolveT(y []float64) {
 	}
 }
 
-// SolveTransposeWith solves Aᵀ x = b in place using caller-provided
-// scratch of at least N elements. With P A = L U (P applied by SolveWith
-// as y[k] = b[P[k]]), Aᵀ = Uᵀ Lᵀ P, so x = Pᵀ L⁻ᵀ U⁻ᵀ b.
-func (f *Factors) SolveTransposeWith(b, scratch []float64) {
-	n := f.N
-	y := scratch[:n]
-	copy(y, b[:n])
-	f.USolveT(y)
-	f.LSolveT(y)
-	for k := 0; k < n; k++ {
-		b[f.P[k]] = y[k]
-	}
-}
-
 // MaxAbsU reports the largest absolute value stored in U — the numerator
 // side of the reciprocal pivot-growth diagnostic. One O(nnz U) pass over
 // finished storage; nothing on the factorization hot path.

@@ -96,7 +96,7 @@ func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	sym.EstNnz = make([]int, sym.NumBlocks())
 	ws := orderWSPool.Get().(*order.Workspace)
 	for blk := range sym.EstNnz {
-		sym.EstNnz[blk], _ = ws.Block(b, sym.BlockPtr[blk], sym.BlockPtr[blk+1], sym.RowPerm, sym.ColPerm, rowPerm, colPerm)
+		sym.EstNnz[blk] = ws.Block(b, sym.BlockPtr[blk], sym.BlockPtr[blk+1], sym.RowPerm, sym.ColPerm, rowPerm, colPerm)
 	}
 	orderWSPool.Put(ws)
 	sym.RowPerm = rowPerm

@@ -28,11 +28,11 @@ type Workspace struct {
 // the AMD labelling — no extracted copy of the block, no permuted copy. The
 // AMD order is composed with the coarse permutations btfRow/btfCol into
 // rowPerm/colPerm over [r0, r1). It returns the factor-size estimate for L
-// and U together and the Cholesky-style flop estimate.
-func (ws *Workspace) Block(b *sparse.CSC, r0, r1 int, btfRow, btfCol, rowPerm, colPerm []int) (estNnz int, flops float64) {
+// and U together.
+func (ws *Workspace) Block(b *sparse.CSC, r0, r1 int, btfRow, btfCol, rowPerm, colPerm []int) (estNnz int) {
 	if r1-r0 == 1 {
 		rowPerm[r0], colPerm[r0] = btfRow[r0], btfCol[r0]
-		return 1, 1
+		return 1
 	}
 	ws.G.Build(b, r0, r1, nil)
 	local := ws.AMD.Order(&ws.G)
@@ -41,10 +41,8 @@ func (ws *Workspace) Block(b *sparse.CSC, r0, r1 int, btfRow, btfCol, rowPerm, c
 		colPerm[r0+k] = btfCol[r0+v]
 	}
 	parent := ws.Etree.Symmetric(&ws.G, local)
-	counts := ws.Etree.ColCounts(&ws.G, local, parent)
-	est := 0
-	for _, c := range counts {
-		est += c
+	for _, c := range ws.Etree.ColCounts(&ws.G, local, parent) {
+		estNnz += c
 	}
-	return 2 * est, etree.FlopEstimate(counts)
+	return 2 * estNnz
 }
