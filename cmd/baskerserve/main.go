@@ -1,13 +1,13 @@
-// Command baskerserve runs the solver-as-a-service HTTP front end: a
-// sharded factorization pool behind the JSON endpoints of package serve.
+// Command baskerserve runs the solver-as-a-service HTTP front end: one
+// factorization pool behind the JSON endpoints of package serve.
 //
 // Usage:
 //
-//	baskerserve -addr=:8080 -shards=8 -threads=4 -max-inflight=64
+//	baskerserve -addr=:8080 -threads=4 -max-inflight=64
 //
-// The pool's aggregated counters appear at /debug/vars ("basker_pool", with
-// the per-shard split under "basker_shards"), liveness at /healthz, and the
-// structured counter block at /v1/stats.
+// The pool's counters, lock wait and hold seconds included, appear at
+// /debug/vars ("basker_pool"), liveness at /healthz, and the structured
+// counter block at /v1/stats.
 package main
 
 import (
@@ -27,14 +27,13 @@ import (
 
 var (
 	addr    = flag.String("addr", ":8080", "listen address")
-	shards  = flag.Int("shards", 0, "pool shards (rounded up to a power of two; 0 picks a CPU-derived default)")
 	threads = flag.Int("threads", 0, "worker goroutines per factorization (0 = GOMAXPROCS)")
 	maxConc = flag.Int("max-concurrent-factors", 0,
-		"admission cap on concurrent fresh factorizations across all shards (0 = unlimited)")
+		"admission cap on concurrent fresh factorizations (0 = unlimited)")
 	maxBytes = flag.Int64("max-bytes", 0,
-		"memory bound on idle cached factorizations in bytes, divided across shards (0 = unbounded)")
+		"memory bound on idle cached factorizations in bytes (0 = unbounded)")
 	maxPatterns = flag.Int("max-cached-patterns", 0,
-		"symbolic-analysis cache capacity, divided across shards (0 = default)")
+		"symbolic-analysis cache capacity (0 = default)")
 	maxInflight = flag.Int("max-inflight", 256,
 		"HTTP requests processed concurrently before shedding 503 overloaded (0 = unlimited)")
 	defaultTimeout = flag.Duration("default-timeout", 30*time.Second,
@@ -47,7 +46,7 @@ var (
 
 func main() {
 	flag.Parse()
-	pool := basker.NewShardedPool(*shards, basker.PoolOptions{
+	pool := basker.NewPool(basker.PoolOptions{
 		Options: basker.Options{
 			Threads:        *threads,
 			BigBlockMin:    64,
@@ -57,10 +56,8 @@ func main() {
 		MaxConcurrentFactors: *maxConc,
 		MaxBytes:             *maxBytes,
 		MaxCachedPatterns:    *maxPatterns,
-		MeterLock:            true,
 	})
 	pool.PublishExpvar("basker_pool")
-	pool.PublishShardExpvar("basker_shards")
 
 	s := serve.NewServer(pool, serve.Options{
 		MaxInFlight:    *maxInflight,
@@ -83,7 +80,7 @@ func main() {
 		close(done)
 	}()
 
-	log.Printf("baskerserve listening on %s (%d shards)", *addr, pool.NumShards())
+	log.Printf("baskerserve listening on %s", *addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -157,7 +157,7 @@ func TestNilMatrixRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	pool, sharded := NewPool(PoolOptions{}), NewShardedPool(2, PoolOptions{})
+	pool := NewPool(PoolOptions{})
 	b := make([]float64, a.N)
 	nnz := a.Nnz()
 	// Each short slice keeps its capacity, so a read past its length would
@@ -167,14 +167,12 @@ func TestNilMatrixRejected(t *testing.T) {
 		"Rowidx": {M: a.M, N: a.N, Colptr: a.Colptr, Rowidx: a.Rowidx[:nnz-3], Values: a.Values},
 		"Colptr": {M: a.M, N: a.N, Colptr: a.Colptr[:a.N], Rowidx: a.Rowidx, Values: a.Values},
 	}
-	// Warm the pools, so the short matrices also meet a cached entry.
-	for _, p := range []interface{ Acquire(*Matrix) (*Lease, error) }{pool, sharded} {
-		l, err := p.Acquire(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Release()
+	// Warm the pool, so the short matrices also meet a cached entry.
+	l, err := pool.Acquire(a)
+	if err != nil {
+		t.Fatal(err)
 	}
+	l.Release()
 	lease := func(_ *Lease, err error) error { return err }
 	refine := func(_ RefineResult, err error) error { return err }
 	for _, c := range []struct {
@@ -195,11 +193,6 @@ func TestNilMatrixRejected(t *testing.T) {
 		{"Pool.Factor", func(m *Matrix) error { return lease(pool.Factor(m)) }},
 		{"Pool.Solve", func(m *Matrix) error { return pool.Solve(m, b) }},
 		{"Pool.SolveMany", func(m *Matrix) error { return pool.SolveMany(m, [][]float64{b}) }},
-		{"ShardedPool.Acquire", func(m *Matrix) error { return lease(sharded.Acquire(m)) }},
-		{"ShardedPool.AcquireCtx", func(m *Matrix) error { return lease(sharded.AcquireCtx(ctx, m)) }},
-		{"ShardedPool.Factor", func(m *Matrix) error { return lease(sharded.Factor(m)) }},
-		{"ShardedPool.Solve", func(m *Matrix) error { return sharded.Solve(m, b) }},
-		{"ShardedPool.SolveMany", func(m *Matrix) error { return sharded.SolveMany(m, [][]float64{b}) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if err := c.call(nil); !errors.Is(err, ErrBadInput) {

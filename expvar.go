@@ -12,21 +12,6 @@ func (p *Pool) PublishExpvar(name string) {
 	expvar.Publish(name, expvar.Func(func() any { return p.Stats() }))
 }
 
-// PublishExpvar publishes the sharded pool's aggregated counters
-// (ShardedPool.Stats) under the given expvar name as a JSON object, exactly
-// like Pool.PublishExpvar. Publish once at startup; expvar panics on
-// duplicate names.
-func (sp *ShardedPool) PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return sp.Stats() }))
-}
-
-// PublishShardExpvar publishes the per-shard PoolStats split (the
-// load-balance view of the pattern-hash routing) under the given expvar
-// name as a JSON array.
-func (sp *ShardedPool) PublishShardExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return sp.ShardStats() }))
-}
-
 // PublishTraceExpvar publishes a tracer's cumulative per-phase totals
 // (sweep counts plus wall/work/wait seconds, e.g. "refactor_sweeps",
 // "refactor_wait_seconds") under the given expvar name as a flat JSON

@@ -933,8 +933,7 @@ func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC
 	}
 	rec := num.Sym.Opts.Trace
 	phase := sweepModes[mode].phase
-	sw := rec.BeginSweep(phase)
-	defer sw.End()
+	defer num.endTrace(rec.BeginSweep(phase))
 	gatherStart := rec.Now()
 	sparse.PermuteInto(num.Perm, a, num.Sym.plan.permMap)
 	if rec != nil {
@@ -942,6 +941,18 @@ func (num *Numeric) fullSweep(ctx context.Context, mode sweepMode, a *sparse.CSC
 			Worker: trace.DriverWorker, Block: -1, Kind: trace.KindGather, Phase: phase})
 	}
 	return num.runSweep(ctx, mode, nil)
+}
+
+// endTrace closes a traced sweep's measurement. A sweep that returned early
+// (cancel, deadline or stall) while its workers are still in flight records
+// no Summary and reads no ring entry: the join broke before every slot was
+// waited on, so nothing orders the stragglers' Record calls before End. Once
+// the stragglers are gone, their last inflight decrement orders them.
+func (num *Numeric) endTrace(sw trace.Sweep) {
+	if num.sweep.Canceled() && num.sweep.inflight.Load() > 0 {
+		return
+	}
+	sw.End()
 }
 
 // runSweep is the one numeric scheduler: a single walk of the coarse

@@ -9,6 +9,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 )
 
 // dealerMatrix has one fine-ND block and three small blocks under
@@ -131,6 +132,45 @@ func TestDealerStallLane(t *testing.T) {
 	}
 	if holder := num.took[blk].Load(); holder != 0 {
 		t.Fatalf("block %d still marked held by worker %d after the drain", blk, holder-1)
+	}
+}
+
+// TestDealerStallTrace is TestDealerStallLane's stalled refresh with a
+// trace recorder attached (run it with -race): the stalled sweep returns
+// while its straggler is still in flight, so it records no summary and
+// reads no ring entry the straggler may still write; the clean refresh
+// after it records its profile.
+func TestDealerStallTrace(t *testing.T) {
+	a := dealerMatrix()
+	_, sym := dealerOpts(t, a, 4, 64)
+	inject := faultinject.New()
+	rec := trace.NewRecorder(0)
+	sym.Opts.Inject, sym.Opts.StallTimeout, sym.Opts.Trace = inject, 50*time.Millisecond, rec
+	num, err := Factor(a, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject.Arm(faultinject.PointStall, faultinject.Rule{
+		Sweep: faultinject.SweepRefactor, SweepSet: true, Block: sym.smallBlocks[0], Worker: -1, Times: 1, Stall: 300 * time.Millisecond,
+	})
+	before := len(rec.Summaries())
+	var se *StallError
+	if err := num.Refactor(matgen.TransientStep(a, 1, 3)); !errors.As(err, &se) {
+		t.Fatalf("stalled refresh returned %v, want a *StallError", err)
+	}
+	if got := len(rec.Summaries()); got != before {
+		t.Fatalf("the stalled sweep recorded %d summaries, want none", got-before)
+	}
+	inject.DisarmAll()
+	if err := num.Refactor(matgen.TransientStep(a, 2, 3)); err != nil {
+		t.Fatalf("Refactor after the stall: %v", err)
+	}
+	sums := rec.Summaries()
+	if len(sums) != before+1 {
+		t.Fatalf("the clean refresh recorded %d summaries, want 1", len(sums)-before)
+	}
+	if s := sums[len(sums)-1]; s.Events == 0 || s.WallSeconds <= 0 {
+		t.Fatalf("the clean refresh's profile is empty: %+v", s)
 	}
 }
 

@@ -259,8 +259,7 @@ func (num *Numeric) markChanged(a *sparse.CSC, cols []int32) {
 // partialSweep runs the sweep over the blocks the marking phase dirtied.
 func (num *Numeric) partialSweep(ctx context.Context) error {
 	inc := num.inc
-	sw := num.Sym.Opts.Trace.BeginSweep(trace.PhasePartial)
-	defer sw.End()
+	defer num.endTrace(num.Sym.Opts.Trace.BeginSweep(trace.PhasePartial))
 	num.lastDirty = inc.dirty
 	num.dirtyTotal += int64(inc.dirty)
 	return num.runSweep(ctx, modePartial, inc)

@@ -37,16 +37,15 @@ import (
 // pivot), the entry is discarded and the Acquire falls back to a fresh
 // Factor, so callers never observe a half-refreshed factorization.
 //
-// A Pool serializes its bookkeeping (never the numeric work) on one mutex;
-// under many-core many-client load, wrap it in a ShardedPool, which spreads
-// patterns over independent Pools.
+// A Pool serializes its bookkeeping (never the numeric work) on one mutex
+// and meters it: PoolStats.LockWaitSeconds/LockHoldSeconds say how much of
+// the serving time that mutex costs.
 type Pool struct {
 	solver   *Solver
 	maxIdle  int
 	maxSyms  int
 	maxAge   time.Duration
 	maxBytes int64
-	meter    bool
 	// now is the clock (replaceable by tests of the age-based eviction).
 	now func() time.Time
 
@@ -84,9 +83,9 @@ type Pool struct {
 	rejected   uint64
 	canceled   uint64
 	queueWaits uint64
-	// lockWaitNs/lockHoldNs accumulate mutex wait and hold time when
-	// PoolOptions.MeterLock is set (the serving layer's contention meter);
-	// lockT0 is the running section's acquisition instant.
+	// lockWaitNs/lockHoldNs accumulate mutex wait and hold time (the
+	// serving layer's contention meter); lockT0 is the running section's
+	// acquisition instant.
 	lockWaitNs int64
 	lockHoldNs int64
 	lockT0     time.Time
@@ -94,8 +93,7 @@ type Pool struct {
 	// sem is the fresh-factorization admission semaphore (nil = unlimited):
 	// each in-flight full numeric factorization holds one slot, bounding
 	// the memory and CPU burst a miss storm can impose on the serving
-	// layer. Refactor fast paths are never gated. A ShardedPool shares one
-	// semaphore across all shards, so the admission bound stays global.
+	// layer. Refactor fast paths are never gated.
 	sem chan struct{}
 }
 
@@ -169,14 +167,25 @@ type PoolOptions struct {
 	// so a burst of cold patterns degrades into an orderly queue instead
 	// of a memory and CPU stampede. 0 disables admission control.
 	MaxConcurrentFactors int
-	// MeterLock accounts the pool mutex's wait and hold time
-	// (PoolStats.LockWaitSeconds/LockHoldSeconds) at the cost of two clock
-	// reads per locked section — the serving layer's direct measure of how
-	// contended one pool's bookkeeping is (the number sharding exists to
-	// divide). Off by default; the metered path allocates nothing, so the
-	// zero-alloc steady states hold either way.
+	// MeterLock is ignored: the pool mutex is always metered
+	// (PoolStats.LockWaitSeconds/LockHoldSeconds).
+	//
+	// Deprecated: kept so that callers which still set it (the benchmark
+	// harness under bench/) compile.
 	MeterLock bool
 }
+
+// ShardedPool is Pool: one pool serves every pattern.
+//
+// Deprecated: use Pool; kept for callers that still name it (the benchmark
+// harness under bench/).
+type ShardedPool = Pool
+
+// NewShardedPool ignores its shard count and returns NewPool(opts).
+//
+// Deprecated: use NewPool; kept for callers that still name it (the
+// benchmark harness under bench/).
+func NewShardedPool(_ int, opts PoolOptions) *Pool { return NewPool(opts) }
 
 // NewPool returns an empty factorization pool.
 func NewPool(opts PoolOptions) *Pool {
@@ -204,7 +213,6 @@ func NewPool(opts PoolOptions) *Pool {
 		maxSyms:  maxSyms,
 		maxAge:   opts.MaxIdleAge,
 		maxBytes: opts.MaxBytes,
-		meter:    opts.MeterLock,
 		now:      time.Now,
 		idle:     map[uint64][]*poolEntry{},
 		syms:     map[uint64][]*symEntry{},
@@ -212,13 +220,10 @@ func NewPool(opts PoolOptions) *Pool {
 	}
 }
 
-// lock acquires the pool mutex, accounting wait and hold time when metering
-// is on (lockT0 is protected by the mutex itself).
+// lock acquires the pool mutex, accounting wait and hold time (lockT0 is
+// protected by the mutex itself). Three clock reads per section, no
+// allocation, so the zero-alloc hit path holds.
 func (p *Pool) lock() {
-	if !p.meter {
-		p.mu.Lock()
-		return
-	}
 	t0 := time.Now()
 	p.mu.Lock()
 	now := time.Now()
@@ -227,9 +232,7 @@ func (p *Pool) lock() {
 }
 
 func (p *Pool) unlock() {
-	if p.meter {
-		p.lockHoldNs += time.Since(p.lockT0).Nanoseconds()
-	}
+	p.lockHoldNs += time.Since(p.lockT0).Nanoseconds()
 	p.mu.Unlock()
 }
 
@@ -396,12 +399,6 @@ func (p *Pool) AcquireCtx(ctx context.Context, a *Matrix) (*Lease, error) {
 	if err := checkMatrix(a); err != nil {
 		return nil, err
 	}
-	return p.acquireKeyed(ctx, a, patternKey(a))
-}
-
-// acquireKeyed is AcquireCtx for a caller that already hashed the pattern
-// (the ShardedPool front end, which routes on the same key).
-func (p *Pool) acquireKeyed(ctx context.Context, a *Matrix, key uint64) (*Lease, error) {
 	if ctx != nil && ctx.Err() != nil {
 		p.lock()
 		p.rejected++
@@ -414,6 +411,7 @@ func (p *Pool) acquireKeyed(ctx context.Context, a *Matrix, key uint64) (*Lease,
 	if err := validateInput(a, p.solver.opts.ValidateInputs); err != nil {
 		return nil, err
 	}
+	key := patternKey(a)
 	p.lock()
 	p.evictExpiredLocked()
 	entry := p.removeIdleLocked(key, a)
@@ -478,14 +476,10 @@ func (p *Pool) Factor(a *Matrix) (*Lease, error) {
 	if err := checkMatrix(a); err != nil {
 		return nil, err
 	}
-	return p.factorKeyed(a, patternKey(a))
-}
-
-// factorKeyed is Factor for a caller that already hashed the pattern.
-func (p *Pool) factorKeyed(a *Matrix, key uint64) (*Lease, error) {
 	if err := validateInput(a, p.solver.opts.ValidateInputs); err != nil {
 		return nil, err
 	}
+	key := patternKey(a)
 	p.lock()
 	p.evictExpiredLocked()
 	entry := p.removeIdleLocked(key, a)
@@ -695,10 +689,9 @@ type PoolStats struct {
 	// CachedSymbolics counts sparsity patterns holding a cached symbolic
 	// analysis.
 	CachedSymbolics int
-	// LockWaitSeconds and LockHoldSeconds accumulate the pool mutex's
-	// contended wait time and total hold time when PoolOptions.MeterLock is
-	// on (both 0 otherwise) — the direct measurement of the single-mutex
-	// bottleneck a ShardedPool divides.
+	// LockWaitSeconds and LockHoldSeconds accumulate the pool mutex's wait
+	// time and total hold time — the direct measurement of how much the
+	// pool's one bookkeeping mutex costs its callers.
 	LockWaitSeconds float64
 	LockHoldSeconds float64
 }

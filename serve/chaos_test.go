@@ -21,8 +21,9 @@ func chaosServeMatrix(seed int64) *basker.Matrix {
 
 func newChaosServer(t *testing.T, inject *faultinject.Injector) (*Server, string) {
 	t.Helper()
-	pool := basker.NewShardedPool(4, basker.PoolOptions{
-		Options: basker.Options{Threads: 4, BigBlockMin: 64}.InjectFaults(inject),
+	pool := basker.NewPool(basker.PoolOptions{
+		Options:              basker.Options{Threads: 4, BigBlockMin: 64}.InjectFaults(inject),
+		MaxConcurrentFactors: 2,
 	})
 	s := NewServer(pool, Options{})
 	ts := newHTTPServer(t, s)
@@ -155,7 +156,8 @@ func TestServeChaosKernelNaN(t *testing.T) {
 // TestServeChaosStorm hammers the service with mixed-pattern traffic while
 // faults come and go: every response is a well-formed JSON verdict (2xx or
 // mapped 5xx, never a hang, never a dead process), and after the chaos
-// clears every pattern still solves correctly.
+// clears every pattern still solves correctly and every slot of the pool's
+// admission cap (MaxConcurrentFactors, one bound for all patterns) is back.
 func TestServeChaosStorm(t *testing.T) {
 	inject := faultinject.New()
 	s, url := newChaosServer(t, inject)

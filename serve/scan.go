@@ -6,6 +6,8 @@ import (
 	"slices"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	basker "repro"
 )
 
 // This file is the request half of the wire: one scanner over the
@@ -494,7 +496,7 @@ func (s *Server) decodeRequest(body []byte, keys uint, sc *scratch) (*request, e
 			if str, err = in.str(); err == nil {
 				req.id = string(str)
 				if v, ok := s.registry.Load(req.id); ok {
-					a := v.(*pattern).a
+					a := v.(*basker.Matrix)
 					nnz, n = len(a.Values), a.N
 				}
 			}

@@ -52,9 +52,9 @@ var endpoints = []endpoint{
 // decodeServer is a server with one registered pattern and a small body
 // limit, never started: the decode tests call its request reader directly.
 func decodeServer(a *basker.Matrix) (*Server, string) {
-	s := NewServer(basker.NewShardedPool(1, basker.PoolOptions{}), Options{MaxBodyBytes: 1 << 16})
+	s := NewServer(basker.NewPool(basker.PoolOptions{}), Options{MaxBodyBytes: 1 << 16})
 	id := patternID(a)
-	s.registry.Store(id, &pattern{a: a})
+	s.registry.Store(id, a)
 	return s, id
 }
 
@@ -374,7 +374,7 @@ func refreshBody(t testing.TB, n int) (*Server, []byte) {
 	a := matgen.Circuit(matgen.CircuitParams{
 		N: n, BTFPct: 50, Blocks: n / 50, Core: matgen.CoreLadder, ExtraDensity: 0.4, Seed: 5,
 	})
-	s := NewServer(basker.NewShardedPool(1, basker.PoolOptions{Options: basker.Options{Threads: 1}}), Options{})
+	s := NewServer(basker.NewPool(basker.PoolOptions{Options: basker.Options{Threads: 1}}), Options{})
 	reg, err := json.Marshal(RegisterRequest{Matrix: matrixJSON(a), Warm: true})
 	if err != nil {
 		t.Fatal(err)

@@ -18,8 +18,8 @@ import (
 )
 
 // Options configures the HTTP front end. The pool itself is constructed by
-// the caller (shard count, admission control, memory bound, fault injection
-// for chaos tests) and handed to NewServer.
+// the caller (admission control, memory bound, fault injection for chaos
+// tests) and handed to NewServer.
 type Options struct {
 	// MaxInFlight bounds concurrently executing /v1/ requests; excess
 	// traffic is shed immediately with 503 overloaded rather than queued
@@ -37,28 +37,23 @@ type Options struct {
 
 const defaultMaxBody = 64 << 20
 
-// Server serves assemble→factor→solve traffic over a sharded
-// factorization pool.
+// Server serves assemble→factor→solve traffic over one factorization
+// pool.
 type Server struct {
-	pool     *basker.ShardedPool
+	pool     *basker.Pool
 	opts     Options
 	mux      *http.ServeMux
 	inflight chan struct{} // admission tokens; nil when unlimited
 
-	registry sync.Map // pattern id -> *pattern
+	// registry maps a pattern id to its registered matrix template. The
+	// pattern arrays are shared read-only with values-only requests; the
+	// solver never mutates its input matrix.
+	registry sync.Map // pattern id -> *basker.Matrix
 	patterns atomic.Int64
 
 	requests atomic.Uint64 // /v1/ requests accepted for processing
 	shed     atomic.Uint64 // /v1/ requests rejected by admission
 	failures atomic.Uint64 // /v1/ requests answered with an error body
-}
-
-// pattern is a registered matrix template. The pattern arrays are shared
-// read-only with values-only requests; the solver never mutates its input
-// matrix.
-type pattern struct {
-	a     *basker.Matrix
-	shard int
 }
 
 // scratchPool recycles request scratch between requests; see scratch for
@@ -81,13 +76,12 @@ type ServerStats struct {
 
 // StatsResponse is the GET /v1/stats body.
 type StatsResponse struct {
-	Pool   basker.PoolStats   `json:"pool"`
-	Shards []basker.PoolStats `json:"shards"`
-	Server ServerStats        `json:"server"`
+	Pool   basker.PoolStats `json:"pool"`
+	Server ServerStats      `json:"server"`
 }
 
 // NewServer wires the handlers over the given pool.
-func NewServer(pool *basker.ShardedPool, opts Options) *Server {
+func NewServer(pool *basker.Pool, opts Options) *Server {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = defaultMaxBody
 	}
@@ -108,9 +102,9 @@ func NewServer(pool *basker.ShardedPool, opts Options) *Server {
 // httptest.
 func (s *Server) Handler() http.Handler { return s }
 
-// Pool exposes the backing sharded pool (for operational hooks such as
-// expvar publication at process startup).
-func (s *Server) Pool() *basker.ShardedPool { return s.pool }
+// Pool exposes the backing pool (for operational hooks such as expvar
+// publication at process startup).
+func (s *Server) Pool() *basker.Pool { return s.pool }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
@@ -246,18 +240,18 @@ func (s *Server) resolveMatrix(req *request) (*basker.Matrix, error) {
 		return nil, &wireError{status: http.StatusNotFound, code: "unknown_pattern",
 			msg: "no registered matrix with id " + id}
 	}
-	pat := v.(*pattern)
+	pat := v.(*basker.Matrix)
 	if values == nil {
-		return pat.a, nil
+		return pat, nil
 	}
-	if len(values) != len(pat.a.Values) {
+	if len(values) != len(pat.Values) {
 		return nil, badRequest("dimension_mismatch",
-			"values carries %d entries; pattern %s has %d nonzeros", len(values), id, len(pat.a.Values))
+			"values carries %d entries; pattern %s has %d nonzeros", len(values), id, len(pat.Values))
 	}
 	// Shallow template: the immutable pattern arrays are shared, the values
 	// are this request's own — the refactor→solve wire path allocates only
 	// what the client sent.
-	return &basker.Matrix{M: pat.a.M, N: pat.a.N, Colptr: pat.a.Colptr, Rowidx: pat.a.Rowidx, Values: values}, nil
+	return &basker.Matrix{M: pat.M, N: pat.N, Colptr: pat.Colptr, Rowidx: pat.Rowidx, Values: values}, nil
 }
 
 // requestContext derives the work deadline for one request: the client
@@ -383,8 +377,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request, sc *scra
 		return
 	}
 	id := patternID(a)
-	pat := &pattern{a: a, shard: s.pool.ShardIndex(a)}
-	if _, existed := s.registry.Swap(id, pat); !existed {
+	if _, existed := s.registry.Swap(id, a); !existed {
 		s.patterns.Add(1)
 	}
 	if req.warm {
@@ -398,10 +391,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request, sc *scra
 		lease.Release()
 	}
 	s.writeJSON(w, http.StatusOK, RegisterResponse{
-		ID:    id,
-		N:     a.N,
-		Nnz:   len(a.Values),
-		Shard: pat.shard,
+		ID:  id,
+		N:   a.N,
+		Nnz: len(a.Values),
 	})
 }
 
@@ -422,7 +414,6 @@ func (s *Server) acquire(ctx context.Context, a *basker.Matrix, mode string) (*b
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, StatsResponse{
 		Pool:   s.pool.Stats(),
-		Shards: s.pool.ShardStats(),
 		Server: s.Stats(),
 	})
 }

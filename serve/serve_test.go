@@ -63,7 +63,7 @@ func newHTTPServer(t *testing.T, s *Server) string {
 	return ts.URL
 }
 
-func newTestServer(t *testing.T, shards int, popts basker.PoolOptions, sopts Options) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, popts basker.PoolOptions, sopts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	if popts.Options.Threads == 0 {
 		popts.Options.Threads = 2
@@ -72,7 +72,7 @@ func newTestServer(t *testing.T, shards int, popts basker.PoolOptions, sopts Opt
 		popts.Options.BigBlockMin = 64
 	}
 	popts.Options.ValidateInputs = true
-	s := NewServer(basker.NewShardedPool(shards, popts), sopts)
+	s := NewServer(basker.NewPool(popts), sopts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -135,7 +135,7 @@ func errCode(t *testing.T, raw []byte) string {
 func TestServeSolveGoldenRoundTrip(t *testing.T) {
 	a := serveMatrix(1)
 	b, x := rhsFor(a, 10)
-	_, ts := newTestServer(t, 4, basker.PoolOptions{}, Options{})
+	_, ts := newTestServer(t, basker.PoolOptions{}, Options{})
 	status, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Matrix: matrixJSON(a), B: b})
 	if status != http.StatusOK {
 		t.Fatalf("status %d, body %s", status, raw)
@@ -166,7 +166,7 @@ func TestServeSolveTripletsBatch(t *testing.T) {
 	}
 	b1, x1 := rhsFor(a, 20)
 	b2, x2 := rhsFor(a, 21)
-	_, ts := newTestServer(t, 4, basker.PoolOptions{}, Options{})
+	_, ts := newTestServer(t, basker.PoolOptions{}, Options{})
 	status, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Triplets: tj, Bs: [][]float64{b1, b2}})
 	if status != http.StatusOK {
 		t.Fatalf("status %d, body %s", status, raw)
@@ -186,7 +186,7 @@ func TestServeSolveTripletsBatch(t *testing.T) {
 // stable across re-registration.
 func TestServeRegisterValuesTraffic(t *testing.T) {
 	a := serveMatrix(3)
-	s, ts := newTestServer(t, 4, basker.PoolOptions{}, Options{})
+	s, ts := newTestServer(t, basker.PoolOptions{}, Options{})
 
 	status, raw := postJSON(t, ts.URL+"/v1/matrices", RegisterRequest{Matrix: matrixJSON(a), Warm: true})
 	if status != http.StatusOK {
@@ -196,9 +196,6 @@ func TestServeRegisterValuesTraffic(t *testing.T) {
 	decodeInto(t, raw, &reg)
 	if !strings.HasPrefix(reg.ID, "p-") || reg.N != a.N || reg.Nnz != len(a.Values) {
 		t.Fatalf("register response %+v", reg)
-	}
-	if reg.Shard < 0 || reg.Shard >= s.pool.NumShards() {
-		t.Fatalf("register shard %d out of range", reg.Shard)
 	}
 
 	// Values-only refresh traffic: same pattern, drifted values.
@@ -249,7 +246,7 @@ func TestServeRegisterValuesTraffic(t *testing.T) {
 // follow-up solve hits it.
 func TestServeFactorEndpoint(t *testing.T) {
 	a := serveMatrix(4)
-	s, ts := newTestServer(t, 4, basker.PoolOptions{}, Options{})
+	s, ts := newTestServer(t, basker.PoolOptions{}, Options{})
 	status, raw := postJSON(t, ts.URL+"/v1/factor", FactorRequest{Matrix: matrixJSON(a)})
 	if status != http.StatusOK {
 		t.Fatalf("factor: status %d, body %s", status, raw)
@@ -273,32 +270,37 @@ func TestServeFactorEndpoint(t *testing.T) {
 }
 
 // TestServeStatsHealthDebugVars covers the observability endpoints: stats
-// aggregates pool+shards+server coherently, healthz answers, and
-// /debug/vars serves valid JSON.
+// reports the pool (lock meter included) and the server coherently, healthz
+// answers, and /debug/vars serves valid JSON.
 func TestServeStatsHealthDebugVars(t *testing.T) {
 	a := serveMatrix(5)
-	s, ts := newTestServer(t, 4, basker.PoolOptions{}, Options{MaxInFlight: 16})
+	s, ts := newTestServer(t, basker.PoolOptions{}, Options{MaxInFlight: 16})
 	b, _ := rhsFor(a, 50)
 	if status, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Matrix: matrixJSON(a), B: b}); status != http.StatusOK {
 		t.Fatalf("solve: status %d, body %s", status, raw)
 	}
 
-	var st StatsResponse
-	if status := getJSON(t, ts.URL+"/v1/stats", &st); status != http.StatusOK {
+	var raw json.RawMessage
+	if status := getJSON(t, ts.URL+"/v1/stats", &raw); status != http.StatusOK {
 		t.Fatalf("stats status %d", status)
 	}
-	if len(st.Shards) != s.pool.NumShards() {
-		t.Fatalf("stats lists %d shards, want %d", len(st.Shards), s.pool.NumShards())
+	var wire struct {
+		Pool map[string]json.RawMessage `json:"pool"`
 	}
-	if st.Pool.Misses == 0 {
-		t.Fatalf("pool stats recorded no traffic: %+v", st.Pool)
+	decodeInto(t, raw, &wire)
+	for _, k := range []string{"LockWaitSeconds", "LockHoldSeconds"} {
+		var v float64
+		if err := json.Unmarshal(wire.Pool[k], &v); err != nil || v < 0 {
+			t.Fatalf("stats pool.%s = %s (%v), want a non-negative number", k, wire.Pool[k], err)
+		}
 	}
-	var sum uint64
-	for _, sh := range st.Shards {
-		sum += sh.Misses
+	var st StatsResponse
+	decodeInto(t, raw, &st)
+	if st.Pool.Misses == 0 || st.Pool.Misses != s.pool.Stats().Misses {
+		t.Fatalf("pool stats %+v do not match the pool's own", st.Pool)
 	}
-	if sum != st.Pool.Misses {
-		t.Fatalf("shard misses sum %d != aggregate %d", sum, st.Pool.Misses)
+	if st.Pool.LockHoldSeconds <= 0 {
+		t.Fatalf("pool lock meter read no hold time after traffic: %+v", st.Pool)
 	}
 	if st.Server.Requests == 0 || st.Server.InFlight != 0 {
 		t.Fatalf("server stats %+v", st.Server)
@@ -315,6 +317,31 @@ func TestServeStatsHealthDebugVars(t *testing.T) {
 	}
 	if _, ok := vars["cmdline"]; !ok {
 		t.Fatalf("/debug/vars JSON lacks the standard cmdline var: %v", vars)
+	}
+}
+
+// TestServeCachedPatternsBound registers more patterns than
+// MaxCachedPatterns allows: the one pool keeps at most that many analyses
+// across all patterns, and every pattern still solves.
+func TestServeCachedPatternsBound(t *testing.T) {
+	const limit = 2
+	s, ts := newTestServer(t, basker.PoolOptions{MaxCachedPatterns: limit}, Options{})
+	for seed := int64(60); seed < 66; seed++ {
+		a := serveMatrix(seed)
+		b, x := rhsFor(a, seed)
+		status, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Matrix: matrixJSON(a), B: b})
+		if status != http.StatusOK {
+			t.Fatalf("pattern %d: status %d, body %s", seed, status, raw)
+		}
+		var resp SolveResponse
+		decodeInto(t, raw, &resp)
+		wantClose(t, resp.X, x, "x")
+		if got := s.pool.Stats().CachedSymbolics; got > limit {
+			t.Fatalf("after pattern %d the pool caches %d analyses, want at most %d", seed, got, limit)
+		}
+	}
+	if st := s.pool.Stats(); st.CachedSymbolics != limit || st.Misses != 6 {
+		t.Fatalf("pool stats %+v, want %d cached analyses after 6 distinct patterns", st, limit)
 	}
 }
 
@@ -372,7 +399,7 @@ func malformedCSC() []struct {
 // TestServeMalformedCSCWithoutValidation pins that the structural check
 // does not depend on the solver's ValidateInputs screen.
 func TestServeMalformedCSCWithoutValidation(t *testing.T) {
-	s := NewServer(basker.NewShardedPool(1, basker.PoolOptions{Options: basker.Options{Threads: 1}}), Options{})
+	s := NewServer(basker.NewPool(basker.PoolOptions{Options: basker.Options{Threads: 1}}), Options{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	for _, bad := range malformedCSC() {
@@ -431,7 +458,7 @@ func TestServeErrorMappingTable(t *testing.T) {
 	}()
 
 	inject := faultinject.New()
-	s, ts := newTestServer(t, 4, basker.PoolOptions{
+	s, ts := newTestServer(t, basker.PoolOptions{
 		Options: basker.Options{Threads: 4, StallTimeout: 60 * time.Millisecond}.InjectFaults(inject),
 	}, Options{MaxInFlight: 4})
 
@@ -622,7 +649,7 @@ func TestServeErrorMappingTable(t *testing.T) {
 	}
 
 	// Body too large.
-	_, tiny := newTestServer(t, 1, basker.PoolOptions{}, Options{MaxBodyBytes: 16})
+	_, tiny := newTestServer(t, basker.PoolOptions{}, Options{MaxBodyBytes: 16})
 	resp, err := http.Post(tiny.URL+"/v1/solve", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"b": [%s1]}`, strings.Repeat("1,", 64))))
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package serve is the HTTP/JSON front end of the solver-as-a-service
 // layer: assemble→factor→solve and refactor→solve traffic over a
-// basker.ShardedPool, with the library's typed error taxonomy mapped onto
+// one basker.Pool, with the library's typed error taxonomy mapped onto
 // HTTP semantics. Everything is stdlib; the transport is net/http.
 //
 // The request bodies of /v1/solve, /v1/factor and /v1/matrices and the
@@ -52,7 +52,7 @@
 //	                   a pattern id for values-only refresh traffic
 //	POST /v1/factor    factor (or refresh) a matrix into the pool cache
 //	POST /v1/solve     factor/refresh + solve one or many right-hand sides
-//	GET  /v1/stats     pool + shard + server counters
+//	GET  /v1/stats     pool + server counters
 //	GET  /healthz      liveness
 //	GET  /debug/vars   expvar (mount point for the pool's expvar bridges)
 //
@@ -274,10 +274,9 @@ type RegisterRequest struct {
 // (a hash of the sparsity pattern), so re-registering the same pattern is
 // idempotent and updates the template values.
 type RegisterResponse struct {
-	ID    string `json:"id"`
-	N     int    `json:"n"`
-	Nnz   int    `json:"nnz"`
-	Shard int    `json:"shard"`
+	ID  string `json:"id"`
+	N   int    `json:"n"`
+	Nnz int    `json:"nnz"`
 }
 
 // ErrorBody is every non-2xx response's JSON shape.
