@@ -236,13 +236,17 @@ func checkMatrix(a *Matrix) error {
 	return nil
 }
 
-// validateInput is the gated O(nnz) screen of the API boundary.
-func validateInput(a *Matrix, on bool) error {
+// validateInput is the gated O(nnz) screen of the API boundary. Its
+// structural pass is skipped when ctx carries sparse.WithCheckedInput: the
+// caller has run it on this very matrix already.
+func validateInput(ctx context.Context, a *Matrix, on bool) error {
 	if !on {
 		return nil
 	}
-	if err := a.Check(); err != nil {
-		return errors.Join(ErrBadInput, err)
+	if ctx == nil || !sparse.CheckedInput(ctx) {
+		if err := a.Check(); err != nil {
+			return errors.Join(ErrBadInput, err)
+		}
 	}
 	if err := a.CheckFinite(); err != nil {
 		return errors.Join(ErrBadInput, ErrNotFinite, err)
@@ -287,7 +291,7 @@ func (s *Solver) FactorCtx(ctx context.Context, a *Matrix) (*Factorization, erro
 	if a.M != a.N {
 		return nil, fmt.Errorf("%w: matrix is %d×%d, want square", ErrDimensionMismatch, a.M, a.N)
 	}
-	if err := validateInput(a, s.opts.ValidateInputs); err != nil {
+	if err := validateInput(ctx, a, s.opts.ValidateInputs); err != nil {
 		return nil, err
 	}
 	num, err := core.FactorDirectCtx(ctx, a, s.opts)
@@ -435,7 +439,7 @@ func (f *Factorization) refreshChecks(a *Matrix) error {
 	if n := f.num.Sym.N; a.M != n || a.N != n {
 		return fmt.Errorf("%w: matrix is %d×%d, factorization is %d×%d", ErrDimensionMismatch, a.M, a.N, n, n)
 	}
-	return validateInput(a, f.num.Sym.Opts.ValidateInputs)
+	return validateInput(context.TODO(), a, f.num.Sym.Opts.ValidateInputs)
 }
 
 // RefactorPartial is Refactor for a matrix that differs from the values the

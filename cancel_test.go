@@ -410,6 +410,71 @@ func TestPoolAdmissionQueue(t *testing.T) {
 	chaosCheckSolve(t, lease.Factorization, a)
 }
 
+// TestPoolFactorCtxAdmissionQueue is TestPoolAdmissionQueue for the fresh
+// entry point, on both of its paths: the miss path (no cached entry) and a
+// recycled idle entry. Each queued FactorCtx gives up at its deadline with
+// ErrDeadlineExceeded and counts a queue wait and a cancellation; once the
+// slot frees, the same call succeeds.
+func TestPoolFactorCtxAdmissionQueue(t *testing.T) {
+	pool := NewPool(PoolOptions{
+		Options:              Options{Threads: 2, BigBlockMin: 64},
+		MaxConcurrentFactors: 1,
+	})
+	a := chaosMatrix()
+	for round, path := range []string{"miss", "recycled entry"} {
+		pool.sem <- struct{}{} // occupy the only slot, as a running factorization would
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+		_, err := pool.FactorCtx(ctx, a)
+		cancel()
+		if !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("%s: queued FactorCtx past deadline: %v, want ErrDeadlineExceeded", path, err)
+		}
+		if st := pool.Stats(); st.QueueWaits != uint64(round+1) || st.Canceled != uint64(round+1) {
+			t.Fatalf("%s: Stats.QueueWaits = %d, Stats.Canceled = %d, want %d each", path, st.QueueWaits, st.Canceled, round+1)
+		}
+		<-pool.sem // slot frees
+		lease, err := pool.FactorCtx(context.Background(), a)
+		if err != nil {
+			t.Fatalf("%s: FactorCtx after slot freed: %v", path, err)
+		}
+		chaosCheckSolve(t, lease.Factorization, a)
+		lease.Release() // the next round recycles it
+	}
+}
+
+// TestPoolFactorCtxCancelMidFactor cancels the context while FactorCtx
+// refactors a recycled idle entry: the pool reports the typed error, drops
+// the entry, and the next call rebuilds cleanly.
+func TestPoolFactorCtxCancelMidFactor(t *testing.T) {
+	inject := faultinject.New()
+	pool := NewPool(PoolOptions{Options: Options{Threads: 4, BigBlockMin: 64, inject: inject}})
+	a := chaosMatrix()
+	lease, err := pool.Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease.Release() // the idle entry the next FactorCtx recycles
+
+	stallRule(inject, faultinject.SweepFactor, 900*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := pool.FactorCtx(ctx, a); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("FactorCtx cancelled mid-factor: %v, want ErrDeadlineExceeded", err)
+	}
+
+	inject.DisarmAll()
+	misses := pool.Stats().Misses
+	lease, err = pool.FactorCtx(context.Background(), a)
+	if err != nil {
+		t.Fatalf("FactorCtx after cancelled factor: %v", err)
+	}
+	defer lease.Release()
+	if got := pool.Stats().Misses; got != misses+1 {
+		t.Fatalf("Stats.Misses %d → %d: the aborted entry was not dropped", misses, got)
+	}
+	chaosCheckSolve(t, lease.Factorization, a)
+}
+
 // TestPoolAcquireCtxCancelMidFactor cancels the context while the miss-path
 // factorization is running: the pool reports the typed error and the next
 // acquire rebuilds cleanly.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/matgen"
+	"repro/internal/sparse"
 )
 
 // TestFaultTypedErrorsDimensions pins the always-on O(1) dimension checks:
@@ -217,5 +218,32 @@ func TestNilMatrixRejected(t *testing.T) {
 	// The rejected calls left the factorization usable.
 	if err := f.Solve(b); err != nil {
 		t.Fatalf("solve after rejected nil inputs: %v", err)
+	}
+}
+
+// TestValidateInputCheckedMark pins the one-structural-pass contract of the
+// validation screen: a context carrying sparse.WithCheckedInput skips
+// CSC.Check (its caller ran it on this matrix) but not CheckFinite, and an
+// unmarked or nil context runs both.
+func TestValidateInputCheckedMark(t *testing.T) {
+	unsorted := &Matrix{M: 2, N: 1, Colptr: []int{0, 2}, Rowidx: []int{1, 0}, Values: []float64{1, 2}}
+	notFinite := &Matrix{M: 1, N: 1, Colptr: []int{0, 1}, Rowidx: []int{0}, Values: []float64{math.NaN()}}
+	marked := sparse.WithCheckedInput(context.Background())
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		a    *Matrix
+		want error
+	}{
+		{"unmarked, unsorted", context.Background(), unsorted, ErrBadInput},
+		{"nil, unsorted", nil, unsorted, ErrBadInput},
+		{"marked, unsorted", marked, unsorted, nil},
+		{"marked, not finite", marked, notFinite, ErrNotFinite},
+		{"unmarked, not finite", context.Background(), notFinite, ErrNotFinite},
+	} {
+		err := validateInput(c.ctx, c.a, true)
+		if (c.want == nil) != (err == nil) || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
+		}
 	}
 }

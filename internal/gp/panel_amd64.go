@@ -4,12 +4,20 @@ package gp
 
 import "fmt"
 
-// hasAVX2 gates every vector kernel of gp: the panel sweeps
-// (panel_amd64.s) and the supernode refresh tiles (snode_amd64.s). It
-// reports whether the CPU has AVX and AVX2 (CPUID.1:ECX bit 28, CPUID.7:EBX
-// bit 5) and the OS saves the YMM registers (CPUID.1:ECX bit 27, OSXSAVE,
-// and XCR0 bits 1 and 2).
+// hasAVX2 reports whether the CPU has AVX and AVX2 (CPUID.1:ECX bit 28,
+// CPUID.7:EBX bit 5) and the OS saves the YMM registers (CPUID.1:ECX bit
+// 27, OSXSAVE, and XCR0 bits 1 and 2). It gates every vector kernel of gp:
+// without it every kernel runs its Go loop. With it the panel sweeps
+// (panel_amd64.s), axpy and divBy run AVX2, and the supernode tile kernels
+// (snode_amd64.s) run AVX2 or, where hasAVX512 holds, AVX-512.
 var hasAVX2 = detectAVX2()
+
+// hasAVX512 picks the AVX-512 pair of tile kernels (rowUpdateAVX512,
+// runUpdateAVX512) over the AVX2 pair. They use AVX512F instructions only
+// (KMOVW, not KMOVB; VPXORQ, not VXORPD), so it requires AVX512F
+// (CPUID.7:EBX bit 16) and that the OS saves the opmask and all 32 ZMM
+// registers (XCR0 bits 5, 6 and 7) on top of hasAVX2.
+var hasAVX512 = hasAVX2 && detectAVX512()
 
 func detectAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
@@ -24,6 +32,15 @@ func detectAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+func detectAVX512() bool {
+	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7 // SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM
+	if xcr0, _ := xgetbv(); xcr0&zmmState != zmmState {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0
 }
 
 // panelChunk is the most columns one kernel call sweeps. Assembly is not

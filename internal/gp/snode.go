@@ -53,21 +53,26 @@ import (
 // summed separately or reassociated.
 //
 // The block is row-major, one 16-lane row per block row, so a source row
-// updates all target columns of its block row with four YMM registers.
-// Both tile kernels (snode_amd64.s; the Go loops stay the fallback and
-// the reference, selected by hasAVX2 like the panel sweeps) apply a
-// source as row -= l·mult, mult the source's block row of multipliers,
-// and select the result only in the lanes where mult is nonzero: a masked
-// lane keeps its exact bits (a −0 target, a NaN payload, a zero multiplier
-// under an Inf or NaN l), which subtracting a zeroed product would not.
-// rowUpdate applies one source column to scattered target rows — a narrow
-// source, and each column of a wide run's in-source triangle. runUpdate
-// applies a wide run's below product, each target row held in registers
-// across the run: masked up to the first multiplier row from which every
-// later one is live in all 16 lanes, then unmasked, two target rows at a
-// time. eliminatePanel's column update (axpy) and pivot-column scaling
-// (divBy) have vector kernels too. All of them multiply, then subtract (or
-// divide), never fused, so the bits are the Go loops'. Every Go kernel of
+// updates all target columns of its block row in one pass: two ZMM
+// registers under AVX-512, four YMM under AVX2. Both tile kernels
+// (snode_amd64.s) apply a source as row -= l·mult, mult the source's
+// block row of multipliers, only in the lanes where mult is nonzero: the
+// AVX-512 pair merge-masks the subtract under a K register, the AVX2 pair
+// selects with VBLENDVPD. A masked lane keeps its exact bits (a −0 target,
+// a NaN payload, a zero multiplier under an Inf or NaN l), which
+// subtracting a zeroed product would not. The pair is chosen once at
+// start-up: AVX-512 where hasAVX512 holds, else AVX2 where hasAVX2 does,
+// else the Go loops, which stay the reference (and run under -race and off
+// amd64). rowUpdate applies one source column to scattered target rows — a
+// narrow source, and each column of a wide run's in-source triangle — and
+// skips a half-row (AVX-512) or 4-lane group (AVX2) with no live lane.
+// runUpdate applies a wide run's below product, each target row held in
+// registers across the run: masked up to the first multiplier row from
+// which every later one is live in all 16 lanes, then unmasked; four
+// target rows at a time, then two, then one under AVX-512, two then one
+// under AVX2. eliminatePanel's column update (axpy) and pivot-column
+// scaling (divBy) have AVX2 kernels. All of them multiply, then subtract
+// (or divide), never fused, so the bits are the Go loops'. Every Go kernel of
 // this package writes its products as float64(a*b): the explicit
 // conversion is the Go spec's way to forbid fusing x -= a*b into one
 // multiply-add, which arm64 builds would otherwise emit, so the Go loops
@@ -528,7 +533,7 @@ func (f *Factors) applyWide(sb *snBlock, blk []float64, q, j, j0, j1 int, slot [
 // rowUpdate applies one source column to a row-major tile block: every
 // target row slot[rows[t]] receives row -= vals[t]·mult on the lanes where
 // the multiplier row mult (block row q) is nonzero; the other lanes keep
-// their bits. The vector kernel selects, it does not subtract a zeroed
+// their bits. The vector kernels mask, they do not subtract a zeroed
 // product, so −0, NaN and what an Inf or NaN vals[t] would make of a zero
 // multiplier stay out of the masked lanes.
 func rowUpdate(blk []float64, q int, rows, slot []int, vals []float64) {
@@ -568,10 +573,10 @@ func liveLanes(mult *[snTileCols]float64) (live [snTileCols]int, n int) {
 // runUpdate subtracts the product of a wide source run's below block (row
 // t of source column d at lv[lb[d]+t], target block row rel[t]) and its
 // multiplier rows (block rows q..q+len(lb)-1) from the tile, lane by lane
-// under the same nonzero-multiplier mask as rowUpdate. The vector kernel
-// holds two target rows in registers across the whole run, masked up to
-// the first multiplier row from which every later one is live in all
-// lanes, unmasked after it.
+// under the same nonzero-multiplier mask as rowUpdate. The vector kernels
+// hold four (AVX-512) or two (AVX2) target rows in registers across the
+// whole run, masked up to the first multiplier row from which every later
+// one is live in all lanes, unmasked after it.
 func runUpdate(blk []float64, rel []int, lv []float64, lb []int, q int) {
 	if hasAVX2 {
 		runUpdateVec(blk, rel, lv, lb, q)

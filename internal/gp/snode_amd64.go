@@ -8,13 +8,26 @@ package gp
 const corruptTile = "gp: corrupt factor: a supernode tile indexes outside its source values or block"
 
 func rowUpdateVec(blk []float64, q int, rows, slot []int, vals []float64) {
-	if !rowUpdateAVX2(blk, q, rows, slot, vals) {
+	var ok bool
+	if hasAVX512 {
+		ok = rowUpdateAVX512(blk, q, rows, slot, vals)
+	} else {
+		ok = rowUpdateAVX2(blk, q, rows, slot, vals)
+	}
+	if !ok {
 		panic(corruptTile)
 	}
 }
 
 func runUpdateVec(blk []float64, rel []int, lv []float64, lb []int, q int) {
-	if !runUpdateAVX2(blk, rel, lv, lb, q, fullFrom(blk, q, len(lb))) {
+	full := fullFrom(blk, q, len(lb))
+	var ok bool
+	if hasAVX512 {
+		ok = runUpdateAVX512(blk, rel, lv, lb, q, full)
+	} else {
+		ok = runUpdateAVX2(blk, rel, lv, lb, q, full)
+	}
+	if !ok {
 		panic(corruptTile)
 	}
 }
@@ -60,6 +73,18 @@ func rowUpdateAVX2(blk []float64, q int, rows, slot []int, vals []float64) (ok b
 //
 //go:noescape
 func runUpdateAVX2(blk []float64, rel []int, lv []float64, lb []int, q, full int) (ok bool)
+
+// rowUpdateAVX512 is rowUpdateAVX2 on two ZMM registers per target row,
+// with the same checks and results.
+//
+//go:noescape
+func rowUpdateAVX512(blk []float64, q int, rows, slot []int, vals []float64) (ok bool)
+
+// runUpdateAVX512 is runUpdateAVX2 holding four target rows in registers
+// (then two, then one), with the same checks and results.
+//
+//go:noescape
+func runUpdateAVX512(blk []float64, rel []int, lv []float64, lb []int, q, full int) (ok bool)
 
 // axpyAVX2 runs axpyGo's loop. It returns false and writes nothing when
 // len(src) < len(dst).

@@ -3,7 +3,8 @@
 #include "textflag.h"
 
 // The tile kernels work on the row-major block of the blocked outside
-// update: block row r is 16 float64 lanes at blk+r*128, four YMM registers.
+// update: block row r is 16 float64 lanes at blk+r*128, four YMM registers
+// in the AVX2 pair below (the AVX-512 pair, after it, uses two ZMM).
 // A source contributes row -= l·mult, mult being its block row of
 // multipliers: VBROADCASTSD of l, VMULPD, VSUBPD — per lane exactly the
 // MULSD/SUBSD of the Go loops, in the same ascending source order, never
@@ -318,6 +319,345 @@ rndone:
 	RET
 
 rnbad:
+	MOVB $0, ok+112(FP)
+	RET
+
+// The AVX-512 pair of tile kernels: a block row is two ZMM registers, the
+// lanes 0–7 and 8–15 of a tile row. The arithmetic per lane is the AVX2
+// kernels' (VBROADCASTSD of l, VMULPD with the multiplier as the first
+// factor, VSUBPD, never fused); the mask mult != 0 (VCMPPD NEQ_UQ) goes
+// into K1 for the low half and K2 for the high half and merge-masks the
+// VSUBPD, so a masked lane keeps its exact bits as under VBLENDVPD. Only
+// AVX512F instructions appear (hasAVX512). Registers Z0–Z15 only, so the
+// VZEROUPPER on the way out leaves no upper state dirty.
+
+// ZROWHALF(off, M, K) applies half off of the source — multiplier M, mask
+// K, l broadcast in Z8 — to the target row at AX.
+#define ZROWHALF(off, M, K) \
+	VMOVUPD off(AX), Z9;    \
+	VMULPD  Z8, M, Z10;     \
+	VSUBPD  Z10, Z9, K, Z9; \
+	VMOVUPD Z9, off(AX)
+
+// func rowUpdateAVX512(blk []float64, q int, rows, slot []int, vals []float64) (ok bool)
+//
+// rowUpdateAVX2's loop and checks, a target row as two halves.
+//
+//	DI blk base      R8 whole rows in blk     AX q, then row address
+//	SI rows base     CX len(rows)             BX t
+//	R9 slot base     R10 len(slot)            R11 vals base
+//	Z0-Z1 mult row   K1-K2 its masks          Z8 vals[t]   Z15 zero
+//	R12 the masks, eight bits per half
+TEXT ·rowUpdateAVX512(SB), NOSPLIT, $0-105
+	MOVQ blk_base+0(FP), DI
+	MOVQ blk_len+8(FP), R8
+	SHRQ $4, R8
+	MOVQ q+24(FP), AX
+	CMPQ AX, R8
+	JAE  zrubad
+	MOVQ rows_base+32(FP), SI
+	MOVQ rows_len+40(FP), CX
+	MOVQ slot_base+56(FP), R9
+	MOVQ slot_len+64(FP), R10
+	MOVQ vals_base+80(FP), R11
+	CMPQ vals_len+88(FP), CX
+	JLT  zrubad
+
+	SHLQ    $7, AX
+	ADDQ    DI, AX
+	VMOVUPD (AX), Z0
+	VMOVUPD 64(AX), Z1
+	VPXORQ  Z15, Z15, Z15
+	VCMPPD  $4, Z15, Z0, K1
+	VCMPPD  $4, Z15, Z1, K2
+	KMOVW   K1, R12         // live lanes, eight per half: a half with none is skipped
+	KMOVW   K2, R13
+	SHLQ    $8, R13
+	ORQ     R13, R12
+	XORQ    BX, BX
+
+zrurow:
+	CMPQ         BX, CX
+	JGE          zrudone
+	MOVQ         (SI)(BX*8), DX
+	CMPQ         DX, R10
+	JAE          zrubad
+	MOVQ         (R9)(DX*8), AX
+	CMPQ         AX, R8
+	JAE          zrubad
+	SHLQ         $7, AX
+	ADDQ         DI, AX
+	VBROADCASTSD (R11)(BX*8), Z8
+	INCQ         BX
+	TESTQ        $0xff, R12
+	JEQ          zruhi
+	ZROWHALF(0, Z0, K1)
+
+zruhi:
+	TESTQ $0xff00, R12
+	JEQ   zrurow
+	ZROWHALF(64, Z1, K2)
+	JMP   zrurow
+
+zrudone:
+	VZEROUPPER
+	MOVB $1, ok+104(FP)
+	RET
+
+zrubad:
+	VZEROUPPER
+	MOVB $0, ok+104(FP)
+	RET
+
+// ZMULTS(M0, M1) loads the multiplier row at R8 into M0 and M1 and the
+// offset lb[d] into AX, and steps R8 and DX to the next source column.
+#define ZMULTS(M0, M1) \
+	MOVQ    (R12)(DX*8), AX; \
+	VMOVUPD (R8), M0;        \
+	VMOVUPD 64(R8), M1;      \
+	ADDQ    $128, R8;        \
+	INCQ    DX
+
+// ZMSUB(L, M, K, A) is A -= L·M in the lanes of K; ZFSUB(L, M, A) in all.
+#define ZMSUB(L, M, K, A) \
+	VMULPD L, M, Z14; \
+	VSUBPD Z14, A, K, A
+
+#define ZFSUB(L, M, A) \
+	VMULPD L, M, Z14; \
+	VSUBPD Z14, A, A
+
+// ZLOADROW(r, A0, A1) loads block row r, clobbering AX; ZSTOREROW stores it.
+#define ZLOADROW(r, A0, A1) \
+	MOVQ    r, AX;            \
+	SHLQ    $7, AX;           \
+	VMOVUPD (DI)(AX*1), A0;   \
+	VMOVUPD 64(DI)(AX*1), A1
+
+#define ZSTOREROW(r, A0, A1) \
+	MOVQ    r, AX;            \
+	SHLQ    $7, AX;           \
+	VMOVUPD A0, (DI)(AX*1);   \
+	VMOVUPD A1, 64(DI)(AX*1)
+
+// func runUpdateAVX512(blk []float64, rel []int, lv []float64, lb []int, q, full int) (ok bool)
+//
+// runUpdateAVX2's checks, then four target rows at a time (then two, then
+// one) stay in registers across the whole run: the source columns d < full
+// apply under the masks, a half with no live lane skipped, the rest
+// unmasked.
+//
+//	DI blk base      SI rel base       CX len(rel)       BX t
+//	R11 lv base      R12 lb base       R9 run, len(lb)   R13 full
+//	R10 &mult row q  R8 &mult row d    DX d
+//	R14 &lv[t]       AX offset / row / temporary
+//	Z0-Z7 rows t..t+3, two halves each   Z8-Z11 their l   Z12-Z13 mult
+//	K1-K2 its masks  Z14 product         Z15 zero
+TEXT ·runUpdateAVX512(SB), NOSPLIT, $0-113
+	MOVQ blk_base+0(FP), DI
+	MOVQ blk_len+8(FP), R8
+	SHRQ $4, R8
+	MOVQ rel_base+24(FP), SI
+	MOVQ rel_len+32(FP), CX
+	MOVQ lv_base+48(FP), R11
+	MOVQ lv_len+56(FP), BX
+	MOVQ lb_base+72(FP), R12
+	MOVQ lb_len+80(FP), R9
+	MOVQ q+96(FP), R10
+	CMPQ R10, R8
+	JA   zrnbad
+	MOVQ R8, DX
+	SUBQ R10, DX           // rows from q to the end
+	CMPQ R9, DX
+	JA   zrnbad
+	SUBQ CX, BX            // the largest valid offset, len(lv)-len(rel)
+	JLT  zrnbad
+	XORQ DX, DX
+
+zrnlb:
+	CMPQ DX, R9
+	JGE  zrnrel0
+	MOVQ (R12)(DX*8), AX
+	CMPQ AX, BX
+	JA   zrnbad
+	INCQ DX
+	JMP  zrnlb
+
+zrnrel0:
+	XORQ DX, DX
+
+zrnrel:
+	CMPQ DX, CX
+	JGE  zrngo
+	MOVQ (SI)(DX*8), AX
+	CMPQ AX, R8
+	JAE  zrnbad
+	INCQ DX
+	JMP  zrnrel
+
+zrngo:
+	SHLQ    $7, R10
+	ADDQ    DI, R10
+	MOVQ    full+104(FP), R13
+	CMPQ    R13, R9
+	CMOVQHI R9, R13        // at most run; a negative one counts as run too
+	VPXORQ  Z15, Z15, Z15
+	XORQ    BX, BX
+
+zrn4:
+	LEAQ 4(BX), AX
+	CMPQ AX, CX
+	JGT  zrn2
+	ZLOADROW((SI)(BX*8), Z0, Z1)
+	ZLOADROW(8(SI)(BX*8), Z2, Z3)
+	ZLOADROW(16(SI)(BX*8), Z4, Z5)
+	ZLOADROW(24(SI)(BX*8), Z6, Z7)
+	LEAQ (R11)(BX*8), R14
+	MOVQ R10, R8
+	XORQ DX, DX
+
+zrn4m:
+	CMPQ         DX, R13
+	JGE          zrn4f
+	ZMULTS(Z12, Z13)
+	VCMPPD       $4, Z15, Z12, K1
+	VCMPPD       $4, Z15, Z13, K2
+	VBROADCASTSD (R14)(AX*8), Z8
+	VBROADCASTSD 8(R14)(AX*8), Z9
+	VBROADCASTSD 16(R14)(AX*8), Z10
+	VBROADCASTSD 24(R14)(AX*8), Z11
+	KORTESTW     K1, K1
+	JEQ          zrn4mh
+	ZMSUB(Z8, Z12, K1, Z0)
+	ZMSUB(Z9, Z12, K1, Z2)
+	ZMSUB(Z10, Z12, K1, Z4)
+	ZMSUB(Z11, Z12, K1, Z6)
+
+zrn4mh:
+	KORTESTW K2, K2
+	JEQ      zrn4m
+	ZMSUB(Z8, Z13, K2, Z1)
+	ZMSUB(Z9, Z13, K2, Z3)
+	ZMSUB(Z10, Z13, K2, Z5)
+	ZMSUB(Z11, Z13, K2, Z7)
+	JMP      zrn4m
+
+zrn4f:
+	CMPQ         DX, R9
+	JGE          zrn4st
+	ZMULTS(Z12, Z13)
+	VBROADCASTSD (R14)(AX*8), Z8
+	VBROADCASTSD 8(R14)(AX*8), Z9
+	VBROADCASTSD 16(R14)(AX*8), Z10
+	VBROADCASTSD 24(R14)(AX*8), Z11
+	ZFSUB(Z8, Z12, Z0)
+	ZFSUB(Z8, Z13, Z1)
+	ZFSUB(Z9, Z12, Z2)
+	ZFSUB(Z9, Z13, Z3)
+	ZFSUB(Z10, Z12, Z4)
+	ZFSUB(Z10, Z13, Z5)
+	ZFSUB(Z11, Z12, Z6)
+	ZFSUB(Z11, Z13, Z7)
+	JMP          zrn4f
+
+zrn4st:
+	ZSTOREROW((SI)(BX*8), Z0, Z1)
+	ZSTOREROW(8(SI)(BX*8), Z2, Z3)
+	ZSTOREROW(16(SI)(BX*8), Z4, Z5)
+	ZSTOREROW(24(SI)(BX*8), Z6, Z7)
+	ADDQ $4, BX
+	JMP  zrn4
+
+zrn2:
+	LEAQ 2(BX), AX
+	CMPQ AX, CX
+	JGT  zrn1
+	ZLOADROW((SI)(BX*8), Z0, Z1)
+	ZLOADROW(8(SI)(BX*8), Z2, Z3)
+	LEAQ (R11)(BX*8), R14
+	MOVQ R10, R8
+	XORQ DX, DX
+
+zrn2m:
+	CMPQ         DX, R13
+	JGE          zrn2f
+	ZMULTS(Z12, Z13)
+	VCMPPD       $4, Z15, Z12, K1
+	VCMPPD       $4, Z15, Z13, K2
+	VBROADCASTSD (R14)(AX*8), Z8
+	VBROADCASTSD 8(R14)(AX*8), Z9
+	KORTESTW     K1, K1
+	JEQ          zrn2mh
+	ZMSUB(Z8, Z12, K1, Z0)
+	ZMSUB(Z9, Z12, K1, Z2)
+
+zrn2mh:
+	KORTESTW K2, K2
+	JEQ      zrn2m
+	ZMSUB(Z8, Z13, K2, Z1)
+	ZMSUB(Z9, Z13, K2, Z3)
+	JMP      zrn2m
+
+zrn2f:
+	CMPQ         DX, R9
+	JGE          zrn2st
+	ZMULTS(Z12, Z13)
+	VBROADCASTSD (R14)(AX*8), Z8
+	VBROADCASTSD 8(R14)(AX*8), Z9
+	ZFSUB(Z8, Z12, Z0)
+	ZFSUB(Z8, Z13, Z1)
+	ZFSUB(Z9, Z12, Z2)
+	ZFSUB(Z9, Z13, Z3)
+	JMP          zrn2f
+
+zrn2st:
+	ZSTOREROW((SI)(BX*8), Z0, Z1)
+	ZSTOREROW(8(SI)(BX*8), Z2, Z3)
+	ADDQ $2, BX
+
+zrn1:
+	CMPQ BX, CX
+	JGE  zrndone
+	ZLOADROW((SI)(BX*8), Z0, Z1)
+	LEAQ (R11)(BX*8), R14
+	MOVQ R10, R8
+	XORQ DX, DX
+
+zrn1m:
+	CMPQ         DX, R13
+	JGE          zrn1f
+	ZMULTS(Z12, Z13)
+	VCMPPD       $4, Z15, Z12, K1
+	VCMPPD       $4, Z15, Z13, K2
+	VBROADCASTSD (R14)(AX*8), Z8
+	KORTESTW     K1, K1
+	JEQ          zrn1mh
+	ZMSUB(Z8, Z12, K1, Z0)
+
+zrn1mh:
+	KORTESTW K2, K2
+	JEQ      zrn1m
+	ZMSUB(Z8, Z13, K2, Z1)
+	JMP      zrn1m
+
+zrn1f:
+	CMPQ         DX, R9
+	JGE          zrn1st
+	ZMULTS(Z12, Z13)
+	VBROADCASTSD (R14)(AX*8), Z8
+	ZFSUB(Z8, Z12, Z0)
+	ZFSUB(Z8, Z13, Z1)
+	JMP          zrn1f
+
+zrn1st:
+	ZSTOREROW((SI)(BX*8), Z0, Z1)
+
+zrndone:
+	VZEROUPPER
+	MOVB $1, ok+112(FP)
+	RET
+
+zrnbad:
 	MOVB $0, ok+112(FP)
 	RET
 

@@ -245,6 +245,37 @@ func checkTileBits(t *testing.T, ctx string, in, want, got []float64, width int)
 	}
 }
 
+// tilePath is one implementation of the tile kernels: the Go loops, or a
+// vector pair (vectorTilePaths) called directly.
+type tilePath struct {
+	name      string
+	rowUpdate func(blk []float64, q int, rows, slot []int, vals []float64)
+	runUpdate func(blk []float64, rel []int, lv []float64, lb []int, q int)
+}
+
+var goTilePath = tilePath{"go", rowUpdateGo, runUpdateGo}
+
+// vectorTilePathsOrSkip returns vectorTilePaths, logging their names, or
+// skips the test when there is none.
+func vectorTilePathsOrSkip(t *testing.T) []tilePath {
+	t.Helper()
+	paths := vectorTilePaths()
+	if len(paths) == 0 {
+		t.Skip("no vector supernode kernel in this build or on this CPU")
+	}
+	t.Logf("vector tile kernels: %s", tilePathNames(paths))
+	return paths
+}
+
+// tilePathNames lists the names of paths.
+func tilePathNames(paths []tilePath) []string {
+	names := make([]string, len(paths))
+	for i, p := range paths {
+		names[i] = p.name
+	}
+	return names
+}
+
 // tileCase is one input of the tile kernels on a guarded block: a narrow
 // source (positions narrowRows through slot, multiplier row q), and a wide
 // run on the multiplier rows q..q+len(lb)-1 — its in-source triangle (the
@@ -264,44 +295,46 @@ type tileCase struct {
 	narrowVals []float64
 }
 
-// checkTileCase runs the case through the Go loops and through the
-// dispatching entry points, each on its own copy of the block, and
-// compares after the narrow source, every triangle step and the below
-// product.
-func checkTileCase(t *testing.T, c tileCase) {
+// checkTileCase runs the case through the Go loops and through each of
+// paths, each on its own copy of the block, and compares after the narrow
+// source, every triangle step and the below product.
+func checkTileCase(t *testing.T, paths []tilePath, c tileCase) {
 	t.Helper()
-	want, got := slices.Clone(c.buf), slices.Clone(c.buf)
-	wb, gb := guardWindow(want), guardWindow(got)
-	if c.narrowRows != nil {
-		rowUpdateGo(wb, c.q, c.narrowRows, c.slot, c.narrowVals)
-		rowUpdate(gb, c.q, c.narrowRows, c.slot, c.narrowVals)
-		checkTileBits(t, c.ctx+" rowUpdate", c.buf, want, got, c.width)
-		copy(want, c.buf)
-		copy(got, c.buf)
+	for _, p := range paths {
+		ctx := p.name + " " + c.ctx
+		want, got := slices.Clone(c.buf), slices.Clone(c.buf)
+		wb, gb := guardWindow(want), guardWindow(got)
+		if c.narrowRows != nil {
+			rowUpdateGo(wb, c.q, c.narrowRows, c.slot, c.narrowVals)
+			p.rowUpdate(gb, c.q, c.narrowRows, c.slot, c.narrowVals)
+			checkTileBits(t, ctx+" rowUpdate", c.buf, want, got, c.width)
+			copy(want, c.buf)
+			copy(got, c.buf)
+		}
+		for d, rows := range c.tri {
+			rowUpdateGo(wb, c.q+d, rows, c.slot, c.triVals[d])
+			p.rowUpdate(gb, c.q+d, rows, c.slot, c.triVals[d])
+			checkTileBits(t, fmt.Sprintf("%s triangle step %d", ctx, d), c.buf, want, got, c.width)
+		}
+		runUpdateGo(wb, c.rel, c.lv, c.lb, c.q)
+		p.runUpdate(gb, c.rel, c.lv, c.lb, c.q)
+		checkTileBits(t, ctx+" runUpdate", c.buf, want, got, c.width)
 	}
-	for d, rows := range c.tri {
-		rowUpdateGo(wb, c.q+d, rows, c.slot, c.triVals[d])
-		rowUpdate(gb, c.q+d, rows, c.slot, c.triVals[d])
-		checkTileBits(t, fmt.Sprintf("%s triangle step %d", c.ctx, d), c.buf, want, got, c.width)
-	}
-	runUpdateGo(wb, c.rel, c.lv, c.lb, c.q)
-	runUpdate(gb, c.rel, c.lv, c.lb, c.q)
-	checkTileBits(t, c.ctx+" runUpdate", c.buf, want, got, c.width)
 }
 
-// TestSupernodeRowKernelBitwise pins the tile kernels of the blocked
-// refresh, rowUpdate and runUpdate, to their Go loops bit for bit, pad
+// TestSupernodeRowKernelBitwise pins every vector pair of tile kernels of
+// the blocked refresh, rowUpdate and runUpdate, to their Go loops bit for
+// bit, pad
 // lanes and the cells around the block untouched: every width 1–16, 0–19
 // target rows (the 2-row tile's odd last row), runs of 1–20 source
 // columns with every masked prefix, multipliers 0, −0 and subnormal,
 // targets −0, NaN and Inf, Inf and NaN source values under zero
-// multipliers; NaN multipliers on finite sources; then the real source
+// multipliers; NaN multipliers on finite sources; every register-tile tail
+// of runUpdate at every masked/unmasked boundary; then the real source
 // columns of every wide supernode of the bench-grid3d pattern, each
 // trailing run as narrow source, in-source triangle and below product.
 func TestSupernodeRowKernelBitwise(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("no vector supernode kernel in this build or on this CPU")
-	}
+	paths := vectorTilePathsOrSkip(t)
 	rng := rand.New(rand.NewSource(34))
 	value := func() float64 { return tileValue(rng) }
 	mult := func() float64 {
@@ -365,7 +398,50 @@ func TestSupernodeRowKernelBitwise(t *testing.T) {
 				for range run {
 					c.lb = append(c.lb, rng.Intn(len(c.lv)-n+1))
 				}
-				checkTileCase(t, c)
+				checkTileCase(t, paths, c)
+			}
+		}
+	}
+
+	// runUpdate on 1–7 target rows, so every combination of the vector
+	// kernels' four-, two- and one-row register tiles runs, at every
+	// masked/unmasked boundary of runs of 1–6 source columns: every lane is
+	// live from multiplier row full on and one is not in row full-1, so on a
+	// full-width tile the kernels unmask from full exactly (narrower tiles
+	// have zero pad lanes and stay masked). Widths 1, 8, 9 and 16 put the
+	// live lanes in one half or both.
+	for _, width := range []int{1, 8, 9, snTileCols} {
+		for n := 1; n <= 7; n++ {
+			for run := 1; run <= 6; run++ {
+				for full := 0; full <= run; full++ {
+					nrows := run + n + rng.Intn(3)
+					q := rng.Intn(nrows - run - n + 1)
+					others := rng.Perm(nrows - run)
+					for i := range others {
+						if others[i] >= q {
+							others[i] += run
+						}
+					}
+					c := tileCase{buf: tileBlock(rng, nrows, width, value), width: width, q: q,
+						ctx: fmt.Sprintf("width %d, %d rows, run %d, full %d", width, n, run, full)}
+					first := make([]int, width)
+					for i := range first {
+						first[i] = rng.Intn(full + 1)
+					}
+					if full > 0 {
+						first[rng.Intn(width)] = full
+					}
+					setMults(rng, guardWindow(c.buf), q, run, width, first, value)
+					c.rel = others[:n]
+					c.lv = make([]float64, run*n+rng.Intn(4))
+					for i := range c.lv {
+						c.lv[i] = value()
+					}
+					for range run {
+						c.lb = append(c.lb, rng.Intn(len(c.lv)-n+1))
+					}
+					checkTileCase(t, paths, c)
+				}
 			}
 		}
 	}
@@ -418,7 +494,7 @@ func TestSupernodeRowKernelBitwise(t *testing.T) {
 				}
 				lp0, lp1 := f.L.Colptr[j]+1, f.L.Colptr[j+1]
 				c.narrowRows, c.narrowVals = f.L.Rowidx[lp0:lp1], f.L.Values[lp0:lp1]
-				checkTileCase(t, c)
+				checkTileCase(t, paths, c)
 				runs++
 			}
 		}
@@ -428,29 +504,21 @@ func TestSupernodeRowKernelBitwise(t *testing.T) {
 	}
 }
 
-// TestSupernodeTileCorrupt checks that both paths of rowUpdate and
-// runUpdate panic on a target row, a source position, a source offset or
-// a multiplier row outside its storage (past the end, or negative), at
-// the first, a middle and the last row or source column, without a write
-// around the block; runUpdate's vector kernel, which checks every index
-// first, without writing the block either. Both paths of axpy panic on a
-// source shorter than its target.
+// TestSupernodeTileCorrupt checks that every path of rowUpdate and
+// runUpdate — the Go loops and each vector pair — panics on a target row,
+// a source position, a source offset or a multiplier row outside its
+// storage (past the end, or negative), at the first, a middle and the last
+// row or source column, without a write around the block; runUpdate's
+// vector kernels, which check every index first, without writing the block
+// either. Both paths of axpy panic on a source shorter than its target.
 func TestSupernodeTileCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	type path struct {
-		name      string
-		rowUpdate func(blk []float64, q int, rows, slot []int, vals []float64)
-		runUpdate func(blk []float64, rel []int, lv []float64, lb []int, q int)
-		axpy      func(dst, src []float64, s float64)
-	}
-	paths := []path{{"go", rowUpdateGo, runUpdateGo, axpyGo}}
-	if hasAVX2 {
-		paths = append(paths, path{"vector", rowUpdate, runUpdate, axpy})
-	}
+	paths := append([]tilePath{goTilePath}, vectorTilePaths()...)
+	t.Logf("tile kernels: %s", tilePathNames(paths))
 	// check runs call on a fresh all-live block and fails unless it panics
 	// and leaves the block as the path promises: untouched when whole is
 	// set, untouched around it otherwise.
-	check := func(ctx string, p path, nrows int, whole bool, call func(p path, blk []float64)) {
+	check := func(ctx string, p tilePath, nrows int, whole bool, call func(p tilePath, blk []float64)) {
 		buf := tileBlock(rng, nrows, snTileCols, func() float64 { return 1 + rng.Float64() })
 		in := slices.Clone(buf)
 		if !panics(func() { call(p, guardWindow(buf)) }) {
@@ -488,7 +556,7 @@ func TestSupernodeTileCorrupt(t *testing.T) {
 						slot[i], vals[i] = run+i, 1
 					}
 					c.corrupt(&q, rows, slot, &vals)
-					check(fmt.Sprintf("rowUpdate, %d rows, %s at %d", n, c.name, at), p, nrows, false, func(p path, blk []float64) {
+					check(fmt.Sprintf("rowUpdate, %d rows, %s at %d", n, c.name, at), p, nrows, false, func(p tilePath, blk []float64) {
 						p.rowUpdate(blk, q, rows, slot, vals)
 					})
 				}
@@ -515,20 +583,20 @@ func TestSupernodeTileCorrupt(t *testing.T) {
 						lb[d] = d * n
 					}
 					c.corrupt(&q, rel, lv, lb)
-					check(fmt.Sprintf("runUpdate, %d rows, %s at %d", n, c.name, at), p, nrows, p.name == "vector", func(p path, blk []float64) {
+					check(fmt.Sprintf("runUpdate, %d rows, %s at %d", n, c.name, at), p, nrows, p.name != "go", func(p tilePath, blk []float64) {
 						p.runUpdate(blk, rel, lv, lb, q)
 					})
 				}
 			}
 		}
 	}
-	for _, p := range paths {
+	for name, axpy := range map[string]func(dst, src []float64, s float64){"go": axpyGo, "dispatched": axpy} {
 		buf := guardedColumn(9, rng.NormFloat64)
-		if !panics(func() { p.axpy(guardWindow(buf), make([]float64, 8), 1) }) {
-			t.Fatalf("%s axpy: no panic on a short source", p.name)
+		if !panics(func() { axpy(guardWindow(buf), make([]float64, 8), 1) }) {
+			t.Fatalf("%s axpy: no panic on a short source", name)
 		}
 		if !columnGuardsIntact(buf) {
-			t.Fatalf("%s axpy: wrote outside dst", p.name)
+			t.Fatalf("%s axpy: wrote outside dst", name)
 		}
 	}
 }
@@ -538,17 +606,10 @@ func TestSupernodeTileCorrupt(t *testing.T) {
 // source (one L column of 130 rows onto a full 16-lane tile, 7 lanes live)
 // and a wide run (56 source columns, in-source triangle and 238 below
 // rows, on 16 lanes that are all live from the 16th source column on, 73 %
-// of the below product). ns/update is per live lane update t -= l·u.
+// of the below product), through the Go loops and each vector pair of
+// kernels. ns/update is per live lane update t -= l·u.
 func BenchmarkSupernodeTile(b *testing.B) {
-	type path struct {
-		name      string
-		rowUpdate func(blk []float64, q int, rows, slot []int, vals []float64)
-		runUpdate func(blk []float64, rel []int, lv []float64, lb []int, q int)
-	}
-	paths := []path{{"go", rowUpdateGo, runUpdateGo}}
-	if hasAVX2 {
-		paths = append(paths, path{"vector", rowUpdate, runUpdate})
-	}
+	paths := append([]tilePath{goTilePath}, vectorTilePaths()...)
 	rng := rand.New(rand.NewSource(36))
 	nonzero := func() float64 { return 1 + rng.Float64() }
 

@@ -14,6 +14,7 @@
 package sparse
 
 import (
+	"context"
 	"errors"
 	"slices"
 )
@@ -512,4 +513,21 @@ func (a *CSC) Check() error {
 		}
 	}
 	return nil
+}
+
+// checkedKey is the context key of WithCheckedInput.
+type checkedKey struct{}
+
+// WithCheckedInput returns ctx marked as handing along a CSC that has
+// passed Check, or was built valid by construction, so a validation screen
+// downstream may skip its own structural pass. Mark only a context whose
+// calls receive that very matrix.
+func WithCheckedInput(ctx context.Context) context.Context {
+	return context.WithValue(ctx, checkedKey{}, true)
+}
+
+// CheckedInput reports whether ctx carries the WithCheckedInput mark.
+func CheckedInput(ctx context.Context) bool {
+	marked, _ := ctx.Value(checkedKey{}).(bool)
+	return marked
 }

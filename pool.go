@@ -408,7 +408,7 @@ func (p *Pool) AcquireCtx(ctx context.Context, a *Matrix) (*Lease, error) {
 	// The pool is an API boundary like Solver.Factor: the same opt-in
 	// validation screen guards it, so malformed or non-finite input reports
 	// ErrBadInput/ErrNotFinite instead of corrupting a cached entry.
-	if err := validateInput(a, p.solver.opts.ValidateInputs); err != nil {
+	if err := validateInput(ctx, a, p.solver.opts.ValidateInputs); err != nil {
 		return nil, err
 	}
 	key := patternKey(a)
@@ -473,10 +473,26 @@ func isAbortErr(err error) bool {
 // when an idle same-pattern factorization is cached, its entire storage are
 // reused, so repeated same-pattern Factor calls allocate almost nothing.
 func (p *Pool) Factor(a *Matrix) (*Lease, error) {
+	return p.FactorCtx(context.Background(), a)
+}
+
+// FactorCtx is Factor with AcquireCtx's deadline-aware admission: a ctx
+// already expired at entry is rejected before any numeric work, a ctx that
+// fires while queued for a fresh-factorization slot abandons the queue, and
+// a ctx cancelled mid-sweep aborts the factorization, returning ErrCanceled
+// or ErrDeadlineExceeded. A recycled entry whose factorization was aborted
+// is discarded.
+func (p *Pool) FactorCtx(ctx context.Context, a *Matrix) (*Lease, error) {
 	if err := checkMatrix(a); err != nil {
 		return nil, err
 	}
-	if err := validateInput(a, p.solver.opts.ValidateInputs); err != nil {
+	if ctx != nil && ctx.Err() != nil {
+		p.lock()
+		p.rejected++
+		p.unlock()
+		return nil, core.CancelCause(ctx)
+	}
+	if err := validateInput(ctx, a, p.solver.opts.ValidateInputs); err != nil {
 		return nil, err
 	}
 	key := patternKey(a)
@@ -485,23 +501,26 @@ func (p *Pool) Factor(a *Matrix) (*Lease, error) {
 	entry := p.removeIdleLocked(key, a)
 	p.unlock()
 	if entry != nil {
-		if err := p.acquireSlot(nil); err != nil {
+		if err := p.acquireSlot(ctx); err != nil {
 			return nil, err
 		}
-		err := entry.f.num.FactorInto(a)
+		err := entry.f.num.FactorIntoCtx(ctx, a)
 		p.releaseSlot()
 		if err != nil {
+			if isAbortErr(err) {
+				return nil, wrapErr(err)
+			}
 			// Singular (or otherwise unusable) values: the recycled entry's
 			// numerics are unspecified now, so drop it and surface the error
 			// through the ordinary full-factor path.
-			return p.factorMiss(a, key)
+			return p.factorMissCtx(ctx, a, key)
 		}
 		p.lock()
 		p.factorReuses++
 		p.unlock()
 		return p.newLease(entry.f, entry), nil
 	}
-	return p.factorMiss(a, key)
+	return p.factorMissCtx(ctx, a, key)
 }
 
 // symFor returns the cached symbolic analysis for a's pattern, creating and
@@ -550,10 +569,6 @@ func (p *Pool) symFor(a *Matrix, key uint64) (*core.Symbolic, error) {
 	p.symCount++
 	p.unlock()
 	return sym, nil
-}
-
-func (p *Pool) factorMiss(a *Matrix, key uint64) (*Lease, error) {
-	return p.factorMissCtx(context.Background(), a, key)
 }
 
 func (p *Pool) factorMissCtx(ctx context.Context, a *Matrix, key uint64) (*Lease, error) {

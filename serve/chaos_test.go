@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"sync"
 	"testing"
+	"time"
 
 	basker "repro"
 	"repro/internal/faultinject"
@@ -239,5 +242,63 @@ func TestServeChaosStorm(t *testing.T) {
 	}
 	if got := s.pool.Stats().InFlightFactors; got != 0 {
 		t.Fatalf("admission slots leaked through the storm: %d", got)
+	}
+}
+
+// TestServeFreshRequestDeadline pins that a "fresh" request honours its
+// timeout_ms while it queues for the pool's admission slot: with
+// MaxConcurrentFactors 1 and the slot held by a stalled fresh
+// factorization, it answers 504 deadline_exceeded near its deadline
+// instead of waiting for the slot.
+func TestServeFreshRequestDeadline(t *testing.T) {
+	inject := faultinject.New()
+	pool := basker.NewPool(basker.PoolOptions{
+		Options:              basker.Options{Threads: 2, BigBlockMin: 64, ValidateInputs: true}.InjectFaults(inject),
+		MaxConcurrentFactors: 1,
+	})
+	url := newHTTPServer(t, NewServer(pool, Options{}))
+	holder, queued := serveMatrix(21), serveMatrix(22)
+
+	const stall = 2 * time.Second
+	inject.Arm(faultinject.PointStall, faultinject.Rule{
+		Sweep: faultinject.SweepFactor, SweepSet: true, Block: -1, Worker: -1, Times: 1, Stall: stall,
+	})
+	payload, err := json.Marshal(SolveRequest{Matrix: matrixJSON(holder), B: make([]float64, holder.N), Mode: "fresh"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/solve", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(stall); inject.Fired(faultinject.PointStall) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the slot holder never reached its stall")
+		}
+	}
+
+	const timeout = 100 * time.Millisecond
+	start := time.Now()
+	status, raw := postJSON(t, url+"/v1/solve", SolveRequest{
+		Matrix: matrixJSON(queued), B: make([]float64, queued.N), Mode: "fresh", TimeoutMillis: timeout.Milliseconds(),
+	})
+	elapsed := time.Since(start)
+	if status != http.StatusGatewayTimeout || errCode(t, raw) != "deadline_exceeded" {
+		t.Fatalf("queued fresh request: status %d, body %s, want 504 deadline_exceeded", status, raw)
+	}
+	if elapsed >= stall/2 {
+		t.Fatalf("queued fresh request answered after %v: it waited for the slot (deadline %v)", elapsed, timeout)
+	}
+	if st := pool.Stats(); st.QueueWaits != 1 || st.Canceled != 1 {
+		t.Fatalf("pool stats: %d queue waits, %d canceled, want 1 and 1", st.QueueWaits, st.Canceled)
+	}
+	if status := <-held; status != http.StatusOK {
+		t.Fatalf("slot holder: status %d, want 200", status)
 	}
 }

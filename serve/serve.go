@@ -15,6 +15,7 @@ import (
 	"time"
 
 	basker "repro"
+	"repro/internal/sparse"
 )
 
 // Options configures the HTTP front end. The pool itself is constructed by
@@ -257,8 +258,14 @@ func (s *Server) resolveMatrix(req *request) (*basker.Matrix, error) {
 // requestContext derives the work deadline for one request: the client
 // connection is always a cancellation source, timeout_ms (or the server
 // default) adds a deadline on top.
+//
+// The context also tells the pool that the request's matrix has passed
+// CSC.Check, so its ValidateInputs screen runs CheckFinite alone: every
+// matrix a handler hands the pool is an inline CSC that toCSC checked, one
+// that toCSC built from range-checked triplets, or a registered pattern
+// (checked when it was registered) with same-length values.
 func (s *Server) requestContext(r *http.Request, timeoutMillis int64) (context.CancelFunc, context.Context) {
-	base := r.Context()
+	base := sparse.WithCheckedInput(r.Context())
 	d := s.opts.DefaultTimeout
 	if timeoutMillis > 0 {
 		d = time.Duration(timeoutMillis) * time.Millisecond
@@ -405,7 +412,7 @@ func (s *Server) acquire(ctx context.Context, a *basker.Matrix, mode string) (*b
 	case "", "refresh":
 		return s.pool.AcquireCtx(ctx, a)
 	case "fresh":
-		return s.pool.Factor(a)
+		return s.pool.FactorCtx(ctx, a)
 	default:
 		return nil, badRequest("bad_input", "mode %q is not one of refresh, fresh", mode)
 	}

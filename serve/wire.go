@@ -126,6 +126,7 @@ func badRequest(code, format string, args ...any) *wireError {
 // copying. A structural defect is the client's, so it is a 400 bad_input
 // whatever basker.Options.ValidateInputs says; finiteness stays behind the
 // solver's ValidateInputs screen, reported through the error taxonomy.
+// That screen does not repeat this pass (see requestContext).
 func (mj *MatrixJSON) toCSC() (*basker.Matrix, error) {
 	if mj.M <= 0 || mj.N <= 0 {
 		return nil, badRequest("bad_input", "matrix dimensions %dx%d must be positive", mj.M, mj.N)
