@@ -9,6 +9,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/klu"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
@@ -157,4 +158,73 @@ func TestFactorGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFactorRefactorBitwise pins the one arithmetic of fresh and refreshed
+// factors: a full refresh on the exact values Factor saw leaves every bit of
+// every block's L and U — diagonals and ND couplings alike — as Factor
+// wrote it. It runs over the golden inputs at one, two and four threads,
+// with the default layouts and with supernodes or the dense kernels
+// switched off. A RefactorPartial that lists every column falls through to
+// the full sweep, which refreshes every block whatever changed. KLU's
+// Refactor after its Factor is pinned the same way.
+func TestFactorRefactorBitwise(t *testing.T) {
+	variants := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"defaults", func(*Options) {}},
+		{"NoSupernodes", func(o *Options) { o.NoSupernodes = true }},
+		{"NoDenseKernels", func(o *Options) { o.NoDenseKernels = true }},
+	}
+	for name, a := range factorGoldenInputs() {
+		all := make([]int, a.N)
+		for j := range all {
+			all[j] = j
+		}
+		for _, threads := range []int{1, 2, 4} {
+			for _, v := range variants {
+				opts := DefaultOptions()
+				opts.Threads = threads
+				v.set(&opts)
+				num, err := FactorDirect(a, opts)
+				if err != nil {
+					t.Fatalf("%s/T%d/%s: %v", name, threads, v.name, err)
+				}
+				want := factorHash(num)
+				if err := num.RefactorPartial(a, all); err != nil {
+					t.Fatalf("%s/T%d/%s: %v", name, threads, v.name, err)
+				}
+				if got := factorHash(num); got != want {
+					t.Errorf("%s/T%d/%s: refresh on Factor's values moved the factor bits: %s, Factor %s", name, threads, v.name, got, want)
+				}
+			}
+		}
+		kn, err := klu.FactorDirect(a, klu.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: klu: %v", name, err)
+		}
+		want := kluHash(kn)
+		if err := kn.Refactor(a); err != nil {
+			t.Fatalf("%s: klu refactor: %v", name, err)
+		}
+		if got := kluHash(kn); got != want {
+			t.Errorf("%s: klu.Refactor on Factor's values moved the factor bits: %s, Factor %s", name, got, want)
+		}
+	}
+}
+
+// kluHash is factorHash for a KLU numeric: the bits of every block's L and U.
+func kluHash(num *klu.Numeric) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, f := range num.Blocks {
+		for _, c := range []*sparse.CSC{f.L, f.U} {
+			for _, v := range c.Values[:c.Colptr[c.N]] {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }

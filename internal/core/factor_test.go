@@ -244,8 +244,9 @@ func TestFactorRejectsForeignPattern(t *testing.T) {
 }
 
 // TestPrunedFactorEquivalenceCore sweeps the matrix-generator classes
-// through the full solver with pruning on and off: identical |L+U|
-// (patterns are value-independent either way) and matching solve quality.
+// through the full solver with pruning on and off: pruning is purely
+// symbolic (it shortens the searches, not the reach, and the elimination
+// runs in ascending pivot order either way), so every factor bit is equal.
 func TestPrunedFactorEquivalenceCore(t *testing.T) {
 	suite := matgen.TableISuite(0.1)
 	suite = append(suite, matgen.TableIISuite(0.12)...)
@@ -266,10 +267,8 @@ func TestPrunedFactorEquivalenceCore(t *testing.T) {
 			if pruned.NnzLU() != plain.NnzLU() {
 				t.Fatalf("|L+U| differs: pruned %d, unpruned %d", pruned.NnzLU(), plain.NnzLU())
 			}
-			pres := relResidual(a, pruned, 1)
-			nres := relResidual(a, plain, 1)
-			if pres > 1e-6 && pres > 100*nres {
-				t.Fatalf("pruned residual %.3e, unpruned %.3e", pres, nres)
+			if hp, hn := factorHash(pruned), factorHash(plain); hp != hn {
+				t.Fatalf("factor bits differ: pruned %s, unpruned %s", hp, hn)
 			}
 		})
 	}

@@ -117,9 +117,8 @@ func FuzzFactorSolve(f *testing.F) {
 // below or above the half-the-columns rule, flips of stored zeros between
 // +0 and −0, NaNs restamped with the same bits, planted infinities — or an
 // interleaved full refresh, RefactorPartial or FactorInto on the subject.
-// Fresh-factor arithmetic (FactorInto, a pivot-drift fallback) sums in
-// another order than the refresh, so after it both sides run a full refresh
-// once more before the next step.
+// After a FactorInto or a pivot-drift fallback, both of which re-pivot,
+// both sides run a full refresh once more and must still agree.
 //
 // Run the smoke locally with:
 //
@@ -229,8 +228,8 @@ func FuzzRefactor(f *testing.F) {
 // and the solution of one right-hand side must agree bit for bit, or both
 // calls must fail with the same error class. An out-of-range index must be
 // rejected before anything is gathered: the subject keeps the twin's bits,
-// and the restamp is undone. As in FuzzRefactor, a pivot-drift fallback
-// refactors in another order, so both sides run a full refresh once more.
+// and the restamp is undone. As in FuzzRefactor, after a pivot-drift
+// fallback both sides run a full refresh once more before they compare.
 //
 // Run the smoke locally with:
 //

@@ -16,10 +16,9 @@ import (
 // bit (math.Float64bits, so +0 and −0 differ and a NaN matches only the
 // same NaN): small-block L/U values and pivots, each fine-ND block's
 // diagonal factors, lower and upper off-diagonal blocks, and the permuted
-// values. Both numerics must be in refactorization arithmetic (one
-// refreshFull after Factor) — Factor and Refactor sum column updates in
-// different orders, so bitwise comparison is only meaningful between
-// Refactor-produced values.
+// values. Factor and every refresh share one arithmetic
+// (TestFactorRefactorBitwise), so a fresh numeric compares with a
+// refreshed one.
 func assertSameFactors(t testing.TB, want, got *Numeric, ctx string) {
 	t.Helper()
 	sym := want.Sym
@@ -80,8 +79,8 @@ func assertSameFactors(t testing.TB, want, got *Numeric, ctx string) {
 
 // refreshFull is the full-sweep twin of Refactor: every value gathered and
 // every block refreshed, whatever changed. It is the reference the partial
-// refreshes are pinned against, and the warm-up that puts a fresh Factor
-// into refresh arithmetic (a Refactor of unchanged values touches nothing).
+// refreshes are pinned against (a Refactor of unchanged values touches
+// nothing).
 func refreshFull(num *Numeric, a *sparse.CSC) error {
 	num.sweep.drain()
 	return num.fullSweep(context.Background(), modeRefresh, a)

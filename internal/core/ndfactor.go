@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -715,14 +715,14 @@ func (w *ndLane) diagKernel(b int, m *sparse.CSC) error {
 	return nil
 }
 
-// upperKernel computes U_kj = L_kk⁻¹·P_k·Â_kj from the (reduced) block ahat, or
-// refreshes its columns from c0 on over the pattern the fresh solve
-// discovered. When both the kernel and the solving diagonal are dense-tagged
-// every mode runs the dense TRSM of gp.DenseUpperRefactorFrom over L's
-// contiguous dense columns; a fresh sweep first gives the block the
-// structural fully dense shape, and c0 is 0 there. Otherwise the sparse
-// Gilbert–Peierls reach solve builds the block and RefactorUpperBlockFrom
-// refreshes it.
+// upperKernel computes U_kj = L_kk⁻¹·P_k·Â_kj from the (reduced) block
+// ahat, or refreshes its columns from c0 on. When both the kernel and the
+// solving diagonal are dense-tagged every mode runs the dense TRSM of
+// gp.DenseUpperRefactorFrom over L's contiguous dense columns; otherwise
+// gp.RefactorUpperBlockFrom. A fresh sweep first shapes the block —
+// structural fully dense, or the Gilbert–Peierls reach of every column
+// (gp.UpperBlockPattern) — and c0 is 0 there, so fresh and refresh share
+// one arithmetic.
 func (w *ndLane) upperKernel(k, j int, ahat *sparse.CSC, c0 int) {
 	num := w.num
 	f, dst := num.diag[k], num.upper[k][j]
@@ -731,24 +731,26 @@ func (w *ndLane) upperKernel(k, j int, ahat *sparse.CSC, c0 int) {
 		w.kind = trace.KindDenseRefresh
 		num.denseHits.Add(1)
 	}
-	switch {
-	case dense:
-		if w.mode == modeFactor {
+	if w.mode == modeFactor {
+		if dense {
 			dst = sparse.FillDense(dst, f.N, ahat.N, nil)
-			num.upper[k][j] = dst
+		} else {
+			dst = f.UpperBlockPattern(dst, ahat, w.ws)
 		}
+		num.upper[k][j] = dst
+	}
+	if dense {
 		f.DenseUpperRefactorFrom(dst, ahat, c0)
-	case w.mode != modeFactor:
+	} else {
 		f.RefactorUpperBlockFrom(dst, ahat, w.ws, c0)
-	default:
-		num.upper[k][j] = num.solveUpper(k, ahat, w.ws, dst)
 	}
 }
 
-// lowerKernel computes L_ij solving X·U_jj = Â_ij, or refreshes its columns from
-// c0 on: gp.DenseLowerRefactorFrom over a fully dense block (shaped first in
-// a fresh sweep) when both the kernel and the diagonal are dense-tagged, the
-// sparse column sweep otherwise.
+// lowerKernel computes L_ij solving X·U_jj = Â_ij, or refreshes its columns
+// from c0 on: gp.DenseLowerRefactorFrom over a fully dense block when both
+// the kernel and the diagonal are dense-tagged, gp.RefactorLowerBlockFrom
+// otherwise. A fresh sweep first shapes the block (fully dense, or
+// lowerPattern's union).
 func (w *ndLane) lowerKernel(i, j int, ahat *sparse.CSC, c0 int) {
 	num := w.num
 	f, dst := num.diag[j], num.lower[i][j]
@@ -757,219 +759,152 @@ func (w *ndLane) lowerKernel(i, j int, ahat *sparse.CSC, c0 int) {
 		w.kind = trace.KindDenseRefresh
 		num.denseHits.Add(1)
 	}
-	switch {
-	case dense:
-		if w.mode == modeFactor {
+	if w.mode == modeFactor {
+		if dense {
 			dst = sparse.FillDense(dst, ahat.M, ahat.N, nil)
-			num.lower[i][j] = dst
+		} else {
+			dst = w.lowerPattern(dst, ahat, f.U)
 		}
+		num.lower[i][j] = dst
+	}
+	if dense {
 		f.DenseLowerRefactorFrom(dst, ahat, c0)
-	case w.mode != modeFactor:
+	} else {
 		f.RefactorLowerBlockFrom(dst, ahat, w.acc, c0)
-	default:
-		num.lower[i][j] = f.LowerBlockSolveInto(dst, ahat, w.mark, &w.tag, w.acc)
 	}
 }
 
-// reduceKernel assembles the reduced block Â_ij = A_ij − Σ L·U feeding kernel
-// (i, j) into red[i][j]: the dense accumulation panel for dense-tagged
-// targets (no occupancy marks, no pattern sort; the fully dense red block is
-// recycled in place by every mode), otherwise the scatter-accumulate that
-// discovers the structural pattern (modeFactor) or refills it (refresh).
-// With no contributions the input block passes through untouched.
+// reduceKernel assembles the reduced block Â_ij = A_ij − Σ L·U feeding
+// kernel (i, j) into red[i][j]: the dense accumulation panel for
+// dense-tagged targets (no occupancy marks, no pattern sort; the fully
+// dense red block is recycled in place by every mode), otherwise
+// reduceBlockInto over the structural pattern a fresh sweep first shapes
+// (reducePattern). With no contributions the input block passes through
+// untouched.
 func (w *ndLane) reduceKernel(i, j int, lows, ups []*sparse.CSC) *sparse.CSC {
 	num := w.num
 	a0 := num.a[i][j]
 	if len(lows) == 0 {
 		return a0
 	}
-	switch {
-	case num.useDense(i, j):
+	if num.useDense(i, j) {
 		w.kind = trace.KindDenseRefresh
 		num.denseHits.Add(1)
 		num.red[i][j] = reduceBlockDense(a0, lows, ups, num.red[i][j], w.ws)
-	case w.mode == modeFactor:
-		num.red[i][j] = reduceBlock(a0, lows, ups, w.mark, &w.tag, w.acc, num.red[i][j])
-	default:
-		reduceBlockInto(num.red[i][j], a0, lows, ups, w.acc)
+		return num.red[i][j]
 	}
+	if w.mode == modeFactor {
+		num.red[i][j] = w.reducePattern(num.red[i][j], a0, lows, ups)
+	}
+	reduceBlockInto(num.red[i][j], a0, lows, ups, w.acc)
 	return num.red[i][j]
 }
 
-// solveUpper computes U_kj = L_kk⁻¹ P_k Â_kj column by column with
-// Gilbert–Peierls pattern discovery over the pruned prefix of L_kk (the
-// caller supplies the reduced block ahat). recycle, if non-nil, is reset
-// and refilled so repeated fresh factorizations stop allocating. The output
-// pattern is the structural DFS reach — exact-zero values are kept — so a
-// same-pattern refactorization can refresh the block's values in place with
-// gp.RefactorUpperBlockFrom.
-func (num *ndNum) solveUpper(k int, ahat *sparse.CSC, ws *gp.Workspace, recycle *sparse.CSC) *sparse.CSC {
-	f := num.diag[k]
-	out := recycle
-	if out == nil {
-		out = sparse.NewCSC(ahat.M, ahat.N, ahat.Nnz()*2)
-	} else {
-		out.ResetShape(ahat.M, ahat.N)
-	}
-	for c := 0; c < ahat.N; c++ {
-		bIdx := ahat.Rowidx[ahat.Colptr[c]:ahat.Colptr[c+1]]
-		bVal := ahat.Values[ahat.Colptr[c]:ahat.Colptr[c+1]]
-		patt := f.SolveSparseL(bIdx, bVal, ws)
-		// Copy out sorted: sort the index pattern alone, then gather the
-		// values in sorted order (cheaper than co-sorting two arrays).
-		start := len(out.Rowidx)
-		out.Rowidx = append(out.Rowidx, patt...)
-		seg := out.Rowidx[start:]
-		sort.Ints(seg)
-		for _, r := range seg {
-			out.Values = append(out.Values, ws.X[r])
+// lowerPattern shapes dst as the pattern of X solving X·U = B: column c is
+// the union of B(:,c)'s rows and the rows of X(:,t) for every t in U(:,c)'s
+// strictly upper pattern. The values are left for
+// gp.RefactorLowerBlockFrom to fill.
+func (w *ndLane) lowerPattern(dst, b, u *sparse.CSC) *sparse.CSC {
+	dst = resetBlock(dst, b.M, b.N)
+	for c := 0; c < b.N; c++ {
+		w.tag++
+		p0 := len(dst.Rowidx)
+		w.markUnion(dst, b, c)
+		for _, t := range u.Rowidx[u.Colptr[c] : u.Colptr[c+1]-1] {
+			if len(dst.Rowidx)-p0 == dst.M {
+				break // every row is in already
+			}
+			w.markUnion(dst, dst, t)
 		}
-		gp.ClearSparse(ws, patt)
-		out.Colptr[c+1] = len(out.Rowidx)
+		w.endColumn(dst, c, p0)
 	}
-	return out
+	return finishBlock(dst)
 }
 
-// reduceBlock assembles Â = A0 − Σ_t lows[t]·ups[t] as a CSC with sorted
-// columns, writing into recycle's storage when non-nil. A0 may be nil
-// (treated as zero) when a block has no original entries. The output
-// pattern is structural (the union of the contributing patterns,
-// independent of the values), the invariant reduceBlockInto relies on to
-// refresh the same block in place.
-func reduceBlock(a0 *sparse.CSC, lows, ups []*sparse.CSC, mark []int, tagp *int, acc []float64, recycle *sparse.CSC) *sparse.CSC {
-	m, n := 0, 0
-	if a0 != nil {
-		m, n = a0.M, a0.N
+// reducePattern shapes dst as the pattern of A0 − Σ_t lows[t]·ups[t]:
+// column c is the union of A0(:,c)'s rows and the rows of lows[t](:,k) for
+// every k in ups[t](:,c). The values are left for reduceBlockInto to fill.
+func (w *ndLane) reducePattern(dst, a0 *sparse.CSC, lows, ups []*sparse.CSC) *sparse.CSC {
+	dst = resetBlock(dst, a0.M, a0.N)
+	for c := 0; c < a0.N; c++ {
+		w.tag++
+		p0 := len(dst.Rowidx)
+		w.markUnion(dst, a0, c)
+		for t, up := range ups {
+			for _, k := range up.Rowidx[up.Colptr[c]:up.Colptr[c+1]] {
+				if len(dst.Rowidx)-p0 == dst.M {
+					break // every row is in already
+				}
+				w.markUnion(dst, lows[t], k)
+			}
+		}
+		w.endColumn(dst, c, p0)
+	}
+	return finishBlock(dst)
+}
+
+// markUnion appends to dst's open column the rows of b(:,c) not yet marked
+// under the lane's current tag. b may be dst itself (a finished column).
+func (w *ndLane) markUnion(dst, b *sparse.CSC, c int) {
+	for _, i := range b.Rowidx[b.Colptr[c]:b.Colptr[c+1]] {
+		if w.mark[i] != w.tag {
+			w.mark[i] = w.tag
+			dst.Rowidx = append(dst.Rowidx, i)
+		}
+	}
+}
+
+// endColumn sorts the rows collected for column c since position p0 and
+// closes the column. A column that holds an eighth of the block's rows or
+// more is rewritten from a scan of the marks instead, sorted for free.
+func (w *ndLane) endColumn(dst *sparse.CSC, c, p0 int) {
+	seg := dst.Rowidx[p0:]
+	if len(seg)*8 >= dst.M {
+		q := 0
+		for i, t := range w.mark[:dst.M] {
+			if t == w.tag {
+				seg[q] = i
+				q++
+			}
+		}
 	} else {
-		m, n = lows[0].M, ups[0].N
+		slices.Sort(seg)
 	}
-	out := recycle
-	if out == nil {
-		nnzHint := 0
-		if a0 != nil {
-			nnzHint = a0.Nnz()
-		}
-		out = sparse.NewCSC(m, n, nnzHint*2)
-	} else {
-		out.ResetShape(m, n)
+	dst.Colptr[c+1] = len(dst.Rowidx)
+}
+
+// resetBlock returns recycled storage (nil allocates) emptied to an m×n
+// block for a pattern pass; finishBlock sizes its values to the pattern,
+// left unspecified for the refresh kernel that writes every entry.
+func resetBlock(dst *sparse.CSC, m, n int) *sparse.CSC {
+	if dst == nil {
+		return sparse.NewCSC(m, n, 0)
 	}
-	for c := 0; c < n; c++ {
-		*tagp++
-		tag := *tagp
-		// Column work estimate picks the emission strategy: columns whose
-		// flop count rivals the block height skip pattern collection
-		// entirely — marks are set unconditionally and the rows are scanned
-		// in order (sorted for free, no append, no sort). Sparse columns
-		// collect their pattern and sort it. Both produce the identical
-		// structural pattern (mark membership does not depend on values).
-		work := 0
-		if a0 != nil {
-			work = a0.Colptr[c+1] - a0.Colptr[c]
-		}
-		for t := range ups {
-			up := ups[t]
-			lo := lows[t]
-			for p := up.Colptr[c]; p < up.Colptr[c+1]; p++ {
-				k := up.Rowidx[p]
-				work += lo.Colptr[k+1] - lo.Colptr[k]
-			}
-		}
-		if work*2 >= m {
-			// ---- Dense-merge emission.
-			if a0 != nil {
-				for p := a0.Colptr[c]; p < a0.Colptr[c+1]; p++ {
-					i := a0.Rowidx[p]
-					mark[i] = tag
-					acc[i] += a0.Values[p]
-				}
-			}
-			for t := range lows {
-				lo, up := lows[t], ups[t]
-				for p := up.Colptr[c]; p < up.Colptr[c+1]; p++ {
-					k := up.Rowidx[p]
-					ukc := up.Values[p]
-					rows := lo.Rowidx[lo.Colptr[k]:lo.Colptr[k+1]]
-					vals := lo.Values[lo.Colptr[k]:lo.Colptr[k+1]]
-					vals = vals[:len(rows)] // bounds-check elimination hint
-					for qi, i := range rows {
-						acc[i] -= float64(vals[qi] * ukc)
-						mark[i] = tag
-					}
-				}
-			}
-			for i := 0; i < m; i++ {
-				if mark[i] == tag {
-					out.Rowidx = append(out.Rowidx, i)
-					out.Values = append(out.Values, acc[i])
-					acc[i] = 0
-				}
-			}
-			out.Colptr[c+1] = len(out.Rowidx)
-			continue
-		}
-		// ---- Sparse emission: collect the pattern, then sort.
-		start := len(out.Rowidx)
-		if a0 != nil {
-			for p := a0.Colptr[c]; p < a0.Colptr[c+1]; p++ {
-				i := a0.Rowidx[p]
-				if mark[i] != tag {
-					mark[i] = tag
-					out.Rowidx = append(out.Rowidx, i)
-				}
-				acc[i] += a0.Values[p]
-			}
-		}
-		for t := range lows {
-			lo, up := lows[t], ups[t]
-			for p := up.Colptr[c]; p < up.Colptr[c+1]; p++ {
-				k := up.Rowidx[p]
-				ukc := up.Values[p]
-				rows := lo.Rowidx[lo.Colptr[k]:lo.Colptr[k+1]]
-				vals := lo.Values[lo.Colptr[k]:lo.Colptr[k+1]]
-				vals = vals[:len(rows)] // bounds-check elimination hint
-				for qi, i := range rows {
-					acc[i] -= float64(vals[qi] * ukc)
-					if mark[i] != tag {
-						mark[i] = tag
-						out.Rowidx = append(out.Rowidx, i)
-					}
-				}
-			}
-		}
-		seg := out.Rowidx[start:]
-		sort.Ints(seg)
-		for _, i := range seg {
-			out.Values = append(out.Values, acc[i])
-			acc[i] = 0
-		}
-		out.Colptr[c+1] = len(out.Rowidx)
-	}
-	return out
+	dst.ResetShape(m, n)
+	return dst
+}
+
+func finishBlock(dst *sparse.CSC) *sparse.CSC {
+	dst.Values = slices.Grow(dst.Values, len(dst.Rowidx))[:len(dst.Rowidx)]
+	return dst
 }
 
 // reduceBlockDense assembles Â = A0 − Σ_t lows[t]·ups[t] through a dense
 // accumulation panel — no occupancy marks, no pattern collection, no sort —
 // and emits a structural fully dense block into recycle's storage (nil
-// allocates). The contribution order per element matches reduceBlock and
-// reduceBlockInto exactly (A0 first, then the pairs in order, each upper
+// allocates). The contribution order per element matches reduceBlockInto
+// exactly (A0 first, then the pairs in order, each upper
 // entry scattering its lower column), so the in-place refresh sweeps
 // reproduce dense-reduced blocks bitwise. Contributor columns that are
 // themselves fully dense (dense-built factor blocks) collapse to contiguous
 // axpys — the blocked rank-k update of the dense layer.
 func reduceBlockDense(a0 *sparse.CSC, lows, ups []*sparse.CSC, recycle *sparse.CSC, ws *gp.Workspace) *sparse.CSC {
-	m, n := 0, 0
-	if a0 != nil {
-		m, n = a0.M, a0.N
-	} else {
-		m, n = lows[0].M, ups[0].N
-	}
+	m, n := a0.M, a0.N
 	panel := ws.Panel(m, n)
 	for c := 0; c < n; c++ {
 		col := panel.Col(c)
-		if a0 != nil {
-			for p := a0.Colptr[c]; p < a0.Colptr[c+1]; p++ {
-				col[a0.Rowidx[p]] += a0.Values[p]
-			}
+		for p := a0.Colptr[c]; p < a0.Colptr[c+1]; p++ {
+			col[a0.Rowidx[p]] += a0.Values[p]
 		}
 		for t := range lows {
 			lo, up := lows[t], ups[t]
@@ -998,10 +933,11 @@ func reduceBlockDense(a0 *sparse.CSC, lows, ups []*sparse.CSC, recycle *sparse.C
 	return sparse.FillDense(recycle, m, n, panel.Data)
 }
 
-// reduceBlockInto refreshes dst = A0 − Σ_t lows[t]·ups[t] over dst's fixed
-// structural pattern (built by reduceBlock at factorization time from the
-// same contributing patterns), so every touched accumulator index lies in
-// dst's column pattern and comes back clean. Zero allocation.
+// reduceBlockInto fills dst = A0 − Σ_t lows[t]·ups[t] over dst's
+// structural pattern (reducePattern's union of the same contributing
+// patterns), so every touched accumulator index lies in dst's column
+// pattern and comes back clean: the fresh build and every refresh of a
+// sparse reduced block. Zero allocation.
 func reduceBlockInto(dst, a0 *sparse.CSC, lows, ups []*sparse.CSC, acc []float64) {
 	for c := 0; c < dst.N; c++ {
 		for p := a0.Colptr[c]; p < a0.Colptr[c+1]; p++ {
@@ -1013,7 +949,7 @@ func reduceBlockInto(dst, a0 *sparse.CSC, lows, ups []*sparse.CSC, acc []float64
 				k := up.Rowidx[p]
 				ukc := up.Values[p]
 				if ukc == 0 {
-					continue // refreshed value drifted to zero: no contribution
+					continue // a zero multiplier contributes nothing
 				}
 				for q := lo.Colptr[k]; q < lo.Colptr[k+1]; q++ {
 					acc[lo.Rowidx[q]] -= float64(lo.Values[q] * ukc)

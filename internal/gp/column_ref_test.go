@@ -143,6 +143,56 @@ func (f *Factors) outsideColumnsRef(a *sparse.CSC, x []float64, k0, k1 int, pane
 	}
 }
 
+// refactorLowerBlockFromRef and refactorUpperBlockFromRef are the two
+// coupling refresh kernels as they stood before their headers were
+// hoisted, the oracle of checkBlockKernels.
+func (f *Factors) refactorLowerBlockFromRef(dst, b *sparse.CSC, acc []float64, c0 int) {
+	for c := c0; c < b.N; c++ {
+		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
+			acc[b.Rowidx[p]] += b.Values[p]
+		}
+		up0, up1 := f.U.Colptr[c], f.U.Colptr[c+1]
+		for p := up0; p < up1-1; p++ {
+			t := f.U.Rowidx[p]
+			utc := f.U.Values[p]
+			if utc == 0 {
+				continue // refreshed value drifted to zero: contribution vanishes
+			}
+			for q := dst.Colptr[t]; q < dst.Colptr[t+1]; q++ {
+				acc[dst.Rowidx[q]] -= float64(dst.Values[q] * utc)
+			}
+		}
+		piv := f.U.Values[up1-1]
+		for p := dst.Colptr[c]; p < dst.Colptr[c+1]; p++ {
+			i := dst.Rowidx[p]
+			dst.Values[p] = acc[i] / piv
+			acc[i] = 0
+		}
+	}
+}
+
+func (f *Factors) refactorUpperBlockFromRef(dst, b *sparse.CSC, ws *Workspace, c0 int) {
+	ws.Grow(f.N)
+	x := ws.X
+	for c := c0; c < b.N; c++ {
+		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
+			x[f.Pinv[b.Rowidx[p]]] = b.Values[p]
+		}
+		for p := dst.Colptr[c]; p < dst.Colptr[c+1]; p++ {
+			r := dst.Rowidx[p]
+			xr := x[r]
+			dst.Values[p] = xr
+			x[r] = 0
+			if xr == 0 {
+				continue
+			}
+			for q := f.L.Colptr[r] + 1; q < f.L.Colptr[r+1]; q++ {
+				x[f.L.Rowidx[q]] -= float64(f.L.Values[q] * xr)
+			}
+		}
+	}
+}
+
 // refactorRef is Factors.Refactor over the reference loops: the same walk
 // over the factor's supernodes, refactorColumnRef for a column or a
 // singleton supernode, and a wide supernode's outside update through
@@ -207,8 +257,8 @@ func cloneFactors(f *Factors) *Factors {
 // the refresh input a2: one full refresh each, then the four triangular
 // solves on each right-hand side, and fails on the first bit that differs.
 // The kernel side's accumulator must come back clean, the error path
-// included.
-func checkColumnKernels(t *testing.T, ctx string, f *Factors, a2 *sparse.CSC, ys [][]float64) {
+// included. It returns the refreshed factor.
+func checkColumnKernels(t *testing.T, ctx string, f *Factors, a2 *sparse.CSC, ys [][]float64) *Factors {
 	t.Helper()
 	ref, ker := cloneFactors(f), cloneFactors(f)
 	wsRef, wsKer := NewWorkspace(f.N), NewWorkspace(f.N)
@@ -240,6 +290,89 @@ func checkColumnKernels(t *testing.T, ctx string, f *Factors, a2 *sparse.CSC, ys
 					t.Fatalf("%s: %s solve, rhs %d: y[%d] = %v, want %v", ctx, s.name, yi, i, got[i], want[i])
 				}
 			}
+		}
+	}
+	return ker
+}
+
+// randomBlock returns an m×n block with the given fill and a fuzzed share
+// of specials among its values.
+func randomBlock(rng *rand.Rand, m, n int, fill, rate float64) *sparse.CSC {
+	coo := sparse.NewCOO(m, n, 0)
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			if rng.Float64() < fill {
+				coo.Add(i, j, specialValue(rng, rate))
+			}
+		}
+	}
+	return coo.ToCSC(false)
+}
+
+// lowerPatternRef is the pattern of X solving X·U = B: column c is the
+// union of B(:,c)'s rows and those of X(:,t) for t in U(:,c)'s pattern.
+// The values are zero.
+func (f *Factors) lowerPatternRef(b *sparse.CSC) *sparse.CSC {
+	x := sparse.NewCSC(b.M, b.N, 0)
+	for c := 0; c < b.N; c++ {
+		seen := make([]bool, b.M)
+		for _, i := range b.Rowidx[b.Colptr[c]:b.Colptr[c+1]] {
+			seen[i] = true
+		}
+		for _, t := range f.U.Rowidx[f.U.Colptr[c] : f.U.Colptr[c+1]-1] {
+			for _, i := range x.Rowidx[x.Colptr[t]:x.Colptr[t+1]] {
+				seen[i] = true
+			}
+		}
+		for i, in := range seen {
+			if in {
+				x.Rowidx = append(x.Rowidx, i)
+			}
+		}
+		x.Colptr[c+1] = len(x.Rowidx)
+	}
+	x.Values = make([]float64, len(x.Rowidx))
+	return x
+}
+
+// checkBlockKernels runs the two hoisted coupling kernels and their
+// pre-hoist references on f over random couplings — an upper block with
+// f.N rows and a lower block with f.N columns, values with specials at the
+// given rate — from column 0 and from a middle column, and fails on the
+// first bit that differs or a scratch left dirty.
+func checkBlockKernels(t *testing.T, ctx string, rng *rand.Rand, f *Factors, rate float64) {
+	t.Helper()
+	n, ws := f.N, NewWorkspace(f.N)
+	bu := randomBlock(rng, n, 1+rng.Intn(4), 3/float64(n)+rng.Float64()*0.2, rate)
+	bl := randomBlock(rng, 1+rng.Intn(6), n, 0.1+rng.Float64()*0.3, rate)
+	up, lo := f.UpperBlockPattern(nil, bu, ws), f.lowerPatternRef(bl)
+	acc := make([]float64, bl.M)
+	for _, half := range []int{0, 1} {
+		ref, ker := up.Clone(), up.Clone()
+		c0 := half * bu.N / 2
+		f.refactorUpperBlockFromRef(ref, bu, ws, c0)
+		f.RefactorUpperBlockFrom(ker, bu, ws, c0)
+		checkBlockBits(t, ctx+fmt.Sprintf(": upper from %d", c0), ref, ker, ws.X[:n])
+		ref, ker = lo.Clone(), lo.Clone()
+		c0 = half * n / 2
+		f.refactorLowerBlockFromRef(ref, bl, acc, c0)
+		f.RefactorLowerBlockFrom(ker, bl, acc, c0)
+		checkBlockBits(t, ctx+fmt.Sprintf(": lower from %d", c0), ref, ker, acc)
+	}
+}
+
+// checkBlockBits fails unless the two blocks' values carry the same bits
+// (any NaN matching any NaN, as in sameBits) and the scratch is clean.
+func checkBlockBits(t *testing.T, ctx string, ref, ker *sparse.CSC, scratch []float64) {
+	t.Helper()
+	for p, v := range ref.Values {
+		if !sameBits(v, ker.Values[p]) {
+			t.Fatalf("%s: entry %d = %v, reference %v", ctx, p, ker.Values[p], v)
+		}
+	}
+	for i, v := range scratch {
+		if v != 0 || math.Signbit(v) {
+			t.Fatalf("%s: scratch entry %d left dirty: %v", ctx, i, v)
 		}
 	}
 }
@@ -293,13 +426,16 @@ func columnInputs(rng *rand.Rand, a *sparse.CSC) []struct {
 }
 
 // TestColumnKernelsMatchReference pins the hoisted column loops — LSolve,
-// USolve, LSolveT, USolveT, refactorColumn and outsideColumns — to their
-// verbatim pre-hoist references bit for bit, on every ND block of the
+// USolve, LSolveT, USolveT, refactorColumn and outsideColumns — and the
+// two coupling kernels RefactorUpperBlockFrom and RefactorLowerBlockFrom
+// to their verbatim pre-hoist references bit for bit, on every ND block of the
 // Table I suite and the three bench patterns (as the one-leaf engine
 // orders them) and the synthetic dense-ish blocks, each factored column at
 // a time and supernodally with every wide supernode sent through
 // outsideColumns (the blocked update is not rewritten and has its own
-// pin), over value sets with signed zeros, infinities, NaN and subnormals.
+// pin), over value sets with signed zeros, infinities, NaN and subnormals;
+// the coupling kernels run on random couplings of the factor refreshed
+// from the specials.
 func TestColumnKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, c := range bitwiseCases(t) {
@@ -313,8 +449,16 @@ func TestColumnKernelsMatchReference(t *testing.T) {
 		sn.snBlocked = make([]bool, len(sn.snBlocked))
 		ys := columnRHS(rng, c.a.N)
 		for _, in := range columnInputs(rng, c.a) {
-			checkColumnKernels(t, c.name+"/column/"+in.name, &col, in.a, ys)
-			checkColumnKernels(t, c.name+"/supernodal/"+in.name, &sn, in.a, ys)
+			for _, l := range []struct {
+				name string
+				f    *Factors
+			}{{"column", &col}, {"supernodal", &sn}} {
+				ctx := c.name + "/" + l.name + "/" + in.name
+				ker := checkColumnKernels(t, ctx, l.f, in.a, ys)
+				if in.name == "special" {
+					checkBlockKernels(t, ctx, rng, ker, 0.05)
+				}
+			}
 		}
 	}
 }
@@ -323,7 +467,8 @@ func TestColumnKernelsMatchReference(t *testing.T) {
 // a dominant diagonal plus off-diagonal entries at a fuzzed density, with a
 // fuzzed share of the factored and the refreshed values drawn from the
 // specials. Each input is factored column at a time and supernodally, with
-// every wide supernode refreshed through outsideColumns.
+// every wide supernode refreshed through outsideColumns, and random
+// couplings of the refreshed factor run through the coupling kernels.
 func FuzzColumnKernels(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(60), uint8(8), uint8(0))
 	f.Add(int64(2), uint8(70), uint8(20), uint8(4), uint8(30))
@@ -356,7 +501,7 @@ func FuzzColumnKernels(f *testing.F) {
 			a2.Values[i] = specialValue(rng, rate)
 		}
 		ys := columnRHS(rng, n)
-		checkColumnKernels(t, "column", &col, a2, ys)
-		checkColumnKernels(t, "supernodal", &sn, a2, ys)
+		checkBlockKernels(t, "column", rng, checkColumnKernels(t, "column", &col, a2, ys), rate)
+		checkBlockKernels(t, "supernodal", rng, checkColumnKernels(t, "supernodal", &sn, a2, ys), rate)
 	})
 }

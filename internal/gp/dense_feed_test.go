@@ -143,10 +143,51 @@ func denseLowerFresh(f *Factors, b *sparse.CSC) *sparse.CSC {
 	return dst
 }
 
-// TestDenseSolvesMatchSparseKernels: the dense TRSM kernels must agree with
-// the sparse off-diagonal kernels they replace — same factorization, same
-// right-hand blocks, equal values on the shared pattern (and exact zeros on
-// the dense-only positions).
+// denseOf returns c as a dense column-major array of columns.
+func denseOf(c *sparse.CSC) [][]float64 {
+	d := make([][]float64, c.N)
+	for j := range d {
+		d[j] = make([]float64, c.M)
+		for p := c.Colptr[j]; p < c.Colptr[j+1]; p++ {
+			d[j][c.Rowidx[p]] = c.Values[p]
+		}
+	}
+	return d
+}
+
+// checkBlockNear fails unless got, read densely, is within roundoff of the
+// column-major want.
+func checkBlockNear(t *testing.T, name string, got *sparse.CSC, want [][]float64) {
+	t.Helper()
+	g := denseOf(got)
+	for c := range want {
+		for i, w := range want[c] {
+			if math.Abs(g[c][i]-w) > 1e-10*(1+math.Abs(w)) {
+				t.Fatalf("%s col %d row %d: %v, dense reference %v", name, c, i, g[c][i], w)
+			}
+		}
+	}
+}
+
+// checkSparseMatchesDense fails unless every entry of the sparse block
+// carries the dense block's bits and every dense-only position is zero.
+func checkSparseMatchesDense(t *testing.T, name string, sp, dn *sparse.CSC) {
+	t.Helper()
+	s, d := denseOf(sp), denseOf(dn)
+	for c := range d {
+		for i := range d[c] {
+			if math.Float64bits(s[c][i]) != math.Float64bits(d[c][i]) && !(s[c][i] == 0 && d[c][i] == 0) {
+				t.Fatalf("%s col %d row %d: sparse %v, dense %v", name, c, i, s[c][i], d[c][i])
+			}
+		}
+	}
+}
+
+// TestDenseSolvesMatchSparseKernels: the dense TRSM kernels and the sparse
+// off-diagonal kernels (pattern pass, then the refresh kernel from column
+// 0) must both agree with an independent dense triangular solve, and with
+// each other bit for bit on the sparse pattern (exact zeros on the
+// dense-only positions).
 func TestDenseSolvesMatchSparseKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	n, m := 32, 20
@@ -156,53 +197,62 @@ func TestDenseSolvesMatchSparseKernels(t *testing.T) {
 	if err := FactorDenseInto(f, a, Options{}, ws); err != nil {
 		t.Fatal(err)
 	}
+	ld, ud := denseOf(f.L), denseOf(f.U)
 
-	// Upper kernel: U = L⁻¹·P·B against the sparse reach solve.
+	// Upper kernel: X = L⁻¹·P·B, by dense forward substitution.
 	b := denseishCSC(rng, n, 0.2, false).ExtractBlock(0, n, 0, m)
-	up := denseUpperFresh(f, b)
-	for c := 0; c < m; c++ {
-		bIdx := b.Rowidx[b.Colptr[c]:b.Colptr[c+1]]
-		bVal := b.Values[b.Colptr[c]:b.Colptr[c+1]]
-		patt := f.SolveSparseL(bIdx, bVal, ws)
-		got := make([]float64, n)
-		for p := up.Colptr[c]; p < up.Colptr[c+1]; p++ {
-			got[up.Rowidx[p]] = up.Values[p]
+	bd := denseOf(b)
+	want := make([][]float64, m)
+	for c := range want {
+		y := make([]float64, n)
+		for k := range y {
+			y[k] = bd[c][f.P[k]]
 		}
-		want := make([]float64, n)
-		for _, r := range patt {
-			want[r] = ws.X[r]
-		}
-		ClearSparse(ws, patt)
-		for i := 0; i < n; i++ {
-			if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
-				t.Fatalf("upper col %d row %d: dense %v sparse %v", c, i, got[i], want[i])
+		for j := 0; j < n; j++ {
+			for i := j + 1; i < n; i++ {
+				y[i] -= float64(ld[j][i] * y[j])
 			}
 		}
+		want[c] = y
 	}
+	up := denseUpperFresh(f, b)
+	checkBlockNear(t, "upper dense", up, want)
+	sp := f.UpperBlockPattern(nil, b, ws)
+	f.RefactorUpperBlockFrom(sp, b, ws, 0)
+	checkBlockNear(t, "upper sparse", sp, want)
+	checkSparseMatchesDense(t, "upper", sp, up)
 
-	// Lower kernel: X·U = B against LowerBlockSolveInto.
+	// Lower kernel: X·U = B, by dense column-by-column substitution.
 	h := 17
 	bl := denseishCSC(rng, n, 0.25, false).ExtractBlock(0, h, 0, n)
-	mark := make([]int, h+1)
-	acc := make([]float64, h+1)
-	tag := 0
-	sparseX := f.LowerBlockSolveInto(nil, bl, mark, &tag, acc)
-	denseX := denseLowerFresh(f, bl)
-	for c := 0; c < n; c++ {
-		got := make([]float64, h)
-		for p := denseX.Colptr[c]; p < denseX.Colptr[c+1]; p++ {
-			got[denseX.Rowidx[p]] = denseX.Values[p]
-		}
-		want := make([]float64, h)
-		for p := sparseX.Colptr[c]; p < sparseX.Colptr[c+1]; p++ {
-			want[sparseX.Rowidx[p]] = sparseX.Values[p]
-		}
-		for i := 0; i < h; i++ {
-			if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
-				t.Fatalf("lower col %d row %d: dense %v sparse %v", c, i, got[i], want[i])
+	bld := denseOf(bl)
+	want = make([][]float64, n)
+	for c := range want {
+		x := append([]float64(nil), bld[c]...)
+		for t := 0; t < c; t++ {
+			for i := range x {
+				x[i] -= float64(want[t][i] * ud[c][t])
 			}
 		}
+		for i := range x {
+			x[i] /= ud[c][c]
+		}
+		want[c] = x
 	}
+	dn := denseLowerFresh(f, bl)
+	checkBlockNear(t, "lower dense", dn, want)
+	sl := sparseLowerFresh(f, bl)
+	checkBlockNear(t, "lower sparse", sl, want)
+	checkSparseMatchesDense(t, "lower", sl, dn)
+}
+
+// sparseLowerFresh builds the sparse lower coupling X·U = B the way the
+// fresh ND sweep does: the union pattern, then RefactorLowerBlockFrom from
+// column 0.
+func sparseLowerFresh(f *Factors, b *sparse.CSC) *sparse.CSC {
+	x := f.lowerPatternRef(b)
+	f.RefactorLowerBlockFrom(x, b, make([]float64, b.M), 0)
+	return x
 }
 
 // TestDenseBuiltRefactorBitwiseNoOp: refreshing a dense-built factorization

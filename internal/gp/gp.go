@@ -5,6 +5,13 @@
 // to the number of arithmetic operations. This is the algorithm KLU applies
 // to every BTF diagonal block and the kernel Basker parallelizes.
 //
+// Every factor value has one arithmetic. A column eliminates along its U
+// pattern in ascending pivot order, fresh (eliminateFresh, after the
+// search) or refreshed (refactorColumn, over the fixed pattern), and every
+// dense panel is one eliminatePanel (snode.go), so Refactor on the values
+// FactorInto saw reproduces every bit, and symmetric pruning, which only
+// shortens the searches, changes none.
+//
 // Factor invariants (checked by tests):
 //   - L and U columns are sorted ascending by row index;
 //   - L has a unit diagonal stored explicitly as the first entry of each
@@ -127,7 +134,7 @@ func (f *Factors) Compact() {
 // regions, as the paper's symbolic-phase discussion stresses).
 type Workspace struct {
 	X      []float64 // dense accumulator
-	Xi     []int     // DFS output: topological pattern
+	Xi     []int     // DFS output: the reach of a column
 	Pstack []int     // DFS pointer stack
 	Mark   []int     // visited tags
 	Tag    int
@@ -279,131 +286,157 @@ func FactorInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opts Options,
 }
 
 // factorFreshColumn runs one column of the left-looking factorization: the
-// symbolic reach, the numeric forward solve, pivot selection, U/L emission
-// and the symmetric-pruning step — the per-column body shared by FactorInto
-// for every column of a nil partition and every singleton supernode.
+// elimination (eliminateFresh), pivot selection, U/L emission and the
+// symmetric-pruning step — the per-column body shared by FactorInto for
+// every column of a nil partition and every singleton supernode.
 func (f *Factors) factorFreshColumn(a *sparse.CSC, k int, tol float64, opts Options, ws *Workspace, prune bool) error {
 	n := f.N
-	{
-		// --- Symbolic: pattern of x = L \ A(:,k) by DFS from A(:,k),
-		// restricted to the pruned prefix of every L column.
-		top := reach(f.L, f.Pinv, a, k, ws)
-		// --- Numeric: sparse forward solve in topological order. The
-		// updates traverse full columns — pruning is symbolic only.
-		x := ws.X
-		for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
-			x[a.Rowidx[p]] = a.Values[p]
-		}
-		xi := ws.Xi
-		for t := top; t < n; t++ {
-			i := xi[t]     // original row id
-			j := f.Pinv[i] // pivot position, or -1
-			if j < 0 {
-				continue
-			}
-			xj := x[i]
-			if xj == 0 {
-				continue
-			}
-			// x -= L(:,j) * xj, skipping the unit diagonal (first entry).
-			lp0 := f.L.Colptr[j]
-			lp1 := f.L.Colptr[j+1]
-			rows := f.L.Rowidx[lp0+1 : lp1]
-			vals := f.L.Values[lp0+1 : lp1]
-			vals = vals[:len(rows)] // bounds-check elimination hint
-			for t2, i2 := range rows {
-				x[i2] -= float64(vals[t2] * xj)
-			}
-			f.Flops += int64(lp1 - lp0 - 1)
-		}
+	top := f.eliminateFresh(a, k, k, ws)
+	x, xi := ws.X, ws.Xi
 
-		// --- Pivot selection among unpivoted rows in the pattern.
-		pivRow := -1
-		pivVal := 0.0
-		maxAbs := 0.0
-		for t := top; t < n; t++ {
-			i := xi[t]
-			if f.Pinv[i] >= 0 {
-				continue
-			}
-			v := math.Abs(x[i])
-			if v > maxAbs {
-				maxAbs = v
-				pivRow = i
-				pivVal = x[i]
-			}
+	// --- Pivot selection among unpivoted rows in the pattern.
+	pivRow := -1
+	pivVal := 0.0
+	maxAbs := 0.0
+	for t := top; t < n; t++ {
+		i := xi[t]
+		if f.Pinv[i] >= 0 {
+			continue
 		}
-		if opts.NoPivot {
-			if f.Pinv[k] == -1 {
-				if v := math.Abs(x[k]); v > 0 {
-					pivRow, pivVal = k, x[k]
-				} else {
-					pivRow = -1
-				}
+		v := math.Abs(x[i])
+		if v > maxAbs {
+			maxAbs = v
+			pivRow = i
+			pivVal = x[i]
+		}
+	}
+	if opts.NoPivot {
+		if f.Pinv[k] == -1 {
+			if v := math.Abs(x[k]); v > 0 {
+				pivRow, pivVal = k, x[k]
 			} else {
 				pivRow = -1
 			}
-		} else if pivRow != -1 && f.Pinv[k] == -1 {
-			// Diagonal preference: keep the natural pivot when acceptable.
-			if v := math.Abs(x[k]); v >= tol*maxAbs && v > 0 {
-				pivRow, pivVal = k, x[k]
-			}
+		} else {
+			pivRow = -1
 		}
-		if pivRow == -1 || pivVal == 0 {
-			clearX(x, xi, top, n, a, k)
-			return fmt.Errorf("gp: column %d: %w", k, ErrSingular)
+	} else if pivRow != -1 && f.Pinv[k] == -1 {
+		// Diagonal preference: keep the natural pivot when acceptable.
+		if v := math.Abs(x[k]); v >= tol*maxAbs && v > 0 {
+			pivRow, pivVal = k, x[k]
 		}
-		f.P[k] = pivRow
-		f.Pinv[pivRow] = k
-
-		// --- Emit U(:,k): pivoted rows (positions < k) plus pivot last.
-		// Every pattern entry is stored even when its value cancelled to
-		// exact zero: the factor patterns are structural (the DFS reach),
-		// which symmetric pruning and in-place refactorization rely on.
-		for t := top; t < n; t++ {
-			i := xi[t]
-			if j := f.Pinv[i]; j >= 0 && j < k {
-				f.U.Rowidx = append(f.U.Rowidx, j)
-				f.U.Values = append(f.U.Values, x[i])
-			}
-		}
-		f.U.Rowidx = append(f.U.Rowidx, k)
-		f.U.Values = append(f.U.Values, pivVal)
-		f.U.Colptr[k+1] = len(f.U.Rowidx)
-
-		// --- Emit L(:,k): unit diagonal first, then unpivoted rows scaled.
-		f.L.Rowidx = append(f.L.Rowidx, pivRow) // original id; remapped later
-		f.L.Values = append(f.L.Values, 1)
-		for t := top; t < n; t++ {
-			i := xi[t]
-			if f.Pinv[i] == -1 {
-				f.L.Rowidx = append(f.L.Rowidx, i)
-				f.L.Values = append(f.L.Values, x[i]/pivVal)
-				f.Flops++
-			}
-		}
-		f.L.Colptr[k+1] = len(f.L.Rowidx)
-
+	}
+	if pivRow == -1 || pivVal == 0 {
 		clearX(x, xi, top, n, a, k)
+		return fmt.Errorf("gp: column %d: %w", k, ErrSingular)
+	}
+	f.P[k] = pivRow
+	f.Pinv[pivRow] = k
 
-		if prune {
-			f.pruneStep(k, pivRow, ws)
+	// --- End U(:,k) with the pivot.
+	f.U.Rowidx = append(f.U.Rowidx, k)
+	f.U.Values = append(f.U.Values, pivVal)
+	f.U.Colptr[k+1] = len(f.U.Rowidx)
+
+	// --- Emit L(:,k): unit diagonal first, then unpivoted rows scaled.
+	f.L.Rowidx = append(f.L.Rowidx, pivRow) // original id; remapped later
+	f.L.Values = append(f.L.Values, 1)
+	for t := top; t < n; t++ {
+		i := xi[t]
+		if f.Pinv[i] == -1 {
+			f.L.Rowidx = append(f.L.Rowidx, i)
+			f.L.Values = append(f.L.Values, x[i]/pivVal)
+			f.Flops++
 		}
+	}
+	f.L.Colptr[k+1] = len(f.L.Rowidx)
+
+	clearX(x, xi, top, n, a, k)
+
+	if prune {
+		f.pruneStep(k, pivRow, ws)
 	}
 	return nil
 }
 
+// eliminateFresh is the elimination of every fresh column, singleton or
+// inside a supernode: the symbolic reach of A(:,k) in the graph of the
+// partial L (ws.Xi[top:n], returned for the pivot search and the L
+// emission), then U(:,k)'s pivoted rows appended to U in ascending pivot
+// order, and the numeric forward solve along them in that order — the
+// operations of refactorColumn, one for one, so a refresh on the same
+// values reproduces every bit. The partial L still carries original row
+// ids, so x is indexed by them and U(j,k) is read at x[P[j]], final once
+// every column before j has been applied. Every pattern entry is stored,
+// even when its value cancelled to exact zero: the factor patterns are
+// structural (the reach), which symmetric pruning and the in-place
+// refreshes rely on. npiv is the number of pivots assigned (k for a
+// column, the first column of a supernode inside one). x comes back holding
+// the eliminated column; the caller clears it (clearX).
+func (f *Factors) eliminateFresh(a *sparse.CSC, k, npiv int, ws *Workspace) int {
+	n := f.N
+	top := reach(f.L, f.Pinv, a, k, ws)
+	x, pinv, prow := ws.X, f.Pinv, f.P
+	p0, p1 := a.Colptr[k], a.Colptr[k+1]
+	arows, avals := a.Rowidx[p0:p1], a.Values[p0:p1]
+	avals = avals[:len(arows)]
+	for t, i := range arows {
+		x[i] = avals[t]
+	}
+	u0 := len(f.U.Rowidx)
+	for _, i := range ws.Xi[top:n] {
+		if j := pinv[i]; j >= 0 {
+			f.U.Rowidx = append(f.U.Rowidx, j)
+		}
+	}
+	upat := f.U.Rowidx[u0:]
+	if len(upat)*8 >= npiv {
+		// A dense column: read the pattern in pivot order off the reach's
+		// marks instead of sorting it.
+		q, mark := 0, ws.Mark
+		for j, r := range prow[:npiv] {
+			if mark[r] == ws.Tag {
+				upat[q] = j
+				q++
+			}
+		}
+	} else {
+		sortInts(upat)
+	}
+	l := f.L
+	for _, j := range upat {
+		xj := x[prow[j]]
+		if xj == 0 {
+			continue
+		}
+		q0, q1 := l.Colptr[j]+1, l.Colptr[j+1]
+		rows, vals := l.Rowidx[q0:q1], l.Values[q0:q1]
+		vals = vals[:len(rows)]
+		for t, i := range rows {
+			x[i] -= float64(vals[t] * xj)
+		}
+		f.Flops += int64(q1 - q0)
+	}
+	// Only columns before j update row P[j], so x[P[j]] kept the value
+	// column j eliminated with. Appending after the loop, and reading L
+	// through its header per column, keeps the inner loop free of register
+	// spills.
+	for _, j := range upat {
+		f.U.Values = append(f.U.Values, x[prow[j]])
+	}
+	return top
+}
+
 // finishFactor remaps L's row indices from original ids to pivot order and
-// sorts both factors so downstream solves and refactorization can rely on
-// order, then finalizes the prune boundaries. The sort runs in place
-// through the dense workspace accumulator (clean between columns), so it
-// allocates nothing and skips already-sorted columns.
+// sorts L's columns so downstream solves and refactorization can rely on
+// order (U is emitted sorted), then finalizes the prune boundaries. The
+// sort runs in place through the dense workspace accumulator (clean between
+// columns), so it allocates nothing and skips already-sorted columns.
 func (f *Factors) finishFactor(ws *Workspace, prune bool) {
 	for t := 0; t < f.L.Nnz(); t++ {
 		f.L.Rowidx[t] = f.Pinv[f.L.Rowidx[t]]
 	}
 	sortFactorColumns(f.L, ws.X)
-	sortFactorColumns(f.U, ws.X)
 	if prune {
 		f.finishPruneEnd()
 	}
@@ -484,7 +517,7 @@ func (f *Factors) pruneStep(k, pivRow int, ws *Workspace) {
 
 // finishPruneEnd converts the recorded prune steps into storage positions
 // over the final (pivot-ordered, sorted) L, for the finished-factor DFS of
-// SolveSparseL: column j pruned at step k keeps exactly the entries with
+// UpperBlockPattern: column j pruned at step k keeps exactly the entries with
 // pivot row index <= k, a contiguous prefix of the sorted column.
 func (f *Factors) finishPruneEnd() {
 	for j := 0; j < f.N; j++ {

@@ -18,16 +18,20 @@ import (
 // panel LU of dense_feed.go, but with enough pattern overlap that
 // per-column scatter, DFS and sort bookkeeping dominates the arithmetic.
 //
-// Every dense panel LU of the package is one function, eliminatePanel. The
-// fresh FactorInto (gp.go) hands every wide supernode of its partition to
-// factorSupernode: a left-looking outside elimination per column, then the
-// pivoting eliminatePanel over the staged union sub-panel. Refactor and
+// A wide supernode is two steps, whoever runs it: every column eliminates
+// against the columns left of the supernode in ascending pivot order, then
+// eliminatePanel, the one dense panel LU of the package, factors the
+// supernode's panel. FactorInto (gp.go) hands every wide supernode of its
+// partition to factorSupernode, which runs the first step through
+// eliminateFresh and the panel with a pivot search per step. Refactor and
 // RefactorSelective walk a factor's Snodes and hand every wide supernode to
-// refreshSupernode: outside update into a pooled panel, the fixed-sequence
-// eliminatePanel, scatter back. A dense-built factor (dense_feed.go) is the
-// single supernode [0, N): FactorDenseInto runs the pivoting eliminatePanel
-// over the whole block, and having no outside columns, its refresh is the
-// fixed-sequence one alone.
+// refreshSupernode, which runs the first step over the fixed patterns (one
+// of the two outside updates below) and the panel in the fixed sequence.
+// Every element sees the same operations in the same order either way, so
+// a refresh on the factored values is a bitwise no-op. A dense-built factor
+// (dense_feed.go) is the single supernode [0, N): FactorDenseInto runs the
+// pivoting eliminatePanel over the whole block, and having no outside
+// columns, its refresh is the fixed-sequence one alone.
 //
 // The same-pattern refresh of a wide supernode has two outside-update
 // strategies (the updates from columns left of the supernode, which is
@@ -139,45 +143,13 @@ func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts O
 	sn.stageVal = sn.stageVal[:0]
 	sn.stageOff = append(sn.stageOff[:0], 0)
 
-	// --- Phase 1: per column, reach + updates from outside columns only
-	// (in-supernode pivots are unassigned, so the DFS treats their rows as
-	// leaves and the update loop skips them), U emission with the padded
-	// triangle, and staging of the unpivoted remainder.
+	// --- Phase 1: per column, the elimination against the outside columns
+	// (in-supernode pivots are unassigned, so the reach treats their rows as
+	// leaves and eliminateFresh emits only outside rows of U), then the
+	// padded triangle and the pivot placeholder — their values land after
+	// the panel factors — and staging of the unpivoted remainder.
 	for k := k0; k < k1; k++ {
-		top := reach(f.L, f.Pinv, a, k, ws)
-		for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
-			x[a.Rowidx[p]] = a.Values[p]
-		}
-		for t := top; t < n; t++ {
-			i := xi[t]
-			j := f.Pinv[i]
-			if j < 0 {
-				continue
-			}
-			xj := x[i]
-			if xj == 0 {
-				continue
-			}
-			lp0 := f.L.Colptr[j]
-			lp1 := f.L.Colptr[j+1]
-			rows := f.L.Rowidx[lp0+1 : lp1]
-			vals := f.L.Values[lp0+1 : lp1]
-			vals = vals[:len(rows)] // bounds-check elimination hint
-			for t2, i2 := range rows {
-				x[i2] -= float64(vals[t2] * xj)
-			}
-			f.Flops += int64(lp1 - lp0 - 1)
-		}
-		// Emit U(:,k): outside pivoted rows (every assigned pivot is < k0
-		// here), then the full padded triangle, pivot placeholder last. The
-		// triangle and pivot values land after the panel factors.
-		for t := top; t < n; t++ {
-			i := xi[t]
-			if j := f.Pinv[i]; j >= 0 {
-				f.U.Rowidx = append(f.U.Rowidx, j)
-				f.U.Values = append(f.U.Values, x[i])
-			}
-		}
+		top := f.eliminateFresh(a, k, k0, ws)
 		for d := k0; d < k; d++ {
 			f.U.Rowidx = append(f.U.Rowidx, d)
 			f.U.Values = append(f.U.Values, 0)

@@ -108,10 +108,10 @@ func TestFactorSupernodalArbitraryPartition(t *testing.T) {
 // TestRefactorSupernodalBitwise pins the refresh contracts the fine-ND
 // sweeps rely on, on every layout the one refresh loop serves: column
 // (FactorInto with a nil partition), supernodal (FactorInto with xsup)
-// and dense-built (FactorDenseInto) factors of one matrix. After
-// normalizing to refresh arithmetic, Refactor is bitwise equal to the
-// column-at-a-time reference on the same factor, a same-values refresh is
-// a bitwise no-op (idempotence), RefactorSelective with every column
+// and dense-built (FactorDenseInto) factors of one matrix. A same-values
+// refresh right after the factor is a bitwise no-op (one arithmetic),
+// Refactor is bitwise equal to the column-at-a-time reference on the same
+// factor, RefactorSelective with every column
 // stamped and over a random stamp set is bitwise identical to the full
 // refresh, no stamps rerun nothing, and both entries allocate nothing with
 // one shared workspace — which pins that its panel pool is reused.
@@ -145,13 +145,10 @@ func TestRefactorSupernodalBitwise(t *testing.T) {
 			if err := layout.factor(fs[i]); err != nil {
 				t.Fatalf("%s: %v", layout.name, err)
 			}
-			if err := fs[i].Refactor(a, ws); err != nil {
-				t.Fatalf("%s: %v", layout.name, err)
-			}
 		}
 		checkFactorization(t, a, fs[0], 100)
 
-		// Idempotence: a second same-values refresh changes no bit.
+		// One arithmetic: a same-values refresh of the factor changes no bit.
 		snapL := append([]float64(nil), fs[0].L.Values...)
 		snapU := append([]float64(nil), fs[0].U.Values...)
 		if err := fs[0].Refactor(a, ws); err != nil {
@@ -159,12 +156,12 @@ func TestRefactorSupernodalBitwise(t *testing.T) {
 		}
 		for i, v := range snapL {
 			if fs[0].L.Values[i] != v {
-				t.Fatalf("%s idempotence: L value %d changed", layout.name, i)
+				t.Fatalf("%s same-values refresh: L value %d changed", layout.name, i)
 			}
 		}
 		for i, v := range snapU {
 			if fs[0].U.Values[i] != v {
-				t.Fatalf("%s idempotence: U value %d changed", layout.name, i)
+				t.Fatalf("%s same-values refresh: U value %d changed", layout.name, i)
 			}
 		}
 
@@ -707,6 +704,22 @@ func assertBitsEqual(t testing.TB, want, got *Factors, ctx string) {
 	}
 }
 
+// assertSameBits compares every L and U value of two factorizations by
+// math.Float64bits: signed zeros and NaN payloads count.
+func assertSameBits(t testing.TB, want, got *Factors, ctx string) {
+	t.Helper()
+	for _, c := range []struct {
+		name      string
+		want, got []float64
+	}{{"L", want.L.Values, got.L.Values}, {"U", want.U.Values, got.U.Values}} {
+		for i, v := range c.want {
+			if math.Float64bits(c.got[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: %s value %d: %v (%#x), want %v (%#x)", ctx, c.name, i, c.got[i], math.Float64bits(c.got[i]), v, math.Float64bits(v))
+			}
+		}
+	}
+}
+
 // snodeCase is one input of the supernodal bitwise pins: a square block
 // and its supernode partition.
 type snodeCase struct {
@@ -900,7 +913,11 @@ func TestRefactorSupernodalRejectsPartition(t *testing.T) {
 // tails, runUpdate's 2-row tile and its odd last row — and wide runs of
 // every length from snWideRun to snTileCols. Each input is also refreshed
 // as a dense-built factor, the single supernode [0, n), against the
-// column-at-a-time reference.
+// column-at-a-time reference. First, FactorInto then Refactor on the same
+// values must be a bitwise no-op, column at a time and over the fuzzed
+// partition: math.Float64bits-equal with every outside update column at a
+// time, and equal up to NaN payloads under the density rule's blocked
+// update.
 func FuzzRefactorSupernodal(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(60), uint8(8), uint8(16), uint8(0))
 	f.Add(int64(2), uint8(70), uint8(20), uint8(4), uint8(64), uint8(3))
@@ -910,6 +927,9 @@ func FuzzRefactorSupernodal(f *testing.F) {
 	f.Add(int64(88), uint8(74), uint8(14), uint8(155), uint8(150), uint8(4))
 	f.Add(int64(69), uint8(223), uint8(13), uint8(254), uint8(179), uint8(27))
 	f.Add(int64(399), uint8(224), uint8(21), uint8(31), uint8(3), uint8(7))
+	// A NaN whose payload the blocked update picks differently from the
+	// column kernels.
+	f.Add(int64(-70), uint8(168), uint8(3), uint8(67), uint8(185), uint8(105))
 	f.Fuzz(func(t *testing.T, seed int64, n8, fill8, relax8, maxw8, special8 uint8) {
 		n := 1 + int(n8)%90
 		fill := float64(fill8) / 255
@@ -934,6 +954,27 @@ func FuzzRefactorSupernodal(f *testing.F) {
 		a := coo.ToCSC(false)
 		xsup := etree.RelaxedSupernodes(etree.ColEtree(a), nil, 1+int(relax8)%16, 1+int(maxw8)%64)
 		ws := NewWorkspace(n)
+		// One arithmetic: a refresh on the values FactorInto saw is a
+		// bitwise no-op, column at a time and over the fuzzed partition.
+		// With every outside update column at a time the bits match
+		// exactly, NaN payloads included; the blocked update's tile
+		// kernels may pick another NaN's payload (see assertBitsEqual).
+		for _, part := range [][]int{nil, xsup} {
+			var fc Factors
+			if FactorInto(&fc, a, part, 0, Options{}, ws) != nil {
+				continue
+			}
+			ctx := fmt.Sprintf("partition %v: refresh on the factored values", part != nil)
+			cols, rule := cloneFactors(&fc), cloneFactors(&fc)
+			cols.snBlocked = make([]bool, len(fc.snBlocked))
+			for _, rf := range []*Factors{cols, rule} {
+				if err := rf.Refactor(a, ws); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+			}
+			assertSameBits(t, &fc, cols, ctx)
+			assertBitsEqual(t, &fc, rule, ctx+", density rule")
+		}
 		var ref, blk Factors
 		for _, fc := range []*Factors{&ref, &blk} {
 			if err := FactorInto(fc, a, xsup, 0, Options{}, ws); err != nil {

@@ -1,61 +1,52 @@
 package gp
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/sparse"
 )
 
-// SolveSparseL computes x = L⁻¹·(P·b) for a sparse right-hand side b given
-// as parallel (bIdx, bVal) with bIdx in the original row numbering of the
-// factored block. The nonzero pattern of x is discovered by depth-first
-// search in the graph of L (Gilbert–Peierls), so the cost is proportional
-// to the arithmetic performed. This is the kernel Basker uses to compute
-// the columns of upper off-diagonal blocks U_ij = L_ii⁻¹ P_i A_ij.
-//
-// The result pattern (pivot-space indices, topological order) is returned
-// as a slice into ws.Xi, and the values live in ws.X at those indices. Both
-// are valid only until the workspace is reused; callers must copy out and
-// then call ClearSparse with the same pattern.
-func (f *Factors) SolveSparseL(bIdx []int, bVal []float64, ws *Workspace) []int {
+// The sparse off-diagonal couplings of Basker's 2D layout: the upper
+// blocks U_kj = L_kk⁻¹·P_k·Â_kj and the lower blocks L_ij solving
+// X·U_jj = Â_ij. Each is built in two steps — a pattern-only pass shapes the
+// block, then the refresh kernel (RefactorUpperBlockFrom,
+// RefactorLowerBlockFrom) fills every value from column 0 — so a fresh
+// factorization and every refresh run one arithmetic, and a refresh on the
+// values a factorization saw is a bitwise no-op. The patterns are
+// structural (reach closures and unions, exact zeros kept), which is what
+// lets the refreshes work in place without pattern discovery.
+
+// UpperBlockPattern shapes dst as the pattern of L⁻¹·P·B: column c holds
+// the reach of B(:,c)'s rows in the graph of L, in pivot space and
+// ascending, found by depth-first search over the pruned prefix of every L
+// column (Gilbert–Peierls). The values are left unspecified for
+// RefactorUpperBlockFrom from column 0 to fill. A nil dst allocates; a
+// non-nil dst is recycled storage, so repeated fresh factorizations on a
+// fixed input pattern stop allocating block storage.
+func (f *Factors) UpperBlockPattern(dst, b *sparse.CSC, ws *Workspace) *sparse.CSC {
+	if dst == nil {
+		dst = sparse.NewCSC(b.M, b.N, b.Nnz()*2)
+	} else {
+		dst.ResetShape(b.M, b.N)
+	}
 	n := f.N
 	ws.Grow(n)
-	ws.Tag++
-	tag := ws.Tag
-	top := n
-	for _, r := range bIdx {
-		start := f.Pinv[r]
-		if ws.Mark[start] == tag {
-			continue
+	for c := 0; c < b.N; c++ {
+		ws.Tag++
+		top := n
+		for _, r := range b.Rowidx[b.Colptr[c]:b.Colptr[c+1]] {
+			if start := f.Pinv[r]; ws.Mark[start] != ws.Tag {
+				top = dfsFinal(start, f.L, ws.Xi, top, ws.Pstack, ws.Mark, ws.Tag, f.PruneEnd)
+			}
 		}
-		top = dfsFinal(start, f.L, ws.Xi, top, ws.Pstack, ws.Mark, tag, f.PruneEnd)
+		p0 := len(dst.Rowidx)
+		dst.Rowidx = append(dst.Rowidx, ws.Xi[top:n]...)
+		sortInts(dst.Rowidx[p0:])
+		dst.Colptr[c+1] = len(dst.Rowidx)
 	}
-	pattern := ws.Xi[top:n]
-	for k, r := range bIdx {
-		ws.X[f.Pinv[r]] += bVal[k]
-	}
-	x := ws.X
-	for _, j := range pattern {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		rows := f.L.Rowidx[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
-		vals := f.L.Values[f.L.Colptr[j]+1 : f.L.Colptr[j+1]]
-		vals = vals[:len(rows)] // bounds-check elimination hint
-		for p, i := range rows {
-			x[i] -= float64(vals[p] * xj)
-		}
-	}
-	return pattern
-}
-
-// ClearSparse zeroes the workspace values over a pattern returned by
-// SolveSparseL.
-func ClearSparse(ws *Workspace, pattern []int) {
-	for _, j := range pattern {
-		ws.X[j] = 0
-	}
+	dst.Values = slices.Grow(dst.Values, len(dst.Rowidx))[:len(dst.Rowidx)]
+	return dst
 }
 
 // dfsFinal is the DFS over a *finished* L whose row indices are already in
@@ -96,142 +87,91 @@ func dfsFinal(start int, l *sparse.CSC, xi []int, top int, pstack, mark []int, t
 	return top
 }
 
-// LowerBlockSolveInto computes X solving X·U = B column by column, where U is
-// this factorization's upper factor and B is a sparse block whose rows are
-// *outside* the factored block (so no pivoting interaction). This produces
-// Basker's lower off-diagonal blocks L_ki from A_ki: column c satisfies
+// RefactorLowerBlockFrom recomputes columns c0..N-1 of dst solving
+// X·U = B in place, where U is f's upper factor and B a block whose rows
+// lie outside the factored block (so no pivoting interaction): column c is
 //
 //	X(:,c) = (B(:,c) − Σ_{t<c, U(t,c)≠0} X(:,t)·U(t,c)) / U(c,c).
 //
-// The returned block has sorted columns. mark/acc are caller-provided
-// workspaces of length ≥ B.M (acc zeroed); they come back clean.
-//
-// The output pattern is structural: entries whose value works out to exact
-// zero are kept, so the pattern depends only on the patterns of B and the
-// factors — the invariant that lets RefactorLowerBlockFrom refresh the
-// block's values in place for a same-pattern matrix.
-//
-// A nil dst allocates the result; a non-nil dst is recycled storage whose
-// entry slices are reset and refilled (growing only if the new pattern is
-// larger), so repeated fresh factorizations on a fixed input pattern stop
-// allocating block storage.
-func (f *Factors) LowerBlockSolveInto(dst, b *sparse.CSC, mark []int, tagp *int, acc []float64) *sparse.CSC {
-	x := dst
-	if x == nil {
-		x = sparse.NewCSC(b.M, b.N, b.Nnz()*2)
-	} else {
-		x.ResetShape(b.M, b.N)
-	}
-	var patt []int
-	for c := 0; c < b.N; c++ {
-		*tagp++
-		tag := *tagp
-		patt = patt[:0]
-		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
-			i := b.Rowidx[p]
-			if mark[i] != tag {
-				mark[i] = tag
-				patt = append(patt, i)
-			}
-			acc[i] += b.Values[p]
-		}
-		// Accumulate -X(:,t)*U(t,c) for t < c in U(:,c)'s pattern. U's
-		// stored entries are nonzero at factorization time, so iterating
-		// the whole pattern keeps the result pattern structural.
-		up0, up1 := f.U.Colptr[c], f.U.Colptr[c+1]
-		for p := up0; p < up1-1; p++ {
-			t := f.U.Rowidx[p]
-			utc := f.U.Values[p]
-			rows := x.Rowidx[x.Colptr[t]:x.Colptr[t+1]]
-			vals := x.Values[x.Colptr[t]:x.Colptr[t+1]]
-			vals = vals[:len(rows)] // bounds-check elimination hint
-			for qi, i := range rows {
-				acc[i] -= float64(vals[qi] * utc)
-				if mark[i] != tag {
-					mark[i] = tag
-					patt = append(patt, i)
-				}
-			}
-		}
-		piv := f.U.Values[up1-1]
-		sortInts(patt)
-		for _, i := range patt {
-			x.Rowidx = append(x.Rowidx, i)
-			x.Values = append(x.Values, acc[i]/piv)
-			acc[i] = 0
-		}
-		x.Colptr[c+1] = len(x.Rowidx)
-	}
-	return x
-}
-
-// RefactorLowerBlockFrom recomputes columns c0..N-1 of dst = B·U⁻¹ in place
-// for a same-pattern B, where dst was produced by LowerBlockSolveInto
-// against the matrix originally factored and f's values have already been
-// refreshed (Refactor). Because LowerBlockSolveInto patterns are
-// structural, every index touched by the recomputation lies inside dst's
-// fixed column patterns, so the sweep needs no pattern discovery and
-// performs no allocation. acc must have length ≥ B.M and arrive zeroed; it
-// comes back clean. c0 = 0 is the full refresh. Column c of the result
-// depends only on input column c, factor
-// column U(:,c) and earlier result columns, so when neither the input's
-// columns before c0 nor the factor's columns before c0 changed since the
-// last refresh, the prefix is already correct and recomputing the suffix
-// alone matches a full refresh bitwise — the per-column granularity the
-// incremental sweep applies to fine-ND leaf kernels.
+// dst's column c holds the union of B(:,c)'s rows and the rows of X(:,t)
+// for every t in U(:,c)'s pattern — structural, so every index touched lies
+// inside it and the sweep needs no pattern discovery and performs no
+// allocation. acc must have length ≥ B.M and arrive zeroed; it comes back
+// clean. c0 = 0 fills the whole block, the fresh build included. Column c
+// of the result depends only on input column c, factor column U(:,c) and
+// earlier result columns, so when neither the input's columns before c0
+// nor the factor's columns before c0 changed since the last refresh, the
+// prefix is already correct and recomputing the suffix alone matches a
+// full refresh bitwise — the per-column granularity the incremental sweep
+// applies to fine-ND leaf kernels.
 func (f *Factors) RefactorLowerBlockFrom(dst, b *sparse.CSC, acc []float64, c0 int) {
+	up, ui, ux := f.U.Colptr, f.U.Rowidx, f.U.Values
+	bp, bi, bx := b.Colptr, b.Rowidx, b.Values
+	dp, di, dx := dst.Colptr, dst.Rowidx, dst.Values
 	for c := c0; c < b.N; c++ {
-		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
-			acc[b.Rowidx[p]] += b.Values[p]
+		brows, bvals := bi[bp[c]:bp[c+1]], bx[bp[c]:bp[c+1]]
+		bvals = bvals[:len(brows)]
+		for q, i := range brows {
+			acc[i] += bvals[q]
 		}
-		up0, up1 := f.U.Colptr[c], f.U.Colptr[c+1]
-		for p := up0; p < up1-1; p++ {
-			t := f.U.Rowidx[p]
-			utc := f.U.Values[p]
+		u0, u1 := up[c], up[c+1]-1
+		urows, uvals := ui[u0:u1], ux[u0:u1]
+		uvals = uvals[:len(urows)]
+		for p, t := range urows {
+			utc := uvals[p]
 			if utc == 0 {
-				continue // refreshed value drifted to zero: contribution vanishes
+				continue // a zero multiplier contributes nothing
 			}
-			for q := dst.Colptr[t]; q < dst.Colptr[t+1]; q++ {
-				acc[dst.Rowidx[q]] -= float64(dst.Values[q] * utc)
+			rows, vals := di[dp[t]:dp[t+1]], dx[dp[t]:dp[t+1]]
+			vals = vals[:len(rows)]
+			for q, i := range rows {
+				acc[i] -= float64(vals[q] * utc)
 			}
 		}
-		piv := f.U.Values[up1-1]
-		for p := dst.Colptr[c]; p < dst.Colptr[c+1]; p++ {
-			i := dst.Rowidx[p]
-			dst.Values[p] = acc[i] / piv
+		piv := ux[u1]
+		rows, vals := di[dp[c]:dp[c+1]], dx[dp[c]:dp[c+1]]
+		vals = vals[:len(rows)]
+		for q, i := range rows {
+			vals[q] = acc[i] / piv
 			acc[i] = 0
 		}
 	}
 }
 
 // RefactorUpperBlockFrom recomputes columns c0..N-1 of dst = L⁻¹·P·B in
-// place for a same-pattern B, where dst's columns hold the (structural,
-// sorted, pivot-space) patterns discovered by SolveSparseL at factorization
-// time and f's values have already been refreshed. Ascending pivot order is
-// a topological order of the forward solve, so each column is one masked
-// substitution pass; no DFS, no allocation. ws provides the dense
-// accumulator. c0 = 0 is the full refresh. Unlike the lower-block sweep,
-// each output column here is
-// independent of the others but reads the whole of L, so the suffix
-// restriction is sound only when the factor itself did not change this
-// sweep and every changed input column lies at or beyond c0.
+// place over the (structural, sorted, pivot-space) patterns
+// UpperBlockPattern gave it. Ascending pivot order is a topological order
+// of the forward solve, so each column is one masked substitution pass; no
+// DFS, no allocation. ws provides the dense accumulator. c0 = 0 fills the
+// whole block, the fresh build included. Unlike the lower-block sweep, each
+// output column here is independent of the others but reads the whole of
+// L, so the suffix restriction is sound only when the factor itself did not
+// change this sweep and every changed input column lies at or beyond c0.
 func (f *Factors) RefactorUpperBlockFrom(dst, b *sparse.CSC, ws *Workspace, c0 int) {
 	ws.Grow(f.N)
-	x := ws.X
+	x, pinv := ws.X, f.Pinv
+	lp, li, lx := f.L.Colptr, f.L.Rowidx, f.L.Values
+	bp, bi, bx := b.Colptr, b.Rowidx, b.Values
+	dp, di, dx := dst.Colptr, dst.Rowidx, dst.Values
 	for c := c0; c < b.N; c++ {
-		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
-			x[f.Pinv[b.Rowidx[p]]] = b.Values[p]
+		brows, bvals := bi[bp[c]:bp[c+1]], bx[bp[c]:bp[c+1]]
+		bvals = bvals[:len(brows)]
+		for q, r := range brows {
+			x[pinv[r]] = bvals[q]
 		}
-		for p := dst.Colptr[c]; p < dst.Colptr[c+1]; p++ {
-			r := dst.Rowidx[p]
+		drows, dvals := di[dp[c]:dp[c+1]], dx[dp[c]:dp[c+1]]
+		dvals = dvals[:len(drows)]
+		for p, r := range drows {
 			xr := x[r]
-			dst.Values[p] = xr
+			dvals[p] = xr
 			x[r] = 0
 			if xr == 0 {
 				continue
 			}
-			for q := f.L.Colptr[r] + 1; q < f.L.Colptr[r+1]; q++ {
-				x[f.L.Rowidx[q]] -= float64(f.L.Values[q] * xr)
+			rows, vals := li[lp[r]+1:lp[r+1]], lx[lp[r]+1:lp[r+1]]
+			vals = vals[:len(rows)]
+			for q, i := range rows {
+				x[i] -= float64(vals[q] * xr)
 			}
 		}
 	}
