@@ -218,13 +218,17 @@ type StallError = core.StallError
 // checkMatrix is the always-on O(1) screen of every entry point that takes
 // a *Matrix: a nil matrix, a negative dimension or slices too short for the
 // entry count the column pointers declare report ErrBadInput instead of a
-// nil dereference or an out-of-range slice.
+// nil dereference or an out-of-range slice, and a non-square matrix
+// reports ErrDimensionMismatch.
 func checkMatrix(a *Matrix) error {
 	if a == nil {
 		return fmt.Errorf("%w: nil matrix", ErrBadInput)
 	}
 	if a.M < 0 || a.N < 0 {
 		return fmt.Errorf("%w: matrix is %d×%d, dimensions must not be negative", ErrBadInput, a.M, a.N)
+	}
+	if a.M != a.N {
+		return fmt.Errorf("%w: matrix is %d×%d, want square", ErrDimensionMismatch, a.M, a.N)
 	}
 	if len(a.Colptr) != a.N+1 {
 		return fmt.Errorf("%w: len(Colptr) = %d, want N+1 = %d", ErrBadInput, len(a.Colptr), a.N+1)
@@ -288,9 +292,6 @@ func (s *Solver) FactorCtx(ctx context.Context, a *Matrix) (*Factorization, erro
 	if err := checkMatrix(a); err != nil {
 		return nil, err
 	}
-	if a.M != a.N {
-		return nil, fmt.Errorf("%w: matrix is %d×%d, want square", ErrDimensionMismatch, a.M, a.N)
-	}
 	if err := validateInput(ctx, a, s.opts.ValidateInputs); err != nil {
 		return nil, err
 	}
@@ -321,10 +322,7 @@ func newFactorization(num *core.Numeric) *Factorization {
 // wrong-length b reports ErrDimensionMismatch; a non-nil error leaves b
 // unspecified but never harms the factorization (solves only read it).
 func (f *Factorization) Solve(b []float64) error {
-	if n := f.num.Sym.N; len(b) != n {
-		return fmt.Errorf("%w: len(b) = %d, want %d", ErrDimensionMismatch, len(b), n)
-	}
-	return wrapErr(f.ts.Solve(b))
+	return f.SolveCtx(context.Background(), b)
 }
 
 // SolveCtx is Solve with a context check at entry: a ctx that has already
@@ -351,13 +349,7 @@ func (f *Factorization) SolveCtx(ctx context.Context, b []float64) error {
 // right-hand side the floating-point operation order is Solve's, so every
 // component compares == with calling Solve on each bᵢ.
 func (f *Factorization) SolveMany(bs [][]float64) error {
-	n := f.num.Sym.N
-	for i, b := range bs {
-		if len(b) != n {
-			return fmt.Errorf("%w: len(bs[%d]) = %d, want %d", ErrDimensionMismatch, i, len(b), n)
-		}
-	}
-	return wrapErr(f.ts.SolveMany(bs))
+	return f.SolveManyCtx(context.Background(), bs)
 }
 
 // SolveManyCtx is SolveMany with cooperative cancellation: workers stop
@@ -409,10 +401,7 @@ func (f *Factorization) SolveMatrix(x []float64, nrhs int) error {
 // succeeds or it is discarded for a fresh Factor; the Refactor after a
 // failure compares nothing and refreshes every block.
 func (f *Factorization) Refactor(a *Matrix) error {
-	if err := f.refreshChecks(a); err != nil {
-		return err
-	}
-	return wrapErr(f.num.Refactor(a))
+	return f.RefactorCtx(context.Background(), a)
 }
 
 // RefactorCtx is Refactor with cooperative cancellation: a ctx cancelled or
@@ -430,13 +419,13 @@ func (f *Factorization) RefactorCtx(ctx context.Context, a *Matrix) error {
 }
 
 // refreshChecks is the shared API-boundary screen of the Refactor family:
-// always-on O(1) nil and dimension checks plus the gated O(nnz) validation
-// pass.
+// always-on O(1) nil, shape and dimension checks plus the gated O(nnz)
+// validation pass.
 func (f *Factorization) refreshChecks(a *Matrix) error {
 	if err := checkMatrix(a); err != nil {
 		return err
 	}
-	if n := f.num.Sym.N; a.M != n || a.N != n {
+	if n := f.num.Sym.N; a.N != n {
 		return fmt.Errorf("%w: matrix is %d×%d, factorization is %d×%d", ErrDimensionMismatch, a.M, a.N, n, n)
 	}
 	return validateInput(context.TODO(), a, f.num.Sym.Opts.ValidateInputs)
@@ -459,10 +448,7 @@ func (f *Factorization) refreshChecks(a *Matrix) error {
 // Exclusion and error contracts match Refactor. After a failed refresh the
 // next incremental call automatically runs a full recovery sweep.
 func (f *Factorization) RefactorPartial(a *Matrix, changedCols []int) error {
-	if err := f.refreshChecks(a); err != nil {
-		return err
-	}
-	return wrapErr(f.num.RefactorPartial(a, changedCols))
+	return f.RefactorPartialCtx(context.Background(), a, changedCols)
 }
 
 // RefactorPartialCtx is RefactorPartial with cooperative cancellation; the
@@ -539,28 +525,7 @@ const RefineTol = trisolve.RefineTol
 // matrix that was factored (or refactored). b is overwritten with x. Like
 // Solve, it is reentrant and draws all scratch from the workspace pool.
 func (f *Factorization) SolveRefined(a *Matrix, b []float64, maxIters int) (RefineResult, error) {
-	if err := f.refineChecks(a, b); err != nil {
-		return RefineResult{}, err
-	}
-	res, err := f.ts.SolveRefined(a, b, maxIters)
-	return res, wrapErr(err)
-}
-
-// refineChecks is the always-on O(1) screen of SolveRefined and
-// SolveRefinedCtx: a nil matrix, and a matrix or right-hand side whose
-// dimensions do not match the factorization.
-func (f *Factorization) refineChecks(a *Matrix, b []float64) error {
-	if err := checkMatrix(a); err != nil {
-		return err
-	}
-	n := f.num.Sym.N
-	if a.M != n || a.N != n {
-		return fmt.Errorf("%w: matrix is %d×%d, factorization is %d×%d", ErrDimensionMismatch, a.M, a.N, n, n)
-	}
-	if len(b) != n {
-		return fmt.Errorf("%w: len(b) = %d, want %d", ErrDimensionMismatch, len(b), n)
-	}
-	return nil
+	return f.SolveRefinedCtx(context.Background(), a, b, maxIters)
 }
 
 // SolveRefinedCtx is SolveRefined with cooperative cancellation between
@@ -568,8 +533,11 @@ func (f *Factorization) refineChecks(a *Matrix, b []float64) error {
 // best iterate computed so far, and the returned RefineResult describes it
 // with Canceled set alongside ErrCanceled or ErrDeadlineExceeded.
 func (f *Factorization) SolveRefinedCtx(ctx context.Context, a *Matrix, b []float64, maxIters int) (RefineResult, error) {
-	if err := f.refineChecks(a, b); err != nil {
+	if err := checkMatrix(a); err != nil {
 		return RefineResult{}, err
+	}
+	if n := f.num.Sym.N; a.N != n || len(b) != n {
+		return RefineResult{}, fmt.Errorf("%w: matrix is %d×%d, len(b) = %d, factorization is %d×%d", ErrDimensionMismatch, a.M, a.N, len(b), n, n)
 	}
 	res, err := f.ts.SolveRefinedCtx(ctx, a, b, maxIters)
 	return res, wrapErr(err)

@@ -11,7 +11,8 @@ import (
 )
 
 // TestFaultTypedErrorsDimensions pins the always-on O(1) dimension checks:
-// non-square factor targets and wrong-length right-hand sides must report
+// non-square factor targets (Solver and Pool, with and without
+// ValidateInputs) and wrong-length right-hand sides must report
 // ErrDimensionMismatch from every solve entry point.
 func TestFaultTypedErrorsDimensions(t *testing.T) {
 	// Non-square matrix.
@@ -21,6 +22,15 @@ func TestFaultTypedErrorsDimensions(t *testing.T) {
 	rect := tr.Matrix()
 	if _, err := New(Options{}).Factor(rect); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("Factor of 3×2 matrix reported %v, want ErrDimensionMismatch", err)
+	}
+	for _, validate := range []bool{false, true} {
+		p := NewPool(PoolOptions{Options: Options{ValidateInputs: validate}})
+		if _, err := p.Acquire(rect); !errors.Is(err, ErrDimensionMismatch) {
+			t.Fatalf("Pool.Acquire of 3×2 matrix (ValidateInputs %v) reported %v, want ErrDimensionMismatch", validate, err)
+		}
+		if _, err := p.Factor(rect); !errors.Is(err, ErrDimensionMismatch) {
+			t.Fatalf("Pool.Factor of 3×2 matrix (ValidateInputs %v) reported %v, want ErrDimensionMismatch", validate, err)
+		}
 	}
 
 	a := matgen.Circuit(matgen.CircuitParams{N: 120, BTFPct: 40, Blocks: 8, Core: matgen.CoreLadder, ExtraDensity: 0.3, Seed: 5})

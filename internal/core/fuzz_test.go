@@ -109,11 +109,17 @@ func FuzzFactorSolve(f *testing.F) {
 	})
 }
 
+// fuzzThreads maps a fuzzed byte onto the thread counts the refresh fuzz
+// targets draw from: 1 (one leaf, the serial sweep), 2 and 4 (two and four
+// leaves, where the per-kernel dirty mask of the 2D hierarchy decides what
+// a partial sweep reruns).
+func fuzzThreads(b uint8) int { return []int{1, 2, 4}[int(b)%3] }
+
 // FuzzRefactor drives Refactor's own change discovery through a restamp
-// sequence on a random matgen class against a twin that runs a full
-// refresh (refreshFull) every step: after each step the factors and
-// permuted values of the two must agree bit for bit, or both calls must
-// fail with the same error class. Each script byte is one step: a restamp
+// sequence on a random matgen class, at Threads 1, 2 or 4, against a twin
+// that runs a full refresh (refreshFull) every step: after each step the
+// factors and permuted values of the two must agree bit for bit, or both
+// calls must fail with the same error class. Each script byte is one step: a restamp
 // below or above the half-the-columns rule, flips of stored zeros between
 // +0 and −0, NaNs restamped with the same bits, planted infinities — or an
 // interleaved full refresh, RefactorPartial or FactorInto on the subject.
@@ -128,10 +134,11 @@ func FuzzRefactor(f *testing.F) {
 	f.Add(int64(2), uint8(10), uint8(1), []byte{3, 4, 0, 5, 6, 7, 2, 1})
 	f.Add(int64(3), uint8(16), uint8(1), []byte{2, 6, 2, 0, 3, 3, 4, 1, 0})
 	f.Add(int64(4), uint8(21), uint8(0), []byte{1, 0, 7, 0, 5, 2})
+	f.Add(int64(5), uint8(10), uint8(2), []byte{3, 6, 0, 4, 1, 5, 2})
 	f.Fuzz(func(t *testing.T, seed int64, class, threads uint8, script []byte) {
 		suite := matgen.TableISuite(0.05)
 		a := suite[int(class)%len(suite)].Gen()
-		sym, err := Analyze(a, optsWithThreads(1+int(threads)%2))
+		sym, err := Analyze(a, optsWithThreads(fuzzThreads(threads)))
 		if err != nil {
 			t.Skip()
 		}
@@ -219,12 +226,13 @@ func FuzzRefactor(f *testing.F) {
 }
 
 // FuzzRefactorPartial drives RefactorPartial with adversarial change sets
-// on a random matgen class against a twin that runs a full refresh
-// (refreshFull) every step. Each script byte is one step that restamps a few columns and lists
-// them: as they are, with duplicates, unsorted, not at all (an empty set
-// for an unchanged matrix), padded with unchanged columns, padded past half
-// the columns (the full-sweep degrade), or with an out-of-range index on a
-// small or a near-total set. After each step the factors, permuted values
+// on a random matgen class, at Threads 1, 2 or 4, against a twin that runs
+// a full refresh (refreshFull) every step. Each script byte is one step
+// that restamps a few columns and lists them: as they are, with
+// duplicates, unsorted, not at all (an empty set for an unchanged matrix),
+// padded with unchanged columns, padded past half the columns (the
+// full-sweep degrade), or with an out-of-range index on a small or a
+// near-total set. After each step the factors, permuted values
 // and the solution of one right-hand side must agree bit for bit, or both
 // calls must fail with the same error class. An out-of-range index must be
 // rejected before anything is gathered: the subject keeps the twin's bits,
@@ -239,11 +247,12 @@ func FuzzRefactorPartial(f *testing.F) {
 	f.Add(int64(2), uint8(10), uint8(1), []byte{7, 6, 5, 4, 3, 2, 1, 0})
 	f.Add(int64(3), uint8(16), uint8(1), []byte{1, 1, 6, 2, 5, 0})
 	f.Add(int64(4), uint8(21), uint8(0), []byte{4, 3, 7, 0, 2})
+	f.Add(int64(5), uint8(10), uint8(2), []byte{0, 2, 6, 1, 3, 5})
 	f.Fuzz(func(t *testing.T, seed int64, class, threads uint8, script []byte) {
 		suite := matgen.TableISuite(0.05)
 		a := suite[int(class)%len(suite)].Gen()
 		n := a.N
-		sym, err := Analyze(a, optsWithThreads(1+int(threads)%2))
+		sym, err := Analyze(a, optsWithThreads(fuzzThreads(threads)))
 		if err != nil {
 			t.Skip()
 		}

@@ -54,13 +54,6 @@ type ndIncState struct {
 	pairStamp []uint64
 	// chg[i*nb+j] reports whether kernel (i, j) must rerun this sweep.
 	chg []bool
-	// nodeStamp[v] == epoch marks node v's column range as touched;
-	// nodeFirst[v] is then the smallest changed node-local column, and
-	// first[v] its per-sweep resolution (0 for untouched nodes) — the
-	// suffix starting point the leaf off-diagonal kernels refactor from.
-	nodeStamp []uint64
-	nodeFirst []int
-	first     []int
 	// colStamp/rerun are this coarse block's slices of the incState arrays
 	// (block-local indexing), and epoch the sweep's stamp — what the leaf
 	// diagonal kernels need for the selective per-column refresh.
@@ -97,9 +90,6 @@ func (num *Numeric) ensureIncremental() {
 				colOf:     make([]int, bs),
 				pairStamp: make([]uint64, ns.nb*ns.nb),
 				chg:       make([]bool, ns.nb*ns.nb),
-				nodeStamp: make([]uint64, ns.nb),
-				nodeFirst: make([]int, ns.nb),
-				first:     make([]int, ns.nb),
 				colStamp:  inc.colStamp[sym.BlockPtr[blk]:sym.BlockPtr[blk+1]],
 				rerun:     inc.rerun[sym.BlockPtr[blk]:sym.BlockPtr[blk+1]],
 			}
@@ -274,16 +264,6 @@ func (num *Numeric) markDirtyBlock(blk int) {
 	}
 }
 
-// markNDNode records a change in node jn at node-local column c.
-func (st *ndIncState) markNDNode(jn, c int, epoch uint64) {
-	if st.nodeStamp[jn] != epoch {
-		st.nodeStamp[jn] = epoch
-		st.nodeFirst[jn] = c
-	} else if c < st.nodeFirst[jn] {
-		st.nodeFirst[jn] = c
-	}
-}
-
 // diffColumn scatters permuted column k of a into permuted storage entry by
 // entry, comparing bit for bit against the resident values (all counts
 // every entry as changed: the explicit change-set path trusts its caller).
@@ -328,9 +308,6 @@ func (num *Numeric) diffColumn(a *sparse.CSC, k int, all bool) {
 	}
 	inc.colStamp[k] = inc.epoch
 	num.markDirtyBlock(blk)
-	if nd {
-		st.markNDNode(jn, st.colOf[k-r0], inc.epoch)
-	}
 	num.regatherBlockColumn(blk, k)
 }
 
@@ -372,13 +349,6 @@ func (ndn *ndNum) computeChanged(st *ndIncState, epoch uint64) {
 	}
 	pair := func(i, j int) bool { return st.pairStamp[i*nb+j] == epoch }
 	st.epoch = epoch
-	for v := range st.first {
-		if st.nodeStamp[v] == epoch {
-			st.first[v] = st.nodeFirst[v]
-		} else {
-			st.first[v] = 0
-		}
-	}
 	for j := 0; j < nb; j++ {
 		// Upper targets U_kp,j for descendants kp of j, in schedule order:
 		// rerun when the input block changed, the solving diagonal factor

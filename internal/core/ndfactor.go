@@ -276,12 +276,11 @@ func newNDNum(blk int, sym *ndSym, grid *ndGrid, opts Options) *ndNum {
 // permuted matrix the input blocks gather from.
 //
 // st, when non-nil (modePartial), carries the sweep's changed-kernel matrix
-// (st.chg, nb×nb row major) and per-node first-dirty columns (st.first):
-// only kernels whose chg entry is true rerun — clean kernels keep their
-// values and their completion flags are pre-armed, so dirty kernels still
-// synchronize point-to-point exactly as in a full sweep — and the marking
-// phase has already forwarded the changed input values, so nothing is
-// regathered.
+// (st.chg, nb×nb row major): only kernels whose chg entry is true rerun,
+// each whole — clean kernels keep their values and their completion flags
+// are pre-armed, so dirty kernels still synchronize point-to-point exactly
+// as in a full sweep — and the marking phase has already forwarded the
+// changed input values, so nothing is regathered.
 //
 // On error the values are left partially computed and nothing may be
 // published or solved with; opts carries the owner's cancel control, the
@@ -479,16 +478,8 @@ type ndLane struct {
 	waitMark int64
 }
 
-// live reports whether kernel (i, j) runs this sweep; firstOf reports the
-// column of node j its refresh may start from (the mask's first dirty
-// column; everything, from column 0, without a mask).
+// live reports whether kernel (i, j) runs this sweep.
 func (w *ndLane) live(i, j int) bool { return w.st == nil || w.st.chg[i*w.num.sym.nb+j] }
-func (w *ndLane) firstOf(j int) int {
-	if w.st == nil {
-		return 0
-	}
-	return w.st.first[j]
-}
 
 // begin opens a kernel span; end closes it and, when tracing, emits one
 // event that carries the blocked wait accumulated since the previous event.
@@ -545,15 +536,8 @@ func (w *ndLane) close() {
 // All scratch comes from the pooled per-worker
 // workspaces, so a recycled or refreshed hierarchy allocates nothing here.
 //
-// Per-column granularity at the leaves of a partial sweep: leaf kernels
-// consume no reduction, so when the change set first touches node v at
-// column st.first[v], the leaf diagonal reruns only the closure of its dirty
-// columns, leaf lower blocks refresh from that column (output column c
-// reads input column c, factor column c and earlier output columns, none of
-// which changed before the first dirty column), and leaf upper blocks
-// refresh from the target column's first dirty column provided the leaf
-// factor itself did not change this sweep (each upper column reads the
-// whole leaf L).
+// In a partial sweep a live kernel reruns whole, except the leaf diagonal,
+// which reruns only the closure of its dirty columns (see diagKernel).
 func (num *ndNum) worker(t int, mode sweepMode, st *ndIncState) {
 	num.opts.Inject.WorkerPanic(faultinject.SweepND, t)
 	num.opts.Inject.StallPoint(faultinject.SweepND, num.blk)
@@ -574,7 +558,7 @@ func (num *ndNum) worker(t int, mode sweepMode, st *ndIncState) {
 	if err == nil {
 		for _, i := range s.ancestors[leaf] {
 			if w.live(i, leaf) {
-				w.lowerKernel(i, leaf, num.a[i][leaf], w.firstOf(leaf))
+				w.lowerKernel(i, leaf, num.a[i][leaf])
 				num.flags.set(i, leaf)
 			}
 		}
@@ -592,12 +576,8 @@ func (num *ndNum) worker(t int, mode sweepMode, st *ndIncState) {
 		j := ancestorAtHeight(s, leaf, slevel)
 		// Step A (treelevel 0): my leaf's upper block U_{leaf,j}.
 		if w.live(leaf, j) {
-			c0 := 0
-			if !w.live(leaf, leaf) {
-				c0 = w.firstOf(j)
-			}
 			w.begin()
-			w.upperKernel(leaf, j, num.a[leaf][j], c0)
+			w.upperKernel(leaf, j, num.a[leaf][j])
 			num.flags.set(leaf, j)
 			w.end()
 		}
@@ -613,7 +593,7 @@ func (num *ndNum) worker(t int, mode sweepMode, st *ndIncState) {
 					return
 				}
 				w.begin()
-				w.upperKernel(k, j, w.reduceKernel(k, j, lows, ups), 0)
+				w.upperKernel(k, j, w.reduceKernel(k, j, lows, ups))
 				num.flags.set(k, j)
 				w.end()
 			}
@@ -654,7 +634,7 @@ func (num *ndNum) worker(t int, mode sweepMode, st *ndIncState) {
 				return
 			}
 			w.begin()
-			w.lowerKernel(i, j, w.reduceKernel(i, j, lows, ups), 0)
+			w.lowerKernel(i, j, w.reduceKernel(i, j, lows, ups))
 			num.flags.set(i, j)
 			w.end()
 		}
@@ -715,15 +695,14 @@ func (w *ndLane) diagKernel(b int, m *sparse.CSC) error {
 	return nil
 }
 
-// upperKernel computes U_kj = L_kk⁻¹·P_k·Â_kj from the (reduced) block
-// ahat, or refreshes its columns from c0 on. When both the kernel and the
-// solving diagonal are dense-tagged every mode runs the dense TRSM of
-// gp.DenseUpperRefactorFrom over L's contiguous dense columns; otherwise
-// gp.RefactorUpperBlockFrom. A fresh sweep first shapes the block —
-// structural fully dense, or the Gilbert–Peierls reach of every column
-// (gp.UpperBlockPattern) — and c0 is 0 there, so fresh and refresh share
-// one arithmetic.
-func (w *ndLane) upperKernel(k, j int, ahat *sparse.CSC, c0 int) {
+// upperKernel computes or refreshes U_kj = L_kk⁻¹·P_k·Â_kj from the
+// (reduced) block ahat. When both the kernel and the solving diagonal are
+// dense-tagged every mode runs the dense TRSM of gp.DenseUpperRefactor over
+// L's contiguous dense columns; otherwise gp.RefactorUpperBlock. A fresh
+// sweep first shapes the block — structural fully dense, or the
+// Gilbert–Peierls reach of every column (gp.UpperBlockPattern) — so fresh
+// and refresh share one arithmetic.
+func (w *ndLane) upperKernel(k, j int, ahat *sparse.CSC) {
 	num := w.num
 	f, dst := num.diag[k], num.upper[k][j]
 	dense := num.useDense(k, j) && num.useDense(k, k)
@@ -740,18 +719,17 @@ func (w *ndLane) upperKernel(k, j int, ahat *sparse.CSC, c0 int) {
 		num.upper[k][j] = dst
 	}
 	if dense {
-		f.DenseUpperRefactorFrom(dst, ahat, c0)
+		f.DenseUpperRefactor(dst, ahat)
 	} else {
-		f.RefactorUpperBlockFrom(dst, ahat, w.ws, c0)
+		f.RefactorUpperBlock(dst, ahat, w.ws)
 	}
 }
 
-// lowerKernel computes L_ij solving X·U_jj = Â_ij, or refreshes its columns
-// from c0 on: gp.DenseLowerRefactorFrom over a fully dense block when both
-// the kernel and the diagonal are dense-tagged, gp.RefactorLowerBlockFrom
-// otherwise. A fresh sweep first shapes the block (fully dense, or
-// lowerPattern's union).
-func (w *ndLane) lowerKernel(i, j int, ahat *sparse.CSC, c0 int) {
+// lowerKernel computes or refreshes L_ij solving X·U_jj = Â_ij:
+// gp.DenseLowerRefactor over a fully dense block when both the kernel and
+// the diagonal are dense-tagged, gp.RefactorLowerBlock otherwise. A fresh
+// sweep first shapes the block (fully dense, or lowerPattern's union).
+func (w *ndLane) lowerKernel(i, j int, ahat *sparse.CSC) {
 	num := w.num
 	f, dst := num.diag[j], num.lower[i][j]
 	dense := num.useDense(i, j) && num.useDense(j, j)
@@ -768,9 +746,9 @@ func (w *ndLane) lowerKernel(i, j int, ahat *sparse.CSC, c0 int) {
 		num.lower[i][j] = dst
 	}
 	if dense {
-		f.DenseLowerRefactorFrom(dst, ahat, c0)
+		f.DenseLowerRefactor(dst, ahat)
 	} else {
-		f.RefactorLowerBlockFrom(dst, ahat, w.acc, c0)
+		f.RefactorLowerBlock(dst, ahat, w.acc)
 	}
 }
 
@@ -802,8 +780,8 @@ func (w *ndLane) reduceKernel(i, j int, lows, ups []*sparse.CSC) *sparse.CSC {
 
 // lowerPattern shapes dst as the pattern of X solving X·U = B: column c is
 // the union of B(:,c)'s rows and the rows of X(:,t) for every t in U(:,c)'s
-// strictly upper pattern. The values are left for
-// gp.RefactorLowerBlockFrom to fill.
+// strictly upper pattern. The values are left for gp.RefactorLowerBlock to
+// fill.
 func (w *ndLane) lowerPattern(dst, b, u *sparse.CSC) *sparse.CSC {
 	dst = resetBlock(dst, b.M, b.N)
 	for c := 0; c < b.N; c++ {

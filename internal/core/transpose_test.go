@@ -177,3 +177,45 @@ func TestSolveTransposeResidual(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateRcondSafeguard pins the alternating-sign safeguard of
+// EstimateRcond on a matrix where it decides the estimate: on
+//
+//	⎡−2  0  0⎤
+//	⎢ 0 −3  4⎥
+//	⎣ 0 −2  4⎦
+//
+// the power iteration stops below 2/5 of the exact ‖A⁻¹‖₁ = 7/4, and only
+// the safeguard's probe (≈ 0.79 of it) brings the estimate within a factor
+// of two. The exact norm comes from n solves of the unit vectors; both
+// probes are lower bounds, so the estimate must not exceed it either.
+func TestEstimateRcondSafeguard(t *testing.T) {
+	coo := sparse.NewCOO(3, 3, 5)
+	for _, e := range [][3]float64{{0, 0, -2}, {1, 1, -3}, {1, 2, 4}, {2, 1, -2}, {2, 2, 4}} {
+		coo.Add(int(e[0]), int(e[1]), e[2])
+	}
+	a := coo.ToCSC(true)
+	sym, err := Analyze(a, optsWithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	num, err := Factor(a, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, y := 0.0, make([]float64, a.N)
+	for j := 0; j < a.N; j++ {
+		e := make([]float64, a.N)
+		e[j] = 1
+		num.SolveInto(e, y)
+		s := 0.0
+		for _, v := range e {
+			s += math.Abs(v)
+		}
+		exact = math.Max(exact, s)
+	}
+	est := 1 / (num.Norm1() * num.EstimateRcond())
+	if est < exact/2 || est > exact*(1+1e-12) {
+		t.Fatalf("estimated ‖A⁻¹‖₁ = %v, exact %v: want within a factor of two below", est, exact)
+	}
+}

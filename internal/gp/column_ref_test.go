@@ -143,11 +143,11 @@ func (f *Factors) outsideColumnsRef(a *sparse.CSC, x []float64, k0, k1 int, pane
 	}
 }
 
-// refactorLowerBlockFromRef and refactorUpperBlockFromRef are the two
-// coupling refresh kernels as they stood before their headers were
-// hoisted, the oracle of checkBlockKernels.
-func (f *Factors) refactorLowerBlockFromRef(dst, b *sparse.CSC, acc []float64, c0 int) {
-	for c := c0; c < b.N; c++ {
+// refactorLowerBlockRef and refactorUpperBlockRef are the two coupling
+// refresh kernels as they stood before their headers were hoisted, the
+// oracle of checkBlockKernels.
+func (f *Factors) refactorLowerBlockRef(dst, b *sparse.CSC, acc []float64) {
+	for c := 0; c < b.N; c++ {
 		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
 			acc[b.Rowidx[p]] += b.Values[p]
 		}
@@ -171,10 +171,10 @@ func (f *Factors) refactorLowerBlockFromRef(dst, b *sparse.CSC, acc []float64, c
 	}
 }
 
-func (f *Factors) refactorUpperBlockFromRef(dst, b *sparse.CSC, ws *Workspace, c0 int) {
+func (f *Factors) refactorUpperBlockRef(dst, b *sparse.CSC, ws *Workspace) {
 	ws.Grow(f.N)
 	x := ws.X
-	for c := c0; c < b.N; c++ {
+	for c := 0; c < b.N; c++ {
 		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
 			x[f.Pinv[b.Rowidx[p]]] = b.Values[p]
 		}
@@ -338,8 +338,8 @@ func (f *Factors) lowerPatternRef(b *sparse.CSC) *sparse.CSC {
 // checkBlockKernels runs the two hoisted coupling kernels and their
 // pre-hoist references on f over random couplings — an upper block with
 // f.N rows and a lower block with f.N columns, values with specials at the
-// given rate — from column 0 and from a middle column, and fails on the
-// first bit that differs or a scratch left dirty.
+// given rate — and fails on the first bit that differs or a scratch left
+// dirty.
 func checkBlockKernels(t *testing.T, ctx string, rng *rand.Rand, f *Factors, rate float64) {
 	t.Helper()
 	n, ws := f.N, NewWorkspace(f.N)
@@ -347,18 +347,14 @@ func checkBlockKernels(t *testing.T, ctx string, rng *rand.Rand, f *Factors, rat
 	bl := randomBlock(rng, 1+rng.Intn(6), n, 0.1+rng.Float64()*0.3, rate)
 	up, lo := f.UpperBlockPattern(nil, bu, ws), f.lowerPatternRef(bl)
 	acc := make([]float64, bl.M)
-	for _, half := range []int{0, 1} {
-		ref, ker := up.Clone(), up.Clone()
-		c0 := half * bu.N / 2
-		f.refactorUpperBlockFromRef(ref, bu, ws, c0)
-		f.RefactorUpperBlockFrom(ker, bu, ws, c0)
-		checkBlockBits(t, ctx+fmt.Sprintf(": upper from %d", c0), ref, ker, ws.X[:n])
-		ref, ker = lo.Clone(), lo.Clone()
-		c0 = half * n / 2
-		f.refactorLowerBlockFromRef(ref, bl, acc, c0)
-		f.RefactorLowerBlockFrom(ker, bl, acc, c0)
-		checkBlockBits(t, ctx+fmt.Sprintf(": lower from %d", c0), ref, ker, acc)
-	}
+	ref, ker := up.Clone(), up.Clone()
+	f.refactorUpperBlockRef(ref, bu, ws)
+	f.RefactorUpperBlock(ker, bu, ws)
+	checkBlockBits(t, ctx+": upper", ref, ker, ws.X[:n])
+	ref, ker = lo.Clone(), lo.Clone()
+	f.refactorLowerBlockRef(ref, bl, acc)
+	f.RefactorLowerBlock(ker, bl, acc)
+	checkBlockBits(t, ctx+": lower", ref, ker, acc)
 }
 
 // checkBlockBits fails unless the two blocks' values carry the same bits
@@ -427,8 +423,8 @@ func columnInputs(rng *rand.Rand, a *sparse.CSC) []struct {
 
 // TestColumnKernelsMatchReference pins the hoisted column loops — LSolve,
 // USolve, LSolveT, USolveT, refactorColumn and outsideColumns — and the
-// two coupling kernels RefactorUpperBlockFrom and RefactorLowerBlockFrom
-// to their verbatim pre-hoist references bit for bit, on every ND block of the
+// two coupling kernels RefactorUpperBlock and RefactorLowerBlock to their
+// verbatim pre-hoist references bit for bit, on every ND block of the
 // Table I suite and the three bench patterns (as the one-leaf engine
 // orders them) and the synthetic dense-ish blocks, each factored column at
 // a time and supernodally with every wide supernode sent through

@@ -133,13 +133,13 @@ func TestFactorDenseIntoSingular(t *testing.T) {
 // FillDense gives a nil block.
 func denseUpperFresh(f *Factors, b *sparse.CSC) *sparse.CSC {
 	dst := sparse.FillDense(nil, f.N, b.N, nil)
-	f.DenseUpperRefactorFrom(dst, b, 0)
+	f.DenseUpperRefactor(dst, b)
 	return dst
 }
 
 func denseLowerFresh(f *Factors, b *sparse.CSC) *sparse.CSC {
 	dst := sparse.FillDense(nil, b.M, b.N, nil)
-	f.DenseLowerRefactorFrom(dst, b, 0)
+	f.DenseLowerRefactor(dst, b)
 	return dst
 }
 
@@ -218,7 +218,7 @@ func TestDenseSolvesMatchSparseKernels(t *testing.T) {
 	up := denseUpperFresh(f, b)
 	checkBlockNear(t, "upper dense", up, want)
 	sp := f.UpperBlockPattern(nil, b, ws)
-	f.RefactorUpperBlockFrom(sp, b, ws, 0)
+	f.RefactorUpperBlock(sp, b, ws)
 	checkBlockNear(t, "upper sparse", sp, want)
 	checkSparseMatchesDense(t, "upper", sp, up)
 
@@ -247,11 +247,10 @@ func TestDenseSolvesMatchSparseKernels(t *testing.T) {
 }
 
 // sparseLowerFresh builds the sparse lower coupling X·U = B the way the
-// fresh ND sweep does: the union pattern, then RefactorLowerBlockFrom from
-// column 0.
+// fresh ND sweep does: the union pattern, then RefactorLowerBlock.
 func sparseLowerFresh(f *Factors, b *sparse.CSC) *sparse.CSC {
 	x := f.lowerPatternRef(b)
-	f.RefactorLowerBlockFrom(x, b, make([]float64, b.M), 0)
+	f.RefactorLowerBlock(x, b, make([]float64, b.M))
 	return x
 }
 

@@ -16,23 +16,15 @@ import "repro/internal/sparse"
 // the supernode panel elimination, whose per-element operand order,
 // skip-on-zero tests and division by the pivot match the column refresh
 // exactly.
-//
-// Bitwise contract: each *From suffix restriction produces values bitwise
-// identical to the corresponding full refresh, which is what keeps
-// RefactorPartial bitwise-equal to a full Refactor when the fine-ND sweeps
-// dispatch dense-built kernels here.
 
-// DenseUpperRefactorFrom refreshes columns c0..N-1 of a dense-built upper
-// block dst = L⁻¹·P·B in place for a same-pattern B. dst's columns are
-// contiguous fully dense slices of its value array, so the forward
-// substitution runs directly on the destination storage — no panel, no
-// scatter-back. The arithmetic per column matches RefactorUpperBlockFrom
-// bitwise. The suffix restriction carries RefactorUpperBlockFrom's
-// contract: sound only when the factor did not change this sweep and every
-// changed input column lies at or beyond c0.
-func (f *Factors) DenseUpperRefactorFrom(dst, b *sparse.CSC, c0 int) {
+// DenseUpperRefactor refreshes a dense-built upper block dst = L⁻¹·P·B in
+// place for a same-pattern B. dst's columns are contiguous fully dense
+// slices of its value array, so the forward substitution runs directly on
+// the destination storage — no panel, no scatter-back. The arithmetic per
+// column matches RefactorUpperBlock bitwise.
+func (f *Factors) DenseUpperRefactor(dst, b *sparse.CSC) {
 	w := f.N
-	for c := c0; c < b.N; c++ {
+	for c := 0; c < b.N; c++ {
 		x := dst.Values[dst.Colptr[c]:dst.Colptr[c+1]]
 		clear(x)
 		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {
@@ -53,15 +45,13 @@ func (f *Factors) DenseUpperRefactorFrom(dst, b *sparse.CSC, c0 int) {
 	}
 }
 
-// DenseLowerRefactorFrom refreshes columns c0..N-1 of a dense-built lower
-// block dst solving X·U = B in place for a same-pattern B: a left-looking
-// TRSM running directly on dst's contiguous columns.
-// Earlier columns are read in place — ascending order guarantees they were
-// refreshed (or were already correct) before being consumed, the same
-// dependency argument as RefactorLowerBlockFrom, whose arithmetic this
-// matches bitwise.
-func (f *Factors) DenseLowerRefactorFrom(dst, b *sparse.CSC, c0 int) {
-	for c := c0; c < b.N; c++ {
+// DenseLowerRefactor refreshes a dense-built lower block dst solving
+// X·U = B in place for a same-pattern B: a left-looking TRSM running
+// directly on dst's contiguous columns. Earlier columns are read in place,
+// refreshed before they are consumed, as in RefactorLowerBlock, whose
+// arithmetic this matches bitwise.
+func (f *Factors) DenseLowerRefactor(dst, b *sparse.CSC) {
+	for c := 0; c < b.N; c++ {
 		xc := dst.Values[dst.Colptr[c]:dst.Colptr[c+1]]
 		clear(xc)
 		for p := b.Colptr[c]; p < b.Colptr[c+1]; p++ {

@@ -349,3 +349,48 @@ func TestFlopsCounted(t *testing.T) {
 		t.Fatal("NnzLU impossibly small")
 	}
 }
+
+// TestFactorPollStopsMidBlock pins the fresh factor's in-block cancellation
+// poll, the kernel a single-block fresh FactorCtx runs: on one 4096-column
+// block, column at a time and in width-8 supernodes, a cancel that fires
+// right after the first poll must abort the kernel within 512 columns of
+// it, not at the end of the block.
+func TestFactorPollStopsMidBlock(t *testing.T) {
+	const n, bound = 4096, 512
+	coo := sparse.NewCOO(n, n, 3*n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 4)
+		if i > 0 {
+			coo.Add(i, i-1, -1)
+			coo.Add(i-1, i, -1)
+		}
+	}
+	a := coo.ToCSC(true)
+	var wide []int
+	for k := 0; k <= n; k += 8 {
+		wide = append(wide, k)
+	}
+	stop := errors.New("canceled")
+	for _, xsup := range [][]int{nil, wide} {
+		var f Factors
+		polls, done := 0, 0
+		poll := func() error {
+			if polls++; polls == 1 {
+				return nil
+			}
+			for _, p := range f.Pinv {
+				if p >= 0 {
+					done++
+				}
+			}
+			return stop
+		}
+		err := FactorInto(&f, a, xsup, 0, Options{Poll: poll}, nil)
+		if !errors.Is(err, stop) {
+			t.Fatalf("supernodes %v: FactorInto returned %v after %d polls; want the cancel to stop it mid-block", xsup != nil, err, polls)
+		}
+		if done > bound {
+			t.Fatalf("supernodes %v: the cancel stopped the kernel after %d columns, want ≤ %d", xsup != nil, done, bound)
+		}
+	}
+}

@@ -137,7 +137,7 @@ func TestPruneEndBoundsDFS(t *testing.T) {
 	if !slices.Equal(up.Rowidx, whole.Rowidx) {
 		t.Fatalf("pruned reach %v, full reach %v", up.Rowidx, whole.Rowidx)
 	}
-	f.RefactorUpperBlockFrom(up, bc, ws, 0)
+	f.RefactorUpperBlock(up, bc, ws)
 	got := make([]float64, f.N)
 	for p, r := range up.Rowidx {
 		got[r] = up.Values[p]

@@ -10,8 +10,8 @@ import (
 // The sparse off-diagonal couplings of Basker's 2D layout: the upper
 // blocks U_kj = L_kk⁻¹·P_k·Â_kj and the lower blocks L_ij solving
 // X·U_jj = Â_ij. Each is built in two steps — a pattern-only pass shapes the
-// block, then the refresh kernel (RefactorUpperBlockFrom,
-// RefactorLowerBlockFrom) fills every value from column 0 — so a fresh
+// block, then the refresh kernel (RefactorUpperBlock, RefactorLowerBlock)
+// fills every value — so a fresh
 // factorization and every refresh run one arithmetic, and a refresh on the
 // values a factorization saw is a bitwise no-op. The patterns are
 // structural (reach closures and unions, exact zeros kept), which is what
@@ -21,7 +21,7 @@ import (
 // the reach of B(:,c)'s rows in the graph of L, in pivot space and
 // ascending, found by depth-first search over the pruned prefix of every L
 // column (Gilbert–Peierls). The values are left unspecified for
-// RefactorUpperBlockFrom from column 0 to fill. A nil dst allocates; a
+// RefactorUpperBlock to fill. A nil dst allocates; a
 // non-nil dst is recycled storage, so repeated fresh factorizations on a
 // fixed input pattern stop allocating block storage.
 func (f *Factors) UpperBlockPattern(dst, b *sparse.CSC, ws *Workspace) *sparse.CSC {
@@ -87,9 +87,9 @@ func dfsFinal(start int, l *sparse.CSC, xi []int, top int, pstack, mark []int, t
 	return top
 }
 
-// RefactorLowerBlockFrom recomputes columns c0..N-1 of dst solving
-// X·U = B in place, where U is f's upper factor and B a block whose rows
-// lie outside the factored block (so no pivoting interaction): column c is
+// RefactorLowerBlock recomputes dst solving X·U = B in place, where U is
+// f's upper factor and B a block whose rows lie outside the factored block
+// (so no pivoting interaction): column c is
 //
 //	X(:,c) = (B(:,c) − Σ_{t<c, U(t,c)≠0} X(:,t)·U(t,c)) / U(c,c).
 //
@@ -97,18 +97,12 @@ func dfsFinal(start int, l *sparse.CSC, xi []int, top int, pstack, mark []int, t
 // for every t in U(:,c)'s pattern — structural, so every index touched lies
 // inside it and the sweep needs no pattern discovery and performs no
 // allocation. acc must have length ≥ B.M and arrive zeroed; it comes back
-// clean. c0 = 0 fills the whole block, the fresh build included. Column c
-// of the result depends only on input column c, factor column U(:,c) and
-// earlier result columns, so when neither the input's columns before c0
-// nor the factor's columns before c0 changed since the last refresh, the
-// prefix is already correct and recomputing the suffix alone matches a
-// full refresh bitwise — the per-column granularity the incremental sweep
-// applies to fine-ND leaf kernels.
-func (f *Factors) RefactorLowerBlockFrom(dst, b *sparse.CSC, acc []float64, c0 int) {
+// clean. The fresh build and every refresh run it whole.
+func (f *Factors) RefactorLowerBlock(dst, b *sparse.CSC, acc []float64) {
 	up, ui, ux := f.U.Colptr, f.U.Rowidx, f.U.Values
 	bp, bi, bx := b.Colptr, b.Rowidx, b.Values
 	dp, di, dx := dst.Colptr, dst.Rowidx, dst.Values
-	for c := c0; c < b.N; c++ {
+	for c := 0; c < b.N; c++ {
 		brows, bvals := bi[bp[c]:bp[c+1]], bx[bp[c]:bp[c+1]]
 		bvals = bvals[:len(brows)]
 		for q, i := range brows {
@@ -138,22 +132,19 @@ func (f *Factors) RefactorLowerBlockFrom(dst, b *sparse.CSC, acc []float64, c0 i
 	}
 }
 
-// RefactorUpperBlockFrom recomputes columns c0..N-1 of dst = L⁻¹·P·B in
-// place over the (structural, sorted, pivot-space) patterns
-// UpperBlockPattern gave it. Ascending pivot order is a topological order
-// of the forward solve, so each column is one masked substitution pass; no
-// DFS, no allocation. ws provides the dense accumulator. c0 = 0 fills the
-// whole block, the fresh build included. Unlike the lower-block sweep, each
-// output column here is independent of the others but reads the whole of
-// L, so the suffix restriction is sound only when the factor itself did not
-// change this sweep and every changed input column lies at or beyond c0.
-func (f *Factors) RefactorUpperBlockFrom(dst, b *sparse.CSC, ws *Workspace, c0 int) {
+// RefactorUpperBlock recomputes dst = L⁻¹·P·B in place over the
+// (structural, sorted, pivot-space) patterns UpperBlockPattern gave it.
+// Ascending pivot order is a topological order of the forward solve, so
+// each column is one masked substitution pass; no DFS, no allocation. ws
+// provides the dense accumulator. The fresh build and every refresh run it
+// whole.
+func (f *Factors) RefactorUpperBlock(dst, b *sparse.CSC, ws *Workspace) {
 	ws.Grow(f.N)
 	x, pinv := ws.X, f.Pinv
 	lp, li, lx := f.L.Colptr, f.L.Rowidx, f.L.Values
 	bp, bi, bx := b.Colptr, b.Rowidx, b.Values
 	dp, di, dx := dst.Colptr, dst.Rowidx, dst.Values
-	for c := c0; c < b.N; c++ {
+	for c := 0; c < b.N; c++ {
 		brows, bvals := bi[bp[c]:bp[c+1]], bx[bp[c]:bp[c+1]]
 		bvals = bvals[:len(brows)]
 		for q, r := range brows {

@@ -3,6 +3,7 @@ package trisolve
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -187,6 +188,37 @@ func TestSolveRefinedPooled(t *testing.T) {
 		t.Errorf("backward error %g above RefineTol", res.BackwardError)
 	}
 	checkSolution(t, b, x)
+}
+
+// TestSolveRefinedStagnation pins the stagnation rule on a system that
+// improves, but slowly: refining A = M/4 against the factors of M turns
+// every correction into x += (A⁻¹b − x)/4, so the error, and with it ω,
+// shrinks by about 3/4 per step. A step that does not at least halve ω is
+// stagnation, so refinement must stop after the first correction, with ω
+// below the direct solve's, instead of running to maxIters.
+func TestSolveRefinedStagnation(t *testing.T) {
+	m := testMatrix(t)
+	s := New(factor(t, m, 1), Options{Workers: 1})
+	a := m.Clone()
+	for i := range a.Values {
+		a.Values[i] /= 4
+	}
+	rhs := make([]float64, a.N)
+	a.MulVec(rhs, randRHS(a.N, 22))
+	b := slices.Clone(rhs)
+	direct, err := s.SolveRefined(a, b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = slices.Clone(rhs)
+	res, err := s.SolveRefined(a, b, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stagnated || res.Iterations != 1 || res.BackwardError >= direct.BackwardError {
+		t.Fatalf("refinement %+v after a direct ω = %g: want stagnation after one improving correction",
+			res, direct.BackwardError)
+	}
 }
 
 // TestSteadyStateAllocs asserts the solve paths stop allocating once the

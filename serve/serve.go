@@ -310,15 +310,24 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, sc *scratch
 		s.fail(w, err)
 		return
 	}
-	// Finiteness screen: silent numeric corruption (the KernelNaN chaos
-	// mode) can survive factorization and surface only in the solution.
-	// A non-finite answer is never served; the factorization that produced
-	// it is discarded so the next same-pattern request refactors cleanly.
+	// Finiteness screen: a non-finite answer is never served. When the
+	// factorization is finite, the system itself overflows (a tiny pivot
+	// against a huge right-hand side): the client's doing, so 422, and the
+	// healthy factorization stays cached. Otherwise silent numeric
+	// corruption (the KernelNaN chaos mode) survived factorization and
+	// surfaced only in the solution; the factorization is discarded so the
+	// next same-pattern request refactors cleanly.
 	finite := finiteSlice(req.b)
 	for _, b := range req.bs {
 		finite = finite && finiteSlice(b)
 	}
 	if !finite {
+		if lease.Health().Finite {
+			lease.Release()
+			s.writeError(w, http.StatusUnprocessableEntity, "not_finite_solution",
+				"computed solution overflows to NaN or Inf; the factorization is finite")
+			return
+		}
 		lease.Discard()
 		s.writeError(w, http.StatusInternalServerError, "not_finite_solution",
 			"computed solution contains NaN or Inf; cached factorization discarded")
@@ -381,6 +390,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request, sc *scra
 	}
 	if err != nil {
 		s.fail(w, err)
+		return
+	}
+	if a.M != a.N {
+		s.fail(w, badRequest("dimension_mismatch", "matrix is %d×%d, want square", a.M, a.N))
 		return
 	}
 	id := patternID(a)

@@ -470,8 +470,24 @@ func TestServeErrorMappingTable(t *testing.T) {
 		body       any
 		rawBody    string // overrides body when non-empty
 		arm        func()
+		check      func(t *testing.T) // runs after the status and code match
 		wantStatus int
 		wantCode   string
+	}
+	// A 2×3 system, in both inline forms.
+	wide := &MatrixJSON{M: 2, N: 3, Colptr: []int{0, 1, 2, 3}, Rowidx: []int{0, 1, 0}, Values: []float64{1, 1, 1}}
+	wideT := &TripletsJSON{M: 2, N: 3, Rows: []int{0, 1, 0}, Cols: []int{0, 1, 2}, Values: []float64{1, 1, 1}}
+	// diag(1e-300, 1) is finite and factors cleanly, but x = A⁻¹·(1e300, 1)
+	// overflows: the client's system, not a corrupt factorization.
+	pinch := &MatrixJSON{M: 2, N: 2, Colptr: []int{0, 1, 2}, Rowidx: []int{0, 1}, Values: []float64{1, 1}}
+	var before basker.PoolStats
+	onlySquareRegistered := func(t *testing.T) {
+		s.registry.Range(func(_, v any) bool {
+			if a := v.(*basker.Matrix); a.M != a.N {
+				t.Fatalf("registry holds a %d×%d pattern", a.M, a.N)
+			}
+			return true
+		})
 	}
 	cases := []errorCase{
 		{
@@ -560,6 +576,56 @@ func TestServeErrorMappingTable(t *testing.T) {
 			},
 			wantStatus: http.StatusInternalServerError, wantCode: "internal_panic",
 		},
+		{
+			name: "non-square matrix solve", path: "/v1/solve",
+			body:       SolveRequest{Matrix: wide, B: zeros(2)},
+			wantStatus: http.StatusBadRequest, wantCode: "dimension_mismatch",
+		},
+		{
+			name: "non-square triplets solve", path: "/v1/solve",
+			body:       SolveRequest{Triplets: wideT, B: zeros(2)},
+			wantStatus: http.StatusBadRequest, wantCode: "dimension_mismatch",
+		},
+		{
+			name: "non-square matrix factor", path: "/v1/factor",
+			body:       FactorRequest{Matrix: wide},
+			wantStatus: http.StatusBadRequest, wantCode: "dimension_mismatch",
+		},
+		{
+			name: "non-square triplets factor", path: "/v1/factor",
+			body:       FactorRequest{Triplets: wideT},
+			wantStatus: http.StatusBadRequest, wantCode: "dimension_mismatch",
+		},
+		{
+			name: "non-square register", path: "/v1/matrices",
+			check:      onlySquareRegistered,
+			body:       RegisterRequest{Matrix: wide},
+			wantStatus: http.StatusBadRequest, wantCode: "dimension_mismatch",
+		},
+		{
+			name: "non-square register warm", path: "/v1/matrices",
+			check:      onlySquareRegistered,
+			body:       RegisterRequest{Triplets: wideT, Warm: true},
+			wantStatus: http.StatusBadRequest, wantCode: "dimension_mismatch",
+		},
+		{
+			name: "overflowing solution of a finite system", path: "/v1/solve",
+			body: nil, // built below after registration
+			arm:  func() { before = s.Pool().Stats() },
+			check: func(t *testing.T) {
+				if got := s.Pool().Stats().Discards; got != before.Discards {
+					t.Fatalf("discards %d → %d: a finite factorization was dropped", before.Discards, got)
+				}
+				status, raw := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Matrix: pinch, B: []float64{1, 1}})
+				if status != http.StatusOK {
+					t.Fatalf("same-pattern follow-up: status %d, body %s", status, raw)
+				}
+				if got := s.Pool().Stats().Hits; got != before.Hits+1 {
+					t.Fatalf("hits %d → %d, want the follow-up to hit the kept entry", before.Hits, got)
+				}
+			},
+			wantStatus: http.StatusUnprocessableEntity, wantCode: "not_finite_solution",
+		},
 	}
 
 	// Structural CSC defects are the client's on both routes: 400, never a
@@ -585,9 +651,18 @@ func TestServeErrorMappingTable(t *testing.T) {
 	}
 	var reg RegisterResponse
 	decodeInto(t, raw, &reg)
+	status, raw = postJSON(t, ts.URL+"/v1/matrices", RegisterRequest{Matrix: pinch})
+	if status != http.StatusOK {
+		t.Fatalf("register: status %d, body %s", status, raw)
+	}
+	var regPinch RegisterResponse
+	decodeInto(t, raw, &regPinch)
 	for i := range cases {
-		if cases[i].name == "values length mismatch on registered id" {
+		switch cases[i].name {
+		case "values length mismatch on registered id":
 			cases[i].body = SolveRequest{ID: reg.ID, Values: zeros(3), B: zeros(good.N)}
+		case "overflowing solution of a finite system":
+			cases[i].body = SolveRequest{ID: regPinch.ID, Values: []float64{1e-300, 1}, B: []float64{1e300, 1}}
 		}
 	}
 
@@ -615,6 +690,9 @@ func TestServeErrorMappingTable(t *testing.T) {
 			}
 			if code := errCode(t, raw); code != tc.wantCode {
 				t.Fatalf("code %q, want %q (body %s)", code, tc.wantCode, raw)
+			}
+			if tc.check != nil {
+				tc.check(t)
 			}
 		})
 	}
@@ -659,5 +737,40 @@ func TestServeErrorMappingTable(t *testing.T) {
 	raw, _ = io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || errCode(t, raw) != "body_too_large" {
 		t.Fatalf("oversized body: status %d, body %s, want 413 body_too_large", resp.StatusCode, raw)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestServeDeclaredLengthRefusedUnread pins readRequest's up-front refusal:
+// a body whose declared Content-Length exceeds MaxBodyBytes, by as little
+// as one byte, is a 413 before a byte of it is read — not a buffer sized
+// for it and a read that MaxBytesReader cuts short.
+func TestServeDeclaredLengthRefusedUnread(t *testing.T) {
+	const limit = 1 << 10
+	s := NewServer(basker.NewPool(basker.PoolOptions{}), Options{MaxBodyBytes: limit})
+	for _, path := range []string{"/v1/solve", "/v1/factor", "/v1/matrices"} {
+		payload := `{"b": [` + strings.Repeat("1,", limit/2) + `1]}`
+		body := &countingReader{r: strings.NewReader(payload[:limit+1])}
+		req := httptest.NewRequest("POST", path, body)
+		req.ContentLength = limit + 1
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || errCode(t, rec.Body.Bytes()) != "body_too_large" {
+			t.Fatalf("%s: status %d, body %s, want 413 body_too_large", path, rec.Code, rec.Body.Bytes())
+		}
+		if body.n != 0 {
+			t.Fatalf("%s: %d body bytes read before the refusal, want 0", path, body.n)
+		}
 	}
 }

@@ -61,13 +61,15 @@
 //	400 bad_input | not_finite | dimension_mismatch | body_too_large (413)
 //	404 unknown_pattern
 //	422 singular
+//	422 not_finite_solution (the solution overflows but the factorization is
+//	                         finite; entry kept)
 //	499 canceled            (client closed request / context canceled)
 //	503 overloaded          (server admission: MaxInFlight exceeded)
 //	503 stalled             (stall watchdog aborted the sweep)
 //	504 deadline_exceeded   (request deadline fired mid-sweep)
 //	500 internal_panic      (recovered worker panic; entry evicted)
-//	500 not_finite_solution (served solution failed the finiteness screen;
-//	                         entry discarded)
+//	500 not_finite_solution (the solution and the factorization are not
+//	                         finite; entry discarded)
 package serve
 
 import (
