@@ -807,7 +807,13 @@ func factorFresh(ctx context.Context, a *sparse.CSC, sym *Symbolic, hooks *sched
 	if err := num.fullSweep(ctx, modeFactor, a); err != nil {
 		return nil, err
 	}
-	num.compactStorage()
+	// Every diagonal-block factor is already exact-length (gp.FactorInto's
+	// copy-out); the fine-ND couplings grow by appending.
+	for _, ndn := range num.nd {
+		if ndn != nil {
+			ndn.compactCouplings()
+		}
+	}
 	return num, nil
 }
 
@@ -1303,22 +1309,6 @@ func (num *Numeric) workerWS(t int) *gp.Workspace {
 		num.factorWS[t] = ws
 	}
 	return ws
-}
-
-// compactStorage clips every factor's storage to its exact length after a
-// fresh factorization, releasing the slack the 2× symbolic nnz estimates
-// retain (pooled FactorInto reuse deliberately keeps the slack instead).
-func (num *Numeric) compactStorage() {
-	for _, f := range num.small {
-		if f != nil {
-			f.Compact()
-		}
-	}
-	for _, ndn := range num.nd {
-		if ndn != nil {
-			ndn.compactStorage()
-		}
-	}
 }
 
 // NnzLU reports |L+U|: all factored entries plus coarse off-block entries

@@ -389,24 +389,15 @@ func (g *ndGrid) n() int {
 	return n
 }
 
-// compactStorage clips every factor block to its exact length (fresh
+// compactCouplings clips every coupling block to its exact length (fresh
 // factorizations only; pooled reuse keeps the slack).
-func (num *ndNum) compactStorage() {
-	for _, f := range num.diag {
-		if f != nil {
-			f.Compact()
-		}
-	}
+func (num *ndNum) compactCouplings() {
 	for i := range num.lower {
 		for j := range num.lower[i] {
-			if b := num.lower[i][j]; b != nil {
-				b.Compact()
-			}
-			if b := num.upper[i][j]; b != nil {
-				b.Compact()
-			}
-			if b := num.red[i][j]; b != nil {
-				b.Compact()
+			for _, b := range []*sparse.CSC{num.lower[i][j], num.upper[i][j], num.red[i][j]} {
+				if b != nil {
+					b.Compact()
+				}
 			}
 		}
 	}

@@ -51,32 +51,31 @@ func FactorDenseInto(f *Factors, a *sparse.CSC, opts Options, ws *Workspace) err
 		return err
 	}
 
-	// Emit in pivot order: position k of the panel is pivot row k.
+	// Emit in pivot order, into exact-length storage: position k of the
+	// panel is pivot row k.
 	nnzHalf := n * (n + 1) / 2
-	f.resetPatterns(n, nnzHalf)
-	f.P = sparse.GrowInts(f.P, n)
-	f.Pinv = sparse.GrowInts(f.Pinv, n)
-	f.Flops = 0
+	f.N, f.urowPtr, f.Flops = n, f.urowPtr[:0], 0
+	f.L, f.U = fitCSC(f.L, n, nnzHalf), fitCSC(f.U, n, nnzHalf)
+	f.P, f.Pinv = sparse.GrowInts(f.P, n), sparse.GrowInts(f.Pinv, n)
 	f.Snodes = append(f.Snodes[:0], 0, n)
 	f.snBlocked = append(f.snBlocked[:0], false)
 	for k := 0; k < n; k++ {
 		f.P[k] = rows[k]
 		f.Pinv[rows[k]] = k
 	}
+	f.L.Colptr[0], f.U.Colptr[0] = 0, 0
 	for k := 0; k < n; k++ {
 		col := panel.Col(k)
-		for i := 0; i <= k; i++ {
-			f.U.Rowidx = append(f.U.Rowidx, i)
-			f.U.Values = append(f.U.Values, col[i])
+		u0, l0 := f.U.Colptr[k], f.L.Colptr[k]-k
+		for i := 0; i < n; i++ {
+			if i <= k {
+				f.U.Rowidx[u0+i], f.U.Values[u0+i] = i, col[i]
+			} else {
+				f.L.Rowidx[l0+i], f.L.Values[l0+i] = i, col[i]
+			}
 		}
-		f.U.Colptr[k+1] = len(f.U.Rowidx)
-		f.L.Rowidx = append(f.L.Rowidx, k)
-		f.L.Values = append(f.L.Values, 1)
-		for i := k + 1; i < n; i++ {
-			f.L.Rowidx = append(f.L.Rowidx, i)
-			f.L.Values = append(f.L.Values, col[i])
-		}
-		f.L.Colptr[k+1] = len(f.L.Rowidx)
+		f.L.Rowidx[l0+k], f.L.Values[l0+k] = k, 1
+		f.U.Colptr[k+1], f.L.Colptr[k+1] = u0+k+1, l0+n
 		f.Flops += int64(n-k-1) * int64(n-k)
 	}
 

@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"weak"
 
 	"repro/internal/dense"
 	"repro/internal/sparse"
@@ -118,20 +120,13 @@ type Factors struct {
 // statistic of the paper's Table I counts the unit diagonal of L once).
 func (f *Factors) NnzLU() int { return f.L.Nnz() + f.U.Nnz() - f.N }
 
-// Compact clips the factor storage to its exact length, releasing the
-// over-allocation retained from the symbolic nnz estimate (the 2× hint can
-// leave half of each slice's capacity unused). Intended after a fresh
-// factorization whose storage will be kept alive; pooled factorizations that
-// will be refilled through FactorInto should keep their slack instead.
-func (f *Factors) Compact() {
-	f.L.Compact()
-	f.U.Compact()
-}
-
 // Workspace holds the reusable scratch arrays for factorizations of
 // matrices up to a given dimension; reuse across columns and across
 // factorizations avoids repeated allocation (critical inside parallel
-// regions, as the paper's symbolic-phase discussion stresses).
+// regions, as the paper's symbolic-phase discussion stresses). Its arrays
+// are O(n): the O(|L|+|U|) buffers a fresh factor is emitted into are not
+// part of it but borrowed per call (emitScratch), so a workspace kept with
+// a factorization retains no factor-sized scratch.
 type Workspace struct {
 	X      []float64 // dense accumulator
 	Xi     []int     // DFS output: the reach of a column
@@ -161,13 +156,9 @@ func (w *Workspace) Panel(rows, cols int) *dense.Matrix {
 
 // NewWorkspace returns a workspace for dimension n.
 func NewWorkspace(n int) *Workspace {
-	return &Workspace{
-		X:      make([]float64, n),
-		Xi:     make([]int, 2*n),
-		Pstack: make([]int, n),
-		Mark:   make([]int, n),
-		lpend:  make([]int, n),
-	}
+	w := &Workspace{}
+	w.Grow(n)
+	return w
 }
 
 // Grow ensures the workspace covers dimension n.
@@ -184,9 +175,9 @@ func (w *Workspace) Grow(n int) {
 }
 
 // Factor computes the LU factorization of the square matrix a column at a
-// time. estNnz is a capacity hint for each factor (e.g. from a symbolic
-// column-count pass); storage grows on demand if the hint is low. ws may be
-// nil.
+// time. estNnz is a size hint for the emission scratch (e.g. from a symbolic
+// column-count pass); the returned factors hold exactly their entries
+// whatever the hint. ws may be nil.
 func Factor(a *sparse.CSC, estNnz int, opts Options, ws *Workspace) (*Factors, error) {
 	f := &Factors{}
 	if err := FactorInto(f, a, nil, estNnz, opts, ws); err != nil {
@@ -195,12 +186,16 @@ func Factor(a *sparse.CSC, estNnz int, opts Options, ws *Workspace) (*Factors, e
 	return f, nil
 }
 
-// FactorInto is Factor writing into caller-owned storage: f's L/U entry
-// slices, permutation arrays and prune pointers are reused when large enough
-// and grown otherwise, so a pooled factorization that repeats on a fixed
-// pattern reaches a steady state with no allocation at all. On error f's
-// contents are unspecified and must not be used for solves (retrying with a
-// new matrix is fine — every call rebuilds from scratch).
+// FactorInto is Factor writing into caller-owned storage. The factor is
+// emitted into scratch borrowed from a process-wide idle list (emitScratch)
+// and copied out once, in final order, into f: f's L/U entry slices,
+// permutation arrays and prune pointers are overwritten in place when large
+// enough and replaced by exact-length ones otherwise, so a fresh f holds no
+// slack and a pooled factorization that repeats on a fixed pattern reaches
+// a steady state with no allocation at all. estNnz is the scratch's
+// first-growth hint. On error f's contents are unspecified and must not be
+// used for solves (retrying with a new matrix is fine — every call
+// rebuilds from scratch).
 //
 // xsup, when non-nil, is a supernode partition as returned by
 // etree.RelaxedSupernodes (supernode s spans columns [xsup[s], xsup[s+1]))
@@ -212,37 +207,40 @@ func FactorInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opts Options,
 	if a.M != a.N {
 		return fmt.Errorf("gp: matrix must be square, got %d×%d", a.M, a.N)
 	}
+	if err := checkPartition(xsup, a.N); err != nil {
+		return err
+	}
+	// A panicking kernel leaves f pointing into the scratch, so it is
+	// returned to the idle list only after a normal return.
+	sc := getEmitScratch()
+	err := f.factorVia(sc, a, xsup, estNnz, opts, ws)
+	putEmitScratch(sc)
+	return err
+}
+
+// factorVia is FactorInto's body over the emission scratch sc: the
+// elimination emits L and U into sc, and copyOut writes them into f's
+// storage once every pivot is known. f never keeps a reference into sc.
+func (f *Factors) factorVia(sc *emitScratch, a *sparse.CSC, xsup []int, estNnz int, opts Options, ws *Workspace) error {
 	n := a.N
-	if xsup != nil {
-		if err := checkPartition(xsup, n); err != nil {
-			return err
-		}
-	}
 	if ws == nil {
-		ws = NewWorkspace(n)
-	} else {
-		ws.Grow(n)
+		ws = &Workspace{}
 	}
-	if estNnz < a.Nnz()+n {
-		estNnz = a.Nnz() + n
-	}
-	f.resetPatterns(n, estNnz)
-	f.P = sparse.GrowInts(f.P, n)
-	f.Pinv = sparse.GrowInts(f.Pinv, n)
-	f.Flops = 0
-	for i := range f.Pinv {
-		f.Pinv[i] = -1
+	ws.Grow(n)
+	l, u := f.L, f.U
+	f.N, f.urowPtr, f.Flops = n, f.urowPtr[:0], 0
+	f.L, f.U = sc.reset(n, max(estNnz, a.Nnz()+n))
+	f.P, f.Pinv = sparse.GrowInts(f.P, n), sparse.GrowInts(f.Pinv, n)
+	for j := 0; j < n; j++ {
+		f.Pinv[j], ws.lpend[j] = -1, -1 // a reused workspace may hold stale bounds
 	}
 	// Pruning pays for its bookkeeping only once columns are long enough
 	// for the DFS to matter; tiny blocks (the fine-BTF majority) skip it.
 	prune := !opts.NoPrune && n >= pruneMinDim
-	for j := 0; j < n; j++ {
-		ws.lpend[j] = -1 // always: a reused workspace may hold stale bounds
-	}
 	if prune {
 		// During the factorization PruneEnd[j] records the *step* at which
 		// column j was pruned (-1 = never); it is converted to a storage
-		// position once L is remapped and sorted.
+		// position once L is in final order.
 		f.PruneEnd = sparse.GrowInts(f.PruneEnd, n)
 		for j := range f.PruneEnd {
 			f.PruneEnd[j] = -1
@@ -250,9 +248,28 @@ func FactorInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opts Options,
 	} else {
 		f.PruneEnd = nil
 	}
-	tol := opts.tol()
+	if err := f.eliminate(a, xsup, opts, ws, prune); err != nil {
+		f.L, f.U = l, u
+		return err
+	}
+	f.L, f.U = sc.copyOut(f.Pinv, l, u)
+	if prune {
+		f.finishPruneEnd()
+	}
+	if xsup == nil {
+		f.Snodes = nil
+		return nil
+	}
+	f.Snodes = append(f.Snodes[:0], xsup...)
+	f.markBlocked(ws)
+	return nil
+}
 
-	for s, k0, poll := 0, 0, 0; k0 < n; s++ {
+// eliminate runs the left-looking factorization over the partition xsup
+// (nil: column at a time), emitting into f.L and f.U.
+func (f *Factors) eliminate(a *sparse.CSC, xsup []int, opts Options, ws *Workspace, prune bool) error {
+	tol := opts.tol()
+	for s, k0, poll := 0, 0, 0; k0 < f.N; s++ {
 		k1 := k0 + 1
 		if xsup != nil {
 			k1 = xsup[s+1]
@@ -274,15 +291,146 @@ func FactorInto(f *Factors, a *sparse.CSC, xsup []int, estNnz int, opts Options,
 		}
 		k0 = k1
 	}
-
-	f.finishFactor(ws, prune)
-	if xsup == nil {
-		f.Snodes = nil
-		return nil
-	}
-	f.Snodes = append(f.Snodes[:0], xsup...)
-	f.markBlocked(ws)
 	return nil
+}
+
+// emitScratch is where FactorInto builds a fresh factor: L and U as they
+// are emitted — U already in pivot order, L's rows original ids in reach
+// order — and the buffers of copyOut's counting sort. Its slices grow to
+// the largest factor they have held. A caller holds one only for the
+// duration of a FactorInto (getEmitScratch, putEmitScratch), so no Factors,
+// Workspace or anything kept alive through them retains it.
+type emitScratch struct {
+	l, u sparse.CSC
+	ptr  []int    // copyOut: the row pointers of its counting sort
+	ent  []lEntry // copyOut: L's entries bucketed by pivot row
+}
+
+// lEntry is one L entry in a row bucket of copyOut.
+type lEntry struct {
+	col int
+	val float64
+}
+
+// emitFree lists the idle emission scratch, shared by every goroutine and
+// reused across blocks and factorizations. It holds weak pointers, so it
+// decides which scratch is idle but not how long one lives: emitKeep
+// holds the idle scratch strongly, as a sync.Pool holds its items, so an
+// unused scratch outlives one collection but not two. One that emitKeep
+// drops early (a race build's pool drops a quarter of its Puts) is still
+// found here until the next collection, so a steady-state FactorInto
+// allocates nothing in any build.
+var (
+	emitFree struct {
+		sync.Mutex
+		idle []weak.Pointer[emitScratch]
+	}
+	emitKeep sync.Pool
+)
+
+// getEmitScratch takes the most recently returned idle scratch that is
+// still alive, or a new one.
+func getEmitScratch() *emitScratch {
+	emitKeep.Get() // one idle scratch fewer to keep alive
+	emitFree.Lock()
+	defer emitFree.Unlock()
+	for n := len(emitFree.idle); n > 0; n-- {
+		sc := emitFree.idle[n-1].Value()
+		emitFree.idle = emitFree.idle[:n-1]
+		if sc != nil {
+			return sc
+		}
+	}
+	return new(emitScratch)
+}
+
+// putEmitScratch returns sc to the idle list.
+func putEmitScratch(sc *emitScratch) {
+	emitFree.Lock()
+	emitFree.idle = append(emitFree.idle, weak.Make(sc))
+	emitFree.Unlock()
+	emitKeep.Put(sc)
+}
+
+// reset prepares sc's L and U for emitting n×n factors, each with room for
+// the larger of hint and what it has held before it must grow.
+func (sc *emitScratch) reset(n, hint int) (*sparse.CSC, *sparse.CSC) {
+	for _, c := range []*sparse.CSC{&sc.l, &sc.u} {
+		*c = sparse.CSC{M: n, N: n, Colptr: fit(c.Colptr, n+1), Rowidx: slices.Grow(c.Rowidx[:0], hint), Values: slices.Grow(c.Values[:0], hint)}
+		c.Colptr[0] = 0
+	}
+	return &sc.l, &sc.u
+}
+
+// copyOut writes the emitted factor, every pivot known, into the
+// destinations l and u (reused when large enough, exact-length otherwise;
+// either may be nil) in final order, and returns them. U is emitted in
+// ascending pivot order and copies as it is. L's rows are remapped through
+// pinv to pivot positions and counting-sorted: the entries are bucketed by
+// row, columns ascending, and the buckets written back row by row, so every
+// column comes out ascending in O(|L| + n), each value with its bits.
+func (sc *emitScratch) copyOut(pinv []int, l, u *sparse.CSC) (*sparse.CSC, *sparse.CSC) {
+	n := sc.l.N
+	u = fitCSC(u, n, sc.u.Nnz())
+	copy(u.Colptr, sc.u.Colptr)
+	copy(u.Rowidx, sc.u.Rowidx)
+	copy(u.Values, sc.u.Values)
+
+	lp, li, lx := sc.l.Colptr, sc.l.Rowidx, sc.l.Values
+	l = fitCSC(l, n, len(li))
+	copy(l.Colptr, lp)
+	ptr := fit(sc.ptr, n+1)
+	clear(ptr)
+	for p, i := range li {
+		r := pinv[i]
+		li[p] = r
+		ptr[r+1]++
+	}
+	for r := 0; r < n; r++ {
+		ptr[r+1] += ptr[r]
+	}
+	ent := fit(sc.ent, len(li))
+	lx = lx[:len(li)]
+	for j := 0; j < n; j++ {
+		for p := lp[j]; p < lp[j+1]; p++ {
+			r := li[p]
+			ent[ptr[r]] = lEntry{j, lx[p]}
+			ptr[r]++
+		}
+	}
+	// ptr[r] now ends row r's bucket; the scratch column starts, no longer
+	// needed, become the write cursors.
+	rows, vals := l.Rowidx, l.Values[:len(l.Rowidx)]
+	for r, q0 := 0, 0; r < n; r++ {
+		for _, e := range ent[q0:ptr[r]] {
+			q := lp[e.col]
+			rows[q], vals[q] = r, e.val
+			lp[e.col] = q + 1
+		}
+		q0 = ptr[r]
+	}
+	sc.ptr, sc.ent = ptr, ent
+	return l, u
+}
+
+// fitCSC returns c (a new CSC when nil) shaped n×n with room for exactly
+// nnz entries: its slices are resliced when large enough, replaced by
+// exact-length ones otherwise.
+func fitCSC(c *sparse.CSC, n, nnz int) *sparse.CSC {
+	if c == nil {
+		c = &sparse.CSC{}
+	}
+	*c = sparse.CSC{M: n, N: n, Colptr: fit(c.Colptr, n+1), Rowidx: fit(c.Rowidx, nnz), Values: fit(c.Values, nnz)}
+	return c
+}
+
+// fit returns s resized to n elements, its backing array reused when large
+// enough and an exact-length one made otherwise (contents unspecified).
+func fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // factorFreshColumn runs one column of the left-looking factorization: the
@@ -295,9 +443,7 @@ func (f *Factors) factorFreshColumn(a *sparse.CSC, k int, tol float64, opts Opti
 	x, xi := ws.X, ws.Xi
 
 	// --- Pivot selection among unpivoted rows in the pattern.
-	pivRow := -1
-	pivVal := 0.0
-	maxAbs := 0.0
+	pivRow, pivVal, maxAbs := -1, 0.0, 0.0
 	for t := top; t < n; t++ {
 		i := xi[t]
 		if f.Pinv[i] >= 0 {
@@ -311,14 +457,9 @@ func (f *Factors) factorFreshColumn(a *sparse.CSC, k int, tol float64, opts Opti
 		}
 	}
 	if opts.NoPivot {
-		if f.Pinv[k] == -1 {
-			if v := math.Abs(x[k]); v > 0 {
-				pivRow, pivVal = k, x[k]
-			} else {
-				pivRow = -1
-			}
-		} else {
-			pivRow = -1
+		pivRow = -1
+		if f.Pinv[k] == -1 && math.Abs(x[k]) > 0 {
+			pivRow, pivVal = k, x[k]
 		}
 	} else if pivRow != -1 && f.Pinv[k] == -1 {
 		// Diagonal preference: keep the natural pivot when acceptable.
@@ -427,51 +568,6 @@ func (f *Factors) eliminateFresh(a *sparse.CSC, k, npiv int, ws *Workspace) int 
 	return top
 }
 
-// finishFactor remaps L's row indices from original ids to pivot order and
-// sorts L's columns so downstream solves and refactorization can rely on
-// order (U is emitted sorted), then finalizes the prune boundaries. The
-// sort runs in place through the dense workspace accumulator (clean between
-// columns), so it allocates nothing and skips already-sorted columns.
-func (f *Factors) finishFactor(ws *Workspace, prune bool) {
-	for t := 0; t < f.L.Nnz(); t++ {
-		f.L.Rowidx[t] = f.Pinv[f.L.Rowidx[t]]
-	}
-	sortFactorColumns(f.L, ws.X)
-	if prune {
-		f.finishPruneEnd()
-	}
-}
-
-// sortFactorColumns sorts each column's (row, value) entries ascending by
-// row, scattering values through the clean dense scratch x (length >= c.M;
-// returned clean). Row indices within a column are unique.
-func sortFactorColumns(c *sparse.CSC, x []float64) {
-	for j := 0; j < c.N; j++ {
-		p0, p1 := c.Colptr[j], c.Colptr[j+1]
-		rows := c.Rowidx[p0:p1]
-		sorted := true
-		for i := 1; i < len(rows); i++ {
-			if rows[i-1] > rows[i] {
-				sorted = false
-				break
-			}
-		}
-		if sorted {
-			continue
-		}
-		vals := c.Values[p0:p1]
-		vals = vals[:len(rows)]
-		for i, r := range rows {
-			x[r] = vals[i]
-		}
-		sortInts(rows)
-		for i, r := range rows {
-			vals[i] = x[r]
-			x[r] = 0
-		}
-	}
-}
-
 // pruneStep applies Eisenstat–Liu symmetric pruning after pivot k has been
 // chosen: for every column j with a structural entry U(j,k), if L(:,j) also
 // contains the pivot row of step k, then any fill path through a not-yet-
@@ -486,20 +582,13 @@ func (f *Factors) pruneStep(k, pivRow int, ws *Workspace) {
 			continue // already pruned
 		}
 		lp0, lp1 := f.L.Colptr[j]+1, f.L.Colptr[j+1]
-		found := false
-		for t := lp0; t < lp1; t++ {
-			if f.L.Rowidx[t] == pivRow {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(f.L.Rowidx[lp0:lp1], pivRow) {
 			continue
 		}
 		// Partition: rows already pivoted (pivot position <= k) stay in the
 		// DFS prefix; unpivoted rows (eventual pivot position > k) move to
-		// the pruned tail. Order within a column is free until the final
-		// sort, and the numeric updates traverse the whole column anyway.
+		// the pruned tail. Order within a column is free until the
+		// copy-out, and the numeric updates traverse the whole column anyway.
 		head, tail := lp0, lp1
 		for head < tail {
 			if f.Pinv[f.L.Rowidx[head]] >= 0 {
@@ -521,33 +610,14 @@ func (f *Factors) pruneStep(k, pivRow int, ws *Workspace) {
 // pivot row index <= k, a contiguous prefix of the sorted column.
 func (f *Factors) finishPruneEnd() {
 	for j := 0; j < f.N; j++ {
-		p1 := f.L.Colptr[j+1]
-		k := f.PruneEnd[j]
-		if k < 0 {
+		p0, p1 := f.L.Colptr[j]+1, f.L.Colptr[j+1]
+		if k := f.PruneEnd[j]; k < 0 {
 			f.PruneEnd[j] = p1
-			continue
+		} else { // the first position with row index > k: rows are unique
+			lo, _ := slices.BinarySearch(f.L.Rowidx[p0:p1], k+1)
+			f.PruneEnd[j] = p0 + lo
 		}
-		lo, hi := f.L.Colptr[j]+1, p1
-		for lo < hi { // first position with row index > k
-			mid := (lo + hi) / 2
-			if f.L.Rowidx[mid] <= k {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		f.PruneEnd[j] = lo
 	}
-}
-
-// resetPatterns prepares f for emitting new factor patterns of dimension n:
-// L and U are emptied for refilling and the row index of U, which described
-// the old pattern, is dropped (its capacity kept for the rebuild).
-func (f *Factors) resetPatterns(n, estNnz int) {
-	f.N = n
-	f.L = resetFactorCSC(f.L, n, estNnz)
-	f.U = resetFactorCSC(f.U, n, estNnz)
-	f.urowPtr = f.urowPtr[:0]
 }
 
 // upperRows builds the row index of U's strictly-upper pattern unless it is
@@ -590,19 +660,6 @@ func (f *Factors) markDependents(k0, k1 int, rerun []bool) {
 	for _, c := range f.urowCol[f.urowPtr[k0]:f.urowPtr[k1]] {
 		rerun[c] = true
 	}
-}
-
-// resetFactorCSC prepares an n×n factor for refilling, reusing the entry
-// slices' capacity when possible.
-func resetFactorCSC(c *sparse.CSC, n, estNnz int) *sparse.CSC {
-	if c == nil || len(c.Colptr) != n+1 {
-		return sparse.NewCSC(n, n, estNnz)
-	}
-	c.M, c.N = n, n
-	c.Colptr[0] = 0
-	c.Rowidx = c.Rowidx[:0]
-	c.Values = c.Values[:0]
-	return c
 }
 
 func clearX(x []float64, xi []int, top, n int, a *sparse.CSC, k int) {
@@ -934,16 +991,13 @@ func (f *Factors) refresh(a *sparse.CSC, ws *Workspace, colStamp []uint64, epoch
 		return fmt.Errorf("gp: refactor dimension mismatch")
 	}
 	xsup := f.Snodes
-	if xsup != nil {
-		if err := checkPartition(xsup, n); err != nil {
-			return err
-		}
+	if err := checkPartition(xsup, n); err != nil {
+		return err
 	}
 	if ws == nil {
-		ws = NewWorkspace(n)
-	} else {
-		ws.Grow(n)
+		ws = &Workspace{}
 	}
+	ws.Grow(n)
 	if colStamp != nil {
 		f.upperRows()
 		clear(rerun[:n])

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/sparse"
 )
 
 // panelLUCase is one pivoting panel elimination: an m×w column-major panel
@@ -103,9 +104,9 @@ func checkPanelLU(t *testing.T, c panelLUCase) bool {
 	return true
 }
 
-// TestPanelLUMatchesDense runs checkPanelLU over 4000 seeded panels of
-// genPanelLU, every flag combination included, and requires both outcomes
-// to occur.
+// TestPanelLUMatchesDense runs checkPanelLU and checkPanelFactorInvariants
+// over 4000 seeded panels of genPanelLU, every flag combination included,
+// and requires both outcomes to occur.
 func TestPanelLUMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ok := 0
@@ -113,9 +114,11 @@ func TestPanelLUMatchesDense(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		b := make([]byte, 3)
 		rng.Read(b)
-		if checkPanelLU(t, genPanelLU(rng.Int63(), b[0], b[1], b[2], uint8(i))) {
+		c := genPanelLU(rng.Int63(), b[0], b[1], b[2], uint8(i))
+		if checkPanelLU(t, c) {
 			ok++
 		}
+		checkPanelFactorInvariants(t, c)
 	}
 	if ok == 0 || ok == cases {
 		t.Fatalf("%d of %d panels factored; the table must hit both outcomes", ok, cases)
@@ -130,6 +133,46 @@ func FuzzPanelLU(f *testing.F) {
 	f.Add(int64(4), uint8(25), uint8(3), uint8(2), uint8(0x35))
 	f.Add(int64(5), uint8(0), uint8(0), uint8(9), uint8(0x0b))
 	f.Fuzz(func(t *testing.T, seed int64, m8, w8, k08, flags uint8) {
-		checkPanelLU(t, genPanelLU(seed, m8, w8, k08, flags))
+		c := genPanelLU(seed, m8, w8, k08, flags)
+		checkPanelLU(t, c)
+		checkPanelFactorInvariants(t, c)
 	})
+}
+
+// checkPanelFactorInvariants factors the panel as a sparse square matrix —
+// its w columns (exact +0 entries dropped) followed by unit columns —
+// through every fresh layout: column at a time, the wide supernode [0, w)
+// followed by singletons, and dense-built. Each factorization that
+// succeeds must pass checkFactorInvariants.
+func checkPanelFactorInvariants(t *testing.T, c panelLUCase) {
+	t.Helper()
+	m := c.m
+	coo := sparse.NewCOO(m, m, len(c.data)+m)
+	for j := 0; j < c.w; j++ {
+		for i, v := range c.data[j*m : (j+1)*m] {
+			if v != 0 || math.Signbit(v) {
+				coo.Add(i, j, v)
+			}
+		}
+	}
+	for j := c.w; j < m; j++ {
+		coo.Add(j, j, 1)
+	}
+	a := coo.ToCSC(false)
+	xsup := []int{0}
+	for k := c.w; k <= m; k++ {
+		xsup = append(xsup, k)
+	}
+	opts := Options{PivotTol: c.tol, NoPivot: c.noPivot}
+	ws := NewWorkspace(m)
+	for _, part := range [][]int{nil, xsup} {
+		var f Factors
+		if FactorInto(&f, a, part, 0, opts, ws) == nil {
+			checkFactorInvariants(t, &f)
+		}
+	}
+	var d Factors
+	if FactorDenseInto(&d, a, opts, ws) == nil {
+		checkFactorInvariants(t, &d)
+	}
 }

@@ -243,7 +243,8 @@ func TestPanelSweepCorruptFactor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.Compact() // the Go loops bound a sub-slice by capacity, not length
+			// Factor's storage is exact-length, which matters here: the Go
+			// loops bound a sub-slice by capacity, not length.
 			j, p := firstOffDiagonal(f, c.upper)
 			c.corrupt(f, j, p)
 			buf, y := guardedPanel(f.N)

@@ -166,9 +166,10 @@ func TestPruneEndBoundsDFS(t *testing.T) {
 	}
 }
 
-// TestFactorsCompact pins the over-allocation satellite: a generous nnz
-// hint leaves slack capacity; Compact clips it to exactly the stored
-// entries and strictly shrinks the retained bytes.
+// TestFactorsCompact pins the exact-size storage of a fresh factor: even
+// a generous nnz hint, which only sizes the emission scratch, leaves no
+// slack in the factor's slices, and a FactorInto into storage too small
+// for the new factor replaces it with exact-length slices as well.
 func TestFactorsCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randNonsingular(rng, 200, 0.05)
@@ -176,21 +177,13 @@ func TestFactorsCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := cap(f.L.Values) + cap(f.U.Values) + cap(f.L.Rowidx) + cap(f.U.Rowidx)
-	if cap(f.L.Values) == len(f.L.Values) && cap(f.U.Values) == len(f.U.Values) {
-		t.Fatal("test premise broken: the 8x hint left no slack to clip")
+	checkExactStorage(t, f)
+	small := &Factors{L: sparse.NewCSC(a.N, a.N, 1), U: sparse.NewCSC(a.N, a.N, 1)}
+	if err := FactorInto(small, a, nil, 8*a.Nnz(), Options{}, nil); err != nil {
+		t.Fatal(err)
 	}
-	f.Compact()
-	after := cap(f.L.Values) + cap(f.U.Values) + cap(f.L.Rowidx) + cap(f.U.Rowidx)
-	if cap(f.L.Values) != len(f.L.Values) || cap(f.U.Values) != len(f.U.Values) ||
-		cap(f.L.Rowidx) != len(f.L.Rowidx) || cap(f.U.Rowidx) != len(f.U.Rowidx) {
-		t.Fatalf("Compact left slack: L %d/%d, U %d/%d",
-			len(f.L.Values), cap(f.L.Values), len(f.U.Values), cap(f.U.Values))
-	}
-	if after >= before {
-		t.Fatalf("retained capacity did not shrink: %d -> %d", before, after)
-	}
-	// The compacted factors still solve correctly.
+	checkExactStorage(t, small)
+	// The factors solve correctly.
 	x := make([]float64, a.N)
 	for i := range x {
 		x[i] = rng.NormFloat64()
@@ -200,7 +193,22 @@ func TestFactorsCompact(t *testing.T) {
 	f.Solve(b)
 	for i := range x {
 		if math.Abs(b[i]-x[i]) > 1e-8 {
-			t.Fatalf("solve after Compact: x[%d] = %v, want %v", i, b[i], x[i])
+			t.Fatalf("solve: x[%d] = %v, want %v", i, b[i], x[i])
+		}
+	}
+}
+
+// checkExactStorage fails unless every entry slice of f's L and U has
+// cap == len.
+func checkExactStorage(t *testing.T, f *Factors) {
+	t.Helper()
+	for _, c := range []struct {
+		name string
+		m    *sparse.CSC
+	}{{"L", f.L}, {"U", f.U}} {
+		if cap(c.m.Colptr) != len(c.m.Colptr) || cap(c.m.Rowidx) != len(c.m.Rowidx) || cap(c.m.Values) != len(c.m.Values) {
+			t.Fatalf("%s keeps slack: colptr %d/%d, rowidx %d/%d, values %d/%d", c.name,
+				len(c.m.Colptr), cap(c.m.Colptr), len(c.m.Rowidx), cap(c.m.Rowidx), len(c.m.Values), cap(c.m.Values))
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // blocked dense panel instead of column at a time. The fresh factor wins
 // for blocks at moderate density (0.1–0.2): too sparse for the fully dense
 // panel LU of dense_feed.go, but with enough pattern overlap that
-// per-column scatter, DFS and sort bookkeeping dominates the arithmetic.
+// per-column scatter and DFS bookkeeping dominates the arithmetic.
 //
 // A wide supernode is two steps, whoever runs it: every column eliminates
 // against the columns left of the supernode in ascending pivot order, then
@@ -90,7 +90,7 @@ import (
 //     explicit zeros relaxation buys wider panels with — then the pivot;
 //   - every L(:,k) of the supernode stores the same below-supernode row
 //     set (the union over the supernode's columns, padded with explicit
-//     zeros), so after the final position remap and sort, all w columns
+//     zeros), so after the ordered copy-out (FactorInto), all w columns
 //     share one ascending below-row sequence. refreshSupernode leans on
 //     this: panel row w+t of the refresh is the t-th below entry of every
 //     column, no row map needed.
@@ -201,7 +201,7 @@ func (f *Factors) factorSupernode(a *sparse.CSC, k0, k1 int, tol float64, opts O
 
 	// --- Emit: U triangle + pivot values in place, L columns appended
 	// (pivot unit first, then the shared union rows in panel order — the
-	// final remap and sort put them in position order).
+	// ordered copy-out puts them in position order).
 	for c := 0; c < w; c++ {
 		k := k0 + c
 		col := panel.Col(c)
@@ -268,9 +268,10 @@ func (sb *snBlock) block(n int) []float64 {
 	return sb.val
 }
 
-// checkPartition rejects a supernode partition that does not tile 0..n.
+// checkPartition rejects a supernode partition that does not tile 0..n;
+// nil, column at a time, passes.
 func checkPartition(xsup []int, n int) error {
-	if len(xsup) < 2 || xsup[0] != 0 || xsup[len(xsup)-1] != n {
+	if xsup != nil && (len(xsup) < 2 || xsup[0] != 0 || xsup[len(xsup)-1] != n) {
 		return fmt.Errorf("gp: supernode partition does not cover 0..%d", n)
 	}
 	return nil

@@ -948,6 +948,7 @@ func FuzzRefactorSupernodal(f *testing.F) {
 			if FactorInto(&fc, a, part, 0, Options{}, ws) != nil {
 				continue
 			}
+			checkFactorInvariants(t, &fc)
 			ctx := fmt.Sprintf("partition %v: refresh on the factored values", part != nil)
 			cols, rule := cloneFactors(&fc), cloneFactors(&fc)
 			cols.snBlocked = make([]bool, len(fc.snBlocked))
@@ -964,6 +965,7 @@ func FuzzRefactorSupernodal(f *testing.F) {
 			if err := FactorInto(fc, a, xsup, 0, Options{}, ws); err != nil {
 				return
 			}
+			checkFactorInvariants(t, fc)
 		}
 		a2 := a.Clone()
 		for i := range a2.Values {
@@ -984,6 +986,7 @@ func FuzzRefactorSupernodal(f *testing.F) {
 			if err := FactorDenseInto(fc, a, Options{}, ws); err != nil {
 				return
 			}
+			checkFactorInvariants(t, fc)
 		}
 		errRef, errDn := dref.refactorColumns(a2, ws), dn.Refactor(a2, ws)
 		if fmt.Sprint(errRef) != fmt.Sprint(errDn) {

@@ -1,8 +1,10 @@
 package basker
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -324,5 +326,76 @@ func BenchmarkPoolMultiPattern(b *testing.B) {
 	st := pool.Stats()
 	if total := st.Hits + st.Misses; total > 0 {
 		b.ReportMetric(float64(st.Hits)/float64(total)*100, "hit%")
+	}
+}
+
+// TestPoolFreshFactorConcurrent runs Pool.FactorCtx from eight goroutines
+// on four cold classes at Threads 1 and 2: the first calls miss and factor
+// fresh, later ones re-pivot recycled entries through FactorInto, and all
+// of them share gp's pooled emission scratch. Every lease must solve to
+// the bits of a serial Factor's solution, and accurately. Run under -race
+// it checks that no scratch is ever held by two goroutines at once.
+func TestPoolFreshFactorConcurrent(t *testing.T) {
+	var mats []*sparse.CSC
+	for ci, m := range matgen.TableISuite(0.25) {
+		switch m.Name {
+		case "Power0", "asic_680ks", "Xyce1", "Freescale1":
+			mats = append(mats, matgen.TransientStep(m.Gen(), 1, int64(ci)))
+		}
+	}
+	for _, threads := range []int{1, 2} {
+		opts := Options{Threads: threads}
+		want := make([][]float64, len(mats))
+		rhs := make([][]float64, len(mats))
+		for k, a := range mats {
+			x := make([]float64, a.N)
+			for i := range x {
+				x[i] = float64(i%7) - 3
+			}
+			rhs[k] = make([]float64, a.N)
+			a.MulVec(rhs[k], x)
+			f, err := New(opts).Factor(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k] = append([]float64(nil), rhs[k]...)
+			if err := f.Solve(want[k]); err != nil {
+				t.Fatal(err)
+			}
+			assertClose(t, want[k], x)
+		}
+		pool := NewPool(PoolOptions{Options: opts})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for it := 0; it < 2*len(mats); it++ {
+					k := (g + it) % len(mats)
+					lease, err := pool.FactorCtx(context.Background(), mats[k])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got := append([]float64(nil), rhs[k]...)
+					err = lease.Solve(got)
+					lease.Release()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[k][i]) {
+							t.Errorf("T%d goroutine %d, class %d: x[%d] = %v, serial %v", threads, g, k, i, got[i], want[k][i])
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if st := pool.Stats(); st.Misses == 0 || st.FactorReuses == 0 {
+			t.Fatalf("T%d: %d misses and %d recycled factorizations, want both", threads, st.Misses, st.FactorReuses)
+		}
 	}
 }
