@@ -106,6 +106,47 @@ func TestChaosNDWorkerPanic(t *testing.T) {
 	chaosCheckSolve(t, f, a)
 }
 
+// TestChaosNDWorkerPanicCounted panics a member of a fine-ND block's team
+// in Refactor and in FactorInto: the panic must reach the caller as
+// ErrInternalPanic and count once in Health and Stats, like any other
+// worker panic of the sweep, and the next clean Refactor must restore the
+// factorization.
+func TestChaosNDWorkerPanicCounted(t *testing.T) {
+	for _, op := range []string{"Refactor", "FactorInto"} {
+		t.Run(op, func(t *testing.T) {
+			inject := faultinject.New()
+			_, f, a := chaosFactor(t, inject)
+			a = matgen.TransientStep(a, 1, 11)
+			inject.Arm(faultinject.PointWorkerPanic, faultinject.Rule{
+				Sweep: faultinject.SweepND, SweepSet: true, Block: -1, Worker: -1, Times: 1,
+			})
+			var err error
+			if op == "Refactor" {
+				err = f.Refactor(a)
+			} else {
+				err = wrapErr(f.num.FactorInto(a))
+			}
+			if !errors.Is(err, ErrInternalPanic) {
+				t.Fatalf("%s error %v does not wrap ErrInternalPanic", op, err)
+			}
+			if got := f.Health().InternalPanics; got != 1 {
+				t.Fatalf("Health().InternalPanics = %d, want 1", got)
+			}
+			if got := f.Stats(a).InternalPanics; got != 1 {
+				t.Fatalf("Stats.InternalPanics = %d, want 1", got)
+			}
+			inject.DisarmAll()
+			if err := f.Refactor(a); err != nil {
+				t.Fatalf("Refactor after the ND panic: %v", err)
+			}
+			if err := f.Check(); err != nil {
+				t.Fatalf("health check after recovery: %v", err)
+			}
+			chaosCheckSolve(t, f, a)
+		})
+	}
+}
+
 // TestChaosRefactorWorkerPanic panics a refactorization worker: the sweep
 // reports ErrInternalPanic, the numeric is poisoned (Stats and Health agree),
 // and the next Refactor, which then sweeps every block, restores it.

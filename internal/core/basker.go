@@ -225,9 +225,15 @@ type Numeric struct {
 	refit  atomic.Bool
 	// cursor counts the runs of Symbolic.smallBlocks the dealing workers of
 	// a parallel sweep have taken; took[blk] is 1 + the worker holding small
-	// block blk, 0 while none does.
+	// block blk, 0 while none does; held[t] is the cursor count of the run
+	// dealing worker t took last, which its panic release sets.
 	cursor atomic.Int64
 	took   []atomic.Int32
+	held   []int
+	// mode and dirty are the running parallel sweep's mode and mask, set
+	// before its detached lanes start (goLane) and read by them.
+	mode  sweepMode
+	dirty *incState
 	// factorWS[t] is fine-BTF worker t's pooled Gilbert–Peierls workspace;
 	// lazily built, reused forever.
 	factorWS []*gp.Workspace
@@ -254,11 +260,12 @@ type Numeric struct {
 	// hooks instruments the scheduler for tests (nil in production).
 	hooks *schedHooks
 
-	// panicMu/panicErr/panics are the panic-isolation state: every worker
-	// goroutine of every parallel sweep recovers panics, records the first
-	// one here, and force-releases the completion slots it owns so sibling
-	// workers drain. The driver surfaces the record as ErrInternalPanic and
-	// poisons the numeric.
+	// panicMu/panicErr/panics are the panic-isolation state: the launcher
+	// recovers every lane panic of a parallel sweep (a fine-ND team
+	// member's on its block's lane), notePanic records the first one here,
+	// and the lane's release hook force-sets the completion slots it owns
+	// so sibling workers drain. The driver surfaces the record as
+	// ErrInternalPanic and poisons the numeric.
 	panicMu  sync.Mutex
 	panicErr error
 	panics   atomic.Int64
@@ -344,7 +351,10 @@ func (num *Numeric) LastDirtyBlocks() int    { return num.lastDirty }
 func (num *Numeric) DirtyBlocksTotal() int64 { return num.dirtyTotal }
 
 // Analyze computes Basker's symbolic factorization: coarse BTF, block
-// classification, fine orderings and the order of the small blocks.
+// classification, fine orderings and the order of the small blocks. A
+// panic in one of its parallel lanes reaches the caller after the lanes
+// have joined, re-raised as an error wrapping ErrInternalPanic (PanicError);
+// at Threads 1 the same panic unwinds the caller's goroutine as it is.
 func Analyze(a *sparse.CSC, opts Options) (*Symbolic, error) {
 	if a.M != a.N {
 		return nil, fmt.Errorf("core: matrix must be square, got %d×%d", a.M, a.N)
@@ -545,37 +555,6 @@ type analysisWS struct {
 	// detection scan; rowTo is the row relabelling that formed it.
 	dp    sparse.CSC
 	rowTo []int
-}
-
-// parallelBlocks runs fn(blk, t) for every block, fanning independent
-// blocks out over up to nt worker goroutines (inline when nt <= 1); t is
-// the worker index executing the block, for trace attribution.
-func parallelBlocks(nblocks, nt int, fn func(blk, t int)) {
-	if nt > nblocks {
-		nt = nblocks
-	}
-	if nt <= 1 {
-		for blk := 0; blk < nblocks; blk++ {
-			fn(blk, 0)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for t := 0; t < nt; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			for {
-				blk := int(next.Add(1)) - 1
-				if blk >= nblocks {
-					return
-				}
-				fn(blk, t)
-			}
-		}(t)
-	}
-	wg.Wait()
 }
 
 // analyzeND builds the fine-ND symbolic structure for coarse block blk
@@ -796,6 +775,7 @@ func factorFresh(ctx context.Context, a *sparse.CSC, sym *Symbolic, hooks *sched
 		sig:      NewEpochSignals(nblocks),
 		errs:     make([]error, nblocks),
 		took:     make([]atomic.Int32, nblocks),
+		held:     make([]int, nt),
 		factorWS: make([]*gp.Workspace, nt),
 		smallIn:  make([]*sparse.CSC, nblocks),
 		hooks:    hooks,
@@ -987,15 +967,19 @@ func (num *Numeric) endTrace(sw trace.Sweep) {
 //     or Options.StallTimeout is set, a SweepMonitor starts.
 //  2. launch: min(Threads, runs) dealing workers take the fine-BTF blocks
 //     from one cursor over the runs of Symbolic.smallBlocks, largest
-//     estimate first, and every dirty fine-ND block gets a goroutine (its
-//     cooperative team forms inside ndNum.sweep), all concurrently. Where
-//     the paper's Algorithm 2 balances a static partition by estimated
-//     flops, the cursor balances by what the blocks actually cost: they
-//     carry about 1.4 % of a circuit refresh's multiply-subtracts, so the
-//     estimate bought nothing. A worker recovers its own panics, records
-//     the first and force-sets the slots left in its run and on the
-//     cursor. With Threads == 1 the dirty blocks run in index order on the
-//     caller's goroutine instead, under the entry point's recoverSerial.
+//     estimate first, and every dirty fine-ND block gets a lane (its
+//     cooperative team forms inside ndNum.sweep, through Lanes), all
+//     concurrently and all detached lanes of the one launcher (goLane,
+//     lanes.go). Where the paper's Algorithm 2 balances a static partition
+//     by estimated flops, the cursor balances by what the blocks actually
+//     cost: they carry about 1.4 % of a circuit refresh's
+//     multiply-subtracts, so the estimate bought nothing. A panicking lane
+//     is recorded through notePanic — a team member's panic too, re-raised
+//     on its block's lane — and its release hook force-sets the slots it
+//     owns: the rest of a dealer's run and every run left on the cursor
+//     (releaseRun), a fine-ND lane's block (releaseND). With Threads == 1
+//     the dirty blocks run in index order on the caller's goroutine
+//     instead, under the entry point's recoverSerial.
 //  3. join: the driver waits slot by slot. Only external cancellation
 //     (context, deadline, stall verdict) breaks a wait; the driver then
 //     returns at once and the stragglers — a wedged worker cannot be
@@ -1055,16 +1039,15 @@ func (num *Numeric) runSweep(ctx context.Context, mode sweepMode, dirty *incStat
 		}
 	} else {
 		num.cursor.Store(0)
+		num.mode, num.dirty = mode, dirty
 		for t := range min(sym.Opts.threads(), len(sym.smallRuns)-1) {
-			num.sweep.addWorker()
-			go num.dealLane(t, mode, dirty)
+			num.goLane(t, (*Numeric).dealLane, (*Numeric).releaseRun)
 		}
 		// The fine-ND blocks, the sweep's critical path, start last: Go's
 		// scheduler runs the goroutine started last next on this thread.
 		for _, blk := range sym.ndBlocks {
 			if dirty.has(blk) {
-				num.sweep.addWorker()
-				go num.ndLane(blk, mode, dirty)
+				num.goLane(blk, (*Numeric).ndLane, (*Numeric).releaseND)
 			}
 		}
 	}
@@ -1099,61 +1082,70 @@ func (num *Numeric) runSweep(ctx context.Context, mode sweepMode, dirty *incStat
 	return nil
 }
 
-// ndLane is the goroutine of fine-ND block blk, which is also its
+// ndLane is the detached lane of fine-ND block blk, which is also its
 // fault-injection worker id.
-func (num *Numeric) ndLane(blk int, mode sweepMode, dirty *incState) {
-	defer num.sweep.workerDone()
-	defer num.recoverRelease(blk)
-	num.Sym.Opts.Inject.WorkerPanic(sweepModes[mode].inject, blk)
-	num.sweepBlock(blk, 0, mode, dirty)
+func (num *Numeric) ndLane(blk int) {
+	num.Sym.Opts.Inject.WorkerPanic(sweepModes[num.mode].inject, blk)
+	num.sweepBlock(blk, 0, num.mode, num.dirty)
 }
+
+// releaseND is ndLane's panic release: it sets the completion slot of its
+// block. EpochSignals.Set is an idempotent epoch store, so a slot already
+// signalled is unaffected — the driver's point-to-point join still waits
+// for true quiescence of every sibling instead of deadlocking or returning
+// while workers race on shared per-worker state.
+func (num *Numeric) releaseND(blk int) { num.sig.Set(blk) }
 
 // dealLane is dealing worker t: it takes runs of small blocks from the
 // cursor until they run out and sweeps the dirty blocks on worker slot t,
 // recording itself in took while it holds one. Its fault-injection worker id
 // is NumBlocks()+t, consulted when it takes its first dirty block, so a
-// worker that takes none touches nothing of the sweep. A panicking worker
-// releases the rest of its run and drains the cursor, setting every
-// remaining slot.
-func (num *Numeric) dealLane(t int, mode sweepMode, dirty *incState) {
-	defer num.sweep.workerDone()
-	blks, k, end, first := num.Sym.smallBlocks, 0, 0, true
-	defer func() {
-		if r := recover(); r != nil {
-			num.notePanic(r)
-			for {
-				for ; k < end; k++ {
-					num.took[blks[k]].Store(0)
-					num.sig.Set(blks[k])
-				}
-				if k, end = num.takeRun(); k == end {
-					return
-				}
-			}
-		}
-	}()
-	for k, end = num.takeRun(); k < end; k, end = num.takeRun() {
+// worker that takes none touches nothing of the sweep.
+func (num *Numeric) dealLane(t int) {
+	blks, first := num.Sym.smallBlocks, true
+	for k, end := num.takeRun(t); k < end; k, end = num.takeRun(t) {
 		for ; k < end; k++ {
 			blk := blks[k]
-			if !dirty.has(blk) {
+			if !num.dirty.has(blk) {
 				continue
 			}
 			if first {
 				first = false
-				num.Sym.Opts.Inject.WorkerPanic(sweepModes[mode].inject, num.Sym.NumBlocks()+t)
+				num.Sym.Opts.Inject.WorkerPanic(sweepModes[num.mode].inject, num.Sym.NumBlocks()+t)
 			}
 			num.took[blk].Store(int32(t + 1))
-			num.sweepBlock(blk, t, mode, dirty)
+			num.sweepBlock(blk, t, num.mode, num.dirty)
 			num.took[blk].Store(0)
 		}
 	}
 }
 
-// takeRun hands a dealing worker the next run of Symbolic.smallBlocks as
-// the positions [k, end); k == end once every run has been taken.
-func (num *Numeric) takeRun() (k, end int) {
-	runs := num.Sym.smallRuns
-	if r := int(num.cursor.Add(1)); r < len(runs) {
+// releaseRun is dealLane's panic release: it sets the completion slot of
+// every block in the run worker t holds (the blocks it finished are set
+// already, which Set leaves as they are) and of every run left on the
+// cursor, clearing their took marks.
+func (num *Numeric) releaseRun(t int) {
+	blks := num.Sym.smallBlocks
+	for k, end := num.run(num.held[t]); k < end; k, end = num.takeRun(t) {
+		for ; k < end; k++ {
+			num.took[blks[k]].Store(0)
+			num.sig.Set(blks[k])
+		}
+	}
+}
+
+// takeRun hands dealing worker t the next run of Symbolic.smallBlocks as the
+// positions [k, end), recording it in held[t]; k == end once every run has
+// been taken.
+func (num *Numeric) takeRun(t int) (k, end int) {
+	num.held[t] = int(num.cursor.Add(1))
+	return num.run(num.held[t])
+}
+
+// run returns the positions [k, end) of the run the cursor handed out as
+// its r-th (runs count from 1), or k == end past the last.
+func (num *Numeric) run(r int) (k, end int) {
+	if runs := num.Sym.smallRuns; r < len(runs) {
 		return runs[r-1], runs[r]
 	}
 	return 0, 0
@@ -1327,15 +1319,9 @@ func (num *Numeric) countNnzLU() int {
 			total += num.nd[blk].nnzLU()
 		}
 	}
-	for j := 0; j < sym.N; j++ {
-		bj := sym.blockOf[j]
-		for p := num.Perm.Colptr[j]; p < num.Perm.Colptr[j+1]; p++ {
-			if sym.blockOf[num.Perm.Rowidx[p]] != bj {
-				total++
-			}
-		}
-	}
-	return total
+	// In upper BTF form every off-block entry lies above its diagonal
+	// block, and those are what the plan's offPtr numbers.
+	return total + int(sym.plan.offPtr[sym.N])
 }
 
 // FillDensity reports |L+U| / |A| using the cached count.

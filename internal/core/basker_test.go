@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
 
@@ -287,5 +288,65 @@ func TestPermutationsValid(t *testing.T) {
 	b := a.Permute(sym.RowPerm, sym.ColPerm)
 	if err := b.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// nnzLURef is the per-entry |L+U| count countNnzLU replaced: the diagonal
+// blocks' factors plus every entry of the permuted matrix whose row lies
+// in another coarse block than its column.
+func nnzLURef(num *Numeric) int {
+	sym, total := num.Sym, 0
+	for blk := 0; blk < sym.NumBlocks(); blk++ {
+		if sym.kind[blk] == blockSmall {
+			total += num.small[blk].NnzLU()
+		} else {
+			total += num.nd[blk].nnzLU()
+		}
+	}
+	for j := 0; j < sym.N; j++ {
+		for p := num.Perm.Colptr[j]; p < num.Perm.Colptr[j+1]; p++ {
+			if sym.blockOf[num.Perm.Rowidx[p]] != sym.blockOf[j] {
+				total++
+			}
+		}
+	}
+	return total
+}
+
+// TestNnzLUOffBlockCount pins NnzLU, which counts the coarse off-block
+// entries as the plan's offPtr numbers them, to the per-entry reference
+// on every Table I class and the bench patterns, at one and two threads,
+// with BTF on and off.
+func TestNnzLUOffBlockCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a count over 112 factorizations, about 50 s under -race; the parallel sweeps it runs are raced elsewhere")
+	}
+	ins := matgen.TableISuite(1)
+	ins = append(ins,
+		matgen.Named{Name: "bench-grid3d", Gen: func() *sparse.CSC {
+			return matgen.Circuit(matgen.CircuitParams{N: 2700, Core: matgen.CoreGrid3D, ExtraDensity: 0.2, Seed: 120})
+		}},
+		matgen.Named{Name: "bench-xyce", Gen: func() *sparse.CSC {
+			return matgen.Circuit(matgen.CircuitParams{N: 30000, BTFPct: 21, Blocks: 1000, Core: matgen.CoreLadder, ExtraDensity: 0.4, Seed: 111})
+		}},
+		matgen.Named{Name: "bench-hcircuit", Gen: func() *sparse.CSC {
+			return matgen.Circuit(matgen.CircuitParams{N: 4800, BTFPct: 13, Blocks: 80, Core: matgen.CoreGrid, ExtraDensity: 0.3, Seed: 117})
+		}},
+	)
+	for _, m := range ins {
+		a := m.Gen()
+		for _, threads := range []int{1, 2} {
+			for _, btf := range []bool{true, false} {
+				opts := DefaultOptions()
+				opts.Threads, opts.UseBTF = threads, btf
+				num, err := FactorDirect(a, opts)
+				if err != nil {
+					t.Fatalf("%s T%d BTF %v: %v", m.Name, threads, btf, err)
+				}
+				if got, want := num.NnzLU(), nnzLURef(num); got != want {
+					t.Errorf("%s T%d BTF %v: NnzLU %d, per-entry count %d", m.Name, threads, btf, got, want)
+				}
+			}
+		}
 	}
 }

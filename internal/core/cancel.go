@@ -36,10 +36,14 @@ import (
 // Cancellation is cooperative: a worker that is truly wedged inside a
 // kernel (the faultinject.PointStall chaos case) cannot be pre-empted, so a
 // cancelled factor/refactor sweep returns early while the straggler drains
-// in the background — sweepControl.drain() at every sweep entry waits for
-// such stragglers before any shared state is touched again. Batch solves
-// instead always join fully, because their workers write into the
-// caller-owned right-hand side. When every check lands on a blocked slow
+// in the background. Its workers are the detached lanes of the one
+// launcher (Numeric.goLane, lanes.go), each bracketed by addWorker and
+// workerDone, and SweepControl.drain at every sweep entry waits for such
+// stragglers before any shared state is touched again. Batch solves
+// instead run the joined form (Lanes) and always join fully, because their
+// workers write into the caller-owned right-hand side. The SweepMonitor
+// watcher below is the one goroutine of the sweep and solve paths started
+// outside lanes.go. When every check lands on a blocked slow
 // path or is amortized per block, the zero-allocation and ~0-overhead
 // contracts of the uncancelled fast paths survive untouched.
 

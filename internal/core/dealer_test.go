@@ -94,6 +94,40 @@ func TestDealerWorkerPanic(t *testing.T) {
 	}
 }
 
+// TestDealerAllWorkersPanic panics every dealing worker on its first dirty
+// block, so no survivor may be left to take the runs still on the cursor:
+// the panic release must drain them, or the driver's join never returns.
+// Every panic that fired is counted once.
+func TestDealerAllWorkersPanic(t *testing.T) {
+	a := matgen.Circuit(matgen.CircuitParams{N: 700, BTFPct: 50, Blocks: 40, Core: matgen.CoreLadder, ExtraDensity: 0.3, Seed: 11})
+	opts := optsWithThreads(2)
+	opts.BigBlockMin = 1 << 20
+	inject := faultinject.New()
+	opts.Inject = inject
+	num, err := FactorDirect(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := len(num.Sym.smallRuns) - 1; runs <= 2 {
+		t.Fatalf("test premise broken: %d runs for 2 dealing workers", runs)
+	}
+	inject.Arm(faultinject.PointWorkerPanic, faultinject.Rule{
+		Sweep: faultinject.SweepRefactor, SweepSet: true, Block: -1, Worker: -1, Times: 2,
+	})
+	steps := []*sparse.CSC{matgen.TransientStep(a, 1, 3), matgen.TransientStep(a, 2, 3)}
+	if err := num.Refactor(steps[0]); !errors.Is(err, ErrInternalPanic) {
+		t.Fatalf("refresh with every dealer panicking returned %v, want ErrInternalPanic", err)
+	}
+	if fired := inject.Fired(faultinject.PointWorkerPanic); fired < 1 || int64(fired) != num.Panics() {
+		t.Fatalf("%d worker panics fired, %d counted", fired, num.Panics())
+	}
+	inject.DisarmAll()
+	if err := num.Refactor(steps[1]); err != nil {
+		t.Fatalf("refresh after the recovered panics: %v", err)
+	}
+	solveCheck(t, steps[1], num, 1e-9)
+}
+
 // TestDealerStallLane wedges the dealing worker that takes one small block:
 // the watchdog's StallError names that block and, as Lane, the worker that
 // took it and still holds it, in [0, Threads).

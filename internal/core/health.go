@@ -2,9 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"runtime/debug"
 
 	"repro/internal/gp"
 	"repro/internal/sparse"
@@ -18,24 +16,13 @@ import (
 // panic value and the captured stack.
 var ErrInternalPanic = errors.New("core: internal panic in numeric sweep")
 
-// panicError wraps a recovered panic value with ErrInternalPanic and the
-// panicking goroutine's stack.
-func panicError(r any) error {
-	if e, ok := r.(error); ok {
-		// Keep error-typed panic values in the chain so callers can match
-		// them with errors.Is through the ErrInternalPanic wrapper.
-		return fmt.Errorf("%w: %w\n%s", ErrInternalPanic, e, debug.Stack())
-	}
-	return fmt.Errorf("%w: %v\n%s", ErrInternalPanic, r, debug.Stack())
-}
-
 // notePanic records a worker panic for the sweep's error collection. The
 // first panic wins (like the per-block error slots); the fail flag is also
 // raised so not-yet-started blocks skip their work.
 func (num *Numeric) notePanic(r any) {
 	num.panics.Add(1)
 	num.failed.Store(true)
-	err := panicError(r)
+	err := PanicError(r)
 	num.panicMu.Lock()
 	if num.panicErr == nil {
 		num.panicErr = err
@@ -52,24 +39,11 @@ func (num *Numeric) takePanicErr() error {
 	return err
 }
 
-// recoverRelease converts a fine-ND lane's panic into a recorded sweep
-// error and force-releases the completion slot of its block (a dealing
-// worker does the same for the rest of its run and every run left on the
-// cursor). EpochSignals.Set is an idempotent epoch store, so a slot already
-// signalled is unaffected — the driver's point-to-point join still waits for
-// true quiescence of every sibling instead of deadlocking or returning while
-// workers race on shared per-worker state. Must be called via defer.
-func (num *Numeric) recoverRelease(blk int) {
-	if r := recover(); r != nil {
-		num.notePanic(r)
-		num.sig.Set(blk)
-	}
-}
-
 // recoverSerial is the panic isolation of the caller's own goroutine (the
-// gather, the marking phase, the driver): sweep lanes recover themselves,
-// everything else an entry point runs is covered by deferring this. The
-// recovered panic poisons the numeric and becomes the call's error.
+// gather, the marking phase, the driver, a serial sweep): the lanes of a
+// parallel sweep recover in the launcher (lanes.go), everything else an
+// entry point runs is covered by deferring this. The recovered panic
+// poisons the numeric and becomes the call's error.
 func (num *Numeric) recoverSerial(err *error) {
 	if r := recover(); r != nil {
 		num.notePanic(r)

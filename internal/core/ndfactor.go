@@ -308,39 +308,30 @@ func (num *ndNum) sweep(perm *sparse.CSC, opts Options, mode sweepMode, st *ndIn
 			}
 		}
 	}
+	defer num.countWaits()
 	if s.p == 1 {
 		num.worker(0, mode, st)
 	} else {
-		var wg sync.WaitGroup
-		for t := 0; t < s.p; t++ {
-			wg.Add(1)
-			go func(t int) {
-				// Panic isolation: record the panic as the sweep error and
-				// fail the flag fabric so cooperating siblings abort their
-				// waits instead of deadlocking. The WaitGroup is the join,
-				// so no completion slots need force-releasing.
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						num.fail(panicError(r))
-					}
-				}()
-				num.worker(t, mode, st)
-			}(t)
-		}
-		wg.Wait()
+		// A panicking member fails the flag fabric, so its siblings abort
+		// their waits instead of deadlocking; the panic reaches this
+		// sweep's lane after the join and is recorded there.
+		Lanes(s.p, func(t int) { num.worker(t, mode, st) }, func(int) { num.flags.fail() })
 	}
-	// Each sweep reports its own delta of the fabric's cumulative contended
-	// counters — also when it failed, so its waits never leak into the next.
-	contended, waitNs := num.flags.Contended(), num.flags.WaitNanos()
-	num.SyncWaits, num.lastContended = contended-num.lastContended, contended
-	num.SyncWaitNs, num.lastWaitNs = waitNs-num.lastWaitNs, waitNs
 	if num.firstErr == nil && opts.ctl.Canceled() {
 		// Workers unwound cooperatively without a numeric failure: report
 		// the abort so a partially-built hierarchy is never published.
 		num.firstErr = errSweepAborted
 	}
 	return num.firstErr
+}
+
+// countWaits reports this sweep's delta of the fabric's cumulative
+// contended counters — also when the sweep failed or panicked, so its waits
+// never leak into the next.
+func (num *ndNum) countWaits() {
+	contended, waitNs := num.flags.Contended(), num.flags.WaitNanos()
+	num.SyncWaits, num.lastContended = contended-num.lastContended, contended
+	num.SyncWaitNs, num.lastWaitNs = waitNs-num.lastWaitNs, waitNs
 }
 
 // resetWaitAccounting prepares the per-worker wait accumulators for a new

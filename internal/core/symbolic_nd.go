@@ -27,8 +27,8 @@ type ndEstimates struct {
 // are not read, columns need not be sorted); leafCounts[leaf] holds each
 // leaf diagonal's elimination-tree column counts, computed once by the
 // caller and shared with the supernode detection. Independent blocks of a
-// tree level are spread over up to nt workers; at one thread everything
-// runs on the caller's goroutine.
+// tree level are spread over up to nt lanes (parallelBlocks); at one thread
+// everything runs on the caller's goroutine.
 func estimateND(d *sparse.CSC, s *ndSym, leafCounts [][]int, nt int) *ndEstimates {
 	nb := s.nb
 	est := &ndEstimates{

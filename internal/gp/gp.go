@@ -304,6 +304,9 @@ type emitScratch struct {
 	l, u sparse.CSC
 	ptr  []int    // copyOut: the row pointers of its counting sort
 	ent  []lEntry // copyOut: L's entries bucketed by pivot row
+	// self is the weak pointer the idle list holds, made once when the
+	// scratch is: weak.Make looks its target up on every call.
+	self weak.Pointer[emitScratch]
 }
 
 // lEntry is one L entry in a row bucket of copyOut.
@@ -341,13 +344,15 @@ func getEmitScratch() *emitScratch {
 			return sc
 		}
 	}
-	return new(emitScratch)
+	sc := new(emitScratch)
+	sc.self = weak.Make(sc)
+	return sc
 }
 
 // putEmitScratch returns sc to the idle list.
 func putEmitScratch(sc *emitScratch) {
 	emitFree.Lock()
-	emitFree.idle = append(emitFree.idle, weak.Make(sc))
+	emitFree.idle = append(emitFree.idle, sc.self)
 	emitFree.Unlock()
 	emitKeep.Put(sc)
 }

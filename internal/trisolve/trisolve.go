@@ -29,12 +29,14 @@
 //     the factorization). A column is skipped only when all eight lanes are
 //     zero; a short tail repeats live vectors in the spare lanes, and a
 //     one-vector panel is a plain solve;
-//   - panel parallelism: the panels of a batch are dealt to worker
-//     goroutines through an atomic cursor. A single right-hand side runs
-//     the serial pivot-order sweep on the caller's goroutine, as KLU's
-//     solve does: the paper parallelizes the factorization, and a
-//     dependency-scheduled block sweep measured no faster than the serial
-//     one on any input.
+//   - panel parallelism: the panels of a batch are dealt through an atomic
+//     cursor to the lanes of core.Lanes, the engine's one joined launcher;
+//     a lane's panic reaches the entry point's recover after the join and
+//     becomes an error through core.PanicError, the wrapper the sweeps
+//     use. A single right-hand side runs the serial pivot-order sweep on
+//     the caller's goroutine, as KLU's solve does: the paper parallelizes
+//     the factorization, and a dependency-scheduled block sweep measured
+//     no faster than the serial one on any input.
 //
 // All entry points perform the same floating-point operation sequence per
 // right-hand side as a serial core.Numeric.Solve, so batched, parallel and
@@ -46,10 +48,7 @@ package trisolve
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -84,17 +83,6 @@ func New(num *core.Numeric, opt Options) *Solver {
 	}
 }
 
-// panicErr converts a recovered solve-phase panic into the numeric
-// engine's internal-panic error, carrying the panic value and stack.
-func panicErr(r any) error {
-	if e, ok := r.(error); ok {
-		// Keep error-typed panic values in the chain so callers can match
-		// them with errors.Is through the ErrInternalPanic wrapper.
-		return fmt.Errorf("%w: %w\n%s", core.ErrInternalPanic, e, debug.Stack())
-	}
-	return fmt.Errorf("%w: %v\n%s", core.ErrInternalPanic, r, debug.Stack())
-}
-
 // Solve solves A·x = b in place with the serial pivot-order sweep of
 // core.Numeric.SolveInto on the caller's goroutine. Reentrant and
 // allocation-free in steady state. On a non-nil error (a recovered panic
@@ -110,7 +98,7 @@ func (s *Solver) Solve(b []float64) error {
 func (s *Solver) SolveCtx(ctx context.Context, b []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = panicErr(r)
+			err = core.PanicError(r)
 		}
 	}()
 	if ctx != nil && ctx.Err() != nil {
@@ -172,7 +160,7 @@ func (s *Solver) solveBatch(ctx context.Context, r rhsBatch) (err error) {
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			err = panicErr(p)
+			err = core.PanicError(p)
 		}
 	}()
 	if ctx != nil && ctx.Err() != nil {
@@ -192,12 +180,12 @@ func (s *Solver) solveBatch(ctx context.Context, r rhsBatch) (err error) {
 	return s.solveManyParallel(ctx, r, npanels, nw)
 }
 
-// solveManyParallel deals the panels to nw worker goroutines through a
+// solveManyParallel deals the panels to nw lanes (core.Lanes) through a
 // shared atomic cursor. Kept out of solveBatch so the serial path stays
-// allocation-free (the worker closures would otherwise force their
-// captures onto the heap on every call). A panicking worker records the
-// first error and stops; the cursor lets the surviving workers drain the
-// remaining panels, so the WaitGroup join always quiesces.
+// allocation-free (the lane closure would otherwise force its captures
+// onto the heap on every call). A panicking lane stops; the cursor lets
+// the surviving lanes drain the remaining panels, so the join always
+// quiesces, and the panic then reaches solveBatch's recover.
 func (s *Solver) solveManyParallel(ctx context.Context, r rhsBatch, npanels, nw int) (err error) {
 	inject := s.num.Sym.Opts.Inject
 	// Armed batches borrow a pooled workspace purely for its cancellation
@@ -219,41 +207,24 @@ func (s *Solver) solveManyParallel(ctx context.Context, r rhsBatch, npanels, nw 
 		}()
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = panicErr(p)
-					}
-					mu.Unlock()
-				}
-			}()
-			inject.WorkerPanic(faultinject.SweepSolve, w)
-			for {
-				if ctl != nil && ctl.Canceled() {
-					return
-				}
-				c := int(next.Add(1)) - 1
-				if c >= npanels {
-					return
-				}
-				s.solvePanel(&r, c*gp.PanelLanes)
-				inject.StallPoint(faultinject.SweepSolve, c)
-				if ctl != nil {
-					ctl.Step()
-				}
+	core.Lanes(nw, func(w int) {
+		inject.WorkerPanic(faultinject.SweepSolve, w)
+		for {
+			if ctl != nil && ctl.Canceled() {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
+			c := int(next.Add(1)) - 1
+			if c >= npanels {
+				return
+			}
+			s.solvePanel(&r, c*gp.PanelLanes)
+			inject.StallPoint(faultinject.SweepSolve, c)
+			if ctl != nil {
+				ctl.Step()
+			}
+		}
+	}, nil)
+	return nil
 }
 
 // solvePanel solves right-hand sides lo..lo+gp.PanelLanes of r (fewer in
@@ -357,7 +328,7 @@ func (s *Solver) SolveRefinedCtx(ctx context.Context, a *sparse.CSC, b []float64
 	defer s.pool.put(ws)
 	defer func() {
 		if r := recover(); r != nil {
-			err = panicErr(r)
+			err = core.PanicError(r)
 		}
 	}()
 	if ctx != nil && ctx.Err() != nil {
